@@ -6,16 +6,7 @@ entanglement analysis, observables, configuration, and the runner.
 
 from .angular import RotorState, TwoRotorBasis, costheta_element, l_squared_eigenvalue, sintheta_exp_element
 from .config import RunConfig, SweepSpec, parse_config, parse_sweep, preset
-from .entanglement import (
-    EntanglementRecord,
-    SchmidtSpectrum,
-    analyze,
-    coefficient_matrix,
-    reduced_density_mol1,
-    schmidt_rank,
-    schmidt_spectrum,
-    von_neumann_entropy,
-)
+from .entanglement import schmidt_rank, schmidt_spectrum, von_neumann_entropy
 from .exceptions import (
     ConsistencyError,
     InvalidConfigError,
@@ -27,7 +18,6 @@ from .exceptions import (
 from .observables import (
     RegularityMetrics,
     TimeSeriesRecorder,
-    TimeSeriesSample,
     orientation,
     population,
     regularity_metrics,

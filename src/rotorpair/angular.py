@@ -117,6 +117,17 @@ class TwoRotorBasis:
         # coefficient vector into the Schmidt matrix.
         self.mol1_single = self.l1 * self.l1 + self.l1 + self.m1
         self.mol2_single = self.l2 * self.l2 + self.l2 + self.m2
+        # With m1 + m2 fixed the Schmidt matrix is block diagonal: one block
+        # per m1, rows l1 - |m1| and columns l2 - |m2|, each zero-padded to
+        # (l_max+1) x (l_max+1). The full basis is one d_single x d_single
+        # block. schmidt_flat is each state's position in the stacked blocks.
+        if self.restrict_total_m is None:
+            block, row, col, side = np.zeros_like(self.l1), self.mol1_single, self.mol2_single, self.d_single
+        else:
+            block = self.m1 - self.m1.min()
+            row, col, side = self.l1 - np.abs(self.m1), self.l2 - np.abs(self.m2), self.l_max + 1
+        self.schmidt_shape = (int(block.max()) + 1, side, side)
+        self.schmidt_flat = (block * side + row) * side + col
         self.rotor_diagonal = (self.l1 * (self.l1 + 1) + self.l2 * (self.l2 + 1)).astype(float)
 
     @property

@@ -1,20 +1,25 @@
-"""Schmidt analysis of the two-rotor wavefunction.
+"""Schmidt analysis of two-rotor wavefunctions, a block of states at a time.
 
 The coefficient vector c_{l m l' m'} scatters into the matrix
 C[(l,m), (l',m')]; the Schmidt weights are the squared singular values
 of C, identical to the eigenvalues of the reduced density matrix
 rho_mol1 = C C^dagger. The von Neumann entropy is -sum(lam log lam).
+
+With m1 + m2 = M conserved, C is nonzero only where m' = M - m, so it
+splits into one block per m and its spectrum is the union of the block
+spectra (the symmetry-resolved Schmidt decomposition). The basis holds
+the scatter map (TwoRotorBasis.schmidt_flat); the full basis is the same
+map with one d_single x d_single block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .angular import TwoRotorBasis
 from .exceptions import InvalidConfigError, NumericalError
-from .propagation import WaveFunction
 
 # weights below this are rounding noise and are dropped before the log
 _CLIP = 1e-15
@@ -22,75 +27,45 @@ _CLIP = 1e-15
 LOG_BASES = ("e", "2", "d_single")
 
 
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    """Schmidt weights lambda_k, descending, at one instant."""
+def schmidt_spectrum(basis: TwoRotorBasis, coeffs: np.ndarray) -> np.ndarray:
+    """Schmidt weights of every row of coeffs (K x n), shape (K, w).
 
-    eigenvalues: np.ndarray
-    t: float
-
-
-@dataclass(frozen=True)
-class EntanglementRecord:
-    t: float
-    entropy: float
-    schmidt_rank_eps: int
-    norm: float
-
-
-def coefficient_matrix(psi: WaveFunction) -> np.ndarray:
-    """Scatter the coefficient vector into the d_single x d_single matrix C."""
-    basis = psi.basis
-    d = basis.d_single
-    c = np.zeros((d, d), dtype=np.complex128)
-    c[basis.mol1_single, basis.mol2_single] = psi.coeffs
-    return c
-
-
-def reduced_density_mol1(psi: WaveFunction) -> np.ndarray:
-    """rho_mol1 = C C^dagger; trace equals the squared norm of psi."""
-    c = coefficient_matrix(psi)
-    return c @ c.conj().T
-
-
-def schmidt_spectrum(psi: WaveFunction) -> SchmidtSpectrum:
-    """Schmidt weights via SVD of C (better behaved for tiny weights
-    than the eigensolve of C C^dagger, which tests keep as the oracle)."""
-    c = coefficient_matrix(psi)
+    Each row holds the blocks' weights in block order, descending within a
+    block, with zeros where a block is padded. A row that is not finite
+    gets NaN weights instead of failing the whole block.
+    """
+    coeffs = np.atleast_2d(coeffs)
+    k = coeffs.shape[0]
+    blocks = np.zeros((k, math.prod(basis.schmidt_shape)), dtype=np.complex128)
+    blocks[:, basis.schmidt_flat] = coeffs
+    blocks = blocks.reshape((k,) + basis.schmidt_shape)
+    finite = np.isfinite(coeffs).all(axis=1)
+    weights = np.full((k, basis.schmidt_shape[0] * basis.schmidt_shape[2]), np.nan)
     try:
-        singulars = np.linalg.svd(c, compute_uv=False)
+        singulars = np.linalg.svd(blocks[finite], compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the coefficient matrix failed: {exc}") from exc
-    return SchmidtSpectrum(eigenvalues=singulars * singulars, t=psi.t)
+    weights[finite] = (singulars * singulars).reshape(-1, weights.shape[1])
+    return weights
 
 
-def schmidt_rank(spectrum: SchmidtSpectrum, eps: float = 1e-12) -> int:
-    return int(np.count_nonzero(spectrum.eigenvalues > eps))
+def schmidt_rank(weights: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+    """Number of Schmidt weights above eps, over the last axis."""
+    return np.count_nonzero(weights > eps, axis=-1)
 
 
-def von_neumann_entropy(spectrum: SchmidtSpectrum, log_base: str = "e") -> float:
-    """-sum(lam log lam) with 0 log 0 = 0, in the chosen log base."""
+def von_neumann_entropy(weights: np.ndarray, d_single: int, log_base: str = "e") -> np.ndarray:
+    """-sum(lam log lam) over the last axis with 0 log 0 = 0; NaN stays NaN.
+
+    "d_single" divides by ln d_single, the one-rotor dimension (l_max+1)^2,
+    whatever the number of weights.
+    """
     if log_base not in LOG_BASES:
         raise InvalidConfigError(f"log_base must be one of {LOG_BASES}, got {log_base!r}")
-    lam = spectrum.eigenvalues
-    lam = lam[lam > _CLIP]
-    if lam.size == 0:
-        return 0.0
-    entropy = float(-(lam * np.log(lam)).sum())
+    lam = np.asarray(weights, dtype=float)
+    entropy = -(lam * np.log(np.where(lam > _CLIP, lam, 1.0))).sum(axis=-1)
     if log_base == "2":
         entropy /= math.log(2.0)
-    elif log_base == "d_single":
-        d = spectrum.eigenvalues.size
-        if d > 1:
-            entropy /= math.log(d)
+    elif log_base == "d_single" and d_single > 1:
+        entropy /= math.log(d_single)
     return entropy
-
-
-def analyze(psi: WaveFunction, log_base: str = "e", eps: float = 1e-12) -> EntanglementRecord:
-    spectrum = schmidt_spectrum(psi)
-    return EntanglementRecord(
-        t=psi.t,
-        entropy=von_neumann_entropy(spectrum, log_base),
-        schmidt_rank_eps=schmidt_rank(spectrum, eps),
-        norm=psi.norm(),
-    )

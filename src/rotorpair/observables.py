@@ -18,20 +18,8 @@ from .propagation import WaveFunction
 # are excluded from the autocorrelation peak search by default.
 DEFAULT_MIN_LAG_RED = math.pi / 2.0
 
-
-@dataclass(frozen=True)
-class TimeSeriesSample:
-    """One sampled instant; populations follow the recorder's watch list."""
-
-    index: int
-    t_red: float
-    t_ps: float
-    cos1: float
-    cos2: float
-    entropy: float
-    norm: float
-    energy_rot: float
-    populations: tuple[float, ...]
+# recorded columns in CSV order; the watched populations follow them
+COLUMNS = ("t_ps", "cos1", "cos2", "entropy", "norm", "energy_rot")
 
 
 @dataclass(frozen=True)
@@ -45,7 +33,7 @@ def orientation(psi: WaveFunction, which: str, operator: OperatorMatrix | None =
     """<cos theta> of one molecule; pass a prebuilt operator in hot loops."""
     if operator is None:
         operator = build_costheta_single(psi.basis, which)
-    return operator.expectation(psi.coeffs).real
+    return float(operator.expectation(psi.coeffs).real)
 
 
 def population(psi: WaveFunction, l1: int, m1: int, l2: int, m2: int) -> float:
@@ -60,7 +48,7 @@ def rotational_energy(psi: WaveFunction) -> float:
 
 
 class TimeSeriesRecorder:
-    """Observer that turns sampled coefficient vectors into TimeSeriesSamples."""
+    """Block observer that turns sampled coefficient rows into columns."""
 
     def __init__(self, basis: TwoRotorBasis, watch: tuple[tuple[int, int, int, int], ...],
                  entropy_log_base: str = "e", sample_interval_ps: float = 0.5):
@@ -72,30 +60,37 @@ class TimeSeriesRecorder:
         self.sample_interval_ps = sample_interval_ps
         self._cos1 = build_costheta_single(basis, "mol1")
         self._cos2 = build_costheta_single(basis, "mol2")
-        self.samples: list[TimeSeriesSample] = []
+        self._columns = {name: [np.empty(0)] for name in ("t_red",) + COLUMNS}
+        self._populations = [np.empty((0, len(self.watch)))]
 
-    def __call__(self, t_red: float, index: int, coeffs: np.ndarray) -> None:
-        psi = WaveFunction(self.basis, coeffs, t_red)
-        record = entanglement.analyze(psi, self.entropy_log_base)
-        pops = np.abs(coeffs[self._watch_idx]) ** 2
-        self.samples.append(TimeSeriesSample(
-            index=index,
-            t_red=t_red,
-            t_ps=index * self.sample_interval_ps,
-            cos1=orientation(psi, "mol1", self._cos1),
-            cos2=orientation(psi, "mol2", self._cos2),
-            entropy=record.entropy,
-            norm=record.norm,
-            energy_rot=rotational_energy(psi),
-            populations=tuple(float(p) for p in pops),
-        ))
+    def __call__(self, t_red: np.ndarray, indices: np.ndarray, coeffs: np.ndarray) -> None:
+        probs = np.abs(coeffs) ** 2
+        weights = entanglement.schmidt_spectrum(self.basis, coeffs)
+        block = {
+            "t_red": t_red,
+            "t_ps": indices * self.sample_interval_ps,
+            "cos1": self._cos1.expectation(coeffs).real,
+            "cos2": self._cos2.expectation(coeffs).real,
+            "entropy": entanglement.von_neumann_entropy(weights, self.basis.d_single,
+                                                        self.entropy_log_base),
+            "norm": np.linalg.norm(coeffs, axis=1),
+            "energy_rot": probs @ self.basis.rotor_diagonal,
+        }
+        for name, values in block.items():
+            self._columns[name].append(np.asarray(values, dtype=float))
+        self._populations.append(probs[:, self._watch_idx])
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray([getattr(s, name) for s in self.samples])
+        """One recorded column: t_red or any of COLUMNS."""
+        return np.concatenate(self._columns[name])
 
     def population_column(self, entry: tuple[int, int, int, int]) -> np.ndarray:
-        k = self.watch.index(tuple(entry))
-        return np.asarray([s.populations[k] for s in self.samples])
+        return np.concatenate(self._populations)[:, self.watch.index(tuple(entry))]
+
+    def table(self) -> np.ndarray:
+        """The CSV rows: COLUMNS, then the watched populations."""
+        return np.column_stack([self.column(name) for name in COLUMNS]
+                               + [np.concatenate(self._populations)])
 
 
 def _autocorr_peak(x: np.ndarray, k_min: int, k_max: int) -> float:

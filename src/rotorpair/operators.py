@@ -118,8 +118,9 @@ class OperatorMatrix:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def expectation(self, coeffs: np.ndarray) -> complex:
-        return complex(np.vdot(coeffs, self.matrix @ coeffs))
+    def expectation(self, coeffs: np.ndarray):
+        """<c|A|c> of one state (n,), or of every row of a block (K, n)."""
+        return (coeffs.conj() * (self.matrix @ coeffs.T).T).sum(axis=-1)
 
 
 def _assemble(basis: TwoRotorBasis, rows, cols, vals) -> sparse.csr_matrix:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .exceptions import InvalidConfigError
-from .observables import TimeSeriesSample
+import numpy as np
 
-BASE_COLUMNS = ("t_ps", "cos1", "cos2", "entropy", "norm", "energy_rot")
+from .exceptions import InvalidConfigError
+from .observables import COLUMNS as BASE_COLUMNS
+
 FAILURE_MARKER = "FAILED"
 
 
@@ -37,15 +38,11 @@ def _quote(text: str) -> str:
     return text
 
 
-def write_timeseries_csv(path, watch, samples: list[TimeSeriesSample],
-                         failure_message: str | None = None) -> Path:
+def write_timeseries_csv(path, watch, table, failure_message: str | None = None) -> Path:
+    """Write the rows of table (BASE_COLUMNS, then one column per watched state)."""
     path = Path(path)
     lines = [csv_header(watch)]
-    for s in samples:
-        fields = [format_float(v) for v in
-                  (s.t_ps, s.cos1, s.cos2, s.entropy, s.norm, s.energy_rot)]
-        fields.extend(format_float(p) for p in s.populations)
-        lines.append(",".join(fields))
+    lines.extend(",".join(format_float(v) for v in row) for row in np.asarray(table).tolist())
     if failure_message is not None:
         lines.append(f"{FAILURE_MARKER},{_quote(failure_message)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:

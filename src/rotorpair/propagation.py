@@ -9,13 +9,17 @@ violation raises; nothing is ever silently renormalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .angular import TwoRotorBasis
 from .exceptions import ConsistencyError, InvalidConfigError, NumericalError, StepSizeError
 from .operators import HamiltonianPieces, OperatorMatrix, PulseSchedule
+
+# Most samples handed to the observers at once: keeps each K x n complex
+# block under 1 MB at n = 891 (l_max = 10).
+SAMPLE_BLOCK = 64
 
 
 @dataclass
@@ -81,18 +85,35 @@ def initial_state(basis: TwoRotorBasis) -> WaveFunction:
 
 
 class FreeEvolution:
-    """exp(-i H0 tau) through one eigendecomposition of H0."""
+    """exp(-i H0 tau) through one real eigendecomposition of H0.
+
+    A free segment projects its start state once, a = V^T c, and every
+    sample in it is a row of (exp(-i E tau_k) * a) @ V^T, done as two real
+    matrix products.
+    """
 
     def __init__(self, h0: OperatorMatrix):
+        if np.any(h0.matrix.data.imag):
+            raise ConsistencyError("H0 must be real; its largest imaginary part is "
+                                   f"{np.abs(h0.matrix.data.imag).max():.3e}")
         try:
-            self.energies, self.vectors = np.linalg.eigh(h0.matrix.toarray())
+            self.energies, self.vectors = np.linalg.eigh(h0.matrix.real.toarray())
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition of H0 (dim {h0.dim}) failed: {exc}") from exc
 
-    def advance(self, coeffs: np.ndarray, duration: float) -> np.ndarray:
-        amplitudes = self.vectors.conj().T @ coeffs
-        amplitudes *= np.exp(-1j * self.energies * duration)
-        return self.vectors @ amplitudes
+    def project(self, coeffs: np.ndarray) -> np.ndarray:
+        """Eigenbasis amplitudes V^T c of one state."""
+        pairs = np.ascontiguousarray(coeffs, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+        parts = self.vectors.T @ pairs
+        return parts[:, 0] + 1j * parts[:, 1]
+
+    def advance(self, amplitudes: np.ndarray, durations: np.ndarray) -> np.ndarray:
+        """States exp(-i H0 tau_k) c as rows, from the amplitudes of c."""
+        phased = np.exp(-1j * np.multiply.outer(durations, self.energies)) * amplitudes
+        out = np.empty_like(phased)
+        out.real = np.ascontiguousarray(phased.real) @ self.vectors.T
+        out.imag = np.ascontiguousarray(phased.imag) @ self.vectors.T
+        return out
 
 
 def evolve_free(psi: WaveFunction, duration: float, h0: OperatorMatrix,
@@ -104,7 +125,8 @@ def evolve_free(psi: WaveFunction, duration: float, h0: OperatorMatrix,
         raise ConsistencyError(f"H0 dimension {h0.dim} does not match state size {psi.coeffs.shape[0]}")
     if free is None:
         free = FreeEvolution(h0)
-    return WaveFunction(psi.basis, free.advance(psi.coeffs, duration), psi.t + duration)
+    coeffs = free.advance(free.project(psi.coeffs), np.array([duration]))[0]
+    return WaveFunction(psi.basis, coeffs, psi.t + duration)
 
 
 def rk4_integrate(deriv, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
@@ -155,7 +177,7 @@ def evolve_pulse_window(psi: WaveFunction, window: tuple[float, float],
                            cfg.step_for(pulse))
     out = WaveFunction(psi.basis, coeffs, t_b)
     drift = abs(out.norm() - 1.0)
-    if drift > cfg.norm_tolerance:
+    if not drift <= cfg.norm_tolerance:
         raise StepSizeError(
             f"norm drifted by {drift:.3e} over window [{t_a:.6g}, {t_b:.6g}]"
             f" (tolerance {cfg.norm_tolerance:.1e}); reduce dt_pulse"
@@ -192,8 +214,11 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
                  observers=(), psi0: WaveFunction | None = None) -> Trajectory:
     """Alternate exact free evolution and windowed RK4, sampling on the way.
 
-    sample_times must be ascending and start at 0; observers are called as
-    observer(t_red, sample_index, coeffs) at every sample.
+    sample_times must be ascending and start at 0. Samples reach the
+    observers in blocks of at most SAMPLE_BLOCK consecutive samples from
+    one free segment or one window, as observer(t_red[K], indices[K],
+    coeffs[K, n]). A sample whose norm drifts beyond tolerance (or is NaN)
+    ends its block: the observers see it, then StepSizeError is raised.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -212,56 +237,62 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
     free = FreeEvolution(pieces.h0_operator)
     deriv = _schrodinger_deriv(pieces, pulse)
     dt = cfg.step_for(pulse)
-    h0 = pieces.h0
-
-    coeffs = psi.coeffs.copy()
+    h0 = pieces.h0_operator
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
-    max_drift = 0.0
-    t_now = 0.0
 
-    def advance_to(c: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
-        # walk [t_from, t_to], switching integrators at window edges
-        cursor = t_from
-        for a, b in windows:
-            if b <= cursor or a >= t_to:
-                continue
-            if a > cursor:
-                c = free.advance(c, a - cursor)
-                cursor = a
-            stop = min(b, t_to)
-            c = rk4_integrate(deriv, c, cursor, stop, dt)
-            cursor = stop
-        if t_to > cursor:
-            c = free.advance(c, t_to - cursor)
-        return c
-
-    for k, t_k in enumerate(samples):
-        if t_k > t_now:
-            coeffs = advance_to(coeffs, t_now, float(t_k))
-            t_now = float(t_k)
-        norm_k = float(np.linalg.norm(coeffs))
-        norms[k] = norm_k
-        h0_expect[k] = float(np.vdot(coeffs, h0 @ coeffs).real)
-        drift = abs(norm_k - 1.0)
-        max_drift = max(max_drift, drift)
+    def emit(lo: int, block: np.ndarray) -> None:
+        block_norms = np.linalg.norm(block, axis=1)
+        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= cfg.norm_tolerance))
+        if bad.size:
+            block = block[: bad[0] + 1]
+        hi = lo + block.shape[0]
+        norms[lo:hi] = block_norms[: hi - lo]
+        h0_expect[lo:hi] = h0.expectation(block).real
         for observer in observers:
-            observer(float(t_k), k, coeffs)
-        if drift > cfg.norm_tolerance:
+            observer(samples[lo:hi], np.arange(lo, hi), block)
+        if bad.size:
             raise StepSizeError(
-                f"norm drifted by {drift:.3e} at t = {t_k:.6g}"
+                f"norm drifted by {abs(norms[hi - 1] - 1.0):.3e} at t = {samples[hi - 1]:.6g}"
                 f" (tolerance {cfg.norm_tolerance:.1e}); reduce dt_pulse"
             )
 
-    psi_final = WaveFunction(pieces.basis, coeffs, t_now)
+    # each window is preceded by a free segment; the sentinel closes the run
+    coeffs = psi.coeffs.copy()
+    emit(0, coeffs[None, :])
+    k, cursor = 1, 0.0
+    for a, b in windows + [(t_end, t_end)]:
+        stop = int(np.searchsorted(samples, a, side="right"))  # samples k..stop-1 lie in (cursor, a]
+        if a > cursor:
+            amplitudes = free.project(coeffs)
+            for lo in range(k, stop, SAMPLE_BLOCK):
+                block = free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - cursor)
+                emit(lo, block)
+            at_edge = stop > k and samples[stop - 1] == a
+            coeffs = block[-1] if at_edge else free.advance(amplitudes, np.array([a - cursor]))[0]
+        k, t_from = stop, a
+        stop = int(np.searchsorted(samples, b, side="right"))
+        rows = []
+        for j in range(k, stop):
+            coeffs = rk4_integrate(deriv, coeffs, t_from, float(samples[j]), dt)
+            t_from = float(samples[j])
+            rows.append(coeffs)
+            if (len(rows) == SAMPLE_BLOCK or j == stop - 1
+                    or not abs(np.linalg.norm(coeffs) - 1.0) <= cfg.norm_tolerance):
+                emit(j + 1 - len(rows), np.array(rows))
+                rows = []
+        if b > t_from:
+            coeffs = rk4_integrate(deriv, coeffs, t_from, b, dt)
+        k, cursor = stop, b
+
     return Trajectory(
         t_red=samples,
         norms=norms,
         h0_expect=h0_expect,
-        psi_final=psi_final,
+        psi_final=WaveFunction(pieces.basis, coeffs, t_end),
         windows=windows,
         pulse_centers=pulse.centers(),
-        max_norm_drift=max_drift,
+        max_norm_drift=float(np.max(np.abs(norms - 1.0))),
     )
 
 

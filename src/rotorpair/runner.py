@@ -68,44 +68,25 @@ def _prepare(cfg: RunConfig):
     return reduced, time_unit_ps, basis, pieces, schedule, integrator, samples_red, recorder, total_ps
 
 
-def simulate(cfg: RunConfig) -> RunResult:
-    """Run in memory; raises on numerical failure."""
-    (reduced, time_unit_ps, basis, pieces, schedule,
-     integrator, samples_red, recorder, total_ps) = _prepare(cfg)
-    trajectory = run_schedule(pieces, schedule, integrator, samples_red, observers=(recorder,))
-    return RunResult(
-        config=cfg,
-        reduced=reduced,
-        time_unit_ps=time_unit_ps,
-        basis=basis,
-        pieces=pieces,
-        schedule=schedule,
-        recorder=recorder,
-        trajectory=trajectory,
-        total_time_ps=total_ps,
-    )
-
-
-def run_config(cfg: RunConfig, out_dir=None) -> RunResult:
-    """Run and write artifacts; on failure keep a partial CSV with a marker."""
+def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
+    """Run; with an out_dir, write the CSV there, a partial one with a
+    marker row if the run fails numerically."""
     from .output import write_timeseries_csv  # local import keeps module load light
 
     (reduced, time_unit_ps, basis, pieces, schedule,
      integrator, samples_red, recorder, total_ps) = _prepare(cfg)
-    target = Path(out_dir if out_dir is not None else (cfg.output.out_dir or "sim_out"))
-    target.mkdir(parents=True, exist_ok=True)
-    csv_path = target / CSV_NAME
+    csv_path = None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        csv_path = out_dir / CSV_NAME
     try:
         trajectory = run_schedule(pieces, schedule, integrator, samples_red, observers=(recorder,))
     except (StepSizeError, NumericalError) as exc:
-        write_timeseries_csv(csv_path, recorder.watch, recorder.samples, failure_message=str(exc))
+        if csv_path is not None:
+            write_timeseries_csv(csv_path, recorder.watch, recorder.table(), failure_message=str(exc))
         raise
-    write_timeseries_csv(csv_path, recorder.watch, recorder.samples)
-    echo = cfg.to_json_dict()
-    echo["output"]["out_dir"] = str(target)
-    with open(target / CONFIG_ECHO_NAME, "w", encoding="utf-8", newline="") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if csv_path is not None:
+        write_timeseries_csv(csv_path, recorder.watch, recorder.table())
     return RunResult(
         config=cfg,
         reduced=reduced,
@@ -118,3 +99,20 @@ def run_config(cfg: RunConfig, out_dir=None) -> RunResult:
         total_time_ps=total_ps,
         csv_path=csv_path,
     )
+
+
+def simulate(cfg: RunConfig) -> RunResult:
+    """Run in memory; raises on numerical failure."""
+    return _run(cfg, None)
+
+
+def run_config(cfg: RunConfig, out_dir=None) -> RunResult:
+    """Run and write artifacts; on failure keep a partial CSV with a marker."""
+    target = Path(out_dir if out_dir is not None else (cfg.output.out_dir or "sim_out"))
+    result = _run(cfg, target)
+    echo = cfg.to_json_dict()
+    echo["output"]["out_dir"] = str(target)
+    with open(target / CONFIG_ECHO_NAME, "w", encoding="utf-8", newline="") as fh:
+        json.dump(echo, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return result

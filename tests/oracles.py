@@ -3,9 +3,10 @@
 Everything in here recomputes quantities the package obtains from closed
 forms or sparse fast paths, using slow-but-transparent numerics instead:
 angular matrix elements by quadrature over the sphere, two-rotor operators
-by Kronecker products of quadrature-built one-rotor matrices, and time
-evolution by dense midpoint-sampled eigendecomposition.  None of it is
-imported by the package itself.
+by Kronecker products of quadrature-built one-rotor matrices, time
+evolution by dense midpoint-sampled eigendecomposition, the full d x d
+Schmidt matrix, and the sample-by-sample run loop with its per-sample
+observables.  None of it is imported by the package itself.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import sph_harm_y
 
-from rotorpair.propagation import WaveFunction
+from rotorpair.observables import COLUMNS
+from rotorpair.operators import build_costheta_single
+from rotorpair.propagation import (
+    WaveFunction,
+    _schrodinger_deriv,
+    initial_state,
+    pulse_windows,
+    rk4_integrate,
+)
 
 # Resolution of the default quadrature grid.  Gauss-Legendre in cos(theta)
 # with 64 nodes integrates polynomial integrands up to degree 127 exactly;
@@ -172,3 +181,73 @@ def dense_propagate(psi: WaveFunction, h_sampler, t_a: float, t_b: float,
             phases = np.exp(-1j * energies[j] * dt)
             coeffs = v @ (phases * (np.conj(v.T) @ coeffs))
     return WaveFunction(basis=psi.basis, coeffs=coeffs, t=t_b)
+
+
+def coefficient_matrix(psi: WaveFunction) -> np.ndarray:
+    """Scatter the coefficient vector into the full d_single x d_single matrix C."""
+    basis = psi.basis
+    d = basis.d_single
+    c = np.zeros((d, d), dtype=np.complex128)
+    c[basis.mol1_single, basis.mol2_single] = psi.coeffs
+    return c
+
+
+def reduced_density_mol1(psi: WaveFunction) -> np.ndarray:
+    """rho_mol1 = C C^dagger; trace equals the squared norm of psi."""
+    c = coefficient_matrix(psi)
+    return c @ c.conj().T
+
+
+def per_sample_schedule(pieces, pulse, cfg, sample_times):
+    """The sample-by-sample run loop: one complex eigendecomposition of H0,
+    one chained free advance per sample, and RK4 restarted at every sample
+    inside a window.  Returns (states[K, n], norms[K], h0_expect[K])."""
+    samples = np.asarray(sample_times, dtype=float)
+    windows = pulse_windows(pulse, cfg.window_halfwidth, float(samples[-1]))
+    energies, vectors = np.linalg.eigh(pieces.h0.toarray())
+    deriv = _schrodinger_deriv(pieces, pulse)
+    dt = cfg.step_for(pulse)
+
+    def free(c, tau):
+        return vectors @ (np.exp(-1j * energies * tau) * (vectors.conj().T @ c))
+
+    c = initial_state(pieces.basis).coeffs.copy()
+    states = []
+    t_now = 0.0
+    for t_k in samples:
+        cursor = t_now
+        for a, b in windows:
+            if b <= cursor or a >= t_k:
+                continue
+            if a > cursor:
+                c = free(c, a - cursor)
+                cursor = a
+            stop = min(b, t_k)
+            c = rk4_integrate(deriv, c, cursor, stop, dt)
+            cursor = stop
+        if t_k > cursor:
+            c = free(c, t_k - cursor)
+        t_now = float(t_k)
+        states.append(c)
+    states = np.array(states)
+    h0_expect = np.array([np.vdot(s, pieces.h0 @ s).real for s in states])
+    return states, np.linalg.norm(states, axis=1), h0_expect
+
+
+def per_sample_columns(basis, states, watch, log_base="e", sample_interval_ps=0.5):
+    """Recorder columns computed one state at a time, with the entropy
+    from the SVD of the full d x d Schmidt matrix.  Keys are the recorder's
+    COLUMNS plus each watched state as a tuple."""
+    cos1 = build_costheta_single(basis, "mol1").matrix
+    cos2 = build_costheta_single(basis, "mol2").matrix
+    rows = []
+    for k, c in enumerate(states):
+        lam = np.linalg.svd(coefficient_matrix(WaveFunction(basis, c)), compute_uv=False) ** 2
+        lam = lam[lam > 1e-15]
+        entropy = float(-(lam * np.log(lam)).sum())
+        entropy /= {"e": 1.0, "2": np.log(2.0), "d_single": np.log(basis.d_single)}[log_base]
+        probs = np.abs(c) ** 2
+        rows.append([k * sample_interval_ps, np.vdot(c, cos1 @ c).real, np.vdot(c, cos2 @ c).real,
+                     entropy, np.linalg.norm(c), probs @ basis.rotor_diagonal]
+                    + [probs[basis.index_of(*w)] for w in watch])
+    return dict(zip(COLUMNS + tuple(tuple(w) for w in watch), np.array(rows).T))

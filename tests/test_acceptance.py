@@ -172,11 +172,12 @@ def _offblock_leakage(cfg) -> float:
     off_block = (basis.m1 + basis.m2) != 0
     leak = []
 
-    def watch_leak(t_red, index, coeffs):
-        leak.append(float(np.sum(np.abs(coeffs[off_block]) ** 2)))
+    def watch_leak(t_red, indices, coeffs):
+        leak.extend(np.sum(np.abs(coeffs[:, off_block]) ** 2, axis=1))
 
     run_schedule(pieces, schedule, IntegratorConfig(), samples_red, observers=(watch_leak,))
-    return max(leak)
+    assert len(leak) == samples_red.size
+    return float(max(leak))
 
 
 @_criterion(3)

@@ -2,18 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import coefficient_matrix, reduced_density_mol1
 from rotorpair.angular import TwoRotorBasis
-from rotorpair.entanglement import (
-    EntanglementRecord,
-    SchmidtSpectrum,
-    analyze,
-    coefficient_matrix,
-    reduced_density_mol1,
-    schmidt_rank,
-    schmidt_spectrum,
-    von_neumann_entropy,
-)
+from rotorpair.entanglement import schmidt_rank, schmidt_spectrum, von_neumann_entropy
 from rotorpair.exceptions import InvalidConfigError
 from rotorpair.propagation import WaveFunction
 
@@ -52,33 +47,40 @@ def test_product_state_has_zero_entropy():
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
     psi = _product_state(basis, u, v)
-    spectrum = schmidt_spectrum(psi)
-    assert von_neumann_entropy(spectrum) < 1e-10
-    assert schmidt_rank(spectrum) == 1
+    weights = schmidt_spectrum(basis, psi.coeffs)[0]
+    assert von_neumann_entropy(weights, basis.d_single) < 1e-10
+    assert schmidt_rank(weights) == 1
 
 
 def test_bell_state_entropy_in_every_log_base():
     basis = TwoRotorBasis(1, None)
-    spectrum = schmidt_spectrum(_bell_state(basis))
-    lam = np.sort(spectrum.eigenvalues)[::-1][:2]
+    weights = schmidt_spectrum(basis, _bell_state(basis).coeffs)[0]
+    lam = np.sort(weights)[::-1][:2]
     assert np.allclose(lam, [0.5, 0.5], atol=1e-12)
-    assert von_neumann_entropy(spectrum, "e") == pytest.approx(math.log(2.0), abs=1e-12)
-    assert von_neumann_entropy(spectrum, "2") == pytest.approx(1.0, abs=1e-12)
+    d = basis.d_single
+    assert von_neumann_entropy(weights, d, "e") == pytest.approx(math.log(2.0), abs=1e-12)
+    assert von_neumann_entropy(weights, d, "2") == pytest.approx(1.0, abs=1e-12)
     # d_single = 4, so log_4(2) = 1/2
-    assert von_neumann_entropy(spectrum, "d_single") == pytest.approx(0.5, abs=1e-12)
-    assert schmidt_rank(spectrum) == 2
+    assert von_neumann_entropy(weights, d, "d_single") == pytest.approx(0.5, abs=1e-12)
+    assert schmidt_rank(weights) == 2
 
 
 def test_entropy_rejects_unknown_log_base():
-    spectrum = SchmidtSpectrum(np.array([1.0]), t=0.0)
     with pytest.raises(InvalidConfigError):
-        von_neumann_entropy(spectrum, "10")
+        von_neumann_entropy(np.array([1.0]), 4, "10")
 
 
 def test_entropy_of_a_single_level_subsystem_is_zero():
     # d_single = 1 would divide by log(1); the basis-size log base must guard it
-    spectrum = SchmidtSpectrum(np.array([1.0]), t=0.0)
-    assert von_neumann_entropy(spectrum, "d_single") == 0.0
+    assert von_neumann_entropy(np.array([1.0]), 1, "d_single") == 0.0
+
+
+def test_d_single_log_base_ignores_how_many_weights_the_blocks_return():
+    basis = TwoRotorBasis(2, 0)
+    weights = schmidt_spectrum(basis, _bell_state(basis).coeffs)[0]
+    assert weights.size == 5 * 3  # five m-blocks of side l_max + 1, not d_single = 9
+    entropy = von_neumann_entropy(weights, basis.d_single, "d_single")
+    assert entropy == pytest.approx(math.log(2.0) / math.log(9.0), abs=1e-12)
 
 
 def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues():
@@ -88,14 +90,14 @@ def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues():
     coeffs /= np.linalg.norm(coeffs)
     psi = WaveFunction(basis, coeffs)
 
-    spectrum = schmidt_spectrum(psi)
+    weights = schmidt_spectrum(basis, coeffs)[0]
     rho = reduced_density_mol1(psi)
     assert np.abs(rho - rho.conj().T).max() < 1e-14
     eigs = np.sort(np.linalg.eigvalsh(rho))[::-1]
-    assert np.allclose(np.sort(spectrum.eigenvalues)[::-1], eigs, atol=1e-12)
-    assert spectrum.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
-    # stored descending
-    assert np.all(np.diff(spectrum.eigenvalues) <= 1e-15)
+    got = np.sort(weights)[::-1]
+    assert np.allclose(got[: eigs.size], eigs, atol=1e-12)
+    assert np.all(np.abs(got[eigs.size:]) < 1e-12)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_matrix_trace_equals_squared_norm():
@@ -108,16 +110,38 @@ def test_density_matrix_trace_equals_squared_norm():
 
 
 def test_schmidt_rank_threshold():
-    spectrum = SchmidtSpectrum(np.array([1.0 - 1e-13, 1e-13, 0.0]), t=0.0)
-    assert schmidt_rank(spectrum, eps=1e-12) == 1
-    assert schmidt_rank(spectrum, eps=1e-14) == 2
+    weights = np.array([1.0 - 1e-13, 1e-13, 0.0])
+    assert schmidt_rank(weights, eps=1e-12) == 1
+    assert schmidt_rank(weights, eps=1e-14) == 2
 
 
-def test_analyze_bundles_the_pieces():
+def test_a_block_is_analyzed_row_by_row():
     basis = TwoRotorBasis(1, None)
-    record = analyze(_bell_state(basis), log_base="2")
-    assert isinstance(record, EntanglementRecord)
-    assert record.entropy == pytest.approx(1.0, abs=1e-12)
-    assert record.schmidt_rank_eps == 2
-    assert record.norm == pytest.approx(1.0, abs=1e-14)
-    assert record.t == 0.0
+    product = np.zeros(basis.size, dtype=complex)
+    product[basis.index_of(0, 0, 0, 0)] = 1.0
+    block = np.stack([_bell_state(basis).coeffs, product, np.full(basis.size, np.nan)])
+    weights = schmidt_spectrum(basis, block)
+    assert weights.shape == (3, basis.d_single)
+    entropy = von_neumann_entropy(weights, basis.d_single, "2")
+    assert entropy[:2] == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert np.isnan(entropy[2])  # a non-finite state must not read as unentangled
+    assert schmidt_rank(weights).tolist() == [2, 1, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(l_max=st.integers(2, 4), total_m=st.sampled_from([0, 1, -2, None]), data=st.data())
+def test_m_block_weights_equal_the_full_matrix_svd(l_max, total_m, data):
+    basis = TwoRotorBasis(l_max, total_m)
+    if total_m is None:
+        assert basis.schmidt_shape == (1, basis.d_single, basis.d_single)
+    parts = data.draw(hnp.arrays(np.float64, (2, 2, basis.size),
+                                 elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    coeffs = parts[:, 0] + 1j * parts[:, 1]
+    norms = np.linalg.norm(coeffs, axis=1)
+    coeffs = coeffs[norms > 1e-3] / norms[norms > 1e-3, None]
+    got = np.sort(schmidt_spectrum(basis, coeffs), axis=1)[:, ::-1]
+    for row, weights in zip(coeffs, got):
+        full = np.linalg.svd(coefficient_matrix(WaveFunction(basis, row)), compute_uv=False) ** 2
+        n = min(full.size, weights.size)
+        assert np.abs(weights[:n] - full[:n]).max() <= 1e-14
+        assert np.all(weights[n:] <= 1e-14) and np.all(full[n:] <= 1e-14)

@@ -55,20 +55,28 @@ def test_recorder_collects_samples():
     rec = TimeSeriesRecorder(basis, watch=((0, 0, 0, 0), (1, 0, 0, 0)),
                              sample_interval_ps=0.5)
     psi = _superposition(basis)
-    rec(0.0, 0, initial_state(basis).coeffs)
-    rec(0.011, 1, psi.coeffs)
+    rec(np.array([0.0]), np.array([0]), initial_state(basis).coeffs[None, :])
+    rec(np.array([0.011, 0.022]), np.array([1, 2]), np.stack([psi.coeffs, psi.coeffs]))
 
-    assert len(rec.samples) == 2
-    s0, s1 = rec.samples
-    assert s0.t_ps == 0.0 and s1.t_ps == 0.5
-    assert s1.t_red == 0.011
-    assert s0.populations == (1.0, 0.0)
-    assert s1.populations[0] == pytest.approx(0.5, abs=1e-14)
-    assert s1.cos1 == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
-    assert s0.entropy == pytest.approx(0.0, abs=1e-12)
-    assert s1.norm == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(rec.column("cos2"), [0.0, 0.0], atol=1e-14)
-    assert np.allclose(rec.population_column((1, 0, 0, 0)), [0.0, 0.5], atol=1e-14)
+    assert rec.column("t_ps").tolist() == [0.0, 0.5, 1.0]
+    assert rec.column("t_red").tolist() == [0.0, 0.011, 0.022]
+    assert rec.population_column((0, 0, 0, 0))[0] == 1.0
+    assert rec.population_column((0, 0, 0, 0))[1] == pytest.approx(0.5, abs=1e-14)
+    assert rec.column("cos1")[1:] == pytest.approx([1.0 / math.sqrt(3.0)] * 2, abs=1e-14)
+    assert rec.column("entropy")[0] == pytest.approx(0.0, abs=1e-12)
+    assert rec.column("norm") == pytest.approx([1.0] * 3, abs=1e-14)
+    assert rec.column("energy_rot") == pytest.approx([0.0, 1.0, 1.0], abs=1e-14)
+    assert np.allclose(rec.column("cos2"), [0.0] * 3, atol=1e-14)
+    assert np.allclose(rec.population_column((1, 0, 0, 0)), [0.0, 0.5, 0.5], atol=1e-14)
+    # one CSV row per sample: the six base columns, then the watch list
+    assert rec.table().shape == (3, 8)
+    assert np.array_equal(rec.table()[:, 3], rec.column("entropy"))
+
+
+def test_recorder_starts_empty():
+    rec = TimeSeriesRecorder(TwoRotorBasis(1, 0), watch=((0, 0, 0, 0),))
+    assert rec.column("cos1").size == 0
+    assert rec.table().shape == (0, 7)
 
 
 def test_recorder_rejects_watch_entries_outside_the_basis():

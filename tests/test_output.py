@@ -1,9 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
 from rotorpair.exceptions import InvalidConfigError
-from rotorpair.observables import TimeSeriesSample
 from rotorpair.output import (
     FAILURE_MARKER,
     csv_header,
@@ -15,18 +15,10 @@ from rotorpair.output import (
 )
 
 
-def _sample(index, pops=(0.25,)):
-    return TimeSeriesSample(
-        index=index,
-        t_red=index * 0.0113,
-        t_ps=index * 0.5,
-        cos1=math.sin(0.1 * index) / 3.0,
-        cos2=-0.01 * index,
-        entropy=0.001 * index,
-        norm=1.0 - 1e-12 * index,
-        energy_rot=1.0 / 3.0 + index,
-        populations=tuple(pops),
-    )
+def _rows(count, pops=(0.25,)):
+    """CSV rows t_ps, cos1, cos2, entropy, norm, energy_rot, populations."""
+    return np.array([[k * 0.5, math.sin(0.1 * k) / 3.0, -0.01 * k, 0.001 * k,
+                      1.0 - 1e-12 * k, 1.0 / 3.0 + k, *pops] for k in range(count)])
 
 
 WATCH = ((1, 0, 1, 0),)
@@ -47,20 +39,19 @@ def test_floats_carry_17_significant_digits():
 
 
 def test_write_read_round_trip(tmp_path):
-    samples = [_sample(k) for k in range(4)]
-    path = write_timeseries_csv(tmp_path / "run.csv", WATCH, samples)
+    rows = _rows(4)
+    path = write_timeseries_csv(tmp_path / "run.csv", WATCH, rows)
     header, columns, failure = read_timeseries_csv(path)
     assert failure is None
     assert header == ["t_ps", "cos1", "cos2", "entropy", "norm", "energy_rot", "pop_1_0_1_0"]
     assert columns["t_ps"] == [0.0, 0.5, 1.0, 1.5]
-    assert columns["cos1"] == [s.cos1 for s in samples]  # exact, 17 digits
+    assert columns["cos1"] == rows[:, 1].tolist()  # exact, 17 digits
     assert columns["pop_1_0_1_0"] == [0.25] * 4
 
 
 def test_csv_bytes_are_deterministic_and_lf_terminated(tmp_path):
-    samples = [_sample(k) for k in range(3)]
-    a = write_timeseries_csv(tmp_path / "a.csv", WATCH, samples)
-    b = write_timeseries_csv(tmp_path / "b.csv", WATCH, samples)
+    a = write_timeseries_csv(tmp_path / "a.csv", WATCH, _rows(3))
+    b = write_timeseries_csv(tmp_path / "b.csv", WATCH, _rows(3))
     raw_a = a.read_bytes()
     assert raw_a == b.read_bytes()
     assert b"\r" not in raw_a
@@ -69,9 +60,8 @@ def test_csv_bytes_are_deterministic_and_lf_terminated(tmp_path):
 
 
 def test_failure_marker_row(tmp_path):
-    samples = [_sample(k) for k in range(2)]
     message = 'norm drifted by 3.1e-07, window [0, 0.059]'
-    path = write_timeseries_csv(tmp_path / "run.csv", WATCH, samples,
+    path = write_timeseries_csv(tmp_path / "run.csv", WATCH, _rows(2),
                                 failure_message=message)
     lines = path.read_text().splitlines()
     assert lines[-1].startswith(FAILURE_MARKER + ",")
@@ -82,7 +72,7 @@ def test_failure_marker_row(tmp_path):
 
 def test_failure_message_with_commas_and_quotes_survives(tmp_path):
     message = 'drift, at "sample" 3'
-    path = write_timeseries_csv(tmp_path / "run.csv", (), [_sample(0, pops=())],
+    path = write_timeseries_csv(tmp_path / "run.csv", (), _rows(1, pops=()),
                                 failure_message=message)
     _, _, failure = read_timeseries_csv(path)
     assert failure == message
@@ -106,8 +96,7 @@ def test_reader_rejects_non_timeseries_files(tmp_path):
 # --- SVG ---------------------------------------------------------------------
 
 def test_plot_renders_stacked_panels(tmp_path):
-    samples = [_sample(k) for k in range(40)]
-    csv_path = write_timeseries_csv(tmp_path / "fig.csv", WATCH, samples)
+    csv_path = write_timeseries_csv(tmp_path / "fig.csv", WATCH, _rows(40))
     out = plot_csv(csv_path, tmp_path / "plots")
     assert out.name == "fig.svg"
     svg = out.read_text()
@@ -120,15 +109,13 @@ def test_plot_renders_stacked_panels(tmp_path):
 
 
 def test_plot_without_watch_columns_skips_the_population_panel(tmp_path):
-    samples = [_sample(k, pops=()) for k in range(8)]
-    csv_path = write_timeseries_csv(tmp_path / "bare.csv", (), samples)
+    csv_path = write_timeseries_csv(tmp_path / "bare.csv", (), _rows(8, pops=()))
     svg = plot_csv(csv_path, tmp_path).read_text()
     assert svg.count("<polyline") == 4  # cos1, cos2, entropy, energy
 
 
 def test_plot_of_a_failed_run_uses_the_partial_rows(tmp_path):
-    samples = [_sample(k) for k in range(5)]
-    csv_path = write_timeseries_csv(tmp_path / "part.csv", WATCH, samples,
+    csv_path = write_timeseries_csv(tmp_path / "part.csv", WATCH, _rows(5),
                                     failure_message="stopped early")
     out = plot_csv(csv_path, tmp_path)
     assert out.exists()

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from rotorpair.angular import TwoRotorBasis
 from rotorpair.exceptions import ConsistencyError, InvalidConfigError, StepSizeError
-from rotorpair.operators import PulseSchedule, build_costheta_single, build_pieces
+from rotorpair.observables import COLUMNS, TimeSeriesRecorder
+from rotorpair.operators import OperatorMatrix, PulseSchedule, build_costheta_single, build_pieces
 from rotorpair.propagation import (
+    SAMPLE_BLOCK,
     FreeEvolution,
     IntegratorConfig,
     WaveFunction,
@@ -114,6 +117,29 @@ def test_free_evolution_reuse_matches_fresh_construction():
     a = evolve_free(psi, 0.8, pieces.h0_operator)
     b = evolve_free(psi, 0.8, pieces.h0_operator, free=free)
     assert np.allclose(a.coeffs, b.coeffs, atol=1e-15)
+
+
+def test_free_block_rows_match_one_advance_each():
+    basis = TwoRotorBasis(2, 0)
+    pieces = build_pieces(basis, 0.5)
+    free = FreeEvolution(pieces.h0_operator)
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    taus = np.array([0.0, 0.1, 0.7, 2.3])
+    block = free.advance(free.project(c), taus)
+    assert block.shape == (4, basis.size)
+    energies, vectors = np.linalg.eigh(pieces.h0.toarray())
+    for tau, row in zip(taus, block):
+        ref = vectors @ (np.exp(-1j * energies * tau) * (vectors.conj().T @ c))
+        assert np.abs(row - ref).max() < 1e-13
+
+
+def test_free_evolution_rejects_a_complex_h0():
+    pieces = build_pieces(TwoRotorBasis(1, 0), 0.0)
+    skewed = pieces.h0.copy()
+    skewed.data[0] += 1e-3j
+    with pytest.raises(ConsistencyError, match="imaginary"):
+        FreeEvolution(OperatorMatrix(skewed))
 
 
 # --- RK4 ---------------------------------------------------------------------
@@ -231,6 +257,10 @@ def test_window_raises_on_norm_drift():
     with pytest.raises(StepSizeError):
         evolve_pulse_window(psi0, (0.0, T0 + 5 * SIGMA), pieces, pulse,
                             IntegratorConfig(dt_pulse=0.02))
+    # a NaN state must fail the check too, not slip past a "drift > tol" test
+    psi0.coeffs[1] = np.nan
+    with pytest.raises(StepSizeError, match="by nan"):
+        evolve_pulse_window(psi0, (0.0, 0.01), pieces, pulse, IntegratorConfig())
 
 
 # --- window placement ----------------------------------------------------------
@@ -334,11 +364,108 @@ def test_run_schedule_records_the_violating_sample_then_raises():
     pulse = _single_pulse()
     cfg = IntegratorConfig(dt_pulse=0.02)  # far too coarse for the carrier
     seen = []
-    with pytest.raises(StepSizeError):
-        run_schedule(pieces, pulse, cfg, np.array([0.0, 0.5, 1.0]),
-                     observers=(lambda t, k, c: seen.append((k, float(np.linalg.norm(c)))),))
+
+    def observer(t_red, indices, coeffs):
+        seen.extend(zip(indices.tolist(), np.linalg.norm(coeffs, axis=1)))
+
+    with pytest.raises(StepSizeError, match="at t = 0.5 "):
+        run_schedule(pieces, pulse, cfg, np.array([0.0, 0.5, 1.0]), observers=(observer,))
+    # sample 1 is the first of a two-sample free block; sample 2 is never shown
     assert [k for k, _ in seen] == [0, 1]
     assert abs(seen[-1][1] - 1.0) > 1e-8
+
+
+def test_run_schedule_stops_a_window_block_at_the_violating_sample():
+    basis = TwoRotorBasis(2, 0)
+    pieces = build_pieces(basis, 0.13150852670024232)
+    seen = []
+    samples = np.linspace(0.0, 0.05, 11)  # all inside the pulse window
+    with pytest.raises(StepSizeError):
+        run_schedule(pieces, _single_pulse(), IntegratorConfig(dt_pulse=0.02), samples,
+                     observers=(lambda t, k, c: seen.append((k, np.linalg.norm(c, axis=1))),))
+    indices = np.concatenate([k for k, _ in seen])
+    norms = np.concatenate([n for _, n in seen])
+    assert np.array_equal(indices, np.arange(indices.size))
+    assert indices.size < samples.size
+    assert abs(norms[-1] - 1.0) > 1e-8
+    assert np.all(np.abs(norms[:-1] - 1.0) <= 1e-8)
+
+
+def test_run_schedule_fails_a_nan_state_at_sample_zero():
+    basis = TwoRotorBasis(2, 0)
+    pieces = build_pieces(basis, 0.13150852670024232)
+    psi = initial_state(basis)
+    psi.coeffs[1] = np.nan
+    recorder = TimeSeriesRecorder(basis, ())
+    with pytest.raises(StepSizeError, match="by nan at t = 0 "):
+        run_schedule(pieces, _single_pulse(), IntegratorConfig(), np.array([0.0, 0.5, 1.0]),
+                     observers=(recorder,), psi0=psi)
+    assert recorder.column("t_ps").tolist() == [0.0]
+    assert np.isnan(recorder.column("norm")[0])
+    assert np.isnan(recorder.column("entropy")[0])
+
+
+def test_run_schedule_with_one_sample_records_only_the_start():
+    basis = TwoRotorBasis(2, 0)
+    pieces = build_pieces(basis, 0.13150852670024232)
+    recorder = TimeSeriesRecorder(basis, ((0, 0, 0, 0),))
+    traj = run_schedule(pieces, _single_pulse(), IntegratorConfig(), np.array([0.0]),
+                        observers=(recorder,))
+    assert traj.windows == []
+    assert traj.norms.tolist() == [1.0]
+    assert traj.max_norm_drift == 0.0
+    assert np.array_equal(traj.psi_final.coeffs, initial_state(basis).coeffs)
+    assert recorder.column("t_ps").tolist() == [0.0]
+    assert recorder.population_column((0, 0, 0, 0)).tolist() == [1.0]
+
+
+def _assert_matches_the_per_sample_loop(pieces, pulse, samples, watch):
+    cfg = IntegratorConfig()
+    blocks = []
+    recorder = TimeSeriesRecorder(pieces.basis, watch)
+    traj = run_schedule(pieces, pulse, cfg, samples,
+                        observers=(recorder, lambda t, k, c: blocks.append(k.size)))
+    states, norms, h0_expect = oracles.per_sample_schedule(pieces, pulse, cfg, samples)
+    ref = oracles.per_sample_columns(pieces.basis, states, watch)
+
+    def assert_close(got, want, what):
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert got.shape == want.shape and err.max() <= 1e-10, (what, err.max())
+
+    for name in COLUMNS:
+        assert_close(recorder.column(name), ref[name], name)
+    for entry in watch:
+        assert_close(recorder.population_column(entry), ref[tuple(entry)], entry)
+    assert_close(traj.h0_expect, h0_expect, "h0_expect")
+    assert_close(traj.norms, norms, "norms")
+    assert np.abs(traj.psi_final.coeffs - states[-1]).max() <= 1e-10
+    assert max(blocks) <= SAMPLE_BLOCK and sum(blocks) == samples.size
+    return blocks
+
+
+WATCH = ((0, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0))
+
+
+@pytest.mark.parametrize("total_m", [0, None])
+def test_block_run_of_a_single_pulse_matches_the_per_sample_loop(total_m):
+    basis = TwoRotorBasis(4 if total_m is not None else 2, total_m)
+    pieces = build_pieces(basis, 0.13150852670024232)
+    samples = np.arange(200) * 0.0113  # 0.5 ps steps, several free blocks
+    blocks = _assert_matches_the_per_sample_loop(pieces, _single_pulse(), samples, WATCH)
+    assert len(blocks) >= 4
+
+
+def test_block_run_of_a_pulse_train_matches_the_per_sample_loop():
+    pieces = build_pieces(TwoRotorBasis(4, 0), 0.13150852670024232)
+    train = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0,
+                          carrier_omega=OMEGA, period_red=0.3, count=2)
+    # dense enough that each window holds more than one block of samples
+    samples = np.arange(1400) * 0.0005
+    windows = pulse_windows(train, 5.0, samples[-1])
+    assert len(windows) == 2
+    for a, b in windows:
+        assert np.count_nonzero((samples > a) & (samples <= b)) > SAMPLE_BLOCK
+    _assert_matches_the_per_sample_loop(pieces, train, samples, WATCH)
 
 
 # --- run-length default ---------------------------------------------------------

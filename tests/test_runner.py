@@ -29,8 +29,8 @@ def _tiny(**overrides):
 
 def test_simulate_samples_on_the_requested_grid():
     result = simulate(_tiny())
-    assert len(result.recorder.samples) == 21  # floor(20/1) + 1
     t_ps = result.recorder.column("t_ps")
+    assert t_ps.size == 21  # floor(20/1) + 1
     assert np.array_equal(t_ps, np.arange(21.0))
     assert result.basis.size == 19
     assert result.total_time_ps == 20.0
@@ -41,8 +41,9 @@ def test_simulate_samples_on_the_requested_grid():
 
 def test_simulate_row_count_rounds_down():
     result = simulate(_tiny(output={"total_time_ps": 20.3}))
-    assert len(result.recorder.samples) == 21
-    assert result.recorder.samples[-1].t_ps == 20.0
+    t_ps = result.recorder.column("t_ps")
+    assert t_ps.size == 21
+    assert t_ps[-1] == 20.0
 
 
 def test_simulate_is_physically_sane():
@@ -54,7 +55,7 @@ def test_simulate_is_physically_sane():
     assert a == 0.0  # t0 = 1200 fs sits closer than 5 sigma to t = 0
     assert b == pytest.approx(result.reduced.t0_red + 5 * result.reduced.sigma_red)
     # the kick leaves the molecules rotating faster than the ground state
-    assert result.recorder.samples[-1].energy_rot > 0.1
+    assert result.recorder.column("energy_rot")[-1] > 0.1
 
 
 def test_run_config_writes_csv_and_echo(tmp_path):
@@ -64,8 +65,8 @@ def test_run_config_writes_csv_and_echo(tmp_path):
     header, columns, failure = read_timeseries_csv(result.csv_path)
     assert failure is None
     assert header[-1] == "pop_1_0_1_0"
-    assert columns["cos1"] == [s.cos1 for s in result.recorder.samples]
-    assert columns["norm"] == [s.norm for s in result.recorder.samples]
+    assert columns["cos1"] == result.recorder.column("cos1").tolist()
+    assert columns["norm"] == result.recorder.column("norm").tolist()
 
     echo = json.loads((out / CONFIG_ECHO_NAME).read_text())
     assert echo["output"]["out_dir"] == str(out)
@@ -98,5 +99,9 @@ def test_failed_run_keeps_a_marked_partial_csv(tmp_path):
     assert failure is not None
     assert "norm drifted" in failure
     assert 0 < len(columns["t_ps"]) < 21
+    # rows run up to and including the first sample that broke the tolerance
+    drift = np.abs(np.array(columns["norm"]) - 1.0)
+    assert drift[-1] > 1e-8
+    assert np.all(drift[:-1] <= 1e-8)
     # no config echo for a failed run
     assert not (tmp_path / CONFIG_ECHO_NAME).exists()
