@@ -33,8 +33,6 @@ from .operators import (
     build_orientation_coupling,
     build_pieces,
     build_rotor_term,
-    gaussian_envelope,
-    hamiltonian_at,
 )
 from .propagation import (
     FreeEvolution,

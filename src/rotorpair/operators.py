@@ -95,10 +95,6 @@ class PulseSchedule:
         return float(out) if np.ndim(out) == 0 else out
 
 
-def gaussian_envelope(t, schedule: PulseSchedule):
-    return schedule.envelope(t)
-
-
 @dataclass(eq=False)
 class OperatorMatrix:
     """A sparse operator over one basis, with a Hermiticity tag."""
@@ -240,11 +236,3 @@ def build_pieces(basis: TwoRotorBasis, dipole_strength: float, geometry: Geometr
         coupling=build_orientation_coupling(basis),
     )
 
-
-def hamiltonian_at(t: float, pieces: HamiltonianPieces, pulse: PulseSchedule) -> OperatorMatrix:
-    """The full H(t) as an explicit sparse matrix (reference path; the
-    propagator applies the pieces directly instead of rebuilding H)."""
-    if pieces.coupling.dim != pieces.rotor.dim:
-        raise ConsistencyError("pieces built over different bases")
-    mat = pieces.h0 + pieces.coupling.matrix * pulse.field_scalar(t)
-    return OperatorMatrix(mat.tocsr(), hermitian=True)

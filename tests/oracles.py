@@ -4,9 +4,10 @@ Everything in here recomputes quantities the package obtains from closed
 forms or sparse fast paths, using slow-but-transparent numerics instead:
 angular matrix elements by quadrature over the sphere, two-rotor operators
 by Kronecker products of quadrature-built one-rotor matrices, time
-evolution by dense midpoint-sampled eigendecomposition, the full d x d
-Schmidt matrix, and the sample-by-sample run loop with its per-sample
-observables.  None of it is imported by the package itself.
+evolution by dense midpoint-sampled eigendecomposition, H(t) as one
+explicit matrix, RK4 with the derivative rebuilt at every stage, the full
+d x d Schmidt matrix, and the sample-by-sample run loop with its
+per-sample observables.  None of it is imported by the package itself.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import sph_harm_y
 
+from rotorpair.exceptions import ConsistencyError
 from rotorpair.observables import COLUMNS
-from rotorpair.operators import build_costheta_single
+from rotorpair.operators import OperatorMatrix, build_costheta_single
 from rotorpair.propagation import (
     WaveFunction,
-    _schrodinger_deriv,
     initial_state,
     pulse_windows,
     rk4_integrate,
+    schrodinger_rhs,
 )
 
 # Resolution of the default quadrature grid.  Gauss-Legendre in cos(theta)
@@ -183,6 +185,43 @@ def dense_propagate(psi: WaveFunction, h_sampler, t_a: float, t_b: float,
     return WaveFunction(basis=psi.basis, coeffs=coeffs, t=t_b)
 
 
+def hamiltonian_at(t: float, pieces, pulse) -> OperatorMatrix:
+    """The full H(t) as an explicit sparse matrix."""
+    if pieces.coupling.dim != pieces.rotor.dim:
+        raise ConsistencyError("pieces built over different bases")
+    mat = pieces.h0 + pieces.coupling.matrix * pulse.field_scalar(t)
+    return OperatorMatrix(mat.tocsr(), hermitian=True)
+
+
+def per_stage_rk4(pieces, pulse, y, t0, t1, dt):
+    """RK4 over [t0, t1] with the derivative H0 @ c + f(t) (V @ c) built at
+    every stage: two sparse products and one scalar field call each, four
+    per step.  Same step rule as the package: full steps of dt, then one
+    partial final step."""
+    h0 = pieces.h0
+    coupling = pieces.coupling.matrix
+
+    def deriv(t, c):
+        return -1j * (h0 @ c + pulse.field_scalar(t) * (coupling @ c))
+
+    n_full = int(np.floor((t1 - t0) / dt + 1e-12))
+    for k in range(n_full):
+        y = _per_stage_step(deriv, y, t0 + k * dt, dt)
+    t_last = t0 + n_full * dt
+    remainder = t1 - t_last
+    if remainder > 1e-12 * max(abs(t1), 1.0):
+        y = _per_stage_step(deriv, y, t_last, remainder)
+    return y
+
+
+def _per_stage_step(deriv, y, t, h):
+    k1 = deriv(t, y)
+    k2 = deriv(t + 0.5 * h, y + (0.5 * h) * k1)
+    k3 = deriv(t + 0.5 * h, y + (0.5 * h) * k2)
+    k4 = deriv(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def coefficient_matrix(psi: WaveFunction) -> np.ndarray:
     """Scatter the coefficient vector into the full d_single x d_single matrix C."""
     basis = psi.basis
@@ -205,7 +244,7 @@ def per_sample_schedule(pieces, pulse, cfg, sample_times):
     samples = np.asarray(sample_times, dtype=float)
     windows = pulse_windows(pulse, cfg.window_halfwidth, float(samples[-1]))
     energies, vectors = np.linalg.eigh(pieces.h0.toarray())
-    deriv = _schrodinger_deriv(pieces, pulse)
+    rhs = schrodinger_rhs(pieces, pulse)
     dt = cfg.step_for(pulse)
 
     def free(c, tau):
@@ -223,7 +262,7 @@ def per_sample_schedule(pieces, pulse, cfg, sample_times):
                 c = free(c, a - cursor)
                 cursor = a
             stop = min(b, t_k)
-            c = rk4_integrate(deriv, c, cursor, stop, dt)
+            c = rk4_integrate(rhs, c, cursor, stop, dt)
             cursor = stop
         if t_k > cursor:
             c = free(c, t_k - cursor)

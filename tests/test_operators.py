@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from rotorpair.angular import TwoRotorBasis
 from rotorpair.exceptions import ConsistencyError, InvalidConfigError
 from rotorpair.operators import (
@@ -15,8 +16,6 @@ from rotorpair.operators import (
     build_orientation_coupling,
     build_pieces,
     build_rotor_term,
-    gaussian_envelope,
-    hamiltonian_at,
 )
 
 
@@ -66,7 +65,7 @@ def test_envelope_peaks_at_each_center():
     assert s.envelope(1.05) == pytest.approx(1.0, abs=1e-12)
     # symmetric around a center
     assert s.envelope(0.05 + 0.003) == pytest.approx(s.envelope(0.05 - 0.003), rel=1e-12)
-    assert gaussian_envelope(0.05, s) == s.envelope(0.05)
+    assert s.envelope(np.array([0.05]))[0] == s.envelope(0.05)
 
 
 def test_envelope_accepts_arrays():
@@ -85,6 +84,14 @@ def test_field_scalar_formula():
         assert s.field_scalar(t) == pytest.approx(expected, rel=1e-14)
     arr = s.field_scalar(np.array([0.0, 0.05]))
     assert arr.shape == (2,)
+    # the RK4 stage times (t_k, t_k + h/2, t_k + h) of a 20-pulse train as one
+    # (3, N) array give exactly the N scalar values each
+    train = _schedule(period_red=0.03, count=20)
+    starts = np.arange(1500) * 4e-4
+    stages = np.stack([starts, starts + 2e-4, starts + 4e-4])
+    scalar = np.array([[train.field_scalar(t) for t in row] for row in stages.tolist()])
+    assert np.array_equal(train.field_scalar(stages), scalar)
+    assert np.count_nonzero(scalar) == scalar.size
 
 
 # --- operator construction ---------------------------------------------------
@@ -193,7 +200,7 @@ def test_hamiltonian_at_combines_the_pieces():
     pieces = build_pieces(basis, 0.3)
     s = _schedule()
     t = 0.052
-    h = hamiltonian_at(t, pieces, s).toarray()
+    h = oracles.hamiltonian_at(t, pieces, s).toarray()
     expected = pieces.h0.toarray() + s.field_scalar(t) * pieces.coupling.toarray()
     assert np.allclose(h, expected, atol=1e-15)
     assert np.abs(h - h.conj().T).max() < 1e-14

@@ -12,6 +12,7 @@ from rotorpair.propagation import (
     SAMPLE_BLOCK,
     FreeEvolution,
     IntegratorConfig,
+    RightHandSide,
     WaveFunction,
     default_total_time_ps,
     evolve_free,
@@ -20,6 +21,7 @@ from rotorpair.propagation import (
     pulse_windows,
     rk4_integrate,
     run_schedule,
+    schrodinger_rhs,
 )
 
 # reduced parameters of the default molecule pair, rounded is fine here:
@@ -146,46 +148,73 @@ def test_free_evolution_rejects_a_complex_h0():
 
 def test_rk4_scalar_convergence_is_fourth_order():
     lam = -1.0
-
-    def deriv(t, y):
-        return lam * y
-
+    rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: lam * y)
     y0 = np.array([1.0 + 0.0j])
     exact = math.exp(-2.0)
     err = []
     for dt in (0.1, 0.05):
-        y = rk4_integrate(deriv, y0, 0.0, 2.0, dt)
+        y = rk4_integrate(rhs, y0, 0.0, 2.0, dt)
         err.append(abs(y[0] - exact))
     assert 12.0 < err[0] / err[1] < 20.0
 
 
 def test_rk4_partial_final_step_lands_on_t1():
-    def deriv(t, y):
-        return np.array([2.0 * t])
-
+    # the field is t itself, so dy/dt = 2t
+    rhs = RightHandSide(field=lambda t: t, deriv=lambda f, y: np.array([2.0 * f]))
     # 0.37 is not a multiple of 0.1: a 0.07 closing step is needed
-    y = rk4_integrate(deriv, np.array([0.0]), 0.0, 0.37, 0.1)
+    y = rk4_integrate(rhs, np.array([0.0]), 0.0, 0.37, 0.1)
     assert y[0] == pytest.approx(0.37**2, rel=1e-12)
 
 
 def test_rk4_rejects_bad_spans():
-    deriv = lambda t, y: y
+    rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: y)
     with pytest.raises(ValueError):
-        rk4_integrate(deriv, np.array([1.0]), 0.0, 1.0, 0.0)
+        rk4_integrate(rhs, np.array([1.0]), 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        rk4_integrate(deriv, np.array([1.0]), 1.0, 0.0, 0.1)
+        rk4_integrate(rhs, np.array([1.0]), 1.0, 0.0, 0.1)
 
 
 def test_rk4_exact_step_count_adds_no_extra_step():
     calls = []
+    fields = []
 
-    def deriv(t, y):
-        calls.append(t)
+    def field(t):
+        fields.append(t.shape)
+        return t
+
+    def deriv(f, y):
+        calls.append(f)
         return np.zeros_like(y)
 
-    rk4_integrate(deriv, np.array([0.0]), 0.0, 0.5, 0.1)
+    rk4_integrate(RightHandSide(field, deriv), np.array([0.0]), 0.0, 0.5, 0.1)
     # 5 full steps, 4 calls each, no closing fragment
     assert len(calls) == 20
+    # the stage fields of all 5 steps come from one call
+    assert fields == [(3, 5)]
+
+
+@pytest.mark.parametrize("case", ["clipped_at_zero", "merged_train", "partial_step"])
+def test_window_kernel_matches_the_per_stage_reference(case):
+    pieces = build_pieces(TwoRotorBasis(4 if case == "clipped_at_zero" else 2, 0),
+                          0.13150852670024232)
+    pulse = _single_pulse()
+    if case == "merged_train":
+        # period 6 sigma < 10 sigma: the three windows fuse and the Gaussians overlap
+        pulse = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0,
+                              carrier_omega=OMEGA, period_red=6.0 * SIGMA, count=3)
+    dt = IntegratorConfig().step_for(pulse)
+    (t_a, t_b), = pulse_windows(pulse, 5.0, 1.0)
+    assert t_a == 0.0
+    if case == "partial_step":
+        t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.3137 * SIGMA
+        span = (t_b - t_a) / dt
+        assert span - math.floor(span) > 0.1
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(pieces.basis.size) + 1j * rng.standard_normal(pieces.basis.size)
+    c /= np.linalg.norm(c)
+    got = rk4_integrate(schrodinger_rhs(pieces, pulse), c, t_a, t_b, dt)
+    ref = oracles.per_stage_rk4(pieces, pulse, c, t_a, t_b, dt)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 # --- windowed pulse integration ----------------------------------------------
@@ -219,8 +248,7 @@ def test_window_step_halving_is_fourth_order():
     t_b = T0 + 5.0 * SIGMA
 
     def integrate(dt):
-        from rotorpair.propagation import _schrodinger_deriv
-        return rk4_integrate(_schrodinger_deriv(pieces, pulse), psi0.coeffs, 0.0, t_b, dt)
+        return rk4_integrate(schrodinger_rhs(pieces, pulse), psi0.coeffs, 0.0, t_b, dt)
 
     ref = integrate(SIGMA / 160.0)
     err_coarse = np.abs(integrate(SIGMA / 10.0) - ref).max()
@@ -238,14 +266,11 @@ def test_window_integration_is_time_reversible():
     t_b = T0 + 5.0 * SIGMA
     forward = evolve_pulse_window(psi0, (0.0, t_b), pieces, pulse, cfg)
 
-    h0 = pieces.h0
-    coupling = pieces.coupling.matrix
-
-    def reversed_deriv(s, g):
-        t = t_b - s
-        return 1j * (h0 @ g + pulse.field_scalar(t) * (coupling @ g))
-
-    back = rk4_integrate(reversed_deriv, forward.coeffs, 0.0, t_b, cfg.step_for(pulse))
+    # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
+    ahead = schrodinger_rhs(pieces, pulse)
+    backwards = RightHandSide(field=lambda s: ahead.field(t_b - s),
+                              deriv=lambda f, g: -ahead.deriv(f, g))
+    back = rk4_integrate(backwards, forward.coeffs, 0.0, t_b, cfg.step_for(pulse))
     assert np.abs(back - psi0.coeffs).max() < 1e-6
 
 
