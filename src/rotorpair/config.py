@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .exceptions import InvalidConfigError
@@ -17,7 +18,9 @@ from .units import SYMBOLIC_PERIODS, PhysicalSetup
 
 DEFAULT_WATCH = ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 0))
 ENTROPY_LOG_BASES = ("e", "2", "d_single")
-SWEEP_AXES = ("R_m", "E0_Vpm", "period", "l_max")
+# sweep axis name -> (section, key) in the run document
+SWEEP_AXES = {"R_m": ("geometry", "R_m"), "E0_Vpm": ("pulse", "E0_Vpm"),
+              "period": ("pulse", "period"), "l_max": ("basis", "l_max")}
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,9 @@ class RunConfig:
     integrator: IntegratorSettings = IntegratorSettings()
     output: OutputConfig = OutputConfig()
 
+    def __post_init__(self) -> None:
+        validate_config(self)
+
     def to_setup(self) -> PhysicalSetup:
         return PhysicalSetup(
             mu_debye=self.molecule.mu_debye,
@@ -115,7 +121,10 @@ def _number(data: dict, key: str, default, path: str, allow_none: bool = False):
         raise InvalidConfigError(f"{path}.{key} must be a number, got null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise InvalidConfigError(f"{path}.{key} must be finite, got an integer too large for a float") from None
 
 
 def _integer(data: dict, key: str, default, path: str, allow_none: bool = False):
@@ -129,22 +138,14 @@ def _integer(data: dict, key: str, default, path: str, allow_none: bool = False)
     return value
 
 
-def _parse_watch(raw, l_max: int, path: str):
+def _parse_watch(raw, path: str):
     if not isinstance(raw, list):
         raise InvalidConfigError(f"{path} must be a list of [l, m, l', m'] entries")
-    watch = []
     for k, entry in enumerate(raw):
-        where = f"{path}[{k}]"
         if (not isinstance(entry, list)) or len(entry) != 4 or \
                 any(isinstance(q, bool) or not isinstance(q, int) for q in entry):
-            raise InvalidConfigError(f"{where} must be four integers [l, m, l', m']")
-        l1, m1, l2, m2 = entry
-        if l1 < 0 or l2 < 0 or abs(m1) > l1 or abs(m2) > l2:
-            raise InvalidConfigError(f"{where} is not a valid pair of rotor states: {entry}")
-        if l1 > l_max or l2 > l_max:
-            raise InvalidConfigError(f"{where} exceeds basis.l_max = {l_max}: {entry}")
-        watch.append((l1, m1, l2, m2))
-    return tuple(watch)
+            raise InvalidConfigError(f"{path}[{k}] must be four integers [l, m, l', m']")
+    return tuple(tuple(entry) for entry in raw)
 
 
 def build_config(data: dict) -> RunConfig:
@@ -166,18 +167,14 @@ def build_config(data: dict) -> RunConfig:
     pulse_d = _require_mapping(data.get("pulse", {}), "pulse")
     _reject_unknown(pulse_d, ("E0_Vpm", "sigma_fs", "t0_fs", "omega_cm1", "period", "count"), "pulse")
     period = pulse_d.get("period", None)
-    if period is not None and not isinstance(period, (int, float, str)):
-        raise InvalidConfigError(f"pulse.period must be null, a number (seconds), or a symbolic name, got {period!r}")
-    if isinstance(period, str) and period not in SYMBOLIC_PERIODS:
-        raise InvalidConfigError(f"pulse.period must be one of {SYMBOLIC_PERIODS} when symbolic, got {period!r}")
-    if isinstance(period, bool):
-        raise InvalidConfigError(f"pulse.period must not be a boolean")
+    if not isinstance(period, str):  # null or seconds; a symbolic name is checked in validate_config
+        period = _number(pulse_d, "period", None, "pulse", allow_none=True)
     pulse = PulseConfig(
         E0_Vpm=_number(pulse_d, "E0_Vpm", 3e7, "pulse"),
         sigma_fs=_number(pulse_d, "sigma_fs", 279.0, "pulse"),
         t0_fs=_number(pulse_d, "t0_fs", 1200.0, "pulse"),
         omega_cm1=_number(pulse_d, "omega_cm1", 30.0, "pulse"),
-        period=float(period) if isinstance(period, (int, float)) and not isinstance(period, bool) else period,
+        period=period,
         count=_integer(pulse_d, "count", 1, "pulse"),
     )
 
@@ -199,15 +196,13 @@ def build_config(data: dict) -> RunConfig:
     _reject_unknown(out_d, ("sample_interval_ps", "watch_populations", "entropy_log_base",
                             "out_dir", "total_time_ps"), "output")
     if "watch_populations" in out_d:
-        watch = _parse_watch(out_d["watch_populations"], basis.l_max, "output.watch_populations")
+        watch = _parse_watch(out_d["watch_populations"], "output.watch_populations")
     else:
         # default watch list, trimmed to the truncation the user picked
         watch = tuple(w for w in DEFAULT_WATCH if w[0] <= basis.l_max and w[2] <= basis.l_max)
     log_base = out_d.get("entropy_log_base", "e")
     if isinstance(log_base, int) and not isinstance(log_base, bool):
         log_base = str(log_base)
-    if log_base not in ENTROPY_LOG_BASES:
-        raise InvalidConfigError(f"output.entropy_log_base must be one of {ENTROPY_LOG_BASES}, got {log_base!r}")
     out_dir = out_d.get("out_dir", None)
     if out_dir is not None and not isinstance(out_dir, str):
         raise InvalidConfigError(f"output.out_dir must be a string path, got {out_dir!r}")
@@ -219,13 +214,17 @@ def build_config(data: dict) -> RunConfig:
         total_time_ps=_number(out_d, "total_time_ps", None, "output", allow_none=True),
     )
 
-    cfg = RunConfig(molecule, geometry, pulse, basis, integrator, output)
-    validate_config(cfg)
-    return cfg
+    return RunConfig(molecule, geometry, pulse, basis, integrator, output)
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Physics-level checks, shared by the parser and the sweep runner."""
+    """The physical rules; RunConfig runs them once, when it is built."""
+    for section in dataclasses.fields(cfg):
+        part = getattr(cfg, section.name)
+        for item in dataclasses.fields(part):
+            value = getattr(part, item.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfigError(f"{section.name}.{item.name} must be finite, got {value}")
     for path, value in (
         ("molecule.mu_debye", cfg.molecule.mu_debye),
         ("molecule.B_cm1", cfg.molecule.B_cm1),
@@ -244,13 +243,17 @@ def validate_config(cfg: RunConfig) -> None:
         raise InvalidConfigError(f"pulse.count must be at least 1, got {cfg.pulse.count}")
     if cfg.pulse.count > 1 and cfg.pulse.period is None:
         raise InvalidConfigError("pulse.count > 1 requires pulse.period")
+    if isinstance(cfg.pulse.period, str) and cfg.pulse.period not in SYMBOLIC_PERIODS:
+        raise InvalidConfigError(
+            f"pulse.period must be one of {SYMBOLIC_PERIODS} when symbolic, got {cfg.pulse.period!r}")
     if isinstance(cfg.pulse.period, (int, float)) and not cfg.pulse.period > 0:
         raise InvalidConfigError(f"pulse.period in seconds must be positive, got {cfg.pulse.period}")
     if cfg.basis.l_max < 1:
         raise InvalidConfigError(f"basis.l_max must be at least 1, got {cfg.basis.l_max}")
-    m = cfg.basis.restrict_total_m
-    if m is not None and abs(m) > 2 * cfg.basis.l_max:
-        raise InvalidConfigError(f"basis.restrict_total_m = {m} is unreachable at l_max = {cfg.basis.l_max}")
+    if cfg.basis.restrict_total_m not in (0, None):
+        # the initial state |00;00> lies in the M = 0 block
+        raise InvalidConfigError(
+            f"basis.restrict_total_m must be 0 or null, got {cfg.basis.restrict_total_m!r}")
     if cfg.integrator.dt_pulse_fs is not None and not cfg.integrator.dt_pulse_fs > 0:
         raise InvalidConfigError(f"integrator.dt_pulse_fs must be positive, got {cfg.integrator.dt_pulse_fs}")
     if not cfg.integrator.norm_tolerance > 0:
@@ -258,10 +261,11 @@ def validate_config(cfg: RunConfig) -> None:
     for k, (l1, m1, l2, m2) in enumerate(cfg.output.watch_populations):
         if l1 > cfg.basis.l_max or l2 > cfg.basis.l_max or abs(m1) > l1 or abs(m2) > l2:
             raise InvalidConfigError(
-                f"output.watch_populations[{k}] = {(l1, m1, l2, m2)} does not fit basis.l_max = {cfg.basis.l_max}"
-            )
+                f"output.watch_populations[{k}] = {(l1, m1, l2, m2)} is not a pair of rotor states"
+                f" within basis.l_max = {cfg.basis.l_max}")
     if cfg.output.entropy_log_base not in ENTROPY_LOG_BASES:
-        raise InvalidConfigError(f"output.entropy_log_base must be one of {ENTROPY_LOG_BASES}")
+        raise InvalidConfigError(
+            f"output.entropy_log_base must be one of {ENTROPY_LOG_BASES}, got {cfg.output.entropy_log_base!r}")
     if cfg.output.total_time_ps is not None and not cfg.output.total_time_ps > 0:
         raise InvalidConfigError(f"output.total_time_ps must be positive, got {cfg.output.total_time_ps}")
 
@@ -273,19 +277,6 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
     return build_config(data)
-
-
-def config_with(cfg: RunConfig, name: str, value) -> RunConfig:
-    """A copy of cfg with one sweep axis applied (no validation here)."""
-    if name == "R_m":
-        return dataclasses.replace(cfg, geometry=dataclasses.replace(cfg.geometry, R_m=value))
-    if name == "E0_Vpm":
-        return dataclasses.replace(cfg, pulse=dataclasses.replace(cfg.pulse, E0_Vpm=value))
-    if name == "period":
-        return dataclasses.replace(cfg, pulse=dataclasses.replace(cfg.pulse, period=value))
-    if name == "l_max":
-        return dataclasses.replace(cfg, basis=dataclasses.replace(cfg.basis, l_max=value))
-    raise InvalidConfigError(f"unknown sweep axis {name!r}; valid axes: {SWEEP_AXES}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +336,7 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    base: RunConfig
+    base: dict  # the base run document; each point is parsed from it
     axis1: SweepAxis
     axis2: SweepAxis | None = None
     parallelism: int | None = None
@@ -357,7 +348,7 @@ def _parse_axis(data, path: str) -> SweepAxis:
     _reject_unknown(data, ("name", "values"), path)
     name = data.get("name")
     if name not in SWEEP_AXES:
-        raise InvalidConfigError(f"{path}.name must be one of {SWEEP_AXES}, got {name!r}")
+        raise InvalidConfigError(f"{path}.name must be one of {tuple(SWEEP_AXES)}, got {name!r}")
     values = data.get("values")
     if not isinstance(values, list) or not values:
         raise InvalidConfigError(f"{path}.values must be a non-empty list")
@@ -374,7 +365,8 @@ def parse_sweep(text: str) -> SweepSpec:
     _reject_unknown(data, ("base", "axis1", "axis2", "parallelism", "out_dir"), "")
     if "axis1" not in data:
         raise InvalidConfigError("sweep spec needs axis1")
-    base = build_config(_require_mapping(data.get("base", {}), "base"))
+    base = _require_mapping(data.get("base", {}), "base")
+    build_config(base)  # a bad base fails here, before any point runs
     axis1 = _parse_axis(data["axis1"], "axis1")
     axis2 = _parse_axis(data["axis2"], "axis2") if "axis2" in data else None
     if axis2 is not None and axis2.name == axis1.name:

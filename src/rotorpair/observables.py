@@ -11,7 +11,7 @@ import numpy as np
 from . import entanglement
 from .angular import TwoRotorBasis
 from .exceptions import QueryError
-from .operators import OperatorMatrix, build_costheta_single
+from .operators import build_costheta_single, expectation
 from .propagation import WaveFunction
 
 # Lags below half the orientation revival period (pi in reduced time)
@@ -29,11 +29,9 @@ class RegularityMetrics:
     energy_growth_rate: float
 
 
-def orientation(psi: WaveFunction, which: str, operator: OperatorMatrix | None = None) -> float:
-    """<cos theta> of one molecule; pass a prebuilt operator in hot loops."""
-    if operator is None:
-        operator = build_costheta_single(psi.basis, which)
-    return float(operator.expectation(psi.coeffs).real)
+def orientation(psi: WaveFunction, which: str) -> float:
+    """<cos theta> of one molecule."""
+    return float(expectation(build_costheta_single(psi.basis, which), psi.coeffs).real)
 
 
 def population(psi: WaveFunction, l1: int, m1: int, l2: int, m2: int) -> float:
@@ -69,8 +67,8 @@ class TimeSeriesRecorder:
         block = {
             "t_red": t_red,
             "t_ps": indices * self.sample_interval_ps,
-            "cos1": self._cos1.expectation(coeffs).real,
-            "cos2": self._cos2.expectation(coeffs).real,
+            "cos1": expectation(self._cos1, coeffs).real,
+            "cos2": expectation(self._cos2, coeffs).real,
             "entropy": entanglement.von_neumann_entropy(weights, self.basis.d_single,
                                                         self.entropy_log_base),
             "norm": np.linalg.norm(coeffs, axis=1),

@@ -19,37 +19,14 @@ tensor product.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .angular import TwoRotorBasis, _costheta, _sintheta_exp
 from .exceptions import ConsistencyError, InvalidConfigError
-
-_Z = (0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Orientation of the intermolecular axis and the laser polarization.
-
-    Only the z-aligned arrangement is implemented; the type exists so
-    the choice is explicit and a future generalization has a seam.
-    """
-
-    e_R_axis: tuple[float, float, float] = _Z
-    polarization_axis: tuple[float, float, float] = _Z
-
-    def __post_init__(self) -> None:
-        for name in ("e_R_axis", "polarization_axis"):
-            axis = getattr(self, name)
-            norm = math.sqrt(sum(c * c for c in axis))
-            if abs(norm - 1.0) > 1e-12:
-                raise InvalidConfigError(f"{name} must be a unit vector, |axis| = {norm}")
-            if any(abs(a - b) > 1e-12 for a, b in zip(axis, _Z)):
-                raise InvalidConfigError(f"only the z-aligned {name} is supported, got {axis}")
 
 
 @dataclass(frozen=True)
@@ -68,16 +45,6 @@ class PulseSchedule:
     period_red: float = 0.0
     count: int = 1
 
-    def __post_init__(self) -> None:
-        if not self.sigma_red > 0:
-            raise InvalidConfigError(f"sigma_red must be positive, got {self.sigma_red}")
-        if self.count < 1:
-            raise InvalidConfigError(f"count must be at least 1, got {self.count}")
-        if self.count > 1 and not self.period_red > 0:
-            raise InvalidConfigError("period_red must be positive for a pulse train")
-        if self.kick_strength < 0:
-            raise InvalidConfigError(f"kick_strength must be non-negative, got {self.kick_strength}")
-
     def centers(self) -> np.ndarray:
         return self.t0_red + self.period_red * np.arange(self.count, dtype=float)
 
@@ -95,28 +62,9 @@ class PulseSchedule:
         return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(eq=False)
-class OperatorMatrix:
-    """A sparse operator over one basis, with a Hermiticity tag."""
-
-    matrix: sparse.csr_matrix
-    hermitian: bool = True
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def entries(self):
-        """Iterate (row, col, value) over stored nonzeros."""
-        coo = self.matrix.tocoo()
-        yield from zip(coo.row, coo.col, coo.data)
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def expectation(self, coeffs: np.ndarray):
-        """<c|A|c> of one state (n,), or of every row of a block (K, n)."""
-        return (coeffs.conj() * (self.matrix @ coeffs.T).T).sum(axis=-1)
+def expectation(matrix: sparse.csr_matrix, coeffs: np.ndarray):
+    """<c|A|c> of one state (n,), or of every row of a block (K, n)."""
+    return (coeffs.conj() * (matrix @ coeffs.T).T).sum(axis=-1)
 
 
 def _assemble(basis: TwoRotorBasis, rows, cols, vals) -> sparse.csr_matrix:
@@ -126,13 +74,12 @@ def _assemble(basis: TwoRotorBasis, rows, cols, vals) -> sparse.csr_matrix:
     ).tocsr()
 
 
-def build_rotor_term(basis: TwoRotorBasis) -> OperatorMatrix:
+def build_rotor_term(basis: TwoRotorBasis) -> sparse.csr_matrix:
     """Diagonal l1(l1+1) + l2(l2+1) in units of B."""
-    mat = sparse.diags(basis.rotor_diagonal.astype(np.complex128), 0, format="csr")
-    return OperatorMatrix(mat, hermitian=True)
+    return sparse.diags(basis.rotor_diagonal.astype(np.complex128), 0, format="csr")
 
 
-def build_dipole_term(basis: TwoRotorBasis, dipole_strength: float) -> OperatorMatrix:
+def build_dipole_term(basis: TwoRotorBasis, dipole_strength: float) -> sparse.csr_matrix:
     """The z-axis dipole-dipole coupling; couples dl = +-1 on both rotors."""
     if dipole_strength < 0:
         raise InvalidConfigError(f"dipole_strength must be non-negative, got {dipole_strength}")
@@ -162,7 +109,7 @@ def build_dipole_term(basis: TwoRotorBasis, dipole_strength: float) -> OperatorM
                         rows.append(basis.index_of(a1, m1 - 1, a2, m2 + 1))
                         cols.append(i)
                         vals.append(0.5 * dipole_strength * v)
-    return OperatorMatrix(_assemble(basis, rows, cols, vals), hermitian=True)
+    return _assemble(basis, rows, cols, vals)
 
 
 def _one_body_costheta(basis: TwoRotorBasis, which: str):
@@ -186,53 +133,44 @@ def _one_body_costheta(basis: TwoRotorBasis, which: str):
     return rows, cols, vals
 
 
-def build_costheta_single(basis: TwoRotorBasis, which: str) -> OperatorMatrix:
+def build_costheta_single(basis: TwoRotorBasis, which: str) -> sparse.csr_matrix:
     """cos(theta) acting on one molecule only (for orientation observables)."""
     rows, cols, vals = _one_body_costheta(basis, which)
-    return OperatorMatrix(_assemble(basis, rows, cols, vals), hermitian=True)
+    return _assemble(basis, rows, cols, vals)
 
 
-def build_orientation_coupling(basis: TwoRotorBasis) -> OperatorMatrix:
+def build_orientation_coupling(basis: TwoRotorBasis) -> sparse.csr_matrix:
     """cos(theta1) + cos(theta2); the laser couples to this operator."""
     r1, c1, v1 = _one_body_costheta(basis, "mol1")
     r2, c2, v2 = _one_body_costheta(basis, "mol2")
-    return OperatorMatrix(_assemble(basis, r1 + r2, c1 + c2, v1 + v2), hermitian=True)
+    return _assemble(basis, r1 + r2, c1 + c2, v1 + v2)
 
 
 @dataclass(eq=False)
 class HamiltonianPieces:
-    """The three built pieces plus the basis they share."""
+    """The three built pieces (CSR) plus the basis they share."""
 
     basis: TwoRotorBasis
-    rotor: OperatorMatrix
-    dipole: OperatorMatrix
-    coupling: OperatorMatrix
-    _h0: sparse.csr_matrix | None = field(default=None, repr=False)
+    rotor: sparse.csr_matrix
+    dipole: sparse.csr_matrix
+    coupling: sparse.csr_matrix
 
     def __post_init__(self) -> None:
-        dims = {self.rotor.dim, self.dipole.dim, self.coupling.dim, self.basis.size}
+        dims = {self.rotor.shape[0], self.dipole.shape[0], self.coupling.shape[0], self.basis.size}
         if len(dims) != 1:
             raise ConsistencyError(f"Hamiltonian pieces have mismatched dimensions: {sorted(dims)}")
 
-    @property
+    @cached_property
     def h0(self) -> sparse.csr_matrix:
         """rotor + dipole, the field-free Hamiltonian."""
-        if self._h0 is None:
-            self._h0 = (self.rotor.matrix + self.dipole.matrix).tocsr()
-        return self._h0
-
-    @property
-    def h0_operator(self) -> OperatorMatrix:
-        return OperatorMatrix(self.h0, hermitian=True)
+        return (self.rotor + self.dipole).tocsr()
 
 
-def build_pieces(basis: TwoRotorBasis, dipole_strength: float, geometry: Geometry = Geometry()) -> HamiltonianPieces:
+def build_pieces(basis: TwoRotorBasis, dipole_strength: float) -> HamiltonianPieces:
     """Build all time-independent operators for one run."""
-    # geometry is validated by construction; only z-aligned axes exist here
     return HamiltonianPieces(
         basis=basis,
         rotor=build_rotor_term(basis),
         dipole=build_dipole_term(basis, dipole_strength),
         coupling=build_orientation_coupling(basis),
     )
-

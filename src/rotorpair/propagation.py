@@ -2,7 +2,7 @@
 
 Between pulses the state advances by the exact exponential of the
 field-free Hamiltonian (one eigendecomposition per run). Inside a
-window of +-window_halfwidth sigma around each pulse center the state
+window of +-WINDOW_HALFWIDTH sigma around each pulse center the state
 is stepped with classical fixed-step RK4. The norm is monitored and a
 violation raises; nothing is ever silently renormalized.
 """
@@ -17,7 +17,11 @@ from scipy import sparse
 
 from .angular import TwoRotorBasis
 from .exceptions import ConsistencyError, InvalidConfigError, NumericalError, StepSizeError
-from .operators import HamiltonianPieces, OperatorMatrix, PulseSchedule
+from .operators import HamiltonianPieces, PulseSchedule, expectation
+
+# Half-width of each RK4 window in units of sigma; the Gaussian envelope
+# is below exp(-25) ~ 1e-11 outside it.
+WINDOW_HALFWIDTH = 5.0
 
 # Most samples handed to the observers at once: keeps each K x n complex
 # block under 1 MB at n = 891 (l_max = 10).
@@ -46,19 +50,7 @@ class IntegratorConfig:
     """
 
     dt_pulse: float | None = None
-    window_halfwidth: float = 5.0
     norm_tolerance: float = 1e-8
-    method: str = "rk4"
-
-    def __post_init__(self) -> None:
-        if self.dt_pulse is not None and not self.dt_pulse > 0:
-            raise InvalidConfigError(f"dt_pulse must be positive, got {self.dt_pulse}")
-        if self.window_halfwidth < 3:
-            raise InvalidConfigError(f"window_halfwidth must be at least 3, got {self.window_halfwidth}")
-        if not self.norm_tolerance > 0:
-            raise InvalidConfigError(f"norm_tolerance must be positive, got {self.norm_tolerance}")
-        if self.method != "rk4":
-            raise InvalidConfigError(f"unknown integration method {self.method!r}")
 
     def step_for(self, pulse: PulseSchedule) -> float:
         return self.dt_pulse if self.dt_pulse is not None else pulse.sigma_red / 400.0
@@ -94,14 +86,14 @@ class FreeEvolution:
     matrix products.
     """
 
-    def __init__(self, h0: OperatorMatrix):
-        if np.any(h0.matrix.data.imag):
+    def __init__(self, h0: sparse.csr_matrix):
+        if np.any(h0.data.imag):
             raise ConsistencyError("H0 must be real; its largest imaginary part is "
-                                   f"{np.abs(h0.matrix.data.imag).max():.3e}")
+                                   f"{np.abs(h0.data.imag).max():.3e}")
         try:
-            self.energies, self.vectors = np.linalg.eigh(h0.matrix.real.toarray())
+            self.energies, self.vectors = np.linalg.eigh(h0.real.toarray())
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigendecomposition of H0 (dim {h0.dim}) failed: {exc}") from exc
+            raise NumericalError(f"eigendecomposition of H0 (dim {h0.shape[0]}) failed: {exc}") from exc
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """Eigenbasis amplitudes V^T c of one state."""
@@ -118,19 +110,6 @@ class FreeEvolution:
         return out
 
 
-def evolve_free(psi: WaveFunction, duration: float, h0: OperatorMatrix,
-                free: FreeEvolution | None = None) -> WaveFunction:
-    """Advance psi by the field-free propagator over the given duration."""
-    if duration < 0:
-        raise ValueError(f"duration must be non-negative, got {duration}")
-    if h0.dim != psi.coeffs.shape[0]:
-        raise ConsistencyError(f"H0 dimension {h0.dim} does not match state size {psi.coeffs.shape[0]}")
-    if free is None:
-        free = FreeEvolution(h0)
-    coeffs = free.advance(free.project(psi.coeffs), np.array([duration]))[0]
-    return WaveFunction(psi.basis, coeffs, psi.t + duration)
-
-
 class RightHandSide(NamedTuple):
     """dy/dt = deriv(field(t), y), with field vectorized over an array of times."""
 
@@ -142,7 +121,7 @@ def schrodinger_rhs(pieces: HamiltonianPieces, pulse: PulseSchedule) -> RightHan
     """dc/dt = -i (H0 + f(t) V) c, with [H0; V] stacked so that each
     derivative is one sparse product."""
     n = pieces.basis.size
-    stacked = sparse.vstack([pieces.h0, pieces.coupling.matrix], format="csr")
+    stacked = sparse.vstack([pieces.h0, pieces.coupling], format="csr")
 
     def deriv(f, c):
         w = stacked @ c
@@ -173,27 +152,6 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
         k4 = rhs.deriv(f1, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
-
-
-def evolve_pulse_window(psi: WaveFunction, window: tuple[float, float],
-                        pieces: HamiltonianPieces, pulse: PulseSchedule,
-                        cfg: IntegratorConfig = IntegratorConfig()) -> WaveFunction:
-    """RK4-step psi across one window; fails loudly on norm drift."""
-    t_a, t_b = window
-    if abs(psi.t - t_a) > 1e-9:
-        raise ConsistencyError(f"window starts at {t_a} but the state is at t = {psi.t}")
-    if not t_b > t_a:
-        raise ValueError(f"window must have positive length, got {window}")
-    coeffs = rk4_integrate(schrodinger_rhs(pieces, pulse), psi.coeffs, t_a, t_b,
-                           cfg.step_for(pulse))
-    out = WaveFunction(psi.basis, coeffs, t_b)
-    drift = abs(out.norm() - 1.0)
-    if not drift <= cfg.norm_tolerance:
-        raise StepSizeError(
-            f"norm drifted by {drift:.3e} over window [{t_a:.6g}, {t_b:.6g}]"
-            f" (tolerance {cfg.norm_tolerance:.1e}); reduce dt_pulse"
-        )
-    return out
 
 
 def pulse_windows(pulse: PulseSchedule, halfwidth: float, t_end: float) -> list[tuple[float, float]]:
@@ -244,11 +202,10 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
         raise ConsistencyError(f"initial state must start at t = 0, got {psi.t}")
 
     t_end = float(samples[-1])
-    windows = pulse_windows(pulse, cfg.window_halfwidth, t_end)
-    free = FreeEvolution(pieces.h0_operator)
+    windows = pulse_windows(pulse, WINDOW_HALFWIDTH, t_end)
+    free = FreeEvolution(pieces.h0)
     rhs = schrodinger_rhs(pieces, pulse)
     dt = cfg.step_for(pulse)
-    h0 = pieces.h0_operator
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
 
@@ -259,7 +216,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
             block = block[: bad[0] + 1]
         hi = lo + block.shape[0]
         norms[lo:hi] = block_norms[: hi - lo]
-        h0_expect[lo:hi] = h0.expectation(block).real
+        h0_expect[lo:hi] = expectation(pieces.h0, block).real
         for observer in observers:
             observer(samples[lo:hi], np.arange(lo, hi), block)
         if bad.size:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .angular import TwoRotorBasis
-from .config import RunConfig, validate_config
+from .config import RunConfig
 from .exceptions import NumericalError, StepSizeError
 from .observables import TimeSeriesRecorder
 from .operators import HamiltonianPieces, PulseSchedule, build_pieces
@@ -35,8 +35,11 @@ class RunResult:
     csv_path: Path | None = None
 
 
-def _prepare(cfg: RunConfig):
-    validate_config(cfg)
+def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
+    """Run; with an out_dir, write the CSV there, a partial one with a
+    marker row if the run fails numerically."""
+    from .output import write_timeseries_csv  # local import keeps module load light
+
     reduced = to_reduced(cfg.to_setup())
     time_unit_ps = time_unit_seconds(cfg.molecule.B_cm1) * 1e12
     basis = TwoRotorBasis(cfg.basis.l_max, cfg.basis.restrict_total_m)
@@ -65,16 +68,6 @@ def _prepare(cfg: RunConfig):
         entropy_log_base=cfg.output.entropy_log_base,
         sample_interval_ps=cfg.output.sample_interval_ps,
     )
-    return reduced, time_unit_ps, basis, pieces, schedule, integrator, samples_red, recorder, total_ps
-
-
-def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
-    """Run; with an out_dir, write the CSV there, a partial one with a
-    marker row if the run fails numerically."""
-    from .output import write_timeseries_csv  # local import keeps module load light
-
-    (reduced, time_unit_ps, basis, pieces, schedule,
-     integrator, samples_red, recorder, total_ps) = _prepare(cfg)
     csv_path = None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

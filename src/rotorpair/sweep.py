@@ -9,7 +9,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .config import RunConfig, SweepSpec, config_with, validate_config
+from .config import SWEEP_AXES, SweepSpec, build_config
 from .exceptions import InvalidConfigError
 
 MANIFEST_NAME = "manifest.json"
@@ -23,19 +23,21 @@ def _axis_value_label(value) -> str:
     return "".join(ch if (ch.isalnum() or ch in "._+-") else "_" for ch in text)
 
 
-def build_points(spec: SweepSpec) -> list[tuple[str, dict, RunConfig]]:
-    """Expand the grid into (label, params, config) rows, axis1-major."""
+def build_points(spec: SweepSpec) -> list[tuple[str, dict, dict]]:
+    """Expand the grid into (label, params, run document) rows, axis1-major;
+    each document is the base with the point's axis keys set."""
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
     combos: list[list[tuple[str, object]]] = [[]]
     for axis in axes:
         combos = [done + [(axis.name, v)] for done in combos for v in axis.values]
     points = []
     for k, combo in enumerate(combos):
-        cfg = spec.base
+        doc = dict(spec.base)
         for name, value in combo:
-            cfg = config_with(cfg, name, value)
+            section, key = SWEEP_AXES[name]
+            doc[section] = {**doc.get(section, {}), key: value}
         label = f"p{k:03d}_" + "__".join(f"{n}={_axis_value_label(v)}" for n, v in combo)
-        points.append((label, dict(combo), cfg))
+        points.append((label, dict(combo), doc))
     return points
 
 
@@ -56,13 +58,12 @@ def worker_count(spec: SweepSpec, n_points: int) -> int:
     return max(1, min(workers, n_points))
 
 
-def _run_point(label: str, cfg: RunConfig, point_dir: str) -> dict:
+def _run_point(label: str, doc: dict, point_dir: str) -> dict:
     from . import runner  # imported here so worker processes pay the cost, not the parent
 
     entry = {"label": label, "out_dir": point_dir, "status": "ok", "error": None, "csv": None}
     try:
-        validate_config(cfg)
-        result = runner.run_config(cfg, point_dir)
+        result = runner.run_config(build_config(doc), point_dir)
         entry["csv"] = str(result.csv_path)
     except Exception as exc:  # a diverging point must not take its siblings down
         entry["status"] = "failed"
@@ -76,11 +77,11 @@ def _run_point(label: str, cfg: RunConfig, point_dir: str) -> dict:
 def run_sweep(spec: SweepSpec) -> tuple[Path, list[dict]]:
     """Run every grid point; returns (manifest path, manifest entries)."""
     points = build_points(spec)
-    out_root = Path(spec.out_dir or spec.base.output.out_dir or DEFAULT_SWEEP_DIR)
+    out_root = Path(spec.out_dir or spec.base.get("output", {}).get("out_dir") or DEFAULT_SWEEP_DIR)
     out_root.mkdir(parents=True, exist_ok=True)
     workers = worker_count(spec, len(points))
 
-    jobs = [(label, cfg, str(out_root / label)) for label, _, cfg in points]
+    jobs = [(label, doc, str(out_root / label)) for label, _, doc in points]
     if workers == 1:
         entries = [_run_point(*job) for job in jobs]
     else:

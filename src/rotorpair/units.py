@@ -17,37 +17,20 @@ from .exceptions import InvalidConfigError
 # values (h and c are exact SI definitions, hbar is CODATA's rounded
 # h/2pi); the derived factors are computed from them once at import,
 # which is just as bit-for-bit reproducible as spelling them out:
-#   debye_to_Cm       = 3.33564095198152e-30 C m
-#   inv_cm_to_J       = 1.9864458571489285e-23 J
-#   coulomb_prefactor = 8987551792.261171 J m / (C m)^2
-_HBAR = 1.054571817e-34                # J s
-_C = 299792458.0                       # m / s
-_PLANCK = 6.62607015e-34               # J s
-_EPS0 = 8.8541878128e-12               # F / m
-_DEBYE_TO_CM = 1e-21 / _C
-_INV_CM_TO_J = _PLANCK * _C * 100.0
-_COULOMB = 1.0 / (4.0 * math.pi * _EPS0)
+#   DEBYE_TO_CM = 3.33564095198152e-30 C m
+#   INV_CM_TO_J = 1.9864458571489285e-23 J
+#   COULOMB     = 8987551792.261171 J m / (C m)^2
+HBAR = 1.054571817e-34                 # J s
+C = 299792458.0                        # m / s
+PLANCK = 6.62607015e-34                # J s
+EPS0 = 8.8541878128e-12                # F / m
+DEBYE_TO_CM = 1e-21 / C
+INV_CM_TO_J = PLANCK * C * 100.0
+COULOMB = 1.0 / (4.0 * math.pi * EPS0)
 
 PERIOD_HBAR_OVER_B = "hbar_over_B"
 PERIOD_PI_HBAR_OVER_B = "pi_hbar_over_B"
 SYMBOLIC_PERIODS = (PERIOD_HBAR_OVER_B, PERIOD_PI_HBAR_OVER_B)
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    hbar: float = _HBAR
-    c: float = _C
-    debye_to_Cm: float = _DEBYE_TO_CM
-    inv_cm_to_J: float = _INV_CM_TO_J
-    coulomb_prefactor: float = _COULOMB
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "c", "debye_to_Cm", "inv_cm_to_J", "coulomb_prefactor"):
-            if not getattr(self, name) > 0:
-                raise InvalidConfigError(f"constant {name} must be positive")
-
-
-CONSTANTS = PhysicalConstants()
 
 
 @dataclass(frozen=True)
@@ -83,55 +66,27 @@ class ReducedParameters:
     period_red: float         # 0.0 means "no period" (single pulse)
 
 
-def time_unit_seconds(B_cm1: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def time_unit_seconds(B_cm1: float) -> float:
     """The reduced time unit hbar/B in seconds."""
     if not B_cm1 > 0:
         raise InvalidConfigError("B_cm1 must be positive")
-    return constants.hbar / (B_cm1 * constants.inv_cm_to_J)
+    return HBAR / (B_cm1 * INV_CM_TO_J)
 
 
-def _validate_setup(setup: PhysicalSetup) -> None:
-    positives = {
-        "mu_debye": setup.mu_debye,
-        "B_cm1": setup.B_cm1,
-        "E0_Vpm": setup.E0_Vpm,
-        "sigma_fs": setup.sigma_fs,
-        "omega_cm1": setup.omega_cm1,
-    }
-    for name, value in positives.items():
-        if not value > 0:
-            raise InvalidConfigError(f"{name} must be positive, got {value}")
-    if setup.R_m is not None and not setup.R_m > 0:
-        raise InvalidConfigError(f"R_m must be positive or null, got {setup.R_m}")
-    if setup.t0_fs < 0:
-        raise InvalidConfigError(f"t0_fs must be non-negative, got {setup.t0_fs}")
-    if setup.count < 1:
-        raise InvalidConfigError(f"count must be at least 1, got {setup.count}")
-    if isinstance(setup.period, str) and setup.period not in SYMBOLIC_PERIODS:
-        raise InvalidConfigError(
-            f"period must be a duration in seconds, null, or one of {SYMBOLIC_PERIODS},"
-            f" got {setup.period!r}"
-        )
-    if isinstance(setup.period, (int, float)) and not setup.period > 0:
-        raise InvalidConfigError(f"period in seconds must be positive, got {setup.period}")
-    if setup.count > 1 and setup.period is None:
-        raise InvalidConfigError("a pulse train (count > 1) needs a period")
-
-
-def to_reduced(setup: PhysicalSetup, constants: PhysicalConstants = CONSTANTS) -> ReducedParameters:
-    """Map a laboratory setup onto the hbar = B = 1 unit system."""
-    _validate_setup(setup)
-    B_joule = setup.B_cm1 * constants.inv_cm_to_J
-    time_unit = constants.hbar / B_joule
-    mu = setup.mu_debye * constants.debye_to_Cm
+def to_reduced(setup: PhysicalSetup) -> ReducedParameters:
+    """Map a laboratory setup onto the hbar = B = 1 unit system; the setup
+    comes from a validated RunConfig."""
+    B_joule = setup.B_cm1 * INV_CM_TO_J
+    time_unit = HBAR / B_joule
+    mu = setup.mu_debye * DEBYE_TO_CM
 
     kick = mu * setup.E0_Vpm / B_joule
     if setup.R_m is None:
         dipole = 0.0
     else:
-        dipole = constants.coulomb_prefactor * mu * mu / (setup.R_m**3 * B_joule)
-    omega_si = 2.0 * math.pi * constants.c * 100.0 * setup.omega_cm1
-    carrier = omega_si * constants.hbar / B_joule
+        dipole = COULOMB * mu * mu / (setup.R_m**3 * B_joule)
+    omega_si = 2.0 * math.pi * C * 100.0 * setup.omega_cm1
+    carrier = omega_si * HBAR / B_joule
 
     if setup.period is None:
         period_red = 0.0
@@ -157,18 +112,17 @@ def from_reduced(
     mu_debye: float,
     B_cm1: float,
     count: int = 1,
-    constants: PhysicalConstants = CONSTANTS,
 ) -> PhysicalSetup:
     """Invert to_reduced given the two anchor quantities mu and B."""
-    B_joule = B_cm1 * constants.inv_cm_to_J
-    time_unit = constants.hbar / B_joule
-    mu = mu_debye * constants.debye_to_Cm
+    B_joule = B_cm1 * INV_CM_TO_J
+    time_unit = HBAR / B_joule
+    mu = mu_debye * DEBYE_TO_CM
 
     if red.dipole_strength == 0.0:
         R_m = None
     else:
-        R_m = (constants.coulomb_prefactor * mu * mu / (red.dipole_strength * B_joule)) ** (1.0 / 3.0)
-    omega_si = red.carrier_omega * B_joule / constants.hbar
+        R_m = (COULOMB * mu * mu / (red.dipole_strength * B_joule)) ** (1.0 / 3.0)
+    omega_si = red.carrier_omega * B_joule / HBAR
 
     return PhysicalSetup(
         mu_debye=mu_debye,
@@ -177,7 +131,7 @@ def from_reduced(
         E0_Vpm=red.kick_strength * B_joule / mu,
         sigma_fs=red.sigma_red * time_unit * 1e15,
         t0_fs=red.t0_red * time_unit * 1e15,
-        omega_cm1=omega_si / (2.0 * math.pi * constants.c * 100.0),
+        omega_cm1=omega_si / (2.0 * math.pi * C * 100.0),
         period=red.period_red * time_unit if red.period_red > 0 else None,
         count=count,
     )

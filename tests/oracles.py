@@ -17,8 +17,9 @@ from scipy.special import sph_harm_y
 
 from rotorpair.exceptions import ConsistencyError
 from rotorpair.observables import COLUMNS
-from rotorpair.operators import OperatorMatrix, build_costheta_single
+from rotorpair.operators import build_costheta_single
 from rotorpair.propagation import (
+    WINDOW_HALFWIDTH,
     WaveFunction,
     initial_state,
     pulse_windows,
@@ -185,12 +186,11 @@ def dense_propagate(psi: WaveFunction, h_sampler, t_a: float, t_b: float,
     return WaveFunction(basis=psi.basis, coeffs=coeffs, t=t_b)
 
 
-def hamiltonian_at(t: float, pieces, pulse) -> OperatorMatrix:
-    """The full H(t) as an explicit sparse matrix."""
-    if pieces.coupling.dim != pieces.rotor.dim:
+def hamiltonian_at(t: float, pieces, pulse):
+    """The full H(t) as an explicit CSR matrix."""
+    if pieces.coupling.shape != pieces.rotor.shape:
         raise ConsistencyError("pieces built over different bases")
-    mat = pieces.h0 + pieces.coupling.matrix * pulse.field_scalar(t)
-    return OperatorMatrix(mat.tocsr(), hermitian=True)
+    return (pieces.h0 + pieces.coupling * pulse.field_scalar(t)).tocsr()
 
 
 def per_stage_rk4(pieces, pulse, y, t0, t1, dt):
@@ -199,7 +199,7 @@ def per_stage_rk4(pieces, pulse, y, t0, t1, dt):
     per step.  Same step rule as the package: full steps of dt, then one
     partial final step."""
     h0 = pieces.h0
-    coupling = pieces.coupling.matrix
+    coupling = pieces.coupling
 
     def deriv(t, c):
         return -1j * (h0 @ c + pulse.field_scalar(t) * (coupling @ c))
@@ -242,7 +242,7 @@ def per_sample_schedule(pieces, pulse, cfg, sample_times):
     one chained free advance per sample, and RK4 restarted at every sample
     inside a window.  Returns (states[K, n], norms[K], h0_expect[K])."""
     samples = np.asarray(sample_times, dtype=float)
-    windows = pulse_windows(pulse, cfg.window_halfwidth, float(samples[-1]))
+    windows = pulse_windows(pulse, WINDOW_HALFWIDTH, float(samples[-1]))
     energies, vectors = np.linalg.eigh(pieces.h0.toarray())
     rhs = schrodinger_rhs(pieces, pulse)
     dt = cfg.step_for(pulse)
@@ -277,8 +277,8 @@ def per_sample_columns(basis, states, watch, log_base="e", sample_interval_ps=0.
     """Recorder columns computed one state at a time, with the entropy
     from the SVD of the full d x d Schmidt matrix.  Keys are the recorder's
     COLUMNS plus each watched state as a tuple."""
-    cos1 = build_costheta_single(basis, "mol1").matrix
-    cos2 = build_costheta_single(basis, "mol2").matrix
+    cos1 = build_costheta_single(basis, "mol1")
+    cos2 = build_costheta_single(basis, "mol2")
     rows = []
     for k, c in enumerate(states):
         lam = np.linalg.svd(coefficient_matrix(WaveFunction(basis, c)), compute_uv=False) ** 2

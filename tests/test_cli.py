@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rotorpair
 from rotorpair.cli import main
 from rotorpair.output import read_timeseries_csv
 
@@ -49,6 +54,20 @@ def test_run_rejects_bad_physics(tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"geometry": {"R_m": -1.0}})
     assert main(["run", "--config", cfg]) == 2
     assert "R_m" in capsys.readouterr().err
+
+
+def test_run_rejects_an_infinite_total_time(tmp_path):
+    # json reads Infinity as a float; it must stop at the config boundary
+    cfg = _write_json(tmp_path / "cfg.json", {"output": {"total_time_ps": float("inf")}})
+    assert "Infinity" in Path(cfg).read_text()
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rotorpair.cli", "run", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "output.total_time_ps must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_config_file_is_an_io_error(tmp_path, capsys):

@@ -8,7 +8,6 @@ from rotorpair.config import (
     PRESET_NAMES,
     RunConfig,
     build_config,
-    config_with,
     parse_config,
     parse_sweep,
     preset,
@@ -82,7 +81,10 @@ def test_booleans_are_not_numbers():
 def test_restrict_total_m_absent_null_and_explicit():
     assert parse_config("{}").basis.restrict_total_m == 0
     assert parse_config('{"basis": {"restrict_total_m": null}}').basis.restrict_total_m is None
-    assert parse_config('{"basis": {"restrict_total_m": 1}}').basis.restrict_total_m == 1
+    assert parse_config('{"basis": {"restrict_total_m": 0}}').basis.restrict_total_m == 0
+    # the initial state |00;00> has M = 0, so no other block can hold it
+    with pytest.raises(InvalidConfigError, match="restrict_total_m"):
+        parse_config('{"basis": {"restrict_total_m": 1}}')
 
 
 def test_watch_list_parsing():
@@ -124,12 +126,14 @@ def test_entropy_log_base_values():
 @pytest.mark.parametrize("doc", [
     '{"molecule": {"B_cm1": 0}}',
     '{"pulse": {"E0_Vpm": -1}}',
+    '{"pulse": {"sigma_fs": 0}}',
     '{"pulse": {"count": 0}}',
     '{"pulse": {"count": 3}}',
     '{"pulse": {"period": 0}}',
     '{"pulse": {"period": "sometimes"}}',
     '{"basis": {"l_max": 0}}',
     '{"basis": {"restrict_total_m": 17}}',
+    '{"basis": {"restrict_total_m": -2}}',
     '{"integrator": {"dt_pulse_fs": -1}}',
     '{"integrator": {"norm_tolerance": 0}}',
     '{"output": {"sample_interval_ps": 0}}',
@@ -141,25 +145,30 @@ def test_physics_violations_are_rejected(doc):
         parse_config(doc)
 
 
+NUMERIC_KEYS = (
+    ("molecule", "mu_debye"), ("molecule", "B_cm1"), ("geometry", "R_m"),
+    ("pulse", "E0_Vpm"), ("pulse", "sigma_fs"), ("pulse", "t0_fs"), ("pulse", "omega_cm1"),
+    ("pulse", "period"), ("integrator", "dt_pulse_fs"), ("integrator", "norm_tolerance"),
+    ("output", "sample_interval_ps"), ("output", "total_time_ps"),
+)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                     pytest.param("1" + "0" * 400, id="1e400_as_integer")])
+@pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+def test_non_finite_numbers_are_rejected(section, key, literal):
+    # Python's json accepts these literals; a NaN t0_fs would run with no pulse,
+    # and an integer past the float range would overflow while parsing
+    doc = f'{{"{section}": {{"{key}": {literal}}}}}'
+    with pytest.raises(InvalidConfigError, match=f"{section}.{key} must be finite"):
+        parse_config(doc)
+
+
 def test_round_trip_through_json_dict():
     cfg = parse_config('{"pulse": {"period": "hbar_over_B", "count": 4},'
                        ' "output": {"total_time_ps": 250.0}}')
     again = build_config(json.loads(json.dumps(cfg.to_json_dict())))
     assert again == cfg
-
-
-def test_config_with_swaps_one_axis():
-    cfg = parse_config("{}")
-    assert config_with(cfg, "R_m", 2e-8).geometry.R_m == 2e-8
-    assert config_with(cfg, "E0_Vpm", 1.5e7).pulse.E0_Vpm == 1.5e7
-    assert config_with(cfg, "period", "hbar_over_B").pulse.period == "hbar_over_B"
-    assert config_with(cfg, "l_max", 4).basis.l_max == 4
-    with pytest.raises(InvalidConfigError):
-        config_with(cfg, "sigma_fs", 100.0)
-    # config_with defers validation so a sweep can report the failure per point
-    bad = config_with(cfg, "l_max", 0)
-    with pytest.raises(InvalidConfigError):
-        validate_config(bad)
 
 
 # --- presets -------------------------------------------------------------------
@@ -226,7 +235,7 @@ def test_parse_sweep_minimal():
     assert spec.axis1.values == (3e-8, 2e-8)
     assert spec.axis2 is None
     assert spec.parallelism is None
-    assert spec.base == parse_config("{}")
+    assert spec.base == {}
 
 
 def test_parse_sweep_two_axes():
@@ -237,7 +246,7 @@ def test_parse_sweep_two_axes():
         "parallelism": 2,
         "out_dir": "somewhere",
     }))
-    assert spec.base.basis.l_max == 2
+    assert spec.base == {"basis": {"l_max": 2}}
     assert spec.axis2.name == "E0_Vpm"
     assert spec.parallelism == 2
     assert spec.out_dir == "somewhere"
@@ -251,6 +260,7 @@ def test_parse_sweep_two_axes():
     '{"axis1": {"name": "R_m", "values": [1e-8]}, "parallelism": 0}',
     '{"axis1": {"name": "R_m", "values": [1e-8]}, "threads": 2}',
     '{"axis1": {"name": "R_m"}}',
+    '{"base": {"basis": {"l_max": 0}}, "axis1": {"name": "R_m", "values": [1e-8]}}',
     'not json',
 ])
 def test_bad_sweep_specs_are_rejected(doc):

@@ -5,18 +5,17 @@ import pytest
 
 import oracles
 from rotorpair.angular import TwoRotorBasis
+from rotorpair.config import IntegratorSettings, RunConfig
 from rotorpair.exceptions import ConsistencyError, InvalidConfigError, StepSizeError
 from rotorpair.observables import COLUMNS, TimeSeriesRecorder
-from rotorpair.operators import OperatorMatrix, PulseSchedule, build_costheta_single, build_pieces
+from rotorpair.operators import PulseSchedule, build_costheta_single, build_pieces, expectation
 from rotorpair.propagation import (
     SAMPLE_BLOCK,
+    WINDOW_HALFWIDTH,
     FreeEvolution,
     IntegratorConfig,
     RightHandSide,
-    WaveFunction,
     default_total_time_ps,
-    evolve_free,
-    evolve_pulse_window,
     initial_state,
     pulse_windows,
     rk4_integrate,
@@ -34,6 +33,12 @@ OMEGA = 249.9999998468202
 
 def _single_pulse(kick=KICK):
     return PulseSchedule(kick_strength=kick, sigma_red=SIGMA, t0_red=T0, carrier_omega=OMEGA)
+
+
+def _free(h0, coeffs, tau):
+    """exp(-i H0 tau) c through a fresh FreeEvolution."""
+    free = FreeEvolution(h0)
+    return free.advance(free.project(coeffs), np.array([tau]))[0]
 
 
 # --- wavefunction and config -------------------------------------------------
@@ -56,18 +61,14 @@ def test_initial_state_needs_the_ground_state():
 def test_integrator_config_defaults_and_validation():
     cfg = IntegratorConfig()
     assert cfg.dt_pulse is None
-    assert cfg.window_halfwidth == 5.0
+    assert WINDOW_HALFWIDTH == 5.0
     assert cfg.norm_tolerance == 1e-8
     assert cfg.step_for(_single_pulse()) == pytest.approx(SIGMA / 400.0)
     assert IntegratorConfig(dt_pulse=1e-4).step_for(_single_pulse()) == 1e-4
-    with pytest.raises(InvalidConfigError):
-        IntegratorConfig(dt_pulse=0.0)
-    with pytest.raises(InvalidConfigError):
-        IntegratorConfig(window_halfwidth=2.0)
-    with pytest.raises(InvalidConfigError):
-        IntegratorConfig(norm_tolerance=0.0)
-    with pytest.raises(InvalidConfigError):
-        IntegratorConfig(method="euler")
+    # the step and the tolerance are checked where a run is configured
+    for settings in (IntegratorSettings(dt_pulse_fs=0.0), IntegratorSettings(norm_tolerance=0.0)):
+        with pytest.raises(InvalidConfigError):
+            RunConfig(integrator=settings)
 
 
 # --- free evolution ----------------------------------------------------------
@@ -75,15 +76,14 @@ def test_integrator_config_defaults_and_validation():
 def test_free_evolution_applies_the_energy_phase():
     basis = TwoRotorBasis(1, 0)
     pieces = build_pieces(basis, 0.0)
-    psi = WaveFunction(basis, np.zeros(basis.size, dtype=complex))
+    c = np.zeros(basis.size, dtype=complex)
     k = basis.index_of(1, 0, 1, 0)
-    psi.coeffs[k] = 1.0
+    c[k] = 1.0
     tau = 0.37
-    out = evolve_free(psi, tau, pieces.h0_operator)
+    out = _free(pieces.h0, c, tau)
     # E = l1(l1+1) + l2(l2+1) = 4
-    assert out.coeffs[k] == pytest.approx(np.exp(-1j * 4.0 * tau), rel=1e-12)
-    assert abs(out.coeffs[basis.index_of(0, 0, 0, 0)]) < 1e-15
-    assert out.t == pytest.approx(tau)
+    assert out[k] == pytest.approx(np.exp(-1j * 4.0 * tau), rel=1e-12)
+    assert abs(out[basis.index_of(0, 0, 0, 0)]) < 1e-15
 
 
 def test_free_evolution_beats_at_the_level_splitting():
@@ -91,40 +91,30 @@ def test_free_evolution_beats_at_the_level_splitting():
     basis = TwoRotorBasis(1, None)
     pieces = build_pieces(basis, 0.0)
     cos1 = build_costheta_single(basis, "mol1")
-    psi = WaveFunction(basis, np.zeros(basis.size, dtype=complex))
-    psi.coeffs[basis.index_of(0, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
-    psi.coeffs[basis.index_of(1, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
+    c = np.zeros(basis.size, dtype=complex)
+    c[basis.index_of(0, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
+    c[basis.index_of(1, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
     for tau in (0.0, 0.3, 1.1):
-        out = evolve_free(psi, tau, pieces.h0_operator)
+        out = _free(pieces.h0, c, tau)
         expected = math.cos(2.0 * tau) / math.sqrt(3.0)
-        assert cos1.expectation(out.coeffs).real == pytest.approx(expected, abs=1e-12)
-
-
-def test_evolve_free_argument_checks():
-    basis = TwoRotorBasis(1, 0)
-    pieces = build_pieces(basis, 0.0)
-    psi = initial_state(basis)
-    with pytest.raises(ValueError):
-        evolve_free(psi, -0.1, pieces.h0_operator)
-    other = build_pieces(TwoRotorBasis(2, 0), 0.0)
-    with pytest.raises(ConsistencyError):
-        evolve_free(psi, 0.1, other.h0_operator)
+        assert expectation(cos1, out).real == pytest.approx(expected, abs=1e-12)
 
 
 def test_free_evolution_reuse_matches_fresh_construction():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.5)
-    free = FreeEvolution(pieces.h0_operator)
-    psi = initial_state(basis)
-    a = evolve_free(psi, 0.8, pieces.h0_operator)
-    b = evolve_free(psi, 0.8, pieces.h0_operator, free=free)
-    assert np.allclose(a.coeffs, b.coeffs, atol=1e-15)
+    free = FreeEvolution(pieces.h0)
+    c = initial_state(basis).coeffs
+    first = free.advance(free.project(c), np.array([0.8]))[0]
+    again = free.advance(free.project(c), np.array([0.8]))[0]
+    assert np.array_equal(first, again)
+    assert np.allclose(first, _free(pieces.h0, c, 0.8), atol=1e-15)
 
 
 def test_free_block_rows_match_one_advance_each():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.5)
-    free = FreeEvolution(pieces.h0_operator)
+    free = FreeEvolution(pieces.h0)
     rng = np.random.default_rng(3)
     c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     taus = np.array([0.0, 0.1, 0.7, 2.3])
@@ -141,7 +131,7 @@ def test_free_evolution_rejects_a_complex_h0():
     skewed = pieces.h0.copy()
     skewed.data[0] += 1e-3j
     with pytest.raises(ConsistencyError, match="imaginary"):
-        FreeEvolution(OperatorMatrix(skewed))
+        FreeEvolution(skewed)
 
 
 # --- RK4 ---------------------------------------------------------------------
@@ -223,21 +213,9 @@ def test_window_with_zero_kick_matches_free_evolution():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.5)
     pulse = _single_pulse(kick=0.0)
-    psi = initial_state(basis)
-    stepped = evolve_pulse_window(psi, (0.0, 0.2), pieces, pulse,
-                                  IntegratorConfig(dt_pulse=2e-4))
-    free = evolve_free(psi, 0.2, pieces.h0_operator)
-    assert np.abs(stepped.coeffs - free.coeffs).max() < 1e-10
-
-
-def test_window_requires_matching_start_time():
-    basis = TwoRotorBasis(1, 0)
-    pieces = build_pieces(basis, 0.0)
-    psi = initial_state(basis)
-    with pytest.raises(ConsistencyError):
-        evolve_pulse_window(psi, (0.1, 0.2), pieces, _single_pulse())
-    with pytest.raises(ValueError):
-        evolve_pulse_window(psi, (0.0, 0.0), pieces, _single_pulse())
+    c = initial_state(basis).coeffs
+    stepped = rk4_integrate(schrodinger_rhs(pieces, pulse), c, 0.0, 0.2, 2e-4)
+    assert np.abs(stepped - _free(pieces.h0, c, 0.2)).max() < 1e-10
 
 
 def test_window_step_halving_is_fourth_order():
@@ -264,28 +242,28 @@ def test_window_integration_is_time_reversible():
     cfg = IntegratorConfig()
     psi0 = initial_state(basis)
     t_b = T0 + 5.0 * SIGMA
-    forward = evolve_pulse_window(psi0, (0.0, t_b), pieces, pulse, cfg)
+    ahead = schrodinger_rhs(pieces, pulse)
+    forward = rk4_integrate(ahead, psi0.coeffs, 0.0, t_b, cfg.step_for(pulse))
 
     # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
-    ahead = schrodinger_rhs(pieces, pulse)
     backwards = RightHandSide(field=lambda s: ahead.field(t_b - s),
                               deriv=lambda f, g: -ahead.deriv(f, g))
-    back = rk4_integrate(backwards, forward.coeffs, 0.0, t_b, cfg.step_for(pulse))
+    back = rk4_integrate(backwards, forward, 0.0, t_b, cfg.step_for(pulse))
     assert np.abs(back - psi0.coeffs).max() < 1e-6
 
 
 def test_window_raises_on_norm_drift():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
-    pulse = _single_pulse()
-    psi0 = initial_state(basis)
-    with pytest.raises(StepSizeError):
-        evolve_pulse_window(psi0, (0.0, T0 + 5 * SIGMA), pieces, pulse,
-                            IntegratorConfig(dt_pulse=0.02))
-    # a NaN state must fail the check too, not slip past a "drift > tol" test
-    psi0.coeffs[1] = np.nan
-    with pytest.raises(StepSizeError, match="by nan"):
-        evolve_pulse_window(psi0, (0.0, 0.01), pieces, pulse, IntegratorConfig())
+    t_b = T0 + 5 * SIGMA
+    with pytest.raises(StepSizeError, match="at t = 0.0586"):
+        run_schedule(pieces, _single_pulse(), IntegratorConfig(dt_pulse=0.02),
+                     np.array([0.0, t_b]))
+    # a NaN state must fail the check too, not slip past a "drift > tol" test:
+    # a NaN field turns the window's first sample into NaN
+    with pytest.raises(StepSizeError, match="by nan at t = 0.01 "):
+        run_schedule(pieces, _single_pulse(kick=np.nan), IntegratorConfig(),
+                     np.array([0.0, 0.01]))
 
 
 # --- window placement ----------------------------------------------------------
@@ -358,8 +336,8 @@ def test_run_schedule_without_field_is_pure_free_evolution():
     assert traj.windows == []
     assert np.allclose(traj.norms, 1.0, atol=1e-12)
     assert np.ptp(traj.h0_expect) < 1e-12
-    free = evolve_free(initial_state(basis), 1.3, pieces.h0_operator)
-    assert np.abs(traj.psi_final.coeffs - free.coeffs).max() < 1e-12
+    free = _free(pieces.h0, initial_state(basis).coeffs, 1.3)
+    assert np.abs(traj.psi_final.coeffs - free).max() < 1e-12
 
 
 def test_run_schedule_matches_a_hand_composed_run():
@@ -374,11 +352,13 @@ def test_run_schedule_matches_a_hand_composed_run():
     assert len(traj.windows) == 1
     a, b = traj.windows[0]
 
-    psi = initial_state(basis)
-    psi = evolve_free(psi, a - 0.0, pieces.h0_operator) if a > 0 else psi
-    psi = evolve_pulse_window(psi, (a, b), pieces, pulse, cfg)
-    psi = evolve_free(psi, t_end - b, pieces.h0_operator)
-    assert np.abs(traj.psi_final.coeffs - psi.coeffs).max() < 1e-9
+    free = FreeEvolution(pieces.h0)
+    c = initial_state(basis).coeffs
+    if a > 0:
+        c = free.advance(free.project(c), np.array([a]))[0]
+    c = rk4_integrate(schrodinger_rhs(pieces, pulse), c, a, b, cfg.step_for(pulse))
+    c = free.advance(free.project(c), np.array([t_end - b]))[0]
+    assert np.abs(traj.psi_final.coeffs - c).max() < 1e-9
     assert traj.max_norm_drift < 1e-9
     assert np.allclose(traj.pulse_centers, [T0])
 

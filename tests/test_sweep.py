@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from rotorpair.config import SweepAxis, SweepSpec, build_config
+from rotorpair.config import SweepAxis, SweepSpec
 from rotorpair.exceptions import InvalidConfigError
+from rotorpair.output import read_timeseries_csv
 from rotorpair.sweep import MANIFEST_NAME, build_points, run_sweep, worker_count
 
 # fast enough to run a handful of real points per test
@@ -15,7 +16,7 @@ BASE_DOC = {
 
 def _spec(axis1, axis2=None, base_doc=None, **kwargs):
     return SweepSpec(
-        base=build_config(base_doc if base_doc is not None else BASE_DOC),
+        base=base_doc if base_doc is not None else BASE_DOC,
         axis1=axis1,
         axis2=axis2,
         **kwargs,
@@ -27,8 +28,11 @@ def test_build_points_single_axis_labels():
     labels = [label for label, _, _ in points]
     assert labels == ["p000_R_m=3e-08", "p001_R_m=2e-08", "p002_R_m=none"]
     assert points[0][1] == {"R_m": 3e-8}
-    assert points[0][2].geometry.R_m == 3e-8
-    assert points[2][2].geometry.R_m is None
+    assert points[0][2]["geometry"] == {"R_m": 3e-8}
+    assert points[2][2]["geometry"] == {"R_m": None}
+    # the base's other sections are carried over, and the base is not touched
+    assert points[0][2]["basis"] == {"l_max": 2}
+    assert "geometry" not in BASE_DOC
 
 
 def test_build_points_two_axes_axis1_major():
@@ -43,13 +47,14 @@ def test_build_points_two_axes_axis1_major():
         {"R_m": 2e-8, "E0_Vpm": 3e7},
     ]
     assert points[3][0] == "p003_R_m=2e-08__E0_Vpm=30000000.0"
-    assert points[3][2].pulse.E0_Vpm == 3e7
+    assert points[3][2]["pulse"] == {"E0_Vpm": 3e7}
+    assert points[3][2]["geometry"] == {"R_m": 2e-8}
 
 
 def test_build_points_symbolic_period_label():
     points = build_points(_spec(SweepAxis("period", ("pi_hbar_over_B",))))
     assert points[0][0] == "p000_period=pi_hbar_over_B"
-    assert points[0][2].pulse.period == "pi_hbar_over_B"
+    assert points[0][2]["pulse"] == {"period": "pi_hbar_over_B"}
 
 
 def test_worker_count_prefers_explicit_parallelism(monkeypatch):
@@ -102,6 +107,26 @@ def test_run_sweep_isolates_a_bad_point(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     assert manifest["n_ok"] == 1
     assert manifest["n_failed"] == 1
+
+
+def test_sweep_points_are_parsed_like_run_documents(tmp_path):
+    # no watch list in the base: each point trims the default one to its l_max
+    base = {"output": {"sample_interval_ps": 2.0, "total_time_ps": 10.0}}
+    spec = _spec(SweepAxis("l_max", (2, 4)), base_doc=base, parallelism=1, out_dir=str(tmp_path))
+    _, entries = run_sweep(spec)
+    assert [e["status"] for e in entries] == ["ok", "ok"]
+    pops = [[name for name in read_timeseries_csv(e["csv"])[0] if name.startswith("pop_")]
+            for e in entries]
+    assert len(pops[0]) == 3
+    assert len(pops[1]) == 4
+
+
+def test_a_non_integer_l_max_point_fails_alone(tmp_path):
+    spec = _spec(SweepAxis("l_max", (2.5, 2)), parallelism=1, out_dir=str(tmp_path))
+    _, entries = run_sweep(spec)
+    assert [e["status"] for e in entries] == ["failed", "ok"]
+    assert entries[0]["error"].startswith("InvalidConfigError:")
+    assert "basis.l_max must be an integer" in entries[0]["error"]
 
 
 def test_run_sweep_keeps_partial_csv_of_a_diverged_point(tmp_path):

@@ -3,33 +3,23 @@ import math
 
 import pytest
 
+from rotorpair import units
+from rotorpair.config import RunConfig
 from rotorpair.exceptions import InvalidConfigError
-from rotorpair.units import (
-    CONSTANTS,
-    PhysicalConstants,
-    PhysicalSetup,
-    from_reduced,
-    time_unit_seconds,
-    to_reduced,
-)
+from rotorpair.units import PhysicalSetup, from_reduced, time_unit_seconds, to_reduced
 
 
 def test_constants_are_the_codata_2018_values():
     # primary literals: exact SI definitions plus CODATA's rounded hbar
-    assert CONSTANTS.c == 299792458.0
-    assert CONSTANTS.hbar == 1.054571817e-34
+    assert units.C == 299792458.0
+    assert units.HBAR == 1.054571817e-34
     # derived factors come from the primaries, documented decimals agree
-    assert CONSTANTS.debye_to_Cm == 1e-21 / CONSTANTS.c
-    assert CONSTANTS.inv_cm_to_J == 6.62607015e-34 * CONSTANTS.c * 100.0
-    assert CONSTANTS.coulomb_prefactor == 1.0 / (4.0 * math.pi * 8.8541878128e-12)
-    assert CONSTANTS.debye_to_Cm == pytest.approx(3.33564095198152e-30, rel=1e-15)
-    assert CONSTANTS.inv_cm_to_J == pytest.approx(1.9864458571489285e-23, rel=1e-15)
-    assert CONSTANTS.coulomb_prefactor == pytest.approx(8987551792.261171, rel=1e-15)
-
-
-def test_constants_must_be_positive():
-    with pytest.raises(InvalidConfigError):
-        PhysicalConstants(hbar=0.0)
+    assert units.DEBYE_TO_CM == 1e-21 / units.C
+    assert units.INV_CM_TO_J == 6.62607015e-34 * units.C * 100.0
+    assert units.COULOMB == 1.0 / (4.0 * math.pi * 8.8541878128e-12)
+    assert units.DEBYE_TO_CM == pytest.approx(3.33564095198152e-30, rel=1e-15)
+    assert units.INV_CM_TO_J == pytest.approx(1.9864458571489285e-23, rel=1e-15)
+    assert units.COULOMB == pytest.approx(8987551792.261171, rel=1e-15)
 
 
 def test_time_unit_for_the_default_molecule():
@@ -107,13 +97,18 @@ def test_period_in_seconds_is_divided_by_the_time_unit():
     ("period", 0.0),
 ])
 def test_invalid_setups_are_rejected(field, value):
-    with pytest.raises(InvalidConfigError):
-        to_reduced(dataclasses.replace(PhysicalSetup(), **{field: value}))
+    # a setup comes from a RunConfig, which checks its fields when it is built
+    base = RunConfig()
+    section = next(f.name for f in dataclasses.fields(base)
+                   if field in {g.name for g in dataclasses.fields(getattr(base, f.name))})
+    with pytest.raises(InvalidConfigError, match=field):
+        dataclasses.replace(base, **{section: dataclasses.replace(getattr(base, section),
+                                                                  **{field: value})})
 
 
 def test_a_train_needs_a_period():
-    with pytest.raises(InvalidConfigError):
-        to_reduced(dataclasses.replace(PhysicalSetup(), count=5))
+    with pytest.raises(InvalidConfigError, match="period"):
+        dataclasses.replace(RunConfig(), pulse=dataclasses.replace(RunConfig().pulse, count=5))
 
 
 def test_from_reduced_round_trips():
