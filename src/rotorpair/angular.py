@@ -32,10 +32,6 @@ def single_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-def l_squared_eigenvalue(state: RotorState) -> float:
-    return float(state.l * (state.l + 1))
-
-
 def costheta_element(frm: RotorState, to: RotorState) -> float:
     """<Y_to | cos(theta) | Y_frm>; zero unless m_to = m_frm and l_to = l_frm +- 1."""
     if to.m != frm.m:

@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import InvalidConfigError
-from .units import SYMBOLIC_PERIODS, PhysicalSetup
+from .units import SYMBOLIC_PERIODS, run_length_ps
 
 DEFAULT_WATCH = ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 0))
 ENTROPY_LOG_BASES = ("e", "2", "d_single")
+# Most samples one run may ask for; at 1e6 rows the CSV is about 200 MB.
+MAX_SAMPLES = 1_000_000
 # sweep axis name -> (section, key) in the run document
 SWEEP_AXES = {"R_m": ("geometry", "R_m"), "E0_Vpm": ("pulse", "E0_Vpm"),
               "period": ("pulse", "period"), "l_max": ("basis", "l_max")}
@@ -79,19 +81,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         validate_config(self)
 
-    def to_setup(self) -> PhysicalSetup:
-        return PhysicalSetup(
-            mu_debye=self.molecule.mu_debye,
-            B_cm1=self.molecule.B_cm1,
-            R_m=self.geometry.R_m,
-            E0_Vpm=self.pulse.E0_Vpm,
-            sigma_fs=self.pulse.sigma_fs,
-            t0_fs=self.pulse.t0_fs,
-            omega_cm1=self.pulse.omega_cm1,
-            period=self.pulse.period,
-            count=self.pulse.count,
-        )
-
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["output"]["watch_populations"] = [list(w) for w in self.output.watch_populations]
@@ -111,110 +100,81 @@ def _reject_unknown(data: dict, allowed: tuple[str, ...], path: str) -> None:
             raise InvalidConfigError(f"unknown key '{where}'")
 
 
-def _number(data: dict, key: str, default, path: str, allow_none: bool = False):
-    if key not in data:
-        return default
-    value = data[key]
+def _number(value, where: str) -> float:
     if value is None:
-        if allow_none:
-            return None
-        raise InvalidConfigError(f"{path}.{key} must be a number, got null")
+        raise InvalidConfigError(f"{where} must be a number, got null")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfigError(f"{path}.{key} must be a number, got {value!r}")
+        raise InvalidConfigError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
-        raise InvalidConfigError(f"{path}.{key} must be finite, got an integer too large for a float") from None
+        raise InvalidConfigError(f"{where} must be finite, got an integer too large for a float") from None
 
 
-def _integer(data: dict, key: str, default, path: str, allow_none: bool = False):
-    if key not in data:
-        return default
-    value = data[key]
-    if value is None and allow_none:
-        return None
+def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfigError(f"{path}.{key} must be an integer, got {value!r}")
+        raise InvalidConfigError(f"{where} must be an integer, got {value!r}")
     return value
 
 
-def _parse_watch(raw, path: str):
-    if not isinstance(raw, list):
-        raise InvalidConfigError(f"{path} must be a list of [l, m, l', m'] entries")
-    for k, entry in enumerate(raw):
+def _or_null(parse):
+    return lambda value, where: None if value is None else parse(value, where)
+
+
+def _period(value, where: str):
+    # seconds, or a symbolic name (checked in validate_config)
+    return value if isinstance(value, str) else _number(value, where)
+
+
+def _watch(value, where: str):
+    if not isinstance(value, list):
+        raise InvalidConfigError(f"{where} must be a list of [l, m, l', m'] entries")
+    for k, entry in enumerate(value):
         if (not isinstance(entry, list)) or len(entry) != 4 or \
                 any(isinstance(q, bool) or not isinstance(q, int) for q in entry):
-            raise InvalidConfigError(f"{path}[{k}] must be four integers [l, m, l', m']")
-    return tuple(tuple(entry) for entry in raw)
+            raise InvalidConfigError(f"{where}[{k}] must be four integers [l, m, l', m']")
+    return tuple(tuple(entry) for entry in value)
+
+
+def _log_base(value, where: str):
+    # a JSON 2 means "2"; the names are checked in validate_config
+    return str(value) if isinstance(value, int) and not isinstance(value, bool) else value
+
+
+def _path(value, where: str):
+    if value is not None and not isinstance(value, str):
+        raise InvalidConfigError(f"{where} must be a string path, got {value!r}")
+    return value
+
+
+# one parser per key of every section dataclass
+_PARSERS = {
+    "mu_debye": _number, "B_cm1": _number, "R_m": _or_null(_number),
+    "E0_Vpm": _number, "sigma_fs": _number, "t0_fs": _number, "omega_cm1": _number,
+    "period": _or_null(_period), "count": _integer,
+    "l_max": _integer, "restrict_total_m": _or_null(_integer),
+    "dt_pulse_fs": _or_null(_number), "norm_tolerance": _number,
+    "sample_interval_ps": _number, "watch_populations": _watch, "entropy_log_base": _log_base,
+    "out_dir": _path, "total_time_ps": _or_null(_number),
+}
 
 
 def build_config(data: dict) -> RunConfig:
-    """Validate a decoded JSON document and apply defaults."""
+    """Parse a decoded JSON document; every absent key keeps its dataclass default."""
     _require_mapping(data, "config")
-    _reject_unknown(data, ("molecule", "geometry", "pulse", "basis", "integrator", "output"), "")
-
-    mol_d = _require_mapping(data.get("molecule", {}), "molecule")
-    _reject_unknown(mol_d, ("mu_debye", "B_cm1"), "molecule")
-    molecule = MoleculeConfig(
-        mu_debye=_number(mol_d, "mu_debye", 9.2, "molecule"),
-        B_cm1=_number(mol_d, "B_cm1", 0.12, "molecule"),
-    )
-
-    geo_d = _require_mapping(data.get("geometry", {}), "geometry")
-    _reject_unknown(geo_d, ("R_m",), "geometry")
-    geometry = GeometryConfig(R_m=_number(geo_d, "R_m", 3e-8, "geometry", allow_none=True))
-
-    pulse_d = _require_mapping(data.get("pulse", {}), "pulse")
-    _reject_unknown(pulse_d, ("E0_Vpm", "sigma_fs", "t0_fs", "omega_cm1", "period", "count"), "pulse")
-    period = pulse_d.get("period", None)
-    if not isinstance(period, str):  # null or seconds; a symbolic name is checked in validate_config
-        period = _number(pulse_d, "period", None, "pulse", allow_none=True)
-    pulse = PulseConfig(
-        E0_Vpm=_number(pulse_d, "E0_Vpm", 3e7, "pulse"),
-        sigma_fs=_number(pulse_d, "sigma_fs", 279.0, "pulse"),
-        t0_fs=_number(pulse_d, "t0_fs", 1200.0, "pulse"),
-        omega_cm1=_number(pulse_d, "omega_cm1", 30.0, "pulse"),
-        period=period,
-        count=_integer(pulse_d, "count", 1, "pulse"),
-    )
-
-    basis_d = _require_mapping(data.get("basis", {}), "basis")
-    _reject_unknown(basis_d, ("l_max", "restrict_total_m"), "basis")
-    basis = BasisConfig(
-        l_max=_integer(basis_d, "l_max", 8, "basis"),
-        restrict_total_m=_integer(basis_d, "restrict_total_m", 0, "basis", allow_none=True),
-    )
-
-    integ_d = _require_mapping(data.get("integrator", {}), "integrator")
-    _reject_unknown(integ_d, ("dt_pulse_fs", "norm_tolerance"), "integrator")
-    integrator = IntegratorSettings(
-        dt_pulse_fs=_number(integ_d, "dt_pulse_fs", None, "integrator", allow_none=True),
-        norm_tolerance=_number(integ_d, "norm_tolerance", 1e-8, "integrator"),
-    )
-
-    out_d = _require_mapping(data.get("output", {}), "output")
-    _reject_unknown(out_d, ("sample_interval_ps", "watch_populations", "entropy_log_base",
-                            "out_dir", "total_time_ps"), "output")
-    if "watch_populations" in out_d:
-        watch = _parse_watch(out_d["watch_populations"], "output.watch_populations")
-    else:
-        # default watch list, trimmed to the truncation the user picked
-        watch = tuple(w for w in DEFAULT_WATCH if w[0] <= basis.l_max and w[2] <= basis.l_max)
-    log_base = out_d.get("entropy_log_base", "e")
-    if isinstance(log_base, int) and not isinstance(log_base, bool):
-        log_base = str(log_base)
-    out_dir = out_d.get("out_dir", None)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise InvalidConfigError(f"output.out_dir must be a string path, got {out_dir!r}")
-    output = OutputConfig(
-        sample_interval_ps=_number(out_d, "sample_interval_ps", 0.5, "output"),
-        watch_populations=watch,
-        entropy_log_base=log_base,
-        out_dir=out_dir,
-        total_time_ps=_number(out_d, "total_time_ps", None, "output", allow_none=True),
-    )
-
-    return RunConfig(molecule, geometry, pulse, basis, integrator, output)
+    sections = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    _reject_unknown(data, tuple(sections), "")
+    parts = {}
+    for name, section in sections.items():
+        doc = _require_mapping(data.get(name, {}), name)
+        _reject_unknown(doc, tuple(f.name for f in dataclasses.fields(section)), name)
+        parts[name] = section(**{key: _PARSERS[key](value, f"{name}.{key}") for key, value in doc.items()})
+    if "watch_populations" not in data.get("output", {}):
+        # the default watch list, trimmed to the truncation the document picked
+        l_max = parts["basis"].l_max
+        parts["output"] = dataclasses.replace(parts["output"], watch_populations=tuple(
+            w for w in parts["output"].watch_populations if w[0] <= l_max and w[2] <= l_max))
+    return RunConfig(**parts)
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -245,7 +205,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise InvalidConfigError("pulse.count > 1 requires pulse.period")
     if isinstance(cfg.pulse.period, str) and cfg.pulse.period not in SYMBOLIC_PERIODS:
         raise InvalidConfigError(
-            f"pulse.period must be one of {SYMBOLIC_PERIODS} when symbolic, got {cfg.pulse.period!r}")
+            f"pulse.period must be one of {tuple(SYMBOLIC_PERIODS)} when symbolic, got {cfg.pulse.period!r}")
     if isinstance(cfg.pulse.period, (int, float)) and not cfg.pulse.period > 0:
         raise InvalidConfigError(f"pulse.period in seconds must be positive, got {cfg.pulse.period}")
     if cfg.basis.l_max < 1:
@@ -268,6 +228,15 @@ def validate_config(cfg: RunConfig) -> None:
             f"output.entropy_log_base must be one of {ENTROPY_LOG_BASES}, got {cfg.output.entropy_log_base!r}")
     if cfg.output.total_time_ps is not None and not cfg.output.total_time_ps > 0:
         raise InvalidConfigError(f"output.total_time_ps must be positive, got {cfg.output.total_time_ps}")
+    try:
+        length_ps = run_length_ps(cfg)
+    except ArithmeticError:  # a pulse count past the float range, or hbar/B past it
+        length_ps = math.inf
+    if not length_ps / cfg.output.sample_interval_ps < MAX_SAMPLES:
+        raise InvalidConfigError(
+            f"output: a run of {length_ps:g} ps sampled every {cfg.output.sample_interval_ps:g} ps"
+            f" needs more than MAX_SAMPLES = {MAX_SAMPLES} samples; shorten output.total_time_ps"
+            " or widen output.sample_interval_ps")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -282,7 +251,23 @@ def parse_config(text: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # presets
 
-PRESET_NAMES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b", "fig4")
+# preset name -> {run label: run document}; each document states only
+# what differs from {}
+_HBAR_TRAIN = {"period": "hbar_over_B", "count": 20}
+_PI_TRAIN = {"period": "pi_hbar_over_B", "count": 20}
+PRESETS = {
+    "fig1a": {"fig1a": {}},
+    "fig1b": {"fig1b": {"geometry": {"R_m": 2e-8}}},
+    "fig2a": {"fig2a_R30": {"pulse": _HBAR_TRAIN},
+              "fig2a_R20": {"geometry": {"R_m": 2e-8}, "pulse": _HBAR_TRAIN}},
+    "fig2b": {"fig2b_R30": {"pulse": _PI_TRAIN},
+              "fig2b_R20": {"geometry": {"R_m": 2e-8}, "pulse": _PI_TRAIN}},
+    "fig3a": {"fig3a": {"geometry": {"R_m": 5e-8}}},
+    "fig3b": {"fig3b": {"geometry": {"R_m": 1.5e-8}}},
+    "fig4": {"fig4_E15": {"geometry": {"R_m": 1.5e-8}, "pulse": {"E0_Vpm": 1.5e7}},
+             "fig4_E30": {"geometry": {"R_m": 1.5e-8}}},
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset(name: str) -> list[tuple[str, RunConfig]]:
@@ -292,37 +277,9 @@ def preset(name: str) -> list[tuple[str, RunConfig]]:
     presets pair distances 3e-8 / 2e-8 m, the field-strength preset
     pairs E0 = 1.5e7 / 3e7 V/m.
     """
-    def cfg(geometry_R=3e-8, E0=3e7, period=None, count=1):
-        doc: dict = {"geometry": {"R_m": geometry_R}, "pulse": {"E0_Vpm": E0}}
-        if period is not None:
-            doc["pulse"]["period"] = period
-            doc["pulse"]["count"] = count
-        return build_config(doc)
-
-    if name == "fig1a":
-        return [("fig1a", cfg(geometry_R=3e-8))]
-    if name == "fig1b":
-        return [("fig1b", cfg(geometry_R=2e-8))]
-    if name == "fig2a":
-        return [
-            ("fig2a_R30", cfg(geometry_R=3e-8, period="hbar_over_B", count=20)),
-            ("fig2a_R20", cfg(geometry_R=2e-8, period="hbar_over_B", count=20)),
-        ]
-    if name == "fig2b":
-        return [
-            ("fig2b_R30", cfg(geometry_R=3e-8, period="pi_hbar_over_B", count=20)),
-            ("fig2b_R20", cfg(geometry_R=2e-8, period="pi_hbar_over_B", count=20)),
-        ]
-    if name == "fig3a":
-        return [("fig3a", cfg(geometry_R=5e-8))]
-    if name == "fig3b":
-        return [("fig3b", cfg(geometry_R=1.5e-8))]
-    if name == "fig4":
-        return [
-            ("fig4_E15", cfg(geometry_R=1.5e-8, E0=1.5e7)),
-            ("fig4_E30", cfg(geometry_R=1.5e-8, E0=3e7)),
-        ]
-    raise InvalidConfigError(f"unknown preset {name!r}; valid presets: {PRESET_NAMES}")
+    if name not in PRESETS:
+        raise InvalidConfigError(f"unknown preset {name!r}; valid presets: {PRESET_NAMES}")
+    return [(label, build_config(doc)) for label, doc in PRESETS[name].items()]
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +328,8 @@ def parse_sweep(text: str) -> SweepSpec:
     axis2 = _parse_axis(data["axis2"], "axis2") if "axis2" in data else None
     if axis2 is not None and axis2.name == axis1.name:
         raise InvalidConfigError(f"axis1 and axis2 must differ, both are {axis1.name!r}")
-    parallelism = _integer(data, "parallelism", None, "sweep", allow_none=True)
+    parallelism = _or_null(_integer)(data.get("parallelism"), "sweep.parallelism")
     if parallelism is not None and parallelism < 1:
         raise InvalidConfigError(f"parallelism must be at least 1, got {parallelism}")
-    out_dir = data.get("out_dir", None)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise InvalidConfigError(f"out_dir must be a string path, got {out_dir!r}")
+    out_dir = _path(data.get("out_dir"), "out_dir")
     return SweepSpec(base=base, axis1=axis1, axis2=axis2, parallelism=parallelism, out_dir=out_dir)

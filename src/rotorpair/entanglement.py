@@ -19,12 +19,11 @@ import math
 import numpy as np
 
 from .angular import TwoRotorBasis
+from .config import ENTROPY_LOG_BASES
 from .exceptions import InvalidConfigError, NumericalError
 
 # weights below this are rounding noise and are dropped before the log
 _CLIP = 1e-15
-
-LOG_BASES = ("e", "2", "d_single")
 
 
 def schmidt_spectrum(basis: TwoRotorBasis, coeffs: np.ndarray) -> np.ndarray:
@@ -49,19 +48,14 @@ def schmidt_spectrum(basis: TwoRotorBasis, coeffs: np.ndarray) -> np.ndarray:
     return weights
 
 
-def schmidt_rank(weights: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Number of Schmidt weights above eps, over the last axis."""
-    return np.count_nonzero(weights > eps, axis=-1)
-
-
 def von_neumann_entropy(weights: np.ndarray, d_single: int, log_base: str = "e") -> np.ndarray:
     """-sum(lam log lam) over the last axis with 0 log 0 = 0; NaN stays NaN.
 
     "d_single" divides by ln d_single, the one-rotor dimension (l_max+1)^2,
     whatever the number of weights.
     """
-    if log_base not in LOG_BASES:
-        raise InvalidConfigError(f"log_base must be one of {LOG_BASES}, got {log_base!r}")
+    if log_base not in ENTROPY_LOG_BASES:
+        raise InvalidConfigError(f"log_base must be one of {ENTROPY_LOG_BASES}, got {log_base!r}")
     lam = np.asarray(weights, dtype=float)
     entropy = -(lam * np.log(np.where(lam > _CLIP, lam, 1.0))).sum(axis=-1)
     if log_base == "2":

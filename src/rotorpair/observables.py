@@ -1,5 +1,6 @@
-"""Measured quantities: orientation, populations, rotational energy,
-and regularity diagnostics for pulse-train runs."""
+"""Measured quantities: the per-sample recorder (orientation, entropy,
+rotational energy, populations) and regularity diagnostics for
+pulse-train runs."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from . import entanglement
 from .angular import TwoRotorBasis
 from .exceptions import QueryError
 from .operators import build_costheta_single, expectation
-from .propagation import WaveFunction
 
 # Lags below half the orientation revival period (pi in reduced time)
 # are excluded from the autocorrelation peak search by default.
@@ -27,22 +27,6 @@ class RegularityMetrics:
     autocorr_peak: float
     spectral_entropy: float
     energy_growth_rate: float
-
-
-def orientation(psi: WaveFunction, which: str) -> float:
-    """<cos theta> of one molecule."""
-    return float(expectation(build_costheta_single(psi.basis, which), psi.coeffs).real)
-
-
-def population(psi: WaveFunction, l1: int, m1: int, l2: int, m2: int) -> float:
-    """|c_{l1 m1 l2 m2}|^2; raises QueryError outside the basis."""
-    idx = psi.basis.index_of(l1, m1, l2, m2)
-    return float(abs(psi.coeffs[idx]) ** 2)
-
-
-def rotational_energy(psi: WaveFunction) -> float:
-    """<L1^2 + L2^2> in units of B."""
-    return float((np.abs(psi.coeffs) ** 2 @ psi.basis.rotor_diagonal))
 
 
 class TimeSeriesRecorder:

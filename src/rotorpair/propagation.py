@@ -28,19 +28,6 @@ WINDOW_HALFWIDTH = 5.0
 SAMPLE_BLOCK = 64
 
 
-@dataclass
-class WaveFunction:
-    basis: TwoRotorBasis
-    coeffs: np.ndarray
-    t: float = 0.0
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def copy(self) -> "WaveFunction":
-        return WaveFunction(self.basis, self.coeffs.copy(), self.t)
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Stepping parameters for the windowed RK4 segments.
@@ -63,19 +50,19 @@ class Trajectory:
     t_red: np.ndarray
     norms: np.ndarray
     h0_expect: np.ndarray
-    psi_final: WaveFunction
+    psi_final: np.ndarray
     windows: list[tuple[float, float]]
     pulse_centers: np.ndarray
     max_norm_drift: float
 
 
-def initial_state(basis: TwoRotorBasis) -> WaveFunction:
+def initial_state(basis: TwoRotorBasis) -> np.ndarray:
     """Both molecules in the rotational ground state, c_0000 = 1."""
     if not basis.contains(0, 0, 0, 0):
         raise InvalidConfigError("basis does not contain the (0,0;0,0) ground state")
     coeffs = np.zeros(basis.size, dtype=np.complex128)
     coeffs[basis.index_of(0, 0, 0, 0)] = 1.0
-    return WaveFunction(basis, coeffs, t=0.0)
+    return coeffs
 
 
 class FreeEvolution:
@@ -180,8 +167,9 @@ def pulse_windows(pulse: PulseSchedule, halfwidth: float, t_end: float) -> list[
 
 def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
                  cfg: IntegratorConfig, sample_times: np.ndarray,
-                 observers=(), psi0: WaveFunction | None = None) -> Trajectory:
-    """Alternate exact free evolution and windowed RK4, sampling on the way.
+                 observers=()) -> Trajectory:
+    """Alternate exact free evolution and windowed RK4 from the initial
+    state, sampling on the way.
 
     sample_times must be ascending and start at 0. Samples reach the
     observers in blocks of at most SAMPLE_BLOCK consecutive samples from
@@ -194,12 +182,6 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
         raise InvalidConfigError("sample_times must be a non-empty 1-d array")
     if samples[0] != 0.0 or np.any(np.diff(samples) <= 0):
         raise InvalidConfigError("sample_times must start at 0 and increase strictly")
-
-    psi = initial_state(pieces.basis) if psi0 is None else psi0
-    if psi.coeffs.shape[0] != pieces.basis.size:
-        raise ConsistencyError("initial state size does not match the basis")
-    if psi0 is not None and psi.t != 0.0:
-        raise ConsistencyError(f"initial state must start at t = 0, got {psi.t}")
 
     t_end = float(samples[-1])
     windows = pulse_windows(pulse, WINDOW_HALFWIDTH, t_end)
@@ -226,7 +208,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
             )
 
     # each window is preceded by a free segment; the sentinel closes the run
-    coeffs = psi.coeffs.copy()
+    coeffs = initial_state(pieces.basis)
     emit(0, coeffs[None, :])
     k, cursor = 1, 0.0
     for a, b in windows + [(t_end, t_end)]:
@@ -257,15 +239,8 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
         t_red=samples,
         norms=norms,
         h0_expect=h0_expect,
-        psi_final=WaveFunction(pieces.basis, coeffs, t_end),
+        psi_final=coeffs,
         windows=windows,
         pulse_centers=pulse.centers(),
         max_norm_drift=float(np.max(np.abs(norms - 1.0))),
     )
-
-
-def default_total_time_ps(count: int, period_red: float, time_unit_ps: float) -> float:
-    """400 ps for a single pulse; count * T + 100 ps for a train."""
-    if count <= 1:
-        return 400.0
-    return count * period_red * time_unit_ps + 100.0

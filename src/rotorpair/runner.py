@@ -11,11 +11,11 @@ import numpy as np
 
 from .angular import TwoRotorBasis
 from .config import RunConfig
-from .exceptions import NumericalError, StepSizeError
+from .exceptions import NumericalError
 from .observables import TimeSeriesRecorder
 from .operators import HamiltonianPieces, PulseSchedule, build_pieces
-from .propagation import IntegratorConfig, Trajectory, default_total_time_ps, run_schedule
-from .units import ReducedParameters, time_unit_seconds, to_reduced
+from .propagation import IntegratorConfig, Trajectory, run_schedule
+from .units import run_length_ps, time_unit_seconds, to_reduced
 
 CSV_NAME = "timeseries.csv"
 CONFIG_ECHO_NAME = "run_config.json"
@@ -24,7 +24,7 @@ CONFIG_ECHO_NAME = "run_config.json"
 @dataclass
 class RunResult:
     config: RunConfig
-    reduced: ReducedParameters
+    dipole_strength: float
     time_unit_ps: float
     basis: TwoRotorBasis
     pieces: HamiltonianPieces
@@ -40,21 +40,11 @@ def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
     marker row if the run fails numerically."""
     from .output import write_timeseries_csv  # local import keeps module load light
 
-    reduced = to_reduced(cfg.to_setup())
+    schedule, dipole_strength = to_reduced(cfg)
     time_unit_ps = time_unit_seconds(cfg.molecule.B_cm1) * 1e12
     basis = TwoRotorBasis(cfg.basis.l_max, cfg.basis.restrict_total_m)
-    pieces = build_pieces(basis, reduced.dipole_strength)
-    schedule = PulseSchedule(
-        kick_strength=reduced.kick_strength,
-        sigma_red=reduced.sigma_red,
-        t0_red=reduced.t0_red,
-        carrier_omega=reduced.carrier_omega,
-        period_red=reduced.period_red,
-        count=cfg.pulse.count,
-    )
-    total_ps = cfg.output.total_time_ps
-    if total_ps is None:
-        total_ps = default_total_time_ps(cfg.pulse.count, reduced.period_red, time_unit_ps)
+    pieces = build_pieces(basis, dipole_strength)
+    total_ps = run_length_ps(cfg)
     n_samples = int(np.floor(total_ps / cfg.output.sample_interval_ps)) + 1
     sample_ps = np.arange(n_samples) * cfg.output.sample_interval_ps
     samples_red = sample_ps / time_unit_ps
@@ -74,7 +64,7 @@ def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
         csv_path = out_dir / CSV_NAME
     try:
         trajectory = run_schedule(pieces, schedule, integrator, samples_red, observers=(recorder,))
-    except (StepSizeError, NumericalError) as exc:
+    except NumericalError as exc:
         if csv_path is not None:
             write_timeseries_csv(csv_path, recorder.watch, recorder.table(), failure_message=str(exc))
         raise
@@ -82,7 +72,7 @@ def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
         write_timeseries_csv(csv_path, recorder.watch, recorder.table())
     return RunResult(
         config=cfg,
-        reduced=reduced,
+        dipole_strength=dipole_strength,
         time_unit_ps=time_unit_ps,
         basis=basis,
         pieces=pieces,

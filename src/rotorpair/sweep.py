@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import SWEEP_AXES, SweepSpec, build_config
-from .exceptions import InvalidConfigError
+from .exceptions import InvalidConfigError, NumericalError
 
 MANIFEST_NAME = "manifest.json"
 DEFAULT_SWEEP_DIR = "sweep_out"
@@ -68,9 +68,8 @@ def _run_point(label: str, doc: dict, point_dir: str) -> dict:
     except Exception as exc:  # a diverging point must not take its siblings down
         entry["status"] = "failed"
         entry["error"] = f"{type(exc).__name__}: {exc}"
-        failed_csv = Path(point_dir) / "timeseries.csv"
-        if failed_csv.exists():
-            entry["csv"] = str(failed_csv)
+        if isinstance(exc, NumericalError):  # run_config wrote a partial CSV before raising it
+            entry["csv"] = str(Path(point_dir) / runner.CSV_NAME)
     return entry
 
 

@@ -4,14 +4,21 @@ Everything downstream works in reduced units with hbar = 1 and B = 1:
 energies are measured in the rotational constant B, times in hbar/B.
 The pulse-train periods T = hbar/B and T = pi*hbar/B are then exactly
 1.0 and pi, which keeps the resonance condition free of unit rounding.
+
+This module imports no numpy at load time: config, which the sweep
+parent imports, takes the run length from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .exceptions import InvalidConfigError
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .operators import PulseSchedule
 
 # CODATA-2018 figures. The primary literals below are the published
 # values (h and c are exact SI definitions, hbar is CODATA's rounded
@@ -28,42 +35,8 @@ DEBYE_TO_CM = 1e-21 / C
 INV_CM_TO_J = PLANCK * C * 100.0
 COULOMB = 1.0 / (4.0 * math.pi * EPS0)
 
-PERIOD_HBAR_OVER_B = "hbar_over_B"
-PERIOD_PI_HBAR_OVER_B = "pi_hbar_over_B"
-SYMBOLIC_PERIODS = (PERIOD_HBAR_OVER_B, PERIOD_PI_HBAR_OVER_B)
-
-
-@dataclass(frozen=True)
-class PhysicalSetup:
-    """Laboratory-unit description of one run.
-
-    R_m = None switches the dipole-dipole coupling off entirely (an
-    uncoupled pair), which is distinct from any finite separation.
-    period is None for a single pulse, a float in seconds, or one of
-    the symbolic names "hbar_over_B" / "pi_hbar_over_B".
-    """
-
-    mu_debye: float = 9.2
-    B_cm1: float = 0.12
-    R_m: float | None = 3e-8
-    E0_Vpm: float = 3e7
-    sigma_fs: float = 279.0
-    t0_fs: float = 1200.0
-    omega_cm1: float = 30.0
-    period: float | str | None = None
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class ReducedParameters:
-    """Dimensionless couplings of the reduced-unit Hamiltonian."""
-
-    kick_strength: float      # mu * E0 / B
-    dipole_strength: float    # mu^2 / (4 pi eps0 R^3 B)
-    carrier_omega: float      # omega * hbar / B
-    sigma_red: float          # sigma * B / hbar
-    t0_red: float
-    period_red: float         # 0.0 means "no period" (single pulse)
+# symbolic pulse-train periods, in the reduced time unit hbar/B
+SYMBOLIC_PERIODS = {"hbar_over_B": 1.0, "pi_hbar_over_B": math.pi}
 
 
 def time_unit_seconds(B_cm1: float) -> float:
@@ -73,65 +46,44 @@ def time_unit_seconds(B_cm1: float) -> float:
     return HBAR / (B_cm1 * INV_CM_TO_J)
 
 
-def to_reduced(setup: PhysicalSetup) -> ReducedParameters:
-    """Map a laboratory setup onto the hbar = B = 1 unit system; the setup
-    comes from a validated RunConfig."""
-    B_joule = setup.B_cm1 * INV_CM_TO_J
+def _period_reduced(cfg: RunConfig) -> float:
+    """The pulse period in units of hbar/B; 0.0 means "no period" (single pulse)."""
+    period = cfg.pulse.period
+    if period is None:
+        return 0.0
+    if isinstance(period, str):
+        return SYMBOLIC_PERIODS[period]
+    return float(period) / time_unit_seconds(cfg.molecule.B_cm1)
+
+
+def run_length_ps(cfg: RunConfig) -> float:
+    """output.total_time_ps if set, else 400 ps for a single pulse and
+    count * T + 100 ps for a train."""
+    if cfg.output.total_time_ps is not None:
+        return cfg.output.total_time_ps
+    if cfg.pulse.count <= 1:
+        return 400.0
+    time_unit_ps = time_unit_seconds(cfg.molecule.B_cm1) * 1e12
+    return cfg.pulse.count * _period_reduced(cfg) * time_unit_ps + 100.0
+
+
+def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float]:
+    """Map a validated RunConfig onto the hbar = B = 1 unit system:
+    the pulse schedule and the dipole strength mu^2 / (4 pi eps0 R^3 B)."""
+    from .operators import PulseSchedule  # numpy; see the module docstring
+
+    B_joule = cfg.molecule.B_cm1 * INV_CM_TO_J
     time_unit = HBAR / B_joule
-    mu = setup.mu_debye * DEBYE_TO_CM
-
-    kick = mu * setup.E0_Vpm / B_joule
-    if setup.R_m is None:
-        dipole = 0.0
-    else:
-        dipole = COULOMB * mu * mu / (setup.R_m**3 * B_joule)
-    omega_si = 2.0 * math.pi * C * 100.0 * setup.omega_cm1
-    carrier = omega_si * HBAR / B_joule
-
-    if setup.period is None:
-        period_red = 0.0
-    elif setup.period == PERIOD_HBAR_OVER_B:
-        period_red = 1.0
-    elif setup.period == PERIOD_PI_HBAR_OVER_B:
-        period_red = math.pi
-    else:
-        period_red = float(setup.period) / time_unit
-
-    return ReducedParameters(
-        kick_strength=kick,
-        dipole_strength=dipole,
-        carrier_omega=carrier,
-        sigma_red=setup.sigma_fs * 1e-15 / time_unit,
-        t0_red=setup.t0_fs * 1e-15 / time_unit,
-        period_red=period_red,
+    mu = cfg.molecule.mu_debye * DEBYE_TO_CM
+    R_m = cfg.geometry.R_m
+    dipole = 0.0 if R_m is None else COULOMB * mu * mu / (R_m**3 * B_joule)
+    omega_si = 2.0 * math.pi * C * 100.0 * cfg.pulse.omega_cm1
+    schedule = PulseSchedule(
+        kick_strength=mu * cfg.pulse.E0_Vpm / B_joule,
+        sigma_red=cfg.pulse.sigma_fs * 1e-15 / time_unit,
+        t0_red=cfg.pulse.t0_fs * 1e-15 / time_unit,
+        carrier_omega=omega_si * HBAR / B_joule,
+        period_red=_period_reduced(cfg),
+        count=cfg.pulse.count,
     )
-
-
-def from_reduced(
-    red: ReducedParameters,
-    mu_debye: float,
-    B_cm1: float,
-    count: int = 1,
-) -> PhysicalSetup:
-    """Invert to_reduced given the two anchor quantities mu and B."""
-    B_joule = B_cm1 * INV_CM_TO_J
-    time_unit = HBAR / B_joule
-    mu = mu_debye * DEBYE_TO_CM
-
-    if red.dipole_strength == 0.0:
-        R_m = None
-    else:
-        R_m = (COULOMB * mu * mu / (red.dipole_strength * B_joule)) ** (1.0 / 3.0)
-    omega_si = red.carrier_omega * B_joule / HBAR
-
-    return PhysicalSetup(
-        mu_debye=mu_debye,
-        B_cm1=B_cm1,
-        R_m=R_m,
-        E0_Vpm=red.kick_strength * B_joule / mu,
-        sigma_fs=red.sigma_red * time_unit * 1e15,
-        t0_fs=red.t0_red * time_unit * 1e15,
-        omega_cm1=omega_si / (2.0 * math.pi * C * 100.0),
-        period=red.period_red * time_unit if red.period_red > 0 else None,
-        count=count,
-    )
+    return schedule, dipole

@@ -20,7 +20,6 @@ from rotorpair.observables import COLUMNS
 from rotorpair.operators import build_costheta_single
 from rotorpair.propagation import (
     WINDOW_HALFWIDTH,
-    WaveFunction,
     initial_state,
     pulse_windows,
     rk4_integrate,
@@ -154,21 +153,21 @@ def restrict(full_matrix: np.ndarray, basis) -> np.ndarray:
     return full_matrix[np.ix_(idx, idx)]
 
 
-def dense_propagate(psi: WaveFunction, h_sampler, t_a: float, t_b: float,
-                    n_steps: int, chunk: int = 512) -> WaveFunction:
+def dense_propagate(coeffs: np.ndarray, h_sampler, t_a: float, t_b: float,
+                    n_steps: int, chunk: int = 512) -> np.ndarray:
     """Propagate by a product of exact exponentials of midpoint-sampled H.
 
     Each step applies exp(-i H(t_mid) dt) through a dense eigendecomposition,
     so every step is unitary to machine precision and the only error is the
     O(dt^2) midpoint sampling of the time dependence.
     """
-    dim = psi.coeffs.shape[0]
+    dim = coeffs.shape[0]
     if dim > 1000:
         raise OracleError(f"dense propagation capped at dimension 1000, got {dim}")
     if n_steps < 1:
         raise OracleError("n_steps must be >= 1")
     dt = (t_b - t_a) / n_steps
-    coeffs = psi.coeffs.astype(np.complex128, copy=True)
+    coeffs = coeffs.astype(np.complex128, copy=True)
     probe = np.asarray(h_sampler(t_a + 0.5 * dt))
     real_valued = np.isrealobj(probe)
     for start in range(0, n_steps, chunk):
@@ -183,7 +182,7 @@ def dense_propagate(psi: WaveFunction, h_sampler, t_a: float, t_b: float,
             v = vectors[j]
             phases = np.exp(-1j * energies[j] * dt)
             coeffs = v @ (phases * (np.conj(v.T) @ coeffs))
-    return WaveFunction(basis=psi.basis, coeffs=coeffs, t=t_b)
+    return coeffs
 
 
 def hamiltonian_at(t: float, pieces, pulse):
@@ -222,18 +221,17 @@ def _per_stage_step(deriv, y, t, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def coefficient_matrix(psi: WaveFunction) -> np.ndarray:
+def coefficient_matrix(basis, coeffs: np.ndarray) -> np.ndarray:
     """Scatter the coefficient vector into the full d_single x d_single matrix C."""
-    basis = psi.basis
     d = basis.d_single
     c = np.zeros((d, d), dtype=np.complex128)
-    c[basis.mol1_single, basis.mol2_single] = psi.coeffs
+    c[basis.mol1_single, basis.mol2_single] = coeffs
     return c
 
 
-def reduced_density_mol1(psi: WaveFunction) -> np.ndarray:
-    """rho_mol1 = C C^dagger; trace equals the squared norm of psi."""
-    c = coefficient_matrix(psi)
+def reduced_density_mol1(basis, coeffs: np.ndarray) -> np.ndarray:
+    """rho_mol1 = C C^dagger; trace equals the squared norm of the state."""
+    c = coefficient_matrix(basis, coeffs)
     return c @ c.conj().T
 
 
@@ -250,7 +248,7 @@ def per_sample_schedule(pieces, pulse, cfg, sample_times):
     def free(c, tau):
         return vectors @ (np.exp(-1j * energies * tau) * (vectors.conj().T @ c))
 
-    c = initial_state(pieces.basis).coeffs.copy()
+    c = initial_state(pieces.basis)
     states = []
     t_now = 0.0
     for t_k in samples:
@@ -281,7 +279,7 @@ def per_sample_columns(basis, states, watch, log_base="e", sample_interval_ps=0.
     cos2 = build_costheta_single(basis, "mol2")
     rows = []
     for k, c in enumerate(states):
-        lam = np.linalg.svd(coefficient_matrix(WaveFunction(basis, c)), compute_uv=False) ** 2
+        lam = np.linalg.svd(coefficient_matrix(basis, c), compute_uv=False) ** 2
         lam = lam[lam > 1e-15]
         entropy = float(-(lam * np.log(lam)).sum())
         entropy /= {"e": 1.0, "2": np.log(2.0), "d_single": np.log(basis.d_single)}[log_base]

@@ -18,7 +18,7 @@ import oracles
 from rotorpair.angular import RotorState, TwoRotorBasis, costheta_element, sintheta_exp_element
 from rotorpair.config import PRESET_NAMES, preset
 from rotorpair.observables import regularity_metrics
-from rotorpair.operators import PulseSchedule, build_pieces
+from rotorpair.operators import build_pieces
 from rotorpair.propagation import (
     WINDOW_HALFWIDTH,
     IntegratorConfig,
@@ -107,15 +107,9 @@ def test_criterion_1_closed_form_elements_match_quadrature():
 @_criterion(2)
 def test_criterion_2_pulse_window_matches_dense_reference(sims):
     cfg = sims.configs["fig1a"]
-    reduced = to_reduced(cfg.to_setup())
+    schedule, dipole = to_reduced(cfg)
     basis = TwoRotorBasis(2, None)  # full 81-state product basis
-    pieces = build_pieces(basis, reduced.dipole_strength)
-    schedule = PulseSchedule(
-        kick_strength=reduced.kick_strength,
-        sigma_red=reduced.sigma_red,
-        t0_red=reduced.t0_red,
-        carrier_omega=reduced.carrier_omega,
-    )
+    pieces = build_pieces(basis, dipole)
     window = pulse_windows(schedule, WINDOW_HALFWIDTH, 10.0)[0]
     assert window[0] == 0.0  # clipped: the run steps the whole window from t = 0
     pkg = run_schedule(pieces, schedule, IntegratorConfig(), [0.0, window[1]]).psi_final
@@ -125,13 +119,13 @@ def test_criterion_2_pulse_window_matches_dense_reference(sims):
         return (0.5 * (block + block.conj().T)).real
 
     h0 = hermitized(np.diag(oracles.two_rotor_free_diagonal(2))
-                    + oracles.two_rotor_dipole(reduced.dipole_strength, 2))
+                    + oracles.two_rotor_dipole(dipole, 2))
     v = hermitized(oracles.two_rotor_coupling(2))
     ref = oracles.dense_propagate(
         initial_state(basis), lambda t: h0 + schedule.field_scalar(t) * v,
         window[0], window[1], 100_000)
 
-    diff = float(np.max(np.abs(pkg.coeffs - ref.coeffs)))
+    diff = float(np.max(np.abs(pkg - ref)))
     return diff <= 1e-6, (
         f"max coefficient difference vs 1e5-step dense reference = {diff:.2e}"
         f" across the pulse window (tolerance 1e-6)"
@@ -159,15 +153,9 @@ def _free_segment_drift(trajectory) -> float:
 
 def _offblock_leakage(cfg) -> float:
     """Drive the full l_max = 3 basis and watch probability at m1+m2 != 0."""
-    reduced = to_reduced(cfg.to_setup())
+    schedule, dipole = to_reduced(cfg)
     basis = TwoRotorBasis(3, None)
-    pieces = build_pieces(basis, reduced.dipole_strength)
-    schedule = PulseSchedule(
-        kick_strength=reduced.kick_strength,
-        sigma_red=reduced.sigma_red,
-        t0_red=reduced.t0_red,
-        carrier_omega=reduced.carrier_omega,
-    )
+    pieces = build_pieces(basis, dipole)
     time_unit_ps = time_unit_seconds(cfg.molecule.B_cm1) * 1e12
     samples_red = np.arange(61) * (1.0 / time_unit_ps)
     off_block = (basis.m1 + basis.m2) != 0

@@ -6,7 +6,6 @@ from rotorpair.angular import (
     RotorState,
     TwoRotorBasis,
     costheta_element,
-    l_squared_eigenvalue,
     single_index,
     sintheta_exp_element,
 )
@@ -34,8 +33,11 @@ def test_single_index_enumerates_states_in_l_then_m_order():
 
 
 def test_l_squared_eigenvalue():
-    assert l_squared_eigenvalue(RotorState(0, 0)) == 0.0
-    assert l_squared_eigenvalue(RotorState(3, -2)) == 12.0
+    basis = TwoRotorBasis(3, None)
+    assert basis.rotor_diagonal[basis.index_of(0, 0, 0, 0)] == 0.0
+    assert basis.rotor_diagonal[basis.index_of(3, -2, 0, 0)] == 12.0
+    assert basis.rotor_diagonal[basis.index_of(0, 0, 3, -2)] == 12.0
+    assert basis.rotor_diagonal[basis.index_of(2, 1, 3, -2)] == 18.0
 
 
 # --- cos(theta) ------------------------------------------------------------

@@ -70,6 +70,19 @@ def test_run_rejects_an_infinite_total_time(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_a_sample_grid_past_the_bound(tmp_path):
+    # 1e300 ps is finite, but its sample grid could never be allocated
+    cfg = _write_json(tmp_path / "cfg.json", {"output": {"total_time_ps": 1e300}})
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rotorpair.cli", "run", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "MAX_SAMPLES" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_config_file_is_an_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
     assert "I/O failure" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from rotorpair.config import (
     DEFAULT_WATCH,
+    MAX_SAMPLES,
     PRESET_NAMES,
     RunConfig,
     build_config,
@@ -39,9 +41,55 @@ def test_empty_document_gives_the_default_molecule_pair():
     assert cfg.output.total_time_ps is None
 
 
+def test_an_empty_document_is_the_default_config():
+    assert build_config({}) == RunConfig()
+
+
+# a JSON value for every key of every section, and what it parses to; a
+# field without an entry here (or without a parser) fails the test below
+KEY_VALUES = {
+    ("molecule", "mu_debye"): (5, 5.0),
+    ("molecule", "B_cm1"): (0.2, 0.2),
+    ("geometry", "R_m"): (None, None),
+    ("pulse", "E0_Vpm"): (1e7, 1e7),
+    ("pulse", "sigma_fs"): (100, 100.0),
+    ("pulse", "t0_fs"): (500.0, 500.0),
+    ("pulse", "omega_cm1"): (20.0, 20.0),
+    ("pulse", "period"): ("pi_hbar_over_B", "pi_hbar_over_B"),
+    ("pulse", "count"): (3, 3),
+    ("basis", "l_max"): (10, 10),
+    ("basis", "restrict_total_m"): (None, None),
+    ("integrator", "dt_pulse_fs"): (0.5, 0.5),
+    ("integrator", "norm_tolerance"): (1e-6, 1e-6),
+    ("output", "sample_interval_ps"): (1, 1.0),
+    ("output", "watch_populations"): ([[1, 0, 0, 0]], ((1, 0, 0, 0),)),
+    ("output", "entropy_log_base"): (2, "2"),
+    ("output", "out_dir"): ("somewhere", "somewhere"),
+    ("output", "total_time_ps"): (100.0, 100.0),
+}
+ALL_KEYS = [(section.name, item.name) for section in dataclasses.fields(RunConfig)
+            for item in dataclasses.fields(section.default)]
+
+
+def test_every_key_has_a_test_value():
+    assert sorted(ALL_KEYS) == sorted(KEY_VALUES)
+
+
+@pytest.mark.parametrize("section, key", ALL_KEYS)
+def test_a_key_sets_only_its_own_field(section, key):
+    base = {"pulse": {"period": "hbar_over_B"}} if key == "count" else {}  # a train needs a period
+    value, parsed = KEY_VALUES[(section, key)]
+    before = build_config(base)
+    after = build_config({**base, section: {**base.get(section, {}), key: value}})
+    part = getattr(before, section)
+    assert getattr(part, key) != parsed
+    assert after == dataclasses.replace(before, **{section: dataclasses.replace(part, **{key: parsed})})
+
+
 def test_symbolic_pi_period_is_exact():
     cfg = parse_config('{"pulse": {"period": "pi_hbar_over_B", "count": 20}}')
-    assert to_reduced(cfg.to_setup()).period_red == math.pi
+    schedule, _ = to_reduced(cfg)
+    assert schedule.period_red == math.pi
 
 
 def test_negative_separation_is_rejected():
@@ -52,7 +100,8 @@ def test_negative_separation_is_rejected():
 def test_null_separation_turns_the_coupling_off():
     cfg = parse_config('{"geometry": {"R_m": null}}')
     assert cfg.geometry.R_m is None
-    assert to_reduced(cfg.to_setup()).dipole_strength == 0.0
+    _, dipole = to_reduced(cfg)
+    assert dipole == 0.0
 
 
 def test_malformed_json_is_a_config_error():
@@ -171,6 +220,27 @@ def test_round_trip_through_json_dict():
     assert again == cfg
 
 
+# --- sample-count bound ---------------------------------------------------------
+
+@pytest.mark.parametrize("doc", [
+    {"output": {"total_time_ps": 1e300}},
+    {"output": {"total_time_ps": float(MAX_SAMPLES), "sample_interval_ps": 1.0}},
+    # a defaulted run length counts too: 400 ps for one pulse, count * T + 100 ps for a train
+    {"output": {"sample_interval_ps": 400.0 / MAX_SAMPLES}},
+    {"pulse": {"period": 1.0, "count": 2}},
+    {"pulse": {"period": "hbar_over_B", "count": 10**400}},
+    {"molecule": {"B_cm1": 1e-320}, "pulse": {"period": "hbar_over_B", "count": 2}},
+])
+def test_too_many_samples_are_rejected(doc):
+    with pytest.raises(InvalidConfigError, match="MAX_SAMPLES"):
+        build_config(doc)
+
+
+def test_the_sample_bound_is_inclusive():
+    cfg = build_config({"output": {"total_time_ps": MAX_SAMPLES - 1.0, "sample_interval_ps": 1.0}})
+    assert math.floor(cfg.output.total_time_ps / cfg.output.sample_interval_ps) + 1 == MAX_SAMPLES
+
+
 # --- presets -------------------------------------------------------------------
 
 def test_preset_names():
@@ -216,6 +286,32 @@ def test_field_strength_preset_pairs_two_amplitudes():
     assert [cfg.pulse.E0_Vpm for _, cfg in runs] == [1.5e7, 3e7]
     for _, cfg in runs:
         assert cfg.geometry.R_m == 1.5e-8
+
+
+# every panel, pinned by the fields in which it differs from RunConfig()
+PRESET_DIFFS = {
+    "fig1a": {},
+    "fig1b": {"geometry.R_m": 2e-8},
+    "fig2a_R30": {"pulse.period": "hbar_over_B", "pulse.count": 20},
+    "fig2a_R20": {"geometry.R_m": 2e-8, "pulse.period": "hbar_over_B", "pulse.count": 20},
+    "fig2b_R30": {"pulse.period": "pi_hbar_over_B", "pulse.count": 20},
+    "fig2b_R20": {"geometry.R_m": 2e-8, "pulse.period": "pi_hbar_over_B", "pulse.count": 20},
+    "fig3a": {"geometry.R_m": 5e-8},
+    "fig3b": {"geometry.R_m": 1.5e-8},
+    "fig4_E15": {"geometry.R_m": 1.5e-8, "pulse.E0_Vpm": 1.5e7},
+    "fig4_E30": {"geometry.R_m": 1.5e-8},
+}
+
+
+def test_every_preset_panel_is_pinned():
+    default = RunConfig()
+    seen = {}
+    for name in PRESET_NAMES:
+        for label, cfg in preset(name):
+            seen[label] = {f"{section}.{key}": getattr(getattr(cfg, section), key)
+                           for section, key in ALL_KEYS
+                           if getattr(getattr(cfg, section), key) != getattr(getattr(default, section), key)}
+    assert seen == PRESET_DIFFS
 
 
 def test_all_presets_validate_at_the_default_truncation():

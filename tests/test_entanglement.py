@@ -8,9 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import coefficient_matrix, reduced_density_mol1
 from rotorpair.angular import TwoRotorBasis
-from rotorpair.entanglement import schmidt_rank, schmidt_spectrum, von_neumann_entropy
+from rotorpair.entanglement import schmidt_spectrum, von_neumann_entropy
 from rotorpair.exceptions import InvalidConfigError
-from rotorpair.propagation import WaveFunction
 
 
 def _product_state(basis, u, v):
@@ -18,25 +17,25 @@ def _product_state(basis, u, v):
     coeffs = np.zeros(basis.size, dtype=complex)
     for k in range(basis.size):
         coeffs[k] = u[basis.mol1_single[k]] * v[basis.mol2_single[k]]
-    return WaveFunction(basis, coeffs, t=0.0)
+    return coeffs
 
 
 def _bell_state(basis):
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[basis.index_of(0, 0, 1, 0)] = 1.0 / math.sqrt(2.0)
     coeffs[basis.index_of(1, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
-    return WaveFunction(basis, coeffs, t=0.0)
+    return coeffs
 
 
 def test_coefficient_matrix_scatters_by_single_rotor_indices():
     basis = TwoRotorBasis(1, None)
-    psi = WaveFunction(basis, np.arange(1.0, basis.size + 1.0, dtype=complex))
-    c = coefficient_matrix(psi)
+    coeffs = np.arange(1.0, basis.size + 1.0, dtype=complex)
+    c = coefficient_matrix(basis, coeffs)
     assert c.shape == (4, 4)
     for k, (l1, m1, l2, m2) in enumerate(basis.states):
         i = l1 * l1 + l1 + m1
         j = l2 * l2 + l2 + m2
-        assert c[i, j] == psi.coeffs[k]
+        assert c[i, j] == coeffs[k]
 
 
 def test_product_state_has_zero_entropy():
@@ -46,15 +45,14 @@ def test_product_state_has_zero_entropy():
     v = rng.standard_normal(basis.d_single) + 1j * rng.standard_normal(basis.d_single)
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    psi = _product_state(basis, u, v)
-    weights = schmidt_spectrum(basis, psi.coeffs)[0]
+    weights = schmidt_spectrum(basis, _product_state(basis, u, v))[0]
     assert von_neumann_entropy(weights, basis.d_single) < 1e-10
-    assert schmidt_rank(weights) == 1
+    assert np.count_nonzero(weights > 1e-12) == 1
 
 
 def test_bell_state_entropy_in_every_log_base():
     basis = TwoRotorBasis(1, None)
-    weights = schmidt_spectrum(basis, _bell_state(basis).coeffs)[0]
+    weights = schmidt_spectrum(basis, _bell_state(basis))[0]
     lam = np.sort(weights)[::-1][:2]
     assert np.allclose(lam, [0.5, 0.5], atol=1e-12)
     d = basis.d_single
@@ -62,7 +60,7 @@ def test_bell_state_entropy_in_every_log_base():
     assert von_neumann_entropy(weights, d, "2") == pytest.approx(1.0, abs=1e-12)
     # d_single = 4, so log_4(2) = 1/2
     assert von_neumann_entropy(weights, d, "d_single") == pytest.approx(0.5, abs=1e-12)
-    assert schmidt_rank(weights) == 2
+    assert np.count_nonzero(weights > 1e-12) == 2
 
 
 def test_entropy_rejects_unknown_log_base():
@@ -77,7 +75,7 @@ def test_entropy_of_a_single_level_subsystem_is_zero():
 
 def test_d_single_log_base_ignores_how_many_weights_the_blocks_return():
     basis = TwoRotorBasis(2, 0)
-    weights = schmidt_spectrum(basis, _bell_state(basis).coeffs)[0]
+    weights = schmidt_spectrum(basis, _bell_state(basis))[0]
     assert weights.size == 5 * 3  # five m-blocks of side l_max + 1, not d_single = 9
     entropy = von_neumann_entropy(weights, basis.d_single, "d_single")
     assert entropy == pytest.approx(math.log(2.0) / math.log(9.0), abs=1e-12)
@@ -88,10 +86,9 @@ def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues():
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
     coeffs /= np.linalg.norm(coeffs)
-    psi = WaveFunction(basis, coeffs)
 
     weights = schmidt_spectrum(basis, coeffs)[0]
-    rho = reduced_density_mol1(psi)
+    rho = reduced_density_mol1(basis, coeffs)
     assert np.abs(rho - rho.conj().T).max() < 1e-14
     eigs = np.sort(np.linalg.eigvalsh(rho))[::-1]
     got = np.sort(weights)[::-1]
@@ -105,27 +102,20 @@ def test_density_matrix_trace_equals_squared_norm():
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[0] = 0.6
     coeffs[1] = 0.3j
-    psi = WaveFunction(basis, coeffs)
-    assert np.trace(reduced_density_mol1(psi)).real == pytest.approx(0.45, abs=1e-14)
-
-
-def test_schmidt_rank_threshold():
-    weights = np.array([1.0 - 1e-13, 1e-13, 0.0])
-    assert schmidt_rank(weights, eps=1e-12) == 1
-    assert schmidt_rank(weights, eps=1e-14) == 2
+    assert np.trace(reduced_density_mol1(basis, coeffs)).real == pytest.approx(0.45, abs=1e-14)
 
 
 def test_a_block_is_analyzed_row_by_row():
     basis = TwoRotorBasis(1, None)
     product = np.zeros(basis.size, dtype=complex)
     product[basis.index_of(0, 0, 0, 0)] = 1.0
-    block = np.stack([_bell_state(basis).coeffs, product, np.full(basis.size, np.nan)])
+    block = np.stack([_bell_state(basis), product, np.full(basis.size, np.nan)])
     weights = schmidt_spectrum(basis, block)
     assert weights.shape == (3, basis.d_single)
     entropy = von_neumann_entropy(weights, basis.d_single, "2")
     assert entropy[:2] == pytest.approx([1.0, 0.0], abs=1e-12)
     assert np.isnan(entropy[2])  # a non-finite state must not read as unentangled
-    assert schmidt_rank(weights).tolist() == [2, 1, 0]
+    assert np.count_nonzero(weights > 1e-12, axis=1).tolist() == [2, 1, 0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,7 +131,7 @@ def test_m_block_weights_equal_the_full_matrix_svd(l_max, total_m, data):
     coeffs = coeffs[norms > 1e-3] / norms[norms > 1e-3, None]
     got = np.sort(schmidt_spectrum(basis, coeffs), axis=1)[:, ::-1]
     for row, weights in zip(coeffs, got):
-        full = np.linalg.svd(coefficient_matrix(WaveFunction(basis, row)), compute_uv=False) ** 2
+        full = np.linalg.svd(coefficient_matrix(basis, row), compute_uv=False) ** 2
         n = min(full.size, weights.size)
         assert np.abs(weights[:n] - full[:n]).max() <= 1e-14
         assert np.all(weights[n:] <= 1e-14) and np.all(full[n:] <= 1e-14)

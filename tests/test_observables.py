@@ -9,35 +9,36 @@ from rotorpair.observables import (
     DEFAULT_MIN_LAG_RED,
     RegularityMetrics,
     TimeSeriesRecorder,
-    orientation,
-    population,
     regularity_metrics,
-    rotational_energy,
 )
-from rotorpair.propagation import WaveFunction, initial_state
+from rotorpair.operators import build_costheta_single, expectation
+from rotorpair.propagation import initial_state
 
 
 def _superposition(basis):
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[basis.index_of(0, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
     coeffs[basis.index_of(1, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
-    return WaveFunction(basis, coeffs)
+    return coeffs
 
 
 def test_orientation_of_a_cos_coherence():
     basis = TwoRotorBasis(1, None)
     psi = _superposition(basis)
-    assert orientation(psi, "mol1") == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
-    assert orientation(psi, "mol2") == pytest.approx(0.0, abs=1e-14)
+    cos1 = expectation(build_costheta_single(basis, "mol1"), psi)
+    cos2 = expectation(build_costheta_single(basis, "mol2"), psi)
+    assert cos1.real == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
+    assert cos2.real == pytest.approx(0.0, abs=1e-14)
 
 
 def test_population_lookup():
     basis = TwoRotorBasis(1, 0)
-    psi = initial_state(basis)
-    assert population(psi, 0, 0, 0, 0) == 1.0
-    assert population(psi, 1, 0, 1, 0) == 0.0
+    rec = TimeSeriesRecorder(basis, watch=((0, 0, 0, 0), (1, 0, 1, 0)))
+    rec(np.array([0.0]), np.array([0]), initial_state(basis)[None, :])
+    assert rec.population_column((0, 0, 0, 0)).tolist() == [1.0]
+    assert rec.population_column((1, 0, 1, 0)).tolist() == [0.0]
     with pytest.raises(QueryError):
-        population(psi, 1, 1, 0, 0)
+        TimeSeriesRecorder(basis, watch=((1, 1, 0, 0),))
 
 
 def test_rotational_energy():
@@ -45,7 +46,9 @@ def test_rotational_energy():
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[basis.index_of(1, 0, 1, 0)] = math.sqrt(0.5)
     coeffs[basis.index_of(0, 0, 0, 0)] = math.sqrt(0.5)
-    assert rotational_energy(WaveFunction(basis, coeffs)) == pytest.approx(2.0, abs=1e-14)
+    rec = TimeSeriesRecorder(basis, watch=())
+    rec(np.array([0.0]), np.array([0]), coeffs[None, :])
+    assert rec.column("energy_rot")[0] == pytest.approx(2.0, abs=1e-14)
 
 
 # --- recorder -----------------------------------------------------------------
@@ -55,8 +58,8 @@ def test_recorder_collects_samples():
     rec = TimeSeriesRecorder(basis, watch=((0, 0, 0, 0), (1, 0, 0, 0)),
                              sample_interval_ps=0.5)
     psi = _superposition(basis)
-    rec(np.array([0.0]), np.array([0]), initial_state(basis).coeffs[None, :])
-    rec(np.array([0.011, 0.022]), np.array([1, 2]), np.stack([psi.coeffs, psi.coeffs]))
+    rec(np.array([0.0]), np.array([0]), initial_state(basis)[None, :])
+    rec(np.array([0.011, 0.022]), np.array([1, 2]), np.stack([psi, psi]))
 
     assert rec.column("t_ps").tolist() == [0.0, 0.5, 1.0]
     assert rec.column("t_red").tolist() == [0.0, 0.011, 0.022]

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from rotorpair import propagation
 from rotorpair.angular import TwoRotorBasis
-from rotorpair.config import IntegratorSettings, RunConfig
+from rotorpair.config import IntegratorSettings, PulseConfig, RunConfig
 from rotorpair.exceptions import ConsistencyError, InvalidConfigError, StepSizeError
 from rotorpair.observables import COLUMNS, TimeSeriesRecorder
 from rotorpair.operators import PulseSchedule, build_costheta_single, build_pieces, expectation
@@ -15,13 +17,13 @@ from rotorpair.propagation import (
     FreeEvolution,
     IntegratorConfig,
     RightHandSide,
-    default_total_time_ps,
     initial_state,
     pulse_windows,
     rk4_integrate,
     run_schedule,
     schrodinger_rhs,
 )
+from rotorpair.units import run_length_ps, time_unit_seconds
 
 # reduced parameters of the default molecule pair, rounded is fine here:
 # these tests probe the integrator, not the unit conversion
@@ -43,14 +45,14 @@ def _free(h0, coeffs, tau):
 
 # --- wavefunction and config -------------------------------------------------
 
-def test_wavefunction_norm_and_copy():
+def test_initial_state_is_a_fresh_unit_ground_state():
     basis = TwoRotorBasis(1, 0)
-    psi = initial_state(basis)
-    assert psi.norm() == 1.0
-    assert psi.t == 0.0
-    clone = psi.copy()
-    clone.coeffs[0] = 0.0
-    assert psi.coeffs[basis.index_of(0, 0, 0, 0)] == 1.0
+    c = initial_state(basis)
+    assert c.dtype == np.complex128 and c.shape == (basis.size,)
+    assert np.linalg.norm(c) == 1.0
+    assert c[basis.index_of(0, 0, 0, 0)] == 1.0
+    c[basis.index_of(0, 0, 0, 0)] = 0.0
+    assert initial_state(basis)[basis.index_of(0, 0, 0, 0)] == 1.0
 
 
 def test_initial_state_needs_the_ground_state():
@@ -104,7 +106,7 @@ def test_free_evolution_reuse_matches_fresh_construction():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.5)
     free = FreeEvolution(pieces.h0)
-    c = initial_state(basis).coeffs
+    c = initial_state(basis)
     first = free.advance(free.project(c), np.array([0.8]))[0]
     again = free.advance(free.project(c), np.array([0.8]))[0]
     assert np.array_equal(first, again)
@@ -213,7 +215,7 @@ def test_window_with_zero_kick_matches_free_evolution():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.5)
     pulse = _single_pulse(kick=0.0)
-    c = initial_state(basis).coeffs
+    c = initial_state(basis)
     stepped = rk4_integrate(schrodinger_rhs(pieces, pulse), c, 0.0, 0.2, 2e-4)
     assert np.abs(stepped - _free(pieces.h0, c, 0.2)).max() < 1e-10
 
@@ -222,11 +224,11 @@ def test_window_step_halving_is_fourth_order():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
-    psi0 = initial_state(basis)
+    c0 = initial_state(basis)
     t_b = T0 + 5.0 * SIGMA
 
     def integrate(dt):
-        return rk4_integrate(schrodinger_rhs(pieces, pulse), psi0.coeffs, 0.0, t_b, dt)
+        return rk4_integrate(schrodinger_rhs(pieces, pulse), c0, 0.0, t_b, dt)
 
     ref = integrate(SIGMA / 160.0)
     err_coarse = np.abs(integrate(SIGMA / 10.0) - ref).max()
@@ -240,16 +242,16 @@ def test_window_integration_is_time_reversible():
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
     cfg = IntegratorConfig()
-    psi0 = initial_state(basis)
+    c0 = initial_state(basis)
     t_b = T0 + 5.0 * SIGMA
     ahead = schrodinger_rhs(pieces, pulse)
-    forward = rk4_integrate(ahead, psi0.coeffs, 0.0, t_b, cfg.step_for(pulse))
+    forward = rk4_integrate(ahead, c0, 0.0, t_b, cfg.step_for(pulse))
 
     # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
     backwards = RightHandSide(field=lambda s: ahead.field(t_b - s),
                               deriv=lambda f, g: -ahead.deriv(f, g))
     back = rk4_integrate(backwards, forward, 0.0, t_b, cfg.step_for(pulse))
-    assert np.abs(back - psi0.coeffs).max() < 1e-6
+    assert np.abs(back - c0).max() < 1e-6
 
 
 def test_window_raises_on_norm_drift():
@@ -314,19 +316,6 @@ def test_run_schedule_validates_samples():
         run_schedule(pieces, pulse, cfg, np.array([0.0, 1.0, 1.0]))
 
 
-def test_run_schedule_rejects_mismatched_initial_state():
-    basis = TwoRotorBasis(1, 0)
-    pieces = build_pieces(basis, 0.0)
-    pulse = _single_pulse(kick=0.0)
-    psi = initial_state(TwoRotorBasis(2, 0))
-    with pytest.raises(ConsistencyError):
-        run_schedule(pieces, pulse, IntegratorConfig(), np.array([0.0, 1.0]), psi0=psi)
-    late = initial_state(basis)
-    late.t = 0.5
-    with pytest.raises(ConsistencyError):
-        run_schedule(pieces, pulse, IntegratorConfig(), np.array([0.0, 1.0]), psi0=late)
-
-
 def test_run_schedule_without_field_is_pure_free_evolution():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.5)
@@ -336,8 +325,8 @@ def test_run_schedule_without_field_is_pure_free_evolution():
     assert traj.windows == []
     assert np.allclose(traj.norms, 1.0, atol=1e-12)
     assert np.ptp(traj.h0_expect) < 1e-12
-    free = _free(pieces.h0, initial_state(basis).coeffs, 1.3)
-    assert np.abs(traj.psi_final.coeffs - free).max() < 1e-12
+    free = _free(pieces.h0, initial_state(basis), 1.3)
+    assert np.abs(traj.psi_final - free).max() < 1e-12
 
 
 def test_run_schedule_matches_a_hand_composed_run():
@@ -353,12 +342,12 @@ def test_run_schedule_matches_a_hand_composed_run():
     a, b = traj.windows[0]
 
     free = FreeEvolution(pieces.h0)
-    c = initial_state(basis).coeffs
+    c = initial_state(basis)
     if a > 0:
         c = free.advance(free.project(c), np.array([a]))[0]
     c = rk4_integrate(schrodinger_rhs(pieces, pulse), c, a, b, cfg.step_for(pulse))
     c = free.advance(free.project(c), np.array([t_end - b]))[0]
-    assert np.abs(traj.psi_final.coeffs - c).max() < 1e-9
+    assert np.abs(traj.psi_final - c).max() < 1e-9
     assert traj.max_norm_drift < 1e-9
     assert np.allclose(traj.pulse_centers, [T0])
 
@@ -396,15 +385,16 @@ def test_run_schedule_stops_a_window_block_at_the_violating_sample():
     assert np.all(np.abs(norms[:-1] - 1.0) <= 1e-8)
 
 
-def test_run_schedule_fails_a_nan_state_at_sample_zero():
+def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
     psi = initial_state(basis)
-    psi.coeffs[1] = np.nan
+    psi[1] = np.nan
+    monkeypatch.setattr(propagation, "initial_state", lambda basis: psi)
     recorder = TimeSeriesRecorder(basis, ())
     with pytest.raises(StepSizeError, match="by nan at t = 0 "):
         run_schedule(pieces, _single_pulse(), IntegratorConfig(), np.array([0.0, 0.5, 1.0]),
-                     observers=(recorder,), psi0=psi)
+                     observers=(recorder,))
     assert recorder.column("t_ps").tolist() == [0.0]
     assert np.isnan(recorder.column("norm")[0])
     assert np.isnan(recorder.column("entropy")[0])
@@ -419,7 +409,7 @@ def test_run_schedule_with_one_sample_records_only_the_start():
     assert traj.windows == []
     assert traj.norms.tolist() == [1.0]
     assert traj.max_norm_drift == 0.0
-    assert np.array_equal(traj.psi_final.coeffs, initial_state(basis).coeffs)
+    assert np.array_equal(traj.psi_final, initial_state(basis))
     assert recorder.column("t_ps").tolist() == [0.0]
     assert recorder.population_column((0, 0, 0, 0)).tolist() == [1.0]
 
@@ -443,7 +433,7 @@ def _assert_matches_the_per_sample_loop(pieces, pulse, samples, watch):
         assert_close(recorder.population_column(entry), ref[tuple(entry)], entry)
     assert_close(traj.h0_expect, h0_expect, "h0_expect")
     assert_close(traj.norms, norms, "norms")
-    assert np.abs(traj.psi_final.coeffs - states[-1]).max() <= 1e-10
+    assert np.abs(traj.psi_final - states[-1]).max() <= 1e-10
     assert max(blocks) <= SAMPLE_BLOCK and sum(blocks) == samples.size
     return blocks
 
@@ -476,8 +466,14 @@ def test_block_run_of_a_pulse_train_matches_the_per_sample_loop():
 # --- run-length default ---------------------------------------------------------
 
 def test_default_total_time():
-    assert default_total_time_ps(1, 0.0, 44.24) == 400.0
-    two = default_total_time_ps(2, 1.0, 44.24)
-    assert two == pytest.approx(2 * 44.24 + 100.0)
-    train = default_total_time_ps(20, math.pi, 44.240312130194325)
-    assert train == pytest.approx(20 * math.pi * 44.240312130194325 + 100.0)
+    def length(**pulse):
+        return run_length_ps(dataclasses.replace(RunConfig(), pulse=PulseConfig(**pulse)))
+
+    tu_ps = time_unit_seconds(0.12) * 1e12
+    assert length() == 400.0
+    assert length(period="hbar_over_B", count=2) == pytest.approx(2 * tu_ps + 100.0)
+    assert length(period="pi_hbar_over_B", count=20) == pytest.approx(20 * math.pi * tu_ps + 100.0)
+    assert length(period=1e-11, count=3) == pytest.approx(3 * 10.0 + 100.0)
+    assert length(period=1e-11) == 400.0  # a period without a train changes nothing
+    output = dataclasses.replace(RunConfig().output, total_time_ps=20.3)
+    assert run_length_ps(dataclasses.replace(RunConfig(), output=output)) == 20.3

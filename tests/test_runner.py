@@ -53,7 +53,7 @@ def test_simulate_is_physically_sane():
     assert len(traj.windows) == 1
     a, b = traj.windows[0]
     assert a == 0.0  # t0 = 1200 fs sits closer than 5 sigma to t = 0
-    assert b == pytest.approx(result.reduced.t0_red + 5 * result.reduced.sigma_red)
+    assert b == pytest.approx(result.schedule.t0_red + 5 * result.schedule.sigma_red)
     # the kick leaves the molecules rotating faster than the ground state
     assert result.recorder.column("energy_rot")[-1] > 0.1
 

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import rotorpair
 
 from rotorpair.config import SweepAxis, SweepSpec
 from rotorpair.exceptions import InvalidConfigError
 from rotorpair.output import read_timeseries_csv
+from rotorpair.runner import CSV_NAME
 from rotorpair.sweep import MANIFEST_NAME, build_points, run_sweep, worker_count
 
 # fast enough to run a handful of real points per test
@@ -55,6 +62,16 @@ def test_build_points_symbolic_period_label():
     points = build_points(_spec(SweepAxis("period", ("pi_hbar_over_B",))))
     assert points[0][0] == "p000_period=pi_hbar_over_B"
     assert points[0][2]["pulse"] == {"period": "pi_hbar_over_B"}
+
+
+def test_the_sweep_parent_imports_no_numpy():
+    # workers import the runner; the parent only parses and fans out
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
+    code = "import sys, rotorpair.sweep; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_worker_count_prefers_explicit_parallelism(monkeypatch):
@@ -138,6 +155,21 @@ def test_run_sweep_keeps_partial_csv_of_a_diverged_point(tmp_path):
     assert entries[0]["error"].startswith("StepSizeError:")
     assert entries[0]["csv"] is not None
     assert (tmp_path / entries[0]["label"] / "timeseries.csv").exists()
+
+
+def test_a_failed_point_does_not_report_a_stale_csv(tmp_path):
+    axis = SweepAxis("l_max", (2,))
+    _, entries = run_sweep(_spec(axis, parallelism=1, out_dir=str(tmp_path)))
+    stale = tmp_path / entries[0]["label"] / CSV_NAME
+    assert entries[0]["csv"] == str(stale) and stale.exists()
+    # the same point again, now with a watch entry beyond its l_max
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["output"]["watch_populations"] = [[3, 0, 1, 0]]
+    _, entries = run_sweep(_spec(axis, base_doc=doc, parallelism=1, out_dir=str(tmp_path)))
+    assert entries[0]["status"] == "failed"
+    assert entries[0]["error"].startswith("InvalidConfigError:")
+    assert entries[0]["csv"] is None
+    assert stale.exists()  # left alone, but not reported as this attempt's output
 
 
 def test_run_sweep_parallel_matches_the_grid(tmp_path):

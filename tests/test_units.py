@@ -6,7 +6,7 @@ import pytest
 from rotorpair import units
 from rotorpair.config import RunConfig
 from rotorpair.exceptions import InvalidConfigError
-from rotorpair.units import PhysicalSetup, from_reduced, time_unit_seconds, to_reduced
+from rotorpair.units import time_unit_seconds, to_reduced
 
 
 def test_constants_are_the_codata_2018_values():
@@ -36,21 +36,28 @@ def test_time_unit_rejects_nonpositive_B():
         time_unit_seconds(-0.12)
 
 
+def _with(section, **fields):
+    """The default RunConfig with some fields of one section replaced."""
+    base = RunConfig()
+    return dataclasses.replace(base, **{section: dataclasses.replace(getattr(base, section), **fields)})
+
+
 def test_reduced_parameters_for_the_default_setup():
-    red = to_reduced(PhysicalSetup())
+    red, dipole = to_reduced(RunConfig())
     # frozen against a hand-checked arithmetic chain (mu*E0/B etc.)
     assert red.kick_strength == pytest.approx(386.21612373411443, rel=1e-12)
-    assert red.dipole_strength == pytest.approx(0.13150852670024232, rel=1e-12)
+    assert dipole == pytest.approx(0.13150852670024232, rel=1e-12)
     assert red.sigma_red == pytest.approx(0.006306465451214133, rel=1e-12)
     assert red.t0_red == pytest.approx(0.027124582585867238, rel=1e-12)
     assert red.period_red == 0.0
+    assert red.count == 1
     # 30 cm^-1 / 0.12 cm^-1 puts the carrier at 250/hbar in reduced units;
     # the tiny offset is CODATA's rounding of hbar vs the exact h/2pi.
     assert red.carrier_omega == pytest.approx(249.9999998468202, rel=1e-12)
     assert abs(red.carrier_omega - 250.0) < 1e-5
     # rounded sanity values
     assert abs(red.kick_strength - 386.2) < 0.1
-    assert abs(red.dipole_strength - 0.132) < 5e-4
+    assert abs(dipole - 0.132) < 5e-4
 
 
 @pytest.mark.parametrize("R_m, expected", [
@@ -59,25 +66,26 @@ def test_reduced_parameters_for_the_default_setup():
     (5e-8, 0.028405841767252336),
 ])
 def test_dipole_strength_scales_as_inverse_cube(R_m, expected):
-    red = to_reduced(dataclasses.replace(PhysicalSetup(), R_m=R_m))
-    assert red.dipole_strength == pytest.approx(expected, rel=1e-12)
+    _, dipole = to_reduced(_with("geometry", R_m=R_m))
+    assert dipole == pytest.approx(expected, rel=1e-12)
 
 
 def test_no_separation_means_no_coupling():
-    red = to_reduced(dataclasses.replace(PhysicalSetup(), R_m=None))
-    assert red.dipole_strength == 0.0
+    _, dipole = to_reduced(_with("geometry", R_m=None))
+    assert dipole == 0.0
 
 
 def test_symbolic_periods_are_exact():
-    one = to_reduced(dataclasses.replace(PhysicalSetup(), period="hbar_over_B", count=2))
+    one, _ = to_reduced(_with("pulse", period="hbar_over_B", count=2))
     assert one.period_red == 1.0
-    pi = to_reduced(dataclasses.replace(PhysicalSetup(), period="pi_hbar_over_B", count=2))
+    assert one.count == 2
+    pi, _ = to_reduced(_with("pulse", period="pi_hbar_over_B", count=2))
     assert pi.period_red == math.pi
 
 
 def test_period_in_seconds_is_divided_by_the_time_unit():
     tu = time_unit_seconds(0.12)
-    red = to_reduced(dataclasses.replace(PhysicalSetup(), period=2.0 * tu, count=2))
+    red, _ = to_reduced(_with("pulse", period=2.0 * tu, count=2))
     assert red.period_red == pytest.approx(2.0, rel=1e-12)
 
 
@@ -102,8 +110,7 @@ def test_invalid_setups_are_rejected(field, value):
     section = next(f.name for f in dataclasses.fields(base)
                    if field in {g.name for g in dataclasses.fields(getattr(base, f.name))})
     with pytest.raises(InvalidConfigError, match=field):
-        dataclasses.replace(base, **{section: dataclasses.replace(getattr(base, section),
-                                                                  **{field: value})})
+        _with(section, **{field: value})
 
 
 def test_a_train_needs_a_period():
@@ -111,21 +118,17 @@ def test_a_train_needs_a_period():
         dataclasses.replace(RunConfig(), pulse=dataclasses.replace(RunConfig().pulse, count=5))
 
 
-def test_from_reduced_round_trips():
-    setup = PhysicalSetup(period=2.5e-11, count=3)
-    red = to_reduced(setup)
-    back = from_reduced(red, mu_debye=setup.mu_debye, B_cm1=setup.B_cm1, count=3)
-    assert back.R_m == pytest.approx(setup.R_m, rel=1e-9)
-    assert back.E0_Vpm == pytest.approx(setup.E0_Vpm, rel=1e-12)
-    assert back.sigma_fs == pytest.approx(setup.sigma_fs, rel=1e-12)
-    assert back.t0_fs == pytest.approx(setup.t0_fs, rel=1e-12)
-    assert back.omega_cm1 == pytest.approx(setup.omega_cm1, rel=1e-12)
-    assert back.period == pytest.approx(setup.period, rel=1e-12)
-    assert back.count == 3
-
-
-def test_from_reduced_maps_zero_dipole_back_to_no_separation():
-    red = to_reduced(dataclasses.replace(PhysicalSetup(), R_m=None))
-    back = from_reduced(red, mu_debye=9.2, B_cm1=0.12)
-    assert back.R_m is None
-    assert back.period is None
+def test_to_reduced_inverts_to_the_laboratory_numbers():
+    cfg = _with("pulse", period=2.5e-11, count=3)
+    red, dipole = to_reduced(cfg)
+    B_joule = 0.12 * units.INV_CM_TO_J
+    tu = time_unit_seconds(0.12)
+    mu = 9.2 * units.DEBYE_TO_CM
+    assert (units.COULOMB * mu * mu / (dipole * B_joule)) ** (1.0 / 3.0) == pytest.approx(3e-8, rel=1e-9)
+    assert red.kick_strength * B_joule / mu == pytest.approx(3e7, rel=1e-12)
+    assert red.sigma_red * tu * 1e15 == pytest.approx(279.0, rel=1e-12)
+    assert red.t0_red * tu * 1e15 == pytest.approx(1200.0, rel=1e-12)
+    omega_cm1 = red.carrier_omega / tu / (2.0 * math.pi * units.C * 100.0)
+    assert omega_cm1 == pytest.approx(30.0, rel=1e-12)
+    assert red.period_red * tu == pytest.approx(2.5e-11, rel=1e-12)
+    assert red.count == 3
