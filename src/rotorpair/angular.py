@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .exceptions import InvalidConfigError, QueryError
 
@@ -133,6 +135,25 @@ class TwoRotorBasis:
     @property
     def d_single(self) -> int:
         return (self.l_max + 1) ** 2
+
+    @cached_property
+    def sector_isometry(self) -> sparse.csr_matrix:
+        """Real isometry S (size x n_s) onto the M = 0 states even under the
+        swap P12 and the reflection sigma_v (m -> -m on both rotors, phase
+        (-1)^(m1+m2) = +1): column j is the normalized sum of one orbit of
+        {1, P12, sigma_v, P12 sigma_v}. In the full basis the rows off M = 0 are empty.
+        """
+        d = self.d_single
+        lookup = np.full(d * d, -1)
+        lookup[self.mol1_single * d + self.mol2_single] = np.arange(self.size)
+        rows = np.flatnonzero(self.m1 + self.m2 == 0)
+        a, b = self.mol1_single[rows], self.mol2_single[rows]
+        # (l, -m) sits at l*l + l - m in the one-rotor ordering
+        ra, rb = a - 2 * self.m1[rows], b - 2 * self.m2[rows]
+        images = lookup[np.stack([a * d + b, b * d + a, ra * d + rb, rb * d + ra])]
+        orbits, column = np.unique(images.min(axis=0), return_inverse=True)
+        weight = 1.0 / np.sqrt(np.bincount(column)[column])
+        return sparse.csr_matrix((weight, (rows, column)), shape=(self.size, orbits.size))
 
     def index_of(self, l1: int, m1: int, l2: int, m2: int) -> int:
         try:

@@ -13,9 +13,9 @@ from pathlib import Path
 
 from .config import PRESET_NAMES, parse_config, parse_sweep, preset
 from .exceptions import InvalidConfigError, NumericalError, QueryError, StepSizeError
-from .output import plot_csv
-from .runner import run_config
 from .sweep import run_sweep
+# runner and output (numpy) are imported where used: spawned sweep workers
+# re-import this module before they pin their BLAS threads
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from .runner import run_config
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output, out_dir=args.out))
@@ -61,6 +62,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
+    from .runner import run_config
     root = Path(args.out if args.out is not None else "sim_out")
     for label, cfg in preset(args.name):
         result = run_config(cfg, root / label)
@@ -80,6 +82,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .output import plot_csv
     for csv_path in args.csv:
         out = plot_csv(csv_path, args.out)
         print(f"wrote {out}")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .exceptions import InvalidConfigError
-from .units import SYMBOLIC_PERIODS, run_length_ps
+from .units import SYMBOLIC_PERIODS, dipole_strength, run_length_ps, time_unit_seconds
 
 DEFAULT_WATCH = ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 0))
 ENTROPY_LOG_BASES = ("e", "2", "d_single")
@@ -237,6 +237,14 @@ def validate_config(cfg: RunConfig) -> None:
             f"output: a run of {length_ps:g} ps sampled every {cfg.output.sample_interval_ps:g} ps"
             f" needs more than MAX_SAMPLES = {MAX_SAMPLES} samples; shorten output.total_time_ps"
             " or widen output.sample_interval_ps")
+    try:  # B in joules, or R^3 B, can underflow to 0
+        finite = math.isfinite(time_unit_seconds(cfg.molecule.B_cm1) + dipole_strength(cfg))
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        raise InvalidConfigError(
+            f"molecule.B_cm1 = {cfg.molecule.B_cm1:g} with geometry.R_m = {cfg.geometry.R_m} puts"
+            " hbar/B or the dipole strength mu^2 / (4 pi eps0 R^3 B) outside the float range")
 
 
 def parse_config(text: str) -> RunConfig:

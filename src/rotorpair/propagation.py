@@ -1,5 +1,9 @@
 """Time propagation of i dc/dt = H(t) c.
 
+The state is propagated in the symmetric sector of
+TwoRotorBasis.sector_isometry, which H(t) leaves invariant (checked, not
+assumed); the observers see full-basis coefficients.
+
 Between pulses the state advances by the exact exponential of the
 field-free Hamiltonian (one eigendecomposition per run). Inside a
 window of +-WINDOW_HALFWIDTH sigma around each pulse center the state
@@ -104,17 +108,34 @@ class RightHandSide(NamedTuple):
     deriv: Callable[[float, np.ndarray], np.ndarray]
 
 
-def schrodinger_rhs(pieces: HamiltonianPieces, pulse: PulseSchedule) -> RightHandSide:
-    """dc/dt = -i (H0 + f(t) V) c, with [H0; V] stacked so that each
-    derivative is one sparse product."""
-    n = pieces.basis.size
-    stacked = sparse.vstack([pieces.h0, pieces.coupling], format="csr")
+def schrodinger_rhs(h0: sparse.csr_matrix, coupling: sparse.csr_matrix,
+                    pulse: PulseSchedule) -> RightHandSide:
+    """dc/dt = -i (H0 + f(t) V) c, with -i [H0; V] stacked so that each
+    derivative is one sparse product and one axpy."""
+    n = h0.shape[0]
+    stacked = -1j * sparse.vstack([h0, coupling], format="csr")
 
     def deriv(f, c):
         w = stacked @ c
-        return -1j * (w[:n] + f * w[n:])
+        return w[:n] + f * w[n:]
 
     return RightHandSide(pulse.field_scalar, deriv)
+
+
+def sector_operators(pieces: HamiltonianPieces):
+    """S^T H0 S and S^T V S over the basis's sector isometry S, after
+    checking that H0 and V map range(S) into itself."""
+    s = pieces.basis.sector_isometry
+    tol = 1e-12 * max(1.0, abs(pieces.h0).max())
+    folded = []
+    for name, op in (("H0", pieces.h0), ("V", pieces.coupling)):
+        op_s = (s.T @ op @ s).tocsr()
+        leak = abs(op @ s - s @ op_s).max()
+        if not leak <= tol:
+            raise ConsistencyError(f"{name} leaks out of the symmetric sector by {leak:.3e}"
+                                   f" (tolerance {tol:.1e})")
+        folded.append(op_s)
+    return folded
 
 
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
@@ -169,12 +190,13 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
                  cfg: IntegratorConfig, sample_times: np.ndarray,
                  observers=()) -> Trajectory:
     """Alternate exact free evolution and windowed RK4 from the initial
-    state, sampling on the way.
+    state, sampling on the way; each sample block is unfolded from the
+    sector to the full basis before it is checked and observed.
 
     sample_times must be ascending and start at 0. Samples reach the
     observers in blocks of at most SAMPLE_BLOCK consecutive samples from
     one free segment or one window, as observer(t_red[K], indices[K],
-    coeffs[K, n]). A sample whose norm drifts beyond tolerance (or is NaN)
+    coeffs[K, basis.size]). A sample whose norm drifts beyond tolerance (or is NaN)
     ends its block: the observers see it, then StepSizeError is raised.
     """
     samples = np.asarray(sample_times, dtype=float)
@@ -185,20 +207,28 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
 
     t_end = float(samples[-1])
     windows = pulse_windows(pulse, WINDOW_HALFWIDTH, t_end)
-    free = FreeEvolution(pieces.h0)
-    rhs = schrodinger_rhs(pieces, pulse)
+    psi = initial_state(pieces.basis)
+    s = pieces.basis.sector_isometry
+    h0_s, coupling_s = sector_operators(pieces)
+    coeffs = s.T @ psi
+    leak = np.abs(s @ coeffs - psi).max()
+    if leak > 1e-12:  # a NaN state is left to the norm check at sample 0
+        raise ConsistencyError(f"the initial state leaks out of the symmetric sector by {leak:.3e}")
+    free = FreeEvolution(h0_s)
+    rhs = schrodinger_rhs(h0_s, coupling_s, pulse)
     dt = cfg.step_for(pulse)
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
 
-    def emit(lo: int, block: np.ndarray) -> None:
+    def emit(lo: int, folded: np.ndarray) -> None:
+        block = (s @ folded.T).T
         block_norms = np.linalg.norm(block, axis=1)
         bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= cfg.norm_tolerance))
         if bad.size:
-            block = block[: bad[0] + 1]
+            block, folded = block[: bad[0] + 1], folded[: bad[0] + 1]
         hi = lo + block.shape[0]
         norms[lo:hi] = block_norms[: hi - lo]
-        h0_expect[lo:hi] = expectation(pieces.h0, block).real
+        h0_expect[lo:hi] = expectation(h0_s, folded).real
         for observer in observers:
             observer(samples[lo:hi], np.arange(lo, hi), block)
         if bad.size:
@@ -208,7 +238,6 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
             )
 
     # each window is preceded by a free segment; the sentinel closes the run
-    coeffs = initial_state(pieces.basis)
     emit(0, coeffs[None, :])
     k, cursor = 1, 0.0
     for a, b in windows + [(t_end, t_end)]:
@@ -239,7 +268,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
         t_red=samples,
         norms=norms,
         h0_expect=h0_expect,
-        psi_final=coeffs,
+        psi_final=s @ coeffs,
         windows=windows,
         pulse_centers=pulse.centers(),
         max_norm_drift=float(np.max(np.abs(norms - 1.0))),

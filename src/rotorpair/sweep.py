@@ -1,10 +1,12 @@
 """Parameter sweeps: a grid of runs, each in its own directory, with a
 manifest written once after every point settles. Point failures are
-isolated; siblings keep running."""
+isolated; siblings keep running. Parallel points run in spawned workers
+whose BLAS thread count is capped so that workers x threads <= cores."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -58,10 +60,17 @@ def worker_count(spec: SweepSpec, n_points: int) -> int:
     return max(1, min(workers, n_points))
 
 
+def _pin_blas(threads: int) -> None:
+    """Worker initializer, run before numpy loads; keeps a value the user set."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(name, str(threads))
+
+
 def _run_point(label: str, doc: dict, point_dir: str) -> dict:
     from . import runner  # imported here so worker processes pay the cost, not the parent
 
-    entry = {"label": label, "out_dir": point_dir, "status": "ok", "error": None, "csv": None}
+    entry = {"label": label, "out_dir": point_dir, "status": "ok", "error": None, "csv": None,
+             "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
     try:
         result = runner.run_config(build_config(doc), point_dir)
         entry["csv"] = str(result.csv_path)
@@ -84,7 +93,9 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, list[dict]]:
     if workers == 1:
         entries = [_run_point(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        threads = max(1, (os.cpu_count() or 1) // workers)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+                                 initializer=_pin_blas, initargs=(threads,)) as pool:
             futures = [pool.submit(_run_point, *job) for job in jobs]
             entries = [f.result() for f in futures]
 

@@ -67,16 +67,22 @@ def run_length_ps(cfg: RunConfig) -> float:
     return cfg.pulse.count * _period_reduced(cfg) * time_unit_ps + 100.0
 
 
+def dipole_strength(cfg: RunConfig) -> float:
+    """mu^2 / (4 pi eps0 R^3 B), the coupling in units of B; 0.0 when R_m is null."""
+    if cfg.geometry.R_m is None:
+        return 0.0
+    mu = cfg.molecule.mu_debye * DEBYE_TO_CM
+    return COULOMB * mu * mu / (cfg.geometry.R_m**3 * (cfg.molecule.B_cm1 * INV_CM_TO_J))
+
+
 def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float]:
     """Map a validated RunConfig onto the hbar = B = 1 unit system:
-    the pulse schedule and the dipole strength mu^2 / (4 pi eps0 R^3 B)."""
+    the pulse schedule and the dipole strength."""
     from .operators import PulseSchedule  # numpy; see the module docstring
 
     B_joule = cfg.molecule.B_cm1 * INV_CM_TO_J
     time_unit = HBAR / B_joule
     mu = cfg.molecule.mu_debye * DEBYE_TO_CM
-    R_m = cfg.geometry.R_m
-    dipole = 0.0 if R_m is None else COULOMB * mu * mu / (R_m**3 * B_joule)
     omega_si = 2.0 * math.pi * C * 100.0 * cfg.pulse.omega_cm1
     schedule = PulseSchedule(
         kick_strength=mu * cfg.pulse.E0_Vpm / B_joule,
@@ -86,4 +92,4 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float]:
         period_red=_period_reduced(cfg),
         count=cfg.pulse.count,
     )
-    return schedule, dipole
+    return schedule, dipole_strength(cfg)

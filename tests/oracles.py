@@ -6,7 +6,8 @@ angular matrix elements by quadrature over the sphere, two-rotor operators
 by Kronecker products of quadrature-built one-rotor matrices, time
 evolution by dense midpoint-sampled eigendecomposition, H(t) as one
 explicit matrix, RK4 with the derivative rebuilt at every stage, the full
-d x d Schmidt matrix, and the sample-by-sample run loop with its
+d x d Schmidt matrix, the block run loop in the full M basis (no
+symmetric sector), and the sample-by-sample run loop with its
 per-sample observables.  None of it is imported by the package itself.
 """
 
@@ -15,11 +16,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import sph_harm_y
 
-from rotorpair.exceptions import ConsistencyError
+from rotorpair.exceptions import ConsistencyError, StepSizeError
 from rotorpair.observables import COLUMNS
-from rotorpair.operators import build_costheta_single
+from rotorpair.operators import build_costheta_single, expectation
 from rotorpair.propagation import (
+    SAMPLE_BLOCK,
     WINDOW_HALFWIDTH,
+    FreeEvolution,
+    Trajectory,
     initial_state,
     pulse_windows,
     rk4_integrate,
@@ -235,6 +239,64 @@ def reduced_density_mol1(basis, coeffs: np.ndarray) -> np.ndarray:
     return c @ c.conj().T
 
 
+def full_space_schedule(pieces, pulse, cfg, sample_times, observers=()):
+    """run_schedule's block loop with every state, operator and eigh at the
+    full basis size: no symmetric sector, nothing folded or unfolded."""
+    samples = np.asarray(sample_times, dtype=float)
+    t_end = float(samples[-1])
+    windows = pulse_windows(pulse, WINDOW_HALFWIDTH, t_end)
+    free = FreeEvolution(pieces.h0)
+    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pulse)
+    dt = cfg.step_for(pulse)
+    norms = np.empty(samples.size)
+    h0_expect = np.empty(samples.size)
+
+    def emit(lo, block):
+        block_norms = np.linalg.norm(block, axis=1)
+        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= cfg.norm_tolerance))
+        if bad.size:
+            block = block[: bad[0] + 1]
+        hi = lo + block.shape[0]
+        norms[lo:hi] = block_norms[: hi - lo]
+        h0_expect[lo:hi] = expectation(pieces.h0, block).real
+        for observer in observers:
+            observer(samples[lo:hi], np.arange(lo, hi), block)
+        if bad.size:
+            raise StepSizeError(f"norm drifted by {abs(norms[hi - 1] - 1.0):.3e}"
+                                f" at t = {samples[hi - 1]:.6g}")
+
+    coeffs = initial_state(pieces.basis)
+    emit(0, coeffs[None, :])
+    k, cursor = 1, 0.0
+    for a, b in windows + [(t_end, t_end)]:
+        stop = int(np.searchsorted(samples, a, side="right"))
+        if a > cursor:
+            amplitudes = free.project(coeffs)
+            for lo in range(k, stop, SAMPLE_BLOCK):
+                block = free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - cursor)
+                emit(lo, block)
+            at_edge = stop > k and samples[stop - 1] == a
+            coeffs = block[-1] if at_edge else free.advance(amplitudes, np.array([a - cursor]))[0]
+        k, t_from = stop, a
+        stop = int(np.searchsorted(samples, b, side="right"))
+        rows = []
+        for j in range(k, stop):
+            coeffs = rk4_integrate(rhs, coeffs, t_from, float(samples[j]), dt)
+            t_from = float(samples[j])
+            rows.append(coeffs)
+            if (len(rows) == SAMPLE_BLOCK or j == stop - 1
+                    or not abs(np.linalg.norm(coeffs) - 1.0) <= cfg.norm_tolerance):
+                emit(j + 1 - len(rows), np.array(rows))
+                rows = []
+        if b > t_from:
+            coeffs = rk4_integrate(rhs, coeffs, t_from, b, dt)
+        k, cursor = stop, b
+
+    return Trajectory(t_red=samples, norms=norms, h0_expect=h0_expect, psi_final=coeffs,
+                      windows=windows, pulse_centers=pulse.centers(),
+                      max_norm_drift=float(np.max(np.abs(norms - 1.0))))
+
+
 def per_sample_schedule(pieces, pulse, cfg, sample_times):
     """The sample-by-sample run loop: one complex eigendecomposition of H0,
     one chained free advance per sample, and RK4 restarted at every sample
@@ -242,7 +304,7 @@ def per_sample_schedule(pieces, pulse, cfg, sample_times):
     samples = np.asarray(sample_times, dtype=float)
     windows = pulse_windows(pulse, WINDOW_HALFWIDTH, float(samples[-1]))
     energies, vectors = np.linalg.eigh(pieces.h0.toarray())
-    rhs = schrodinger_rhs(pieces, pulse)
+    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pulse)
     dt = cfg.step_for(pulse)
 
     def free(c, tau):

@@ -83,6 +83,21 @@ def test_run_rejects_a_sample_grid_past_the_bound(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("B_cm1", [1e-320, 1e-300])
+def test_run_rejects_a_rotational_constant_that_underflows(tmp_path, B_cm1):
+    # 1e-320 cm^-1 is 0 J; at 1e-300 the dipole strength's R^3 B is 0
+    cfg = _write_json(tmp_path / "cfg.json",
+                      {"molecule": {"B_cm1": B_cm1}, "output": {"total_time_ps": 10}})
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rotorpair.cli", "run", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "molecule.B_cm1" in proc.stderr and "outside the float range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_missing_config_file_is_an_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
     assert "I/O failure" in capsys.readouterr().err

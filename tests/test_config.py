@@ -236,6 +236,27 @@ def test_too_many_samples_are_rejected(doc):
         build_config(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    # B in joules underflows to 0, so hbar/B divides by zero
+    {"molecule": {"B_cm1": 1e-320}, "output": {"total_time_ps": 10}},
+    # hbar/B is finite, but R^3 B underflows in the dipole strength
+    {"molecule": {"B_cm1": 1e-300}, "output": {"total_time_ps": 10}},
+    {"geometry": {"R_m": 1e-110}},
+    {"molecule": {"mu_debye": 1e160}},
+])
+def test_unit_scales_outside_the_float_range_are_rejected(doc):
+    with pytest.raises(InvalidConfigError, match="outside the float range"):
+        build_config(doc)
+
+
+def test_an_uncoupled_pair_needs_only_a_finite_time_unit():
+    assert build_config({"molecule": {"B_cm1": 1e-300}, "geometry": {"R_m": None},
+                         "output": {"total_time_ps": 10}}).geometry.R_m is None
+    with pytest.raises(InvalidConfigError, match="outside the float range"):
+        build_config({"molecule": {"B_cm1": 1e-320}, "geometry": {"R_m": None},
+                      "output": {"total_time_ps": 10}})
+
+
 def test_the_sample_bound_is_inclusive():
     cfg = build_config({"output": {"total_time_ps": MAX_SAMPLES - 1.0, "sample_interval_ps": 1.0}})
     assert math.floor(cfg.output.total_time_ps / cfg.output.sample_interval_ps) + 1 == MAX_SAMPLES

@@ -22,6 +22,7 @@ from rotorpair.propagation import (
     rk4_integrate,
     run_schedule,
     schrodinger_rhs,
+    sector_operators,
 )
 from rotorpair.units import run_length_ps, time_unit_seconds
 
@@ -201,11 +202,13 @@ def test_window_kernel_matches_the_per_stage_reference(case):
         t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.3137 * SIGMA
         span = (t_b - t_a) / dt
         assert span - math.floor(span) > 0.1
+    # a random state of the symmetric sector, stepped there and unfolded
+    s = pieces.basis.sector_isometry
     rng = np.random.default_rng(5)
-    c = rng.standard_normal(pieces.basis.size) + 1j * rng.standard_normal(pieces.basis.size)
+    c = rng.standard_normal(s.shape[1]) + 1j * rng.standard_normal(s.shape[1])
     c /= np.linalg.norm(c)
-    got = rk4_integrate(schrodinger_rhs(pieces, pulse), c, t_a, t_b, dt)
-    ref = oracles.per_stage_rk4(pieces, pulse, c, t_a, t_b, dt)
+    got = s @ rk4_integrate(schrodinger_rhs(*sector_operators(pieces), pulse), c, t_a, t_b, dt)
+    ref = oracles.per_stage_rk4(pieces, pulse, s @ c, t_a, t_b, dt)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -216,7 +219,7 @@ def test_window_with_zero_kick_matches_free_evolution():
     pieces = build_pieces(basis, 0.5)
     pulse = _single_pulse(kick=0.0)
     c = initial_state(basis)
-    stepped = rk4_integrate(schrodinger_rhs(pieces, pulse), c, 0.0, 0.2, 2e-4)
+    stepped = rk4_integrate(schrodinger_rhs(pieces.h0, pieces.coupling, pulse), c, 0.0, 0.2, 2e-4)
     assert np.abs(stepped - _free(pieces.h0, c, 0.2)).max() < 1e-10
 
 
@@ -224,11 +227,12 @@ def test_window_step_halving_is_fourth_order():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
-    c0 = initial_state(basis)
+    c0 = basis.sector_isometry.T @ initial_state(basis)
     t_b = T0 + 5.0 * SIGMA
+    rhs = schrodinger_rhs(*sector_operators(pieces), pulse)
 
     def integrate(dt):
-        return rk4_integrate(schrodinger_rhs(pieces, pulse), c0, 0.0, t_b, dt)
+        return rk4_integrate(rhs, c0, 0.0, t_b, dt)
 
     ref = integrate(SIGMA / 160.0)
     err_coarse = np.abs(integrate(SIGMA / 10.0) - ref).max()
@@ -242,9 +246,9 @@ def test_window_integration_is_time_reversible():
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
     cfg = IntegratorConfig()
-    c0 = initial_state(basis)
+    c0 = basis.sector_isometry.T @ initial_state(basis)
     t_b = T0 + 5.0 * SIGMA
-    ahead = schrodinger_rhs(pieces, pulse)
+    ahead = schrodinger_rhs(*sector_operators(pieces), pulse)
     forward = rk4_integrate(ahead, c0, 0.0, t_b, cfg.step_for(pulse))
 
     # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
@@ -341,13 +345,16 @@ def test_run_schedule_matches_a_hand_composed_run():
     assert len(traj.windows) == 1
     a, b = traj.windows[0]
 
-    free = FreeEvolution(pieces.h0)
-    c = initial_state(basis)
+    # composed in the symmetric sector, as run_schedule propagates
+    s = basis.sector_isometry
+    h0_s, coupling_s = sector_operators(pieces)
+    free = FreeEvolution(h0_s)
+    c = s.T @ initial_state(basis)
     if a > 0:
         c = free.advance(free.project(c), np.array([a]))[0]
-    c = rk4_integrate(schrodinger_rhs(pieces, pulse), c, a, b, cfg.step_for(pulse))
+    c = rk4_integrate(schrodinger_rhs(h0_s, coupling_s, pulse), c, a, b, cfg.step_for(pulse))
     c = free.advance(free.project(c), np.array([t_end - b]))[0]
-    assert np.abs(traj.psi_final - c).max() < 1e-9
+    assert np.abs(traj.psi_final - s @ c).max() < 1e-9
     assert traj.max_norm_drift < 1e-9
     assert np.allclose(traj.pulse_centers, [T0])
 

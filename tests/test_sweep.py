@@ -74,6 +74,17 @@ def test_the_sweep_parent_imports_no_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_cli_imports_no_numpy():
+    # spawned sweep workers re-import the `sim` entry point before their
+    # initializer pins BLAS threads; numpy must not be loaded by then
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
+    code = "import sys, rotorpair.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_worker_count_prefers_explicit_parallelism(monkeypatch):
     monkeypatch.setenv("SIM_THREADS", "8")
     assert worker_count(_spec(SweepAxis("R_m", (3e-8,)), parallelism=3), 10) == 3
@@ -179,6 +190,22 @@ def test_run_sweep_parallel_matches_the_grid(tmp_path):
     assert [e["status"] for e in entries] == ["ok", "ok"]
     assert entries[0]["params"] == {"E0_Vpm": 1.5e7}
     assert entries[1]["params"] == {"E0_Vpm": 3e7}
+
+
+def test_parallel_workers_pin_blas_threads_unless_set(tmp_path, monkeypatch):
+    spec = _spec(SweepAxis("R_m", (3e-8, 2e-8)), parallelism=2, out_dir=str(tmp_path / "a"))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    _, entries = run_sweep(spec)
+    # each worker reports the value it ran with: two workers share the cores
+    expected = str(max(1, (os.cpu_count() or 1) // 2))
+    assert [e["blas_threads"] for e in entries] == [expected, expected]
+    assert json.loads((tmp_path / "a" / MANIFEST_NAME).read_text())["points"] == entries
+    assert "OPENBLAS_NUM_THREADS" not in os.environ  # the parent is left alone
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    _, entries = run_sweep(_spec(spec.axis1, parallelism=2, out_dir=str(tmp_path / "b")))
+    assert [e["blas_threads"] for e in entries] == ["3", "3"]
 
 
 def test_run_sweep_out_dir_precedence(tmp_path, monkeypatch):
