@@ -7,8 +7,6 @@ it is trusted here.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,61 +15,26 @@ from scipy import sparse
 from .exceptions import InvalidConfigError, QueryError
 
 
-@dataclass(frozen=True, order=True)
-class RotorState:
-    l: int
-    m: int
+def one_rotor_matrices(l_max: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Real CSR cos(theta) and s+ = sin(theta) e^{i phi} over the one-rotor
+    ordering l*l + l + m; s- = s+.T. Every nonzero couples l to l +- 1.
+    """
+    src = np.arange(l_max * l_max)  # every (l, m) with l < l_max
+    l = np.repeat(np.arange(l_max), 2 * np.arange(l_max) + 1)
+    m = src - l * l - l
+    up = src + 2 * l + 2  # (l + 1, m)
+    den = (2 * l + 1) * (2 * l + 3)
+    d = (l_max + 1) ** 2
 
-    def __post_init__(self) -> None:
-        if self.l < 0:
-            raise ValueError(f"l must be non-negative, got {self.l}")
-        if abs(self.m) > self.l:
-            raise ValueError(f"|m| must not exceed l, got (l={self.l}, m={self.m})")
+    def csr(vals, rows, cols):
+        return sparse.csr_matrix((vals, (rows, cols)), shape=(d, d))
 
-
-def single_index(l: int, m: int) -> int:
-    """Position of (l, m) in the flat one-rotor ordering (0,0), (1,-1), (1,0), ..."""
-    return l * l + l + m
-
-
-def costheta_element(frm: RotorState, to: RotorState) -> float:
-    """<Y_to | cos(theta) | Y_frm>; zero unless m_to = m_frm and l_to = l_frm +- 1."""
-    if to.m != frm.m:
-        return 0.0
-    return _costheta(frm.l, frm.m, to.l)
-
-
-def sintheta_exp_element(frm: RotorState, sign: int, to: RotorState) -> float:
-    """<Y_to | sin(theta) e^{i sign phi} | Y_frm> with sign = +1 or -1."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if to.m != frm.m + sign:
-        return 0.0
-    return _sintheta_exp(frm.l, frm.m, sign, to.l)
-
-
-def _costheta(l: int, m: int, l_to: int) -> float:
-    if l_to == l + 1:
-        return math.sqrt(((l + 1) ** 2 - m * m) / ((2 * l + 1) * (2 * l + 3)))
-    if l_to == l - 1:
-        return math.sqrt((l * l - m * m) / ((2 * l - 1) * (2 * l + 1)))
-    return 0.0
-
-
-def _sintheta_exp(l: int, m: int, sign: int, l_to: int) -> float:
-    # Raising/lowering pieces of the unit position vector; each branch is
-    # fixed by the quadrature oracle, not re-derived at use sites.
-    if sign == 1:
-        if l_to == l + 1:
-            return -math.sqrt((l + m + 1) * (l + m + 2) / ((2 * l + 1) * (2 * l + 3)))
-        if l_to == l - 1:
-            return math.sqrt((l - m) * (l - m - 1) / ((2 * l - 1) * (2 * l + 1)))
-    else:
-        if l_to == l + 1:
-            return math.sqrt((l - m + 1) * (l - m + 2) / ((2 * l + 1) * (2 * l + 3)))
-        if l_to == l - 1:
-            return -math.sqrt((l + m) * (l + m - 1) / ((2 * l - 1) * (2 * l + 1)))
-    return 0.0
+    # <l+1, m| cos |l, m>; cos is symmetric
+    cos = csr(np.sqrt(((l + 1) ** 2 - m * m) / den), up, src)
+    # <l+1, m+1| s+ |l, m>, and <l+1, m-1| s- |l, m> = <l, m| s+ |l+1, m-1>
+    plus_up = csr(-np.sqrt((l + m + 1) * (l + m + 2) / den), up + 1, src)
+    minus_up = csr(np.sqrt((l - m + 1) * (l - m + 2) / den), up - 1, src)
+    return (cos + cos.T).tocsr(), (plus_up + minus_up.T).tocsr()
 
 
 class TwoRotorBasis:
@@ -115,6 +78,8 @@ class TwoRotorBasis:
         # coefficient vector into the Schmidt matrix.
         self.mol1_single = self.l1 * self.l1 + self.l1 + self.m1
         self.mol2_single = self.l2 * self.l2 + self.l2 + self.m2
+        # each state's row in the d_single^2 Kronecker product space
+        self.product_index = self.mol1_single * self.d_single + self.mol2_single
         # With m1 + m2 fixed the Schmidt matrix is block diagonal: one block
         # per m1, rows l1 - |m1| and columns l2 - |m2|, each zero-padded to
         # (l_max+1) x (l_max+1). The full basis is one d_single x d_single
@@ -145,7 +110,7 @@ class TwoRotorBasis:
         """
         d = self.d_single
         lookup = np.full(d * d, -1)
-        lookup[self.mol1_single * d + self.mol2_single] = np.arange(self.size)
+        lookup[self.product_index] = np.arange(self.size)
         rows = np.flatnonzero(self.m1 + self.m2 == 0)
         a, b = self.mol1_single[rows], self.mol2_single[rows]
         # (l, -m) sits at l*l + l - m in the one-rotor ordering

@@ -20,6 +20,13 @@ DEFAULT_WATCH = ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 0))
 ENTROPY_LOG_BASES = ("e", "2", "d_single")
 # Most samples one run may ask for; at 1e6 rows the CSV is about 200 MB.
 MAX_SAMPLES = 1_000_000
+# Largest basis.l_max. At 24 the symmetric sector has 2,925 states, so the
+# dense H0 block and its eigenvectors are 2,925^2 floats (65 MiB) each, and
+# the full basis (restrict_total_m: null) has 25^4 = 390,625 states.
+MAX_L_MAX = 24
+# Most pulses in one train; PulseSchedule.centers() holds one float per pulse
+# and the envelope sums every pulse at every RK4 stage time.
+MAX_PULSES = 10_000
 # sweep axis name -> (section, key) in the run document
 SWEEP_AXES = {"R_m": ("geometry", "R_m"), "E0_Vpm": ("pulse", "E0_Vpm"),
               "period": ("pulse", "period"), "l_max": ("basis", "l_max")}
@@ -208,8 +215,8 @@ def validate_config(cfg: RunConfig) -> None:
             f"pulse.period must be one of {tuple(SYMBOLIC_PERIODS)} when symbolic, got {cfg.pulse.period!r}")
     if isinstance(cfg.pulse.period, (int, float)) and not cfg.pulse.period > 0:
         raise InvalidConfigError(f"pulse.period in seconds must be positive, got {cfg.pulse.period}")
-    if cfg.basis.l_max < 1:
-        raise InvalidConfigError(f"basis.l_max must be at least 1, got {cfg.basis.l_max}")
+    if not 1 <= cfg.basis.l_max <= MAX_L_MAX:
+        raise InvalidConfigError(f"basis.l_max must be between 1 and MAX_L_MAX = {MAX_L_MAX}, got {cfg.basis.l_max}")
     if cfg.basis.restrict_total_m not in (0, None):
         # the initial state |00;00> lies in the M = 0 block
         raise InvalidConfigError(
@@ -237,6 +244,8 @@ def validate_config(cfg: RunConfig) -> None:
             f"output: a run of {length_ps:g} ps sampled every {cfg.output.sample_interval_ps:g} ps"
             f" needs more than MAX_SAMPLES = {MAX_SAMPLES} samples; shorten output.total_time_ps"
             " or widen output.sample_interval_ps")
+    if cfg.pulse.count > MAX_PULSES:
+        raise InvalidConfigError(f"pulse.count must be at most MAX_PULSES = {MAX_PULSES}, got {cfg.pulse.count}")
     try:  # B in joules, or R^3 B, can underflow to 0
         finite = math.isfinite(time_unit_seconds(cfg.molecule.B_cm1) + dipole_strength(cfg))
     except ArithmeticError:

@@ -49,7 +49,8 @@ def schmidt_spectrum(basis: TwoRotorBasis, coeffs: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(weights: np.ndarray, d_single: int, log_base: str = "e") -> np.ndarray:
-    """-sum(lam log lam) over the last axis with 0 log 0 = 0; NaN stays NaN.
+    """-sum(lam log lam) over the last axis with 0 log 0 = 0; a negative sum
+    reads 0.0 and NaN stays NaN.
 
     "d_single" divides by ln d_single, the one-rotor dimension (l_max+1)^2,
     whatever the number of weights.
@@ -58,6 +59,9 @@ def von_neumann_entropy(weights: np.ndarray, d_single: int, log_base: str = "e")
         raise InvalidConfigError(f"log_base must be one of {ENTROPY_LOG_BASES}, got {log_base!r}")
     lam = np.asarray(weights, dtype=float)
     entropy = -(lam * np.log(np.where(lam > _CLIP, lam, 1.0))).sum(axis=-1)
+    # a product state's one weight is its norm^2, which rounding can put just
+    # above 1; -0.0 and NaN are kept
+    entropy = np.where(entropy < 0, 0.0, entropy)
     if log_base == "2":
         entropy /= math.log(2.0)
     elif log_base == "d_single" and d_single > 1:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .angular import TwoRotorBasis, _costheta, _sintheta_exp
+from .angular import TwoRotorBasis, one_rotor_matrices
 from .exceptions import ConsistencyError, InvalidConfigError
 
 
@@ -67,11 +67,12 @@ def expectation(matrix: sparse.csr_matrix, coeffs: np.ndarray):
     return (coeffs.conj() * (matrix @ coeffs.T).T).sum(axis=-1)
 
 
-def _assemble(basis: TwoRotorBasis, rows, cols, vals) -> sparse.csr_matrix:
-    n = basis.size
-    return sparse.coo_matrix(
-        (np.asarray(vals, dtype=np.complex128), (rows, cols)), shape=(n, n)
-    ).tocsr()
+def _lift(basis: TwoRotorBasis, product_op: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Restrict a CSR operator on the d_single^2 product space to the basis states."""
+    idx = basis.product_index
+    op = product_op[idx][:, idx].astype(np.complex128)
+    op.eliminate_zeros()
+    return op
 
 
 def build_rotor_term(basis: TwoRotorBasis) -> sparse.csr_matrix:
@@ -83,67 +84,26 @@ def build_dipole_term(basis: TwoRotorBasis, dipole_strength: float) -> sparse.cs
     """The z-axis dipole-dipole coupling; couples dl = +-1 on both rotors."""
     if dipole_strength < 0:
         raise InvalidConfigError(f"dipole_strength must be non-negative, got {dipole_strength}")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    if dipole_strength > 0:
-        for i, (l1, m1, l2, m2) in enumerate(basis.states):
-            for dl1 in (1, -1):
-                for dl2 in (1, -1):
-                    a1, a2 = l1 + dl1, l2 + dl2
-                    # -2 cos x cos piece
-                    v = _costheta(l1, m1, a1) * _costheta(l2, m2, a2)
-                    if v != 0.0 and basis.contains(a1, m1, a2, m2):
-                        rows.append(basis.index_of(a1, m1, a2, m2))
-                        cols.append(i)
-                        vals.append(-2.0 * dipole_strength * v)
-                    # (s+ x s-)/2 piece
-                    v = _sintheta_exp(l1, m1, 1, a1) * _sintheta_exp(l2, m2, -1, a2)
-                    if v != 0.0 and basis.contains(a1, m1 + 1, a2, m2 - 1):
-                        rows.append(basis.index_of(a1, m1 + 1, a2, m2 - 1))
-                        cols.append(i)
-                        vals.append(0.5 * dipole_strength * v)
-                    # (s- x s+)/2 piece
-                    v = _sintheta_exp(l1, m1, -1, a1) * _sintheta_exp(l2, m2, 1, a2)
-                    if v != 0.0 and basis.contains(a1, m1 - 1, a2, m2 + 1):
-                        rows.append(basis.index_of(a1, m1 - 1, a2, m2 + 1))
-                        cols.append(i)
-                        vals.append(0.5 * dipole_strength * v)
-    return _assemble(basis, rows, cols, vals)
-
-
-def _one_body_costheta(basis: TwoRotorBasis, which: str):
-    if which not in ("mol1", "mol2"):
-        raise InvalidConfigError(f"which must be 'mol1' or 'mol2', got {which!r}")
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i, (l1, m1, l2, m2) in enumerate(basis.states):
-        for dl in (1, -1):
-            if which == "mol1":
-                v = _costheta(l1, m1, l1 + dl)
-                target = (l1 + dl, m1, l2, m2)
-            else:
-                v = _costheta(l2, m2, l2 + dl)
-                target = (l1, m1, l2 + dl, m2)
-            if v != 0.0 and basis.contains(*target):
-                rows.append(basis.index_of(*target))
-                cols.append(i)
-                vals.append(v)
-    return rows, cols, vals
+    cos, s_plus = one_rotor_matrices(basis.l_max)
+    s_minus = s_plus.T
+    exchange = sparse.kron(s_plus, s_minus, format="csr") + sparse.kron(s_minus, s_plus, format="csr")
+    return _lift(basis, (0.5 * dipole_strength) * exchange
+                 + (-2.0 * dipole_strength) * sparse.kron(cos, cos, format="csr"))
 
 
 def build_costheta_single(basis: TwoRotorBasis, which: str) -> sparse.csr_matrix:
     """cos(theta) acting on one molecule only (for orientation observables)."""
-    rows, cols, vals = _one_body_costheta(basis, which)
-    return _assemble(basis, rows, cols, vals)
+    if which not in ("mol1", "mol2"):
+        raise InvalidConfigError(f"which must be 'mol1' or 'mol2', got {which!r}")
+    cos, _ = one_rotor_matrices(basis.l_max)
+    eye = sparse.identity(basis.d_single, format="csr")
+    pair = (cos, eye) if which == "mol1" else (eye, cos)
+    return _lift(basis, sparse.kron(*pair, format="csr"))
 
 
 def build_orientation_coupling(basis: TwoRotorBasis) -> sparse.csr_matrix:
     """cos(theta1) + cos(theta2); the laser couples to this operator."""
-    r1, c1, v1 = _one_body_costheta(basis, "mol1")
-    r2, c2, v2 = _one_body_costheta(basis, "mol2")
-    return _assemble(basis, r1 + r2, c1 + c2, v1 + v2)
+    return build_costheta_single(basis, "mol1") + build_costheta_single(basis, "mol2")
 
 
 @dataclass(eq=False)

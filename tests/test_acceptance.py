@@ -15,7 +15,7 @@ import pytest
 
 import criteria
 import oracles
-from rotorpair.angular import RotorState, TwoRotorBasis, costheta_element, sintheta_exp_element
+from rotorpair.angular import TwoRotorBasis, one_rotor_matrices
 from rotorpair.config import PRESET_NAMES, preset
 from rotorpair.observables import regularity_metrics
 from rotorpair.operators import build_pieces
@@ -84,20 +84,13 @@ def _criterion(number):
 @_criterion(1)
 def test_criterion_1_closed_form_elements_match_quadrature():
     grid = oracles.QuadratureGrid(5)
-    states = [RotorState(l, m) for l in range(6) for m in range(-l, l + 1)]
+    cos, s_plus = one_rotor_matrices(5)
     worst = 0.0
     checked = 0
-    for frm in states:
-        for to in states:
-            closed = {
-                "cos": costheta_element(frm, to),
-                "s+": sintheta_exp_element(frm, 1, to),
-                "s-": sintheta_exp_element(frm, -1, to),
-            }
-            for symbol, value in closed.items():
-                quad = oracles.quad_element(symbol, frm.l, frm.m, to.l, to.m, grid=grid)
-                worst = max(worst, abs(quad - value))
-                checked += 1
+    for symbol, closed in (("cos", cos), ("s+", s_plus), ("s-", s_plus.T)):
+        quad = oracles.single_rotor_matrix(symbol, 5, grid)
+        worst = max(worst, float(np.abs(quad - closed.toarray()).max()))
+        checked += quad.size
     return worst <= 1e-10, (
         f"max |closed form - quadrature| = {worst:.2e}"
         f" over {checked} elements up to l = 5 (tolerance 1e-10)"

@@ -1,35 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 
-from rotorpair.angular import (
-    RotorState,
-    TwoRotorBasis,
-    costheta_element,
-    single_index,
-    sintheta_exp_element,
-)
+import oracles
+from rotorpair.angular import TwoRotorBasis, one_rotor_matrices
 from rotorpair.exceptions import InvalidConfigError, QueryError
 
-
-def test_rotor_state_bounds():
-    RotorState(0, 0)
-    RotorState(3, -3)
-    with pytest.raises(ValueError):
-        RotorState(-1, 0)
-    with pytest.raises(ValueError):
-        RotorState(1, 2)
-    with pytest.raises(ValueError):
-        RotorState(2, -3)
+COS, S_PLUS = one_rotor_matrices(5)
+S_MINUS = S_PLUS.T
 
 
-def test_single_index_enumerates_states_in_l_then_m_order():
-    assert single_index(0, 0) == 0
-    assert single_index(1, -1) == 1
-    assert single_index(1, 0) == 2
-    assert single_index(1, 1) == 3
-    assert single_index(2, -2) == 4
-    assert single_index(3, 3) == 15
+def _element(matrix, l_to, m_to, l_from, m_from):
+    """<l_to m_to| A |l_from m_from> read from a one-rotor matrix."""
+    return matrix[l_to * l_to + l_to + m_to, l_from * l_from + l_from + m_from]
 
 
 def test_l_squared_eigenvalue():
@@ -44,72 +28,69 @@ def test_l_squared_eigenvalue():
 
 def test_costheta_ground_to_first_excited():
     # 1/sqrt(3); the quadrature cross-check lives in the acceptance suite
-    v = costheta_element(RotorState(0, 0), RotorState(1, 0))
+    v = _element(COS, 1, 0, 0, 0)
     assert v == pytest.approx(0.5773502691896257, abs=1e-15)
 
 
 def test_costheta_at_higher_l():
-    v = costheta_element(RotorState(1, 1), RotorState(2, 1))
+    v = _element(COS, 2, 1, 1, 1)
     assert v == pytest.approx(math.sqrt(3.0 / 15.0), abs=1e-15)
-    v = costheta_element(RotorState(2, 0), RotorState(1, 0))
+    v = _element(COS, 1, 0, 2, 0)
     assert v == pytest.approx(math.sqrt(4.0 / 15.0), abs=1e-15)
 
 
 def test_costheta_selection_rules():
-    assert costheta_element(RotorState(1, 0), RotorState(1, 0)) == 0.0
-    assert costheta_element(RotorState(0, 0), RotorState(2, 0)) == 0.0
-    assert costheta_element(RotorState(1, 1), RotorState(2, 0)) == 0.0
+    assert _element(COS, 1, 0, 1, 0) == 0.0
+    assert _element(COS, 2, 0, 0, 0) == 0.0
+    assert _element(COS, 2, 0, 1, 1) == 0.0
+    # only dl = +-1 at equal m is stored
+    rows, cols = COS.nonzero()
+    l_row, l_col = np.floor(np.sqrt(rows)), np.floor(np.sqrt(cols))
+    assert np.all(np.abs(l_row - l_col) == 1)
+    assert np.array_equal(rows - l_row * (l_row + 1), cols - l_col * (l_col + 1))
 
 
 def test_costheta_is_symmetric():
-    for l in range(5):
-        for m in range(-l, l + 1):
-            up = costheta_element(RotorState(l, m), RotorState(l + 1, m))
-            down = costheta_element(RotorState(l + 1, m), RotorState(l, m))
-            assert up == pytest.approx(down, abs=1e-15)
+    assert COS.shape == (36, 36) and COS.dtype == np.float64
+    assert (COS != COS.T).nnz == 0
 
 
 # --- sin(theta) e^{+-i phi} -------------------------------------------------
 
 def test_sintheta_raising_from_the_ground_state():
-    v = sintheta_exp_element(RotorState(0, 0), 1, RotorState(1, 1))
+    v = _element(S_PLUS, 1, 1, 0, 0)
     assert v == pytest.approx(-math.sqrt(2.0 / 3.0), abs=1e-15)
 
 
 def test_sintheta_lowering_from_the_ground_state():
-    v = sintheta_exp_element(RotorState(0, 0), -1, RotorState(1, -1))
+    v = _element(S_MINUS, 1, -1, 0, 0)
     assert v == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
 
 
 def test_sintheta_within_l_one():
     # the four elements the dipole exchange term uses at low l
-    assert sintheta_exp_element(RotorState(1, -1), -1, RotorState(2, -2)) == \
-        pytest.approx(math.sqrt(12.0 / 15.0), abs=1e-15)
-    assert sintheta_exp_element(RotorState(1, -1), 1, RotorState(0, 0)) == \
-        pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
-    assert sintheta_exp_element(RotorState(1, 1), -1, RotorState(0, 0)) == \
-        pytest.approx(-math.sqrt(2.0 / 3.0), abs=1e-15)
-    assert sintheta_exp_element(RotorState(1, 1), 1, RotorState(2, 2)) == \
-        pytest.approx(-math.sqrt(12.0 / 15.0), abs=1e-15)
+    assert _element(S_MINUS, 2, -2, 1, -1) == pytest.approx(math.sqrt(12.0 / 15.0), abs=1e-15)
+    assert _element(S_PLUS, 0, 0, 1, -1) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
+    assert _element(S_MINUS, 0, 0, 1, 1) == pytest.approx(-math.sqrt(2.0 / 3.0), abs=1e-15)
+    assert _element(S_PLUS, 2, 2, 1, 1) == pytest.approx(-math.sqrt(12.0 / 15.0), abs=1e-15)
 
 
 def test_sintheta_selection_rules_and_sign_argument():
-    assert sintheta_exp_element(RotorState(1, 0), 1, RotorState(2, 0)) == 0.0
-    assert sintheta_exp_element(RotorState(1, 0), 1, RotorState(1, 1)) == 0.0
-    with pytest.raises(ValueError):
-        sintheta_exp_element(RotorState(1, 0), 2, RotorState(2, 1))
+    assert _element(S_PLUS, 2, 0, 1, 0) == 0.0
+    assert _element(S_PLUS, 1, 1, 1, 0) == 0.0
+    # s+ raises m by one unit and changes l by one
+    rows, cols = S_PLUS.nonzero()
+    l_row, l_col = np.floor(np.sqrt(rows)), np.floor(np.sqrt(cols))
+    assert np.all(np.abs(l_row - l_col) == 1)
+    assert np.array_equal(rows - l_row * (l_row + 1), cols - l_col * (l_col + 1) + 1)
 
 
 def test_sintheta_adjointness():
-    # <a| s+ |b> = conj(<b| s- |a>); everything is real in this convention
-    for l in range(4):
-        for m in range(-l, l + 1):
-            for l_to, m_to in ((l + 1, m + 1), (l - 1, m + 1)):
-                if l_to < abs(m_to) or l_to < 0:
-                    continue
-                fwd = sintheta_exp_element(RotorState(l, m), 1, RotorState(l_to, m_to))
-                bwd = sintheta_exp_element(RotorState(l_to, m_to), -1, RotorState(l, m))
-                assert fwd == pytest.approx(bwd, abs=1e-15)
+    # <a| s+ |b> = conj(<b| s- |a>); everything is real in this convention,
+    # so the package's s- = s+.T must be the quadrature s-
+    assert S_PLUS.dtype == np.float64
+    quad = oracles.single_rotor_matrix("s-", 3)
+    assert np.abs(one_rotor_matrices(3)[1].T.toarray() - quad).max() < 1e-10
 
 
 # --- two-rotor basis --------------------------------------------------------
@@ -159,8 +140,9 @@ def test_basis_arrays_match_the_state_list():
     for k, (l1, m1, l2, m2) in enumerate(basis.states):
         assert basis.l1[k] == l1 and basis.m1[k] == m1
         assert basis.l2[k] == l2 and basis.m2[k] == m2
-        assert basis.mol1_single[k] == single_index(l1, m1)
-        assert basis.mol2_single[k] == single_index(l2, m2)
+        assert basis.mol1_single[k] == l1 * l1 + l1 + m1
+        assert basis.mol2_single[k] == l2 * l2 + l2 + m2
+        assert basis.product_index[k] == basis.mol1_single[k] * 16 + basis.mol2_single[k]
         assert basis.rotor_diagonal[k] == l1 * (l1 + 1) + l2 * (l2 + 1)
     assert basis.d_single == 16
 

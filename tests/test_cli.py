@@ -83,6 +83,23 @@ def test_run_rejects_a_sample_grid_past_the_bound(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, bound", [
+    # 1e12 pulse centers are 7.3 TiB; an l_max of 400 never leaves the basis loop
+    ({"pulse": {"count": 10**12, "period": "hbar_over_B"}, "output": {"total_time_ps": 10}}, "MAX_PULSES"),
+    ({"basis": {"l_max": 400}, "output": {"total_time_ps": 1}}, "MAX_L_MAX"),
+])
+def test_run_rejects_a_basis_or_pulse_train_past_the_bound(tmp_path, doc, bound):
+    cfg = _write_json(tmp_path / "cfg.json", doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rotorpair.cli", "run", "--config", cfg,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert bound in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("B_cm1", [1e-320, 1e-300])
 def test_run_rejects_a_rotational_constant_that_underflows(tmp_path, B_cm1):
     # 1e-320 cm^-1 is 0 J; at 1e-300 the dipole strength's R^3 B is 0

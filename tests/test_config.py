@@ -6,6 +6,8 @@ import pytest
 
 from rotorpair.config import (
     DEFAULT_WATCH,
+    MAX_L_MAX,
+    MAX_PULSES,
     MAX_SAMPLES,
     PRESET_NAMES,
     RunConfig,
@@ -260,6 +262,18 @@ def test_an_uncoupled_pair_needs_only_a_finite_time_unit():
 def test_the_sample_bound_is_inclusive():
     cfg = build_config({"output": {"total_time_ps": MAX_SAMPLES - 1.0, "sample_interval_ps": 1.0}})
     assert math.floor(cfg.output.total_time_ps / cfg.output.sample_interval_ps) + 1 == MAX_SAMPLES
+
+
+# --- basis and pulse-train bounds -------------------------------------------------
+
+def test_the_basis_and_pulse_bounds_are_inclusive():
+    assert build_config({"basis": {"l_max": MAX_L_MAX}}).basis.l_max == MAX_L_MAX
+    train = {"period": "hbar_over_B", "count": MAX_PULSES}
+    assert build_config({"pulse": train, "output": {"total_time_ps": 10}}).pulse.count == MAX_PULSES
+    with pytest.raises(InvalidConfigError, match="MAX_L_MAX"):
+        build_config({"basis": {"l_max": MAX_L_MAX + 1}})
+    with pytest.raises(InvalidConfigError, match="MAX_PULSES"):
+        build_config({"pulse": dict(train, count=MAX_PULSES + 1), "output": {"total_time_ps": 10}})
 
 
 # --- presets -------------------------------------------------------------------

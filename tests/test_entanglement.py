@@ -73,6 +73,14 @@ def test_entropy_of_a_single_level_subsystem_is_zero():
     assert von_neumann_entropy(np.array([1.0]), 1, "d_single") == 0.0
 
 
+def test_a_weight_rounded_above_one_gives_zero_entropy():
+    # -lam log lam is -2.2e-16 here; -0.0 and NaN are kept as they are
+    entropy = von_neumann_entropy(np.array([[1.0 + 2.0**-52], [1.0], [np.nan]]), 4)
+    assert entropy[0] == 0.0 and not np.signbit(entropy[0])
+    assert entropy[1] == 0.0 and np.signbit(entropy[1])
+    assert np.isnan(entropy[2])
+
+
 def test_d_single_log_base_ignores_how_many_weights_the_blocks_return():
     basis = TwoRotorBasis(2, 0)
     weights = schmidt_spectrum(basis, _bell_state(basis))[0]

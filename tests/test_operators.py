@@ -136,6 +136,27 @@ def test_orientation_coupling_is_the_sum_of_both_molecules():
     assert np.array_equal(both, c1 + c2)
 
 
+@pytest.mark.parametrize("restrict_total_m", [0, None])
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5])
+def test_operators_match_the_quadrature_kronecker_oracle(l_max, restrict_total_m):
+    basis = TwoRotorBasis(l_max, restrict_total_m)
+    c = oracles.single_rotor_matrix("cos", l_max)
+    eye = np.eye(basis.d_single)
+    built = [(build_orientation_coupling(basis), oracles.two_rotor_coupling(l_max)),
+             (build_costheta_single(basis, "mol1"), np.kron(c, eye)),
+             (build_costheta_single(basis, "mol2"), np.kron(eye, c))]
+    built += [(build_dipole_term(basis, d), oracles.two_rotor_dipole(d, l_max))
+              for d in (0.0, 0.1315, 0.7)]
+    total_m = basis.m1 + basis.m2
+    for op, full in built:
+        ref = oracles.restrict(full, basis)
+        assert op.format == "csr" and op.dtype == np.complex128
+        assert np.abs(op.toarray() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.all(op.data != 0)
+        rows, cols = op.nonzero()
+        assert np.array_equal(total_m[rows], total_m[cols])
+
+
 def test_operator_matrix_expectation():
     basis = TwoRotorBasis(1, 0)
     rotor = build_rotor_term(basis)

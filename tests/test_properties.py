@@ -50,9 +50,9 @@ def test_random_runs_keep_their_invariants(doc):
     assert np.all(drift <= tolerance)
     assert np.all(np.abs(rec.column("cos1") - rec.column("cos2")) <= 1e-12)
     entropy = rec.column("entropy")
-    # a product state's one Schmidt weight is norm^2 = 1 + 2 drift, whose
-    # -lam log lam sits that far below 0 (uncoupled runs read -1.3e-15)
-    assert np.all(entropy >= -(2.0 * drift + 1e-14))
+    # a product state's one Schmidt weight can round above 1; the entropy
+    # still never reads below 0
+    assert np.all(entropy >= 0.0)
     assert np.all(entropy <= math.log(result.basis.d_single))
 
     full_cfg = build_config(dict(doc, basis={**doc["basis"], "restrict_total_m": None}))
