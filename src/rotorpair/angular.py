@@ -15,13 +15,18 @@ from scipy import sparse
 from .exceptions import InvalidConfigError, QueryError
 
 
+def _one_rotor_lm(l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """l and m of every one-rotor index l*l + l + m up to l_max, m from -l to l."""
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    return l, np.arange(l.size) - l * l - l
+
+
 def one_rotor_matrices(l_max: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """Real CSR cos(theta) and s+ = sin(theta) e^{i phi} over the one-rotor
     ordering l*l + l + m; s- = s+.T. Every nonzero couples l to l +- 1.
     """
-    src = np.arange(l_max * l_max)  # every (l, m) with l < l_max
-    l = np.repeat(np.arange(l_max), 2 * np.arange(l_max) + 1)
-    m = src - l * l - l
+    l, m = _one_rotor_lm(l_max - 1)  # every (l, m) with l < l_max
+    src = np.arange(l.size)
     up = src + 2 * l + 2  # (l + 1, m)
     den = (2 * l + 1) * (2 * l + 3)
     d = (l_max + 1) ** 2
@@ -38,13 +43,15 @@ def one_rotor_matrices(l_max: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix
 
 
 class TwoRotorBasis:
-    """Ordered product basis |Y_l1m1>|Y_l2m2> truncated at a shared l_max.
+    """Product basis |Y_l1m1>|Y_l2m2> truncated at a shared l_max.
 
-    States are ordered lexicographically in (l1, m1, l2, m2) with m
-    running from -l to l. That ordering makes the unrestricted basis
-    reshape row-major into the (l_max+1)^2 x (l_max+1)^2 coefficient
-    matrix used by the Schmidt analysis. restrict_total_m keeps only
-    states with m1 + m2 equal to the given M; None keeps everything.
+    A basis is its ascending product_index array: state k is the product
+    index mol1_single * d_single + mol2_single of the two one-rotor indices
+    l*l + l + m. That is lexicographic (l1, m1, l2, m2) order with m running
+    from -l to l, so the unrestricted basis reshapes row-major into the
+    d_single x d_single coefficient matrix used by the Schmidt analysis.
+    restrict_total_m keeps only states with m1 + m2 equal to the given M;
+    None keeps everything.
     """
 
     def __init__(self, l_max: int, restrict_total_m: int | None = None):
@@ -52,40 +59,27 @@ class TwoRotorBasis:
             raise InvalidConfigError(f"l_max must be non-negative, got {l_max}")
         self.l_max = int(l_max)
         self.restrict_total_m = None if restrict_total_m is None else int(restrict_total_m)
-
-        states: list[tuple[int, int, int, int]] = []
-        for l1 in range(self.l_max + 1):
-            for m1 in range(-l1, l1 + 1):
-                for l2 in range(self.l_max + 1):
-                    for m2 in range(-l2, l2 + 1):
-                        if self.restrict_total_m is not None and m1 + m2 != self.restrict_total_m:
-                            continue
-                        states.append((l1, m1, l2, m2))
-        if not states:
+        d = self.d_single
+        l, m = _one_rotor_lm(self.l_max)
+        self.product_index = np.arange(d * d)
+        if self.restrict_total_m is not None:
+            self.product_index = self.product_index[np.add.outer(m, m).ravel() == self.restrict_total_m]
+        if not self.product_index.size:
             raise InvalidConfigError(
                 f"basis is empty: no states with m1 + m2 = {self.restrict_total_m} at l_max = {self.l_max}"
             )
-
-        self.states: tuple[tuple[int, int, int, int], ...] = tuple(states)
-        self._index: dict[tuple[int, int, int, int], int] = {s: k for k, s in enumerate(states)}
-
-        arr = np.asarray(states, dtype=np.int64)
-        self.l1 = arr[:, 0]
-        self.m1 = arr[:, 1]
-        self.l2 = arr[:, 2]
-        self.m2 = arr[:, 3]
-        # Flat one-rotor index of each factor, used to scatter the
-        # coefficient vector into the Schmidt matrix.
-        self.mol1_single = self.l1 * self.l1 + self.l1 + self.m1
-        self.mol2_single = self.l2 * self.l2 + self.l2 + self.m2
-        # each state's row in the d_single^2 Kronecker product space
-        self.product_index = self.mol1_single * self.d_single + self.mol2_single
+        # product index -> position in the basis, -1 off it
+        self._lookup = np.full(d * d, -1)
+        self._lookup[self.product_index] = np.arange(self.size)
+        self.mol1_single, self.mol2_single = np.divmod(self.product_index, d)
+        self.l1, self.m1 = l[self.mol1_single], m[self.mol1_single]
+        self.l2, self.m2 = l[self.mol2_single], m[self.mol2_single]
         # With m1 + m2 fixed the Schmidt matrix is block diagonal: one block
         # per m1, rows l1 - |m1| and columns l2 - |m2|, each zero-padded to
         # (l_max+1) x (l_max+1). The full basis is one d_single x d_single
         # block. schmidt_flat is each state's position in the stacked blocks.
         if self.restrict_total_m is None:
-            block, row, col, side = np.zeros_like(self.l1), self.mol1_single, self.mol2_single, self.d_single
+            block, row, col, side = np.zeros_like(self.l1), self.mol1_single, self.mol2_single, d
         else:
             block = self.m1 - self.m1.min()
             row, col, side = self.l1 - np.abs(self.m1), self.l2 - np.abs(self.m2), self.l_max + 1
@@ -95,7 +89,7 @@ class TwoRotorBasis:
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.product_index.size
 
     @property
     def d_single(self) -> int:
@@ -109,25 +103,21 @@ class TwoRotorBasis:
         {1, P12, sigma_v, P12 sigma_v}. In the full basis the rows off M = 0 are empty.
         """
         d = self.d_single
-        lookup = np.full(d * d, -1)
-        lookup[self.product_index] = np.arange(self.size)
         rows = np.flatnonzero(self.m1 + self.m2 == 0)
         a, b = self.mol1_single[rows], self.mol2_single[rows]
         # (l, -m) sits at l*l + l - m in the one-rotor ordering
         ra, rb = a - 2 * self.m1[rows], b - 2 * self.m2[rows]
-        images = lookup[np.stack([a * d + b, b * d + a, ra * d + rb, rb * d + ra])]
+        images = self._lookup[np.stack([a * d + b, b * d + a, ra * d + rb, rb * d + ra])]
         orbits, column = np.unique(images.min(axis=0), return_inverse=True)
         weight = 1.0 / np.sqrt(np.bincount(column)[column])
         return sparse.csr_matrix((weight, (rows, column)), shape=(self.size, orbits.size))
 
     def index_of(self, l1: int, m1: int, l2: int, m2: int) -> int:
-        try:
-            return self._index[(l1, m1, l2, m2)]
-        except KeyError:
-            raise QueryError(
-                f"state ({l1},{m1};{l2},{m2}) is not in the basis"
-                f" (l_max={self.l_max}, restrict_total_m={self.restrict_total_m})"
-            ) from None
-
-    def contains(self, l1: int, m1: int, l2: int, m2: int) -> bool:
-        return (l1, m1, l2, m2) in self._index
+        if all(0 <= l <= self.l_max and abs(m) <= l for l, m in ((l1, m1), (l2, m2))):
+            pos = int(self._lookup[(l1 * l1 + l1 + m1) * self.d_single + l2 * l2 + l2 + m2])
+            if pos >= 0:
+                return pos
+        raise QueryError(
+            f"state ({l1},{m1};{l2},{m2}) is not in the basis"
+            f" (l_max={self.l_max}, restrict_total_m={self.restrict_total_m})"
+        )

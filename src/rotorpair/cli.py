@@ -13,9 +13,10 @@ from pathlib import Path
 
 from .config import PRESET_NAMES, parse_config, parse_sweep, preset
 from .exceptions import InvalidConfigError, NumericalError, QueryError, StepSizeError
+from .output import plot_csv
 from .sweep import run_sweep
-# runner and output (numpy) are imported where used: spawned sweep workers
-# re-import this module before they pin their BLAS threads
+# runner (numpy) is imported where used: spawned sweep workers re-import
+# this module before they pin their BLAS threads
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +83,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    from .output import plot_csv
     for csv_path in args.csv:
         out = plot_csv(csv_path, args.out)
         print(f"wrote {out}")

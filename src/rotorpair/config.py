@@ -24,8 +24,8 @@ MAX_SAMPLES = 1_000_000
 # dense H0 block and its eigenvectors are 2,925^2 floats (65 MiB) each, and
 # the full basis (restrict_total_m: null) has 25^4 = 390,625 states.
 MAX_L_MAX = 24
-# Most pulses in one train; PulseSchedule.centers() holds one float per pulse
-# and the envelope sums every pulse at every RK4 stage time.
+# Most pulses in one train; PulseSchedule.centers() holds one float per pulse.
+# The envelope sums only the pulses near the times it is asked for.
 MAX_PULSES = 10_000
 # sweep axis name -> (section, key) in the run document
 SWEEP_AXES = {"R_m": ("geometry", "R_m"), "E0_Vpm": ("pulse", "E0_Vpm"),
@@ -225,11 +225,15 @@ def validate_config(cfg: RunConfig) -> None:
         raise InvalidConfigError(f"integrator.dt_pulse_fs must be positive, got {cfg.integrator.dt_pulse_fs}")
     if not cfg.integrator.norm_tolerance > 0:
         raise InvalidConfigError(f"integrator.norm_tolerance must be positive, got {cfg.integrator.norm_tolerance}")
-    for k, (l1, m1, l2, m2) in enumerate(cfg.output.watch_populations):
+    watch, total_m = cfg.output.watch_populations, cfg.basis.restrict_total_m
+    for k, (l1, m1, l2, m2) in enumerate(watch):
+        where = f"output.watch_populations[{k}] = {(l1, m1, l2, m2)}"
         if l1 > cfg.basis.l_max or l2 > cfg.basis.l_max or abs(m1) > l1 or abs(m2) > l2:
-            raise InvalidConfigError(
-                f"output.watch_populations[{k}] = {(l1, m1, l2, m2)} is not a pair of rotor states"
-                f" within basis.l_max = {cfg.basis.l_max}")
+            raise InvalidConfigError(f"{where} is not a pair of rotor states within basis.l_max = {cfg.basis.l_max}")
+        if total_m not in (None, m1 + m2):
+            raise InvalidConfigError(f"{where} is off the basis.restrict_total_m = {total_m} block")
+        if watch[k] in watch[:k]:
+            raise InvalidConfigError(f"{where} repeats an earlier entry")
     if cfg.output.entropy_log_base not in ENTROPY_LOG_BASES:
         raise InvalidConfigError(
             f"output.entropy_log_base must be one of {ENTROPY_LOG_BASES}, got {cfg.output.entropy_log_base!r}")

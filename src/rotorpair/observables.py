@@ -13,13 +13,11 @@ from . import entanglement
 from .angular import TwoRotorBasis
 from .exceptions import QueryError
 from .operators import build_costheta_single, expectation
+from .output import COLUMNS
 
 # Lags below half the orientation revival period (pi in reduced time)
 # are excluded from the autocorrelation peak search by default.
 DEFAULT_MIN_LAG_RED = math.pi / 2.0
-
-# recorded columns in CSV order; the watched populations follow them
-COLUMNS = ("t_ps", "cos1", "cos2", "entropy", "norm", "energy_rot")
 
 
 @dataclass(frozen=True)

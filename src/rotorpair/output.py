@@ -4,19 +4,19 @@ The CSV contract: header t_ps,cos1,cos2,entropy,norm,energy_rot plus
 one pop_<l>_<m>_<lp>_<mp> column per watched state, LF line endings,
 floats at 17 significant digits (lossless for binary64). A run that
 fails mid-flight keeps its partial rows and ends with a FAILED marker
-row.
+row. Every artifact is written whole, never truncated under its final name.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from pathlib import Path
 
-import numpy as np
-
 from .exceptions import InvalidConfigError
-from .observables import COLUMNS as BASE_COLUMNS
 
+# the recorded columns in CSV order; the watched populations follow them
+COLUMNS = ("t_ps", "cos1", "cos2", "entropy", "norm", "energy_rot")
 FAILURE_MARKER = "FAILED"
 
 
@@ -25,7 +25,7 @@ def population_column(l1: int, m1: int, l2: int, m2: int) -> str:
 
 
 def csv_header(watch) -> str:
-    return ",".join(BASE_COLUMNS + tuple(population_column(*w) for w in watch))
+    return ",".join(COLUMNS + tuple(population_column(*w) for w in watch))
 
 
 def format_float(x: float) -> str:
@@ -38,15 +38,27 @@ def _quote(text: str) -> str:
     return text
 
 
+def write_whole(path: Path, text: str) -> None:
+    """Write text to a temporary name beside path, then rename it onto path."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def write_timeseries_csv(path, watch, table, failure_message: str | None = None) -> Path:
-    """Write the rows of table (BASE_COLUMNS, then one column per watched state)."""
+    """Write the rows of table (COLUMNS, then one column per watched state)."""
+    import numpy as np  # here, so that the sweep parent can import write_whole without numpy
+
     path = Path(path)
     lines = [csv_header(watch)]
     lines.extend(",".join(format_float(v) for v in row) for row in np.asarray(table).tolist())
     if failure_message is not None:
         lines.append(f"{FAILURE_MARKER},{_quote(failure_message)}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_whole(path, "\n".join(lines) + "\n")
     return path
 
 
@@ -58,8 +70,8 @@ def read_timeseries_csv(path) -> tuple[list[str], dict[str, list[float]], str | 
             header = next(reader)
         except StopIteration:
             raise InvalidConfigError(f"{path} is empty, expected a time-series CSV") from None
-        if header[: len(BASE_COLUMNS)] != list(BASE_COLUMNS):
-            raise InvalidConfigError(f"{path} does not start with the expected columns {BASE_COLUMNS}")
+        if header[: len(COLUMNS)] != list(COLUMNS):
+            raise InvalidConfigError(f"{path} does not start with the expected columns {COLUMNS}")
         columns: dict[str, list[float]] = {name: [] for name in header}
         failure = None
         for row in reader:
@@ -173,6 +185,5 @@ def plot_csv(csv_path, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / (csv_path.stem + ".svg")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
+    write_whole(out_path, svg)
     return out_path

@@ -49,23 +49,21 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled run: times, norms, field-free energy, and the final state."""
+    """What propagation computed: per-sample norm and <H0>, the final state, the RK4 windows."""
 
-    t_red: np.ndarray
     norms: np.ndarray
     h0_expect: np.ndarray
     psi_final: np.ndarray
     windows: list[tuple[float, float]]
-    pulse_centers: np.ndarray
     max_norm_drift: float
 
 
 def initial_state(basis: TwoRotorBasis) -> np.ndarray:
     """Both molecules in the rotational ground state, c_0000 = 1."""
-    if not basis.contains(0, 0, 0, 0):
+    if basis.product_index[0] != 0:  # |00;00> has product index 0
         raise InvalidConfigError("basis does not contain the (0,0;0,0) ground state")
     coeffs = np.zeros(basis.size, dtype=np.complex128)
-    coeffs[basis.index_of(0, 0, 0, 0)] = 1.0
+    coeffs[0] = 1.0
     return coeffs
 
 
@@ -236,8 +234,9 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
                 f"norm drifted by {abs(norms[hi - 1] - 1.0):.3e} at t = {samples[hi - 1]:.6g}"
                 f" (tolerance {cfg.norm_tolerance:.1e}); reduce dt_pulse"
             )
+        psi[:] = block[-1]  # the full-basis state at the latest sample
 
-    # each window is preceded by a free segment; the sentinel closes the run
+    # each window is preceded by a free segment; the sentinel (no window) closes the run
     emit(0, coeffs[None, :])
     k, cursor = 1, 0.0
     for a, b in windows + [(t_end, t_end)]:
@@ -245,10 +244,9 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
         if a > cursor:
             amplitudes = free.project(coeffs)
             for lo in range(k, stop, SAMPLE_BLOCK):
-                block = free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - cursor)
-                emit(lo, block)
-            at_edge = stop > k and samples[stop - 1] == a
-            coeffs = block[-1] if at_edge else free.advance(amplitudes, np.array([a - cursor]))[0]
+                emit(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - cursor))
+            if b > a:
+                coeffs = free.advance(amplitudes, np.array([a - cursor]))[0]
         k, t_from = stop, a
         stop = int(np.searchsorted(samples, b, side="right"))
         rows = []
@@ -264,12 +262,5 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
             coeffs = rk4_integrate(rhs, coeffs, t_from, b, dt)
         k, cursor = stop, b
 
-    return Trajectory(
-        t_red=samples,
-        norms=norms,
-        h0_expect=h0_expect,
-        psi_final=s @ coeffs,
-        windows=windows,
-        pulse_centers=pulse.centers(),
-        max_norm_drift=float(np.max(np.abs(norms - 1.0))),
-    )
+    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=psi, windows=windows,
+                      max_norm_drift=float(np.max(np.abs(norms - 1.0))))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import output  # looked up per call, so wrappers installed on the module see every write
 from .angular import TwoRotorBasis
 from .config import RunConfig
 from .exceptions import NumericalError
@@ -38,8 +39,6 @@ class RunResult:
 def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
     """Run; with an out_dir, write the CSV there, a partial one with a
     marker row if the run fails numerically."""
-    from .output import write_timeseries_csv  # local import keeps module load light
-
     schedule, dipole_strength = to_reduced(cfg)
     time_unit_ps = time_unit_seconds(cfg.molecule.B_cm1) * 1e12
     basis = TwoRotorBasis(cfg.basis.l_max, cfg.basis.restrict_total_m)
@@ -66,10 +65,10 @@ def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
         trajectory = run_schedule(pieces, schedule, integrator, samples_red, observers=(recorder,))
     except NumericalError as exc:
         if csv_path is not None:
-            write_timeseries_csv(csv_path, recorder.watch, recorder.table(), failure_message=str(exc))
+            output.write_timeseries_csv(csv_path, recorder.watch, recorder.table(), failure_message=str(exc))
         raise
     if csv_path is not None:
-        write_timeseries_csv(csv_path, recorder.watch, recorder.table())
+        output.write_timeseries_csv(csv_path, recorder.watch, recorder.table())
     return RunResult(
         config=cfg,
         dipole_strength=dipole_strength,
@@ -95,7 +94,5 @@ def run_config(cfg: RunConfig, out_dir=None) -> RunResult:
     result = _run(cfg, target)
     echo = cfg.to_json_dict()
     echo["output"]["out_dir"] = str(target)
-    with open(target / CONFIG_ECHO_NAME, "w", encoding="utf-8", newline="") as fh:
-        json.dump(echo, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    output.write_whole(target / CONFIG_ECHO_NAME, json.dumps(echo, indent=2, sort_keys=True) + "\n")
     return result

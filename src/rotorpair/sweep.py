@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .config import SWEEP_AXES, SweepSpec, build_config
 from .exceptions import InvalidConfigError, NumericalError
+from .output import write_whole
 
 MANIFEST_NAME = "manifest.json"
 DEFAULT_SWEEP_DIR = "sweep_out"
@@ -107,7 +108,5 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, list[dict]]:
         "n_failed": sum(1 for e in entries if e["status"] == "failed"),
     }
     manifest_path = out_root / MANIFEST_NAME
-    with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_whole(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path, entries

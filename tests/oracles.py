@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import sph_harm_y
 
-from rotorpair.exceptions import ConsistencyError, StepSizeError
+from rotorpair.exceptions import StepSizeError
 from rotorpair.observables import COLUMNS
 from rotorpair.operators import build_costheta_single, expectation
 from rotorpair.propagation import (
@@ -152,9 +152,7 @@ def two_rotor_free_diagonal(l_max: int) -> np.ndarray:
 
 def restrict(full_matrix: np.ndarray, basis) -> np.ndarray:
     """Cut a full-product-basis matrix down to a TwoRotorBasis block."""
-    d = basis.d_single
-    idx = np.asarray(basis.mol1_single) * d + np.asarray(basis.mol2_single)
-    return full_matrix[np.ix_(idx, idx)]
+    return full_matrix[np.ix_(basis.product_index, basis.product_index)]
 
 
 def dense_propagate(coeffs: np.ndarray, h_sampler, t_a: float, t_b: float,
@@ -191,8 +189,6 @@ def dense_propagate(coeffs: np.ndarray, h_sampler, t_a: float, t_b: float,
 
 def hamiltonian_at(t: float, pieces, pulse):
     """The full H(t) as an explicit CSR matrix."""
-    if pieces.coupling.shape != pieces.rotor.shape:
-        raise ConsistencyError("pieces built over different bases")
     return (pieces.h0 + pieces.coupling * pulse.field_scalar(t)).tocsr()
 
 
@@ -275,8 +271,7 @@ def full_space_schedule(pieces, pulse, cfg, sample_times, observers=()):
             for lo in range(k, stop, SAMPLE_BLOCK):
                 block = free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - cursor)
                 emit(lo, block)
-            at_edge = stop > k and samples[stop - 1] == a
-            coeffs = block[-1] if at_edge else free.advance(amplitudes, np.array([a - cursor]))[0]
+            coeffs = free.advance(amplitudes, np.array([a - cursor]))[0]
         k, t_from = stop, a
         stop = int(np.searchsorted(samples, b, side="right"))
         rows = []
@@ -292,8 +287,7 @@ def full_space_schedule(pieces, pulse, cfg, sample_times, observers=()):
             coeffs = rk4_integrate(rhs, coeffs, t_from, b, dt)
         k, cursor = stop, b
 
-    return Trajectory(t_red=samples, norms=norms, h0_expect=h0_expect, psi_final=coeffs,
-                      windows=windows, pulse_centers=pulse.centers(),
+    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=coeffs, windows=windows,
                       max_norm_drift=float(np.max(np.abs(norms - 1.0))))
 
 

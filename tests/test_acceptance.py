@@ -125,9 +125,8 @@ def test_criterion_2_pulse_window_matches_dense_reference(sims):
     )
 
 
-def _free_segment_drift(trajectory) -> float:
-    """Largest relative wander of <H0> over samples between pulse windows."""
-    t = trajectory.t_red
+def _free_segment_drift(trajectory, t) -> float:
+    """Largest relative wander of <H0> over samples (at times t) between pulse windows."""
     ends = np.asarray([b for _, b in trajectory.windows])
     inside = np.zeros(t.size, dtype=bool)
     for a, b in trajectory.windows:
@@ -167,9 +166,10 @@ def test_criterion_3_unitarity_and_conservation(sims):
     worst_norm = 0.0
     worst_drift = 0.0
     for label in PRESET_RUN_LABELS:
-        traj = sims.get(label).trajectory
+        result = sims.get(label)
+        traj = result.trajectory
         worst_norm = max(worst_norm, float(np.max(np.abs(traj.norms - 1.0))))
-        worst_drift = max(worst_drift, _free_segment_drift(traj))
+        worst_drift = max(worst_drift, _free_segment_drift(traj, result.recorder.column("t_red")))
     leak = _offblock_leakage(sims.configs["fig1a"])
     ok = worst_norm <= 1e-8 and leak <= 1e-12 and worst_drift <= 1e-10
     return ok, (
@@ -205,7 +205,7 @@ def _train_metrics(result):
     rec = result.recorder
     return regularity_metrics(
         rec.column("t_red"), rec.column("cos1"), rec.column("energy_rot"),
-        result.trajectory.pulse_centers)
+        result.schedule.centers())
 
 
 @_criterion(6)

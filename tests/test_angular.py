@@ -106,29 +106,34 @@ def test_basis_sizes_full():
     assert TwoRotorBasis(3, None).size == 256
 
 
+def _states(basis):
+    """(l1, m1, l2, m2) of every basis state, read from its arrays."""
+    return list(zip(basis.l1.tolist(), basis.m1.tolist(), basis.l2.tolist(), basis.m2.tolist()))
+
+
 def test_basis_is_lexicographic():
     basis = TwoRotorBasis(1, None)
-    assert basis.states[:5] == (
+    assert _states(basis)[:5] == [
         (0, 0, 0, 0),
         (0, 0, 1, -1),
         (0, 0, 1, 0),
         (0, 0, 1, 1),
         (1, -1, 0, 0),
-    )
-    for k, state in enumerate(basis.states):
+    ]
+    assert np.array_equal(basis.product_index, np.arange(16))
+    for k, state in enumerate(_states(basis)):
         assert basis.index_of(*state) == k
 
 
 def test_basis_restriction_keeps_only_the_requested_total_m():
     basis = TwoRotorBasis(2, 1)
-    assert all(m1 + m2 == 1 for (_, m1, _, m2) in basis.states)
+    assert np.all(basis.m1 + basis.m2 == 1)
     assert basis.restrict_total_m == 1
 
 
 def test_basis_membership_queries():
     basis = TwoRotorBasis(2, 0)
-    assert basis.contains(1, 1, 1, -1)
-    assert not basis.contains(1, 1, 0, 0)
+    assert _states(basis)[basis.index_of(1, 1, 1, -1)] == (1, 1, 1, -1)
     with pytest.raises(QueryError):
         basis.index_of(1, 1, 0, 0)
     with pytest.raises(QueryError):
@@ -137,14 +142,56 @@ def test_basis_membership_queries():
 
 def test_basis_arrays_match_the_state_list():
     basis = TwoRotorBasis(3, 0)
-    for k, (l1, m1, l2, m2) in enumerate(basis.states):
-        assert basis.l1[k] == l1 and basis.m1[k] == m1
-        assert basis.l2[k] == l2 and basis.m2[k] == m2
+    for k, (l1, m1, l2, m2) in enumerate(_states(basis)):
         assert basis.mol1_single[k] == l1 * l1 + l1 + m1
         assert basis.mol2_single[k] == l2 * l2 + l2 + m2
         assert basis.product_index[k] == basis.mol1_single[k] * 16 + basis.mol2_single[k]
         assert basis.rotor_diagonal[k] == l1 * (l1 + 1) + l2 * (l2 + 1)
     assert basis.d_single == 16
+
+
+def _enumerated(l_max, total_m):
+    """The basis spelled out state by state: lexicographic (l1, m1, l2, m2), m from -l to l."""
+    return [(l1, m1, l2, m2)
+            for l1 in range(l_max + 1) for m1 in range(-l1, l1 + 1)
+            for l2 in range(l_max + 1) for m2 in range(-l2, l2 + 1)
+            if total_m is None or m1 + m2 == total_m]
+
+
+@pytest.mark.parametrize("total_m", [None, 0, 1, -2, 3])
+@pytest.mark.parametrize("l_max", range(7))
+def test_basis_matches_an_explicit_enumeration(l_max, total_m):
+    states = _enumerated(l_max, total_m)
+    if not states:
+        with pytest.raises(InvalidConfigError):
+            TwoRotorBasis(l_max, total_m)
+        return
+    basis = TwoRotorBasis(l_max, total_m)
+    d = (l_max + 1) ** 2
+    l1, m1, l2, m2 = np.array(states, dtype=np.int64).T
+    single1, single2 = l1 * l1 + l1 + m1, l2 * l2 + l2 + m2
+    if total_m is None:
+        shape, flat = (1, d, d), single1 * d + single2
+    else:
+        side = l_max + 1
+        shape = (int(m1.max() - m1.min()) + 1, side, side)
+        flat = ((m1 - m1.min()) * side + l1 - np.abs(m1)) * side + l2 - np.abs(m2)
+    expected = {
+        "l1": l1, "m1": m1, "l2": l2, "m2": m2, "mol1_single": single1, "mol2_single": single2,
+        "product_index": single1 * d + single2, "schmidt_flat": flat,
+        "rotor_diagonal": (l1 * (l1 + 1) + l2 * (l2 + 1)).astype(np.float64),
+    }
+    for name, want in expected.items():
+        got = getattr(basis, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert basis.size == len(states) and basis.schmidt_shape == shape
+    for k, state in enumerate(states):
+        assert basis.index_of(*state) == k
+    # negative l, l past l_max, and |m| > l, which l*l + l + m would alias onto another state
+    for query in ((-1, 0, 0, 0), (0, 0, -1, 1), (l_max + 1, 0, 0, 0), (0, 0, l_max + 1, -l_max - 1),
+                  (1, 2, 0, 0)):
+        with pytest.raises(QueryError, match="is not in the basis"):
+            basis.index_of(*query)
 
 
 def test_basis_rejects_bad_parameters():

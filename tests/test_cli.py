@@ -192,6 +192,20 @@ def test_sweep_with_every_point_failing_exits_3(tmp_path, capsys):
     assert manifest["n_failed"] == 1
 
 
+def test_sweep_with_an_off_block_watch_entry_runs_no_point(tmp_path, capsys):
+    base = dict(TINY, output={**TINY["output"], "watch_populations": [[1, 1, 1, 0]]})
+    spec = _write_json(tmp_path / "spec.json", {
+        "base": base,
+        "axis1": {"name": "R_m", "values": [3e-8, 2e-8]},
+        "parallelism": 1,
+        "out_dir": str(tmp_path / "grid"),
+    })
+    assert main(["sweep", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert "off the basis.restrict_total_m = 0 block" in err and "Traceback" not in err
+    assert not (tmp_path / "grid").exists()
+
+
 def test_sweep_rejects_a_bad_spec(tmp_path, capsys):
     spec = _write_json(tmp_path / "spec.json", {"base": TINY})
     assert main(["sweep", "--spec", spec]) == 2

@@ -152,10 +152,18 @@ def test_watch_list_parsing():
     '{"output": {"watch_populations": [[1, 2, 0, 0]]}}',
     '{"output": {"watch_populations": [[9, 0, 0, 0]]}}',
     '{"output": {"watch_populations": "1 0 0 0"}}',
+    '{"output": {"watch_populations": [[1, 1, 1, 0]]}}',  # off the M = 0 block
+    '{"output": {"watch_populations": [[1, 0, 0, 0], [2, 0, 0, 0], [1, 0, 0, 0]]}}',  # repeated
 ])
 def test_bad_watch_entries_are_rejected(doc):
     with pytest.raises(InvalidConfigError):
         parse_config(doc)
+
+
+def test_the_full_basis_may_watch_states_off_the_m_zero_block():
+    cfg = parse_config('{"basis": {"restrict_total_m": null},'
+                       ' "output": {"watch_populations": [[1, 1, 1, 0], [0, 0, 1, -1]]}}')
+    assert cfg.output.watch_populations == ((1, 1, 1, 0), (0, 0, 1, -1))
 
 
 def test_default_watch_list_shrinks_with_the_basis():

@@ -32,7 +32,7 @@ def test_coefficient_matrix_scatters_by_single_rotor_indices():
     coeffs = np.arange(1.0, basis.size + 1.0, dtype=complex)
     c = coefficient_matrix(basis, coeffs)
     assert c.shape == (4, 4)
-    for k, (l1, m1, l2, m2) in enumerate(basis.states):
+    for k, (l1, m1, l2, m2) in enumerate(zip(basis.l1, basis.m1, basis.l2, basis.m2)):
         i = l1 * l1 + l1 + m1
         j = l2 * l2 + l2 + m2
         assert c[i, j] == coeffs[k]

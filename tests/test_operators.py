@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,45 @@ def test_field_scalar_formula():
     scalar = np.array([[train.field_scalar(t) for t in row] for row in stages.tolist()])
     assert np.array_equal(train.field_scalar(stages), scalar)
     assert np.count_nonzero(scalar) == scalar.size
+
+
+def _all_pulse_field(s, t):
+    """field_scalar with every pulse of the train summed, none skipped."""
+    d = (t[..., None] - s.centers()) / s.sigma_red
+    return -s.kick_strength * np.exp(-d * d).sum(axis=-1) * np.cos(s.carrier_omega * t)
+
+
+def _stages(start, step, n):
+    starts = start + np.arange(n) * step
+    return np.stack([starts, starts + 0.5 * step, starts + step])
+
+
+def test_a_long_train_adds_only_the_pulses_near_the_times():
+    train = _schedule(period_red=1.0, count=2000)  # pulses 100 sigma apart
+    stages = _stages(1000.0, 5e-4, 200)  # across pulse 1000, centered at 1000.05
+    field = train.field_scalar(stages)
+    assert np.array_equal(field, _all_pulse_field(train, stages))
+    assert np.count_nonzero(field) == field.size
+    assert train.field_scalar(np.empty((3, 0))).shape == (3, 0)
+
+
+def test_an_overlapping_train_matches_the_all_pulse_sum():
+    train = _schedule(period_red=0.06, count=300)  # pulses 6 sigma apart
+    stages = _stages(4.0, 1e-3, 2000)  # pulses far before and after are skipped
+    field, ref = train.field_scalar(stages), _all_pulse_field(train, stages)
+    assert np.abs(field - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_the_field_of_a_long_train_allocates_little():
+    train = _schedule(period_red=1.0, count=10_000)
+    stages = _stages(5000.0, 1e-4, 1000)
+    tracemalloc.start()
+    try:
+        train.field_scalar(stages)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6  # every pulse at every time would be a 240 MB temporary
 
 
 # --- operator construction ---------------------------------------------------
@@ -180,13 +220,13 @@ def test_pieces_h0_is_rotor_plus_dipole():
 def test_pieces_reject_mismatched_dimensions():
     big = TwoRotorBasis(2, 0)
     small = TwoRotorBasis(1, 0)
+    h0 = build_pieces(big, 0.3).h0
     with pytest.raises(ConsistencyError):
-        HamiltonianPieces(
-            basis=big,
-            rotor=build_rotor_term(big),
-            dipole=build_dipole_term(small, 0.3),
-            coupling=build_orientation_coupling(big),
-        )
+        HamiltonianPieces(basis=big, h0=build_pieces(small, 0.3).h0, coupling=build_orientation_coupling(big))
+    with pytest.raises(ConsistencyError):
+        HamiltonianPieces(basis=big, h0=h0, coupling=build_orientation_coupling(small))
+    with pytest.raises(ConsistencyError):
+        HamiltonianPieces(basis=small, h0=h0, coupling=build_orientation_coupling(big))
 
 
 def test_hamiltonian_at_combines_the_pieces():
@@ -195,6 +235,7 @@ def test_hamiltonian_at_combines_the_pieces():
     s = _schedule()
     t = 0.052
     h = oracles.hamiltonian_at(t, pieces, s).toarray()
-    expected = pieces.h0.toarray() + s.field_scalar(t) * pieces.coupling.toarray()
+    expected = (build_rotor_term(basis) + build_dipole_term(basis, 0.3)
+                + s.field_scalar(t) * build_orientation_coupling(basis)).toarray()
     assert np.allclose(h, expected, atol=1e-15)
     assert np.abs(h - h.conj().T).max() < 1e-14

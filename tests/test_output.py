@@ -49,6 +49,17 @@ def test_write_read_round_trip(tmp_path):
     assert columns["pop_1_0_1_0"] == [0.25] * 4
 
 
+def test_a_csv_write_that_fails_halfway_leaves_no_torn_file(tmp_path, torn_writes):
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_text("t_ps\n", encoding="utf-8")
+    for path in (fresh, old):
+        with pytest.raises(OSError, match="interrupted"):
+            write_timeseries_csv(path, WATCH, _rows(50))
+    assert not fresh.exists()
+    assert old.read_bytes() == b"t_ps\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]  # nor a temporary
+
+
 def test_csv_bytes_are_deterministic_and_lf_terminated(tmp_path):
     a = write_timeseries_csv(tmp_path / "a.csv", WATCH, _rows(3))
     b = write_timeseries_csv(tmp_path / "b.csv", WATCH, _rows(3))

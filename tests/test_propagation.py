@@ -356,7 +356,24 @@ def test_run_schedule_matches_a_hand_composed_run():
     c = free.advance(free.project(c), np.array([t_end - b]))[0]
     assert np.abs(traj.psi_final - s @ c).max() < 1e-9
     assert traj.max_norm_drift < 1e-9
-    assert np.allclose(traj.pulse_centers, [T0])
+    assert traj.windows == [(max(T0 - 5.0 * SIGMA, 0.0), T0 + 5.0 * SIGMA)]
+
+
+def test_run_schedule_advances_once_per_free_block_and_window_start(monkeypatch):
+    # the closing free segment ends on the last sample, so it needs no extra
+    # advance: psi_final is the last row the observers saw
+    basis = TwoRotorBasis(2, 0)
+    pulse = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=0.5, carrier_omega=OMEGA)
+    samples = np.arange(150) * 0.0113  # samples 1-41 free, 42-47 in the window, 48-149 free
+    durations, rows = [], []
+    advance = FreeEvolution.advance
+    monkeypatch.setattr(FreeEvolution, "advance",
+                        lambda self, amp, taus: durations.append(len(taus)) or advance(self, amp, taus))
+    traj = run_schedule(build_pieces(basis, 0.13150852670024232), pulse, IntegratorConfig(),
+                        samples, observers=(lambda t, k, c: rows.append(c[-1]),))
+    assert np.searchsorted(samples, traj.windows[0], side="right").tolist() == [42, 48]
+    assert durations == [41, 1, 64, 38]  # a block, the window start, two blocks
+    assert np.array_equal(traj.psi_final, rows[-1])
 
 
 def test_run_schedule_records_the_violating_sample_then_raises():

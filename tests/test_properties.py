@@ -66,6 +66,6 @@ def test_random_runs_keep_their_invariants(doc):
     off_block = full.basis.m1 + full.basis.m2 != 0
     leaked = []
     run_schedule(full.pieces, full.schedule, IntegratorConfig(norm_tolerance=tolerance),
-                 full.trajectory.t_red,
+                 full.recorder.column("t_red"),
                  observers=(lambda t, k, c: leaked.extend(np.abs(c[:, off_block]) ** 2),))
     assert len(leaked) == table.shape[0] and not np.any(leaked)

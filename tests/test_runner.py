@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rotorpair import output
 from rotorpair.config import build_config
 from rotorpair.exceptions import StepSizeError
 from rotorpair.output import read_timeseries_csv
@@ -36,7 +37,7 @@ def test_simulate_samples_on_the_requested_grid():
     assert result.total_time_ps == 20.0
     assert result.csv_path is None
     # the sample grid in reduced time matches t_ps through the time unit
-    assert np.allclose(result.trajectory.t_red * result.time_unit_ps, t_ps, atol=1e-12)
+    assert np.allclose(result.recorder.column("t_red") * result.time_unit_ps, t_ps, atol=1e-12)
 
 
 def test_simulate_row_count_rounds_down():
@@ -72,6 +73,16 @@ def test_run_config_writes_csv_and_echo(tmp_path):
     assert echo["output"]["out_dir"] == str(out)
     echo["output"]["out_dir"] = None
     assert build_config(echo) == _tiny()
+
+
+def test_run_config_writes_through_the_output_module(tmp_path, monkeypatch):
+    # wrappers installed on rotorpair.output after import (the benchmark's
+    # output.csv layer) must see every CSV the runner writes
+    calls = []
+    real = output.write_timeseries_csv
+    monkeypatch.setattr(output, "write_timeseries_csv", lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
+    result = run_config(_tiny(), tmp_path)
+    assert calls == [result.csv_path]
 
 
 def test_run_config_honors_the_configured_out_dir(tmp_path):

@@ -31,11 +31,11 @@ DIPOLE = 0.13150852670024232
 
 def _symmetry_images(basis):
     """Positions of P12 and sigma_v images of every M = 0 state, by lookup."""
-    rows = [k for k, (l1, m1, l2, m2) in enumerate(basis.states) if m1 + m2 == 0]
-    states = [basis.states[k] for k in rows]
+    rows = np.flatnonzero(basis.m1 + basis.m2 == 0)
+    states = list(zip(basis.l1[rows], basis.m1[rows], basis.l2[rows], basis.m2[rows]))
     swap = [basis.index_of(l2, m2, l1, m1) for l1, m1, l2, m2 in states]
     flip = [basis.index_of(l1, -m1, l2, -m2) for l1, m1, l2, m2 in states]
-    return np.array(rows), np.array(swap), np.array(flip)
+    return rows, np.array(swap), np.array(flip)
 
 
 @settings(max_examples=25, deadline=None)
@@ -69,12 +69,6 @@ def test_sector_sizes(l_max, n_s, total_m):
     assert basis.sector_isometry.shape == (basis.size, n_s)
 
 
-def _pieces_with(basis, **swap):
-    pieces = build_pieces(basis, DIPOLE)
-    parts = {"rotor": pieces.rotor, "dipole": pieces.dipole, "coupling": pieces.coupling}
-    return HamiltonianPieces(basis=basis, **{**parts, **swap})
-
-
 def _pulse(count=1, period=0.0):
     return PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0, carrier_omega=OMEGA,
                          period_red=period, count=count)
@@ -83,14 +77,15 @@ def _pulse(count=1, period=0.0):
 @pytest.mark.parametrize("total_m", [0, None])
 def test_a_symmetry_breaking_operator_is_refused(total_m):
     basis = TwoRotorBasis(2, total_m)
+    pieces = build_pieces(basis, DIPOLE)
     samples = np.array([0.0, 0.1])
     # cos(theta_1) alone is not even under the swap of the molecules
     with pytest.raises(ConsistencyError, match="V leaks out of the symmetric sector"):
-        run_schedule(_pieces_with(basis, coupling=build_costheta_single(basis, "mol1")),
+        run_schedule(HamiltonianPieces(basis, pieces.h0, build_costheta_single(basis, "mol1")),
                      _pulse(), IntegratorConfig(), samples)
     with pytest.raises(ConsistencyError, match="H0 leaks out of the symmetric sector"):
-        run_schedule(_pieces_with(basis, dipole=build_costheta_single(basis, "mol2")),
-                     _pulse(), IntegratorConfig(), samples)
+        h0 = (pieces.h0 + build_costheta_single(basis, "mol2")).tocsr()
+        run_schedule(HamiltonianPieces(basis, h0, pieces.coupling), _pulse(), IntegratorConfig(), samples)
 
 
 def test_an_initial_state_outside_the_sector_is_refused(monkeypatch):

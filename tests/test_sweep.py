@@ -8,6 +8,7 @@ import pytest
 
 import rotorpair
 
+from rotorpair import sweep
 from rotorpair.config import SweepAxis, SweepSpec
 from rotorpair.exceptions import InvalidConfigError
 from rotorpair.output import read_timeseries_csv
@@ -123,6 +124,20 @@ def test_run_sweep_serial_writes_manifest_and_artifacts(tmp_path):
         assert entry["csv"].endswith("timeseries.csv")
     assert entries[0]["params"] == {"R_m": 3e-8}
     assert entries[1]["params"] == {"R_m": None}
+
+
+def test_a_manifest_write_that_fails_halfway_leaves_no_torn_file(tmp_path, monkeypatch, torn_writes):
+    monkeypatch.setattr(sweep, "_run_point", lambda label, doc, point_dir: {"status": "ok"})
+    old = tmp_path / "old" / MANIFEST_NAME
+    old.parent.mkdir()
+    old.write_text("{}\n", encoding="utf-8")
+    for root in ("fresh", "old"):
+        spec = _spec(SweepAxis("R_m", (3e-8, None)), parallelism=1, out_dir=str(tmp_path / root))
+        with pytest.raises(OSError, match="interrupted"):
+            run_sweep(spec)
+    assert list((tmp_path / "fresh").iterdir()) == []
+    assert old.read_bytes() == b"{}\n"
+    assert list(old.parent.iterdir()) == [old]
 
 
 def test_run_sweep_isolates_a_bad_point(tmp_path):
