@@ -8,6 +8,7 @@ it is trusted here.
 from __future__ import annotations
 
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 from scipy import sparse
@@ -55,6 +56,9 @@ class TwoRotorBasis:
     """
 
     def __init__(self, l_max: int, restrict_total_m: int | None = None):
+        for name, q in (("l_max", l_max), ("restrict_total_m", 0 if restrict_total_m is None else restrict_total_m)):
+            if isinstance(q, bool) or not isinstance(q, Integral):
+                raise InvalidConfigError(f"{name} must be an integer, got {q!r}")
         if l_max < 0:
             raise InvalidConfigError(f"l_max must be non-negative, got {l_max}")
         self.l_max = int(l_max)

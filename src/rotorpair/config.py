@@ -9,8 +9,11 @@ defaults.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import numbers
+import typing
 from dataclasses import dataclass
 
 from .exceptions import InvalidConfigError
@@ -86,12 +89,13 @@ class RunConfig:
     output: OutputConfig = OutputConfig()
 
     def __post_init__(self) -> None:
+        # however the config was built: parsed, by hand or dataclasses.replace'd
+        for name, section in _hints(RunConfig).items():
+            object.__setattr__(self, name, _typed(getattr(self, name), section, name))
         validate_config(self)
 
     def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["output"]["watch_populations"] = [list(w) for w in self.output.watch_populations]
-        return d
+        return dataclasses.asdict(self)
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -107,103 +111,69 @@ def _reject_unknown(data: dict, allowed: tuple[str, ...], path: str) -> None:
             raise InvalidConfigError(f"unknown key '{where}'")
 
 
-def _number(value, where: str) -> float:
-    if value is None:
-        raise InvalidConfigError(f"{where} must be a number, got null")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise InvalidConfigError(f"{where} must be finite, got an integer too large for a float") from None
+_hints = functools.cache(typing.get_type_hints)  # class -> {field: resolved annotation}
+_NOUNS = {float: "a number", int: "an integer", str: "a string", type(None): "null"}
 
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _or_null(parse):
-    return lambda value, where: None if value is None else parse(value, where)
-
-
-def _period(value, where: str):
-    # seconds, or a symbolic name (checked in validate_config)
-    return value if isinstance(value, str) else _number(value, where)
-
-
-def _watch(value, where: str):
-    if not isinstance(value, list):
-        raise InvalidConfigError(f"{where} must be a list of [l, m, l', m'] entries")
-    for k, entry in enumerate(value):
-        if (not isinstance(entry, list)) or len(entry) != 4 or \
-                any(isinstance(q, bool) or not isinstance(q, int) for q in entry):
-            raise InvalidConfigError(f"{where}[{k}] must be four integers [l, m, l', m']")
-    return tuple(tuple(entry) for entry in value)
-
-
-def _log_base(value, where: str):
-    # a JSON 2 means "2"; the names are checked in validate_config
-    return str(value) if isinstance(value, int) and not isinstance(value, bool) else value
-
-
-def _path(value, where: str):
-    if value is not None and not isinstance(value, str):
-        raise InvalidConfigError(f"{where} must be a string path, got {value!r}")
-    return value
-
-
-# one parser per key of every section dataclass
-_PARSERS = {
-    "mu_debye": _number, "B_cm1": _number, "R_m": _or_null(_number),
-    "E0_Vpm": _number, "sigma_fs": _number, "t0_fs": _number, "omega_cm1": _number,
-    "period": _or_null(_period), "count": _integer,
-    "l_max": _integer, "restrict_total_m": _or_null(_integer),
-    "dt_pulse_fs": _or_null(_number), "norm_tolerance": _number,
-    "sample_interval_ps": _number, "watch_populations": _watch, "entropy_log_base": _log_base,
-    "out_dir": _path, "total_time_ps": _or_null(_number),
-}
+def _typed(value, hint, where: str):
+    """value checked against its annotation, the one statement of the schema: a float field
+    takes a finite real, as a float, and an int field an integer (neither takes a bool);
+    tuple[X, ...] takes a list or tuple of X, and a dataclass is checked field by field."""
+    args = typing.get_args(hint) or (hint,)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidConfigError(f"{where} must be a list, got {value!r}")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(items):
+            raise InvalidConfigError(f"{where} must hold {len(items)} entries, got {value!r}")
+        return tuple(_typed(item, h, f"{where}[{k}]") for k, (item, h) in enumerate(zip(value, items)))
+    if dataclasses.is_dataclass(hint) and isinstance(value, hint):
+        return hint(**{key: _typed(getattr(value, key), h, f"{where}.{key}") for key, h in _hints(hint).items()})
+    if value is None and type(None) in args or isinstance(value, str) and str in args:
+        return value
+    if float in args and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            raise InvalidConfigError(f"{where} must be finite, got an integer too large for a float") from None
+        if not math.isfinite(value):
+            raise InvalidConfigError(f"{where} must be finite, got {value}")
+        return value
+    if int in args and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    wanted = " or ".join(_NOUNS.get(a) or f"a {a.__name__}" for a in args)
+    raise InvalidConfigError(f"{where} must be {wanted}, got {value!r}")
 
 
 def build_config(data: dict) -> RunConfig:
     """Parse a decoded JSON document; every absent key keeps its dataclass default."""
     _require_mapping(data, "config")
-    sections = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
+    sections = _hints(RunConfig)
     _reject_unknown(data, tuple(sections), "")
     parts = {}
     for name, section in sections.items():
         doc = _require_mapping(data.get(name, {}), name)
-        _reject_unknown(doc, tuple(f.name for f in dataclasses.fields(section)), name)
-        parts[name] = section(**{key: _PARSERS[key](value, f"{name}.{key}") for key, value in doc.items()})
+        _reject_unknown(doc, tuple(_hints(section)), name)
+        if type(doc.get("entropy_log_base")) is int:  # a JSON 2 means "2"
+            doc = {**doc, "entropy_log_base": str(doc["entropy_log_base"])}
+        parts[name] = section(**doc)
     if "watch_populations" not in data.get("output", {}):
         # the default watch list, trimmed to the truncation the document picked
-        l_max = parts["basis"].l_max
+        l_max = _typed(parts["basis"], BasisConfig, "basis").l_max
         parts["output"] = dataclasses.replace(parts["output"], watch_populations=tuple(
             w for w in parts["output"].watch_populations if w[0] <= l_max and w[2] <= l_max))
     return RunConfig(**parts)
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """The physical rules; RunConfig runs them once, when it is built."""
-    for section in dataclasses.fields(cfg):
-        part = getattr(cfg, section.name)
-        for item in dataclasses.fields(part):
-            value = getattr(part, item.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidConfigError(f"{section.name}.{item.name} must be finite, got {value}")
-    for path, value in (
-        ("molecule.mu_debye", cfg.molecule.mu_debye),
-        ("molecule.B_cm1", cfg.molecule.B_cm1),
-        ("pulse.E0_Vpm", cfg.pulse.E0_Vpm),
-        ("pulse.sigma_fs", cfg.pulse.sigma_fs),
-        ("pulse.omega_cm1", cfg.pulse.omega_cm1),
-        ("output.sample_interval_ps", cfg.output.sample_interval_ps),
-    ):
-        if not value > 0:
+    """The physical rules; RunConfig runs them once, when it is built and its fields are typed."""
+    for path in ("molecule.mu_debye", "molecule.B_cm1", "geometry.R_m", "pulse.E0_Vpm", "pulse.sigma_fs",
+                 "pulse.omega_cm1", "integrator.dt_pulse_fs", "integrator.norm_tolerance",
+                 "output.sample_interval_ps", "output.total_time_ps"):
+        section, key = path.split(".")
+        value = getattr(getattr(cfg, section), key)
+        if value is not None and not value > 0:  # None only where the annotation allows it
             raise InvalidConfigError(f"{path} must be positive, got {value}")
-    if cfg.geometry.R_m is not None and not cfg.geometry.R_m > 0:
-        raise InvalidConfigError(f"geometry.R_m must be positive or null, got {cfg.geometry.R_m}")
     if cfg.pulse.t0_fs < 0:
         raise InvalidConfigError(f"pulse.t0_fs must be non-negative, got {cfg.pulse.t0_fs}")
     if cfg.pulse.count < 1:
@@ -213,7 +183,7 @@ def validate_config(cfg: RunConfig) -> None:
     if isinstance(cfg.pulse.period, str) and cfg.pulse.period not in SYMBOLIC_PERIODS:
         raise InvalidConfigError(
             f"pulse.period must be one of {tuple(SYMBOLIC_PERIODS)} when symbolic, got {cfg.pulse.period!r}")
-    if isinstance(cfg.pulse.period, (int, float)) and not cfg.pulse.period > 0:
+    if isinstance(cfg.pulse.period, float) and not cfg.pulse.period > 0:
         raise InvalidConfigError(f"pulse.period in seconds must be positive, got {cfg.pulse.period}")
     if not 1 <= cfg.basis.l_max <= MAX_L_MAX:
         raise InvalidConfigError(f"basis.l_max must be between 1 and MAX_L_MAX = {MAX_L_MAX}, got {cfg.basis.l_max}")
@@ -221,10 +191,6 @@ def validate_config(cfg: RunConfig) -> None:
         # the initial state |00;00> lies in the M = 0 block
         raise InvalidConfigError(
             f"basis.restrict_total_m must be 0 or null, got {cfg.basis.restrict_total_m!r}")
-    if cfg.integrator.dt_pulse_fs is not None and not cfg.integrator.dt_pulse_fs > 0:
-        raise InvalidConfigError(f"integrator.dt_pulse_fs must be positive, got {cfg.integrator.dt_pulse_fs}")
-    if not cfg.integrator.norm_tolerance > 0:
-        raise InvalidConfigError(f"integrator.norm_tolerance must be positive, got {cfg.integrator.norm_tolerance}")
     watch, total_m = cfg.output.watch_populations, cfg.basis.restrict_total_m
     for k, (l1, m1, l2, m2) in enumerate(watch):
         where = f"output.watch_populations[{k}] = {(l1, m1, l2, m2)}"
@@ -237,8 +203,6 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.output.entropy_log_base not in ENTROPY_LOG_BASES:
         raise InvalidConfigError(
             f"output.entropy_log_base must be one of {ENTROPY_LOG_BASES}, got {cfg.output.entropy_log_base!r}")
-    if cfg.output.total_time_ps is not None and not cfg.output.total_time_ps > 0:
-        raise InvalidConfigError(f"output.total_time_ps must be positive, got {cfg.output.total_time_ps}")
     try:
         length_ps = run_length_ps(cfg)
     except ArithmeticError:  # a pulse count past the float range, or hbar/B past it
@@ -349,8 +313,9 @@ def parse_sweep(text: str) -> SweepSpec:
     axis2 = _parse_axis(data["axis2"], "axis2") if "axis2" in data else None
     if axis2 is not None and axis2.name == axis1.name:
         raise InvalidConfigError(f"axis1 and axis2 must differ, both are {axis1.name!r}")
-    parallelism = _or_null(_integer)(data.get("parallelism"), "sweep.parallelism")
+    hints = _hints(SweepSpec)
+    parallelism = _typed(data.get("parallelism"), hints["parallelism"], "sweep.parallelism")
     if parallelism is not None and parallelism < 1:
         raise InvalidConfigError(f"parallelism must be at least 1, got {parallelism}")
-    out_dir = _path(data.get("out_dir"), "out_dir")
+    out_dir = _typed(data.get("out_dir"), hints["out_dir"], "sweep.out_dir")
     return SweepSpec(base=base, axis1=axis1, axis2=axis2, parallelism=parallelism, out_dir=out_dir)

@@ -34,6 +34,8 @@ class TimeSeriesRecorder:
                  entropy_log_base: str = "e", sample_interval_ps: float = 0.5):
         self.basis = basis
         self.watch = tuple(tuple(int(q) for q in entry) for entry in watch)
+        if len(set(self.watch)) < len(self.watch):  # it would write two columns of one name
+            raise QueryError(f"watch list {self.watch} repeats an entry")
         # fail on an out-of-basis watch entry up front, not at sample time
         self._watch_idx = np.asarray([basis.index_of(*entry) for entry in self.watch], dtype=np.intp)
         self.entropy_log_base = entropy_log_base

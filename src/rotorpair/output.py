@@ -10,6 +10,7 @@ row. Every artifact is written whole, never truncated under its final name.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from pathlib import Path
 
@@ -72,6 +73,8 @@ def read_timeseries_csv(path) -> tuple[list[str], dict[str, list[float]], str | 
             raise InvalidConfigError(f"{path} is empty, expected a time-series CSV") from None
         if header[: len(COLUMNS)] != list(COLUMNS):
             raise InvalidConfigError(f"{path} does not start with the expected columns {COLUMNS}")
+        if len(set(header)) < len(header):
+            raise InvalidConfigError(f"{path}: the header repeats a column name")
         columns: dict[str, list[float]] = {name: [] for name in header}
         failure = None
         for row in reader:
@@ -104,9 +107,11 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def _panel(x_vals, series, title: str, y_label: str, x_label: str | None, offset_y: int) -> str:
-    lo_x, hi_x = min(x_vals), max(x_vals)
-    all_y = [v for _, vals in series for v in vals]
-    lo_y, hi_y = min(all_y), max(all_y)
+    # the axes span the finite points; a failed run's NaN rows are left out
+    finite_x = [x for x in x_vals if math.isfinite(x)]
+    lo_x, hi_x = min(finite_x, default=0.0), max(finite_x, default=0.0)
+    all_y = [v for _, vals in series for v in vals if math.isfinite(v)]
+    lo_y, hi_y = min(all_y, default=0.0), max(all_y, default=0.0)
     if hi_y == lo_y:
         lo_y, hi_y = lo_y - 1.0, hi_y + 1.0
     pad = 0.05 * (hi_y - lo_y)
@@ -143,8 +148,11 @@ def _panel(x_vals, series, title: str, y_label: str, x_label: str | None, offset
     legend_x = _MARGIN_L + 8
     for k, (name, vals) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
-        pts = " ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(x_vals, vals))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
+        # one polyline per run of finite points
+        pts = " ".join(f"{sx(x):.2f},{sy(v):.2f}" if math.isfinite(x) and math.isfinite(v) else "|"
+                       for x, v in zip(x_vals, vals))
+        parts.extend(f'<polyline points="{run.strip()}" fill="none" stroke="{color}" stroke-width="1.2"/>'
+                     for run in pts.split("|") if run.strip())
         if len(series) > 1:
             parts.append(f'<text x="{legend_x}" y="{offset_y + 14}" font-size="11" '
                          f'fill="{color}">{name}</text>')

@@ -199,3 +199,13 @@ def test_basis_rejects_bad_parameters():
         TwoRotorBasis(-1, 0)
     with pytest.raises(InvalidConfigError):
         TwoRotorBasis(1, 5)  # no states can reach total M = 5
+
+
+@pytest.mark.parametrize("l_max, total_m", [(2.5, 0), (True, 0), (2.0, None), (2, 0.0), (2, False), (2, "0")])
+def test_basis_does_not_truncate_a_non_integer(l_max, total_m):
+    with pytest.raises(InvalidConfigError, match="must be an integer"):
+        TwoRotorBasis(l_max, total_m)
+
+
+def test_basis_takes_numpy_integers():
+    assert TwoRotorBasis(np.int64(2), np.int64(0)).size == TwoRotorBasis(2, 0).size

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -86,6 +87,60 @@ def test_a_key_sets_only_its_own_field(section, key):
     part = getattr(before, section)
     assert getattr(part, key) != parsed
     assert after == dataclasses.replace(before, **{section: dataclasses.replace(part, **{key: parsed})})
+    assert type(getattr(getattr(after, section), key)) is type(parsed)  # a JSON 5 is 5.0 in a float field
+
+
+# a value of the wrong type for every key: the annotation rejects it however the config is built
+WRONG_TYPED = {
+    ("molecule", "mu_debye"): "9.2",
+    ("molecule", "B_cm1"): True,
+    ("geometry", "R_m"): "x",
+    ("pulse", "E0_Vpm"): True,
+    ("pulse", "sigma_fs"): "x",
+    ("pulse", "t0_fs"): True,
+    ("pulse", "omega_cm1"): "x",
+    ("pulse", "period"): True,
+    ("pulse", "count"): 2.5,
+    ("basis", "l_max"): 2.5,
+    ("basis", "restrict_total_m"): True,
+    ("integrator", "dt_pulse_fs"): True,
+    ("integrator", "norm_tolerance"): "x",
+    ("output", "sample_interval_ps"): True,
+    ("output", "watch_populations"): [[1, 0, 0]],
+    ("output", "entropy_log_base"): True,
+    ("output", "out_dir"): 7,
+    ("output", "total_time_ps"): "x",
+}
+
+
+def test_every_key_has_a_wrong_typed_value():
+    assert sorted(ALL_KEYS) == sorted(WRONG_TYPED)
+
+
+@pytest.mark.parametrize("how", ["constructor", "replace", "build_config"])
+@pytest.mark.parametrize("section, key", ALL_KEYS)
+def test_a_wrong_typed_value_is_rejected_however_the_config_is_built(section, key, how):
+    value = WRONG_TYPED[(section, key)]
+    part = type(getattr(RunConfig(), section))(**{key: value})
+    build = {
+        "constructor": lambda: RunConfig(**{section: part}),
+        "replace": lambda: dataclasses.replace(RunConfig(), **{section: part}),
+        "build_config": lambda: build_config({section: {key: value}}),
+    }[how]
+    with pytest.raises(InvalidConfigError, match=re.escape(f"{section}.{key}")):
+        build()
+
+
+def test_an_integer_in_a_float_field_is_echoed_as_a_float():
+    cfg = dataclasses.replace(RunConfig(), pulse=dataclasses.replace(RunConfig().pulse, sigma_fs=100))
+    assert '"sigma_fs": 100.0' in json.dumps(cfg.to_json_dict())
+
+
+def test_the_type_is_checked_before_the_default_watch_list_is_trimmed():
+    with pytest.raises(InvalidConfigError, match=re.escape("basis.l_max must be an integer, got '8'")):
+        build_config({"basis": {"l_max": "8"}})
+    with pytest.raises(InvalidConfigError, match="output.entropy_log_base must be a string, got True"):
+        build_config({"output": {"entropy_log_base": True}})
 
 
 def test_symbolic_pi_period_is_exact():
@@ -191,6 +246,7 @@ def test_entropy_log_base_values():
     '{"pulse": {"period": 0}}',
     '{"pulse": {"period": "sometimes"}}',
     '{"basis": {"l_max": 0}}',
+    '{"basis": {"l_max": "8"}}',
     '{"basis": {"restrict_total_m": 17}}',
     '{"basis": {"restrict_total_m": -2}}',
     '{"integrator": {"dt_pulse_fs": -1}}',

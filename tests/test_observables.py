@@ -90,6 +90,12 @@ def test_recorder_rejects_watch_entries_outside_the_basis():
         TimeSeriesRecorder(basis, watch=((1, 1, 0, 0),))  # wrong total M
 
 
+def test_recorder_rejects_a_repeated_watch_entry():
+    # it would write two pop_1_0_0_0 columns
+    with pytest.raises(QueryError, match="repeats an entry"):
+        TimeSeriesRecorder(TwoRotorBasis(2, 0), watch=((1, 0, 0, 0), (1, 0, 0, 0)))
+
+
 # --- regularity metrics ---------------------------------------------------------
 
 def _uniform_times(n, dt):

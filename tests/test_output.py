@@ -102,6 +102,10 @@ def test_reader_rejects_non_timeseries_files(tmp_path):
     ragged.write_text(csv_header(()) + "\n1,2,3\n")
     with pytest.raises(InvalidConfigError):
         read_timeseries_csv(ragged)
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text(csv_header(WATCH * 2) + "\n" + ",".join(["0.1"] * 8) + "\n")
+    with pytest.raises(InvalidConfigError, match="repeats a column name"):
+        read_timeseries_csv(repeated)
 
 
 # --- SVG ---------------------------------------------------------------------
@@ -130,6 +134,18 @@ def test_plot_of_a_failed_run_uses_the_partial_rows(tmp_path):
                                     failure_message="stopped early")
     out = plot_csv(csv_path, tmp_path)
     assert out.exists()
+
+
+def test_plot_leaves_out_non_finite_points(tmp_path):
+    # a diverged run ends with a row of NaN; a NaN first row must not poison the axes either
+    rows = _rows(6)
+    rows[0, 1:] = rows[-1, 1:] = math.nan
+    rows[3, 3] = math.inf
+    csv_path = write_timeseries_csv(tmp_path / "nan.csv", WATCH, rows, failure_message="diverged")
+    svg = plot_csv(csv_path, tmp_path).read_text()
+    assert "nan" not in svg.lower() and "inf" not in svg.lower()
+    # the infinite entropy sample splits its trace in two
+    assert svg.count("<polyline") == 6
 
 
 def test_plot_needs_data_rows(tmp_path):

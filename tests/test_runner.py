@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rotorpair import output
-from rotorpair.config import build_config
-from rotorpair.exceptions import StepSizeError
+from rotorpair.config import BasisConfig, RunConfig, build_config
+from rotorpair.exceptions import InvalidConfigError, StepSizeError
 from rotorpair.output import read_timeseries_csv
 from rotorpair.runner import CONFIG_ECHO_NAME, CSV_NAME, run_config, simulate
 
@@ -83,6 +83,13 @@ def test_run_config_writes_through_the_output_module(tmp_path, monkeypatch):
     monkeypatch.setattr(output, "write_timeseries_csv", lambda *a, **kw: calls.append(a[0]) or real(*a, **kw))
     result = run_config(_tiny(), tmp_path)
     assert calls == [result.csv_path]
+
+
+def test_a_hand_built_non_integer_l_max_writes_nothing(tmp_path):
+    # at l_max 2.5 the basis would be built at 2 and the echo would say 2.5
+    with pytest.raises(InvalidConfigError, match="basis.l_max must be an integer"):
+        run_config(RunConfig(basis=BasisConfig(l_max=2.5)), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_config_honors_the_configured_out_dir(tmp_path):
