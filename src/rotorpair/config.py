@@ -284,21 +284,33 @@ class SweepSpec:
     parallelism: int | None = None
     out_dir: str | None = None
 
+    def __post_init__(self) -> None:
+        # however the spec was built: parsed or by hand
+        build_config(_require_mapping(self.base, "base"))  # a bad base fails here, before any point runs
+        for path in ("axis1", "axis2") if self.axis2 is not None else ("axis1",):
+            axis = getattr(self, path)
+            if axis.name not in SWEEP_AXES:
+                raise InvalidConfigError(f"{path}.name must be one of {tuple(SWEEP_AXES)}, got {axis.name!r}")
+            if not isinstance(axis.values, (list, tuple)) or not axis.values:
+                raise InvalidConfigError(f"{path}.values must be a non-empty list")
+            object.__setattr__(self, path, SweepAxis(axis.name, tuple(axis.values)))
+        if self.axis2 is not None and self.axis2.name == self.axis1.name:
+            raise InvalidConfigError(f"axis1 and axis2 must differ, both are {self.axis1.name!r}")
+        hints = _hints(SweepSpec)
+        for name in ("parallelism", "out_dir"):
+            object.__setattr__(self, name, _typed(getattr(self, name), hints[name], f"sweep.{name}"))
+        if self.parallelism is not None and self.parallelism < 1:
+            raise InvalidConfigError(f"parallelism must be at least 1, got {self.parallelism}")
+
 
 def _parse_axis(data, path: str) -> SweepAxis:
     _require_mapping(data, path)
     _reject_unknown(data, ("name", "values"), path)
-    name = data.get("name")
-    if name not in SWEEP_AXES:
-        raise InvalidConfigError(f"{path}.name must be one of {tuple(SWEEP_AXES)}, got {name!r}")
-    values = data.get("values")
-    if not isinstance(values, list) or not values:
-        raise InvalidConfigError(f"{path}.values must be a non-empty list")
-    return SweepAxis(name=name, values=tuple(values))
+    return SweepAxis(name=data.get("name"), values=data.get("values"))
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    """Parse and validate a JSON sweep specification."""
+    """Decode a JSON sweep specification; SweepSpec checks it."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -307,15 +319,6 @@ def parse_sweep(text: str) -> SweepSpec:
     _reject_unknown(data, ("base", "axis1", "axis2", "parallelism", "out_dir"), "")
     if "axis1" not in data:
         raise InvalidConfigError("sweep spec needs axis1")
-    base = _require_mapping(data.get("base", {}), "base")
-    build_config(base)  # a bad base fails here, before any point runs
-    axis1 = _parse_axis(data["axis1"], "axis1")
-    axis2 = _parse_axis(data["axis2"], "axis2") if "axis2" in data else None
-    if axis2 is not None and axis2.name == axis1.name:
-        raise InvalidConfigError(f"axis1 and axis2 must differ, both are {axis1.name!r}")
-    hints = _hints(SweepSpec)
-    parallelism = _typed(data.get("parallelism"), hints["parallelism"], "sweep.parallelism")
-    if parallelism is not None and parallelism < 1:
-        raise InvalidConfigError(f"parallelism must be at least 1, got {parallelism}")
-    out_dir = _typed(data.get("out_dir"), hints["out_dir"], "sweep.out_dir")
-    return SweepSpec(base=base, axis1=axis1, axis2=axis2, parallelism=parallelism, out_dir=out_dir)
+    axes = {path: _parse_axis(data[path], path) for path in ("axis1", "axis2") if path in data}
+    return SweepSpec(base=data.get("base", {}), parallelism=data.get("parallelism"),
+                     out_dir=data.get("out_dir"), **axes)

@@ -23,7 +23,6 @@ DEFAULT_MIN_LAG_RED = math.pi / 2.0
 @dataclass(frozen=True)
 class RegularityMetrics:
     autocorr_peak: float
-    spectral_entropy: float
     energy_growth_rate: float
 
 
@@ -67,7 +66,10 @@ class TimeSeriesRecorder:
         return np.concatenate(self._columns[name])
 
     def population_column(self, entry: tuple[int, int, int, int]) -> np.ndarray:
-        return np.concatenate(self._populations)[:, self.watch.index(tuple(entry))]
+        entry = tuple(entry)
+        if entry not in self.watch:
+            raise QueryError(f"{entry} is not in the watch list {self.watch}")
+        return np.concatenate(self._populations)[:, self.watch.index(entry)]
 
     def table(self) -> np.ndarray:
         """The CSV rows: COLUMNS, then the watched populations."""
@@ -86,16 +88,6 @@ def _autocorr_peak(x: np.ndarray, k_min: int, k_max: int) -> float:
         r = float(x[: n - k] @ x[k:]) / (n - k) / denom
         best = max(best, r)
     return best
-
-
-def _spectral_entropy(x: np.ndarray) -> float:
-    power = np.abs(np.fft.rfft(x - x.mean())) ** 2
-    power = power[1:]  # DC carries no structure after demeaning
-    total = power.sum()
-    if total <= 0.0:
-        return 0.0
-    p = power[power > 0] / total
-    return float(-(p * np.log(p)).sum())
 
 
 def _energy_growth_rate(t: np.ndarray, energy: np.ndarray, centers: np.ndarray) -> float:
@@ -122,8 +114,6 @@ def regularity_metrics(t_red: np.ndarray, cos_series: np.ndarray,
 
     autocorr_peak: maximum unbiased-normalized autocorrelation of the
     orientation over lags from min_lag_red up to half the series.
-    spectral_entropy: Shannon entropy (nats) of the normalized power
-    spectrum, DC excluded.
     energy_growth_rate: least-squares slope of <L^2> after each pulse
     versus pulse index.
     """
@@ -146,6 +136,5 @@ def regularity_metrics(t_red: np.ndarray, cos_series: np.ndarray,
         )
     return RegularityMetrics(
         autocorr_peak=_autocorr_peak(x, k_min, k_max),
-        spectral_entropy=_spectral_entropy(x),
         energy_growth_rate=_energy_growth_rate(t, e, np.asarray(pulse_centers, dtype=float)),
     )

@@ -32,21 +32,6 @@ WINDOW_HALFWIDTH = 5.0
 SAMPLE_BLOCK = 64
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Stepping parameters for the windowed RK4 segments.
-
-    dt_pulse = None picks sigma_red / 400, which resolves both the
-    envelope and the carrier with fourth-order headroom.
-    """
-
-    dt_pulse: float | None = None
-    norm_tolerance: float = 1e-8
-
-    def step_for(self, pulse: PulseSchedule) -> float:
-        return self.dt_pulse if self.dt_pulse is not None else pulse.sigma_red / 400.0
-
-
 @dataclass
 class Trajectory:
     """What propagation computed: per-sample norm and <H0>, the final state, the RK4 windows."""
@@ -55,7 +40,10 @@ class Trajectory:
     h0_expect: np.ndarray
     psi_final: np.ndarray
     windows: list[tuple[float, float]]
-    max_norm_drift: float
+
+    @property
+    def max_norm_drift(self) -> float:
+        return float(np.max(np.abs(self.norms - 1.0)))
 
 
 def initial_state(basis: TwoRotorBasis) -> np.ndarray:
@@ -138,7 +126,8 @@ def sector_operators(pieces: HamiltonianPieces):
 
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
     """Classical RK4 with fixed step dt and one partial final step; the
-    field at every stage time comes from one vectorized call."""
+    field at every stage time comes from one vectorized call. A diverging
+    state overflows to inf and NaN quietly: the caller's norm check reports it."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     span = t1 - t0
@@ -151,12 +140,13 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
         steps.append(remainder)
     starts, widths = t0 + np.arange(len(steps)) * dt, np.array(steps)
     fields = rhs.field(np.stack([starts, starts + 0.5 * widths, starts + widths]))
-    for h, (f0, f_mid, f1) in zip(steps, fields.T.tolist()):
-        k1 = rhs.deriv(f0, y)
-        k2 = rhs.deriv(f_mid, y + (0.5 * h) * k1)
-        k3 = rhs.deriv(f_mid, y + (0.5 * h) * k2)
-        k4 = rhs.deriv(f1, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, (f0, f_mid, f1) in zip(steps, fields.T.tolist()):
+            k1 = rhs.deriv(f0, y)
+            k2 = rhs.deriv(f_mid, y + (0.5 * h) * k1)
+            k3 = rhs.deriv(f_mid, y + (0.5 * h) * k2)
+            k4 = rhs.deriv(f1, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
 
 
@@ -184,12 +174,12 @@ def pulse_windows(pulse: PulseSchedule, halfwidth: float, t_end: float) -> list[
     return clipped
 
 
-def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
-                 cfg: IntegratorConfig, sample_times: np.ndarray,
+def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
+                 norm_tolerance: float, sample_times: np.ndarray,
                  observers=()) -> Trajectory:
-    """Alternate exact free evolution and windowed RK4 from the initial
-    state, sampling on the way; each sample block is unfolded from the
-    sector to the full basis before it is checked and observed.
+    """Alternate exact free evolution and windowed RK4 of step dt from the
+    initial state, sampling on the way; each sample block is unfolded from
+    the sector to the full basis before it is checked and observed.
 
     sample_times must be ascending and start at 0. Samples reach the
     observers in blocks of at most SAMPLE_BLOCK consecutive samples from
@@ -214,14 +204,13 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
         raise ConsistencyError(f"the initial state leaks out of the symmetric sector by {leak:.3e}")
     free = FreeEvolution(h0_s)
     rhs = schrodinger_rhs(h0_s, coupling_s, pulse)
-    dt = cfg.step_for(pulse)
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
 
     def emit(lo: int, folded: np.ndarray) -> None:
         block = (s @ folded.T).T
         block_norms = np.linalg.norm(block, axis=1)
-        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= cfg.norm_tolerance))
+        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= norm_tolerance))
         if bad.size:
             block, folded = block[: bad[0] + 1], folded[: bad[0] + 1]
         hi = lo + block.shape[0]
@@ -232,7 +221,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
         if bad.size:
             raise StepSizeError(
                 f"norm drifted by {abs(norms[hi - 1] - 1.0):.3e} at t = {samples[hi - 1]:.6g}"
-                f" (tolerance {cfg.norm_tolerance:.1e}); reduce dt_pulse"
+                f" (tolerance {norm_tolerance:.1e}); reduce dt_pulse"
             )
         psi[:] = block[-1]  # the full-basis state at the latest sample
 
@@ -255,12 +244,11 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule,
             t_from = float(samples[j])
             rows.append(coeffs)
             if (len(rows) == SAMPLE_BLOCK or j == stop - 1
-                    or not abs(np.linalg.norm(coeffs) - 1.0) <= cfg.norm_tolerance):
+                    or not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance):
                 emit(j + 1 - len(rows), np.array(rows))
                 rows = []
         if b > t_from:
             coeffs = rk4_integrate(rhs, coeffs, t_from, b, dt)
         k, cursor = stop, b
 
-    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=psi, windows=windows,
-                      max_norm_drift=float(np.max(np.abs(norms - 1.0))))
+    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=psi, windows=windows)

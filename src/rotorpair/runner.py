@@ -7,16 +7,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import output  # looked up per call, so wrappers installed on the module see every write
 from .angular import TwoRotorBasis
 from .config import RunConfig
 from .exceptions import NumericalError
 from .observables import TimeSeriesRecorder
 from .operators import HamiltonianPieces, PulseSchedule, build_pieces
-from .propagation import IntegratorConfig, Trajectory, run_schedule
-from .units import run_length_ps, time_unit_seconds, to_reduced
+from .propagation import Trajectory, run_schedule
+from .units import to_reduced
 
 CSV_NAME = "timeseries.csv"
 CONFIG_ECHO_NAME = "run_config.json"
@@ -25,32 +23,19 @@ CONFIG_ECHO_NAME = "run_config.json"
 @dataclass
 class RunResult:
     config: RunConfig
-    dipole_strength: float
-    time_unit_ps: float
-    basis: TwoRotorBasis
     pieces: HamiltonianPieces
     schedule: PulseSchedule
     recorder: TimeSeriesRecorder
     trajectory: Trajectory
-    total_time_ps: float
     csv_path: Path | None = None
 
 
 def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
     """Run; with an out_dir, write the CSV there, a partial one with a
     marker row if the run fails numerically."""
-    schedule, dipole_strength = to_reduced(cfg)
-    time_unit_ps = time_unit_seconds(cfg.molecule.B_cm1) * 1e12
+    schedule, dipole_strength, dt, sample_times = to_reduced(cfg)
     basis = TwoRotorBasis(cfg.basis.l_max, cfg.basis.restrict_total_m)
     pieces = build_pieces(basis, dipole_strength)
-    total_ps = run_length_ps(cfg)
-    n_samples = int(np.floor(total_ps / cfg.output.sample_interval_ps)) + 1
-    sample_ps = np.arange(n_samples) * cfg.output.sample_interval_ps
-    samples_red = sample_ps / time_unit_ps
-    dt_pulse = None
-    if cfg.integrator.dt_pulse_fs is not None:
-        dt_pulse = cfg.integrator.dt_pulse_fs * 1e-15 / time_unit_seconds(cfg.molecule.B_cm1)
-    integrator = IntegratorConfig(dt_pulse=dt_pulse, norm_tolerance=cfg.integrator.norm_tolerance)
     recorder = TimeSeriesRecorder(
         basis,
         cfg.output.watch_populations,
@@ -62,25 +47,15 @@ def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / CSV_NAME
     try:
-        trajectory = run_schedule(pieces, schedule, integrator, samples_red, observers=(recorder,))
+        trajectory = run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, sample_times,
+                                  observers=(recorder,))
     except NumericalError as exc:
         if csv_path is not None:
             output.write_timeseries_csv(csv_path, recorder.watch, recorder.table(), failure_message=str(exc))
         raise
     if csv_path is not None:
         output.write_timeseries_csv(csv_path, recorder.watch, recorder.table())
-    return RunResult(
-        config=cfg,
-        dipole_strength=dipole_strength,
-        time_unit_ps=time_unit_ps,
-        basis=basis,
-        pieces=pieces,
-        schedule=schedule,
-        recorder=recorder,
-        trajectory=trajectory,
-        total_time_ps=total_ps,
-        csv_path=csv_path,
-    )
+    return RunResult(cfg, pieces, schedule, recorder, trajectory, csv_path)
 
 
 def simulate(cfg: RunConfig) -> RunResult:

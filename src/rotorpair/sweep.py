@@ -58,7 +58,7 @@ def worker_count(spec: SweepSpec, n_points: int) -> int:
                 raise InvalidConfigError(f"SIM_THREADS must be positive, got {workers}")
         else:
             workers = os.cpu_count() or 1
-    return max(1, min(workers, n_points))
+    return min(workers, n_points)
 
 
 def _pin_blas(threads: int) -> None:

@@ -2,6 +2,7 @@
 
 Everything downstream works in reduced units with hbar = 1 and B = 1:
 energies are measured in the rotational constant B, times in hbar/B.
+to_reduced makes every reduced-unit number a run uses.
 The pulse-train periods T = hbar/B and T = pi*hbar/B are then exactly
 1.0 and pi, which keeps the resonance condition free of unit rounding.
 
@@ -17,6 +18,8 @@ from typing import TYPE_CHECKING
 from .exceptions import InvalidConfigError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .config import RunConfig
     from .operators import PulseSchedule
 
@@ -75,10 +78,13 @@ def dipole_strength(cfg: RunConfig) -> float:
     return COULOMB * mu * mu / (cfg.geometry.R_m**3 * (cfg.molecule.B_cm1 * INV_CM_TO_J))
 
 
-def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float]:
-    """Map a validated RunConfig onto the hbar = B = 1 unit system:
-    the pulse schedule and the dipole strength."""
-    from .operators import PulseSchedule  # numpy; see the module docstring
+def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]:
+    """Map a validated RunConfig onto the hbar = B = 1 unit system: the
+    pulse schedule, the dipole strength, the RK4 step (sigma / 400 unless
+    integrator.dt_pulse_fs is set) and the ascending sample times."""
+    import numpy as np  # see the module docstring
+
+    from .operators import PulseSchedule
 
     B_joule = cfg.molecule.B_cm1 * INV_CM_TO_J
     time_unit = HBAR / B_joule
@@ -92,4 +98,9 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float]:
         period_red=_period_reduced(cfg),
         count=cfg.pulse.count,
     )
-    return schedule, dipole_strength(cfg)
+    dt_fs = cfg.integrator.dt_pulse_fs
+    # sigma / 400 resolves both the envelope and the carrier with fourth-order headroom
+    dt = schedule.sigma_red / 400.0 if dt_fs is None else dt_fs * 1e-15 / time_unit
+    interval_ps = cfg.output.sample_interval_ps
+    sample_ps = np.arange(int(np.floor(run_length_ps(cfg) / interval_ps)) + 1) * interval_ps
+    return schedule, dipole_strength(cfg), dt, sample_ps / (time_unit * 1e12)

@@ -235,7 +235,7 @@ def reduced_density_mol1(basis, coeffs: np.ndarray) -> np.ndarray:
     return c @ c.conj().T
 
 
-def full_space_schedule(pieces, pulse, cfg, sample_times, observers=()):
+def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observers=()):
     """run_schedule's block loop with every state, operator and eigh at the
     full basis size: no symmetric sector, nothing folded or unfolded."""
     samples = np.asarray(sample_times, dtype=float)
@@ -243,13 +243,12 @@ def full_space_schedule(pieces, pulse, cfg, sample_times, observers=()):
     windows = pulse_windows(pulse, WINDOW_HALFWIDTH, t_end)
     free = FreeEvolution(pieces.h0)
     rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pulse)
-    dt = cfg.step_for(pulse)
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
 
     def emit(lo, block):
         block_norms = np.linalg.norm(block, axis=1)
-        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= cfg.norm_tolerance))
+        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= norm_tolerance))
         if bad.size:
             block = block[: bad[0] + 1]
         hi = lo + block.shape[0]
@@ -280,18 +279,17 @@ def full_space_schedule(pieces, pulse, cfg, sample_times, observers=()):
             t_from = float(samples[j])
             rows.append(coeffs)
             if (len(rows) == SAMPLE_BLOCK or j == stop - 1
-                    or not abs(np.linalg.norm(coeffs) - 1.0) <= cfg.norm_tolerance):
+                    or not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance):
                 emit(j + 1 - len(rows), np.array(rows))
                 rows = []
         if b > t_from:
             coeffs = rk4_integrate(rhs, coeffs, t_from, b, dt)
         k, cursor = stop, b
 
-    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=coeffs, windows=windows,
-                      max_norm_drift=float(np.max(np.abs(norms - 1.0))))
+    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=coeffs, windows=windows)
 
 
-def per_sample_schedule(pieces, pulse, cfg, sample_times):
+def per_sample_schedule(pieces, pulse, dt, sample_times):
     """The sample-by-sample run loop: one complex eigendecomposition of H0,
     one chained free advance per sample, and RK4 restarted at every sample
     inside a window.  Returns (states[K, n], norms[K], h0_expect[K])."""
@@ -299,7 +297,6 @@ def per_sample_schedule(pieces, pulse, cfg, sample_times):
     windows = pulse_windows(pulse, WINDOW_HALFWIDTH, float(samples[-1]))
     energies, vectors = np.linalg.eigh(pieces.h0.toarray())
     rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pulse)
-    dt = cfg.step_for(pulse)
 
     def free(c, tau):
         return vectors @ (np.exp(-1j * energies * tau) * (vectors.conj().T @ c))

@@ -21,7 +21,6 @@ from rotorpair.observables import regularity_metrics
 from rotorpair.operators import build_pieces
 from rotorpair.propagation import (
     WINDOW_HALFWIDTH,
-    IntegratorConfig,
     initial_state,
     pulse_windows,
     run_schedule,
@@ -100,12 +99,12 @@ def test_criterion_1_closed_form_elements_match_quadrature():
 @_criterion(2)
 def test_criterion_2_pulse_window_matches_dense_reference(sims):
     cfg = sims.configs["fig1a"]
-    schedule, dipole = to_reduced(cfg)
+    schedule, dipole, dt, _ = to_reduced(cfg)
     basis = TwoRotorBasis(2, None)  # full 81-state product basis
     pieces = build_pieces(basis, dipole)
     window = pulse_windows(schedule, WINDOW_HALFWIDTH, 10.0)[0]
     assert window[0] == 0.0  # clipped: the run steps the whole window from t = 0
-    pkg = run_schedule(pieces, schedule, IntegratorConfig(), [0.0, window[1]]).psi_final
+    pkg = run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, [0.0, window[1]]).psi_final
 
     def hermitized(full):
         block = oracles.restrict(full, basis)
@@ -145,7 +144,7 @@ def _free_segment_drift(trajectory, t) -> float:
 
 def _offblock_leakage(cfg) -> float:
     """Drive the full l_max = 3 basis and watch probability at m1+m2 != 0."""
-    schedule, dipole = to_reduced(cfg)
+    schedule, dipole, dt, _ = to_reduced(cfg)
     basis = TwoRotorBasis(3, None)
     pieces = build_pieces(basis, dipole)
     time_unit_ps = time_unit_seconds(cfg.molecule.B_cm1) * 1e12
@@ -156,7 +155,7 @@ def _offblock_leakage(cfg) -> float:
     def watch_leak(t_red, indices, coeffs):
         leak.extend(np.sum(np.abs(coeffs[:, off_block]) ** 2, axis=1))
 
-    run_schedule(pieces, schedule, IntegratorConfig(), samples_red, observers=(watch_leak,))
+    run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, samples_red, observers=(watch_leak,))
     assert len(leak) == samples_red.size
     return float(max(leak))
 

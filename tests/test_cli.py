@@ -132,6 +132,20 @@ def test_run_numerical_failure_exits_3_and_keeps_partial_csv(tmp_path, capsys):
     assert not (out / "run_config.json").exists()
 
 
+def test_a_diverging_run_reports_its_failure_without_numpy_warnings(tmp_path):
+    # at 1e14 V/m the state overflows to inf and NaN inside the first window
+    doc = {"pulse": {"E0_Vpm": 1e14}, "basis": {"l_max": 3}, "output": {"total_time_ps": 3}}
+    cfg = _write_json(tmp_path / "cfg.json", doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "always::RuntimeWarning", "-m", "rotorpair.cli", "run",
+                           "--config", cfg, "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "numerical failure: norm drifted by nan" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_preset_runs_every_panel(tmp_path, capsys):
     out = tmp_path / "presets"
     assert main(["preset", "fig1a", "--out", str(out)]) == 0

@@ -12,6 +12,8 @@ from rotorpair.config import (
     MAX_SAMPLES,
     PRESET_NAMES,
     RunConfig,
+    SweepAxis,
+    SweepSpec,
     build_config,
     parse_config,
     parse_sweep,
@@ -145,7 +147,7 @@ def test_the_type_is_checked_before_the_default_watch_list_is_trimmed():
 
 def test_symbolic_pi_period_is_exact():
     cfg = parse_config('{"pulse": {"period": "pi_hbar_over_B", "count": 20}}')
-    schedule, _ = to_reduced(cfg)
+    schedule, *_ = to_reduced(cfg)
     assert schedule.period_red == math.pi
 
 
@@ -157,7 +159,7 @@ def test_negative_separation_is_rejected():
 def test_null_separation_turns_the_coupling_off():
     cfg = parse_config('{"geometry": {"R_m": null}}')
     assert cfg.geometry.R_m is None
-    _, dipole = to_reduced(cfg)
+    _, dipole, *_ = to_reduced(cfg)
     assert dipole == 0.0
 
 
@@ -461,3 +463,19 @@ def test_parse_sweep_two_axes():
 def test_bad_sweep_specs_are_rejected(doc):
     with pytest.raises(InvalidConfigError):
         parse_sweep(doc)
+
+
+def test_hand_built_sweep_specs_are_checked():
+    axis = SweepAxis("R_m", [1e-8])
+    assert SweepSpec(base={}, axis1=axis).axis1.values == (1e-8,)
+    with pytest.raises(InvalidConfigError, match="axis1.name must be one of"):
+        SweepSpec(base={}, axis1=SweepAxis("nope", (1,)))
+    with pytest.raises(InvalidConfigError, match="axis2.values must be a non-empty list"):
+        SweepSpec(base={}, axis1=axis, axis2=SweepAxis("l_max", ()))
+    with pytest.raises(InvalidConfigError, match="axis1 and axis2 must differ"):
+        SweepSpec(base={}, axis1=axis, axis2=axis)
+    with pytest.raises(InvalidConfigError, match="parallelism must be at least 1, got 0"):
+        SweepSpec(base={}, axis1=axis, parallelism=0)
+    # a bad base fails up front, not once per point
+    with pytest.raises(InvalidConfigError, match="unknown key 'geometri'"):
+        SweepSpec(base={"geometri": {}}, axis1=axis)

@@ -37,6 +37,9 @@ def test_population_lookup():
     rec(np.array([0.0]), np.array([0]), initial_state(basis)[None, :])
     assert rec.population_column((0, 0, 0, 0)).tolist() == [1.0]
     assert rec.population_column((1, 0, 1, 0)).tolist() == [0.0]
+    # an entry of the basis that is not watched names the watch list
+    with pytest.raises(QueryError, match=r"\(1, -1, 1, 1\) is not in the watch list"):
+        rec.population_column((1, -1, 1, 1))
     with pytest.raises(QueryError):
         TimeSeriesRecorder(basis, watch=((1, 1, 0, 0),))
 
@@ -107,8 +110,6 @@ def test_autocorr_peak_of_a_periodic_signal_is_high():
     x = np.sin(2.0 * np.pi * t / 3.2)  # period = 32 samples, 8 full cycles
     m = regularity_metrics(t, x, np.zeros_like(t), np.array([]))
     assert m.autocorr_peak > 0.99
-    # a pure tone concentrates the spectrum: low spectral entropy
-    assert m.spectral_entropy < 0.3 * math.log(128)
     assert m.energy_growth_rate == 0.0  # fewer than two pulses
 
 
@@ -118,7 +119,6 @@ def test_autocorr_peak_of_white_noise_is_low():
     x = rng.standard_normal(512)
     m = regularity_metrics(t, x, np.zeros_like(t), np.array([]))
     assert m.autocorr_peak < 0.3
-    assert m.spectral_entropy > 0.85 * math.log(256)
     assert isinstance(m, RegularityMetrics)
 
 
@@ -149,7 +149,6 @@ def test_constant_series_has_zero_scores():
     x = np.ones(128)
     m = regularity_metrics(t, x, np.zeros_like(t), np.array([]))
     assert m.autocorr_peak == 0.0
-    assert m.spectral_entropy == 0.0
 
 
 def test_regularity_metrics_input_validation():

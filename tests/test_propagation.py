@@ -15,7 +15,6 @@ from rotorpair.propagation import (
     SAMPLE_BLOCK,
     WINDOW_HALFWIDTH,
     FreeEvolution,
-    IntegratorConfig,
     RightHandSide,
     initial_state,
     pulse_windows,
@@ -24,7 +23,7 @@ from rotorpair.propagation import (
     schrodinger_rhs,
     sector_operators,
 )
-from rotorpair.units import run_length_ps, time_unit_seconds
+from rotorpair.units import run_length_ps, time_unit_seconds, to_reduced
 
 # reduced parameters of the default molecule pair, rounded is fine here:
 # these tests probe the integrator, not the unit conversion
@@ -32,6 +31,8 @@ KICK = 386.21612373411443
 SIGMA = 0.006306465451214133
 T0 = 0.027124582585867238
 OMEGA = 249.9999998468202
+DT = SIGMA / 400.0  # the default RK4 step
+TOL = IntegratorSettings().norm_tolerance
 
 
 def _single_pulse(kick=KICK):
@@ -61,13 +62,12 @@ def test_initial_state_needs_the_ground_state():
         initial_state(TwoRotorBasis(1, 1))
 
 
-def test_integrator_config_defaults_and_validation():
-    cfg = IntegratorConfig()
-    assert cfg.dt_pulse is None
+def test_integrator_settings_defaults_and_validation():
+    settings = IntegratorSettings()
+    assert settings.dt_pulse_fs is None
     assert WINDOW_HALFWIDTH == 5.0
-    assert cfg.norm_tolerance == 1e-8
-    assert cfg.step_for(_single_pulse()) == pytest.approx(SIGMA / 400.0)
-    assert IntegratorConfig(dt_pulse=1e-4).step_for(_single_pulse()) == 1e-4
+    assert settings.norm_tolerance == 1e-8
+    assert to_reduced(RunConfig())[2] == pytest.approx(DT)
     # the step and the tolerance are checked where a run is configured
     for settings in (IntegratorSettings(dt_pulse_fs=0.0), IntegratorSettings(norm_tolerance=0.0)):
         with pytest.raises(InvalidConfigError):
@@ -195,20 +195,19 @@ def test_window_kernel_matches_the_per_stage_reference(case):
         # period 6 sigma < 10 sigma: the three windows fuse and the Gaussians overlap
         pulse = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0,
                               carrier_omega=OMEGA, period_red=6.0 * SIGMA, count=3)
-    dt = IntegratorConfig().step_for(pulse)
     (t_a, t_b), = pulse_windows(pulse, 5.0, 1.0)
     assert t_a == 0.0
     if case == "partial_step":
         t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.3137 * SIGMA
-        span = (t_b - t_a) / dt
+        span = (t_b - t_a) / DT
         assert span - math.floor(span) > 0.1
     # a random state of the symmetric sector, stepped there and unfolded
     s = pieces.basis.sector_isometry
     rng = np.random.default_rng(5)
     c = rng.standard_normal(s.shape[1]) + 1j * rng.standard_normal(s.shape[1])
     c /= np.linalg.norm(c)
-    got = s @ rk4_integrate(schrodinger_rhs(*sector_operators(pieces), pulse), c, t_a, t_b, dt)
-    ref = oracles.per_stage_rk4(pieces, pulse, s @ c, t_a, t_b, dt)
+    got = s @ rk4_integrate(schrodinger_rhs(*sector_operators(pieces), pulse), c, t_a, t_b, DT)
+    ref = oracles.per_stage_rk4(pieces, pulse, s @ c, t_a, t_b, DT)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -245,16 +244,15 @@ def test_window_integration_is_time_reversible():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
-    cfg = IntegratorConfig()
     c0 = basis.sector_isometry.T @ initial_state(basis)
     t_b = T0 + 5.0 * SIGMA
     ahead = schrodinger_rhs(*sector_operators(pieces), pulse)
-    forward = rk4_integrate(ahead, c0, 0.0, t_b, cfg.step_for(pulse))
+    forward = rk4_integrate(ahead, c0, 0.0, t_b, DT)
 
     # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
     backwards = RightHandSide(field=lambda s: ahead.field(t_b - s),
                               deriv=lambda f, g: -ahead.deriv(f, g))
-    back = rk4_integrate(backwards, forward, 0.0, t_b, cfg.step_for(pulse))
+    back = rk4_integrate(backwards, forward, 0.0, t_b, DT)
     assert np.abs(back - c0).max() < 1e-6
 
 
@@ -263,12 +261,12 @@ def test_window_raises_on_norm_drift():
     pieces = build_pieces(basis, 0.13150852670024232)
     t_b = T0 + 5 * SIGMA
     with pytest.raises(StepSizeError, match="at t = 0.0586"):
-        run_schedule(pieces, _single_pulse(), IntegratorConfig(dt_pulse=0.02),
+        run_schedule(pieces, _single_pulse(), 0.02, TOL,
                      np.array([0.0, t_b]))
     # a NaN state must fail the check too, not slip past a "drift > tol" test:
     # a NaN field turns the window's first sample into NaN
     with pytest.raises(StepSizeError, match="by nan at t = 0.01 "):
-        run_schedule(pieces, _single_pulse(kick=np.nan), IntegratorConfig(),
+        run_schedule(pieces, _single_pulse(kick=np.nan), DT, TOL,
                      np.array([0.0, 0.01]))
 
 
@@ -311,13 +309,12 @@ def test_run_schedule_validates_samples():
     basis = TwoRotorBasis(1, 0)
     pieces = build_pieces(basis, 0.0)
     pulse = _single_pulse(kick=0.0)
-    cfg = IntegratorConfig()
     with pytest.raises(InvalidConfigError):
-        run_schedule(pieces, pulse, cfg, np.array([]))
+        run_schedule(pieces, pulse, DT, TOL, np.array([]))
     with pytest.raises(InvalidConfigError):
-        run_schedule(pieces, pulse, cfg, np.array([0.5, 1.0]))
+        run_schedule(pieces, pulse, DT, TOL, np.array([0.5, 1.0]))
     with pytest.raises(InvalidConfigError):
-        run_schedule(pieces, pulse, cfg, np.array([0.0, 1.0, 1.0]))
+        run_schedule(pieces, pulse, DT, TOL, np.array([0.0, 1.0, 1.0]))
 
 
 def test_run_schedule_without_field_is_pure_free_evolution():
@@ -325,7 +322,7 @@ def test_run_schedule_without_field_is_pure_free_evolution():
     pieces = build_pieces(basis, 0.5)
     pulse = _single_pulse(kick=0.0)
     samples = np.array([0.0, 0.5, 1.3])
-    traj = run_schedule(pieces, pulse, IntegratorConfig(), samples)
+    traj = run_schedule(pieces, pulse, DT, TOL, samples)
     assert traj.windows == []
     assert np.allclose(traj.norms, 1.0, atol=1e-12)
     assert np.ptp(traj.h0_expect) < 1e-12
@@ -338,10 +335,9 @@ def test_run_schedule_matches_a_hand_composed_run():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
-    cfg = IntegratorConfig()
     t_end = 0.5
     samples = np.array([0.0, 0.25, t_end])  # no sample inside the window
-    traj = run_schedule(pieces, pulse, cfg, samples)
+    traj = run_schedule(pieces, pulse, DT, TOL, samples)
     assert len(traj.windows) == 1
     a, b = traj.windows[0]
 
@@ -352,7 +348,7 @@ def test_run_schedule_matches_a_hand_composed_run():
     c = s.T @ initial_state(basis)
     if a > 0:
         c = free.advance(free.project(c), np.array([a]))[0]
-    c = rk4_integrate(schrodinger_rhs(h0_s, coupling_s, pulse), c, a, b, cfg.step_for(pulse))
+    c = rk4_integrate(schrodinger_rhs(h0_s, coupling_s, pulse), c, a, b, DT)
     c = free.advance(free.project(c), np.array([t_end - b]))[0]
     assert np.abs(traj.psi_final - s @ c).max() < 1e-9
     assert traj.max_norm_drift < 1e-9
@@ -369,7 +365,7 @@ def test_run_schedule_advances_once_per_free_block_and_window_start(monkeypatch)
     advance = FreeEvolution.advance
     monkeypatch.setattr(FreeEvolution, "advance",
                         lambda self, amp, taus: durations.append(len(taus)) or advance(self, amp, taus))
-    traj = run_schedule(build_pieces(basis, 0.13150852670024232), pulse, IntegratorConfig(),
+    traj = run_schedule(build_pieces(basis, 0.13150852670024232), pulse, DT, TOL,
                         samples, observers=(lambda t, k, c: rows.append(c[-1]),))
     assert np.searchsorted(samples, traj.windows[0], side="right").tolist() == [42, 48]
     assert durations == [41, 1, 64, 38]  # a block, the window start, two blocks
@@ -380,14 +376,14 @@ def test_run_schedule_records_the_violating_sample_then_raises():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
-    cfg = IntegratorConfig(dt_pulse=0.02)  # far too coarse for the carrier
     seen = []
 
     def observer(t_red, indices, coeffs):
         seen.extend(zip(indices.tolist(), np.linalg.norm(coeffs, axis=1)))
 
     with pytest.raises(StepSizeError, match="at t = 0.5 "):
-        run_schedule(pieces, pulse, cfg, np.array([0.0, 0.5, 1.0]), observers=(observer,))
+        # a step of 0.02 is far too coarse for the carrier
+        run_schedule(pieces, pulse, 0.02, TOL, np.array([0.0, 0.5, 1.0]), observers=(observer,))
     # sample 1 is the first of a two-sample free block; sample 2 is never shown
     assert [k for k, _ in seen] == [0, 1]
     assert abs(seen[-1][1] - 1.0) > 1e-8
@@ -399,7 +395,7 @@ def test_run_schedule_stops_a_window_block_at_the_violating_sample():
     seen = []
     samples = np.linspace(0.0, 0.05, 11)  # all inside the pulse window
     with pytest.raises(StepSizeError):
-        run_schedule(pieces, _single_pulse(), IntegratorConfig(dt_pulse=0.02), samples,
+        run_schedule(pieces, _single_pulse(), 0.02, TOL, samples,
                      observers=(lambda t, k, c: seen.append((k, np.linalg.norm(c, axis=1))),))
     indices = np.concatenate([k for k, _ in seen])
     norms = np.concatenate([n for _, n in seen])
@@ -417,7 +413,7 @@ def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
     monkeypatch.setattr(propagation, "initial_state", lambda basis: psi)
     recorder = TimeSeriesRecorder(basis, ())
     with pytest.raises(StepSizeError, match="by nan at t = 0 "):
-        run_schedule(pieces, _single_pulse(), IntegratorConfig(), np.array([0.0, 0.5, 1.0]),
+        run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0, 0.5, 1.0]),
                      observers=(recorder,))
     assert recorder.column("t_ps").tolist() == [0.0]
     assert np.isnan(recorder.column("norm")[0])
@@ -428,7 +424,7 @@ def test_run_schedule_with_one_sample_records_only_the_start():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
     recorder = TimeSeriesRecorder(basis, ((0, 0, 0, 0),))
-    traj = run_schedule(pieces, _single_pulse(), IntegratorConfig(), np.array([0.0]),
+    traj = run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0]),
                         observers=(recorder,))
     assert traj.windows == []
     assert traj.norms.tolist() == [1.0]
@@ -439,12 +435,11 @@ def test_run_schedule_with_one_sample_records_only_the_start():
 
 
 def _assert_matches_the_per_sample_loop(pieces, pulse, samples, watch):
-    cfg = IntegratorConfig()
     blocks = []
     recorder = TimeSeriesRecorder(pieces.basis, watch)
-    traj = run_schedule(pieces, pulse, cfg, samples,
+    traj = run_schedule(pieces, pulse, DT, TOL, samples,
                         observers=(recorder, lambda t, k, c: blocks.append(k.size)))
-    states, norms, h0_expect = oracles.per_sample_schedule(pieces, pulse, cfg, samples)
+    states, norms, h0_expect = oracles.per_sample_schedule(pieces, pulse, DT, samples)
     ref = oracles.per_sample_columns(pieces.basis, states, watch)
 
     def assert_close(got, want, what):

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorpair.config import build_config
-from rotorpair.propagation import IntegratorConfig, run_schedule
+from rotorpair.propagation import run_schedule
 from rotorpair.runner import simulate
+from rotorpair.units import to_reduced
 
 
 def _document(l_max, R_m, E0_Vpm, sigma_fs):
@@ -53,7 +54,7 @@ def test_random_runs_keep_their_invariants(doc):
     # a product state's one Schmidt weight can round above 1; the entropy
     # still never reads below 0
     assert np.all(entropy >= 0.0)
-    assert np.all(entropy <= math.log(result.basis.d_single))
+    assert np.all(entropy <= math.log(result.pieces.basis.d_single))
 
     full_cfg = build_config(dict(doc, basis={**doc["basis"], "restrict_total_m": None}))
     assert build_config(full_cfg.to_json_dict()) == full_cfg
@@ -63,9 +64,9 @@ def test_random_runs_keep_their_invariants(doc):
     assert np.all(np.abs(full_table - table) <= 1e-12 * np.maximum(1.0, np.abs(table)))
 
     # the full basis again, watching every sample for probability at m1 + m2 != 0
-    off_block = full.basis.m1 + full.basis.m2 != 0
+    off_block = full.pieces.basis.m1 + full.pieces.basis.m2 != 0
     leaked = []
-    run_schedule(full.pieces, full.schedule, IntegratorConfig(norm_tolerance=tolerance),
+    run_schedule(full.pieces, full.schedule, to_reduced(full_cfg)[2], tolerance,
                  full.recorder.column("t_red"),
                  observers=(lambda t, k, c: leaked.extend(np.abs(c[:, off_block]) ** 2),))
     assert len(leaked) == table.shape[0] and not np.any(leaked)

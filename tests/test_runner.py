@@ -9,6 +9,7 @@ from rotorpair.config import BasisConfig, RunConfig, build_config
 from rotorpair.exceptions import InvalidConfigError, StepSizeError
 from rotorpair.output import read_timeseries_csv
 from rotorpair.runner import CONFIG_ECHO_NAME, CSV_NAME, run_config, simulate
+from rotorpair.units import run_length_ps, time_unit_seconds
 
 # small and fast: 19 states, 20 ps, one pulse
 TINY = {
@@ -33,11 +34,12 @@ def test_simulate_samples_on_the_requested_grid():
     t_ps = result.recorder.column("t_ps")
     assert t_ps.size == 21  # floor(20/1) + 1
     assert np.array_equal(t_ps, np.arange(21.0))
-    assert result.basis.size == 19
-    assert result.total_time_ps == 20.0
+    assert result.pieces.basis.size == 19
+    assert run_length_ps(result.config) == 20.0
     assert result.csv_path is None
     # the sample grid in reduced time matches t_ps through the time unit
-    assert np.allclose(result.recorder.column("t_red") * result.time_unit_ps, t_ps, atol=1e-12)
+    time_unit_ps = time_unit_seconds(result.config.molecule.B_cm1) * 1e12
+    assert np.allclose(result.recorder.column("t_red") * time_unit_ps, t_ps, atol=1e-12)
 
 
 def test_simulate_row_count_rounds_down():

@@ -16,10 +16,11 @@ from scipy.sparse.linalg import norm as sparse_norm
 import oracles
 from rotorpair import propagation
 from rotorpair.angular import TwoRotorBasis
+from rotorpair.config import IntegratorSettings
 from rotorpair.exceptions import ConsistencyError
 from rotorpair.observables import COLUMNS, TimeSeriesRecorder
 from rotorpair.operators import HamiltonianPieces, PulseSchedule, build_costheta_single, build_pieces
-from rotorpair.propagation import SAMPLE_BLOCK, IntegratorConfig, initial_state, pulse_windows, run_schedule
+from rotorpair.propagation import SAMPLE_BLOCK, initial_state, pulse_windows, run_schedule
 
 # reduced parameters of the default molecule pair (see test_propagation.py)
 KICK = 386.21612373411443
@@ -27,6 +28,8 @@ SIGMA = 0.006306465451214133
 T0 = 0.027124582585867238
 OMEGA = 249.9999998468202
 DIPOLE = 0.13150852670024232
+DT = SIGMA / 400.0  # the default RK4 step
+TOL = IntegratorSettings().norm_tolerance
 
 
 def _symmetry_images(basis):
@@ -82,10 +85,10 @@ def test_a_symmetry_breaking_operator_is_refused(total_m):
     # cos(theta_1) alone is not even under the swap of the molecules
     with pytest.raises(ConsistencyError, match="V leaks out of the symmetric sector"):
         run_schedule(HamiltonianPieces(basis, pieces.h0, build_costheta_single(basis, "mol1")),
-                     _pulse(), IntegratorConfig(), samples)
+                     _pulse(), DT, TOL, samples)
     with pytest.raises(ConsistencyError, match="H0 leaks out of the symmetric sector"):
         h0 = (pieces.h0 + build_costheta_single(basis, "mol2")).tocsr()
-        run_schedule(HamiltonianPieces(basis, h0, pieces.coupling), _pulse(), IntegratorConfig(), samples)
+        run_schedule(HamiltonianPieces(basis, h0, pieces.coupling), _pulse(), DT, TOL, samples)
 
 
 def test_an_initial_state_outside_the_sector_is_refused(monkeypatch):
@@ -94,7 +97,7 @@ def test_an_initial_state_outside_the_sector_is_refused(monkeypatch):
     psi[basis.index_of(1, 0, 0, 0)] = 1.0  # its swap partner |00;10> is empty
     monkeypatch.setattr(propagation, "initial_state", lambda basis: psi)
     with pytest.raises(ConsistencyError, match="initial state"):
-        run_schedule(build_pieces(basis, DIPOLE), _pulse(), IntegratorConfig(), np.array([0.0, 0.1]))
+        run_schedule(build_pieces(basis, DIPOLE), _pulse(), DT, TOL, np.array([0.0, 0.1]))
 
 
 WATCH = ((0, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (1, -1, 1, 1))
@@ -113,10 +116,9 @@ def test_the_sector_run_matches_the_full_space_loop(case):
         assert len(windows) == 2
         for a, b in windows:
             assert np.count_nonzero((samples > a) & (samples <= b)) > SAMPLE_BLOCK
-    cfg = IntegratorConfig()
     got, ref = TimeSeriesRecorder(basis, WATCH), TimeSeriesRecorder(basis, WATCH)
-    traj = run_schedule(pieces, pulse, cfg, samples, observers=(got,))
-    full = oracles.full_space_schedule(pieces, pulse, cfg, samples, observers=(ref,))
+    traj = run_schedule(pieces, pulse, DT, TOL, samples, observers=(got,))
+    full = oracles.full_space_schedule(pieces, pulse, DT, TOL, samples, observers=(ref,))
 
     def assert_close(a, b, what):
         err = np.abs(a - b) / np.maximum(1.0, np.abs(b))

@@ -188,8 +188,10 @@ def test_a_failed_point_does_not_report_a_stale_csv(tmp_path):
     _, entries = run_sweep(_spec(axis, parallelism=1, out_dir=str(tmp_path)))
     stale = tmp_path / entries[0]["label"] / CSV_NAME
     assert entries[0]["csv"] == str(stale) and stale.exists()
-    # the same point again, now with a watch entry beyond its l_max
+    # the same point again, now with a watch entry beyond its l_max (the base,
+    # at l_max 3, is valid: a spec with a bad base is refused before any point runs)
     doc = json.loads(json.dumps(BASE_DOC))
+    doc["basis"]["l_max"] = 3
     doc["output"]["watch_populations"] = [[3, 0, 1, 0]]
     _, entries = run_sweep(_spec(axis, base_doc=doc, parallelism=1, out_dir=str(tmp_path)))
     assert entries[0]["status"] == "failed"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from rotorpair import units
@@ -43,7 +44,7 @@ def _with(section, **fields):
 
 
 def test_reduced_parameters_for_the_default_setup():
-    red, dipole = to_reduced(RunConfig())
+    red, dipole, *_ = to_reduced(RunConfig())
     # frozen against a hand-checked arithmetic chain (mu*E0/B etc.)
     assert red.kick_strength == pytest.approx(386.21612373411443, rel=1e-12)
     assert dipole == pytest.approx(0.13150852670024232, rel=1e-12)
@@ -66,26 +67,26 @@ def test_reduced_parameters_for_the_default_setup():
     (5e-8, 0.028405841767252336),
 ])
 def test_dipole_strength_scales_as_inverse_cube(R_m, expected):
-    _, dipole = to_reduced(_with("geometry", R_m=R_m))
+    _, dipole, *_ = to_reduced(_with("geometry", R_m=R_m))
     assert dipole == pytest.approx(expected, rel=1e-12)
 
 
 def test_no_separation_means_no_coupling():
-    _, dipole = to_reduced(_with("geometry", R_m=None))
+    _, dipole, *_ = to_reduced(_with("geometry", R_m=None))
     assert dipole == 0.0
 
 
 def test_symbolic_periods_are_exact():
-    one, _ = to_reduced(_with("pulse", period="hbar_over_B", count=2))
+    one, *_ = to_reduced(_with("pulse", period="hbar_over_B", count=2))
     assert one.period_red == 1.0
     assert one.count == 2
-    pi, _ = to_reduced(_with("pulse", period="pi_hbar_over_B", count=2))
+    pi, *_ = to_reduced(_with("pulse", period="pi_hbar_over_B", count=2))
     assert pi.period_red == math.pi
 
 
 def test_period_in_seconds_is_divided_by_the_time_unit():
     tu = time_unit_seconds(0.12)
-    red, _ = to_reduced(_with("pulse", period=2.0 * tu, count=2))
+    red, *_ = to_reduced(_with("pulse", period=2.0 * tu, count=2))
     assert red.period_red == pytest.approx(2.0, rel=1e-12)
 
 
@@ -118,9 +119,18 @@ def test_a_train_needs_a_period():
         dataclasses.replace(RunConfig(), pulse=dataclasses.replace(RunConfig().pulse, count=5))
 
 
+def test_to_reduced_makes_the_step_and_the_sample_times():
+    schedule, _, dt, samples = to_reduced(_with("output", total_time_ps=20.3, sample_interval_ps=2.0))
+    assert dt == schedule.sigma_red / 400.0  # the default step
+    # floor(20.3 / 2) + 1 samples, 2 ps apart, in units of hbar/B
+    assert np.array_equal(samples, np.arange(11) * 2.0 / (time_unit_seconds(0.12) * 1e12))
+    _, _, dt, _ = to_reduced(_with("integrator", dt_pulse_fs=0.5))
+    assert dt == pytest.approx(0.5e-15 / time_unit_seconds(0.12), rel=1e-15)
+
+
 def test_to_reduced_inverts_to_the_laboratory_numbers():
     cfg = _with("pulse", period=2.5e-11, count=3)
-    red, dipole = to_reduced(cfg)
+    red, dipole, *_ = to_reduced(cfg)
     B_joule = 0.12 * units.INV_CM_TO_J
     tu = time_unit_seconds(0.12)
     mu = 9.2 * units.DEBYE_TO_CM
