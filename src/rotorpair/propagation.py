@@ -7,8 +7,10 @@ assumed); the observers see full-basis coefficients.
 Between pulses the state advances by the exact exponential of the
 field-free Hamiltonian (one eigendecomposition per run). Inside a
 window of +-WINDOW_HALFWIDTH sigma around each pulse center the state
-is stepped with classical fixed-step RK4. The norm is monitored and a
-violation raises; nothing is ever silently renormalized.
+is stepped with RK4 in the rotor frame (Lawson RK4, exact in the rotor
+energies): at the pulse-core step dt (integrator.dt_pulse_fs) near the
+centers, doubled past each STEP_BAND_EDGES edge. The norm is monitored
+and a violation raises; nothing is ever silently renormalized.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .operators import HamiltonianPieces, PulseSchedule, expectation
 # Half-width of each RK4 window in units of sigma; the Gaussian envelope
 # is below exp(-25) ~ 1e-11 outside it.
 WINDOW_HALFWIDTH = 5.0
+
+# Distances from the nearest pulse center, in sigma, past which a window doubles
+# its step: dt, 2 dt, 4 dt, then 8 dt where the envelope is below 5e-6 of its peak.
+STEP_BAND_EDGES = (1.5, 2.5, 3.5)
 
 # Most samples handed to the observers at once: keeps each K x n complex
 # block under 1 MB at n = 891 (l_max = 10).
@@ -88,28 +94,34 @@ class FreeEvolution:
 
 
 class RightHandSide(NamedTuple):
-    """dy/dt = deriv(field(t), y), with field vectorized over an array of times."""
+    """dy/dt = -i rates y + deriv(field(t), y), with field vectorized over an
+    array of times; rk4_integrate takes the diagonal -i rates y exactly."""
 
     field: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[float, np.ndarray], np.ndarray]
+    rates: np.ndarray | float = 0.0
 
 
-def schrodinger_rhs(h0: sparse.csr_matrix, coupling: sparse.csr_matrix,
+def schrodinger_rhs(h0: sparse.csr_matrix, coupling: sparse.csr_matrix, energies: np.ndarray,
                     pulse: PulseSchedule) -> RightHandSide:
-    """dc/dt = -i (H0 + f(t) V) c, with -i [H0; V] stacked so that each
-    derivative is one sparse product and one axpy."""
+    """dc/dt = -i (D + W + f(t) V) c: the rotor energies D are the rates,
+    and -i [W; V], with W = H0 - D, is stacked so that each derivative is
+    one sparse product and one axpy."""
     n = h0.shape[0]
-    stacked = -1j * sparse.vstack([h0, coupling], format="csr")
+    rest = (h0 - sparse.diags(energies)).tocsr()
+    rest.eliminate_zeros()
+    stacked = -1j * sparse.vstack([rest, coupling], format="csr")
 
     def deriv(f, c):
         w = stacked @ c
         return w[:n] + f * w[n:]
 
-    return RightHandSide(pulse.field_scalar, deriv)
+    return RightHandSide(pulse.field_scalar, deriv, energies)
 
 
 def sector_operators(pieces: HamiltonianPieces):
-    """S^T H0 S and S^T V S over the basis's sector isometry S, after
+    """S^T H0 S, S^T V S (its diagonal has a dipole part) and the rotor
+    energies of the sector states, for the basis's sector isometry S, after
     checking that H0 and V map range(S) into itself."""
     s = pieces.basis.sector_isometry
     tol = 1e-12 * max(1.0, abs(pieces.h0).max())
@@ -121,13 +133,16 @@ def sector_operators(pieces: HamiltonianPieces):
             raise ConsistencyError(f"{name} leaks out of the symmetric sector by {leak:.3e}"
                                    f" (tolerance {tol:.1e})")
         folded.append(op_s)
-    return folded
+    # each column of S mixes states of one rotor energy
+    return *folded, s.multiply(s).T @ pieces.basis.rotor_diagonal
 
 
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
-    """Classical RK4 with fixed step dt and one partial final step; the
-    field at every stage time comes from one vectorized call. A diverging
-    state overflows to inf and NaN quietly: the caller's norm check reports it."""
+    """Lawson RK4 (SIAM J. Numer. Anal. 4, 372 (1967)), classical RK4 in
+    the frame that rotates with rhs.rates, so the rates are integrated
+    exactly; classical RK4 when the rates are 0. Fixed step dt and one
+    partial final step; the field at every stage time comes from one
+    vectorized call."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     span = t1 - t0
@@ -140,13 +155,32 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
         steps.append(remainder)
     starts, widths = t0 + np.arange(len(steps)) * dt, np.array(steps)
     fields = rhs.field(np.stack([starts, starts + 0.5 * widths, starts + widths]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for h, (f0, f_mid, f1) in zip(steps, fields.T.tolist()):
-            k1 = rhs.deriv(f0, y)
-            k2 = rhs.deriv(f_mid, y + (0.5 * h) * k1)
-            k3 = rhs.deriv(f_mid, y + (0.5 * h) * k2)
-            k4 = rhs.deriv(f1, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # exp(-i D h/2) and exp(-i D h), the latter not squared: its rounding would add up
+    turns = {h: (np.exp((-0.5j * h) * rhs.rates), np.exp((-1j * h) * rhs.rates)) for h in set(steps)}
+    for h, (f0, f_mid, f1) in zip(steps, fields.T.tolist()):
+        half, full = turns[h]
+        k1 = rhs.deriv(f0, y)
+        y_half = half * y
+        k2 = rhs.deriv(f_mid, half * (y + (0.5 * h) * k1))
+        k3 = rhs.deriv(f_mid, y_half + (0.5 * h) * k2)
+        k4 = rhs.deriv(f1, half * (y_half + h * k3))
+        y = full * (y + (h / 6.0) * k1) + half * ((h / 3.0) * (k2 + k3)) + (h / 6.0) * k4
+    return y
+
+
+def integrate_window(rhs: RightHandSide, pulse: PulseSchedule, y: np.ndarray,
+                     t0: float, t1: float, dt: float) -> np.ndarray:
+    """Step [t0, t1] inside a pulse window: cut it where the distance to the
+    nearest pulse center crosses a STEP_BAND_EDGES edge and call
+    rk4_integrate once per band, at dt in the core and 2**k dt past k edges."""
+    edges = pulse.sigma_red * np.array(STEP_BAND_EDGES)
+    centers = pulse.centers()
+    centers = centers[slice(*np.searchsorted(centers, [t0 - edges[-1], t1 + edges[-1]]))]
+    cuts = np.unique(np.add.outer(centers, np.concatenate([-edges, edges])))
+    bounds = [t0, *cuts[(cuts > t0) & (cuts < t1)].tolist(), t1]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        distance = np.abs(centers - 0.5 * (a + b)).min(initial=np.inf)
+        y = rk4_integrate(rhs, y, a, b, dt * 2 ** int(np.searchsorted(edges, distance)))
     return y
 
 
@@ -174,18 +208,20 @@ def pulse_windows(pulse: PulseSchedule, halfwidth: float, t_end: float) -> list[
     return clipped
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                  norm_tolerance: float, sample_times: np.ndarray,
                  observers=()) -> Trajectory:
-    """Alternate exact free evolution and windowed RK4 of step dt from the
-    initial state, sampling on the way; each sample block is unfolded from
-    the sector to the full basis before it is checked and observed.
+    """Alternate exact free evolution and windowed RK4 with core step dt from
+    the initial state, sampling on the way; each sample block is unfolded
+    from the sector to the full basis before it is checked and observed.
 
     sample_times must be ascending and start at 0. Samples reach the
     observers in blocks of at most SAMPLE_BLOCK consecutive samples from
     one free segment or one window, as observer(t_red[K], indices[K],
     coeffs[K, basis.size]). A sample whose norm drifts beyond tolerance (or is NaN)
-    ends its block: the observers see it, then StepSizeError is raised.
+    ends its block: the observers see it, then StepSizeError is raised. A
+    diverging state overflows quietly: the norm check reports it.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -197,13 +233,13 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     windows = pulse_windows(pulse, WINDOW_HALFWIDTH, t_end)
     psi = initial_state(pieces.basis)
     s = pieces.basis.sector_isometry
-    h0_s, coupling_s = sector_operators(pieces)
+    h0_s, coupling_s, energies_s = sector_operators(pieces)
     coeffs = s.T @ psi
     leak = np.abs(s @ coeffs - psi).max()
     if leak > 1e-12:  # a NaN state is left to the norm check at sample 0
         raise ConsistencyError(f"the initial state leaks out of the symmetric sector by {leak:.3e}")
     free = FreeEvolution(h0_s)
-    rhs = schrodinger_rhs(h0_s, coupling_s, pulse)
+    rhs = schrodinger_rhs(h0_s, coupling_s, energies_s, pulse)
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
 
@@ -219,9 +255,10 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         for observer in observers:
             observer(samples[lo:hi], np.arange(lo, hi), block)
         if bad.size:
+            drift = abs(norms[hi - 1] - 1.0)
             raise StepSizeError(
-                f"norm drifted by {abs(norms[hi - 1] - 1.0):.3e} at t = {samples[hi - 1]:.6g}"
-                f" (tolerance {norm_tolerance:.1e}); reduce dt_pulse"
+                f"norm drifted by {drift:.3e} at t = {samples[hi - 1]:.6g} (tolerance {norm_tolerance:.1e}); "
+                + ("reduce integrator.dt_pulse_fs" if np.isfinite(drift) else "the state diverged")
             )
         psi[:] = block[-1]  # the full-basis state at the latest sample
 
@@ -240,7 +277,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         stop = int(np.searchsorted(samples, b, side="right"))
         rows = []
         for j in range(k, stop):
-            coeffs = rk4_integrate(rhs, coeffs, t_from, float(samples[j]), dt)
+            coeffs = integrate_window(rhs, pulse, coeffs, t_from, float(samples[j]), dt)
             t_from = float(samples[j])
             rows.append(coeffs)
             if (len(rows) == SAMPLE_BLOCK or j == stop - 1
@@ -248,7 +285,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                 emit(j + 1 - len(rows), np.array(rows))
                 rows = []
         if b > t_from:
-            coeffs = rk4_integrate(rhs, coeffs, t_from, b, dt)
+            coeffs = integrate_window(rhs, pulse, coeffs, t_from, b, dt)
         k, cursor = stop, b
 
     return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=psi, windows=windows)

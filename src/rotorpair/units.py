@@ -80,8 +80,8 @@ def dipole_strength(cfg: RunConfig) -> float:
 
 def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]:
     """Map a validated RunConfig onto the hbar = B = 1 unit system: the
-    pulse schedule, the dipole strength, the RK4 step (sigma / 400 unless
-    integrator.dt_pulse_fs is set) and the ascending sample times."""
+    pulse schedule, the dipole strength, the pulse-core RK4 step (sigma / 400
+    unless integrator.dt_pulse_fs is set) and the ascending sample times."""
     import numpy as np  # see the module docstring
 
     from .operators import PulseSchedule
@@ -99,7 +99,8 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
         count=cfg.pulse.count,
     )
     dt_fs = cfg.integrator.dt_pulse_fs
-    # sigma / 400 resolves both the envelope and the carrier with fourth-order headroom
+    # the pulse-core step: sigma / 400 resolves the envelope and the carrier with
+    # fourth-order headroom; a window doubles it past each propagation.STEP_BAND_EDGES edge
     dt = schedule.sigma_red / 400.0 if dt_fs is None else dt_fs * 1e-15 / time_unit
     interval_ps = cfg.output.sample_interval_ps
     sample_ps = np.arange(int(np.floor(run_length_ps(cfg) / interval_ps)) + 1) * interval_ps

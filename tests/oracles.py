@@ -5,7 +5,8 @@ forms or sparse fast paths, using slow-but-transparent numerics instead:
 angular matrix elements by quadrature over the sphere, two-rotor operators
 by Kronecker products of quadrature-built one-rotor matrices, time
 evolution by dense midpoint-sampled eigendecomposition, H(t) as one
-explicit matrix, RK4 with the derivative rebuilt at every stage, the full
+explicit matrix, rotor-frame RK4 with the derivative rebuilt at every
+stage, uniform classical RK4 with no frame and no step bands, the full
 d x d Schmidt matrix, the block run loop in the full M basis (no
 symmetric sector), and the sample-by-sample run loop with its
 per-sample observables.  None of it is imported by the package itself.
@@ -25,8 +26,8 @@ from rotorpair.propagation import (
     FreeEvolution,
     Trajectory,
     initial_state,
+    integrate_window,
     pulse_windows,
-    rk4_integrate,
     schrodinger_rhs,
 )
 
@@ -193,23 +194,33 @@ def hamiltonian_at(t: float, pieces, pulse):
 
 
 def per_stage_rk4(pieces, pulse, y, t0, t1, dt):
-    """RK4 over [t0, t1] with the derivative H0 @ c + f(t) (V @ c) built at
-    every stage: two sparse products and one scalar field call each, four
-    per step.  Same step rule as the package: full steps of dt, then one
-    partial final step."""
-    h0 = pieces.h0
+    """Rotor-frame (Lawson) RK4 over [t0, t1] as classical RK4 of the
+    interaction-picture state z(tau) = exp(i D tau) y over each step, with
+    D the diagonal of the full-basis H0 (the rotor energies) and W = H0 - D:
+    the derivative exp(i D tau) (-i)(W + f(t) V) exp(-i D tau) z is built
+    at every stage from two matrix products and one scalar field call, and
+    the step ends with y = exp(-i D h) z(h).  Same step rule as the
+    package: full steps of dt, then one partial final step."""
+    rest = pieces.h0.toarray()
+    energies = rest.diagonal().real.copy()
+    np.fill_diagonal(rest, 0.0)
     coupling = pieces.coupling
 
-    def deriv(t, c):
-        return -1j * (h0 @ c + pulse.field_scalar(t) * (coupling @ c))
+    def lawson_step(y, t, h):
+        def deriv(tau, z):
+            c = np.exp((-1j * tau) * energies) * z
+            dc = -1j * (rest @ c + pulse.field_scalar(t + tau) * (coupling @ c))
+            return np.exp((1j * tau) * energies) * dc
+
+        return np.exp((-1j * h) * energies) * _per_stage_step(deriv, y, 0.0, h)
 
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
     for k in range(n_full):
-        y = _per_stage_step(deriv, y, t0 + k * dt, dt)
+        y = lawson_step(y, t0 + k * dt, dt)
     t_last = t0 + n_full * dt
     remainder = t1 - t_last
     if remainder > 1e-12 * max(abs(t1), 1.0):
-        y = _per_stage_step(deriv, y, t_last, remainder)
+        y = lawson_step(y, t_last, remainder)
     return y
 
 
@@ -219,6 +230,32 @@ def _per_stage_step(deriv, y, t, h):
     k3 = deriv(t + 0.5 * h, y + (0.5 * h) * k2)
     k4 = deriv(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def classical_rk4(rhs, y, t0, t1, dt):
+    """Uniform classical RK4 of dy/dt = -i rates y + deriv(field(t), y), the
+    rates stepped like the rest, with the package's step rule (full steps
+    of dt, then one partial final step) and one vectorized field call: the
+    reference that the rotor frame and the step bands are measured against."""
+    span = t1 - t0
+    n_full = int(np.floor(span / dt + 1e-12))
+    steps = [dt] * n_full
+    remainder = t1 - (t0 + n_full * dt)
+    if remainder > 1e-12 * max(abs(t1), 1.0):
+        steps.append(remainder)
+    starts, widths = t0 + np.arange(len(steps)) * dt, np.array(steps)
+    fields = rhs.field(np.stack([starts, starts + 0.5 * widths, starts + widths]))
+
+    def deriv(f, c):
+        return rhs.deriv(f, c) - 1j * rhs.rates * c
+
+    for h, (f0, f_mid, f1) in zip(steps, fields.T.tolist()):
+        k1 = deriv(f0, y)
+        k2 = deriv(f_mid, y + (0.5 * h) * k1)
+        k3 = deriv(f_mid, y + (0.5 * h) * k2)
+        k4 = deriv(f1, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
 
 
 def coefficient_matrix(basis, coeffs: np.ndarray) -> np.ndarray:
@@ -242,7 +279,7 @@ def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observe
     t_end = float(samples[-1])
     windows = pulse_windows(pulse, WINDOW_HALFWIDTH, t_end)
     free = FreeEvolution(pieces.h0)
-    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pulse)
+    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal, pulse)
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
 
@@ -275,7 +312,7 @@ def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observe
         stop = int(np.searchsorted(samples, b, side="right"))
         rows = []
         for j in range(k, stop):
-            coeffs = rk4_integrate(rhs, coeffs, t_from, float(samples[j]), dt)
+            coeffs = integrate_window(rhs, pulse, coeffs, t_from, float(samples[j]), dt)
             t_from = float(samples[j])
             rows.append(coeffs)
             if (len(rows) == SAMPLE_BLOCK or j == stop - 1
@@ -283,7 +320,7 @@ def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observe
                 emit(j + 1 - len(rows), np.array(rows))
                 rows = []
         if b > t_from:
-            coeffs = rk4_integrate(rhs, coeffs, t_from, b, dt)
+            coeffs = integrate_window(rhs, pulse, coeffs, t_from, b, dt)
         k, cursor = stop, b
 
     return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=coeffs, windows=windows)
@@ -291,12 +328,13 @@ def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observe
 
 def per_sample_schedule(pieces, pulse, dt, sample_times):
     """The sample-by-sample run loop: one complex eigendecomposition of H0,
-    one chained free advance per sample, and RK4 restarted at every sample
-    inside a window.  Returns (states[K, n], norms[K], h0_expect[K])."""
+    one chained free advance per sample, and the window stepper restarted
+    at every sample inside a window.  Returns (states[K, n], norms[K],
+    h0_expect[K])."""
     samples = np.asarray(sample_times, dtype=float)
     windows = pulse_windows(pulse, WINDOW_HALFWIDTH, float(samples[-1]))
     energies, vectors = np.linalg.eigh(pieces.h0.toarray())
-    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pulse)
+    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal, pulse)
 
     def free(c, tau):
         return vectors @ (np.exp(-1j * energies * tau) * (vectors.conj().T @ c))
@@ -313,7 +351,7 @@ def per_sample_schedule(pieces, pulse, dt, sample_times):
                 c = free(c, a - cursor)
                 cursor = a
             stop = min(b, t_k)
-            c = rk4_integrate(rhs, c, cursor, stop, dt)
+            c = integrate_window(rhs, pulse, c, cursor, stop, dt)
             cursor = stop
         if t_k > cursor:
             c = free(c, t_k - cursor)

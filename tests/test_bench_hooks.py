@@ -10,6 +10,7 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,3 +44,34 @@ def test_build_pieces_result_has_csr_h0_and_coupling():
     pieces = build_pieces(TwoRotorBasis(2, 0), 0.1)
     assert pieces.h0.format == "csr" and pieces.coupling.format == "csr"
     assert layertrace._nnz((), {}, pieces)["nnz"] == pieces.h0.nnz + pieces.coupling.nnz
+
+
+def test_rk4_step_counter_matches_the_derivatives_one_window_evaluates(monkeypatch):
+    # one Lawson step evaluates deriv four times, so the per-layer step
+    # count stays exact when a window is cut into step bands
+    from rotorpair import propagation
+    from rotorpair.angular import TwoRotorBasis
+    from rotorpair.config import RunConfig
+    from rotorpair.runner import build_pieces
+    from rotorpair.units import to_reduced
+
+    schedule, dipole, dt, _ = to_reduced(RunConfig())
+    h0_s, coupling_s, energies_s = propagation.sector_operators(build_pieces(TwoRotorBasis(2, 0), dipole))
+    rhs = propagation.schrodinger_rhs(h0_s, coupling_s, energies_s, schedule)
+    evaluations = []
+    counting = rhs._replace(deriv=lambda f, c: evaluations.append(f) or rhs.deriv(f, c))
+    steps = []
+    rk4_integrate = propagation.rk4_integrate
+
+    def counted(*args):
+        steps.append(layertrace._rk4_steps(args, {}, None)["steps"])
+        return rk4_integrate(*args)
+
+    monkeypatch.setattr(propagation, "rk4_integrate", counted)
+    (t_a, t_b), = propagation.pulse_windows(schedule, propagation.WINDOW_HALFWIDTH, 10.0)
+    c = np.zeros(h0_s.shape[0], dtype=complex)
+    c[0] = 1.0
+    for lo, hi in ((t_a, 0.5 * (t_a + t_b)), (0.5 * (t_a + t_b), t_b)):  # split at a sample
+        c = propagation.integrate_window(counting, schedule, c, lo, hi, dt)
+    assert len(steps) > 7
+    assert sum(steps) == len(evaluations) / 4

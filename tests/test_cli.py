@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,18 +133,33 @@ def test_run_numerical_failure_exits_3_and_keeps_partial_csv(tmp_path, capsys):
     assert not (out / "run_config.json").exists()
 
 
-def test_a_diverging_run_reports_its_failure_without_numpy_warnings(tmp_path):
-    # at 1e14 V/m the state overflows to inf and NaN inside the first window
-    doc = {"pulse": {"E0_Vpm": 1e14}, "basis": {"l_max": 3}, "output": {"total_time_ps": 3}}
+def _failing_run_stderr(tmp_path, doc):
+    """stderr of a `sim run` subprocess that must exit 3, with numpy's
+    RuntimeWarnings switched on and none printed."""
     cfg = _write_json(tmp_path / "cfg.json", doc)
     env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-W", "always::RuntimeWarning", "-m", "rotorpair.cli", "run",
                            "--config", cfg, "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 3
-    assert "numerical failure: norm drifted by nan" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def test_a_diverging_run_reports_its_failure_without_numpy_warnings(tmp_path):
+    # at 1e14 V/m the state overflows inside the first window: no step size is the fix
+    doc = {"pulse": {"E0_Vpm": 1e14}, "basis": {"l_max": 3}, "output": {"total_time_ps": 3}}
+    stderr = _failing_run_stderr(tmp_path, doc)
+    assert re.search(r"numerical failure: norm drifted by (nan|inf) at t = \S+"
+                     r" \(tolerance 1\.0e-08\); the state diverged$", stderr, re.M)
+    assert "dt_pulse" not in stderr
+
+
+def test_a_too_coarse_step_names_its_config_key(tmp_path):
+    stderr = _failing_run_stderr(tmp_path, dict(TINY, integrator={"dt_pulse_fs": 2000.0}))
+    assert re.search(r"numerical failure: norm drifted by \d\.\d{3}e[-+]\d+ at t = \S+"
+                     r" \(tolerance 1\.0e-08\); reduce integrator\.dt_pulse_fs$", stderr, re.M)
 
 
 def test_preset_runs_every_panel(tmp_path, capsys):

@@ -17,6 +17,7 @@ from rotorpair.propagation import (
     FreeEvolution,
     RightHandSide,
     initial_state,
+    integrate_window,
     pulse_windows,
     rk4_integrate,
     run_schedule,
@@ -218,7 +219,8 @@ def test_window_with_zero_kick_matches_free_evolution():
     pieces = build_pieces(basis, 0.5)
     pulse = _single_pulse(kick=0.0)
     c = initial_state(basis)
-    stepped = rk4_integrate(schrodinger_rhs(pieces.h0, pieces.coupling, pulse), c, 0.0, 0.2, 2e-4)
+    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, basis.rotor_diagonal, pulse)
+    stepped = rk4_integrate(rhs, c, 0.0, 0.2, 2e-4)
     assert np.abs(stepped - _free(pieces.h0, c, 0.2)).max() < 1e-10
 
 
@@ -251,7 +253,7 @@ def test_window_integration_is_time_reversible():
 
     # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
     backwards = RightHandSide(field=lambda s: ahead.field(t_b - s),
-                              deriv=lambda f, g: -ahead.deriv(f, g))
+                              deriv=lambda f, g: -ahead.deriv(f, g), rates=-ahead.rates)
     back = rk4_integrate(backwards, forward, 0.0, t_b, DT)
     assert np.abs(back - c0).max() < 1e-6
 
@@ -268,6 +270,97 @@ def test_window_raises_on_norm_drift():
     with pytest.raises(StepSizeError, match="by nan at t = 0.01 "):
         run_schedule(pieces, _single_pulse(kick=np.nan), DT, TOL,
                      np.array([0.0, 0.01]))
+
+
+# --- rotor frame and step bands -------------------------------------------------
+
+def _spread_sector_state(l_max, seed=11):
+    """A unit state of the symmetric sector with weight on every sector state."""
+    pieces = build_pieces(TwoRotorBasis(l_max, 0), 0.13150852670024232)
+    n_s = pieces.basis.sector_isometry.shape[1]
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
+    return pieces, c / np.linalg.norm(c)
+
+
+def test_rk4_with_zero_rates_is_classical_rk4():
+    pieces, c = _spread_sector_state(2)
+    rhs = schrodinger_rhs(*sector_operators(pieces), _single_pulse())
+    # the same equation with the rotor energies moved into deriv
+    unrotated = RightHandSide(rhs.field, lambda f, y: rhs.deriv(f, y) - 1j * rhs.rates * y)
+    t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.3137 * SIGMA
+    got = rk4_integrate(unrotated, c, t_a, t_b, DT)
+    assert np.abs(got - oracles.classical_rk4(rhs, c, t_a, t_b, DT)).max() <= 1e-14
+
+
+def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
+    _, _, energies = sector_operators(build_pieces(TwoRotorBasis(8, 0), 0.13150852670024232))
+    rhs = RightHandSide(np.zeros_like, lambda f, y: np.zeros_like(y), energies)
+    c = np.full(energies.size, energies.size**-0.5, dtype=complex)
+    t_a, t_b = T0 - 5.0 * SIGMA, T0 + 5.0 * SIGMA
+    got = rk4_integrate(rhs, c, t_a, t_b, 8.0 * DT)
+    assert np.abs(got - np.exp(-1j * energies * (t_b - t_a)) * c).max() <= 1e-13
+
+
+def test_banded_window_step_halving_is_fourth_order():
+    pieces, c = _spread_sector_state(2)
+    pulse = _single_pulse()
+    rhs = schrodinger_rhs(*sector_operators(pieces), pulse)
+    t_b = T0 + 5.0 * SIGMA
+
+    def integrate(dt):
+        return integrate_window(rhs, pulse, c, 0.0, t_b, dt)
+
+    ref = integrate(SIGMA / 160.0)
+    err_coarse = np.abs(integrate(SIGMA / 10.0) - ref).max()
+    err_fine = np.abs(integrate(SIGMA / 20.0) - ref).max()
+    assert err_coarse > err_fine > 0.0
+    assert 10.0 < err_coarse / err_fine < 25.0
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_window_bands_tile_the_span_and_keep_the_core_at_dt(monkeypatch, count):
+    # period 6 sigma < 10 sigma: two pulses share one merged window
+    pulse = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0, carrier_omega=OMEGA,
+                          period_red=6.0 * SIGMA, count=count)
+    (t_a, t_b), = pulse_windows(pulse, WINDOW_HALFWIDTH, 1.0)
+    calls = []
+    monkeypatch.setattr(propagation, "rk4_integrate",
+                        lambda rhs, y, t0, t1, dt: calls.append((t0, t1, dt)) or y)
+    for lo, hi in ((t_a, t_b), (T0 - 0.2 * SIGMA, T0 + 2.9 * SIGMA)):
+        calls.clear()
+        integrate_window(None, pulse, np.zeros(1), lo, hi, DT)
+        assert calls[0][0] == lo and calls[-1][1] == hi
+        assert all(prev[1] == nxt[0] < nxt[1] for prev, nxt in zip(calls, calls[1:]))
+        for a, b, h in calls:
+            d = np.abs(pulse.centers() - 0.5 * (a + b)).min() / SIGMA
+            assert h == DT * 2 ** sum(d > edge for edge in propagation.STEP_BAND_EDGES)
+            if h > DT:  # no coarse step comes within 1.5 sigma of any center
+                assert np.all((pulse.centers() + 1.5 * SIGMA <= a) | (pulse.centers() - 1.5 * SIGMA >= b))
+    calls.clear()
+    integrate_window(None, pulse, np.zeros(1), t_a, t_b, DT)
+    # the window opens at t = 0, 4.3 sigma before the first center
+    assert [h / DT for _, _, h in calls] == ([8, 4, 2, 1, 2, 4, 8] if count == 1
+                                             else [8, 4, 2, 1, 2, 4, 2, 1, 2, 4, 8])
+
+
+def _classical_window_error(pieces, pulse, dt, y, t_a, t_b, sector=True):
+    ops = sector_operators(pieces) if sector else (pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal)
+    rhs = schrodinger_rhs(*ops, pulse)
+    got = integrate_window(rhs, pulse, y, t_a, t_b, dt)
+    return np.abs(got - oracles.classical_rk4(rhs, y, t_a, t_b, dt)).max()
+
+
+def test_rotor_frame_bands_stay_within_1e10_of_classical_rk4():
+    # criterion 2's window: fig1a on the full l_max 2 basis, from the ground state
+    schedule, dipole, dt, _ = to_reduced(RunConfig())
+    pieces = build_pieces(TwoRotorBasis(2, None), dipole)
+    (t_a, t_b), = pulse_windows(schedule, WINDOW_HALFWIDTH, 10.0)
+    err = _classical_window_error(pieces, schedule, dt, initial_state(pieces.basis), t_a, t_b, sector=False)
+    assert err <= 1e-10
+    # every sector state at l_max 6 carries weight, up to rotor energy 84
+    pieces, c = _spread_sector_state(6)
+    assert _classical_window_error(pieces, schedule, dt, c, t_a, t_b) <= 1e-10
 
 
 # --- window placement ----------------------------------------------------------
@@ -343,12 +436,12 @@ def test_run_schedule_matches_a_hand_composed_run():
 
     # composed in the symmetric sector, as run_schedule propagates
     s = basis.sector_isometry
-    h0_s, coupling_s = sector_operators(pieces)
+    h0_s, coupling_s, energies_s = sector_operators(pieces)
     free = FreeEvolution(h0_s)
     c = s.T @ initial_state(basis)
     if a > 0:
         c = free.advance(free.project(c), np.array([a]))[0]
-    c = rk4_integrate(schrodinger_rhs(h0_s, coupling_s, pulse), c, a, b, DT)
+    c = integrate_window(schrodinger_rhs(h0_s, coupling_s, energies_s, pulse), pulse, c, a, b, DT)
     c = free.advance(free.project(c), np.array([t_end - b]))[0]
     assert np.abs(traj.psi_final - s @ c).max() < 1e-9
     assert traj.max_norm_drift < 1e-9
