@@ -48,7 +48,7 @@ def schmidt_spectrum(basis: TwoRotorBasis, coeffs: np.ndarray) -> np.ndarray:
     return weights
 
 
-def von_neumann_entropy(weights: np.ndarray, d_single: int, log_base: str = "e") -> np.ndarray:
+def von_neumann_entropy(weights: np.ndarray, d_single: int, log_base: str) -> np.ndarray:
     """-sum(lam log lam) over the last axis with 0 log 0 = 0; a negative sum
     reads 0.0 and NaN stays NaN.
 

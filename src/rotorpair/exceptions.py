@@ -18,7 +18,8 @@ class QueryError(SimulationError):
 
 
 class ConsistencyError(SimulationError):
-    """Objects built over different bases (or times) were mixed."""
+    """H0, V or the initial state leaks out of the symmetric sector, H0 is
+    complex, or the Hamiltonian pieces differ in dimension."""
 
 
 class NumericalError(SimulationError):
@@ -26,4 +27,5 @@ class NumericalError(SimulationError):
 
 
 class StepSizeError(NumericalError):
-    """Norm drift exceeded tolerance; reduce the integration step."""
+    """Norm drift exceeded tolerance: a finite drift asks for a smaller
+    integration step, while a diverged (inf or NaN) state is not fixed by one."""

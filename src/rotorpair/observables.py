@@ -11,6 +11,7 @@ import numpy as np
 
 from . import entanglement
 from .angular import TwoRotorBasis
+from .config import OutputConfig
 from .exceptions import QueryError
 from .operators import build_costheta_single, expectation
 from .output import COLUMNS
@@ -27,18 +28,18 @@ class RegularityMetrics:
 
 
 class TimeSeriesRecorder:
-    """Block observer that turns sampled coefficient rows into columns."""
+    """Block observer that turns sampled coefficient rows into columns: the
+    watched populations, the entropy's log base and the sample interval
+    come from the run's OutputConfig."""
 
-    def __init__(self, basis: TwoRotorBasis, watch: tuple[tuple[int, int, int, int], ...],
-                 entropy_log_base: str = "e", sample_interval_ps: float = 0.5):
+    def __init__(self, basis: TwoRotorBasis, output: OutputConfig):
         self.basis = basis
-        self.watch = tuple(tuple(int(q) for q in entry) for entry in watch)
+        self.output = output
+        self.watch = tuple(tuple(int(q) for q in entry) for entry in output.watch_populations)
         if len(set(self.watch)) < len(self.watch):  # it would write two columns of one name
             raise QueryError(f"watch list {self.watch} repeats an entry")
         # fail on an out-of-basis watch entry up front, not at sample time
         self._watch_idx = np.asarray([basis.index_of(*entry) for entry in self.watch], dtype=np.intp)
-        self.entropy_log_base = entropy_log_base
-        self.sample_interval_ps = sample_interval_ps
         self._cos1 = build_costheta_single(basis, "mol1")
         self._cos2 = build_costheta_single(basis, "mol2")
         self._columns = {name: [np.empty(0)] for name in ("t_red",) + COLUMNS}
@@ -49,11 +50,11 @@ class TimeSeriesRecorder:
         weights = entanglement.schmidt_spectrum(self.basis, coeffs)
         block = {
             "t_red": t_red,
-            "t_ps": indices * self.sample_interval_ps,
+            "t_ps": indices * self.output.sample_interval_ps,
             "cos1": expectation(self._cos1, coeffs).real,
             "cos2": expectation(self._cos2, coeffs).real,
             "entropy": entanglement.von_neumann_entropy(weights, self.basis.d_single,
-                                                        self.entropy_log_base),
+                                                        self.output.entropy_log_base),
             "norm": np.linalg.norm(coeffs, axis=1),
             "energy_rot": probs @ self.basis.rotor_diagonal,
         }

@@ -4,13 +4,15 @@ The state is propagated in the symmetric sector of
 TwoRotorBasis.sector_isometry, which H(t) leaves invariant (checked, not
 assumed); the observers see full-basis coefficients.
 
-Between pulses the state advances by the exact exponential of the
-field-free Hamiltonian (one eigendecomposition per run). Inside a
-window of +-WINDOW_HALFWIDTH sigma around each pulse center the state
-is stepped with RK4 in the rotor frame (Lawson RK4, exact in the rotor
-energies): at the pulse-core step dt (integrator.dt_pulse_fs) near the
-centers, doubled past each STEP_BAND_EDGES edge. The norm is monitored
-and a violation raises; nothing is ever silently renormalized.
+step_plan cuts [0, t_end] once per run into segments, wherever the
+distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
+More than 5 sigma from every center a segment is free: the state advances
+by the exact exponential of the field-free Hamiltonian (one
+eigendecomposition per run). Every other segment is stepped with RK4 in
+the rotor frame (Lawson RK4, exact in the rotor energies): at the
+pulse-core step dt (integrator.dt_pulse_fs) near the centers, doubled past
+each edge. The norm is monitored and a violation raises; nothing is ever
+silently renormalized.
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ from .angular import TwoRotorBasis
 from .exceptions import ConsistencyError, InvalidConfigError, NumericalError, StepSizeError
 from .operators import HamiltonianPieces, PulseSchedule, expectation
 
-# Half-width of each RK4 window in units of sigma; the Gaussian envelope
-# is below exp(-25) ~ 1e-11 outside it.
-WINDOW_HALFWIDTH = 5.0
-
-# Distances from the nearest pulse center, in sigma, past which a window doubles
-# its step: dt, 2 dt, 4 dt, then 8 dt where the envelope is below 5e-6 of its peak.
-STEP_BAND_EDGES = (1.5, 2.5, 3.5)
+# Distances from the nearest pulse center, in sigma, past which the RK4 step
+# doubles: dt, 2 dt, 4 dt, then 8 dt where the envelope is below 5e-6 of its
+# peak. Past the last edge the envelope is below exp(-25) ~ 1e-11 and the
+# evolution is free.
+STEP_BAND_EDGES = (1.5, 2.5, 3.5, 5.0)
 
 # Most samples handed to the observers at once: keeps each K x n complex
 # block under 1 MB at n = 891 (l_max = 10).
@@ -40,12 +40,11 @@ SAMPLE_BLOCK = 64
 
 @dataclass
 class Trajectory:
-    """What propagation computed: per-sample norm and <H0>, the final state, the RK4 windows."""
+    """What propagation computed: per-sample norm and <H0> and the final state."""
 
     norms: np.ndarray
     h0_expect: np.ndarray
     psi_final: np.ndarray
-    windows: list[tuple[float, float]]
 
     @property
     def max_norm_drift(self) -> float:
@@ -168,60 +167,46 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
     return y
 
 
-def integrate_window(rhs: RightHandSide, pulse: PulseSchedule, y: np.ndarray,
-                     t0: float, t1: float, dt: float) -> np.ndarray:
-    """Step [t0, t1] inside a pulse window: cut it where the distance to the
-    nearest pulse center crosses a STEP_BAND_EDGES edge and call
-    rk4_integrate once per band, at dt in the core and 2**k dt past k edges."""
-    edges = pulse.sigma_red * np.array(STEP_BAND_EDGES)
-    centers = pulse.centers()
-    centers = centers[slice(*np.searchsorted(centers, [t0 - edges[-1], t1 + edges[-1]]))]
-    cuts = np.unique(np.add.outer(centers, np.concatenate([-edges, edges])))
-    bounds = [t0, *cuts[(cuts > t0) & (cuts < t1)].tolist(), t1]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        distance = np.abs(centers - 0.5 * (a + b)).min(initial=np.inf)
-        y = rk4_integrate(rhs, y, a, b, dt * 2 ** int(np.searchsorted(edges, distance)))
-    return y
+def step_plan(pulse: PulseSchedule, t_end: float, dt: float) -> list[tuple[float, float, float]]:
+    """[0, t_end] cut into segments (a, b, h) wherever the distance to the
+    nearest pulse center crosses a STEP_BAND_EDGES edge: RK4 with step
+    h = 2**k dt past k edges, free evolution (h = 0.0) past the last.
 
-
-def pulse_windows(pulse: PulseSchedule, halfwidth: float, t_end: float) -> list[tuple[float, float]]:
-    """Merged stepping windows [center - w*sigma, center + w*sigma], clipped to [0, t_end].
-
-    A schedule with kick_strength = 0 contributes no windows at all, so the
-    whole run is exact free evolution.
+    Neighbouring segments differ in h, so free segments are never adjacent.
+    A schedule with kick_strength = 0 is one free segment; t_end = 0 gives
+    no segment at all.
     """
-    if pulse.kick_strength == 0.0:
-        return []
-    w = halfwidth * pulse.sigma_red
-    merged: list[list[float]] = []
-    for c in pulse.centers():
-        a, b = c - w, c + w
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    clipped = []
-    for a, b in merged:
-        a, b = max(a, 0.0), min(b, t_end)
-        if b > a:
-            clipped.append((a, b))
-    return clipped
+    edges = pulse.sigma_red * np.array(STEP_BAND_EDGES)
+    centers = pulse.centers() if pulse.kick_strength != 0.0 else np.empty(0)
+    centers = centers[slice(*np.searchsorted(centers, [-edges[-1], t_end + edges[-1]]))]
+    cuts = np.add.outer(centers, np.concatenate([-edges, edges])).ravel()
+    bounds = np.unique(np.concatenate([[0.0, t_end], cuts[(cuts > 0.0) & (cuts < t_end)]]))
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
+    fenced = np.concatenate([[-np.inf], centers, [np.inf]])
+    after = np.searchsorted(fenced, mids)  # fenced[after - 1] < mid <= fenced[after]
+    distance = np.minimum(mids - fenced[after - 1], fenced[after] - mids)
+    bands = np.searchsorted(edges, distance)
+    steps = np.where(bands < edges.size, dt * 2.0**bands, 0.0)
+    starts = np.flatnonzero(np.diff(bands, prepend=-1))  # drop the cuts between equal bands
+    ends = np.append(starts[1:], bands.size)
+    return list(zip(bounds[starts].tolist(), bounds[ends].tolist(), steps[starts].tolist()))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                  norm_tolerance: float, sample_times: np.ndarray,
                  observers=()) -> Trajectory:
-    """Alternate exact free evolution and windowed RK4 with core step dt from
-    the initial state, sampling on the way; each sample block is unfolded
-    from the sector to the full basis before it is checked and observed.
+    """Walk the step_plan of [0, last sample] with core step dt from the
+    initial state, sampling on the way; each sample block is unfolded from
+    the sector to the full basis before it is checked and observed.
 
     sample_times must be ascending and start at 0. Samples reach the
     observers in blocks of at most SAMPLE_BLOCK consecutive samples from
-    one free segment or one window, as observer(t_red[K], indices[K],
-    coeffs[K, basis.size]). A sample whose norm drifts beyond tolerance (or is NaN)
-    ends its block: the observers see it, then StepSizeError is raised. A
-    diverging state overflows quietly: the norm check reports it.
+    one free segment or one window (a run of RK4 segments), as
+    observer(t_red[K], indices[K], coeffs[K, basis.size]). A sample whose
+    norm drifts beyond tolerance (or is NaN) ends its block: the observers
+    see it, then StepSizeError is raised. A diverging state overflows
+    quietly: the norm check reports it.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -230,7 +215,6 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         raise InvalidConfigError("sample_times must start at 0 and increase strictly")
 
     t_end = float(samples[-1])
-    windows = pulse_windows(pulse, WINDOW_HALFWIDTH, t_end)
     psi = initial_state(pieces.basis)
     s = pieces.basis.sector_isometry
     h0_s, coupling_s, energies_s = sector_operators(pieces)
@@ -262,30 +246,31 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
             )
         psi[:] = block[-1]  # the full-basis state at the latest sample
 
-    # each window is preceded by a free segment; the sentinel (no window) closes the run
+    # each segment owns the samples in (a, b]; RK4 rows are flushed before a free segment
     emit(0, coeffs[None, :])
-    k, cursor = 1, 0.0
-    for a, b in windows + [(t_end, t_end)]:
-        stop = int(np.searchsorted(samples, a, side="right"))  # samples k..stop-1 lie in (cursor, a]
-        if a > cursor:
+    k, rows = 1, []
+    for a, b, h in step_plan(pulse, t_end, dt):
+        stop = int(np.searchsorted(samples, b, side="right"))
+        if h == 0.0:
+            if rows:
+                emit(k - len(rows), np.array(rows))
+                rows = []
             amplitudes = free.project(coeffs)
             for lo in range(k, stop, SAMPLE_BLOCK):
-                emit(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - cursor))
+                emit(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
+            if b < t_end:
+                coeffs = free.advance(amplitudes, np.array([b - a]))[0]
+        else:
+            for j in range(k, stop):
+                coeffs = rk4_integrate(rhs, coeffs, a, float(samples[j]), h)
+                a = float(samples[j])
+                rows.append(coeffs)
+                if len(rows) == SAMPLE_BLOCK or not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance:
+                    emit(j + 1 - len(rows), np.array(rows))
+                    rows = []
             if b > a:
-                coeffs = free.advance(amplitudes, np.array([a - cursor]))[0]
-        k, t_from = stop, a
-        stop = int(np.searchsorted(samples, b, side="right"))
-        rows = []
-        for j in range(k, stop):
-            coeffs = integrate_window(rhs, pulse, coeffs, t_from, float(samples[j]), dt)
-            t_from = float(samples[j])
-            rows.append(coeffs)
-            if (len(rows) == SAMPLE_BLOCK or j == stop - 1
-                    or not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance):
-                emit(j + 1 - len(rows), np.array(rows))
-                rows = []
-        if b > t_from:
-            coeffs = integrate_window(rhs, pulse, coeffs, t_from, b, dt)
-        k, cursor = stop, b
-
-    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=psi, windows=windows)
+                coeffs = rk4_integrate(rhs, coeffs, a, b, h)
+        k = stop
+    if rows:
+        emit(k - len(rows), np.array(rows))
+    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=psi)

@@ -36,12 +36,7 @@ def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
     schedule, dipole_strength, dt, sample_times = to_reduced(cfg)
     basis = TwoRotorBasis(cfg.basis.l_max, cfg.basis.restrict_total_m)
     pieces = build_pieces(basis, dipole_strength)
-    recorder = TimeSeriesRecorder(
-        basis,
-        cfg.output.watch_populations,
-        entropy_log_base=cfg.output.entropy_log_base,
-        sample_interval_ps=cfg.output.sample_interval_ps,
-    )
+    recorder = TimeSeriesRecorder(basis, cfg.output)
     csv_path = None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -100,7 +100,7 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
     )
     dt_fs = cfg.integrator.dt_pulse_fs
     # the pulse-core step: sigma / 400 resolves the envelope and the carrier with
-    # fourth-order headroom; a window doubles it past each propagation.STEP_BAND_EDGES edge
+    # fourth-order headroom; propagation.step_plan doubles it past each band edge
     dt = schedule.sigma_red / 400.0 if dt_fs is None else dt_fs * 1e-15 / time_unit
     interval_ps = cfg.output.sample_interval_ps
     sample_ps = np.arange(int(np.floor(run_length_ps(cfg) / interval_ps)) + 1) * interval_ps

@@ -22,13 +22,12 @@ from rotorpair.observables import COLUMNS
 from rotorpair.operators import build_costheta_single, expectation
 from rotorpair.propagation import (
     SAMPLE_BLOCK,
-    WINDOW_HALFWIDTH,
     FreeEvolution,
     Trajectory,
     initial_state,
-    integrate_window,
-    pulse_windows,
+    rk4_integrate,
     schrodinger_rhs,
+    step_plan,
 )
 
 # Resolution of the default quadrature grid.  Gauss-Legendre in cos(theta)
@@ -272,12 +271,21 @@ def reduced_density_mol1(basis, coeffs: np.ndarray) -> np.ndarray:
     return c @ c.conj().T
 
 
+def rk4_windows(plan):
+    """The windows of a step plan: each run of adjacent RK4 segments as (start, end)."""
+    windows = []
+    for a, b, h in plan:
+        if h and windows and windows[-1][1] == a:
+            windows[-1] = (windows[-1][0], b)
+        elif h:
+            windows.append((a, b))
+    return windows
+
+
 def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observers=()):
     """run_schedule's block loop with every state, operator and eigh at the
     full basis size: no symmetric sector, nothing folded or unfolded."""
     samples = np.asarray(sample_times, dtype=float)
-    t_end = float(samples[-1])
-    windows = pulse_windows(pulse, WINDOW_HALFWIDTH, t_end)
     free = FreeEvolution(pieces.h0)
     rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal, pulse)
     norms = np.empty(samples.size)
@@ -299,63 +307,52 @@ def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observe
 
     coeffs = initial_state(pieces.basis)
     emit(0, coeffs[None, :])
-    k, cursor = 1, 0.0
-    for a, b in windows + [(t_end, t_end)]:
-        stop = int(np.searchsorted(samples, a, side="right"))
-        if a > cursor:
+    k, rows = 1, []
+    for a, b, h in step_plan(pulse, float(samples[-1]), dt):
+        stop = int(np.searchsorted(samples, b, side="right"))
+        if h == 0.0:
+            if rows:
+                emit(k - len(rows), np.array(rows))
+                rows = []
             amplitudes = free.project(coeffs)
             for lo in range(k, stop, SAMPLE_BLOCK):
-                block = free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - cursor)
-                emit(lo, block)
-            coeffs = free.advance(amplitudes, np.array([a - cursor]))[0]
-        k, t_from = stop, a
-        stop = int(np.searchsorted(samples, b, side="right"))
-        rows = []
-        for j in range(k, stop):
-            coeffs = integrate_window(rhs, pulse, coeffs, t_from, float(samples[j]), dt)
-            t_from = float(samples[j])
-            rows.append(coeffs)
-            if (len(rows) == SAMPLE_BLOCK or j == stop - 1
-                    or not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance):
-                emit(j + 1 - len(rows), np.array(rows))
-                rows = []
-        if b > t_from:
-            coeffs = integrate_window(rhs, pulse, coeffs, t_from, b, dt)
-        k, cursor = stop, b
-
-    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=coeffs, windows=windows)
+                emit(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
+            coeffs = free.advance(amplitudes, np.array([b - a]))[0]
+        else:
+            for j in range(k, stop):
+                coeffs = rk4_integrate(rhs, coeffs, a, float(samples[j]), h)
+                a = float(samples[j])
+                rows.append(coeffs)
+                if len(rows) == SAMPLE_BLOCK or not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance:
+                    emit(j + 1 - len(rows), np.array(rows))
+                    rows = []
+            if b > a:
+                coeffs = rk4_integrate(rhs, coeffs, a, b, h)
+        k = stop
+    if rows:
+        emit(k - len(rows), np.array(rows))
+    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=coeffs)
 
 
 def per_sample_schedule(pieces, pulse, dt, sample_times):
     """The sample-by-sample run loop: one complex eigendecomposition of H0,
-    one chained free advance per sample, and the window stepper restarted
-    at every sample inside a window.  Returns (states[K, n], norms[K],
-    h0_expect[K])."""
+    one chained free advance per sample, and the RK4 stepper restarted at
+    every sample, over each part of the step plan between two samples.
+    Returns (states[K, n], norms[K], h0_expect[K])."""
     samples = np.asarray(sample_times, dtype=float)
-    windows = pulse_windows(pulse, WINDOW_HALFWIDTH, float(samples[-1]))
+    plan = step_plan(pulse, float(samples[-1]), dt)
     energies, vectors = np.linalg.eigh(pieces.h0.toarray())
     rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal, pulse)
 
-    def free(c, tau):
-        return vectors @ (np.exp(-1j * energies * tau) * (vectors.conj().T @ c))
-
     c = initial_state(pieces.basis)
-    states = []
-    t_now = 0.0
-    for t_k in samples:
-        cursor = t_now
-        for a, b in windows:
-            if b <= cursor or a >= t_k:
-                continue
-            if a > cursor:
-                c = free(c, a - cursor)
-                cursor = a
-            stop = min(b, t_k)
-            c = integrate_window(rhs, pulse, c, cursor, stop, dt)
-            cursor = stop
-        if t_k > cursor:
-            c = free(c, t_k - cursor)
-        t_now = float(t_k)
+    states = [c]
+    for t_from, t_k in zip(samples[:-1].tolist(), samples[1:].tolist()):
+        for a, b, h in plan:
+            lo, hi = max(a, t_from), min(b, t_k)
+            if hi > lo and h == 0.0:
+                c = vectors @ (np.exp(-1j * energies * (hi - lo)) * (vectors.conj().T @ c))
+            elif hi > lo:
+                c = rk4_integrate(rhs, c, lo, hi, h)
         states.append(c)
     states = np.array(states)
     h0_expect = np.array([np.vdot(s, pieces.h0 @ s).real for s in states])

@@ -9,24 +9,27 @@ physical setup cost nothing.
 
 import dataclasses
 import functools
+import importlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import criteria
 import oracles
+from rotorpair import output
 from rotorpair.angular import TwoRotorBasis, one_rotor_matrices
-from rotorpair.config import PRESET_NAMES, preset
+from rotorpair.config import PRESET_NAMES, build_config, preset
 from rotorpair.observables import regularity_metrics
 from rotorpair.operators import build_pieces
-from rotorpair.propagation import (
-    WINDOW_HALFWIDTH,
-    initial_state,
-    pulse_windows,
-    run_schedule,
-)
+from rotorpair.propagation import initial_state, run_schedule, step_plan
 from rotorpair.runner import run_config, simulate
 from rotorpair.units import time_unit_seconds, to_reduced
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+check = importlib.import_module("check")
+workloads = importlib.import_module("workloads")
 
 # every panel of every preset, i.e. one label per required run
 PRESET_RUN_LABELS = ("fig1a", "fig1b", "fig2a_R30", "fig2a_R20", "fig2b_R30",
@@ -102,7 +105,7 @@ def test_criterion_2_pulse_window_matches_dense_reference(sims):
     schedule, dipole, dt, _ = to_reduced(cfg)
     basis = TwoRotorBasis(2, None)  # full 81-state product basis
     pieces = build_pieces(basis, dipole)
-    window = pulse_windows(schedule, WINDOW_HALFWIDTH, 10.0)[0]
+    window = oracles.rk4_windows(step_plan(schedule, 10.0, dt))[0]
     assert window[0] == 0.0  # clipped: the run steps the whole window from t = 0
     pkg = run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, [0.0, window[1]]).psi_final
 
@@ -124,19 +127,16 @@ def test_criterion_2_pulse_window_matches_dense_reference(sims):
     )
 
 
-def _free_segment_drift(trajectory, t) -> float:
-    """Largest relative wander of <H0> over samples (at times t) between pulse windows."""
-    ends = np.asarray([b for _, b in trajectory.windows])
-    inside = np.zeros(t.size, dtype=bool)
-    for a, b in trajectory.windows:
-        inside |= (t > a) & (t < b)
-    gap = np.searchsorted(ends, t, side="right")
+def _free_segment_drift(result) -> float:
+    """Largest relative wander of <H0> over the samples of each free segment
+    of the run's step plan, its end points included."""
+    _, _, dt, t = to_reduced(result.config)
     worst = 0.0
-    for g in np.unique(gap[~inside]):
-        sel = (~inside) & (gap == g)
-        if np.count_nonzero(sel) < 2:
+    for a, b, h in step_plan(result.schedule, t[-1], dt):
+        sel = (t >= a) & (t <= b)
+        if h != 0.0 or np.count_nonzero(sel) < 2:
             continue
-        vals = trajectory.h0_expect[sel]
+        vals = result.trajectory.h0_expect[sel]
         scale = max(abs(float(vals.mean())), 1.0)
         worst = max(worst, float(vals.max() - vals.min()) / scale)
     return worst
@@ -168,7 +168,7 @@ def test_criterion_3_unitarity_and_conservation(sims):
         result = sims.get(label)
         traj = result.trajectory
         worst_norm = max(worst_norm, float(np.max(np.abs(traj.norms - 1.0))))
-        worst_drift = max(worst_drift, _free_segment_drift(traj, result.recorder.column("t_red")))
+        worst_drift = max(worst_drift, _free_segment_drift(result))
     leak = _offblock_leakage(sims.configs["fig1a"])
     ok = worst_norm <= 1e-8 and leak <= 1e-12 and worst_drift <= 1e-10
     return ok, (
@@ -286,3 +286,13 @@ def test_criterion_10_reruns_are_byte_identical(sims, tmp_path):
         "independent reruns give byte-identical CSVs for fig1a and fig3b" if ok
         else f"byte differences in {[k for k, v in same.items() if not v]}"
     )
+
+
+@pytest.mark.parametrize("label", list(workloads.CONFIGS))
+def test_each_benchmark_run_matches_its_reference(sims, label, tmp_path):
+    # the benchmark's correctness gate, on the run the benchmark makes
+    assert build_config(workloads.config_doc(label)) == sims.configs[label]
+    recorder = sims.get(label).recorder
+    path = output.write_timeseries_csv(tmp_path / f"{label}.csv", recorder.watch, recorder.table())
+    verdict = check.check_csv(str(path), check.load_ref(label), workloads.d_single(label))
+    assert verdict["ok"], verdict["problems"]

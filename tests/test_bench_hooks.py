@@ -46,9 +46,12 @@ def test_build_pieces_result_has_csr_h0_and_coupling():
     assert layertrace._nnz((), {}, pieces)["nnz"] == pieces.h0.nnz + pieces.coupling.nnz
 
 
-def test_rk4_step_counter_matches_the_derivatives_one_window_evaluates(monkeypatch):
+def test_rk4_step_counter_matches_the_derivatives_a_run_evaluates(monkeypatch):
     # one Lawson step evaluates deriv four times, so the per-layer step
-    # count stays exact when a window is cut into step bands
+    # count stays exact when the plan cuts the windows into step bands and
+    # samples split them
+    import dataclasses
+
     from rotorpair import propagation
     from rotorpair.angular import TwoRotorBasis
     from rotorpair.config import RunConfig
@@ -56,22 +59,21 @@ def test_rk4_step_counter_matches_the_derivatives_one_window_evaluates(monkeypat
     from rotorpair.units import to_reduced
 
     schedule, dipole, dt, _ = to_reduced(RunConfig())
-    h0_s, coupling_s, energies_s = propagation.sector_operators(build_pieces(TwoRotorBasis(2, 0), dipole))
-    rhs = propagation.schrodinger_rhs(h0_s, coupling_s, energies_s, schedule)
-    evaluations = []
-    counting = rhs._replace(deriv=lambda f, c: evaluations.append(f) or rhs.deriv(f, c))
-    steps = []
-    rk4_integrate = propagation.rk4_integrate
+    train = dataclasses.replace(schedule, period_red=0.3, count=3)
+    evaluations, steps = [], []
+    schrodinger_rhs, rk4_integrate = propagation.schrodinger_rhs, propagation.rk4_integrate
+
+    def counting_rhs(*args):
+        rhs = schrodinger_rhs(*args)
+        return rhs._replace(deriv=lambda f, c: evaluations.append(f) or rhs.deriv(f, c))
 
     def counted(*args):
         steps.append(layertrace._rk4_steps(args, {}, None)["steps"])
         return rk4_integrate(*args)
 
+    monkeypatch.setattr(propagation, "schrodinger_rhs", counting_rhs)
     monkeypatch.setattr(propagation, "rk4_integrate", counted)
-    (t_a, t_b), = propagation.pulse_windows(schedule, propagation.WINDOW_HALFWIDTH, 10.0)
-    c = np.zeros(h0_s.shape[0], dtype=complex)
-    c[0] = 1.0
-    for lo, hi in ((t_a, 0.5 * (t_a + t_b)), (0.5 * (t_a + t_b), t_b)):  # split at a sample
-        c = propagation.integrate_window(counting, schedule, c, lo, hi, dt)
+    samples = np.arange(161) * 0.005  # a dozen samples inside each of the three windows
+    propagation.run_schedule(build_pieces(TwoRotorBasis(2, 0), dipole), train, dt, 1e-8, samples)
     assert len(steps) > 7
     assert sum(steps) == len(evaluations) / 4

@@ -46,7 +46,7 @@ def test_product_state_has_zero_entropy():
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
     weights = schmidt_spectrum(basis, _product_state(basis, u, v))[0]
-    assert von_neumann_entropy(weights, basis.d_single) < 1e-10
+    assert von_neumann_entropy(weights, basis.d_single, "e") < 1e-10
     assert np.count_nonzero(weights > 1e-12) == 1
 
 
@@ -75,7 +75,7 @@ def test_entropy_of_a_single_level_subsystem_is_zero():
 
 def test_a_weight_rounded_above_one_gives_zero_entropy():
     # -lam log lam is -2.2e-16 here; -0.0 and NaN are kept as they are
-    entropy = von_neumann_entropy(np.array([[1.0 + 2.0**-52], [1.0], [np.nan]]), 4)
+    entropy = von_neumann_entropy(np.array([[1.0 + 2.0**-52], [1.0], [np.nan]]), 4, "e")
     assert entropy[0] == 0.0 and not np.signbit(entropy[0])
     assert entropy[1] == 0.0 and np.signbit(entropy[1])
     assert np.isnan(entropy[2])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rotorpair.angular import TwoRotorBasis
+from rotorpair.config import OutputConfig
 from rotorpair.exceptions import QueryError
 from rotorpair.observables import (
     DEFAULT_MIN_LAG_RED,
@@ -33,7 +34,7 @@ def test_orientation_of_a_cos_coherence():
 
 def test_population_lookup():
     basis = TwoRotorBasis(1, 0)
-    rec = TimeSeriesRecorder(basis, watch=((0, 0, 0, 0), (1, 0, 1, 0)))
+    rec = TimeSeriesRecorder(basis, OutputConfig(watch_populations=((0, 0, 0, 0), (1, 0, 1, 0))))
     rec(np.array([0.0]), np.array([0]), initial_state(basis)[None, :])
     assert rec.population_column((0, 0, 0, 0)).tolist() == [1.0]
     assert rec.population_column((1, 0, 1, 0)).tolist() == [0.0]
@@ -41,7 +42,7 @@ def test_population_lookup():
     with pytest.raises(QueryError, match=r"\(1, -1, 1, 1\) is not in the watch list"):
         rec.population_column((1, -1, 1, 1))
     with pytest.raises(QueryError):
-        TimeSeriesRecorder(basis, watch=((1, 1, 0, 0),))
+        TimeSeriesRecorder(basis, OutputConfig(watch_populations=((1, 1, 0, 0),)))
 
 
 def test_rotational_energy():
@@ -49,7 +50,7 @@ def test_rotational_energy():
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[basis.index_of(1, 0, 1, 0)] = math.sqrt(0.5)
     coeffs[basis.index_of(0, 0, 0, 0)] = math.sqrt(0.5)
-    rec = TimeSeriesRecorder(basis, watch=())
+    rec = TimeSeriesRecorder(basis, OutputConfig(watch_populations=()))
     rec(np.array([0.0]), np.array([0]), coeffs[None, :])
     assert rec.column("energy_rot")[0] == pytest.approx(2.0, abs=1e-14)
 
@@ -58,8 +59,8 @@ def test_rotational_energy():
 
 def test_recorder_collects_samples():
     basis = TwoRotorBasis(1, None)
-    rec = TimeSeriesRecorder(basis, watch=((0, 0, 0, 0), (1, 0, 0, 0)),
-                             sample_interval_ps=0.5)
+    rec = TimeSeriesRecorder(basis, OutputConfig(watch_populations=((0, 0, 0, 0), (1, 0, 0, 0)),
+                                                  sample_interval_ps=0.5))
     psi = _superposition(basis)
     rec(np.array([0.0]), np.array([0]), initial_state(basis)[None, :])
     rec(np.array([0.011, 0.022]), np.array([1, 2]), np.stack([psi, psi]))
@@ -80,7 +81,7 @@ def test_recorder_collects_samples():
 
 
 def test_recorder_starts_empty():
-    rec = TimeSeriesRecorder(TwoRotorBasis(1, 0), watch=((0, 0, 0, 0),))
+    rec = TimeSeriesRecorder(TwoRotorBasis(1, 0), OutputConfig(watch_populations=((0, 0, 0, 0),)))
     assert rec.column("cos1").size == 0
     assert rec.table().shape == (0, 7)
 
@@ -88,15 +89,16 @@ def test_recorder_starts_empty():
 def test_recorder_rejects_watch_entries_outside_the_basis():
     basis = TwoRotorBasis(1, 0)
     with pytest.raises(QueryError):
-        TimeSeriesRecorder(basis, watch=((2, 0, 0, 0),))
+        TimeSeriesRecorder(basis, OutputConfig(watch_populations=((2, 0, 0, 0),)))
     with pytest.raises(QueryError):
-        TimeSeriesRecorder(basis, watch=((1, 1, 0, 0),))  # wrong total M
+        TimeSeriesRecorder(basis, OutputConfig(watch_populations=((1, 1, 0, 0),)))  # wrong total M
 
 
 def test_recorder_rejects_a_repeated_watch_entry():
     # it would write two pop_1_0_0_0 columns
     with pytest.raises(QueryError, match="repeats an entry"):
-        TimeSeriesRecorder(TwoRotorBasis(2, 0), watch=((1, 0, 0, 0), (1, 0, 0, 0)))
+        TimeSeriesRecorder(TwoRotorBasis(2, 0),
+                           OutputConfig(watch_populations=((1, 0, 0, 0), (1, 0, 0, 0))))
 
 
 # --- regularity metrics ---------------------------------------------------------

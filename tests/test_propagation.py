@@ -3,26 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from rotorpair import propagation
 from rotorpair.angular import TwoRotorBasis
-from rotorpair.config import IntegratorSettings, PulseConfig, RunConfig
+from rotorpair.config import IntegratorSettings, OutputConfig, PulseConfig, RunConfig
 from rotorpair.exceptions import ConsistencyError, InvalidConfigError, StepSizeError
 from rotorpair.observables import COLUMNS, TimeSeriesRecorder
 from rotorpair.operators import PulseSchedule, build_costheta_single, build_pieces, expectation
 from rotorpair.propagation import (
     SAMPLE_BLOCK,
-    WINDOW_HALFWIDTH,
+    STEP_BAND_EDGES,
     FreeEvolution,
     RightHandSide,
     initial_state,
-    integrate_window,
-    pulse_windows,
     rk4_integrate,
     run_schedule,
     schrodinger_rhs,
     sector_operators,
+    step_plan,
 )
 from rotorpair.units import run_length_ps, time_unit_seconds, to_reduced
 
@@ -38,6 +39,18 @@ TOL = IntegratorSettings().norm_tolerance
 
 def _single_pulse(kick=KICK):
     return PulseSchedule(kick_strength=kick, sigma_red=SIGMA, t0_red=T0, carrier_omega=OMEGA)
+
+
+def _windows(pulse, t_end):
+    return oracles.rk4_windows(step_plan(pulse, t_end, DT))
+
+
+def _step_to(rhs, pulse, y, t_end, dt):
+    """y stepped over a plan of [0, t_end] that holds no free segment."""
+    for a, b, h in step_plan(pulse, t_end, dt):
+        assert h > 0.0
+        y = rk4_integrate(rhs, y, a, b, h)
+    return y
 
 
 def _free(h0, coeffs, tau):
@@ -66,7 +79,7 @@ def test_initial_state_needs_the_ground_state():
 def test_integrator_settings_defaults_and_validation():
     settings = IntegratorSettings()
     assert settings.dt_pulse_fs is None
-    assert WINDOW_HALFWIDTH == 5.0
+    assert STEP_BAND_EDGES[-1] == 5.0
     assert settings.norm_tolerance == 1e-8
     assert to_reduced(RunConfig())[2] == pytest.approx(DT)
     # the step and the tolerance are checked where a run is configured
@@ -196,7 +209,7 @@ def test_window_kernel_matches_the_per_stage_reference(case):
         # period 6 sigma < 10 sigma: the three windows fuse and the Gaussians overlap
         pulse = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0,
                               carrier_omega=OMEGA, period_red=6.0 * SIGMA, count=3)
-    (t_a, t_b), = pulse_windows(pulse, 5.0, 1.0)
+    (t_a, t_b), = _windows(pulse, 1.0)
     assert t_a == 0.0
     if case == "partial_step":
         t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.3137 * SIGMA
@@ -309,7 +322,7 @@ def test_banded_window_step_halving_is_fourth_order():
     t_b = T0 + 5.0 * SIGMA
 
     def integrate(dt):
-        return integrate_window(rhs, pulse, c, 0.0, t_b, dt)
+        return _step_to(rhs, pulse, c, t_b, dt)
 
     ref = integrate(SIGMA / 160.0)
     err_coarse = np.abs(integrate(SIGMA / 10.0) - ref).max()
@@ -319,35 +332,57 @@ def test_banded_window_step_halving_is_fourth_order():
 
 
 @pytest.mark.parametrize("count", [1, 2])
-def test_window_bands_tile_the_span_and_keep_the_core_at_dt(monkeypatch, count):
-    # period 6 sigma < 10 sigma: two pulses share one merged window
+def test_plan_bands_tile_the_run_and_keep_the_core_at_dt(count):
+    # period 6 sigma < 10 sigma: two pulses share one window
     pulse = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0, carrier_omega=OMEGA,
                           period_red=6.0 * SIGMA, count=count)
-    (t_a, t_b), = pulse_windows(pulse, WINDOW_HALFWIDTH, 1.0)
-    calls = []
-    monkeypatch.setattr(propagation, "rk4_integrate",
-                        lambda rhs, y, t0, t1, dt: calls.append((t0, t1, dt)) or y)
-    for lo, hi in ((t_a, t_b), (T0 - 0.2 * SIGMA, T0 + 2.9 * SIGMA)):
-        calls.clear()
-        integrate_window(None, pulse, np.zeros(1), lo, hi, DT)
-        assert calls[0][0] == lo and calls[-1][1] == hi
-        assert all(prev[1] == nxt[0] < nxt[1] for prev, nxt in zip(calls, calls[1:]))
-        for a, b, h in calls:
-            d = np.abs(pulse.centers() - 0.5 * (a + b)).min() / SIGMA
-            assert h == DT * 2 ** sum(d > edge for edge in propagation.STEP_BAND_EDGES)
-            if h > DT:  # no coarse step comes within 1.5 sigma of any center
-                assert np.all((pulse.centers() + 1.5 * SIGMA <= a) | (pulse.centers() - 1.5 * SIGMA >= b))
-    calls.clear()
-    integrate_window(None, pulse, np.zeros(1), t_a, t_b, DT)
-    # the window opens at t = 0, 4.3 sigma before the first center
-    assert [h / DT for _, _, h in calls] == ([8, 4, 2, 1, 2, 4, 8] if count == 1
-                                             else [8, 4, 2, 1, 2, 4, 2, 1, 2, 4, 8])
+    plan = step_plan(pulse, 1.0, DT)
+    assert plan[0][0] == 0.0 and plan[-1][1] == 1.0
+    assert all(prev[1] == nxt[0] < nxt[1] for prev, nxt in zip(plan, plan[1:]))
+    for a, b, h in plan:
+        d = np.abs(pulse.centers() - 0.5 * (a + b)).min() / SIGMA
+        assert h == (DT * 2 ** sum(d > edge for edge in STEP_BAND_EDGES) if d <= 5.0 else 0.0)
+        if h > DT or h == 0.0:  # no coarse step comes within 1.5 sigma of any center
+            assert np.all((pulse.centers() + 1.5 * SIGMA <= a) | (pulse.centers() - 1.5 * SIGMA >= b))
+    # the window opens at t = 0, 4.3 sigma before the first center; a free segment closes the run
+    assert [h / DT for _, _, h in plan] == ([8, 4, 2, 1, 2, 4, 8, 0] if count == 1
+                                            else [8, 4, 2, 1, 2, 4, 2, 1, 2, 4, 8, 0])
+
+
+def _sigmas(lo, hi):
+    return st.floats(lo, hi).map(lambda x: x * SIGMA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 30), period=_sigmas(0.5, 30.0), t0=_sigmas(-20.0, 60.0),
+       t_end=_sigmas(0.01, 1000.0), dt=_sigmas(1e-3, 0.1), where=st.lists(st.floats(0.0, 1.0), max_size=5))
+def test_step_plan_tiles_the_run_with_graded_steps(count, period, t0, t_end, dt, where):
+    pulse = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=t0, carrier_omega=OMEGA,
+                          period_red=period, count=count)
+    centers = pulse.centers()
+    plan = step_plan(pulse, t_end, dt)
+    assert plan[0][0] == 0.0 and plan[-1][1] == t_end
+    assert all(a < b for a, b, _ in plan)
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(plan, plan[1:]))
+    assert not any(prev[2] == nxt[2] == 0.0 for prev, nxt in zip(plan, plan[1:]))
+    slack = 1e-9 * SIGMA  # the cuts are c +- edge in floating point
+    for a, b, h in plan:
+        if h == 0.0:  # every point of a free segment is more than 5 sigma from every center
+            assert np.all((centers + 5.0 * SIGMA <= a + slack) | (centers - 5.0 * SIGMA >= b - slack))
+        if h == 0.0 or h > dt:  # no step above dt within 1.5 sigma of any center
+            assert np.all((centers + 1.5 * SIGMA <= a + slack) | (centers - 1.5 * SIGMA >= b - slack))
+        for u in [0.5, *where]:
+            t = a + u * (b - a)
+            d = np.abs(centers - t).min()
+            if h > 0.0 and not np.any(np.abs(d - SIGMA * np.array(STEP_BAND_EDGES)) <= slack):
+                assert h == dt * 2 ** sum(d > SIGMA * edge for edge in STEP_BAND_EDGES)
 
 
 def _classical_window_error(pieces, pulse, dt, y, t_a, t_b, sector=True):
     ops = sector_operators(pieces) if sector else (pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal)
     rhs = schrodinger_rhs(*ops, pulse)
-    got = integrate_window(rhs, pulse, y, t_a, t_b, dt)
+    assert t_a == 0.0
+    got = _step_to(rhs, pulse, y, t_b, dt)
     return np.abs(got - oracles.classical_rk4(rhs, y, t_a, t_b, dt)).max()
 
 
@@ -355,7 +390,7 @@ def test_rotor_frame_bands_stay_within_1e10_of_classical_rk4():
     # criterion 2's window: fig1a on the full l_max 2 basis, from the ground state
     schedule, dipole, dt, _ = to_reduced(RunConfig())
     pieces = build_pieces(TwoRotorBasis(2, None), dipole)
-    (t_a, t_b), = pulse_windows(schedule, WINDOW_HALFWIDTH, 10.0)
+    (t_a, t_b), = oracles.rk4_windows(step_plan(schedule, 10.0, dt))
     err = _classical_window_error(pieces, schedule, dt, initial_state(pieces.basis), t_a, t_b, sector=False)
     assert err <= 1e-10
     # every sector state at l_max 6 carries weight, up to rotor energy 84
@@ -363,37 +398,41 @@ def test_rotor_frame_bands_stay_within_1e10_of_classical_rk4():
     assert _classical_window_error(pieces, schedule, dt, c, t_a, t_b) <= 1e-10
 
 
-# --- window placement ----------------------------------------------------------
+# --- step plan ---------------------------------------------------------------
 
-def test_pulse_windows_zero_kick_has_none():
-    assert pulse_windows(_single_pulse(kick=0.0), 5.0, 10.0) == []
+def test_step_plan_zero_kick_is_one_free_segment():
+    assert step_plan(_single_pulse(kick=0.0), 10.0, DT) == [(0.0, 10.0, 0.0)]
 
 
-def test_pulse_windows_single_pulse_clipped_at_zero():
-    w = pulse_windows(_single_pulse(), 5.0, 10.0)
+def test_step_plan_single_pulse_clipped_at_zero():
+    w = _windows(_single_pulse(), 10.0)
     assert len(w) == 1
     a, b = w[0]
     assert a == 0.0  # t0 < 5 sigma, so the left edge clips
     assert b == pytest.approx(T0 + 5.0 * SIGMA)
 
 
-def test_pulse_windows_merge_overlapping_pulses():
+def test_step_plan_has_no_free_segment_between_overlapping_pulses():
     pulse = PulseSchedule(kick_strength=1.0, sigma_red=0.1, t0_red=0.5,
                           carrier_omega=1.0, period_red=0.3, count=3)
     # 5 sigma = 0.5 > period, so all three windows fuse into one
-    w = pulse_windows(pulse, 5.0, 10.0)
+    plan = step_plan(pulse, 10.0, DT)
+    w = oracles.rk4_windows(plan)
     assert len(w) == 1
     assert w[0] == (0.0, pytest.approx(0.5 + 2 * 0.3 + 0.5))
+    assert [h for _, _, h in plan].count(0.0) == 1  # only the closing segment is free
 
 
-def test_pulse_windows_clip_and_drop_beyond_t_end():
+def test_step_plan_clips_and_drops_beyond_t_end():
     pulse = PulseSchedule(kick_strength=1.0, sigma_red=0.01, t0_red=1.0,
                           carrier_omega=1.0, period_red=2.0, count=3)
-    w = pulse_windows(pulse, 5.0, 3.5)
+    plan = step_plan(pulse, 3.5, DT)
+    w = oracles.rk4_windows(plan)
     assert len(w) == 2
     assert w[1] == (pytest.approx(2.95), pytest.approx(3.05))
     # the center at t = 5 lies wholly past t_end and is dropped
     assert all(b <= 3.5 for _, b in w)
+    assert plan[-1] == (w[1][1], 3.5, 0.0)
 
 
 # --- full schedule -----------------------------------------------------------
@@ -416,7 +455,7 @@ def test_run_schedule_without_field_is_pure_free_evolution():
     pulse = _single_pulse(kick=0.0)
     samples = np.array([0.0, 0.5, 1.3])
     traj = run_schedule(pieces, pulse, DT, TOL, samples)
-    assert traj.windows == []
+    assert step_plan(pulse, 1.3, DT) == [(0.0, 1.3, 0.0)]
     assert np.allclose(traj.norms, 1.0, atol=1e-12)
     assert np.ptp(traj.h0_expect) < 1e-12
     free = _free(pieces.h0, initial_state(basis), 1.3)
@@ -431,8 +470,9 @@ def test_run_schedule_matches_a_hand_composed_run():
     t_end = 0.5
     samples = np.array([0.0, 0.25, t_end])  # no sample inside the window
     traj = run_schedule(pieces, pulse, DT, TOL, samples)
-    assert len(traj.windows) == 1
-    a, b = traj.windows[0]
+    windows = _windows(pulse, t_end)
+    assert len(windows) == 1
+    a, b = windows[0]
 
     # composed in the symmetric sector, as run_schedule propagates
     s = basis.sector_isometry
@@ -441,11 +481,11 @@ def test_run_schedule_matches_a_hand_composed_run():
     c = s.T @ initial_state(basis)
     if a > 0:
         c = free.advance(free.project(c), np.array([a]))[0]
-    c = integrate_window(schrodinger_rhs(h0_s, coupling_s, energies_s, pulse), pulse, c, a, b, DT)
+    c = _step_to(schrodinger_rhs(h0_s, coupling_s, energies_s, pulse), pulse, c, b, DT)
     c = free.advance(free.project(c), np.array([t_end - b]))[0]
     assert np.abs(traj.psi_final - s @ c).max() < 1e-9
     assert traj.max_norm_drift < 1e-9
-    assert traj.windows == [(max(T0 - 5.0 * SIGMA, 0.0), T0 + 5.0 * SIGMA)]
+    assert windows == [(max(T0 - 5.0 * SIGMA, 0.0), T0 + 5.0 * SIGMA)]
 
 
 def test_run_schedule_advances_once_per_free_block_and_window_start(monkeypatch):
@@ -460,7 +500,7 @@ def test_run_schedule_advances_once_per_free_block_and_window_start(monkeypatch)
                         lambda self, amp, taus: durations.append(len(taus)) or advance(self, amp, taus))
     traj = run_schedule(build_pieces(basis, 0.13150852670024232), pulse, DT, TOL,
                         samples, observers=(lambda t, k, c: rows.append(c[-1]),))
-    assert np.searchsorted(samples, traj.windows[0], side="right").tolist() == [42, 48]
+    assert np.searchsorted(samples, _windows(pulse, samples[-1])[0], side="right").tolist() == [42, 48]
     assert durations == [41, 1, 64, 38]  # a block, the window start, two blocks
     assert np.array_equal(traj.psi_final, rows[-1])
 
@@ -504,7 +544,7 @@ def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
     psi = initial_state(basis)
     psi[1] = np.nan
     monkeypatch.setattr(propagation, "initial_state", lambda basis: psi)
-    recorder = TimeSeriesRecorder(basis, ())
+    recorder = TimeSeriesRecorder(basis, OutputConfig(watch_populations=()))
     with pytest.raises(StepSizeError, match="by nan at t = 0 "):
         run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0, 0.5, 1.0]),
                      observers=(recorder,))
@@ -516,10 +556,10 @@ def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
 def test_run_schedule_with_one_sample_records_only_the_start():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
-    recorder = TimeSeriesRecorder(basis, ((0, 0, 0, 0),))
+    recorder = TimeSeriesRecorder(basis, OutputConfig(watch_populations=((0, 0, 0, 0),)))
     traj = run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0]),
                         observers=(recorder,))
-    assert traj.windows == []
+    assert step_plan(_single_pulse(), 0.0, DT) == []
     assert traj.norms.tolist() == [1.0]
     assert traj.max_norm_drift == 0.0
     assert np.array_equal(traj.psi_final, initial_state(basis))
@@ -529,7 +569,7 @@ def test_run_schedule_with_one_sample_records_only_the_start():
 
 def _assert_matches_the_per_sample_loop(pieces, pulse, samples, watch):
     blocks = []
-    recorder = TimeSeriesRecorder(pieces.basis, watch)
+    recorder = TimeSeriesRecorder(pieces.basis, OutputConfig(watch_populations=watch))
     traj = run_schedule(pieces, pulse, DT, TOL, samples,
                         observers=(recorder, lambda t, k, c: blocks.append(k.size)))
     states, norms, h0_expect = oracles.per_sample_schedule(pieces, pulse, DT, samples)
@@ -568,7 +608,7 @@ def test_block_run_of_a_pulse_train_matches_the_per_sample_loop():
                           carrier_omega=OMEGA, period_red=0.3, count=2)
     # dense enough that each window holds more than one block of samples
     samples = np.arange(1400) * 0.0005
-    windows = pulse_windows(train, 5.0, samples[-1])
+    windows = _windows(train, samples[-1])
     assert len(windows) == 2
     for a, b in windows:
         assert np.count_nonzero((samples > a) & (samples <= b)) > SAMPLE_BLOCK

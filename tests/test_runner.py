@@ -4,12 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from rotorpair import output
 from rotorpair.config import BasisConfig, RunConfig, build_config
 from rotorpair.exceptions import InvalidConfigError, StepSizeError
 from rotorpair.output import read_timeseries_csv
+from rotorpair.propagation import step_plan
 from rotorpair.runner import CONFIG_ECHO_NAME, CSV_NAME, run_config, simulate
-from rotorpair.units import run_length_ps, time_unit_seconds
+from rotorpair.units import run_length_ps, time_unit_seconds, to_reduced
 
 # small and fast: 19 states, 20 ps, one pulse
 TINY = {
@@ -53,8 +55,10 @@ def test_simulate_is_physically_sane():
     result = simulate(_tiny())
     traj = result.trajectory
     assert traj.max_norm_drift < 1e-8
-    assert len(traj.windows) == 1
-    a, b = traj.windows[0]
+    _, _, dt, samples = to_reduced(result.config)
+    windows = oracles.rk4_windows(step_plan(result.schedule, samples[-1], dt))
+    assert len(windows) == 1
+    a, b = windows[0]
     assert a == 0.0  # t0 = 1200 fs sits closer than 5 sigma to t = 0
     assert b == pytest.approx(result.schedule.t0_red + 5 * result.schedule.sigma_red)
     # the kick leaves the molecules rotating faster than the ground state

@@ -16,11 +16,11 @@ from scipy.sparse.linalg import norm as sparse_norm
 import oracles
 from rotorpair import propagation
 from rotorpair.angular import TwoRotorBasis
-from rotorpair.config import IntegratorSettings
+from rotorpair.config import IntegratorSettings, OutputConfig
 from rotorpair.exceptions import ConsistencyError
 from rotorpair.observables import COLUMNS, TimeSeriesRecorder
 from rotorpair.operators import HamiltonianPieces, PulseSchedule, build_costheta_single, build_pieces
-from rotorpair.propagation import SAMPLE_BLOCK, initial_state, pulse_windows, run_schedule
+from rotorpair.propagation import SAMPLE_BLOCK, initial_state, run_schedule, step_plan
 
 # reduced parameters of the default molecule pair (see test_propagation.py)
 KICK = 386.21612373411443
@@ -112,11 +112,11 @@ def test_the_sector_run_matches_the_full_space_loop(case):
     if case == "two_pulse_train":
         pulse = _pulse(count=2, period=0.3)
         samples = np.arange(1400) * 0.0005
-        windows = pulse_windows(pulse, 5.0, samples[-1])
+        windows = oracles.rk4_windows(step_plan(pulse, samples[-1], DT))
         assert len(windows) == 2
         for a, b in windows:
             assert np.count_nonzero((samples > a) & (samples <= b)) > SAMPLE_BLOCK
-    got, ref = TimeSeriesRecorder(basis, WATCH), TimeSeriesRecorder(basis, WATCH)
+    got, ref = (TimeSeriesRecorder(basis, OutputConfig(watch_populations=WATCH)) for _ in range(2))
     traj = run_schedule(pieces, pulse, DT, TOL, samples, observers=(got,))
     full = oracles.full_space_schedule(pieces, pulse, DT, TOL, samples, observers=(ref,))
 
@@ -133,4 +133,3 @@ def test_the_sector_run_matches_the_full_space_loop(case):
     assert_close(traj.norms, full.norms, "norms")
     assert_close(traj.psi_final, full.psi_final, "psi_final")
     assert traj.psi_final.shape == (basis.size,)
-    assert traj.windows == full.windows
