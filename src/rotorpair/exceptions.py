@@ -27,5 +27,6 @@ class NumericalError(SimulationError):
 
 
 class StepSizeError(NumericalError):
-    """Norm drift exceeded tolerance: a finite drift asks for a smaller
+    """Norm drift beyond tolerance, or stage sweeps that did not converge (from
+    rk4_integrate, with the state reached as .state): both ask for a smaller
     integration step, while a diverged (inf or NaN) state is not fixed by one."""

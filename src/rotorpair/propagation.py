@@ -8,11 +8,11 @@ step_plan cuts [0, t_end] once per run into segments, wherever the
 distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
 More than 5 sigma from every center a segment is free: the state advances
 by the exact exponential of the field-free Hamiltonian (one
-eigendecomposition per run). Every other segment is stepped with RK4 in
-the rotor frame (Lawson RK4, exact in the rotor energies): at the
+eigendecomposition per run). Every other segment is stepped by Gauss
+collocation in the rotor frame (exact in the rotor energies): at the
 pulse-core step dt (integrator.dt_pulse_fs) near the centers, doubled past
-each edge. The norm is monitored and a violation raises; nothing is ever
-silently renormalized.
+each edge. A norm violation raises, as does a step whose stage sweeps do
+not converge; nothing is ever silently renormalized.
 """
 
 from __future__ import annotations
@@ -21,17 +21,27 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import legendre
 from scipy import sparse
 
 from .angular import TwoRotorBasis
 from .exceptions import ConsistencyError, InvalidConfigError, NumericalError, StepSizeError
 from .operators import HamiltonianPieces, PulseSchedule, expectation
 
-# Distances from the nearest pulse center, in sigma, past which the RK4 step
-# doubles: dt, 2 dt, 4 dt, then 8 dt where the envelope is below 5e-6 of its
-# peak. Past the last edge the envelope is below exp(-25) ~ 1e-11 and the
-# evolution is free.
+# Distances from the nearest pulse center, in sigma, past which the
+# collocation step doubles: dt, 2 dt, 4 dt, then 8 dt where the envelope is
+# below 5e-6 of its peak. Past the last edge the envelope is below
+# exp(-25) ~ 1e-11 and the evolution is free.
 STEP_BAND_EDGES = (1.5, 2.5, 3.5, 5.0)
+
+# six-stage Gauss collocation on [0, 1]: nodes c, weights b, A[i, j] = integral to c_i of Lagrange l_j
+_x, _w = legendre.leggauss(6)
+GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (_x + 1.0), 0.5 * _w
+GAUSS_MATRIX = 0.5 * legendre.legval(_x, legendre.legint(
+    (np.arange(6) + 0.5)[:, None] * _w * legendre.legvander(_x, 5).T, lbnd=-1)).T
+# converged at a few roundings of a unit state; sweeps contracting by q > 0.3 need more than the cap
+SWEEP_TOLERANCE = 1e-15
+MAX_SWEEPS = 30
 
 # Most samples handed to the observers at once: keeps each K x n complex
 # block under 1 MB at n = 891 (l_max = 10).
@@ -93,11 +103,11 @@ class FreeEvolution:
 
 
 class RightHandSide(NamedTuple):
-    """dy/dt = -i rates y + deriv(field(t), y), with field vectorized over an
-    array of times; rk4_integrate takes the diagonal -i rates y exactly."""
+    """dy/dt = -i rates y + deriv(field(t), y), field vectorized over times and deriv
+    over a row of fields and a block of states; rk4_integrate takes -i rates y exactly."""
 
     field: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[float, np.ndarray], np.ndarray]
+    deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rates: np.ndarray | float = 0.0
 
 
@@ -137,40 +147,48 @@ def sector_operators(pieces: HamiltonianPieces):
 
 
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
-    """Lawson RK4 (SIAM J. Numer. Anal. 4, 372 (1967)), classical RK4 in
-    the frame that rotates with rhs.rates, so the rates are integrated
-    exactly; classical RK4 when the rates are 0. Fixed step dt and one
-    partial final step; the field at every stage time comes from one
-    vectorized call."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    span = t1 - t0
-    if span < 0:
-        raise ValueError(f"t1 must not precede t0, got span {span}")
-    n_full = int(np.floor(span / dt + 1e-12))
-    steps = [dt] * n_full
+    """Six-stage Gauss-Legendre collocation (order 12, unitary once the stage equations
+    are solved: Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in
+    the frame that rotates with rhs.rates, which are integrated exactly. Fixed step dt,
+    one partial final step, the stage fields from one call; each fixed-point sweep of
+    the stage equations is one rhs.deriv product on the n x 6 stage block. A step whose
+    sweeps reach MAX_SWEEPS goes on from its last iterate, and the span then ends in
+    StepSizeError with the state reached as its .state."""
+    if not (dt > 0 and t1 >= t0):
+        raise ValueError(f"need dt > 0 and t1 >= t0, got dt = {dt}, span {t1 - t0}")
+    n_full = int(np.floor((t1 - t0) / dt + 1e-12))
     remainder = t1 - (t0 + n_full * dt)
-    if remainder > 1e-12 * max(abs(t1), 1.0):
-        steps.append(remainder)
+    steps = [dt] * n_full + ([remainder] if remainder > 1e-12 * max(abs(t1), 1.0) else [])
     starts, widths = t0 + np.arange(len(steps)) * dt, np.array(steps)
-    fields = rhs.field(np.stack([starts, starts + 0.5 * widths, starts + widths]))
-    # exp(-i D h/2) and exp(-i D h), the latter not squared: its rounding would add up
-    turns = {h: (np.exp((-0.5j * h) * rhs.rates), np.exp((-1j * h) * rhs.rates)) for h in set(steps)}
-    for h, (f0, f_mid, f1) in zip(steps, fields.T.tolist()):
-        half, full = turns[h]
-        k1 = rhs.deriv(f0, y)
-        y_half = half * y
-        k2 = rhs.deriv(f_mid, half * (y + (0.5 * h) * k1))
-        k3 = rhs.deriv(f_mid, y_half + (0.5 * h) * k2)
-        k4 = rhs.deriv(f1, half * (y_half + h * k3))
-        y = full * (y + (h / 6.0) * k1) + half * ((h / 3.0) * (k2 + k3)) + (h / 6.0) * k4
+    fields = rhs.field(starts[:, None] + widths[:, None] * GAUSS_NODES)
+    frames = {}  # per step width: exp(-i D c h) at the nodes, its conjugate, exp(-i D h), h A^T, h b
+    for h in set(steps):
+        turn = np.exp(np.multiply.outer((-1j * h) * rhs.rates, GAUSS_NODES))
+        frames[h] = turn, turn.conj(), np.exp((-1j * h) * rhs.rates), h * GAUSS_MATRIX.T, h * GAUSS_WEIGHTS
+    stall = None
+    for t, h, field_row in zip(starts.tolist(), steps, fields):
+        turn, back, full, h_a, h_b = frames[h]
+        stages = y[:, None]  # the rotor-frame stage states, all at the start state
+        for _ in range(MAX_SWEEPS):
+            derivs = back * rhs.deriv(field_row, turn * stages)
+            new = y[:, None] + derivs @ h_a
+            update, stages = np.abs(new - stages).max(), new
+            if not update > SWEEP_TOLERANCE:  # converged, or not finite
+                break
+        else:
+            stall = stall or StepSizeError(f"the collocation sweeps did not converge at t = {t:.6g} (update "
+                                           f"{update:.1e} after {MAX_SWEEPS} sweeps); reduce integrator.dt_pulse_fs")
+        y = full * (y + derivs @ h_b)
+    if stall:
+        stall.state = y
+        raise stall
     return y
 
 
 def step_plan(pulse: PulseSchedule, t_end: float, dt: float) -> list[tuple[float, float, float]]:
     """[0, t_end] cut into segments (a, b, h) wherever the distance to the
-    nearest pulse center crosses a STEP_BAND_EDGES edge: RK4 with step
-    h = 2**k dt past k edges, free evolution (h = 0.0) past the last.
+    nearest pulse center crosses a STEP_BAND_EDGES edge: collocation with
+    step h = 2**k dt past k edges, free evolution (h = 0.0) past the last.
 
     Neighbouring segments differ in h, so free segments are never adjacent.
     A schedule with kick_strength = 0 is one free segment; t_end = 0 gives
@@ -202,11 +220,11 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
 
     sample_times must be ascending and start at 0. Samples reach the
     observers in blocks of at most SAMPLE_BLOCK consecutive samples from
-    one free segment or one window (a run of RK4 segments), as
+    one free segment or one window (a run of collocation segments), as
     observer(t_red[K], indices[K], coeffs[K, basis.size]). A sample whose
-    norm drifts beyond tolerance (or is NaN) ends its block: the observers
-    see it, then StepSizeError is raised. A diverging state overflows
-    quietly: the norm check reports it.
+    norm drifts beyond tolerance (or is NaN) ends its block, as does the
+    first sample after a step whose sweeps stalled: the observers see it,
+    then StepSizeError is raised. A diverging state overflows quietly.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -224,13 +242,22 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         raise ConsistencyError(f"the initial state leaks out of the symmetric sector by {leak:.3e}")
     free = FreeEvolution(h0_s)
     rhs = schrodinger_rhs(h0_s, coupling_s, energies_s, pulse)
-    norms = np.empty(samples.size)
-    h0_expect = np.empty(samples.size)
+    norms, h0_expect = np.empty(samples.size), np.empty(samples.size)
+
+    stall, stalled_at = None, np.inf  # the first stalled step and the first sample after it
+    def step(c: np.ndarray, t_a: float, t_b: float, h: float, sample: int) -> np.ndarray:
+        nonlocal stall, stalled_at
+        try:
+            return rk4_integrate(rhs, c, t_a, t_b, h)
+        except StepSizeError as exc:
+            stall, stalled_at = stall or exc, min(stalled_at, sample)
+            return exc.state
 
     def emit(lo: int, folded: np.ndarray) -> None:
         block = (s @ folded.T).T
         block_norms = np.linalg.norm(block, axis=1)
-        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= norm_tolerance))
+        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= norm_tolerance)
+                             | (np.arange(lo, lo + block.shape[0]) >= stalled_at))
         if bad.size:
             block, folded = block[: bad[0] + 1], folded[: bad[0] + 1]
         hi = lo + block.shape[0]
@@ -240,13 +267,15 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
             observer(samples[lo:hi], np.arange(lo, hi), block)
         if bad.size:
             drift = abs(norms[hi - 1] - 1.0)
+            if drift <= norm_tolerance:
+                raise stall
             raise StepSizeError(
                 f"norm drifted by {drift:.3e} at t = {samples[hi - 1]:.6g} (tolerance {norm_tolerance:.1e}); "
                 + ("reduce integrator.dt_pulse_fs" if np.isfinite(drift) else "the state diverged")
             )
         psi[:] = block[-1]  # the full-basis state at the latest sample
 
-    # each segment owns the samples in (a, b]; RK4 rows are flushed before a free segment
+    # each segment owns the samples in (a, b]; window rows are flushed before a free segment
     emit(0, coeffs[None, :])
     k, rows = 1, []
     for a, b, h in step_plan(pulse, t_end, dt):
@@ -262,14 +291,14 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                 coeffs = free.advance(amplitudes, np.array([b - a]))[0]
         else:
             for j in range(k, stop):
-                coeffs = rk4_integrate(rhs, coeffs, a, float(samples[j]), h)
+                coeffs = step(coeffs, a, float(samples[j]), h, j)
                 a = float(samples[j])
                 rows.append(coeffs)
                 if len(rows) == SAMPLE_BLOCK or not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance:
                     emit(j + 1 - len(rows), np.array(rows))
                     rows = []
             if b > a:
-                coeffs = rk4_integrate(rhs, coeffs, a, b, h)
+                coeffs = step(coeffs, a, b, h, stop)
         k = stop
     if rows:
         emit(k - len(rows), np.array(rows))

@@ -5,11 +5,12 @@ forms or sparse fast paths, using slow-but-transparent numerics instead:
 angular matrix elements by quadrature over the sphere, two-rotor operators
 by Kronecker products of quadrature-built one-rotor matrices, time
 evolution by dense midpoint-sampled eigendecomposition, H(t) as one
-explicit matrix, rotor-frame RK4 with the derivative rebuilt at every
-stage, uniform classical RK4 with no frame and no step bands, the full
-d x d Schmidt matrix, the block run loop in the full M basis (no
-symmetric sector), and the sample-by-sample run loop with its
-per-sample observables.  None of it is imported by the package itself.
+explicit matrix, rotor-frame Gauss collocation with its stage equations
+solved as one dense linear system, uniform classical RK4 with no frame
+and no step bands, the full d x d Schmidt matrix, the block run loop in
+the full M basis (no symmetric sector), and the sample-by-sample run loop
+with its per-sample observables.  None of it is imported by the package
+itself.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ from rotorpair.exceptions import StepSizeError
 from rotorpair.observables import COLUMNS
 from rotorpair.operators import build_costheta_single, expectation
 from rotorpair.propagation import (
+    GAUSS_MATRIX,
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
     SAMPLE_BLOCK,
     FreeEvolution,
     Trajectory,
@@ -192,50 +196,49 @@ def hamiltonian_at(t: float, pieces, pulse):
     return (pieces.h0 + pieces.coupling * pulse.field_scalar(t)).tocsr()
 
 
-def per_stage_rk4(pieces, pulse, y, t0, t1, dt):
-    """Rotor-frame (Lawson) RK4 over [t0, t1] as classical RK4 of the
-    interaction-picture state z(tau) = exp(i D tau) y over each step, with
-    D the diagonal of the full-basis H0 (the rotor energies) and W = H0 - D:
-    the derivative exp(i D tau) (-i)(W + f(t) V) exp(-i D tau) z is built
-    at every stage from two matrix products and one scalar field call, and
-    the step ends with y = exp(-i D h) z(h).  Same step rule as the
+def dense_collocation(pieces, pulse, y, t0, t1, dt):
+    """Rotor-frame Gauss collocation over [t0, t1] with the package's tableau
+    and its stage equations solved directly: with D the diagonal of the
+    full-basis H0 (the rotor energies), W = H0 - D and the rotor-frame
+    generator G_j = exp(i D c_j h) (-i)(W + f(t + c_j h) V) exp(-i D c_j h)
+    as a dense matrix at each node, the stages solve the (s n) x (s n)
+    system Z_i - h sum_j a_ij G_j Z_j = y, and the step ends with
+    y = exp(-i D h) (y + h sum_j b_j G_j Z_j).  Same step rule as the
     package: full steps of dt, then one partial final step."""
     rest = pieces.h0.toarray()
     energies = rest.diagonal().real.copy()
     np.fill_diagonal(rest, 0.0)
-    coupling = pieces.coupling
+    coupling = pieces.coupling.toarray()
+    n, s = energies.size, GAUSS_NODES.size
 
-    def lawson_step(y, t, h):
-        def deriv(tau, z):
-            c = np.exp((-1j * tau) * energies) * z
-            dc = -1j * (rest @ c + pulse.field_scalar(t + tau) * (coupling @ c))
-            return np.exp((1j * tau) * energies) * dc
-
-        return np.exp((-1j * h) * energies) * _per_stage_step(deriv, y, 0.0, h)
+    def collocation_step(y, t, h):
+        gens = []
+        for c in GAUSS_NODES:
+            phase = np.exp((1j * c * h) * energies)
+            h_t = rest + pulse.field_scalar(t + c * h) * coupling
+            gens.append(phase[:, None] * (-1j * h_t) * phase.conj()[None, :])
+        system = np.eye(s * n) - h * np.block([[GAUSS_MATRIX[i, j] * gens[j] for j in range(s)]
+                                               for i in range(s)])
+        stages = np.linalg.solve(system, np.tile(y, s)).reshape(s, n)
+        z = y + h * sum(b * g @ z_j for b, g, z_j in zip(GAUSS_WEIGHTS, gens, stages))
+        return np.exp((-1j * h) * energies) * z
 
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
     for k in range(n_full):
-        y = lawson_step(y, t0 + k * dt, dt)
+        y = collocation_step(y, t0 + k * dt, dt)
     t_last = t0 + n_full * dt
     remainder = t1 - t_last
     if remainder > 1e-12 * max(abs(t1), 1.0):
-        y = lawson_step(y, t_last, remainder)
+        y = collocation_step(y, t_last, remainder)
     return y
-
-
-def _per_stage_step(deriv, y, t, h):
-    k1 = deriv(t, y)
-    k2 = deriv(t + 0.5 * h, y + (0.5 * h) * k1)
-    k3 = deriv(t + 0.5 * h, y + (0.5 * h) * k2)
-    k4 = deriv(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def classical_rk4(rhs, y, t0, t1, dt):
     """Uniform classical RK4 of dy/dt = -i rates y + deriv(field(t), y), the
     rates stepped like the rest, with the package's step rule (full steps
     of dt, then one partial final step) and one vectorized field call: the
-    reference that the rotor frame and the step bands are measured against."""
+    path the collocation stepper replaced, and the reference that its
+    rotor frame, step bands and step size are measured against."""
     span = t1 - t0
     n_full = int(np.floor(span / dt + 1e-12))
     steps = [dt] * n_full

@@ -46,10 +46,10 @@ def test_build_pieces_result_has_csr_h0_and_coupling():
     assert layertrace._nnz((), {}, pieces)["nnz"] == pieces.h0.nnz + pieces.coupling.nnz
 
 
-def test_rk4_step_counter_matches_the_derivatives_a_run_evaluates(monkeypatch):
-    # one Lawson step evaluates deriv four times, so the per-layer step
-    # count stays exact when the plan cuts the windows into step bands and
-    # samples split them
+def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
+    # each step takes the field at its six nodes, and each call takes all of
+    # its steps' fields at once, so the per-layer step count stays exact when
+    # the plan cuts the windows into step bands and samples split them
     import dataclasses
 
     from rotorpair import propagation
@@ -60,12 +60,12 @@ def test_rk4_step_counter_matches_the_derivatives_a_run_evaluates(monkeypatch):
 
     schedule, dipole, dt, _ = to_reduced(RunConfig())
     train = dataclasses.replace(schedule, period_red=0.3, count=3)
-    evaluations, steps = [], []
+    taken, steps = [], []
     schrodinger_rhs, rk4_integrate = propagation.schrodinger_rhs, propagation.rk4_integrate
 
     def counting_rhs(*args):
         rhs = schrodinger_rhs(*args)
-        return rhs._replace(deriv=lambda f, c: evaluations.append(f) or rhs.deriv(f, c))
+        return rhs._replace(field=lambda t: taken.append(t.shape) or rhs.field(t))
 
     def counted(*args):
         steps.append(layertrace._rk4_steps(args, {}, None)["steps"])
@@ -75,5 +75,6 @@ def test_rk4_step_counter_matches_the_derivatives_a_run_evaluates(monkeypatch):
     monkeypatch.setattr(propagation, "rk4_integrate", counted)
     samples = np.arange(161) * 0.005  # a dozen samples inside each of the three windows
     propagation.run_schedule(build_pieces(TwoRotorBasis(2, 0), dipole), train, dt, 1e-8, samples)
-    assert len(steps) > 7
-    assert sum(steps) == len(evaluations) / 4
+    assert len(steps) == len(taken) > 7
+    assert all(shape[1:] == propagation.GAUSS_NODES.shape for shape in taken)
+    assert sum(steps) == sum(shape[0] for shape in taken)

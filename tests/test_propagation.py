@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import oracles
 from rotorpair import propagation
@@ -14,6 +15,10 @@ from rotorpair.exceptions import ConsistencyError, InvalidConfigError, StepSizeE
 from rotorpair.observables import COLUMNS, TimeSeriesRecorder
 from rotorpair.operators import PulseSchedule, build_costheta_single, build_pieces, expectation
 from rotorpair.propagation import (
+    GAUSS_MATRIX,
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
+    MAX_SWEEPS,
     SAMPLE_BLOCK,
     STEP_BAND_EDGES,
     FreeEvolution,
@@ -33,7 +38,7 @@ KICK = 386.21612373411443
 SIGMA = 0.006306465451214133
 T0 = 0.027124582585867238
 OMEGA = 249.9999998468202
-DT = SIGMA / 400.0  # the default RK4 step
+DT = SIGMA / 10.0  # the default pulse-core step
 TOL = IntegratorSettings().norm_tolerance
 
 
@@ -151,18 +156,24 @@ def test_free_evolution_rejects_a_complex_h0():
         FreeEvolution(skewed)
 
 
-# --- RK4 ---------------------------------------------------------------------
+# --- Gauss collocation ---------------------------------------------------------
 
-def test_rk4_scalar_convergence_is_fourth_order():
-    lam = -1.0
-    rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: lam * y)
+def test_gauss_tableau_has_order_12_and_is_symplectic():
+    c, b, a = GAUSS_NODES, GAUSS_WEIGHTS, GAUSS_MATRIX
+    assert c.shape == b.shape == (6,) and a.shape == (6, 6)
+    # B(12): the weights integrate t^(k-1) exactly; C(6): so does each stage row up to c_i
+    assert max(abs(b @ c ** (k - 1) - 1.0 / k) for k in range(1, 13)) <= 1e-15
+    assert max(np.abs(a @ c ** (k - 1) - c**k / k).max() for k in range(1, 7)) <= 1e-15
+    # b_i a_ij + b_j a_ji = b_i b_j: the condition that makes the method unitary
+    assert np.abs(b[:, None] * a + (b[:, None] * a).T - np.outer(b, b)).max() <= 1e-15
+
+
+def test_rk4_scalar_convergence_is_order_12():
+    rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: -1j * y)
     y0 = np.array([1.0 + 0.0j])
-    exact = math.exp(-2.0)
-    err = []
-    for dt in (0.1, 0.05):
-        y = rk4_integrate(rhs, y0, 0.0, 2.0, dt)
-        err.append(abs(y[0] - exact))
-    assert 12.0 < err[0] / err[1] < 20.0
+    err = [abs(rk4_integrate(rhs, y0, 0.0, 8.0, dt)[0] - np.exp(-8.0j)) for dt in (2.0, 1.0)]
+    # 2**12 = 4096, bracketed as 16 was by 12 and 20
+    assert 0.75 * 4096 < err[0] / err[1] < 1.25 * 4096
 
 
 def test_rk4_partial_final_step_lands_on_t1():
@@ -194,14 +205,28 @@ def test_rk4_exact_step_count_adds_no_extra_step():
         return np.zeros_like(y)
 
     rk4_integrate(RightHandSide(field, deriv), np.array([0.0]), 0.0, 0.5, 0.1)
-    # 5 full steps, 4 calls each, no closing fragment
-    assert len(calls) == 20
+    # 5 full steps and no closing fragment; a zero derivative converges in one sweep
+    assert len(calls) == 5
     # the stage fields of all 5 steps come from one call
-    assert fields == [(3, 5)]
+    assert fields == [(5, 6)]
+
+
+def test_sweeps_that_contract_too_slowly_raise_with_the_state_reached():
+    # on y' = -i y the sweeps contract by h rho(A): 0.75 here, so they need
+    # about 120 sweeps and stop at MAX_SWEEPS
+    rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: -1j * y)
+    dt = 0.75 / np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max()
+    with pytest.raises(StepSizeError, match=rf"did not converge at t = 0 \(update \S+ after {MAX_SWEEPS} "
+                                            r"sweeps\); reduce integrator\.dt_pulse_fs$") as failure:
+        rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt)
+    assert failure.value.state.shape == (1,) and np.isfinite(failure.value.state[0])
+    # a third of that step converges
+    y = rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt / 3.0)
+    assert abs(y[0] - np.exp(-2j * dt)) <= 1e-7
 
 
 @pytest.mark.parametrize("case", ["clipped_at_zero", "merged_train", "partial_step"])
-def test_window_kernel_matches_the_per_stage_reference(case):
+def test_window_kernel_matches_the_dense_stage_solve(case):
     pieces = build_pieces(TwoRotorBasis(4 if case == "clipped_at_zero" else 2, 0),
                           0.13150852670024232)
     pulse = _single_pulse()
@@ -221,7 +246,7 @@ def test_window_kernel_matches_the_per_stage_reference(case):
     c = rng.standard_normal(s.shape[1]) + 1j * rng.standard_normal(s.shape[1])
     c /= np.linalg.norm(c)
     got = s @ rk4_integrate(schrodinger_rhs(*sector_operators(pieces), pulse), c, t_a, t_b, DT)
-    ref = oracles.per_stage_rk4(pieces, pulse, s @ c, t_a, t_b, DT)
+    ref = oracles.dense_collocation(pieces, pulse, s @ c, t_a, t_b, DT)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -237,10 +262,11 @@ def test_window_with_zero_kick_matches_free_evolution():
     assert np.abs(stepped - _free(pieces.h0, c, 0.2)).max() < 1e-10
 
 
-def test_window_step_halving_is_fourth_order():
+def test_window_step_halving_is_order_12():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
-    pulse = _single_pulse()
+    # a four-fold kick keeps the finer error far above rounding
+    pulse = _single_pulse(kick=4.0 * KICK)
     c0 = basis.sector_isometry.T @ initial_state(basis)
     t_b = T0 + 5.0 * SIGMA
     rhs = schrodinger_rhs(*sector_operators(pieces), pulse)
@@ -248,11 +274,11 @@ def test_window_step_halving_is_fourth_order():
     def integrate(dt):
         return rk4_integrate(rhs, c0, 0.0, t_b, dt)
 
-    ref = integrate(SIGMA / 160.0)
-    err_coarse = np.abs(integrate(SIGMA / 10.0) - ref).max()
-    err_fine = np.abs(integrate(SIGMA / 20.0) - ref).max()
-    assert err_coarse > err_fine > 0.0
-    assert 10.0 < err_coarse / err_fine < 25.0
+    ref = integrate(SIGMA / 64.0)
+    err_coarse = np.abs(integrate(SIGMA / 8.0) - ref).max()
+    err_fine = np.abs(integrate(SIGMA / 16.0) - ref).max()
+    assert err_coarse > err_fine > 1e-13
+    assert 0.75 * 4096 < err_coarse / err_fine < 1.25 * 4096
 
 
 def test_window_integration_is_time_reversible():
@@ -296,14 +322,15 @@ def _spread_sector_state(l_max, seed=11):
     return pieces, c / np.linalg.norm(c)
 
 
-def test_rk4_with_zero_rates_is_classical_rk4():
+def test_rk4_with_zero_rates_is_expm_of_a_constant_h():
     pieces, c = _spread_sector_state(2)
-    rhs = schrodinger_rhs(*sector_operators(pieces), _single_pulse())
-    # the same equation with the rotor energies moved into deriv
-    unrotated = RightHandSide(rhs.field, lambda f, y: rhs.deriv(f, y) - 1j * rhs.rates * y)
+    h0_s, coupling_s, _ = sector_operators(pieces)
+    # H frozen at a peak field value, with the rotor energies inside deriv
+    h = (h0_s + KICK * coupling_s).toarray()
+    constant = RightHandSide(np.zeros_like, lambda f, y: -1j * (h @ y))
     t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.3137 * SIGMA
-    got = rk4_integrate(unrotated, c, t_a, t_b, DT)
-    assert np.abs(got - oracles.classical_rk4(rhs, c, t_a, t_b, DT)).max() <= 1e-14
+    got = rk4_integrate(constant, c, t_a, t_b, DT)
+    assert np.abs(got - expm(-1j * h * (t_b - t_a)) @ c).max() <= 1e-14
 
 
 def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
@@ -315,20 +342,20 @@ def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
     assert np.abs(got - np.exp(-1j * energies * (t_b - t_a)) * c).max() <= 1e-13
 
 
-def test_banded_window_step_halving_is_fourth_order():
+def test_banded_window_step_halving_is_order_12():
     pieces, c = _spread_sector_state(2)
-    pulse = _single_pulse()
+    pulse = _single_pulse(kick=4.0 * KICK)  # keeps the finer error far above rounding
     rhs = schrodinger_rhs(*sector_operators(pieces), pulse)
     t_b = T0 + 5.0 * SIGMA
 
     def integrate(dt):
         return _step_to(rhs, pulse, c, t_b, dt)
 
-    ref = integrate(SIGMA / 160.0)
-    err_coarse = np.abs(integrate(SIGMA / 10.0) - ref).max()
-    err_fine = np.abs(integrate(SIGMA / 20.0) - ref).max()
-    assert err_coarse > err_fine > 0.0
-    assert 10.0 < err_coarse / err_fine < 25.0
+    ref = integrate(SIGMA / 64.0)
+    err_coarse = np.abs(integrate(SIGMA / 8.0) - ref).max()
+    err_fine = np.abs(integrate(SIGMA / 16.0) - ref).max()
+    assert err_coarse > err_fine > 1e-13
+    assert 0.75 * 4096 < err_coarse / err_fine < 1.25 * 4096
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -379,16 +406,19 @@ def test_step_plan_tiles_the_run_with_graded_steps(count, period, t0, t_end, dt,
 
 
 def _classical_window_error(pieces, pulse, dt, y, t_a, t_b, sector=True):
+    """The banded collocation run at dt against uniform classical RK4 at
+    sigma / 400, the step and method it replaced."""
     ops = sector_operators(pieces) if sector else (pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal)
     rhs = schrodinger_rhs(*ops, pulse)
     assert t_a == 0.0
     got = _step_to(rhs, pulse, y, t_b, dt)
-    return np.abs(got - oracles.classical_rk4(rhs, y, t_a, t_b, dt)).max()
+    return np.abs(got - oracles.classical_rk4(rhs, y, t_a, t_b, pulse.sigma_red / 400.0)).max()
 
 
 def test_rotor_frame_bands_stay_within_1e10_of_classical_rk4():
     # criterion 2's window: fig1a on the full l_max 2 basis, from the ground state
     schedule, dipole, dt, _ = to_reduced(RunConfig())
+    assert dt == schedule.sigma_red / 10.0
     pieces = build_pieces(TwoRotorBasis(2, None), dipole)
     (t_a, t_b), = oracles.rk4_windows(step_plan(schedule, 10.0, dt))
     err = _classical_window_error(pieces, schedule, dt, initial_state(pieces.basis), t_a, t_b, sector=False)
@@ -527,8 +557,9 @@ def test_run_schedule_stops_a_window_block_at_the_violating_sample():
     pieces = build_pieces(basis, 0.13150852670024232)
     seen = []
     samples = np.linspace(0.0, 0.05, 11)  # all inside the pulse window
-    with pytest.raises(StepSizeError):
-        run_schedule(pieces, _single_pulse(), 0.02, TOL, samples,
+    with pytest.raises(StepSizeError, match="norm drifted"):
+        # at a 1000-fold kick the stage sweeps diverge as the field ramps up
+        run_schedule(pieces, _single_pulse(kick=1000.0 * KICK), DT, TOL, samples,
                      observers=(lambda t, k, c: seen.append((k, np.linalg.norm(c, axis=1))),))
     indices = np.concatenate([k for k, _ in seen])
     norms = np.concatenate([n for _, n in seen])
@@ -536,6 +567,25 @@ def test_run_schedule_stops_a_window_block_at_the_violating_sample():
     assert indices.size < samples.size
     assert abs(norms[-1] - 1.0) > 1e-8
     assert np.all(np.abs(norms[:-1] - 1.0) <= 1e-8)
+
+
+@pytest.mark.parametrize("samples", [np.array([0.0, 0.25, 0.5]), np.linspace(0.0, 0.05, 11)],
+                         ids=["after_the_window", "inside_the_window"])
+def test_run_schedule_fails_at_the_first_sample_after_stalled_sweeps(monkeypatch, samples):
+    # eight sweeps leave the pulse-core steps short of the sweep tolerance by
+    # far less than the norm tolerance: the stall itself must end the run
+    monkeypatch.setattr(propagation, "MAX_SWEEPS", 8)
+    pieces = build_pieces(TwoRotorBasis(2, 0), 0.13150852670024232)
+    seen = []
+    with pytest.raises(StepSizeError, match="did not converge"):
+        run_schedule(pieces, _single_pulse(), DT, TOL, samples,
+                     observers=(lambda t, k, c: seen.append((k, np.linalg.norm(c, axis=1))),))
+    indices = np.concatenate([k for k, _ in seen])
+    norms = np.concatenate([n for _, n in seen])
+    assert np.array_equal(indices, np.arange(indices.size)) and 1 < indices.size < samples.size
+    assert np.all(np.abs(norms - 1.0) <= 1e-8)
+    # the last sample shown is the first past a stalled step, which lies in the window
+    assert samples[indices[-1]] > T0 - 1.5 * SIGMA and samples[indices[-2]] < T0 + 5.0 * SIGMA
 
 
 def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):

@@ -3,13 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 from rotorpair import output
+from rotorpair.angular import TwoRotorBasis
 from rotorpair.config import BasisConfig, RunConfig, build_config
 from rotorpair.exceptions import InvalidConfigError, StepSizeError
+from rotorpair.operators import build_pieces
 from rotorpair.output import read_timeseries_csv
-from rotorpair.propagation import step_plan
+from rotorpair.propagation import GAUSS_MATRIX, sector_operators, step_plan
 from rotorpair.runner import CONFIG_ECHO_NAME, CSV_NAME, run_config, simulate
 from rotorpair.units import run_length_ps, time_unit_seconds, to_reduced
 
@@ -115,8 +118,9 @@ def test_run_config_defaults_to_sim_out(tmp_path, monkeypatch):
 
 
 def test_failed_run_keeps_a_marked_partial_csv(tmp_path):
-    # a 2000 fs step cannot resolve the carrier: the norm blows up at once
-    cfg = _tiny(integrator={"dt_pulse_fs": 2000.0})
+    # at 100 times the default field the stage sweeps of the default step
+    # diverge: the norm blows up at once
+    cfg = _tiny(pulse={"E0_Vpm": 3e9})
     with pytest.raises(StepSizeError):
         run_config(cfg, tmp_path)
     header, columns, failure = read_timeseries_csv(tmp_path / CSV_NAME)
@@ -128,4 +132,24 @@ def test_failed_run_keeps_a_marked_partial_csv(tmp_path):
     assert drift[-1] > 1e-8
     assert np.all(drift[:-1] <= 1e-8)
     # no config echo for a failed run
+    assert not (tmp_path / CONFIG_ECHO_NAME).exists()
+
+
+def test_sweeps_that_contract_too_slowly_fail_the_run_with_a_partial_csv(tmp_path):
+    # at E0 = 4e8 V/m the stage sweeps of the default step contract by q in
+    # (0.5, 1) at the peak field, too slowly for MAX_SWEEPS; the state they
+    # leave drifts by 2.5e-7, within this run's norm tolerance
+    cfg = _tiny(pulse={"E0_Vpm": 4e8}, integrator={"norm_tolerance": 1e-4})
+    schedule, dipole, dt, samples = to_reduced(cfg)
+    h0_s, coupling_s, energies_s = sector_operators(build_pieces(TwoRotorBasis(2, 0), dipole))
+    peak = np.abs(schedule.field_scalar(np.linspace(0.0, samples[-1], 200_001))).max()
+    generator = (h0_s - sparse.diags(energies_s) + peak * coupling_s).toarray()
+    q = dt * np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() * np.abs(np.linalg.eigvalsh(generator)).max()
+    assert 0.5 < q < 1.0
+    with pytest.raises(StepSizeError, match="collocation sweeps did not converge"):
+        run_config(cfg, tmp_path)
+    _, columns, failure = read_timeseries_csv(tmp_path / CSV_NAME)
+    assert failure.endswith("reduce integrator.dt_pulse_fs")
+    assert 0 < len(columns["t_ps"]) < 21
+    assert np.all(np.abs(np.array(columns["norm"]) - 1.0) <= 1e-4)
     assert not (tmp_path / CONFIG_ECHO_NAME).exists()

@@ -121,7 +121,7 @@ def test_a_train_needs_a_period():
 
 def test_to_reduced_makes_the_step_and_the_sample_times():
     schedule, _, dt, samples = to_reduced(_with("output", total_time_ps=20.3, sample_interval_ps=2.0))
-    assert dt == schedule.sigma_red / 400.0  # the default step
+    assert dt == schedule.sigma_red / 10.0  # the default step
     # floor(20.3 / 2) + 1 samples, 2 ps apart, in units of hbar/B
     assert np.array_equal(samples, np.arange(11) * 2.0 / (time_unit_seconds(0.12) * 1e12))
     _, _, dt, _ = to_reduced(_with("integrator", dt_pulse_fs=0.5))
