@@ -10,7 +10,7 @@ More than 5 sigma from every center a segment is free: the state advances
 by the exact exponential of the field-free Hamiltonian (one
 eigendecomposition per run). Every other segment is stepped by Gauss
 collocation in the rotor frame (exact in the rotor energies): at the
-pulse-core step dt (integrator.dt_pulse_fs) near the centers, doubled past
+pulse-core step dt (from units.to_reduced) near the centers, doubled past
 each edge. A norm violation raises, as does a step whose stage sweeps do
 not converge; nothing is ever silently renormalized.
 """
@@ -147,12 +147,11 @@ def sector_operators(pieces: HamiltonianPieces):
 
 
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
-    """Six-stage Gauss-Legendre collocation (order 12, unitary once the stage equations
-    are solved: Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in
-    the frame that rotates with rhs.rates, which are integrated exactly. Fixed step dt,
-    one partial final step, the stage fields from one call; each fixed-point sweep of
-    the stage equations is one rhs.deriv product on the n x 6 stage block. A step whose
-    sweeps reach MAX_SWEEPS goes on from its last iterate, and the span then ends in
+    """Six-stage Gauss-Legendre collocation (order 12, unitary once the stage equations are solved:
+    Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with
+    rhs.rates, which are integrated exactly. Fixed step dt, one partial final step, the stage fields from
+    one call; each fixed-point sweep of the stage equations is one rhs.deriv product on the n x 6 stage
+    block. A step whose sweeps reach MAX_SWEEPS goes on from its last iterate, and the span then ends in
     StepSizeError with the state reached as its .state."""
     if not (dt > 0 and t1 >= t0):
         raise ValueError(f"need dt > 0 and t1 >= t0, got dt = {dt}, span {t1 - t0}")
@@ -232,9 +231,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     if samples[0] != 0.0 or np.any(np.diff(samples) <= 0):
         raise InvalidConfigError("sample_times must start at 0 and increase strictly")
 
-    t_end = float(samples[-1])
-    psi = initial_state(pieces.basis)
-    s = pieces.basis.sector_isometry
+    t_end, psi, s = float(samples[-1]), initial_state(pieces.basis), pieces.basis.sector_isometry
     h0_s, coupling_s, energies_s = sector_operators(pieces)
     coeffs = s.T @ psi
     leak = np.abs(s @ coeffs - psi).max()
@@ -294,7 +291,8 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                 coeffs = step(coeffs, a, float(samples[j]), h, j)
                 a = float(samples[j])
                 rows.append(coeffs)
-                if len(rows) == SAMPLE_BLOCK or not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance:
+                drifted = not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance
+                if len(rows) == SAMPLE_BLOCK or drifted or j >= stalled_at:
                     emit(j + 1 - len(rows), np.array(rows))
                     rows = []
             if b > a:

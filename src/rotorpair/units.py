@@ -80,8 +80,8 @@ def dipole_strength(cfg: RunConfig) -> float:
 
 def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]:
     """Map a validated RunConfig onto the hbar = B = 1 unit system: the
-    pulse schedule, the dipole strength, the pulse-core step (sigma / 10
-    unless integrator.dt_pulse_fs is set) and the ascending sample times."""
+    pulse schedule, the dipole strength, the pulse-core step (integrator.dt_pulse_fs,
+    or the default below) and the ascending sample times."""
     import numpy as np  # see the module docstring
 
     from .operators import PulseSchedule
@@ -98,10 +98,12 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
         period_red=_period_reduced(cfg),
         count=cfg.pulse.count,
     )
-    dt_fs = cfg.integrator.dt_pulse_fs
-    # the pulse-core step: at sigma / 10 the order-12 collocation is converged to 1e-14 and its
-    # stage sweeps contract by about 0.05 at E0 = 3e7 V/m; step_plan doubles it past each band edge
-    dt = schedule.sigma_red / 10.0 if dt_fs is None else dt_fs * 1e-15 / time_unit
+    dipole, dt_fs, sigma = dipole_strength(cfg), cfg.integrator.dt_pulse_fs, schedule.sigma_red
+    # the default pulse-core step: sigma / 10, converged to 1e-14, cut in strong fields so that the stage sweeps
+    # contract by dt * 0.115 |H| <= 0.1 (0.115: GAUSS_MATRIX's spectral radius; |H| <= 2 kick + 3 dipole in the
+    # rotor frame), but not below RK4's old sigma / 400; there they stall (q > 0.3) from dt |H| ~ 2.6, RK4's ~2.8
+    core = min(sigma / 10.0, max(sigma / 400.0, 0.87 / (2.0 * abs(schedule.kick_strength) + 3.0 * dipole)))
+    dt = core if dt_fs is None else dt_fs * 1e-15 / time_unit
     interval_ps = cfg.output.sample_interval_ps
     sample_ps = np.arange(int(np.floor(run_length_ps(cfg) / interval_ps)) + 1) * interval_ps
-    return schedule, dipole_strength(cfg), dt, sample_ps / (time_unit * 1e12)
+    return schedule, dipole, dt, sample_ps / (time_unit * 1e12)

@@ -122,7 +122,7 @@ def test_run_missing_config_file_is_an_io_error(tmp_path, capsys):
 
 
 def test_run_numerical_failure_exits_3_and_keeps_partial_csv(tmp_path, capsys):
-    doc = dict(TINY, pulse={"E0_Vpm": 3e9})
+    doc = dict(TINY, pulse={"E0_Vpm": 3e9}, integrator={"dt_pulse_fs": 27.9})
     cfg = _write_json(tmp_path / "cfg.json", doc)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
@@ -157,8 +157,8 @@ def test_a_diverging_run_reports_its_failure_without_numpy_warnings(tmp_path):
 
 
 def test_a_too_coarse_step_names_its_config_key(tmp_path):
-    # at 100 times the default field the default step is far too coarse
-    stderr = _failing_run_stderr(tmp_path, dict(TINY, pulse={"E0_Vpm": 3e9}))
+    # at 100 times the default field, sigma / 10 (27.9 fs) is far too coarse a step
+    stderr = _failing_run_stderr(tmp_path, dict(TINY, pulse={"E0_Vpm": 3e9}, integrator={"dt_pulse_fs": 27.9}))
     assert re.search(r"numerical failure: norm drifted by \d\.\d{3}e[-+]\d+ at t = \S+"
                      r" \(tolerance 1\.0e-08\); reduce integrator\.dt_pulse_fs$", stderr, re.M)
 
@@ -209,7 +209,7 @@ def test_sweep_runs_the_grid(tmp_path, capsys):
 
 
 def test_sweep_with_every_point_failing_exits_3(tmp_path, capsys):
-    base = dict(TINY, pulse={"E0_Vpm": 3e9})
+    base = dict(TINY, pulse={"E0_Vpm": 3e9}, integrator={"dt_pulse_fs": 27.9})
     spec = _write_json(tmp_path / "spec.json", {
         "base": base,
         "axis1": {"name": "R_m", "values": [3e-8]},

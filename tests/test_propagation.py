@@ -576,7 +576,10 @@ def test_run_schedule_fails_at_the_first_sample_after_stalled_sweeps(monkeypatch
     # far less than the norm tolerance: the stall itself must end the run
     monkeypatch.setattr(propagation, "MAX_SWEEPS", 8)
     pieces = build_pieces(TwoRotorBasis(2, 0), 0.13150852670024232)
-    seen = []
+    seen, spans = [], []
+    integrate = propagation.rk4_integrate
+    monkeypatch.setattr(propagation, "rk4_integrate",
+                        lambda rhs, y, t0, t1, dt: spans.append(t1) or integrate(rhs, y, t0, t1, dt))
     with pytest.raises(StepSizeError, match="did not converge"):
         run_schedule(pieces, _single_pulse(), DT, TOL, samples,
                      observers=(lambda t, k, c: seen.append((k, np.linalg.norm(c, axis=1))),))
@@ -586,6 +589,8 @@ def test_run_schedule_fails_at_the_first_sample_after_stalled_sweeps(monkeypatch
     assert np.all(np.abs(norms - 1.0) <= 1e-8)
     # the last sample shown is the first past a stalled step, which lies in the window
     assert samples[indices[-1]] > T0 - 1.5 * SIGMA and samples[indices[-2]] < T0 + 5.0 * SIGMA
+    # and no step goes past it
+    assert max(spans) <= samples[indices[-1]]
 
 
 def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):

@@ -118,9 +118,9 @@ def test_run_config_defaults_to_sim_out(tmp_path, monkeypatch):
 
 
 def test_failed_run_keeps_a_marked_partial_csv(tmp_path):
-    # at 100 times the default field the stage sweeps of the default step
+    # at 100 times the default field the stage sweeps of a sigma / 10 step
     # diverge: the norm blows up at once
-    cfg = _tiny(pulse={"E0_Vpm": 3e9})
+    cfg = _tiny(pulse={"E0_Vpm": 3e9}, integrator={"dt_pulse_fs": 27.9})
     with pytest.raises(StepSizeError):
         run_config(cfg, tmp_path)
     header, columns, failure = read_timeseries_csv(tmp_path / CSV_NAME)
@@ -135,17 +135,22 @@ def test_failed_run_keeps_a_marked_partial_csv(tmp_path):
     assert not (tmp_path / CONFIG_ECHO_NAME).exists()
 
 
-def test_sweeps_that_contract_too_slowly_fail_the_run_with_a_partial_csv(tmp_path):
-    # at E0 = 4e8 V/m the stage sweeps of the default step contract by q in
-    # (0.5, 1) at the peak field, too slowly for MAX_SWEEPS; the state they
-    # leave drifts by 2.5e-7, within this run's norm tolerance
-    cfg = _tiny(pulse={"E0_Vpm": 4e8}, integrator={"norm_tolerance": 1e-4})
+def _sweep_contraction(cfg):
+    """dt * rho(A) * |H| at the peak field: the rate at which the stage sweeps
+    of a step of cfg's core dt, at the pulse center, contract."""
     schedule, dipole, dt, samples = to_reduced(cfg)
-    h0_s, coupling_s, energies_s = sector_operators(build_pieces(TwoRotorBasis(2, 0), dipole))
+    h0_s, coupling_s, energies_s = sector_operators(build_pieces(TwoRotorBasis(cfg.basis.l_max, 0), dipole))
     peak = np.abs(schedule.field_scalar(np.linspace(0.0, samples[-1], 200_001))).max()
     generator = (h0_s - sparse.diags(energies_s) + peak * coupling_s).toarray()
-    q = dt * np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() * np.abs(np.linalg.eigvalsh(generator)).max()
-    assert 0.5 < q < 1.0
+    return dt * np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() * np.abs(np.linalg.eigvalsh(generator)).max()
+
+
+def test_sweeps_that_contract_too_slowly_fail_the_run_with_a_partial_csv(tmp_path):
+    # at E0 = 4e8 V/m the stage sweeps of a sigma / 10 step contract by q in
+    # (0.5, 1) at the peak field, too slowly for MAX_SWEEPS; the state they
+    # leave drifts by 2.5e-7, within this run's norm tolerance
+    cfg = _tiny(pulse={"E0_Vpm": 4e8}, integrator={"dt_pulse_fs": 27.9, "norm_tolerance": 1e-4})
+    assert 0.5 < _sweep_contraction(cfg) < 1.0
     with pytest.raises(StepSizeError, match="collocation sweeps did not converge"):
         run_config(cfg, tmp_path)
     _, columns, failure = read_timeseries_csv(tmp_path / CSV_NAME)
@@ -153,3 +158,19 @@ def test_sweeps_that_contract_too_slowly_fail_the_run_with_a_partial_csv(tmp_pat
     assert 0 < len(columns["t_ps"]) < 21
     assert np.all(np.abs(np.array(columns["norm"]) - 1.0) <= 1e-4)
     assert not (tmp_path / CONFIG_ECHO_NAME).exists()
+
+
+@pytest.mark.parametrize("E0_Vpm, rate", [(3e8, 0.1), (3e9, 0.11)])
+def test_strong_fields_run_clean_at_the_default_step(E0_Vpm, rate):
+    # 10 and 100 times the presets' field: the default step shrinks below
+    # sigma / 10 so that the stage sweeps still contract by about 0.1 or less
+    # (at 3e9 V/m the step sits at its sigma / 400 floor, a little coarser)
+    cfg = _tiny(pulse={"E0_Vpm": E0_Vpm})
+    schedule, _, dt, _ = to_reduced(cfg)
+    assert dt < schedule.sigma_red / 10.0
+    assert _sweep_contraction(cfg) <= rate
+    result = simulate(cfg)
+    assert result.trajectory.max_norm_drift < 1e-13
+    half_fs = 0.5 * dt * time_unit_seconds(0.12) * 1e15
+    finer = simulate(_tiny(pulse={"E0_Vpm": E0_Vpm}, integrator={"dt_pulse_fs": half_fs}))
+    assert np.abs(result.trajectory.psi_final - finer.trajectory.psi_final).max() < 1e-11

@@ -174,7 +174,8 @@ def test_a_non_integer_l_max_point_fails_alone(tmp_path):
 
 def test_run_sweep_keeps_partial_csv_of_a_diverged_point(tmp_path):
     doc = json.loads(json.dumps(BASE_DOC))
-    doc["pulse"] = {"E0_Vpm": 3e9}  # far too strong a field for the default step
+    doc["pulse"] = {"E0_Vpm": 3e9}  # far too strong a field for sigma / 10 = 27.9 fs
+    doc["integrator"] = {"dt_pulse_fs": 27.9}
     spec = _spec(SweepAxis("R_m", (3e-8,)), base_doc=doc, parallelism=1, out_dir=str(tmp_path))
     _, entries = run_sweep(spec)
     assert entries[0]["status"] == "failed"

@@ -128,6 +128,20 @@ def test_to_reduced_makes_the_step_and_the_sample_times():
     assert dt == pytest.approx(0.5e-15 / time_unit_seconds(0.12), rel=1e-15)
 
 
+def test_the_default_step_shrinks_with_the_field_down_to_sigma_over_400():
+    steps = {}
+    for E0 in (5e7, 3e8, 3e9, 1e14):
+        schedule, dipole, dt, _ = to_reduced(_with("pulse", E0_Vpm=E0))
+        cap = 0.87 / (2.0 * schedule.kick_strength + 3.0 * dipole)
+        assert dt == min(schedule.sigma_red / 10.0, max(schedule.sigma_red / 400.0, cap))
+        steps[E0] = [dt == schedule.sigma_red / 10.0, dt == schedule.sigma_red / 400.0]
+    # sigma / 10 up to about 5.4e7 V/m, then 0.87 / (2 kick + 3 dipole), never below sigma / 400
+    assert steps == {5e7: [True, False], 3e8: [False, False], 3e9: [False, True], 1e14: [False, True]}
+    # a set integrator.dt_pulse_fs wins whatever the field
+    cfg = dataclasses.replace(_with("integrator", dt_pulse_fs=27.9), pulse=_with("pulse", E0_Vpm=1e14).pulse)
+    assert to_reduced(cfg)[2] == pytest.approx(27.9e-15 / time_unit_seconds(0.12), rel=1e-15)
+
+
 def test_to_reduced_inverts_to_the_laboratory_numbers():
     cfg = _with("pulse", period=2.5e-11, count=3)
     red, dipole, *_ = to_reduced(cfg)
