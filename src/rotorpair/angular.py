@@ -78,17 +78,6 @@ class TwoRotorBasis:
         self.mol1_single, self.mol2_single = np.divmod(self.product_index, d)
         self.l1, self.m1 = l[self.mol1_single], m[self.mol1_single]
         self.l2, self.m2 = l[self.mol2_single], m[self.mol2_single]
-        # With m1 + m2 fixed the Schmidt matrix is block diagonal: one block
-        # per m1, rows l1 - |m1| and columns l2 - |m2|, each zero-padded to
-        # (l_max+1) x (l_max+1). The full basis is one d_single x d_single
-        # block. schmidt_flat is each state's position in the stacked blocks.
-        if self.restrict_total_m is None:
-            block, row, col, side = np.zeros_like(self.l1), self.mol1_single, self.mol2_single, d
-        else:
-            block = self.m1 - self.m1.min()
-            row, col, side = self.l1 - np.abs(self.m1), self.l2 - np.abs(self.m2), self.l_max + 1
-        self.schmidt_shape = (int(block.max()) + 1, side, side)
-        self.schmidt_flat = (block * side + row) * side + col
         self.rotor_diagonal = (self.l1 * (self.l1 + 1) + self.l2 * (self.l2 + 1)).astype(float)
 
     @property
@@ -115,6 +104,19 @@ class TwoRotorBasis:
         orbits, column = np.unique(images.min(axis=0), return_inverse=True)
         weight = 1.0 / np.sqrt(np.bincount(column)[column])
         return sparse.csr_matrix((weight, (rows, column)), shape=(self.size, orbits.size))
+
+    @cached_property
+    def schmidt_blocks(self) -> tuple[np.ndarray, ...]:
+        """Basis positions of the M = 0 Schmidt matrix's blocks, m = 0..l_max:
+        entry [i, j] of block m is the state (m + i, m; m + j, -m), so the
+        block is (l_max + 1 - m) square. The m < 0 blocks are not listed.
+        """
+        d, l = self.d_single, np.arange(self.l_max + 1)
+        blocks = tuple(self._lookup[np.add.outer((l[m:] ** 2 + l[m:] + m) * d, l[m:] ** 2 + l[m:] - m)]
+                       for m in range(self.l_max + 1))
+        if min(block.min() for block in blocks) < 0:
+            raise QueryError(f"the Schmidt blocks need every M = 0 state, off the M = {self.restrict_total_m} basis")
+        return blocks
 
     def index_of(self, l1: int, m1: int, l2: int, m2: int) -> int:
         if all(0 <= l <= self.l_max and abs(m) <= l for l, m in ((l1, m1), (l2, m2))):

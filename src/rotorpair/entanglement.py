@@ -5,11 +5,13 @@ C[(l,m), (l',m')]; the Schmidt weights are the squared singular values
 of C, identical to the eigenvalues of the reduced density matrix
 rho_mol1 = C C^dagger. The von Neumann entropy is -sum(lam log lam).
 
-With m1 + m2 = M conserved, C is nonzero only where m' = M - m, so it
-splits into one block per m and its spectrum is the union of the block
-spectra (the symmetry-resolved Schmidt decomposition). The basis holds
-the scatter map (TwoRotorBasis.schmidt_flat); the full basis is the same
-map with one d_single x d_single block.
+Every state analysed here must lie in the P12/sigma_v-even M = 0 sector,
+as every propagated state does. There C is nonzero only where m' = -m, so
+it splits into one block C_m per m (the symmetry-resolved Schmidt
+decomposition), and sigma_v makes C_{-m} = C_m: the spectrum is block 0's
+weights plus each m > 0 block's twice. Only the m >= 0 blocks are read
+(TwoRotorBasis.schmidt_blocks), so a state off the sector gets a wrong
+spectrum, not an error.
 """
 
 from __future__ import annotations
@@ -27,24 +29,20 @@ _CLIP = 1e-15
 
 
 def schmidt_spectrum(basis: TwoRotorBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Schmidt weights of every row of coeffs (K x n), shape (K, w).
-
-    Each row holds the blocks' weights in block order, descending within a
-    block, with zeros where a block is padded. A row that is not finite
-    gets NaN weights instead of failing the whole block.
+    """Schmidt weights of every row of coeffs (K x n), shape (K, d_single):
+    blocks m = 1..l_max, then m = 0..l_max, descending within a block.
+    The rows must be sector states (module docstring). A row that is not
+    finite gets NaN weights instead of failing the whole block.
     """
     coeffs = np.atleast_2d(coeffs)
-    k = coeffs.shape[0]
-    blocks = np.zeros((k, math.prod(basis.schmidt_shape)), dtype=np.complex128)
-    blocks[:, basis.schmidt_flat] = coeffs
-    blocks = blocks.reshape((k,) + basis.schmidt_shape)
     finite = np.isfinite(coeffs).all(axis=1)
-    weights = np.full((k, basis.schmidt_shape[0] * basis.schmidt_shape[2]), np.nan)
+    good = coeffs[finite]
+    weights = np.full((coeffs.shape[0], basis.d_single), np.nan)
     try:
-        singulars = np.linalg.svd(blocks[finite], compute_uv=False)
+        singulars = [np.linalg.svd(good[:, block], compute_uv=False) for block in basis.schmidt_blocks]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the coefficient matrix failed: {exc}") from exc
-    weights[finite] = (singulars * singulars).reshape(-1, weights.shape[1])
+    weights[finite] = np.concatenate(singulars[1:] + singulars, axis=1) ** 2
     return weights
 
 

@@ -170,23 +170,24 @@ def test_basis_matches_an_explicit_enumeration(l_max, total_m):
     d = (l_max + 1) ** 2
     l1, m1, l2, m2 = np.array(states, dtype=np.int64).T
     single1, single2 = l1 * l1 + l1 + m1, l2 * l2 + l2 + m2
-    if total_m is None:
-        shape, flat = (1, d, d), single1 * d + single2
-    else:
-        side = l_max + 1
-        shape = (int(m1.max() - m1.min()) + 1, side, side)
-        flat = ((m1 - m1.min()) * side + l1 - np.abs(m1)) * side + l2 - np.abs(m2)
     expected = {
         "l1": l1, "m1": m1, "l2": l2, "m2": m2, "mol1_single": single1, "mol2_single": single2,
-        "product_index": single1 * d + single2, "schmidt_flat": flat,
+        "product_index": single1 * d + single2,
         "rotor_diagonal": (l1 * (l1 + 1) + l2 * (l2 + 1)).astype(np.float64),
     }
     for name, want in expected.items():
         got = getattr(basis, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert basis.size == len(states) and basis.schmidt_shape == shape
+    assert basis.size == len(states)
     for k, state in enumerate(states):
         assert basis.index_of(*state) == k
+    if total_m in (0, None):
+        blocks = [[[states.index((m + i, m, m + j, -m)) for j in range(l_max + 1 - m)]
+                   for i in range(l_max + 1 - m)] for m in range(l_max + 1)]
+        assert [b.tolist() for b in basis.schmidt_blocks] == blocks
+    else:
+        with pytest.raises(QueryError, match="every M = 0 state"):
+            basis.schmidt_blocks
     # negative l, l past l_max, and |m| > l, which l*l + l + m would alias onto another state
     for query in ((-1, 0, 0, 0), (0, 0, -1, 1), (l_max + 1, 0, 0, 0), (0, 0, l_max + 1, -l_max - 1),
                   (1, 2, 0, 0)):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,16 +10,28 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import coefficient_matrix, reduced_density_mol1
 from rotorpair.angular import TwoRotorBasis
+from rotorpair.config import preset
 from rotorpair.entanglement import schmidt_spectrum, von_neumann_entropy
 from rotorpair.exceptions import InvalidConfigError
+from rotorpair.observables import TimeSeriesRecorder
+from rotorpair.operators import build_pieces
+from rotorpair.propagation import run_schedule
+from rotorpair.units import to_reduced
 
 
-def _product_state(basis, u, v):
-    """coeffs of |u> x |v> given one-rotor amplitude vectors."""
+def _product_state(basis, u):
+    """coeffs of |u> x |u> given a one-rotor amplitude vector."""
     coeffs = np.zeros(basis.size, dtype=complex)
     for k in range(basis.size):
-        coeffs[k] = u[basis.mol1_single[k]] * v[basis.mol2_single[k]]
+        coeffs[k] = u[basis.mol1_single[k]] * u[basis.mol2_single[k]]
     return coeffs
+
+
+def _sector_states(basis, parts):
+    """Unit rows S @ x of the P12/sigma_v-even M = 0 sector, x = parts[:, 0] + i parts[:, 1]."""
+    coeffs = (basis.sector_isometry @ (parts[:, 0] + 1j * parts[:, 1]).T).T
+    norms = np.linalg.norm(coeffs, axis=1)
+    return coeffs[norms > 1e-3] / norms[norms > 1e-3, None]
 
 
 def _bell_state(basis):
@@ -38,14 +52,16 @@ def test_coefficient_matrix_scatters_by_single_rotor_indices():
         assert c[i, j] == coeffs[k]
 
 
-def test_product_state_has_zero_entropy():
-    basis = TwoRotorBasis(2, None)
+@pytest.mark.parametrize("total_m", [0, None])
+def test_product_state_has_zero_entropy(total_m):
+    basis = TwoRotorBasis(2, total_m)
     rng = np.random.default_rng(7)
-    u = rng.standard_normal(basis.d_single) + 1j * rng.standard_normal(basis.d_single)
-    v = rng.standard_normal(basis.d_single) + 1j * rng.standard_normal(basis.d_single)
+    # m = 0 amplitudes only, so u x u lies in the P12/sigma_v-even M = 0 sector
+    u = np.zeros(basis.d_single, dtype=complex)
+    l = np.arange(basis.l_max + 1)
+    u[l * l + l] = rng.standard_normal(l.size) + 1j * rng.standard_normal(l.size)
     u /= np.linalg.norm(u)
-    v /= np.linalg.norm(v)
-    weights = schmidt_spectrum(basis, _product_state(basis, u, v))[0]
+    weights = schmidt_spectrum(basis, _product_state(basis, u))[0]
     assert von_neumann_entropy(weights, basis.d_single, "e") < 1e-10
     assert np.count_nonzero(weights > 1e-12) == 1
 
@@ -81,27 +97,25 @@ def test_a_weight_rounded_above_one_gives_zero_entropy():
     assert np.isnan(entropy[2])
 
 
-def test_d_single_log_base_ignores_how_many_weights_the_blocks_return():
+def test_d_single_log_base_divides_by_the_one_rotor_dimension():
     basis = TwoRotorBasis(2, 0)
     weights = schmidt_spectrum(basis, _bell_state(basis))[0]
-    assert weights.size == 5 * 3  # five m-blocks of side l_max + 1, not d_single = 9
+    assert weights.size == 3 + 2 * (2 + 1) == basis.d_single  # block 0 once, blocks 1 and 2 twice
     entropy = von_neumann_entropy(weights, basis.d_single, "d_single")
     assert entropy == pytest.approx(math.log(2.0) / math.log(9.0), abs=1e-12)
 
 
-def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues():
-    basis = TwoRotorBasis(2, 0)
+@pytest.mark.parametrize("total_m", [0, None])
+def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues(total_m):
+    basis = TwoRotorBasis(2, total_m)
     rng = np.random.default_rng(11)
-    coeffs = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    coeffs /= np.linalg.norm(coeffs)
+    coeffs = _sector_states(basis, rng.standard_normal((1, 2, basis.sector_isometry.shape[1])))[0]
 
     weights = schmidt_spectrum(basis, coeffs)[0]
     rho = reduced_density_mol1(basis, coeffs)
     assert np.abs(rho - rho.conj().T).max() < 1e-14
     eigs = np.sort(np.linalg.eigvalsh(rho))[::-1]
-    got = np.sort(weights)[::-1]
-    assert np.allclose(got[: eigs.size], eigs, atol=1e-12)
-    assert np.all(np.abs(got[eigs.size:]) < 1e-12)
+    assert np.allclose(np.sort(weights)[::-1], eigs, atol=1e-12)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -124,22 +138,57 @@ def test_a_block_is_analyzed_row_by_row():
     assert entropy[:2] == pytest.approx([1.0, 0.0], abs=1e-12)
     assert np.isnan(entropy[2])  # a non-finite state must not read as unentangled
     assert np.count_nonzero(weights > 1e-12, axis=1).tolist() == [2, 1, 0]
+    assert np.isnan(schmidt_spectrum(basis, block[2:])).all()
+    assert schmidt_spectrum(basis, block[:0]).shape == (0, basis.d_single)
 
 
 @settings(max_examples=60, deadline=None)
-@given(l_max=st.integers(2, 4), total_m=st.sampled_from([0, 1, -2, None]), data=st.data())
+@given(l_max=st.integers(2, 4), total_m=st.sampled_from([0, None]), data=st.data())
 def test_m_block_weights_equal_the_full_matrix_svd(l_max, total_m, data):
     basis = TwoRotorBasis(l_max, total_m)
-    if total_m is None:
-        assert basis.schmidt_shape == (1, basis.d_single, basis.d_single)
-    parts = data.draw(hnp.arrays(np.float64, (2, 2, basis.size),
+    parts = data.draw(hnp.arrays(np.float64, (2, 2, basis.sector_isometry.shape[1]),
                                  elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
-    coeffs = parts[:, 0] + 1j * parts[:, 1]
-    norms = np.linalg.norm(coeffs, axis=1)
-    coeffs = coeffs[norms > 1e-3] / norms[norms > 1e-3, None]
+    coeffs = _sector_states(basis, parts)
     got = np.sort(schmidt_spectrum(basis, coeffs), axis=1)[:, ::-1]
     for row, weights in zip(coeffs, got):
         full = np.linalg.svd(coefficient_matrix(basis, row), compute_uv=False) ** 2
-        n = min(full.size, weights.size)
-        assert np.abs(weights[:n] - full[:n]).max() <= 1e-14
-        assert np.all(weights[n:] <= 1e-14) and np.all(full[n:] <= 1e-14)
+        assert weights.size == full.size and np.abs(weights - full).max() <= 1e-14
+
+
+@functools.cache
+def _fig1b_samples(total_m):
+    """A 20 ps fig1b run: its basis, the coefficient rows its observers
+    receive, and its entropy column."""
+    (_, cfg), = preset("fig1b")
+    cfg = dataclasses.replace(cfg, basis=dataclasses.replace(cfg.basis, restrict_total_m=total_m),
+                              output=dataclasses.replace(cfg.output, total_time_ps=20.0, sample_interval_ps=0.25))
+    schedule, dipole_strength, dt, sample_times = to_reduced(cfg)
+    basis = TwoRotorBasis(cfg.basis.l_max, total_m)
+    recorder, rows = TimeSeriesRecorder(basis, cfg.output), []
+    run_schedule(build_pieces(basis, dipole_strength), schedule, dt, cfg.integrator.norm_tolerance, sample_times,
+                 observers=(recorder, lambda t, k, c: rows.append(c.copy())))
+    return basis, np.concatenate(rows), recorder.column("entropy")
+
+
+@pytest.mark.parametrize("total_m", [0, None])
+def test_every_sampled_state_has_mirrored_symmetric_m_blocks(total_m):
+    # schmidt_spectrum reads only the m >= 0 blocks and counts m > 0 twice:
+    # exact only if C is zero off M = 0, C_{-m} == C_m (sigma_v) and
+    # C_m == C_m.T (P12) in every state a run hands its observers
+    basis, rows, _ = _fig1b_samples(total_m)
+    l_max = basis.l_max
+    m_single = np.concatenate([np.arange(-l, l + 1) for l in range(l_max + 1)])
+    off_sector = np.add.outer(m_single, m_single) != 0
+    for coeffs in rows:
+        c = coefficient_matrix(basis, coeffs)
+        assert not c[off_sector].any()
+        for m in range(l_max + 1):
+            at_m0 = np.arange(m, l_max + 1) * np.arange(m + 1, l_max + 2)  # one-rotor index of (l, 0)
+            plus, minus = c[np.ix_(at_m0 + m, at_m0 - m)], c[np.ix_(at_m0 - m, at_m0 + m)]
+            assert np.array_equal(minus, plus) and np.array_equal(plus, plus.T)
+
+
+def test_the_full_basis_run_has_the_m_zero_entropy():
+    entropy = _fig1b_samples(0)[2]
+    assert entropy.size == 81 and entropy.max() > 1e-3
+    assert np.abs(_fig1b_samples(None)[2] - entropy).max() <= 1e-13
