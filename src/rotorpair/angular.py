@@ -51,8 +51,8 @@ class TwoRotorBasis:
     l*l + l + m. That is lexicographic (l1, m1, l2, m2) order with m running
     from -l to l, so the unrestricted basis reshapes row-major into the
     d_single x d_single coefficient matrix used by the Schmidt analysis.
-    restrict_total_m keeps only states with m1 + m2 equal to the given M;
-    None keeps everything.
+    restrict_total_m = 0 keeps only the states with m1 + m2 = 0; None keeps
+    everything.
     """
 
     def __init__(self, l_max: int, restrict_total_m: int | None = None):
@@ -61,17 +61,14 @@ class TwoRotorBasis:
                 raise InvalidConfigError(f"{name} must be an integer, got {q!r}")
         if l_max < 0:
             raise InvalidConfigError(f"l_max must be non-negative, got {l_max}")
+        if restrict_total_m not in (0, None):
+            raise InvalidConfigError(f"restrict_total_m must be 0 or None, got {restrict_total_m!r}")
         self.l_max = int(l_max)
-        self.restrict_total_m = None if restrict_total_m is None else int(restrict_total_m)
+        self.restrict_total_m = None if restrict_total_m is None else 0
         d = self.d_single
         l, m = _one_rotor_lm(self.l_max)
-        self.product_index = np.arange(d * d)
-        if self.restrict_total_m is not None:
-            self.product_index = self.product_index[np.add.outer(m, m).ravel() == self.restrict_total_m]
-        if not self.product_index.size:
-            raise InvalidConfigError(
-                f"basis is empty: no states with m1 + m2 = {self.restrict_total_m} at l_max = {self.l_max}"
-            )
+        # every product index, or those at m1 + m2 = 0
+        self.product_index = np.flatnonzero((np.add.outer(m, m) == 0) | (restrict_total_m is None))
         # product index -> position in the basis, -1 off it
         self._lookup = np.full(d * d, -1)
         self._lookup[self.product_index] = np.arange(self.size)
@@ -89,11 +86,12 @@ class TwoRotorBasis:
         return (self.l_max + 1) ** 2
 
     @cached_property
-    def sector_isometry(self) -> sparse.csr_matrix:
-        """Real isometry S (size x n_s) onto the M = 0 states even under the
-        swap P12 and the reflection sigma_v (m -> -m on both rotors, phase
-        (-1)^(m1+m2) = +1): column j is the normalized sum of one orbit of
-        {1, P12, sigma_v, P12 sigma_v}. In the full basis the rows off M = 0 are empty.
+    def sector_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """(column, weight) per basis state: amplitude r of the sector state f is
+        weight[r] * f[column[r]], row r of the real sector isometry S onto the M = 0
+        states even under the swap P12 and the reflection sigma_v (m -> -m on both
+        rotors, phase (-1)^(m1+m2) = +1). Column j of S is the normalized sum of one
+        orbit of {1, P12, sigma_v, P12 sigma_v}; states off M = 0 have weight 0.
         """
         d = self.d_single
         rows = np.flatnonzero(self.m1 + self.m2 == 0)
@@ -101,9 +99,18 @@ class TwoRotorBasis:
         # (l, -m) sits at l*l + l - m in the one-rotor ordering
         ra, rb = a - 2 * self.m1[rows], b - 2 * self.m2[rows]
         images = self._lookup[np.stack([a * d + b, b * d + a, ra * d + rb, rb * d + ra])]
-        orbits, column = np.unique(images.min(axis=0), return_inverse=True)
-        weight = 1.0 / np.sqrt(np.bincount(column)[column])
-        return sparse.csr_matrix((weight, (rows, column)), shape=(self.size, orbits.size))
+        column, weight = np.zeros(self.size, dtype=np.intp), np.zeros(self.size)
+        column[rows] = np.unique(images.min(axis=0), return_inverse=True)[1]
+        weight[rows] = 1.0 / np.sqrt(np.bincount(column[rows])[column[rows]])
+        return column, weight
+
+    @cached_property
+    def sector_isometry(self) -> sparse.csr_matrix:
+        """The sector isometry S (size x n_s) of sector_gather, as CSR; in the
+        full basis the rows off M = 0 are empty."""
+        column, weight = self.sector_gather
+        rows = np.flatnonzero(weight)
+        return sparse.csr_matrix((weight[rows], (rows, column[rows])), shape=(self.size, column.max() + 1))
 
     @cached_property
     def schmidt_blocks(self) -> tuple[np.ndarray, ...]:
@@ -112,11 +119,8 @@ class TwoRotorBasis:
         block is (l_max + 1 - m) square. The m < 0 blocks are not listed.
         """
         d, l = self.d_single, np.arange(self.l_max + 1)
-        blocks = tuple(self._lookup[np.add.outer((l[m:] ** 2 + l[m:] + m) * d, l[m:] ** 2 + l[m:] - m)]
-                       for m in range(self.l_max + 1))
-        if min(block.min() for block in blocks) < 0:
-            raise QueryError(f"the Schmidt blocks need every M = 0 state, off the M = {self.restrict_total_m} basis")
-        return blocks
+        return tuple(self._lookup[np.add.outer((l[m:] ** 2 + l[m:] + m) * d, l[m:] ** 2 + l[m:] - m)]
+                     for m in range(self.l_max + 1))
 
     def index_of(self, l1: int, m1: int, l2: int, m2: int) -> int:
         if all(0 <= l <= self.l_max and abs(m) <= l for l, m in ((l1, m1), (l2, m2))):

@@ -5,13 +5,13 @@ C[(l,m), (l',m')]; the Schmidt weights are the squared singular values
 of C, identical to the eigenvalues of the reduced density matrix
 rho_mol1 = C C^dagger. The von Neumann entropy is -sum(lam log lam).
 
-Every state analysed here must lie in the P12/sigma_v-even M = 0 sector,
-as every propagated state does. There C is nonzero only where m' = -m, so
-it splits into one block C_m per m (the symmetry-resolved Schmidt
-decomposition), and sigma_v makes C_{-m} = C_m: the spectrum is block 0's
-weights plus each m > 0 block's twice. Only the m >= 0 blocks are read
-(TwoRotorBasis.schmidt_blocks), so a state off the sector gets a wrong
-spectrum, not an error.
+The states analysed here are sector rows f, the coefficients of the
+P12/sigma_v-even M = 0 sector that every run propagates, and C is
+gathered from them (TwoRotorBasis.sector_gather). C is nonzero only where
+m' = -m, so it splits into one block C_m per m (the symmetry-resolved
+Schmidt decomposition), and the sector makes C_{-m} = C_m = C_m^T: the
+spectrum is block 0's weights plus each m > 0 block's twice, and the
+weights of C_m are the eigenvalues of its Gram matrix C_m C_m^dagger.
 """
 
 from __future__ import annotations
@@ -28,21 +28,27 @@ from .exceptions import InvalidConfigError, NumericalError
 _CLIP = 1e-15
 
 
+@np.errstate(over="ignore")
 def schmidt_spectrum(basis: TwoRotorBasis, coeffs: np.ndarray) -> np.ndarray:
-    """Schmidt weights of every row of coeffs (K x n), shape (K, d_single):
-    blocks m = 1..l_max, then m = 0..l_max, descending within a block.
-    The rows must be sector states (module docstring). A row that is not
-    finite gets NaN weights instead of failing the whole block.
+    """Schmidt weights of every sector row of coeffs (K x n_s), shape
+    (K, d_single): blocks m = 1..l_max, then m = 0..l_max, descending within
+    a block and never negative. A row whose squared norm is not finite (a
+    NaN, an inf, or a diverged state that would overflow its Gram matrices)
+    gets NaN weights instead of failing the whole block.
     """
     coeffs = np.atleast_2d(coeffs)
-    finite = np.isfinite(coeffs).all(axis=1)
+    finite = np.isfinite((np.abs(coeffs) ** 2).sum(axis=1))
     good = coeffs[finite]
+    column, weight = basis.sector_gather
     weights = np.full((coeffs.shape[0], basis.d_single), np.nan)
+    eigs = []
     try:
-        singulars = [np.linalg.svd(good[:, block], compute_uv=False) for block in basis.schmidt_blocks]
+        for block in basis.schmidt_blocks:
+            c = weight[block] * good[:, column[block]]
+            eigs.append(np.linalg.eigvalsh(c @ c.conj().swapaxes(1, 2))[:, ::-1])
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of the coefficient matrix failed: {exc}") from exc
-    weights[finite] = np.concatenate(singulars[1:] + singulars, axis=1) ** 2
+        raise NumericalError(f"eigenvalues of the Schmidt Gram matrix failed: {exc}") from exc
+    weights[finite] = np.maximum(np.concatenate(eigs[1:] + eigs, axis=1), 0.0)
     return weights
 
 

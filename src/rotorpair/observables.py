@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entanglement
-from .angular import TwoRotorBasis
 from .config import OutputConfig
 from .exceptions import QueryError
-from .operators import build_costheta_single, expectation
+from .operators import HamiltonianPieces, expectation
 from .output import COLUMNS
 
 # Lags below half the orientation revival period (pi in reduced time)
@@ -28,39 +27,41 @@ class RegularityMetrics:
 
 
 class TimeSeriesRecorder:
-    """Block observer that turns sampled coefficient rows into columns: the
-    watched populations, the entropy's log base and the sample interval
-    come from the run's OutputConfig."""
+    """Block observer of one run of pieces that turns sampled sector rows
+    into columns: the watched populations, the entropy's log base and the
+    sample interval come from the run's OutputConfig."""
 
-    def __init__(self, basis: TwoRotorBasis, output: OutputConfig):
-        self.basis = basis
+    def __init__(self, pieces: HamiltonianPieces, output: OutputConfig):
+        self.pieces = pieces
+        self.basis = pieces.basis
         self.output = output
         self.watch = tuple(tuple(int(q) for q in entry) for entry in output.watch_populations)
         if len(set(self.watch)) < len(self.watch):  # it would write two columns of one name
             raise QueryError(f"watch list {self.watch} repeats an entry")
         # fail on an out-of-basis watch entry up front, not at sample time
-        self._watch_idx = np.asarray([basis.index_of(*entry) for entry in self.watch], dtype=np.intp)
-        self._cos1 = build_costheta_single(basis, "mol1")
-        self._cos2 = build_costheta_single(basis, "mol2")
+        watch_idx = np.asarray([self.basis.index_of(*entry) for entry in self.watch], dtype=np.intp)
+        self._watch_column, self._watch_weight = (part[watch_idx] for part in self.basis.sector_gather)
         self._columns = {name: [np.empty(0)] for name in ("t_red",) + COLUMNS}
         self._populations = [np.empty((0, len(self.watch)))]
 
     def __call__(self, t_red: np.ndarray, indices: np.ndarray, coeffs: np.ndarray) -> None:
-        probs = np.abs(coeffs) ** 2
+        _, coupling, energies = self.pieces.sector
         weights = entanglement.schmidt_spectrum(self.basis, coeffs)
+        # cos(theta1) + cos(theta2) is V, and the sector makes the two halves equal
+        cos = 0.5 * expectation(coupling, coeffs).real
         block = {
             "t_red": t_red,
             "t_ps": indices * self.output.sample_interval_ps,
-            "cos1": expectation(self._cos1, coeffs).real,
-            "cos2": expectation(self._cos2, coeffs).real,
+            "cos1": cos,
+            "cos2": cos,
             "entropy": entanglement.von_neumann_entropy(weights, self.basis.d_single,
                                                         self.output.entropy_log_base),
             "norm": np.linalg.norm(coeffs, axis=1),
-            "energy_rot": probs @ self.basis.rotor_diagonal,
+            "energy_rot": np.abs(coeffs) ** 2 @ energies,
         }
         for name, values in block.items():
             self._columns[name].append(np.asarray(values, dtype=float))
-        self._populations.append(probs[:, self._watch_idx])
+        self._populations.append(np.abs(self._watch_weight * coeffs[:, self._watch_column]) ** 2)
 
     def column(self, name: str) -> np.ndarray:
         """One recorded column: t_red or any of COLUMNS."""
@@ -80,31 +81,19 @@ class TimeSeriesRecorder:
 
 def _autocorr_peak(x: np.ndarray, k_min: int, k_max: int) -> float:
     x = x - x.mean()
-    n = x.size
-    denom = float(x @ x) / n
+    n, denom = x.size, float(x @ x) / x.size
     if denom == 0.0:
         return 0.0
-    best = -np.inf
-    for k in range(k_min, k_max + 1):
-        r = float(x[: n - k] @ x[k:]) / (n - k) / denom
-        best = max(best, r)
-    return best
+    return max(float(x[: n - k] @ x[k:]) / (n - k) / denom for k in range(k_min, k_max + 1))
 
 
 def _energy_growth_rate(t: np.ndarray, energy: np.ndarray, centers: np.ndarray) -> float:
     if centers.size < 2:
         return 0.0
-    per_pulse = []
-    for k in range(centers.size):
-        if k + 1 < centers.size:
-            before = np.nonzero(t < centers[k + 1])[0]
-            if before.size == 0:
-                raise QueryError("no sample falls before the next pulse center")
-            per_pulse.append(energy[before[-1]])
-        else:
-            per_pulse.append(energy[-1])
-    ks = np.arange(centers.size, dtype=float)
-    slope, _ = np.polyfit(ks, np.asarray(per_pulse), 1)
+    before = np.searchsorted(t, centers[1:]) - 1  # the last sample before each next pulse center
+    if before.min() < 0:
+        raise QueryError("no sample falls before the next pulse center")
+    slope, _ = np.polyfit(np.arange(centers.size, dtype=float), np.append(energy[before], energy[-1]), 1)
     return float(slope)
 
 

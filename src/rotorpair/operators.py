@@ -20,6 +20,7 @@ tensor product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -87,11 +88,11 @@ def build_rotor_term(basis: TwoRotorBasis) -> sparse.csr_matrix:
     return sparse.diags(basis.rotor_diagonal.astype(np.complex128), 0, format="csr")
 
 
-def build_dipole_term(basis: TwoRotorBasis, dipole_strength: float) -> sparse.csr_matrix:
-    """The z-axis dipole-dipole coupling; couples dl = +-1 on both rotors."""
+def build_dipole_term(basis: TwoRotorBasis, dipole_strength: float, one_rotor=None) -> sparse.csr_matrix:
+    """The z-axis dipole-dipole coupling; couples dl = +-1 on both rotors (one_rotor_matrices if not given)."""
     if dipole_strength < 0:
         raise InvalidConfigError(f"dipole_strength must be non-negative, got {dipole_strength}")
-    cos, s_plus = one_rotor_matrices(basis.l_max)
+    cos, s_plus = one_rotor or one_rotor_matrices(basis.l_max)
     s_minus = s_plus.T
     exchange = sparse.kron(s_plus, s_minus, format="csr") + sparse.kron(s_minus, s_plus, format="csr")
     return _lift(basis, (0.5 * dipole_strength) * exchange
@@ -108,14 +109,15 @@ def build_costheta_single(basis: TwoRotorBasis, which: str) -> sparse.csr_matrix
     return _lift(basis, sparse.kron(*pair, format="csr"))
 
 
-def build_orientation_coupling(basis: TwoRotorBasis) -> sparse.csr_matrix:
-    """cos(theta1) + cos(theta2); the laser couples to this operator."""
-    return build_costheta_single(basis, "mol1") + build_costheta_single(basis, "mol2")
+def build_orientation_coupling(basis: TwoRotorBasis, one_rotor=None) -> sparse.csr_matrix:
+    """cos(theta1) + cos(theta2), the Kronecker sum of the one-rotor cos with itself: the laser couples to it."""
+    cos, _ = one_rotor or one_rotor_matrices(basis.l_max)
+    return _lift(basis, sparse.kronsum(cos, cos, format="csr"))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HamiltonianPieces:
-    """The field-free H0 = rotor + dipole and the laser coupling V (CSR) over one basis."""
+    """The field-free H0 = rotor + dipole and the laser coupling V (CSR) over one basis (frozen: sector is cached)."""
 
     basis: TwoRotorBasis
     h0: sparse.csr_matrix
@@ -126,8 +128,26 @@ class HamiltonianPieces:
         if len(dims) != 1:
             raise ConsistencyError(f"Hamiltonian pieces have mismatched dimensions: {sorted(dims)}")
 
+    @cached_property
+    def sector(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray]:
+        """(S^T H0 S, S^T V S, the rotor energies of the sector states) for the basis's
+        sector isometry S, folded once after checking that H0 and V map range(S) into itself."""
+        s = self.basis.sector_isometry
+        tol = 1e-12 * max(1.0, abs(self.h0).max())
+        folded = []
+        for name, op in (("H0", self.h0), ("V", self.coupling)):
+            op_s = (s.T @ op @ s).tocsr()
+            leak = abs(op @ s - s @ op_s).max()
+            if not leak <= tol:
+                raise ConsistencyError(f"{name} leaks out of the symmetric sector by {leak:.3e}"
+                                       f" (tolerance {tol:.1e})")
+            folded.append(op_s)
+        # each column of S mixes states of one rotor energy; H0_s's diagonal also has a dipole part
+        return *folded, s.multiply(s).T @ self.basis.rotor_diagonal
+
 
 def build_pieces(basis: TwoRotorBasis, dipole_strength: float) -> HamiltonianPieces:
-    """Build all time-independent operators for one run."""
-    h0 = (build_rotor_term(basis) + build_dipole_term(basis, dipole_strength)).tocsr()
-    return HamiltonianPieces(basis, h0, build_orientation_coupling(basis))
+    """Build all time-independent operators for one run from one set of one-rotor matrices."""
+    one_rotor = one_rotor_matrices(basis.l_max)
+    h0 = (build_rotor_term(basis) + build_dipole_term(basis, dipole_strength, one_rotor)).tocsr()
+    return HamiltonianPieces(basis, h0, build_orientation_coupling(basis, one_rotor))

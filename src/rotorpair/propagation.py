@@ -1,8 +1,8 @@
 """Time propagation of i dc/dt = H(t) c.
 
-The state is propagated in the symmetric sector of
+The state is propagated, and observed, in the symmetric sector of
 TwoRotorBasis.sector_isometry, which H(t) leaves invariant (checked, not
-assumed); the observers see full-basis coefficients.
+assumed, by HamiltonianPieces.sector); only the final state is unfolded.
 
 step_plan cuts [0, t_end] once per run into segments, wherever the
 distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
@@ -62,9 +62,7 @@ class Trajectory:
 
 
 def initial_state(basis: TwoRotorBasis) -> np.ndarray:
-    """Both molecules in the rotational ground state, c_0000 = 1."""
-    if basis.product_index[0] != 0:  # |00;00> has product index 0
-        raise InvalidConfigError("basis does not contain the (0,0;0,0) ground state")
+    """Both molecules in the rotational ground state, c_0000 = 1 (|00;00> is basis state 0)."""
     coeffs = np.zeros(basis.size, dtype=np.complex128)
     coeffs[0] = 1.0
     return coeffs
@@ -126,24 +124,6 @@ def schrodinger_rhs(h0: sparse.csr_matrix, coupling: sparse.csr_matrix, energies
         return w[:n] + f * w[n:]
 
     return RightHandSide(pulse.field_scalar, deriv, energies)
-
-
-def sector_operators(pieces: HamiltonianPieces):
-    """S^T H0 S, S^T V S (its diagonal has a dipole part) and the rotor
-    energies of the sector states, for the basis's sector isometry S, after
-    checking that H0 and V map range(S) into itself."""
-    s = pieces.basis.sector_isometry
-    tol = 1e-12 * max(1.0, abs(pieces.h0).max())
-    folded = []
-    for name, op in (("H0", pieces.h0), ("V", pieces.coupling)):
-        op_s = (s.T @ op @ s).tocsr()
-        leak = abs(op @ s - s @ op_s).max()
-        if not leak <= tol:
-            raise ConsistencyError(f"{name} leaks out of the symmetric sector by {leak:.3e}"
-                                   f" (tolerance {tol:.1e})")
-        folded.append(op_s)
-    # each column of S mixes states of one rotor energy
-    return *folded, s.multiply(s).T @ pieces.basis.rotor_diagonal
 
 
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
@@ -214,16 +194,17 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                  norm_tolerance: float, sample_times: np.ndarray,
                  observers=()) -> Trajectory:
     """Walk the step_plan of [0, last sample] with core step dt from the
-    initial state, sampling on the way; each sample block is unfolded from
-    the sector to the full basis before it is checked and observed.
+    initial state, sampling on the way in the symmetric sector.
 
     sample_times must be ascending and start at 0. Samples reach the
     observers in blocks of at most SAMPLE_BLOCK consecutive samples from
     one free segment or one window (a run of collocation segments), as
-    observer(t_red[K], indices[K], coeffs[K, basis.size]). A sample whose
-    norm drifts beyond tolerance (or is NaN) ends its block, as does the
-    first sample after a step whose sweeps stalled: the observers see it,
-    then StepSizeError is raised. A diverging state overflows quietly.
+    observer(t_red[K], indices[K], coeffs[K, n_s]): sector rows f, whose
+    full-basis state is S f (TwoRotorBasis.sector_gather reads it entry by
+    entry). Norms are those of f; psi_final is S f of the last sample. A
+    sample whose norm drifts beyond tolerance (or is NaN) ends its block, as
+    does the first sample after a step whose sweeps stalled: the observers
+    see it, then StepSizeError is raised. A diverging state overflows quietly.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -232,8 +213,8 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         raise InvalidConfigError("sample_times must start at 0 and increase strictly")
 
     t_end, psi, s = float(samples[-1]), initial_state(pieces.basis), pieces.basis.sector_isometry
-    h0_s, coupling_s, energies_s = sector_operators(pieces)
-    coeffs = s.T @ psi
+    h0_s, coupling_s, energies_s = pieces.sector
+    coeffs = last = s.T @ psi
     leak = np.abs(s @ coeffs - psi).max()
     if leak > 1e-12:  # a NaN state is left to the norm check at sample 0
         raise ConsistencyError(f"the initial state leaks out of the symmetric sector by {leak:.3e}")
@@ -250,16 +231,16 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
             stall, stalled_at = stall or exc, min(stalled_at, sample)
             return exc.state
 
-    def emit(lo: int, folded: np.ndarray) -> None:
-        block = (s @ folded.T).T
+    def emit(lo: int, block: np.ndarray) -> None:
+        nonlocal last
         block_norms = np.linalg.norm(block, axis=1)
         bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= norm_tolerance)
                              | (np.arange(lo, lo + block.shape[0]) >= stalled_at))
         if bad.size:
-            block, folded = block[: bad[0] + 1], folded[: bad[0] + 1]
+            block = block[: bad[0] + 1]
         hi = lo + block.shape[0]
         norms[lo:hi] = block_norms[: hi - lo]
-        h0_expect[lo:hi] = expectation(h0_s, folded).real
+        h0_expect[lo:hi] = expectation(h0_s, block).real
         for observer in observers:
             observer(samples[lo:hi], np.arange(lo, hi), block)
         if bad.size:
@@ -270,7 +251,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                 f"norm drifted by {drift:.3e} at t = {samples[hi - 1]:.6g} (tolerance {norm_tolerance:.1e}); "
                 + ("reduce integrator.dt_pulse_fs" if np.isfinite(drift) else "the state diverged")
             )
-        psi[:] = block[-1]  # the full-basis state at the latest sample
+        last = block[-1]
 
     # each segment owns the samples in (a, b]; window rows are flushed before a free segment
     emit(0, coeffs[None, :])
@@ -300,4 +281,4 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         k = stop
     if rows:
         emit(k - len(rows), np.array(rows))
-    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=psi)
+    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=s @ last)

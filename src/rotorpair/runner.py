@@ -34,9 +34,8 @@ def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
     """Run; with an out_dir, write the CSV there, a partial one with a
     marker row if the run fails numerically."""
     schedule, dipole_strength, dt, sample_times = to_reduced(cfg)
-    basis = TwoRotorBasis(cfg.basis.l_max, cfg.basis.restrict_total_m)
-    pieces = build_pieces(basis, dipole_strength)
-    recorder = TimeSeriesRecorder(basis, cfg.output)
+    pieces = build_pieces(TwoRotorBasis(cfg.basis.l_max, cfg.basis.restrict_total_m), dipole_strength)
+    recorder = TimeSeriesRecorder(pieces, cfg.output)
     csv_path = None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)

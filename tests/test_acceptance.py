@@ -153,7 +153,8 @@ def _offblock_leakage(cfg) -> float:
     leak = []
 
     def watch_leak(t_red, indices, coeffs):
-        leak.extend(np.sum(np.abs(coeffs[:, off_block]) ** 2, axis=1))
+        full = (basis.sector_isometry @ coeffs.T).T  # the observers see sector rows
+        leak.extend(np.sum(np.abs(full[:, off_block]) ** 2, axis=1))
 
     run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, samples_red, observers=(watch_leak,))
     assert len(leak) == samples_red.size

@@ -19,26 +19,44 @@ from rotorpair.propagation import run_schedule
 from rotorpair.units import to_reduced
 
 
+def _fold(basis, coeffs):
+    """The sector row S^T c of a full-basis state c that lies in the sector."""
+    folded = basis.sector_isometry.T @ coeffs
+    assert np.abs(basis.sector_isometry @ folded - coeffs).max() <= 1e-15
+    return folded
+
+
 def _product_state(basis, u):
-    """coeffs of |u> x |u> given a one-rotor amplitude vector."""
-    coeffs = np.zeros(basis.size, dtype=complex)
-    for k in range(basis.size):
-        coeffs[k] = u[basis.mol1_single[k]] * u[basis.mol2_single[k]]
-    return coeffs
+    """The sector row of |u> x |u>, given a one-rotor amplitude vector with m = 0 parts only."""
+    return _fold(basis, u[basis.mol1_single] * u[basis.mol2_single])
 
 
 def _sector_states(basis, parts):
-    """Unit rows S @ x of the P12/sigma_v-even M = 0 sector, x = parts[:, 0] + i parts[:, 1]."""
-    coeffs = (basis.sector_isometry @ (parts[:, 0] + 1j * parts[:, 1]).T).T
-    norms = np.linalg.norm(coeffs, axis=1)
-    return coeffs[norms > 1e-3] / norms[norms > 1e-3, None]
+    """Unit sector rows x = parts[:, 0] + i parts[:, 1] (S is an isometry, so S x is a unit state too)."""
+    rows = parts[:, 0] + 1j * parts[:, 1]
+    norms = np.linalg.norm(rows, axis=1)
+    return rows[norms > 1e-3] / norms[norms > 1e-3, None]
+
+
+def _unfold(basis, rows):
+    """Full-basis states S f of sector rows f, read through the gather map."""
+    column, weight = basis.sector_gather
+    return weight * np.atleast_2d(rows)[:, column]
 
 
 def _bell_state(basis):
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[basis.index_of(0, 0, 1, 0)] = 1.0 / math.sqrt(2.0)
     coeffs[basis.index_of(1, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
-    return coeffs
+    return _fold(basis, coeffs)
+
+
+def _m_zero_product(basis, rng):
+    """A random unit one-rotor vector with m = 0 amplitudes only, so u x u lies in the sector."""
+    u = np.zeros(basis.d_single, dtype=complex)
+    l = np.arange(basis.l_max + 1)
+    u[l * l + l] = rng.standard_normal(l.size) + 1j * rng.standard_normal(l.size)
+    return u / np.linalg.norm(u)
 
 
 def test_coefficient_matrix_scatters_by_single_rotor_indices():
@@ -55,13 +73,7 @@ def test_coefficient_matrix_scatters_by_single_rotor_indices():
 @pytest.mark.parametrize("total_m", [0, None])
 def test_product_state_has_zero_entropy(total_m):
     basis = TwoRotorBasis(2, total_m)
-    rng = np.random.default_rng(7)
-    # m = 0 amplitudes only, so u x u lies in the P12/sigma_v-even M = 0 sector
-    u = np.zeros(basis.d_single, dtype=complex)
-    l = np.arange(basis.l_max + 1)
-    u[l * l + l] = rng.standard_normal(l.size) + 1j * rng.standard_normal(l.size)
-    u /= np.linalg.norm(u)
-    weights = schmidt_spectrum(basis, _product_state(basis, u))[0]
+    weights = schmidt_spectrum(basis, _product_state(basis, _m_zero_product(basis, np.random.default_rng(7))))[0]
     assert von_neumann_entropy(weights, basis.d_single, "e") < 1e-10
     assert np.count_nonzero(weights > 1e-12) == 1
 
@@ -112,7 +124,7 @@ def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues(total_m):
     coeffs = _sector_states(basis, rng.standard_normal((1, 2, basis.sector_isometry.shape[1])))[0]
 
     weights = schmidt_spectrum(basis, coeffs)[0]
-    rho = reduced_density_mol1(basis, coeffs)
+    rho = reduced_density_mol1(basis, basis.sector_isometry @ coeffs)
     assert np.abs(rho - rho.conj().T).max() < 1e-14
     eigs = np.sort(np.linalg.eigvalsh(rho))[::-1]
     assert np.allclose(np.sort(weights)[::-1], eigs, atol=1e-12)
@@ -131,13 +143,15 @@ def test_a_block_is_analyzed_row_by_row():
     basis = TwoRotorBasis(1, None)
     product = np.zeros(basis.size, dtype=complex)
     product[basis.index_of(0, 0, 0, 0)] = 1.0
-    block = np.stack([_bell_state(basis), product, np.full(basis.size, np.nan)])
+    n_s = basis.sector_isometry.shape[1]
+    # a diverged state: finite, but its Gram matrices would overflow
+    block = np.stack([_bell_state(basis), _fold(basis, product), np.full(n_s, np.nan), np.full(n_s, 1e160)])
     weights = schmidt_spectrum(basis, block)
-    assert weights.shape == (3, basis.d_single)
+    assert weights.shape == (4, basis.d_single)
     entropy = von_neumann_entropy(weights, basis.d_single, "2")
     assert entropy[:2] == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert np.isnan(entropy[2])  # a non-finite state must not read as unentangled
-    assert np.count_nonzero(weights > 1e-12, axis=1).tolist() == [2, 1, 0]
+    assert np.isnan(entropy[2:]).all()  # a non-finite state must not read as unentangled
+    assert np.count_nonzero(weights > 1e-12, axis=1).tolist() == [2, 1, 0, 0]
     assert np.isnan(schmidt_spectrum(basis, block[2:])).all()
     assert schmidt_spectrum(basis, block[:0]).shape == (0, basis.d_single)
 
@@ -145,27 +159,38 @@ def test_a_block_is_analyzed_row_by_row():
 @settings(max_examples=60, deadline=None)
 @given(l_max=st.integers(2, 4), total_m=st.sampled_from([0, None]), data=st.data())
 def test_m_block_weights_equal_the_full_matrix_svd(l_max, total_m, data):
+    # gathered sector rows, a product state (its m > 0 blocks are empty) and a NaN row
     basis = TwoRotorBasis(l_max, total_m)
     parts = data.draw(hnp.arrays(np.float64, (2, 2, basis.sector_isometry.shape[1]),
                                  elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
-    coeffs = _sector_states(basis, parts)
-    got = np.sort(schmidt_spectrum(basis, coeffs), axis=1)[:, ::-1]
-    for row, weights in zip(coeffs, got):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    product = _product_state(basis, _m_zero_product(basis, np.random.default_rng(seed)))
+    coeffs = np.vstack([_sector_states(basis, parts), product])
+    weights = schmidt_spectrum(basis, np.vstack([coeffs, np.full(coeffs.shape[1], np.nan)]))
+    assert np.isnan(weights[-1]).all() and np.all(weights[:-1] >= 0.0)
+    # the layout: blocks m = 1..l_max, then m = 0..l_max, each of size l_max + 1 - m and descending
+    sizes = list(range(l_max, 0, -1)) + list(range(l_max + 1, 0, -1))
+    for block in np.split(weights[:-1], np.cumsum(sizes)[:-1], axis=1):
+        assert np.all(np.diff(block, axis=1) <= 0.0)
+    got = np.sort(weights[:-1], axis=1)[:, ::-1]
+    for row, lam in zip(_unfold(basis, coeffs), got):
         full = np.linalg.svd(coefficient_matrix(basis, row), compute_uv=False) ** 2
-        assert weights.size == full.size and np.abs(weights - full).max() <= 1e-14
+        assert lam.size == full.size and np.abs(lam - full).max() <= 1e-14
+    assert schmidt_spectrum(basis, coeffs[:0]).shape == (0, basis.d_single)
 
 
 @functools.cache
 def _fig1b_samples(total_m):
-    """A 20 ps fig1b run: its basis, the coefficient rows its observers
+    """A 20 ps fig1b run: its basis, the sector rows its observers
     receive, and its entropy column."""
     (_, cfg), = preset("fig1b")
     cfg = dataclasses.replace(cfg, basis=dataclasses.replace(cfg.basis, restrict_total_m=total_m),
                               output=dataclasses.replace(cfg.output, total_time_ps=20.0, sample_interval_ps=0.25))
     schedule, dipole_strength, dt, sample_times = to_reduced(cfg)
     basis = TwoRotorBasis(cfg.basis.l_max, total_m)
-    recorder, rows = TimeSeriesRecorder(basis, cfg.output), []
-    run_schedule(build_pieces(basis, dipole_strength), schedule, dt, cfg.integrator.norm_tolerance, sample_times,
+    pieces = build_pieces(basis, dipole_strength)
+    recorder, rows = TimeSeriesRecorder(pieces, cfg.output), []
+    run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, sample_times,
                  observers=(recorder, lambda t, k, c: rows.append(c.copy())))
     return basis, np.concatenate(rows), recorder.column("entropy")
 
@@ -174,12 +199,13 @@ def _fig1b_samples(total_m):
 def test_every_sampled_state_has_mirrored_symmetric_m_blocks(total_m):
     # schmidt_spectrum reads only the m >= 0 blocks and counts m > 0 twice:
     # exact only if C is zero off M = 0, C_{-m} == C_m (sigma_v) and
-    # C_m == C_m.T (P12) in every state a run hands its observers
+    # C_m == C_m.T (P12) in the matrix that the gather map makes of every
+    # sector row a run hands its observers
     basis, rows, _ = _fig1b_samples(total_m)
     l_max = basis.l_max
     m_single = np.concatenate([np.arange(-l, l + 1) for l in range(l_max + 1)])
     off_sector = np.add.outer(m_single, m_single) != 0
-    for coeffs in rows:
+    for coeffs in _unfold(basis, rows):
         c = coefficient_matrix(basis, coeffs)
         assert not c[off_sector].any()
         for m in range(l_max + 1):

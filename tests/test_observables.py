@@ -12,7 +12,7 @@ from rotorpair.observables import (
     TimeSeriesRecorder,
     regularity_metrics,
 )
-from rotorpair.operators import build_costheta_single, expectation
+from rotorpair.operators import build_costheta_single, build_pieces, expectation
 from rotorpair.propagation import initial_state
 
 
@@ -32,17 +32,28 @@ def test_orientation_of_a_cos_coherence():
     assert cos2.real == pytest.approx(0.0, abs=1e-14)
 
 
+def _recorder(basis, watch, **output):
+    return TimeSeriesRecorder(build_pieces(basis, 0.1), OutputConfig(watch_populations=watch, **output))
+
+
+def _fold(basis, coeffs):
+    """The sector row S^T c of a full-basis state c that lies in the sector."""
+    folded = basis.sector_isometry.T @ coeffs
+    assert np.abs(basis.sector_isometry @ folded - coeffs).max() <= 1e-15
+    return folded
+
+
 def test_population_lookup():
     basis = TwoRotorBasis(1, 0)
-    rec = TimeSeriesRecorder(basis, OutputConfig(watch_populations=((0, 0, 0, 0), (1, 0, 1, 0))))
-    rec(np.array([0.0]), np.array([0]), initial_state(basis)[None, :])
+    rec = _recorder(basis, ((0, 0, 0, 0), (1, 0, 1, 0)))
+    rec(np.array([0.0]), np.array([0]), _fold(basis, initial_state(basis))[None, :])
     assert rec.population_column((0, 0, 0, 0)).tolist() == [1.0]
     assert rec.population_column((1, 0, 1, 0)).tolist() == [0.0]
     # an entry of the basis that is not watched names the watch list
     with pytest.raises(QueryError, match=r"\(1, -1, 1, 1\) is not in the watch list"):
         rec.population_column((1, -1, 1, 1))
     with pytest.raises(QueryError):
-        TimeSeriesRecorder(basis, OutputConfig(watch_populations=((1, 1, 0, 0),)))
+        _recorder(basis, ((1, 1, 0, 0),))
 
 
 def test_rotational_energy():
@@ -50,38 +61,62 @@ def test_rotational_energy():
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[basis.index_of(1, 0, 1, 0)] = math.sqrt(0.5)
     coeffs[basis.index_of(0, 0, 0, 0)] = math.sqrt(0.5)
-    rec = TimeSeriesRecorder(basis, OutputConfig(watch_populations=()))
-    rec(np.array([0.0]), np.array([0]), coeffs[None, :])
+    rec = _recorder(basis, ())
+    rec(np.array([0.0]), np.array([0]), _fold(basis, coeffs)[None, :])
     assert rec.column("energy_rot")[0] == pytest.approx(2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("total_m", [0, None])
+def test_the_recorder_reads_full_basis_quantities_off_the_sector_rows(total_m):
+    # the columns of sector rows f equal what the full-basis states S f give
+    basis = TwoRotorBasis(3, total_m)
+    s = basis.sector_isometry
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((5, s.shape[1])) + 1j * rng.standard_normal((5, s.shape[1]))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    watch = ((0, 0, 0, 0), (2, 1, 1, -1), (3, -2, 2, 2))
+    rec = _recorder(basis, watch)
+    rec(np.arange(5.0), np.arange(5), rows)
+    full = (s @ rows.T).T
+    for name, op in (("cos1", build_costheta_single(basis, "mol1")), ("cos2", build_costheta_single(basis, "mol2"))):
+        assert np.abs(rec.column(name) - expectation(op, full).real).max() <= 1e-15
+    assert np.array_equal(rec.column("cos1"), rec.column("cos2"))
+    assert np.abs(rec.column("energy_rot") - np.abs(full) ** 2 @ basis.rotor_diagonal).max() <= 1e-13
+    assert np.abs(rec.column("norm") - np.linalg.norm(full, axis=1)).max() <= 1e-15
+    for entry in watch:
+        assert np.array_equal(rec.population_column(entry), np.abs(full[:, basis.index_of(*entry)]) ** 2)
 
 
 # --- recorder -----------------------------------------------------------------
 
 def test_recorder_collects_samples():
     basis = TwoRotorBasis(1, None)
-    rec = TimeSeriesRecorder(basis, OutputConfig(watch_populations=((0, 0, 0, 0), (1, 0, 0, 0)),
-                                                  sample_interval_ps=0.5))
+    rec = _recorder(basis, ((0, 0, 0, 0), (1, 0, 0, 0)), sample_interval_ps=0.5)
+    # |00;00> / sqrt(2) + (|10;00> + |00;10>) / 2, even under the swap
     psi = _superposition(basis)
-    rec(np.array([0.0]), np.array([0]), initial_state(basis)[None, :])
+    psi[basis.index_of(1, 0, 0, 0)] = psi[basis.index_of(0, 0, 1, 0)] = 0.5
+    psi = _fold(basis, psi)
+    rec(np.array([0.0]), np.array([0]), _fold(basis, initial_state(basis))[None, :])
     rec(np.array([0.011, 0.022]), np.array([1, 2]), np.stack([psi, psi]))
 
     assert rec.column("t_ps").tolist() == [0.0, 0.5, 1.0]
     assert rec.column("t_red").tolist() == [0.0, 0.011, 0.022]
     assert rec.population_column((0, 0, 0, 0))[0] == 1.0
     assert rec.population_column((0, 0, 0, 0))[1] == pytest.approx(0.5, abs=1e-14)
-    assert rec.column("cos1")[1:] == pytest.approx([1.0 / math.sqrt(3.0)] * 2, abs=1e-14)
+    # 2 Re(c_00 c_10 <00|cos|10>) = 2 (1/sqrt 2)(1/2)(1/sqrt 3) on each molecule
+    assert rec.column("cos1") == pytest.approx([0.0] + [1.0 / math.sqrt(6.0)] * 2, abs=1e-14)
+    assert np.array_equal(rec.column("cos2"), rec.column("cos1"))
     assert rec.column("entropy")[0] == pytest.approx(0.0, abs=1e-12)
     assert rec.column("norm") == pytest.approx([1.0] * 3, abs=1e-14)
     assert rec.column("energy_rot") == pytest.approx([0.0, 1.0, 1.0], abs=1e-14)
-    assert np.allclose(rec.column("cos2"), [0.0] * 3, atol=1e-14)
-    assert np.allclose(rec.population_column((1, 0, 0, 0)), [0.0, 0.5, 0.5], atol=1e-14)
+    assert np.allclose(rec.population_column((1, 0, 0, 0)), [0.0, 0.25, 0.25], atol=1e-14)
     # one CSV row per sample: the six base columns, then the watch list
     assert rec.table().shape == (3, 8)
     assert np.array_equal(rec.table()[:, 3], rec.column("entropy"))
 
 
 def test_recorder_starts_empty():
-    rec = TimeSeriesRecorder(TwoRotorBasis(1, 0), OutputConfig(watch_populations=((0, 0, 0, 0),)))
+    rec = _recorder(TwoRotorBasis(1, 0), ((0, 0, 0, 0),))
     assert rec.column("cos1").size == 0
     assert rec.table().shape == (0, 7)
 
@@ -89,16 +124,15 @@ def test_recorder_starts_empty():
 def test_recorder_rejects_watch_entries_outside_the_basis():
     basis = TwoRotorBasis(1, 0)
     with pytest.raises(QueryError):
-        TimeSeriesRecorder(basis, OutputConfig(watch_populations=((2, 0, 0, 0),)))
+        _recorder(basis, ((2, 0, 0, 0),))
     with pytest.raises(QueryError):
-        TimeSeriesRecorder(basis, OutputConfig(watch_populations=((1, 1, 0, 0),)))  # wrong total M
+        _recorder(basis, ((1, 1, 0, 0),))  # wrong total M
 
 
 def test_recorder_rejects_a_repeated_watch_entry():
     # it would write two pop_1_0_0_0 columns
     with pytest.raises(QueryError, match="repeats an entry"):
-        TimeSeriesRecorder(TwoRotorBasis(2, 0),
-                           OutputConfig(watch_populations=((1, 0, 0, 0), (1, 0, 0, 0))))
+        _recorder(TwoRotorBasis(2, 0), ((1, 0, 0, 0), (1, 0, 0, 0)))
 
 
 # --- regularity metrics ---------------------------------------------------------

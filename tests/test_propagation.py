@@ -27,7 +27,6 @@ from rotorpair.propagation import (
     rk4_integrate,
     run_schedule,
     schrodinger_rhs,
-    sector_operators,
     step_plan,
 )
 from rotorpair.units import run_length_ps, time_unit_seconds, to_reduced
@@ -245,7 +244,7 @@ def test_window_kernel_matches_the_dense_stage_solve(case):
     rng = np.random.default_rng(5)
     c = rng.standard_normal(s.shape[1]) + 1j * rng.standard_normal(s.shape[1])
     c /= np.linalg.norm(c)
-    got = s @ rk4_integrate(schrodinger_rhs(*sector_operators(pieces), pulse), c, t_a, t_b, DT)
+    got = s @ rk4_integrate(schrodinger_rhs(*pieces.sector, pulse), c, t_a, t_b, DT)
     ref = oracles.dense_collocation(pieces, pulse, s @ c, t_a, t_b, DT)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
@@ -269,7 +268,7 @@ def test_window_step_halving_is_order_12():
     pulse = _single_pulse(kick=4.0 * KICK)
     c0 = basis.sector_isometry.T @ initial_state(basis)
     t_b = T0 + 5.0 * SIGMA
-    rhs = schrodinger_rhs(*sector_operators(pieces), pulse)
+    rhs = schrodinger_rhs(*pieces.sector, pulse)
 
     def integrate(dt):
         return rk4_integrate(rhs, c0, 0.0, t_b, dt)
@@ -287,7 +286,7 @@ def test_window_integration_is_time_reversible():
     pulse = _single_pulse()
     c0 = basis.sector_isometry.T @ initial_state(basis)
     t_b = T0 + 5.0 * SIGMA
-    ahead = schrodinger_rhs(*sector_operators(pieces), pulse)
+    ahead = schrodinger_rhs(*pieces.sector, pulse)
     forward = rk4_integrate(ahead, c0, 0.0, t_b, DT)
 
     # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
@@ -324,7 +323,7 @@ def _spread_sector_state(l_max, seed=11):
 
 def test_rk4_with_zero_rates_is_expm_of_a_constant_h():
     pieces, c = _spread_sector_state(2)
-    h0_s, coupling_s, _ = sector_operators(pieces)
+    h0_s, coupling_s, _ = pieces.sector
     # H frozen at a peak field value, with the rotor energies inside deriv
     h = (h0_s + KICK * coupling_s).toarray()
     constant = RightHandSide(np.zeros_like, lambda f, y: -1j * (h @ y))
@@ -334,7 +333,7 @@ def test_rk4_with_zero_rates_is_expm_of_a_constant_h():
 
 
 def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
-    _, _, energies = sector_operators(build_pieces(TwoRotorBasis(8, 0), 0.13150852670024232))
+    _, _, energies = build_pieces(TwoRotorBasis(8, 0), 0.13150852670024232).sector
     rhs = RightHandSide(np.zeros_like, lambda f, y: np.zeros_like(y), energies)
     c = np.full(energies.size, energies.size**-0.5, dtype=complex)
     t_a, t_b = T0 - 5.0 * SIGMA, T0 + 5.0 * SIGMA
@@ -345,7 +344,7 @@ def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
 def test_banded_window_step_halving_is_order_12():
     pieces, c = _spread_sector_state(2)
     pulse = _single_pulse(kick=4.0 * KICK)  # keeps the finer error far above rounding
-    rhs = schrodinger_rhs(*sector_operators(pieces), pulse)
+    rhs = schrodinger_rhs(*pieces.sector, pulse)
     t_b = T0 + 5.0 * SIGMA
 
     def integrate(dt):
@@ -408,7 +407,7 @@ def test_step_plan_tiles_the_run_with_graded_steps(count, period, t0, t_end, dt,
 def _classical_window_error(pieces, pulse, dt, y, t_a, t_b, sector=True):
     """The banded collocation run at dt against uniform classical RK4 at
     sigma / 400, the step and method it replaced."""
-    ops = sector_operators(pieces) if sector else (pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal)
+    ops = pieces.sector if sector else (pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal)
     rhs = schrodinger_rhs(*ops, pulse)
     assert t_a == 0.0
     got = _step_to(rhs, pulse, y, t_b, dt)
@@ -506,7 +505,7 @@ def test_run_schedule_matches_a_hand_composed_run():
 
     # composed in the symmetric sector, as run_schedule propagates
     s = basis.sector_isometry
-    h0_s, coupling_s, energies_s = sector_operators(pieces)
+    h0_s, coupling_s, energies_s = pieces.sector
     free = FreeEvolution(h0_s)
     c = s.T @ initial_state(basis)
     if a > 0:
@@ -520,7 +519,7 @@ def test_run_schedule_matches_a_hand_composed_run():
 
 def test_run_schedule_advances_once_per_free_block_and_window_start(monkeypatch):
     # the closing free segment ends on the last sample, so it needs no extra
-    # advance: psi_final is the last row the observers saw
+    # advance: psi_final is the last sector row the observers saw, unfolded
     basis = TwoRotorBasis(2, 0)
     pulse = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=0.5, carrier_omega=OMEGA)
     samples = np.arange(150) * 0.0113  # samples 1-41 free, 42-47 in the window, 48-149 free
@@ -532,7 +531,7 @@ def test_run_schedule_advances_once_per_free_block_and_window_start(monkeypatch)
                         samples, observers=(lambda t, k, c: rows.append(c[-1]),))
     assert np.searchsorted(samples, _windows(pulse, samples[-1])[0], side="right").tolist() == [42, 48]
     assert durations == [41, 1, 64, 38]  # a block, the window start, two blocks
-    assert np.array_equal(traj.psi_final, rows[-1])
+    assert np.array_equal(traj.psi_final, basis.sector_isometry @ rows[-1])
 
 
 def test_run_schedule_records_the_violating_sample_then_raises():
@@ -599,7 +598,7 @@ def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
     psi = initial_state(basis)
     psi[1] = np.nan
     monkeypatch.setattr(propagation, "initial_state", lambda basis: psi)
-    recorder = TimeSeriesRecorder(basis, OutputConfig(watch_populations=()))
+    recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=()))
     with pytest.raises(StepSizeError, match="by nan at t = 0 "):
         run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0, 0.5, 1.0]),
                      observers=(recorder,))
@@ -611,7 +610,7 @@ def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
 def test_run_schedule_with_one_sample_records_only_the_start():
     basis = TwoRotorBasis(2, 0)
     pieces = build_pieces(basis, 0.13150852670024232)
-    recorder = TimeSeriesRecorder(basis, OutputConfig(watch_populations=((0, 0, 0, 0),)))
+    recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=((0, 0, 0, 0),)))
     traj = run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0]),
                         observers=(recorder,))
     assert step_plan(_single_pulse(), 0.0, DT) == []
@@ -624,7 +623,7 @@ def test_run_schedule_with_one_sample_records_only_the_start():
 
 def _assert_matches_the_per_sample_loop(pieces, pulse, samples, watch):
     blocks = []
-    recorder = TimeSeriesRecorder(pieces.basis, OutputConfig(watch_populations=watch))
+    recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=watch))
     traj = run_schedule(pieces, pulse, DT, TOL, samples,
                         observers=(recorder, lambda t, k, c: blocks.append(k.size)))
     states, norms, h0_expect = oracles.per_sample_schedule(pieces, pulse, DT, samples)

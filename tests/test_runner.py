@@ -12,7 +12,7 @@ from rotorpair.config import BasisConfig, RunConfig, build_config
 from rotorpair.exceptions import InvalidConfigError, StepSizeError
 from rotorpair.operators import build_pieces
 from rotorpair.output import read_timeseries_csv
-from rotorpair.propagation import GAUSS_MATRIX, sector_operators, step_plan
+from rotorpair.propagation import GAUSS_MATRIX, step_plan
 from rotorpair.runner import CONFIG_ECHO_NAME, CSV_NAME, run_config, simulate
 from rotorpair.units import run_length_ps, time_unit_seconds, to_reduced
 
@@ -139,7 +139,7 @@ def _sweep_contraction(cfg):
     """dt * rho(A) * |H| at the peak field: the rate at which the stage sweeps
     of a step of cfg's core dt, at the pulse center, contract."""
     schedule, dipole, dt, samples = to_reduced(cfg)
-    h0_s, coupling_s, energies_s = sector_operators(build_pieces(TwoRotorBasis(cfg.basis.l_max, 0), dipole))
+    h0_s, coupling_s, energies_s = build_pieces(TwoRotorBasis(cfg.basis.l_max, 0), dipole).sector
     peak = np.abs(schedule.field_scalar(np.linspace(0.0, samples[-1], 200_001))).max()
     generator = (h0_s - sparse.diags(energies_s) + peak * coupling_s).toarray()
     return dt * np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() * np.abs(np.linalg.eigvalsh(generator)).max()

@@ -51,6 +51,10 @@ def test_the_sector_isometry_spans_an_invariant_subspace(l_max, total_m, dipole)
     n_s = s.shape[1]
     assert s.shape[0] == basis.size and np.isrealobj(s.data)
     assert np.abs((s.T @ s).toarray() - np.eye(n_s)).max() <= 1e-15
+    # the gather map is S row by row: one weight per row, in one column
+    column, weight = basis.sector_gather
+    assert np.array_equal(s.toarray()[np.arange(basis.size), column], weight)
+    assert np.array_equal(np.diff(s.indptr), (weight != 0).astype(int))
     # every column is even under P12 and sigma_v and lives on M = 0
     rows, swap, flip = _symmetry_images(basis)
     dense = s.toarray()
@@ -116,19 +120,22 @@ def test_the_sector_run_matches_the_full_space_loop(case):
         assert len(windows) == 2
         for a, b in windows:
             assert np.count_nonzero((samples > a) & (samples <= b)) > SAMPLE_BLOCK
-    got, ref = (TimeSeriesRecorder(basis, OutputConfig(watch_populations=WATCH)) for _ in range(2))
+    got, states = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=WATCH)), []
     traj = run_schedule(pieces, pulse, DT, TOL, samples, observers=(got,))
-    full = oracles.full_space_schedule(pieces, pulse, DT, TOL, samples, observers=(ref,))
+    full = oracles.full_space_schedule(pieces, pulse, DT, TOL, samples,
+                                       observers=(lambda t, k, c: states.append(c),))
+    # the recorder reads sector rows, so the full-basis rows go through the per-sample oracle columns
+    ref = oracles.per_sample_columns(basis, np.concatenate(states), WATCH)
 
     def assert_close(a, b, what):
         err = np.abs(a - b) / np.maximum(1.0, np.abs(b))
         assert a.shape == b.shape and err.max() <= 1e-12, (what, err.max())
 
-    assert np.array_equal(got.column("t_red"), ref.column("t_red"))
+    assert np.array_equal(got.column("t_red"), samples)
     for name in COLUMNS:
-        assert_close(got.column(name), ref.column(name), name)
+        assert_close(got.column(name), ref[name], name)
     for entry in WATCH:
-        assert_close(got.population_column(entry), ref.population_column(entry), entry)
+        assert_close(got.population_column(entry), ref[entry], entry)
     assert_close(traj.h0_expect, full.h0_expect, "h0_expect")
     assert_close(traj.norms, full.norms, "norms")
     assert_close(traj.psi_final, full.psi_final, "psi_final")
