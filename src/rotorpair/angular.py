@@ -44,31 +44,23 @@ def one_rotor_matrices(l_max: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix
 
 
 class TwoRotorBasis:
-    """Product basis |Y_l1m1>|Y_l2m2> truncated at a shared l_max.
+    """The M = 0 product states |Y_l1m1>|Y_l2m2>, m1 + m2 = 0, truncated at a shared l_max.
 
     A basis is its ascending product_index array: state k is the product
     index mol1_single * d_single + mol2_single of the two one-rotor indices
     l*l + l + m. That is lexicographic (l1, m1, l2, m2) order with m running
-    from -l to l, so the unrestricted basis reshapes row-major into the
-    d_single x d_single coefficient matrix used by the Schmidt analysis.
-    restrict_total_m = 0 keeps only the states with m1 + m2 = 0; None keeps
-    everything.
+    from -l to l.
     """
 
-    def __init__(self, l_max: int, restrict_total_m: int | None = None):
-        for name, q in (("l_max", l_max), ("restrict_total_m", 0 if restrict_total_m is None else restrict_total_m)):
-            if isinstance(q, bool) or not isinstance(q, Integral):
-                raise InvalidConfigError(f"{name} must be an integer, got {q!r}")
+    def __init__(self, l_max: int):
+        if isinstance(l_max, bool) or not isinstance(l_max, Integral):
+            raise InvalidConfigError(f"l_max must be an integer, got {l_max!r}")
         if l_max < 0:
             raise InvalidConfigError(f"l_max must be non-negative, got {l_max}")
-        if restrict_total_m not in (0, None):
-            raise InvalidConfigError(f"restrict_total_m must be 0 or None, got {restrict_total_m!r}")
         self.l_max = int(l_max)
-        self.restrict_total_m = None if restrict_total_m is None else 0
         d = self.d_single
         l, m = _one_rotor_lm(self.l_max)
-        # every product index, or those at m1 + m2 = 0
-        self.product_index = np.flatnonzero((np.add.outer(m, m) == 0) | (restrict_total_m is None))
+        self.product_index = np.flatnonzero(np.add.outer(m, m) == 0)
         # product index -> position in the basis, -1 off it
         self._lookup = np.full(d * d, -1)
         self._lookup[self.product_index] = np.arange(self.size)
@@ -88,29 +80,23 @@ class TwoRotorBasis:
     @cached_property
     def sector_gather(self) -> tuple[np.ndarray, np.ndarray]:
         """(column, weight) per basis state: amplitude r of the sector state f is
-        weight[r] * f[column[r]], row r of the real sector isometry S onto the M = 0
+        weight[r] * f[column[r]], row r of the real sector isometry S onto the
         states even under the swap P12 and the reflection sigma_v (m -> -m on both
         rotors, phase (-1)^(m1+m2) = +1). Column j of S is the normalized sum of one
-        orbit of {1, P12, sigma_v, P12 sigma_v}; states off M = 0 have weight 0.
+        orbit of {1, P12, sigma_v, P12 sigma_v}; |00;00> is its own orbit, column 0.
         """
-        d = self.d_single
-        rows = np.flatnonzero(self.m1 + self.m2 == 0)
-        a, b = self.mol1_single[rows], self.mol2_single[rows]
+        d, a, b = self.d_single, self.mol1_single, self.mol2_single
         # (l, -m) sits at l*l + l - m in the one-rotor ordering
-        ra, rb = a - 2 * self.m1[rows], b - 2 * self.m2[rows]
+        ra, rb = a - 2 * self.m1, b - 2 * self.m2
         images = self._lookup[np.stack([a * d + b, b * d + a, ra * d + rb, rb * d + ra])]
-        column, weight = np.zeros(self.size, dtype=np.intp), np.zeros(self.size)
-        column[rows] = np.unique(images.min(axis=0), return_inverse=True)[1]
-        weight[rows] = 1.0 / np.sqrt(np.bincount(column[rows])[column[rows]])
-        return column, weight
+        column = np.unique(images.min(axis=0), return_inverse=True)[1]
+        return column, 1.0 / np.sqrt(np.bincount(column)[column])
 
     @cached_property
     def sector_isometry(self) -> sparse.csr_matrix:
-        """The sector isometry S (size x n_s) of sector_gather, as CSR; in the
-        full basis the rows off M = 0 are empty."""
+        """The sector isometry S (size x n_s) of sector_gather, as CSR."""
         column, weight = self.sector_gather
-        rows = np.flatnonzero(weight)
-        return sparse.csr_matrix((weight[rows], (rows, column[rows])), shape=(self.size, column.max() + 1))
+        return sparse.csr_matrix((weight, (np.arange(self.size), column)), shape=(self.size, column.max() + 1))
 
     @cached_property
     def schmidt_blocks(self) -> tuple[np.ndarray, ...]:
@@ -127,7 +113,4 @@ class TwoRotorBasis:
             pos = int(self._lookup[(l1 * l1 + l1 + m1) * self.d_single + l2 * l2 + l2 + m2])
             if pos >= 0:
                 return pos
-        raise QueryError(
-            f"state ({l1},{m1};{l2},{m2}) is not in the basis"
-            f" (l_max={self.l_max}, restrict_total_m={self.restrict_total_m})"
-        )
+        raise QueryError(f"state ({l1},{m1};{l2},{m2}) is not in the basis (l_max={self.l_max}, M = 0)")

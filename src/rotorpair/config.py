@@ -24,8 +24,8 @@ ENTROPY_LOG_BASES = ("e", "2", "d_single")
 # Most samples one run may ask for; at 1e6 rows the CSV is about 200 MB.
 MAX_SAMPLES = 1_000_000
 # Largest basis.l_max. At 24 the symmetric sector has 2,925 states, so the
-# dense H0 block and its eigenvectors are 2,925^2 floats (65 MiB) each, and
-# the full basis (restrict_total_m: null) has 25^4 = 390,625 states.
+# dense H0 block and its eigenvectors are 2,925^2 floats (65 MiB) each; the
+# sparse operators folded onto it span the 10,425 states of the M = 0 basis.
 MAX_L_MAX = 24
 # Most pulses in one train; PulseSchedule.centers() holds one float per pulse.
 # The envelope sums only the pulses near the times it is asked for.
@@ -60,8 +60,6 @@ class PulseConfig:
 @dataclass(frozen=True)
 class BasisConfig:
     l_max: int = 8
-    # key absent -> 0 (the M = 0 block); explicit null -> full basis
-    restrict_total_m: int | None = 0
 
 
 @dataclass(frozen=True)
@@ -187,17 +185,13 @@ def validate_config(cfg: RunConfig) -> None:
         raise InvalidConfigError(f"pulse.period in seconds must be positive, got {cfg.pulse.period}")
     if not 1 <= cfg.basis.l_max <= MAX_L_MAX:
         raise InvalidConfigError(f"basis.l_max must be between 1 and MAX_L_MAX = {MAX_L_MAX}, got {cfg.basis.l_max}")
-    if cfg.basis.restrict_total_m not in (0, None):
-        # the initial state |00;00> lies in the M = 0 block
-        raise InvalidConfigError(
-            f"basis.restrict_total_m must be 0 or null, got {cfg.basis.restrict_total_m!r}")
-    watch, total_m = cfg.output.watch_populations, cfg.basis.restrict_total_m
+    watch = cfg.output.watch_populations
     for k, (l1, m1, l2, m2) in enumerate(watch):
         where = f"output.watch_populations[{k}] = {(l1, m1, l2, m2)}"
         if l1 > cfg.basis.l_max or l2 > cfg.basis.l_max or abs(m1) > l1 or abs(m2) > l2:
             raise InvalidConfigError(f"{where} is not a pair of rotor states within basis.l_max = {cfg.basis.l_max}")
-        if total_m not in (None, m1 + m2):
-            raise InvalidConfigError(f"{where} is off the basis.restrict_total_m = {total_m} block")
+        if m1 + m2 != 0:  # |00;00> and every state it reaches have M = m1 + m2 = 0
+            raise InvalidConfigError(f"{where} has m1 + m2 = {m1 + m2}; a run holds only M = 0 states")
         if watch[k] in watch[:k]:
             raise InvalidConfigError(f"{where} repeats an earlier entry")
     if cfg.output.entropy_log_base not in ENTROPY_LOG_BASES:

@@ -7,11 +7,12 @@ rho_mol1 = C C^dagger. The von Neumann entropy is -sum(lam log lam).
 
 The states analysed here are sector rows f, the coefficients of the
 P12/sigma_v-even M = 0 sector that every run propagates, and C is
-gathered from them (TwoRotorBasis.sector_gather). C is nonzero only where
-m' = -m, so it splits into one block C_m per m (the symmetry-resolved
-Schmidt decomposition), and the sector makes C_{-m} = C_m = C_m^T: the
-spectrum is block 0's weights plus each m > 0 block's twice, and the
-weights of C_m are the eigenvalues of its Gram matrix C_m C_m^dagger.
+gathered from them (TwoRotorBasis.sector_gather). The basis holds only
+M = 0 states, so C is nonzero only where m' = -m and splits into one
+block C_m per m (the symmetry-resolved Schmidt decomposition), and the
+sector makes C_{-m} = C_m = C_m^T: the spectrum is block 0's weights
+plus each m > 0 block's twice, and the weights of C_m are the
+eigenvalues of its Gram matrix C_m C_m^dagger.
 """
 
 from __future__ import annotations

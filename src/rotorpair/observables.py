@@ -45,10 +45,9 @@ class TimeSeriesRecorder:
         self._populations = [np.empty((0, len(self.watch)))]
 
     def __call__(self, t_red: np.ndarray, indices: np.ndarray, coeffs: np.ndarray) -> None:
-        _, coupling, energies = self.pieces.sector
         weights = entanglement.schmidt_spectrum(self.basis, coeffs)
         # cos(theta1) + cos(theta2) is V, and the sector makes the two halves equal
-        cos = 0.5 * expectation(coupling, coeffs).real
+        cos = 0.5 * expectation(self.pieces.coupling, coeffs).real
         block = {
             "t_red": t_red,
             "t_ps": indices * self.output.sample_interval_ps,
@@ -57,7 +56,7 @@ class TimeSeriesRecorder:
             "entropy": entanglement.von_neumann_entropy(weights, self.basis.d_single,
                                                         self.output.entropy_log_base),
             "norm": np.linalg.norm(coeffs, axis=1),
-            "energy_rot": np.abs(coeffs) ** 2 @ energies,
+            "energy_rot": np.abs(coeffs) ** 2 @ self.pieces.energies,
         }
         for name, values in block.items():
             self._columns[name].append(np.asarray(values, dtype=float))

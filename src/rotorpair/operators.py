@@ -1,4 +1,4 @@
-"""Sparse Hamiltonian pieces over a TwoRotorBasis.
+"""Sparse Hamiltonian pieces over a TwoRotorBasis, folded onto its symmetric sector.
 
 In reduced units the full Hamiltonian is
 
@@ -20,7 +20,6 @@ tensor product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -99,55 +98,46 @@ def build_dipole_term(basis: TwoRotorBasis, dipole_strength: float, one_rotor=No
                  + (-2.0 * dipole_strength) * sparse.kron(cos, cos, format="csr"))
 
 
-def build_costheta_single(basis: TwoRotorBasis, which: str) -> sparse.csr_matrix:
-    """cos(theta) acting on one molecule only (for orientation observables)."""
-    if which not in ("mol1", "mol2"):
-        raise InvalidConfigError(f"which must be 'mol1' or 'mol2', got {which!r}")
-    cos, _ = one_rotor_matrices(basis.l_max)
-    eye = sparse.identity(basis.d_single, format="csr")
-    pair = (cos, eye) if which == "mol1" else (eye, cos)
-    return _lift(basis, sparse.kron(*pair, format="csr"))
-
-
 def build_orientation_coupling(basis: TwoRotorBasis, one_rotor=None) -> sparse.csr_matrix:
     """cos(theta1) + cos(theta2), the Kronecker sum of the one-rotor cos with itself: the laser couples to it."""
     cos, _ = one_rotor or one_rotor_matrices(basis.l_max)
     return _lift(basis, sparse.kronsum(cos, cos, format="csr"))
 
 
+def fold_to_sector(basis: TwoRotorBasis, name: str, op: sparse.csr_matrix, tol: float) -> sparse.csr_matrix:
+    """S^T A S of a basis operator A for the basis's sector isometry S, after
+    checking that A maps range(S) into itself: max|A S - S (S^T A S)| <= tol."""
+    s = basis.sector_isometry
+    op_s = (s.T @ op @ s).tocsr()
+    leak = abs(op @ s - s @ op_s).max()
+    if not leak <= tol:
+        raise ConsistencyError(f"{name} leaks out of the symmetric sector by {leak:.3e} (tolerance {tol:.1e})")
+    return op_s
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianPieces:
-    """The field-free H0 = rotor + dipole and the laser coupling V (CSR) over one basis (frozen: sector is cached)."""
+    """The field-free H0_s = S^T (rotor + dipole) S, the laser coupling V_s = S^T V S
+    (CSR) and the rotor energies of the sector states, over one basis's sector S."""
 
     basis: TwoRotorBasis
     h0: sparse.csr_matrix
     coupling: sparse.csr_matrix
+    energies: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = {self.h0.shape[0], self.coupling.shape[0], self.basis.size}
+        dims = {self.h0.shape[0], self.coupling.shape[0], self.energies.size, self.basis.sector_isometry.shape[1]}
         if len(dims) != 1:
             raise ConsistencyError(f"Hamiltonian pieces have mismatched dimensions: {sorted(dims)}")
 
-    @cached_property
-    def sector(self) -> tuple[sparse.csr_matrix, sparse.csr_matrix, np.ndarray]:
-        """(S^T H0 S, S^T V S, the rotor energies of the sector states) for the basis's
-        sector isometry S, folded once after checking that H0 and V map range(S) into itself."""
-        s = self.basis.sector_isometry
-        tol = 1e-12 * max(1.0, abs(self.h0).max())
-        folded = []
-        for name, op in (("H0", self.h0), ("V", self.coupling)):
-            op_s = (s.T @ op @ s).tocsr()
-            leak = abs(op @ s - s @ op_s).max()
-            if not leak <= tol:
-                raise ConsistencyError(f"{name} leaks out of the symmetric sector by {leak:.3e}"
-                                       f" (tolerance {tol:.1e})")
-            folded.append(op_s)
-        # each column of S mixes states of one rotor energy; H0_s's diagonal also has a dipole part
-        return *folded, s.multiply(s).T @ self.basis.rotor_diagonal
-
 
 def build_pieces(basis: TwoRotorBasis, dipole_strength: float) -> HamiltonianPieces:
-    """Build all time-independent operators for one run from one set of one-rotor matrices."""
+    """Build H0 and V over the basis from one set of one-rotor matrices, and fold each onto the sector."""
     one_rotor = one_rotor_matrices(basis.l_max)
     h0 = (build_rotor_term(basis) + build_dipole_term(basis, dipole_strength, one_rotor)).tocsr()
-    return HamiltonianPieces(basis, h0, build_orientation_coupling(basis, one_rotor))
+    tol = 1e-12 * max(1.0, abs(h0).max())
+    s = basis.sector_isometry
+    # each column of S mixes states of one rotor energy; H0_s's diagonal also has a dipole part
+    return HamiltonianPieces(basis, fold_to_sector(basis, "H0", h0, tol),
+                             fold_to_sector(basis, "V", build_orientation_coupling(basis, one_rotor), tol),
+                             s.multiply(s).T @ basis.rotor_diagonal)

@@ -2,7 +2,7 @@
 
 The state is propagated, and observed, in the symmetric sector of
 TwoRotorBasis.sector_isometry, which H(t) leaves invariant (checked, not
-assumed, by HamiltonianPieces.sector); only the final state is unfolded.
+assumed, when build_pieces folds H0 and V); only the final state is unfolded.
 
 step_plan cuts [0, t_end] once per run into segments, wherever the
 distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
@@ -24,7 +24,6 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy import sparse
 
-from .angular import TwoRotorBasis
 from .exceptions import ConsistencyError, InvalidConfigError, NumericalError, StepSizeError
 from .operators import HamiltonianPieces, PulseSchedule, expectation
 
@@ -61,9 +60,10 @@ class Trajectory:
         return float(np.max(np.abs(self.norms - 1.0)))
 
 
-def initial_state(basis: TwoRotorBasis) -> np.ndarray:
-    """Both molecules in the rotational ground state, c_0000 = 1 (|00;00> is basis state 0)."""
-    coeffs = np.zeros(basis.size, dtype=np.complex128)
+def initial_state(n_s: int) -> np.ndarray:
+    """Both molecules in the rotational ground state |00;00>, which is its own
+    symmetry orbit: the sector row e_0 (TwoRotorBasis.sector_gather)."""
+    coeffs = np.zeros(n_s, dtype=np.complex128)
     coeffs[0] = 1.0
     return coeffs
 
@@ -200,7 +200,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     observers in blocks of at most SAMPLE_BLOCK consecutive samples from
     one free segment or one window (a run of collocation segments), as
     observer(t_red[K], indices[K], coeffs[K, n_s]): sector rows f, whose
-    full-basis state is S f (TwoRotorBasis.sector_gather reads it entry by
+    basis state is S f (TwoRotorBasis.sector_gather reads it entry by
     entry). Norms are those of f; psi_final is S f of the last sample. A
     sample whose norm drifts beyond tolerance (or is NaN) ends its block, as
     does the first sample after a step whose sweeps stalled: the observers
@@ -212,14 +212,10 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     if samples[0] != 0.0 or np.any(np.diff(samples) <= 0):
         raise InvalidConfigError("sample_times must start at 0 and increase strictly")
 
-    t_end, psi, s = float(samples[-1]), initial_state(pieces.basis), pieces.basis.sector_isometry
-    h0_s, coupling_s, energies_s = pieces.sector
-    coeffs = last = s.T @ psi
-    leak = np.abs(s @ coeffs - psi).max()
-    if leak > 1e-12:  # a NaN state is left to the norm check at sample 0
-        raise ConsistencyError(f"the initial state leaks out of the symmetric sector by {leak:.3e}")
+    t_end, h0_s = float(samples[-1]), pieces.h0
+    coeffs = last = initial_state(h0_s.shape[0])
     free = FreeEvolution(h0_s)
-    rhs = schrodinger_rhs(h0_s, coupling_s, energies_s, pulse)
+    rhs = schrodinger_rhs(h0_s, pieces.coupling, pieces.energies, pulse)
     norms, h0_expect = np.empty(samples.size), np.empty(samples.size)
 
     stall, stalled_at = None, np.inf  # the first stalled step and the first sample after it
@@ -281,4 +277,5 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         k = stop
     if rows:
         emit(k - len(rows), np.array(rows))
-    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=s @ last)
+    column, weight = pieces.basis.sector_gather
+    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=weight * last[column])

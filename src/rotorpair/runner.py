@@ -34,7 +34,7 @@ def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
     """Run; with an out_dir, write the CSV there, a partial one with a
     marker row if the run fails numerically."""
     schedule, dipole_strength, dt, sample_times = to_reduced(cfg)
-    pieces = build_pieces(TwoRotorBasis(cfg.basis.l_max, cfg.basis.restrict_total_m), dipole_strength)
+    pieces = build_pieces(TwoRotorBasis(cfg.basis.l_max), dipole_strength)
     recorder = TimeSeriesRecorder(pieces, cfg.output)
     csv_path = None
     if out_dir is not None:

@@ -7,20 +7,26 @@ by Kronecker products of quadrature-built one-rotor matrices, time
 evolution by dense midpoint-sampled eigendecomposition, H(t) as one
 explicit matrix, rotor-frame Gauss collocation with its stage equations
 solved as one dense linear system, uniform classical RK4 with no frame
-and no step bands, the full d x d Schmidt matrix, the block run loop in
-the full M basis (no symmetric sector), and the sample-by-sample run loop
-with its per-sample observables.  None of it is imported by the package
-itself.
+and no step bands, the full d x d Schmidt matrix, the block run loop over
+every state of a basis (no symmetric sector), and the sample-by-sample
+run loop with its per-sample observables.  The loops take H0, V and the
+rotor energies unfolded, over the M = 0 basis (basis_operators) or the
+whole d_single^2 product space (product_operators).  None of it is
+imported by the package itself.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+from scipy import sparse
 from scipy.special import sph_harm_y
 
+from rotorpair.angular import one_rotor_matrices
 from rotorpair.exceptions import StepSizeError
 from rotorpair.observables import COLUMNS
-from rotorpair.operators import build_costheta_single, expectation
+from rotorpair.operators import build_dipole_term, build_orientation_coupling, build_rotor_term, expectation
 from rotorpair.propagation import (
     GAUSS_MATRIX,
     GAUSS_NODES,
@@ -28,7 +34,6 @@ from rotorpair.propagation import (
     SAMPLE_BLOCK,
     FreeEvolution,
     Trajectory,
-    initial_state,
     rk4_integrate,
     schrodinger_rhs,
     step_plan,
@@ -159,6 +164,55 @@ def restrict(full_matrix: np.ndarray, basis) -> np.ndarray:
     return full_matrix[np.ix_(basis.product_index, basis.product_index)]
 
 
+def orientation_pair(basis) -> tuple[np.ndarray, np.ndarray]:
+    """Dense cos(theta_1) and cos(theta_2) over the basis states: the
+    quadrature one-rotor cos in a Kronecker product with the identity."""
+    c = single_rotor_matrix("cos", basis.l_max)
+    eye = np.eye(basis.d_single)
+    return restrict(np.kron(c, eye), basis), restrict(np.kron(eye, c), basis)
+
+
+def product_total_m(l_max: int) -> np.ndarray:
+    """m1 + m2 of every state of the d_single^2 product space, in Kronecker order."""
+    m = np.concatenate([np.arange(-l, l + 1) for l in range(l_max + 1)])
+    return np.add.outer(m, m).ravel()
+
+
+class BasisOperators(NamedTuple):
+    """H0, V (CSR) and the rotor energies over every state of a basis, unfolded;
+    the ground state |00;00> is state 0 of every basis here."""
+
+    h0: sparse.csr_matrix
+    coupling: sparse.csr_matrix
+    energies: np.ndarray
+
+
+def basis_operators(basis, dipole_strength: float) -> BasisOperators:
+    """The package's closed-form H0 = rotor + dipole and V over the M = 0 basis,
+    before build_pieces folds them onto the symmetric sector."""
+    one_rotor = one_rotor_matrices(basis.l_max)
+    h0 = (build_rotor_term(basis) + build_dipole_term(basis, dipole_strength, one_rotor)).tocsr()
+    return BasisOperators(h0, build_orientation_coupling(basis, one_rotor), basis.rotor_diagonal)
+
+
+def product_operators(l_max: int, dipole_strength: float) -> BasisOperators:
+    """The quadrature H0 and V over the whole d_single^2 product space (every M),
+    hermitized and real, with every quadrature rounding entry kept."""
+    def hermitized(op):
+        return sparse.csr_matrix((0.5 * (op + op.conj().T)).real.astype(np.complex128))
+
+    energies = two_rotor_free_diagonal(l_max)
+    return BasisOperators(hermitized(np.diag(energies) + two_rotor_dipole(dipole_strength, l_max)),
+                          hermitized(two_rotor_coupling(l_max)), energies)
+
+
+def ground_state(ops: BasisOperators) -> np.ndarray:
+    """|00;00>, state 0 of the basis that ops act on."""
+    coeffs = np.zeros(ops.h0.shape[0], dtype=np.complex128)
+    coeffs[0] = 1.0
+    return coeffs
+
+
 def dense_propagate(coeffs: np.ndarray, h_sampler, t_a: float, t_b: float,
                     n_steps: int, chunk: int = 512) -> np.ndarray:
     """Propagate by a product of exact exponentials of midpoint-sampled H.
@@ -191,24 +245,24 @@ def dense_propagate(coeffs: np.ndarray, h_sampler, t_a: float, t_b: float,
     return coeffs
 
 
-def hamiltonian_at(t: float, pieces, pulse):
+def hamiltonian_at(t: float, ops, pulse):
     """The full H(t) as an explicit CSR matrix."""
-    return (pieces.h0 + pieces.coupling * pulse.field_scalar(t)).tocsr()
+    return (ops.h0 + ops.coupling * pulse.field_scalar(t)).tocsr()
 
 
-def dense_collocation(pieces, pulse, y, t0, t1, dt):
+def dense_collocation(ops, pulse, y, t0, t1, dt):
     """Rotor-frame Gauss collocation over [t0, t1] with the package's tableau
     and its stage equations solved directly: with D the diagonal of the
-    full-basis H0 (the rotor energies), W = H0 - D and the rotor-frame
+    unfolded H0 (the rotor energies), W = H0 - D and the rotor-frame
     generator G_j = exp(i D c_j h) (-i)(W + f(t + c_j h) V) exp(-i D c_j h)
     as a dense matrix at each node, the stages solve the (s n) x (s n)
     system Z_i - h sum_j a_ij G_j Z_j = y, and the step ends with
     y = exp(-i D h) (y + h sum_j b_j G_j Z_j).  Same step rule as the
     package: full steps of dt, then one partial final step."""
-    rest = pieces.h0.toarray()
+    rest = ops.h0.toarray()
     energies = rest.diagonal().real.copy()
     np.fill_diagonal(rest, 0.0)
-    coupling = pieces.coupling.toarray()
+    coupling = ops.coupling.toarray()
     n, s = energies.size, GAUSS_NODES.size
 
     def collocation_step(y, t, h):
@@ -285,12 +339,13 @@ def rk4_windows(plan):
     return windows
 
 
-def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observers=()):
-    """run_schedule's block loop with every state, operator and eigh at the
-    full basis size: no symmetric sector, nothing folded or unfolded."""
+def full_space_schedule(ops, pulse, dt, norm_tolerance, sample_times, observers=()):
+    """run_schedule's block loop from |00;00> with every state, operator and
+    eigh at the size of the basis of ops: no symmetric sector, nothing
+    folded or unfolded."""
     samples = np.asarray(sample_times, dtype=float)
-    free = FreeEvolution(pieces.h0)
-    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal, pulse)
+    free = FreeEvolution(ops.h0)
+    rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
 
@@ -301,14 +356,14 @@ def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observe
             block = block[: bad[0] + 1]
         hi = lo + block.shape[0]
         norms[lo:hi] = block_norms[: hi - lo]
-        h0_expect[lo:hi] = expectation(pieces.h0, block).real
+        h0_expect[lo:hi] = expectation(ops.h0, block).real
         for observer in observers:
             observer(samples[lo:hi], np.arange(lo, hi), block)
         if bad.size:
             raise StepSizeError(f"norm drifted by {abs(norms[hi - 1] - 1.0):.3e}"
                                 f" at t = {samples[hi - 1]:.6g}")
 
-    coeffs = initial_state(pieces.basis)
+    coeffs = ground_state(ops)
     emit(0, coeffs[None, :])
     k, rows = 1, []
     for a, b, h in step_plan(pulse, float(samples[-1]), dt):
@@ -337,17 +392,17 @@ def full_space_schedule(pieces, pulse, dt, norm_tolerance, sample_times, observe
     return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=coeffs)
 
 
-def per_sample_schedule(pieces, pulse, dt, sample_times):
+def per_sample_schedule(ops, pulse, dt, sample_times):
     """The sample-by-sample run loop: one complex eigendecomposition of H0,
     one chained free advance per sample, and the RK4 stepper restarted at
     every sample, over each part of the step plan between two samples.
     Returns (states[K, n], norms[K], h0_expect[K])."""
     samples = np.asarray(sample_times, dtype=float)
     plan = step_plan(pulse, float(samples[-1]), dt)
-    energies, vectors = np.linalg.eigh(pieces.h0.toarray())
-    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal, pulse)
+    energies, vectors = np.linalg.eigh(ops.h0.toarray())
+    rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
 
-    c = initial_state(pieces.basis)
+    c = ground_state(ops)
     states = [c]
     for t_from, t_k in zip(samples[:-1].tolist(), samples[1:].tolist()):
         for a, b, h in plan:
@@ -358,16 +413,16 @@ def per_sample_schedule(pieces, pulse, dt, sample_times):
                 c = rk4_integrate(rhs, c, lo, hi, h)
         states.append(c)
     states = np.array(states)
-    h0_expect = np.array([np.vdot(s, pieces.h0 @ s).real for s in states])
+    h0_expect = np.array([np.vdot(s, ops.h0 @ s).real for s in states])
     return states, np.linalg.norm(states, axis=1), h0_expect
 
 
 def per_sample_columns(basis, states, watch, log_base="e", sample_interval_ps=0.5):
-    """Recorder columns computed one state at a time, with the entropy
-    from the SVD of the full d x d Schmidt matrix.  Keys are the recorder's
-    COLUMNS plus each watched state as a tuple."""
-    cos1 = build_costheta_single(basis, "mol1")
-    cos2 = build_costheta_single(basis, "mol2")
+    """Recorder columns computed one basis state vector at a time, with the
+    orientations from the quadrature Kronecker cos(theta_1) and cos(theta_2)
+    and the entropy from the SVD of the full d x d Schmidt matrix.  Keys are
+    the recorder's COLUMNS plus each watched state as a tuple."""
+    cos1, cos2 = orientation_pair(basis)
     rows = []
     for k, c in enumerate(states):
         lam = np.linalg.svd(coefficient_matrix(basis, c), compute_uv=False) ** 2

@@ -23,7 +23,7 @@ from rotorpair.angular import TwoRotorBasis, one_rotor_matrices
 from rotorpair.config import PRESET_NAMES, build_config, preset
 from rotorpair.observables import regularity_metrics
 from rotorpair.operators import build_pieces
-from rotorpair.propagation import initial_state, run_schedule, step_plan
+from rotorpair.propagation import run_schedule, step_plan
 from rotorpair.runner import run_config, simulate
 from rotorpair.units import time_unit_seconds, to_reduced
 
@@ -103,21 +103,23 @@ def test_criterion_1_closed_form_elements_match_quadrature():
 def test_criterion_2_pulse_window_matches_dense_reference(sims):
     cfg = sims.configs["fig1a"]
     schedule, dipole, dt, _ = to_reduced(cfg)
-    basis = TwoRotorBasis(2, None)  # full 81-state product basis
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, dipole)
     window = oracles.rk4_windows(step_plan(schedule, 10.0, dt))[0]
     assert window[0] == 0.0  # clipped: the run steps the whole window from t = 0
-    pkg = run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, [0.0, window[1]]).psi_final
+    # the run's M = 0 state, placed in the full 81-state product space that the reference spans
+    pkg = np.zeros(basis.d_single**2, dtype=complex)
+    pkg[basis.product_index] = run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance,
+                                            [0.0, window[1]]).psi_final
 
     def hermitized(full):
-        block = oracles.restrict(full, basis)
-        return (0.5 * (block + block.conj().T)).real
+        return (0.5 * (full + full.conj().T)).real
 
     h0 = hermitized(np.diag(oracles.two_rotor_free_diagonal(2))
                     + oracles.two_rotor_dipole(dipole, 2))
     v = hermitized(oracles.two_rotor_coupling(2))
     ref = oracles.dense_propagate(
-        initial_state(basis), lambda t: h0 + schedule.field_scalar(t) * v,
+        np.eye(pkg.size)[0], lambda t: h0 + schedule.field_scalar(t) * v,
         window[0], window[1], 100_000)
 
     diff = float(np.max(np.abs(pkg - ref)))
@@ -143,20 +145,20 @@ def _free_segment_drift(result) -> float:
 
 
 def _offblock_leakage(cfg) -> float:
-    """Drive the full l_max = 3 basis and watch probability at m1+m2 != 0."""
+    """Drive the whole l_max = 3 product space (every M) with the quadrature
+    operators and watch probability at m1+m2 != 0, which the M = 0 basis of
+    every run leaves out."""
     schedule, dipole, dt, _ = to_reduced(cfg)
-    basis = TwoRotorBasis(3, None)
-    pieces = build_pieces(basis, dipole)
     time_unit_ps = time_unit_seconds(cfg.molecule.B_cm1) * 1e12
     samples_red = np.arange(61) * (1.0 / time_unit_ps)
-    off_block = (basis.m1 + basis.m2) != 0
+    off_block = oracles.product_total_m(3) != 0
     leak = []
 
     def watch_leak(t_red, indices, coeffs):
-        full = (basis.sector_isometry @ coeffs.T).T  # the observers see sector rows
-        leak.extend(np.sum(np.abs(full[:, off_block]) ** 2, axis=1))
+        leak.extend(np.sum(np.abs(coeffs[:, off_block]) ** 2, axis=1))
 
-    run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, samples_red, observers=(watch_leak,))
+    oracles.full_space_schedule(oracles.product_operators(3, dipole), schedule, dt, cfg.integrator.norm_tolerance,
+                                samples_red, observers=(watch_leak,))
     assert len(leak) == samples_red.size
     return float(max(leak))
 

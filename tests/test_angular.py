@@ -17,11 +17,11 @@ def _element(matrix, l_to, m_to, l_from, m_from):
 
 
 def test_l_squared_eigenvalue():
-    basis = TwoRotorBasis(3, None)
+    basis = TwoRotorBasis(3)
     assert basis.rotor_diagonal[basis.index_of(0, 0, 0, 0)] == 0.0
-    assert basis.rotor_diagonal[basis.index_of(3, -2, 0, 0)] == 12.0
-    assert basis.rotor_diagonal[basis.index_of(0, 0, 3, -2)] == 12.0
-    assert basis.rotor_diagonal[basis.index_of(2, 1, 3, -2)] == 18.0
+    assert basis.rotor_diagonal[basis.index_of(3, 0, 0, 0)] == 12.0
+    assert basis.rotor_diagonal[basis.index_of(0, 0, 3, 0)] == 12.0
+    assert basis.rotor_diagonal[basis.index_of(2, 2, 3, -2)] == 18.0
 
 
 # --- cos(theta) ------------------------------------------------------------
@@ -96,14 +96,9 @@ def test_sintheta_adjointness():
 # --- two-rotor basis --------------------------------------------------------
 
 def test_basis_sizes_m_zero_block():
-    assert TwoRotorBasis(2, 0).size == 19
-    assert TwoRotorBasis(8, 0).size == 489
-    assert TwoRotorBasis(10, 0).size == 891
-
-
-def test_basis_sizes_full():
-    assert TwoRotorBasis(2, None).size == 81
-    assert TwoRotorBasis(3, None).size == 256
+    assert TwoRotorBasis(2).size == 19
+    assert TwoRotorBasis(8).size == 489
+    assert TwoRotorBasis(10).size == 891
 
 
 def _states(basis):
@@ -112,27 +107,27 @@ def _states(basis):
 
 
 def test_basis_is_lexicographic():
-    basis = TwoRotorBasis(1, None)
-    assert _states(basis)[:5] == [
+    basis = TwoRotorBasis(1)
+    assert _states(basis) == [
         (0, 0, 0, 0),
-        (0, 0, 1, -1),
         (0, 0, 1, 0),
-        (0, 0, 1, 1),
-        (1, -1, 0, 0),
+        (1, -1, 1, 1),
+        (1, 0, 0, 0),
+        (1, 0, 1, 0),
+        (1, 1, 1, -1),
     ]
-    assert np.array_equal(basis.product_index, np.arange(16))
+    assert basis.product_index.tolist() == [0, 2, 7, 8, 10, 13]
     for k, state in enumerate(_states(basis)):
         assert basis.index_of(*state) == k
 
 
-def test_basis_restriction_keeps_only_the_requested_total_m():
-    basis = TwoRotorBasis(2, 0)
+def test_basis_holds_only_the_m_zero_states():
+    basis = TwoRotorBasis(2)
     assert np.all(basis.m1 + basis.m2 == 0)
-    assert basis.restrict_total_m == 0
 
 
 def test_basis_membership_queries():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     assert _states(basis)[basis.index_of(1, 1, 1, -1)] == (1, 1, 1, -1)
     with pytest.raises(QueryError):
         basis.index_of(1, 1, 0, 0)
@@ -141,7 +136,7 @@ def test_basis_membership_queries():
 
 
 def test_basis_arrays_match_the_state_list():
-    basis = TwoRotorBasis(3, 0)
+    basis = TwoRotorBasis(3)
     for k, (l1, m1, l2, m2) in enumerate(_states(basis)):
         assert basis.mol1_single[k] == l1 * l1 + l1 + m1
         assert basis.mol2_single[k] == l2 * l2 + l2 + m2
@@ -150,23 +145,39 @@ def test_basis_arrays_match_the_state_list():
     assert basis.d_single == 16
 
 
-def _enumerated(l_max, total_m):
-    """The basis spelled out state by state: lexicographic (l1, m1, l2, m2), m from -l to l."""
+def _enumerated(l_max, total_m=0):
+    """Product states spelled out one by one: lexicographic (l1, m1, l2, m2), m from -l to l,
+    those with m1 + m2 == total_m, or every one if total_m is None."""
     return [(l1, m1, l2, m2)
             for l1 in range(l_max + 1) for m1 in range(-l1, l1 + 1)
             for l2 in range(l_max + 1) for m2 in range(-l2, l2 + 1)
             if total_m is None or m1 + m2 == total_m]
 
 
+def _assert_only_m_zero_is_kept(basis, total_m):
+    """The basis is the M = 0 part of the product space, in product order; the
+    states of total M (every M if None) off M = 0 are refused by index_of."""
+    product = _enumerated(basis.l_max, None)
+    kept = [k for k, (_, m1, _, m2) in enumerate(product) if m1 + m2 == 0]
+    assert basis.product_index.tolist() == kept
+    states = _enumerated(basis.l_max, total_m)
+    assert bool(states) == (total_m is None or abs(total_m) <= 2 * basis.l_max)
+    for state in states:
+        if state[1] + state[3] == 0:
+            assert basis.index_of(*state) == kept.index(product.index(state))
+        else:
+            with pytest.raises(QueryError, match=rf"is not in the basis \(l_max={basis.l_max}, M = 0\)"):
+                basis.index_of(*state)
+
+
 @pytest.mark.parametrize("total_m", [None, 0, 1, -2, 3])
 @pytest.mark.parametrize("l_max", range(7))
 def test_basis_matches_an_explicit_enumeration(l_max, total_m):
-    if total_m not in (0, None):  # only the M = 0 block and the full basis are models of a run
-        with pytest.raises(InvalidConfigError, match="restrict_total_m must be 0 or None"):
-            TwoRotorBasis(l_max, total_m)
+    basis = TwoRotorBasis(l_max)
+    if total_m != 0:  # the M != 0 blocks and the whole product space: only M = 0 is a basis
+        _assert_only_m_zero_is_kept(basis, total_m)
         return
-    states = _enumerated(l_max, total_m)
-    basis = TwoRotorBasis(l_max, total_m)
+    states = _enumerated(l_max)
     d = (l_max + 1) ** 2
     l1, m1, l2, m2 = np.array(states, dtype=np.int64).T
     single1, single2 = l1 * l1 + l1 + m1, l2 * l2 + l2 + m2
@@ -184,25 +195,23 @@ def test_basis_matches_an_explicit_enumeration(l_max, total_m):
     blocks = [[[states.index((m + i, m, m + j, -m)) for j in range(l_max + 1 - m)]
                for i in range(l_max + 1 - m)] for m in range(l_max + 1)]
     assert [b.tolist() for b in basis.schmidt_blocks] == blocks
-    # negative l, l past l_max, and |m| > l, which l*l + l + m would alias onto another state
+    # negative l, l past l_max, |m| > l, which l*l + l + m would alias onto another state, and M != 0
     for query in ((-1, 0, 0, 0), (0, 0, -1, 1), (l_max + 1, 0, 0, 0), (0, 0, l_max + 1, -l_max - 1),
-                  (1, 2, 0, 0)):
+                  (1, 2, 0, 0), (l_max, 1, l_max, 0)):
         with pytest.raises(QueryError, match="is not in the basis"):
             basis.index_of(*query)
 
 
 def test_basis_rejects_bad_parameters():
-    with pytest.raises(InvalidConfigError):
-        TwoRotorBasis(-1, 0)
-    with pytest.raises(InvalidConfigError):
-        TwoRotorBasis(1, 5)  # no states can reach total M = 5
+    with pytest.raises(InvalidConfigError, match="non-negative"):
+        TwoRotorBasis(-1)
 
 
-@pytest.mark.parametrize("l_max, total_m", [(2.5, 0), (True, 0), (2.0, None), (2, 0.0), (2, False), (2, "0")])
-def test_basis_does_not_truncate_a_non_integer(l_max, total_m):
+@pytest.mark.parametrize("l_max", [2.5, True, 2.0, "2", None, np.float64(2.0)])
+def test_basis_does_not_truncate_a_non_integer(l_max):
     with pytest.raises(InvalidConfigError, match="must be an integer"):
-        TwoRotorBasis(l_max, total_m)
+        TwoRotorBasis(l_max)
 
 
 def test_basis_takes_numpy_integers():
-    assert TwoRotorBasis(np.int64(2), np.int64(0)).size == TwoRotorBasis(2, 0).size
+    assert TwoRotorBasis(np.int64(2)).size == TwoRotorBasis(2).size

@@ -41,7 +41,7 @@ def test_build_pieces_result_has_csr_h0_and_coupling():
     from rotorpair.angular import TwoRotorBasis
     from rotorpair.runner import build_pieces
 
-    pieces = build_pieces(TwoRotorBasis(2, 0), 0.1)
+    pieces = build_pieces(TwoRotorBasis(2), 0.1)
     assert pieces.h0.format == "csr" and pieces.coupling.format == "csr"
     assert layertrace._nnz((), {}, pieces)["nnz"] == pieces.h0.nnz + pieces.coupling.nnz
 
@@ -74,7 +74,7 @@ def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
     monkeypatch.setattr(propagation, "schrodinger_rhs", counting_rhs)
     monkeypatch.setattr(propagation, "rk4_integrate", counted)
     samples = np.arange(161) * 0.005  # a dozen samples inside each of the three windows
-    propagation.run_schedule(build_pieces(TwoRotorBasis(2, 0), dipole), train, dt, 1e-8, samples)
+    propagation.run_schedule(build_pieces(TwoRotorBasis(2), dipole), train, dt, 1e-8, samples)
     assert len(steps) == len(taken) > 7
     assert all(shape[1:] == propagation.GAUSS_NODES.shape for shape in taken)
     assert sum(steps) == sum(shape[0] for shape in taken)

@@ -57,6 +57,29 @@ def test_run_rejects_bad_physics(tmp_path, capsys):
     assert "R_m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [0, None])
+def test_run_rejects_the_removed_basis_choice(tmp_path, capsys, value):
+    # every run holds the M = 0 states, so a document that still picks a basis is refused
+    cfg = _write_json(tmp_path / "cfg.json", {"basis": {"restrict_total_m": value}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'basis.restrict_total_m'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_an_off_block_watch_entry_before_the_basis_is_built(tmp_path, capsys, monkeypatch):
+    from rotorpair import runner
+
+    built = []
+    monkeypatch.setattr(runner, "TwoRotorBasis", lambda *args: built.append(args))
+    doc = dict(TINY, output={**TINY["output"], "watch_populations": [[1, 1, 1, 0]]})
+    cfg = _write_json(tmp_path / "cfg.json", doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "(1, 1, 1, 0) has m1 + m2 = 1; a run holds only M = 0 states" in err and "Traceback" not in err
+    assert built == [] and not (tmp_path / "out").exists()
+
+
 def test_run_rejects_an_infinite_total_time(tmp_path):
     # json reads Infinity as a float; it must stop at the config boundary
     cfg = _write_json(tmp_path / "cfg.json", {"output": {"total_time_ps": float("inf")}})
@@ -233,7 +256,7 @@ def test_sweep_with_an_off_block_watch_entry_runs_no_point(tmp_path, capsys):
     })
     assert main(["sweep", "--spec", spec]) == 2
     err = capsys.readouterr().err
-    assert "off the basis.restrict_total_m = 0 block" in err and "Traceback" not in err
+    assert "has m1 + m2 = 1; a run holds only M = 0 states" in err and "Traceback" not in err
     assert not (tmp_path / "grid").exists()
 
 

@@ -36,7 +36,7 @@ def test_empty_document_gives_the_default_molecule_pair():
     assert cfg.pulse.period is None
     assert cfg.pulse.count == 1
     assert cfg.basis.l_max == 8
-    assert cfg.basis.restrict_total_m == 0
+    assert [field.name for field in dataclasses.fields(cfg.basis)] == ["l_max"]
     assert cfg.integrator.dt_pulse_fs is None
     assert cfg.integrator.norm_tolerance == 1e-8
     assert cfg.output.sample_interval_ps == 0.5
@@ -63,7 +63,6 @@ KEY_VALUES = {
     ("pulse", "period"): ("pi_hbar_over_B", "pi_hbar_over_B"),
     ("pulse", "count"): (3, 3),
     ("basis", "l_max"): (10, 10),
-    ("basis", "restrict_total_m"): (None, None),
     ("integrator", "dt_pulse_fs"): (0.5, 0.5),
     ("integrator", "norm_tolerance"): (1e-6, 1e-6),
     ("output", "sample_interval_ps"): (1, 1.0),
@@ -104,7 +103,6 @@ WRONG_TYPED = {
     ("pulse", "period"): True,
     ("pulse", "count"): 2.5,
     ("basis", "l_max"): 2.5,
-    ("basis", "restrict_total_m"): True,
     ("integrator", "dt_pulse_fs"): True,
     ("integrator", "norm_tolerance"): "x",
     ("output", "sample_interval_ps"): True,
@@ -186,13 +184,11 @@ def test_booleans_are_not_numbers():
         parse_config('{"pulse": {"count": true}}')
 
 
-def test_restrict_total_m_absent_null_and_explicit():
-    assert parse_config("{}").basis.restrict_total_m == 0
-    assert parse_config('{"basis": {"restrict_total_m": null}}').basis.restrict_total_m is None
-    assert parse_config('{"basis": {"restrict_total_m": 0}}').basis.restrict_total_m == 0
-    # the initial state |00;00> has M = 0, so no other block can hold it
-    with pytest.raises(InvalidConfigError, match="restrict_total_m"):
-        parse_config('{"basis": {"restrict_total_m": 1}}')
+@pytest.mark.parametrize("value", ["0", "null", "1"])
+def test_restrict_total_m_is_an_unknown_key(value):
+    # every run holds the M = 0 states only, so there is no basis to choose
+    with pytest.raises(InvalidConfigError, match=r"^unknown key 'basis\.restrict_total_m'$"):
+        parse_config(f'{{"basis": {{"restrict_total_m": {value}}}}}')
 
 
 def test_watch_list_parsing():
@@ -217,10 +213,10 @@ def test_bad_watch_entries_are_rejected(doc):
         parse_config(doc)
 
 
-def test_the_full_basis_may_watch_states_off_the_m_zero_block():
-    cfg = parse_config('{"basis": {"restrict_total_m": null},'
-                       ' "output": {"watch_populations": [[1, 1, 1, 0], [0, 0, 1, -1]]}}')
-    assert cfg.output.watch_populations == ((1, 1, 1, 0), (0, 0, 1, -1))
+def test_a_watch_entry_off_m_zero_names_its_total_m():
+    with pytest.raises(InvalidConfigError, match=r"^output\.watch_populations\[1\] = \(0, 0, 1, -1\) has m1 \+ m2 = -1;"
+                                                 r" a run holds only M = 0 states$"):
+        parse_config('{"output": {"watch_populations": [[1, 0, 0, 0], [0, 0, 1, -1]]}}')
 
 
 def test_default_watch_list_shrinks_with_the_basis():
@@ -249,8 +245,6 @@ def test_entropy_log_base_values():
     '{"pulse": {"period": "sometimes"}}',
     '{"basis": {"l_max": 0}}',
     '{"basis": {"l_max": "8"}}',
-    '{"basis": {"restrict_total_m": 17}}',
-    '{"basis": {"restrict_total_m": -2}}',
     '{"integrator": {"dt_pulse_fs": -1}}',
     '{"integrator": {"norm_tolerance": 0}}',
     '{"output": {"sample_interval_ps": 0}}',
@@ -420,7 +414,6 @@ def test_all_presets_validate_at_the_default_truncation():
         for _, cfg in preset(name):
             assert isinstance(cfg, RunConfig)
             assert cfg.basis.l_max == 8
-            assert cfg.basis.restrict_total_m == 0
             validate_config(cfg)
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -20,7 +19,7 @@ from rotorpair.units import to_reduced
 
 
 def _fold(basis, coeffs):
-    """The sector row S^T c of a full-basis state c that lies in the sector."""
+    """The sector row S^T c of a basis state c that lies in the sector."""
     folded = basis.sector_isometry.T @ coeffs
     assert np.abs(basis.sector_isometry @ folded - coeffs).max() <= 1e-15
     return folded
@@ -39,7 +38,7 @@ def _sector_states(basis, parts):
 
 
 def _unfold(basis, rows):
-    """Full-basis states S f of sector rows f, read through the gather map."""
+    """Basis states S f of sector rows f, read through the gather map."""
     column, weight = basis.sector_gather
     return weight * np.atleast_2d(rows)[:, column]
 
@@ -60,7 +59,7 @@ def _m_zero_product(basis, rng):
 
 
 def test_coefficient_matrix_scatters_by_single_rotor_indices():
-    basis = TwoRotorBasis(1, None)
+    basis = TwoRotorBasis(1)
     coeffs = np.arange(1.0, basis.size + 1.0, dtype=complex)
     c = coefficient_matrix(basis, coeffs)
     assert c.shape == (4, 4)
@@ -70,16 +69,16 @@ def test_coefficient_matrix_scatters_by_single_rotor_indices():
         assert c[i, j] == coeffs[k]
 
 
-@pytest.mark.parametrize("total_m", [0, None])
-def test_product_state_has_zero_entropy(total_m):
-    basis = TwoRotorBasis(2, total_m)
+@pytest.mark.parametrize("l_max", [1, 2, 4])
+def test_product_state_has_zero_entropy(l_max):
+    basis = TwoRotorBasis(l_max)
     weights = schmidt_spectrum(basis, _product_state(basis, _m_zero_product(basis, np.random.default_rng(7))))[0]
     assert von_neumann_entropy(weights, basis.d_single, "e") < 1e-10
     assert np.count_nonzero(weights > 1e-12) == 1
 
 
 def test_bell_state_entropy_in_every_log_base():
-    basis = TwoRotorBasis(1, None)
+    basis = TwoRotorBasis(1)
     weights = schmidt_spectrum(basis, _bell_state(basis))[0]
     lam = np.sort(weights)[::-1][:2]
     assert np.allclose(lam, [0.5, 0.5], atol=1e-12)
@@ -110,16 +109,16 @@ def test_a_weight_rounded_above_one_gives_zero_entropy():
 
 
 def test_d_single_log_base_divides_by_the_one_rotor_dimension():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     weights = schmidt_spectrum(basis, _bell_state(basis))[0]
     assert weights.size == 3 + 2 * (2 + 1) == basis.d_single  # block 0 once, blocks 1 and 2 twice
     entropy = von_neumann_entropy(weights, basis.d_single, "d_single")
     assert entropy == pytest.approx(math.log(2.0) / math.log(9.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("total_m", [0, None])
-def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues(total_m):
-    basis = TwoRotorBasis(2, total_m)
+@pytest.mark.parametrize("l_max", [1, 2, 4])
+def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues(l_max):
+    basis = TwoRotorBasis(l_max)
     rng = np.random.default_rng(11)
     coeffs = _sector_states(basis, rng.standard_normal((1, 2, basis.sector_isometry.shape[1])))[0]
 
@@ -132,7 +131,7 @@ def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues(total_m):
 
 
 def test_density_matrix_trace_equals_squared_norm():
-    basis = TwoRotorBasis(1, 0)
+    basis = TwoRotorBasis(1)
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[0] = 0.6
     coeffs[1] = 0.3j
@@ -140,7 +139,7 @@ def test_density_matrix_trace_equals_squared_norm():
 
 
 def test_a_block_is_analyzed_row_by_row():
-    basis = TwoRotorBasis(1, None)
+    basis = TwoRotorBasis(1)
     product = np.zeros(basis.size, dtype=complex)
     product[basis.index_of(0, 0, 0, 0)] = 1.0
     n_s = basis.sector_isometry.shape[1]
@@ -157,10 +156,10 @@ def test_a_block_is_analyzed_row_by_row():
 
 
 @settings(max_examples=60, deadline=None)
-@given(l_max=st.integers(2, 4), total_m=st.sampled_from([0, None]), data=st.data())
-def test_m_block_weights_equal_the_full_matrix_svd(l_max, total_m, data):
+@given(l_max=st.integers(2, 4), data=st.data())
+def test_m_block_weights_equal_the_full_matrix_svd(l_max, data):
     # gathered sector rows, a product state (its m > 0 blocks are empty) and a NaN row
-    basis = TwoRotorBasis(l_max, total_m)
+    basis = TwoRotorBasis(l_max)
     parts = data.draw(hnp.arrays(np.float64, (2, 2, basis.sector_isometry.shape[1]),
                                  elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
     seed = data.draw(st.integers(0, 2**32 - 1))
@@ -179,15 +178,13 @@ def test_m_block_weights_equal_the_full_matrix_svd(l_max, total_m, data):
     assert schmidt_spectrum(basis, coeffs[:0]).shape == (0, basis.d_single)
 
 
-@functools.cache
-def _fig1b_samples(total_m):
+def _fig1b_samples():
     """A 20 ps fig1b run: its basis, the sector rows its observers
     receive, and its entropy column."""
     (_, cfg), = preset("fig1b")
-    cfg = dataclasses.replace(cfg, basis=dataclasses.replace(cfg.basis, restrict_total_m=total_m),
-                              output=dataclasses.replace(cfg.output, total_time_ps=20.0, sample_interval_ps=0.25))
+    cfg = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output, total_time_ps=20.0, sample_interval_ps=0.25))
     schedule, dipole_strength, dt, sample_times = to_reduced(cfg)
-    basis = TwoRotorBasis(cfg.basis.l_max, total_m)
+    basis = TwoRotorBasis(cfg.basis.l_max)
     pieces = build_pieces(basis, dipole_strength)
     recorder, rows = TimeSeriesRecorder(pieces, cfg.output), []
     run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, sample_times,
@@ -195,13 +192,13 @@ def _fig1b_samples(total_m):
     return basis, np.concatenate(rows), recorder.column("entropy")
 
 
-@pytest.mark.parametrize("total_m", [0, None])
-def test_every_sampled_state_has_mirrored_symmetric_m_blocks(total_m):
+def test_every_sampled_state_has_mirrored_symmetric_m_blocks():
     # schmidt_spectrum reads only the m >= 0 blocks and counts m > 0 twice:
     # exact only if C is zero off M = 0, C_{-m} == C_m (sigma_v) and
     # C_m == C_m.T (P12) in the matrix that the gather map makes of every
     # sector row a run hands its observers
-    basis, rows, _ = _fig1b_samples(total_m)
+    basis, rows, entropy = _fig1b_samples()
+    assert rows.shape[0] == entropy.size == 81 and entropy.max() > 1e-3  # the run entangles
     l_max = basis.l_max
     m_single = np.concatenate([np.arange(-l, l + 1) for l in range(l_max + 1)])
     off_sector = np.add.outer(m_single, m_single) != 0
@@ -213,8 +210,3 @@ def test_every_sampled_state_has_mirrored_symmetric_m_blocks(total_m):
             plus, minus = c[np.ix_(at_m0 + m, at_m0 - m)], c[np.ix_(at_m0 - m, at_m0 + m)]
             assert np.array_equal(minus, plus) and np.array_equal(plus, plus.T)
 
-
-def test_the_full_basis_run_has_the_m_zero_entropy():
-    entropy = _fig1b_samples(0)[2]
-    assert entropy.size == 81 and entropy.max() > 1e-3
-    assert np.abs(_fig1b_samples(None)[2] - entropy).max() <= 1e-13

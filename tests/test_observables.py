@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from rotorpair.angular import TwoRotorBasis
 from rotorpair.config import OutputConfig
 from rotorpair.exceptions import QueryError
@@ -12,7 +13,7 @@ from rotorpair.observables import (
     TimeSeriesRecorder,
     regularity_metrics,
 )
-from rotorpair.operators import build_costheta_single, build_pieces, expectation
+from rotorpair.operators import build_pieces, expectation
 from rotorpair.propagation import initial_state
 
 
@@ -24,10 +25,10 @@ def _superposition(basis):
 
 
 def test_orientation_of_a_cos_coherence():
-    basis = TwoRotorBasis(1, None)
+    # the quadrature cos(theta_1) and cos(theta_2) that the per-sample oracle columns use
+    basis = TwoRotorBasis(1)
     psi = _superposition(basis)
-    cos1 = expectation(build_costheta_single(basis, "mol1"), psi)
-    cos2 = expectation(build_costheta_single(basis, "mol2"), psi)
+    cos1, cos2 = (expectation(op, psi) for op in oracles.orientation_pair(basis))
     assert cos1.real == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
     assert cos2.real == pytest.approx(0.0, abs=1e-14)
 
@@ -37,16 +38,16 @@ def _recorder(basis, watch, **output):
 
 
 def _fold(basis, coeffs):
-    """The sector row S^T c of a full-basis state c that lies in the sector."""
+    """The sector row S^T c of a basis state c that lies in the sector."""
     folded = basis.sector_isometry.T @ coeffs
     assert np.abs(basis.sector_isometry @ folded - coeffs).max() <= 1e-15
     return folded
 
 
 def test_population_lookup():
-    basis = TwoRotorBasis(1, 0)
+    basis = TwoRotorBasis(1)
     rec = _recorder(basis, ((0, 0, 0, 0), (1, 0, 1, 0)))
-    rec(np.array([0.0]), np.array([0]), _fold(basis, initial_state(basis))[None, :])
+    rec(np.array([0.0]), np.array([0]), initial_state(basis.sector_isometry.shape[1])[None, :])
     assert rec.population_column((0, 0, 0, 0)).tolist() == [1.0]
     assert rec.population_column((1, 0, 1, 0)).tolist() == [0.0]
     # an entry of the basis that is not watched names the watch list
@@ -57,7 +58,7 @@ def test_population_lookup():
 
 
 def test_rotational_energy():
-    basis = TwoRotorBasis(1, 0)
+    basis = TwoRotorBasis(1)
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[basis.index_of(1, 0, 1, 0)] = math.sqrt(0.5)
     coeffs[basis.index_of(0, 0, 0, 0)] = math.sqrt(0.5)
@@ -66,10 +67,9 @@ def test_rotational_energy():
     assert rec.column("energy_rot")[0] == pytest.approx(2.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("total_m", [0, None])
-def test_the_recorder_reads_full_basis_quantities_off_the_sector_rows(total_m):
-    # the columns of sector rows f equal what the full-basis states S f give
-    basis = TwoRotorBasis(3, total_m)
+def test_the_recorder_reads_basis_quantities_off_the_sector_rows():
+    # the columns of sector rows f equal what the basis states S f give
+    basis = TwoRotorBasis(3)
     s = basis.sector_isometry
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((5, s.shape[1])) + 1j * rng.standard_normal((5, s.shape[1]))
@@ -78,8 +78,9 @@ def test_the_recorder_reads_full_basis_quantities_off_the_sector_rows(total_m):
     rec = _recorder(basis, watch)
     rec(np.arange(5.0), np.arange(5), rows)
     full = (s @ rows.T).T
-    for name, op in (("cos1", build_costheta_single(basis, "mol1")), ("cos2", build_costheta_single(basis, "mol2"))):
-        assert np.abs(rec.column(name) - expectation(op, full).real).max() <= 1e-15
+    # the quadrature cos(theta) carries rounding of a few 1e-15 per element
+    for name, op in zip(("cos1", "cos2"), oracles.orientation_pair(basis)):
+        assert np.abs(rec.column(name) - expectation(op, full).real).max() <= 1e-14
     assert np.array_equal(rec.column("cos1"), rec.column("cos2"))
     assert np.abs(rec.column("energy_rot") - np.abs(full) ** 2 @ basis.rotor_diagonal).max() <= 1e-13
     assert np.abs(rec.column("norm") - np.linalg.norm(full, axis=1)).max() <= 1e-15
@@ -90,13 +91,13 @@ def test_the_recorder_reads_full_basis_quantities_off_the_sector_rows(total_m):
 # --- recorder -----------------------------------------------------------------
 
 def test_recorder_collects_samples():
-    basis = TwoRotorBasis(1, None)
+    basis = TwoRotorBasis(1)
     rec = _recorder(basis, ((0, 0, 0, 0), (1, 0, 0, 0)), sample_interval_ps=0.5)
     # |00;00> / sqrt(2) + (|10;00> + |00;10>) / 2, even under the swap
     psi = _superposition(basis)
     psi[basis.index_of(1, 0, 0, 0)] = psi[basis.index_of(0, 0, 1, 0)] = 0.5
     psi = _fold(basis, psi)
-    rec(np.array([0.0]), np.array([0]), _fold(basis, initial_state(basis))[None, :])
+    rec(np.array([0.0]), np.array([0]), initial_state(basis.sector_isometry.shape[1])[None, :])
     rec(np.array([0.011, 0.022]), np.array([1, 2]), np.stack([psi, psi]))
 
     assert rec.column("t_ps").tolist() == [0.0, 0.5, 1.0]
@@ -116,13 +117,13 @@ def test_recorder_collects_samples():
 
 
 def test_recorder_starts_empty():
-    rec = _recorder(TwoRotorBasis(1, 0), ((0, 0, 0, 0),))
+    rec = _recorder(TwoRotorBasis(1), ((0, 0, 0, 0),))
     assert rec.column("cos1").size == 0
     assert rec.table().shape == (0, 7)
 
 
 def test_recorder_rejects_watch_entries_outside_the_basis():
-    basis = TwoRotorBasis(1, 0)
+    basis = TwoRotorBasis(1)
     with pytest.raises(QueryError):
         _recorder(basis, ((2, 0, 0, 0),))
     with pytest.raises(QueryError):
@@ -132,7 +133,7 @@ def test_recorder_rejects_watch_entries_outside_the_basis():
 def test_recorder_rejects_a_repeated_watch_entry():
     # it would write two pop_1_0_0_0 columns
     with pytest.raises(QueryError, match="repeats an entry"):
-        _recorder(TwoRotorBasis(2, 0), ((1, 0, 0, 0), (1, 0, 0, 0)))
+        _recorder(TwoRotorBasis(2), ((1, 0, 0, 0), (1, 0, 0, 0)))
 
 
 # --- regularity metrics ---------------------------------------------------------

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
+from rotorpair import operators
 from rotorpair.angular import TwoRotorBasis
 from rotorpair.exceptions import ConsistencyError, InvalidConfigError
 from rotorpair.operators import (
     HamiltonianPieces,
     PulseSchedule,
-    build_costheta_single,
     build_dipole_term,
     build_orientation_coupling,
     build_pieces,
@@ -109,7 +109,7 @@ def test_the_field_of_a_long_train_allocates_little():
 # --- operator construction ---------------------------------------------------
 
 def test_rotor_term_is_the_l_squared_diagonal():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     rotor = build_rotor_term(basis)
     dense = rotor.toarray()
     assert np.allclose(np.diag(dense), basis.rotor_diagonal)
@@ -118,7 +118,7 @@ def test_rotor_term_is_the_l_squared_diagonal():
 
 
 def test_dipole_term_frozen_elements():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     d = 0.7
     u = build_dipole_term(basis, d).toarray()
     g = basis.index_of(0, 0, 0, 0)
@@ -130,75 +130,82 @@ def test_dipole_term_frozen_elements():
 
 
 def test_dipole_term_is_hermitian_and_scales_linearly():
-    basis = TwoRotorBasis(3, 0)
+    basis = TwoRotorBasis(3)
     u1 = build_dipole_term(basis, 1.0).toarray()
     u2 = build_dipole_term(basis, 2.0).toarray()
     assert np.abs(u1 - u1.conj().T).max() == 0.0
     assert np.allclose(u2, 2.0 * u1)
 
 
-def test_dipole_term_conserves_total_m():
-    basis = TwoRotorBasis(2, None)
-    op = build_dipole_term(basis, 1.0).tocoo()
-    for row, col, val in zip(op.row, op.col, op.data):
-        if val != 0.0:
-            total_in = basis.m1[col] + basis.m2[col]
-            total_out = basis.m1[row] + basis.m2[row]
-            assert total_in == total_out
+def _product_space_operators(monkeypatch, l_max):
+    """The package's d_single^2 Kronecker operators (coupling, then dipole at
+    d = 0.1315 and 0.7), as each build function hands them to the lift onto a basis."""
+    seen, lift = [], operators._lift
+    monkeypatch.setattr(operators, "_lift", lambda basis, op: seen.append(op) or lift(basis, op))
+    basis = TwoRotorBasis(l_max)
+    build_orientation_coupling(basis)
+    for d in (0.1315, 0.7):
+        build_dipole_term(basis, d)
+    return seen
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5])
+def test_the_product_space_operators_conserve_total_m(monkeypatch, l_max):
+    # the lift onto the M = 0 basis drops every entry that joins M = 0 to M != 0 without a sound,
+    # so the conservation is checked before it, on the package's and on the quadrature operators
+    total_m = oracles.product_total_m(l_max)
+    package = _product_space_operators(monkeypatch, l_max)
+    quadrature = [oracles.two_rotor_coupling(l_max)] + [oracles.two_rotor_dipole(d, l_max) for d in (0.1315, 0.7)]
+    assert len(package) == len(quadrature) == 3
+    for op, ref in zip(package, quadrature):
+        assert op.shape == ref.shape == (total_m.size, total_m.size)
+        rows, cols = op.nonzero()
+        assert rows.size and np.array_equal(total_m[rows], total_m[cols])
+        # above its rounding, every quadrature entry joins equal M as well
+        rows, cols = np.nonzero(np.abs(ref) > 1e-12 * np.abs(ref).max())
+        assert rows.size and np.array_equal(total_m[rows], total_m[cols])
+        assert np.abs(op.toarray() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_dipole_term_edge_cases():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     assert build_dipole_term(basis, 0.0).nnz == 0
     with pytest.raises(InvalidConfigError):
         build_dipole_term(basis, -0.5)
 
 
-def test_costheta_single_acts_on_one_molecule():
-    basis = TwoRotorBasis(1, None)
-    c1 = build_costheta_single(basis, "mol1").toarray()
-    c2 = build_costheta_single(basis, "mol2").toarray()
-    g = basis.index_of(0, 0, 0, 0)
-    inv_sqrt3 = 1.0 / math.sqrt(3.0)
-    assert c1[basis.index_of(1, 0, 0, 0), g] == pytest.approx(inv_sqrt3, abs=1e-15)
-    assert c1[basis.index_of(0, 0, 1, 0), g] == 0.0
-    assert c2[basis.index_of(0, 0, 1, 0), g] == pytest.approx(inv_sqrt3, abs=1e-15)
-    assert c2[basis.index_of(1, 0, 0, 0), g] == 0.0
-    with pytest.raises(InvalidConfigError):
-        build_costheta_single(basis, "mol3")
-
-
 def test_orientation_coupling_is_the_sum_of_both_molecules():
-    basis = TwoRotorBasis(2, 0)
-    c1 = build_costheta_single(basis, "mol1").toarray()
-    c2 = build_costheta_single(basis, "mol2").toarray()
+    basis = TwoRotorBasis(2)
+    c1, c2 = oracles.orientation_pair(basis)
+    g, one, two = basis.index_of(0, 0, 0, 0), basis.index_of(1, 0, 0, 0), basis.index_of(0, 0, 1, 0)
+    # each half acts on one molecule
+    assert c1[one, g] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14) and abs(c1[two, g]) < 1e-15
+    assert c2[two, g] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14) and abs(c2[one, g]) < 1e-15
     both = build_orientation_coupling(basis).toarray()
-    assert np.array_equal(both, c1 + c2)
+    assert np.abs(both - (c1 + c2)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("restrict_total_m", [0, None])
 @pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5])
-def test_operators_match_the_quadrature_kronecker_oracle(l_max, restrict_total_m):
-    basis = TwoRotorBasis(l_max, restrict_total_m)
-    c = oracles.single_rotor_matrix("cos", l_max)
-    eye = np.eye(basis.d_single)
-    built = [(build_orientation_coupling(basis), oracles.two_rotor_coupling(l_max)),
-             (build_costheta_single(basis, "mol1"), np.kron(c, eye)),
-             (build_costheta_single(basis, "mol2"), np.kron(eye, c))]
+def test_operators_match_the_quadrature_kronecker_oracle(l_max):
+    basis = TwoRotorBasis(l_max)
+    built = [(build_orientation_coupling(basis), oracles.two_rotor_coupling(l_max))]
     built += [(build_dipole_term(basis, d), oracles.two_rotor_dipole(d, l_max))
               for d in (0.0, 0.1315, 0.7)]
-    total_m = basis.m1 + basis.m2
     for op, full in built:
         ref = oracles.restrict(full, basis)
         assert op.format == "csr" and op.dtype == np.complex128
         assert np.abs(op.toarray() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
         assert np.all(op.data != 0)
-        rows, cols = op.nonzero()
-        assert np.array_equal(total_m[rows], total_m[cols])
+    # the pieces are the same operators folded onto the sector: S^T (rotor + dipole) S and S^T V S
+    s, pieces = basis.sector_isometry, build_pieces(basis, 0.1315)
+    h0 = np.diag(oracles.two_rotor_free_diagonal(l_max)) + oracles.two_rotor_dipole(0.1315, l_max)
+    for op_s, full in ((pieces.h0, h0), (pieces.coupling, oracles.two_rotor_coupling(l_max))):
+        ref = s.T.toarray() @ oracles.restrict(full, basis) @ s.toarray()
+        assert op_s.format == "csr" and np.abs(op_s.toarray() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_operator_matrix_expectation():
-    basis = TwoRotorBasis(1, 0)
+    basis = TwoRotorBasis(1)
     rotor = build_rotor_term(basis)
     c = np.zeros(basis.size, dtype=complex)
     c[basis.index_of(1, 0, 1, 0)] = 1.0
@@ -209,32 +216,46 @@ def test_operator_matrix_expectation():
 
 # --- assembled Hamiltonian ---------------------------------------------------
 
-def test_pieces_h0_is_rotor_plus_dipole():
-    basis = TwoRotorBasis(2, 0)
+def test_pieces_are_the_sector_folds_of_rotor_plus_dipole_and_the_coupling():
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.3)
-    expected = build_rotor_term(basis).toarray() + build_dipole_term(basis, 0.3).toarray()
-    assert np.allclose(pieces.h0.toarray(), expected, atol=0.0)
+    s = basis.sector_isometry
+    h0 = build_rotor_term(basis) + build_dipole_term(basis, 0.3)
+    assert np.allclose(pieces.h0.toarray(), (s.T @ h0 @ s).toarray(), atol=0.0)
+    assert np.allclose(pieces.coupling.toarray(), (s.T @ build_orientation_coupling(basis) @ s).toarray(), atol=0.0)
     assert pieces.h0.format == "csr" and pieces.coupling.format == "csr"
+    # a sector state mixes basis states of one rotor energy
+    column, _ = basis.sector_gather
+    assert np.abs(pieces.energies[column] - basis.rotor_diagonal).max() <= 1e-14
+
+
+@pytest.mark.parametrize("l_max, dipole", [(0, 0.0), (2, 0.7), (3, 50.0)])
+def test_build_pieces_folds_each_operator_once_at_a_tolerance_relative_to_h0(monkeypatch, l_max, dipole):
+    calls, fold = [], operators.fold_to_sector
+    monkeypatch.setattr(operators, "fold_to_sector",
+                        lambda basis, name, op, tol: calls.append((name, tol)) or fold(basis, name, op, tol))
+    basis = TwoRotorBasis(l_max)
+    build_pieces(basis, dipole)
+    scale = abs(oracles.basis_operators(basis, dipole).h0).max()
+    assert (scale > 1.0) == (l_max > 0)  # |00;00> alone has H0 = 0, so the floor of 1 applies
+    tol = 1e-12 * max(1.0, scale)
+    assert calls == [("H0", tol), ("V", tol)]
 
 
 def test_pieces_reject_mismatched_dimensions():
-    big = TwoRotorBasis(2, 0)
-    small = TwoRotorBasis(1, 0)
-    h0 = build_pieces(big, 0.3).h0
-    with pytest.raises(ConsistencyError):
-        HamiltonianPieces(basis=big, h0=build_pieces(small, 0.3).h0, coupling=build_orientation_coupling(big))
-    with pytest.raises(ConsistencyError):
-        HamiltonianPieces(basis=big, h0=h0, coupling=build_orientation_coupling(small))
-    with pytest.raises(ConsistencyError):
-        HamiltonianPieces(basis=small, h0=h0, coupling=build_orientation_coupling(big))
+    big, small = build_pieces(TwoRotorBasis(2), 0.3), build_pieces(TwoRotorBasis(1), 0.3)
+    parts = ("basis", "h0", "coupling", "energies")
+    for k in range(len(parts)):  # one part from the smaller basis at a time
+        with pytest.raises(ConsistencyError, match="mismatched dimensions"):
+            HamiltonianPieces(*(getattr(small if j == k else big, name) for j, name in enumerate(parts)))
 
 
 def test_hamiltonian_at_combines_the_pieces():
-    basis = TwoRotorBasis(2, 0)
-    pieces = build_pieces(basis, 0.3)
+    basis = TwoRotorBasis(2)
+    ops = oracles.basis_operators(basis, 0.3)
     s = _schedule()
     t = 0.052
-    h = oracles.hamiltonian_at(t, pieces, s).toarray()
+    h = oracles.hamiltonian_at(t, ops, s).toarray()
     expected = (build_rotor_term(basis) + build_dipole_term(basis, 0.3)
                 + s.field_scalar(t) * build_orientation_coupling(basis)).toarray()
     assert np.allclose(h, expected, atol=1e-15)

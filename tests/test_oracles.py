@@ -56,7 +56,7 @@ def test_dense_propagation_guards():
 
 def _block_hamiltonians():
     """(H0, V) on the 6-state l_max = 1, M = 0 block, as plain real arrays."""
-    basis = TwoRotorBasis(1, 0)
+    basis = TwoRotorBasis(1)
     h0_full = np.diag(two_rotor_free_diagonal(1)) + two_rotor_dipole(0.4, 1)
     v_full = two_rotor_dipole(1.0, 1)  # any hermitian perturbation will do
     h0 = 0.5 * (restrict(h0_full, basis) + restrict(h0_full, basis).conj().T).real
@@ -108,7 +108,7 @@ def test_single_rotor_matrix_matches_closed_forms():
 
 
 def test_restrict_selects_the_right_block():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     full = np.diag(two_rotor_free_diagonal(2))
     block = restrict(full, basis)
     assert block.shape == (19, 19)

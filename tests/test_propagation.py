@@ -13,7 +13,7 @@ from rotorpair.angular import TwoRotorBasis
 from rotorpair.config import IntegratorSettings, OutputConfig, PulseConfig, RunConfig
 from rotorpair.exceptions import ConsistencyError, InvalidConfigError, StepSizeError
 from rotorpair.observables import COLUMNS, TimeSeriesRecorder
-from rotorpair.operators import PulseSchedule, build_costheta_single, build_pieces, expectation
+from rotorpair.operators import PulseSchedule, build_pieces, expectation
 from rotorpair.propagation import (
     GAUSS_MATRIX,
     GAUSS_NODES,
@@ -57,6 +57,10 @@ def _step_to(rhs, pulse, y, t_end, dt):
     return y
 
 
+def _sector_rhs(pieces, pulse):
+    return schrodinger_rhs(pieces.h0, pieces.coupling, pieces.energies, pulse)
+
+
 def _free(h0, coeffs, tau):
     """exp(-i H0 tau) c through a fresh FreeEvolution."""
     free = FreeEvolution(h0)
@@ -66,18 +70,16 @@ def _free(h0, coeffs, tau):
 # --- wavefunction and config -------------------------------------------------
 
 def test_initial_state_is_a_fresh_unit_ground_state():
-    basis = TwoRotorBasis(1, 0)
-    c = initial_state(basis)
-    assert c.dtype == np.complex128 and c.shape == (basis.size,)
+    basis = TwoRotorBasis(1)
+    n_s = basis.sector_isometry.shape[1]
+    c = initial_state(n_s)
+    assert c.dtype == np.complex128 and c.shape == (n_s,)
     assert np.linalg.norm(c) == 1.0
-    assert c[basis.index_of(0, 0, 0, 0)] == 1.0
-    c[basis.index_of(0, 0, 0, 0)] = 0.0
-    assert initial_state(basis)[basis.index_of(0, 0, 0, 0)] == 1.0
-
-
-def test_initial_state_needs_the_ground_state():
-    with pytest.raises(InvalidConfigError):
-        initial_state(TwoRotorBasis(1, 1))
+    # the sector row of |00;00>, with weight 1 on it and on no other basis state
+    assert np.array_equal(np.flatnonzero(basis.sector_isometry @ c), [basis.index_of(0, 0, 0, 0)])
+    assert (basis.sector_isometry @ c)[basis.index_of(0, 0, 0, 0)] == 1.0
+    c[0] = 0.0
+    assert initial_state(n_s)[0] == 1.0
 
 
 def test_integrator_settings_defaults_and_validation():
@@ -95,13 +97,13 @@ def test_integrator_settings_defaults_and_validation():
 # --- free evolution ----------------------------------------------------------
 
 def test_free_evolution_applies_the_energy_phase():
-    basis = TwoRotorBasis(1, 0)
-    pieces = build_pieces(basis, 0.0)
+    basis = TwoRotorBasis(1)
+    ops = oracles.basis_operators(basis, 0.0)
     c = np.zeros(basis.size, dtype=complex)
     k = basis.index_of(1, 0, 1, 0)
     c[k] = 1.0
     tau = 0.37
-    out = _free(pieces.h0, c, tau)
+    out = _free(ops.h0, c, tau)
     # E = l1(l1+1) + l2(l2+1) = 4
     assert out[k] == pytest.approx(np.exp(-1j * 4.0 * tau), rel=1e-12)
     assert abs(out[basis.index_of(0, 0, 0, 0)]) < 1e-15
@@ -109,23 +111,22 @@ def test_free_evolution_applies_the_energy_phase():
 
 def test_free_evolution_beats_at_the_level_splitting():
     # (|00> + |10>)/sqrt(2) on molecule 1: <cos th1>(t) = cos(2t)/sqrt(3)
-    basis = TwoRotorBasis(1, None)
-    pieces = build_pieces(basis, 0.0)
-    cos1 = build_costheta_single(basis, "mol1")
+    basis = TwoRotorBasis(1)
+    ops = oracles.basis_operators(basis, 0.0)
+    cos1, _ = oracles.orientation_pair(basis)
     c = np.zeros(basis.size, dtype=complex)
     c[basis.index_of(0, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
     c[basis.index_of(1, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
     for tau in (0.0, 0.3, 1.1):
-        out = _free(pieces.h0, c, tau)
+        out = _free(ops.h0, c, tau)
         expected = math.cos(2.0 * tau) / math.sqrt(3.0)
         assert expectation(cos1, out).real == pytest.approx(expected, abs=1e-12)
 
 
 def test_free_evolution_reuse_matches_fresh_construction():
-    basis = TwoRotorBasis(2, 0)
-    pieces = build_pieces(basis, 0.5)
+    pieces = build_pieces(TwoRotorBasis(2), 0.5)
     free = FreeEvolution(pieces.h0)
-    c = initial_state(basis)
+    c = initial_state(pieces.h0.shape[0])
     first = free.advance(free.project(c), np.array([0.8]))[0]
     again = free.advance(free.project(c), np.array([0.8]))[0]
     assert np.array_equal(first, again)
@@ -133,14 +134,14 @@ def test_free_evolution_reuse_matches_fresh_construction():
 
 
 def test_free_block_rows_match_one_advance_each():
-    basis = TwoRotorBasis(2, 0)
-    pieces = build_pieces(basis, 0.5)
+    pieces = build_pieces(TwoRotorBasis(2), 0.5)
     free = FreeEvolution(pieces.h0)
+    n_s = pieces.h0.shape[0]
     rng = np.random.default_rng(3)
-    c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    c = rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
     taus = np.array([0.0, 0.1, 0.7, 2.3])
     block = free.advance(free.project(c), taus)
-    assert block.shape == (4, basis.size)
+    assert block.shape == (4, n_s)
     energies, vectors = np.linalg.eigh(pieces.h0.toarray())
     for tau, row in zip(taus, block):
         ref = vectors @ (np.exp(-1j * energies * tau) * (vectors.conj().T @ c))
@@ -148,7 +149,7 @@ def test_free_block_rows_match_one_advance_each():
 
 
 def test_free_evolution_rejects_a_complex_h0():
-    pieces = build_pieces(TwoRotorBasis(1, 0), 0.0)
+    pieces = build_pieces(TwoRotorBasis(1), 0.0)
     skewed = pieces.h0.copy()
     skewed.data[0] += 1e-3j
     with pytest.raises(ConsistencyError, match="imaginary"):
@@ -226,7 +227,7 @@ def test_sweeps_that_contract_too_slowly_raise_with_the_state_reached():
 
 @pytest.mark.parametrize("case", ["clipped_at_zero", "merged_train", "partial_step"])
 def test_window_kernel_matches_the_dense_stage_solve(case):
-    pieces = build_pieces(TwoRotorBasis(4 if case == "clipped_at_zero" else 2, 0),
+    pieces = build_pieces(TwoRotorBasis(4 if case == "clipped_at_zero" else 2),
                           0.13150852670024232)
     pulse = _single_pulse()
     if case == "merged_train":
@@ -244,31 +245,31 @@ def test_window_kernel_matches_the_dense_stage_solve(case):
     rng = np.random.default_rng(5)
     c = rng.standard_normal(s.shape[1]) + 1j * rng.standard_normal(s.shape[1])
     c /= np.linalg.norm(c)
-    got = s @ rk4_integrate(schrodinger_rhs(*pieces.sector, pulse), c, t_a, t_b, DT)
-    ref = oracles.dense_collocation(pieces, pulse, s @ c, t_a, t_b, DT)
+    got = s @ rk4_integrate(_sector_rhs(pieces, pulse), c, t_a, t_b, DT)
+    ref = oracles.dense_collocation(oracles.basis_operators(pieces.basis, 0.13150852670024232), pulse,
+                                    s @ c, t_a, t_b, DT)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
 # --- windowed pulse integration ----------------------------------------------
 
 def test_window_with_zero_kick_matches_free_evolution():
-    basis = TwoRotorBasis(2, 0)
-    pieces = build_pieces(basis, 0.5)
+    ops = oracles.basis_operators(TwoRotorBasis(2), 0.5)
     pulse = _single_pulse(kick=0.0)
-    c = initial_state(basis)
-    rhs = schrodinger_rhs(pieces.h0, pieces.coupling, basis.rotor_diagonal, pulse)
+    c = oracles.ground_state(ops)
+    rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
     stepped = rk4_integrate(rhs, c, 0.0, 0.2, 2e-4)
-    assert np.abs(stepped - _free(pieces.h0, c, 0.2)).max() < 1e-10
+    assert np.abs(stepped - _free(ops.h0, c, 0.2)).max() < 1e-10
 
 
 def test_window_step_halving_is_order_12():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
     # a four-fold kick keeps the finer error far above rounding
     pulse = _single_pulse(kick=4.0 * KICK)
-    c0 = basis.sector_isometry.T @ initial_state(basis)
+    c0 = initial_state(pieces.h0.shape[0])
     t_b = T0 + 5.0 * SIGMA
-    rhs = schrodinger_rhs(*pieces.sector, pulse)
+    rhs = _sector_rhs(pieces, pulse)
 
     def integrate(dt):
         return rk4_integrate(rhs, c0, 0.0, t_b, dt)
@@ -281,12 +282,12 @@ def test_window_step_halving_is_order_12():
 
 
 def test_window_integration_is_time_reversible():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
-    c0 = basis.sector_isometry.T @ initial_state(basis)
+    c0 = initial_state(pieces.h0.shape[0])
     t_b = T0 + 5.0 * SIGMA
-    ahead = schrodinger_rhs(*pieces.sector, pulse)
+    ahead = _sector_rhs(pieces, pulse)
     forward = rk4_integrate(ahead, c0, 0.0, t_b, DT)
 
     # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
@@ -297,7 +298,7 @@ def test_window_integration_is_time_reversible():
 
 
 def test_window_raises_on_norm_drift():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
     t_b = T0 + 5 * SIGMA
     with pytest.raises(StepSizeError, match="at t = 0.0586"):
@@ -314,8 +315,8 @@ def test_window_raises_on_norm_drift():
 
 def _spread_sector_state(l_max, seed=11):
     """A unit state of the symmetric sector with weight on every sector state."""
-    pieces = build_pieces(TwoRotorBasis(l_max, 0), 0.13150852670024232)
-    n_s = pieces.basis.sector_isometry.shape[1]
+    pieces = build_pieces(TwoRotorBasis(l_max), 0.13150852670024232)
+    n_s = pieces.h0.shape[0]
     rng = np.random.default_rng(seed)
     c = rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
     return pieces, c / np.linalg.norm(c)
@@ -323,9 +324,8 @@ def _spread_sector_state(l_max, seed=11):
 
 def test_rk4_with_zero_rates_is_expm_of_a_constant_h():
     pieces, c = _spread_sector_state(2)
-    h0_s, coupling_s, _ = pieces.sector
     # H frozen at a peak field value, with the rotor energies inside deriv
-    h = (h0_s + KICK * coupling_s).toarray()
+    h = (pieces.h0 + KICK * pieces.coupling).toarray()
     constant = RightHandSide(np.zeros_like, lambda f, y: -1j * (h @ y))
     t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.3137 * SIGMA
     got = rk4_integrate(constant, c, t_a, t_b, DT)
@@ -333,7 +333,7 @@ def test_rk4_with_zero_rates_is_expm_of_a_constant_h():
 
 
 def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
-    _, _, energies = build_pieces(TwoRotorBasis(8, 0), 0.13150852670024232).sector
+    energies = build_pieces(TwoRotorBasis(8), 0.13150852670024232).energies
     rhs = RightHandSide(np.zeros_like, lambda f, y: np.zeros_like(y), energies)
     c = np.full(energies.size, energies.size**-0.5, dtype=complex)
     t_a, t_b = T0 - 5.0 * SIGMA, T0 + 5.0 * SIGMA
@@ -344,7 +344,7 @@ def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
 def test_banded_window_step_halving_is_order_12():
     pieces, c = _spread_sector_state(2)
     pulse = _single_pulse(kick=4.0 * KICK)  # keeps the finer error far above rounding
-    rhs = schrodinger_rhs(*pieces.sector, pulse)
+    rhs = _sector_rhs(pieces, pulse)
     t_b = T0 + 5.0 * SIGMA
 
     def integrate(dt):
@@ -404,23 +404,23 @@ def test_step_plan_tiles_the_run_with_graded_steps(count, period, t0, t_end, dt,
                 assert h == dt * 2 ** sum(d > SIGMA * edge for edge in STEP_BAND_EDGES)
 
 
-def _classical_window_error(pieces, pulse, dt, y, t_a, t_b, sector=True):
+def _classical_window_error(ops, pulse, dt, y, t_a, t_b):
     """The banded collocation run at dt against uniform classical RK4 at
-    sigma / 400, the step and method it replaced."""
-    ops = pieces.sector if sector else (pieces.h0, pieces.coupling, pieces.basis.rotor_diagonal)
-    rhs = schrodinger_rhs(*ops, pulse)
+    sigma / 400, the step and method it replaced, with the H0, V and rotor
+    energies of ops: the pieces of a sector, or the operators of a basis."""
+    rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
     assert t_a == 0.0
     got = _step_to(rhs, pulse, y, t_b, dt)
     return np.abs(got - oracles.classical_rk4(rhs, y, t_a, t_b, pulse.sigma_red / 400.0)).max()
 
 
 def test_rotor_frame_bands_stay_within_1e10_of_classical_rk4():
-    # criterion 2's window: fig1a on the full l_max 2 basis, from the ground state
+    # criterion 2's window: fig1a on the l_max 2 basis, unfolded, from the ground state
     schedule, dipole, dt, _ = to_reduced(RunConfig())
     assert dt == schedule.sigma_red / 10.0
-    pieces = build_pieces(TwoRotorBasis(2, None), dipole)
+    ops = oracles.basis_operators(TwoRotorBasis(2), dipole)
     (t_a, t_b), = oracles.rk4_windows(step_plan(schedule, 10.0, dt))
-    err = _classical_window_error(pieces, schedule, dt, initial_state(pieces.basis), t_a, t_b, sector=False)
+    err = _classical_window_error(ops, schedule, dt, oracles.ground_state(ops), t_a, t_b)
     assert err <= 1e-10
     # every sector state at l_max 6 carries weight, up to rotor energy 84
     pieces, c = _spread_sector_state(6)
@@ -467,7 +467,7 @@ def test_step_plan_clips_and_drops_beyond_t_end():
 # --- full schedule -----------------------------------------------------------
 
 def test_run_schedule_validates_samples():
-    basis = TwoRotorBasis(1, 0)
+    basis = TwoRotorBasis(1)
     pieces = build_pieces(basis, 0.0)
     pulse = _single_pulse(kick=0.0)
     with pytest.raises(InvalidConfigError):
@@ -479,7 +479,7 @@ def test_run_schedule_validates_samples():
 
 
 def test_run_schedule_without_field_is_pure_free_evolution():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.5)
     pulse = _single_pulse(kick=0.0)
     samples = np.array([0.0, 0.5, 1.3])
@@ -487,13 +487,13 @@ def test_run_schedule_without_field_is_pure_free_evolution():
     assert step_plan(pulse, 1.3, DT) == [(0.0, 1.3, 0.0)]
     assert np.allclose(traj.norms, 1.0, atol=1e-12)
     assert np.ptp(traj.h0_expect) < 1e-12
-    free = _free(pieces.h0, initial_state(basis), 1.3)
+    free = basis.sector_isometry @ _free(pieces.h0, initial_state(pieces.h0.shape[0]), 1.3)
     assert np.abs(traj.psi_final - free).max() < 1e-12
 
 
 def test_run_schedule_matches_a_hand_composed_run():
     # free to the window edge, RK4 across it, free to the end
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
     t_end = 0.5
@@ -505,12 +505,11 @@ def test_run_schedule_matches_a_hand_composed_run():
 
     # composed in the symmetric sector, as run_schedule propagates
     s = basis.sector_isometry
-    h0_s, coupling_s, energies_s = pieces.sector
-    free = FreeEvolution(h0_s)
-    c = s.T @ initial_state(basis)
+    free = FreeEvolution(pieces.h0)
+    c = initial_state(pieces.h0.shape[0])
     if a > 0:
         c = free.advance(free.project(c), np.array([a]))[0]
-    c = _step_to(schrodinger_rhs(h0_s, coupling_s, energies_s, pulse), pulse, c, b, DT)
+    c = _step_to(_sector_rhs(pieces, pulse), pulse, c, b, DT)
     c = free.advance(free.project(c), np.array([t_end - b]))[0]
     assert np.abs(traj.psi_final - s @ c).max() < 1e-9
     assert traj.max_norm_drift < 1e-9
@@ -520,7 +519,7 @@ def test_run_schedule_matches_a_hand_composed_run():
 def test_run_schedule_advances_once_per_free_block_and_window_start(monkeypatch):
     # the closing free segment ends on the last sample, so it needs no extra
     # advance: psi_final is the last sector row the observers saw, unfolded
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pulse = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=0.5, carrier_omega=OMEGA)
     samples = np.arange(150) * 0.0113  # samples 1-41 free, 42-47 in the window, 48-149 free
     durations, rows = [], []
@@ -535,7 +534,7 @@ def test_run_schedule_advances_once_per_free_block_and_window_start(monkeypatch)
 
 
 def test_run_schedule_records_the_violating_sample_then_raises():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
     pulse = _single_pulse()
     seen = []
@@ -552,7 +551,7 @@ def test_run_schedule_records_the_violating_sample_then_raises():
 
 
 def test_run_schedule_stops_a_window_block_at_the_violating_sample():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
     seen = []
     samples = np.linspace(0.0, 0.05, 11)  # all inside the pulse window
@@ -574,7 +573,7 @@ def test_run_schedule_fails_at_the_first_sample_after_stalled_sweeps(monkeypatch
     # eight sweeps leave the pulse-core steps short of the sweep tolerance by
     # far less than the norm tolerance: the stall itself must end the run
     monkeypatch.setattr(propagation, "MAX_SWEEPS", 8)
-    pieces = build_pieces(TwoRotorBasis(2, 0), 0.13150852670024232)
+    pieces = build_pieces(TwoRotorBasis(2), 0.13150852670024232)
     seen, spans = [], []
     integrate = propagation.rk4_integrate
     monkeypatch.setattr(propagation, "rk4_integrate",
@@ -593,11 +592,11 @@ def test_run_schedule_fails_at_the_first_sample_after_stalled_sweeps(monkeypatch
 
 
 def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
-    psi = initial_state(basis)
+    psi = initial_state(pieces.h0.shape[0])
     psi[1] = np.nan
-    monkeypatch.setattr(propagation, "initial_state", lambda basis: psi)
+    monkeypatch.setattr(propagation, "initial_state", lambda n_s: psi)
     recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=()))
     with pytest.raises(StepSizeError, match="by nan at t = 0 "):
         run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0, 0.5, 1.0]),
@@ -608,7 +607,7 @@ def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
 
 
 def test_run_schedule_with_one_sample_records_only_the_start():
-    basis = TwoRotorBasis(2, 0)
+    basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
     recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=((0, 0, 0, 0),)))
     traj = run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0]),
@@ -616,17 +615,18 @@ def test_run_schedule_with_one_sample_records_only_the_start():
     assert step_plan(_single_pulse(), 0.0, DT) == []
     assert traj.norms.tolist() == [1.0]
     assert traj.max_norm_drift == 0.0
-    assert np.array_equal(traj.psi_final, initial_state(basis))
+    assert np.array_equal(traj.psi_final, np.eye(basis.size)[basis.index_of(0, 0, 0, 0)])
     assert recorder.column("t_ps").tolist() == [0.0]
     assert recorder.population_column((0, 0, 0, 0)).tolist() == [1.0]
 
 
-def _assert_matches_the_per_sample_loop(pieces, pulse, samples, watch):
+def _assert_matches_the_per_sample_loop(basis, pulse, samples, watch, dipole=0.13150852670024232):
     blocks = []
+    pieces = build_pieces(basis, dipole)
     recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=watch))
     traj = run_schedule(pieces, pulse, DT, TOL, samples,
                         observers=(recorder, lambda t, k, c: blocks.append(k.size)))
-    states, norms, h0_expect = oracles.per_sample_schedule(pieces, pulse, DT, samples)
+    states, norms, h0_expect = oracles.per_sample_schedule(oracles.basis_operators(basis, dipole), pulse, DT, samples)
     ref = oracles.per_sample_columns(pieces.basis, states, watch)
 
     def assert_close(got, want, what):
@@ -647,17 +647,14 @@ def _assert_matches_the_per_sample_loop(pieces, pulse, samples, watch):
 WATCH = ((0, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0))
 
 
-@pytest.mark.parametrize("total_m", [0, None])
-def test_block_run_of_a_single_pulse_matches_the_per_sample_loop(total_m):
-    basis = TwoRotorBasis(4 if total_m is not None else 2, total_m)
-    pieces = build_pieces(basis, 0.13150852670024232)
+@pytest.mark.parametrize("l_max", [2, 4])
+def test_block_run_of_a_single_pulse_matches_the_per_sample_loop(l_max):
     samples = np.arange(200) * 0.0113  # 0.5 ps steps, several free blocks
-    blocks = _assert_matches_the_per_sample_loop(pieces, _single_pulse(), samples, WATCH)
+    blocks = _assert_matches_the_per_sample_loop(TwoRotorBasis(l_max), _single_pulse(), samples, WATCH)
     assert len(blocks) >= 4
 
 
 def test_block_run_of_a_pulse_train_matches_the_per_sample_loop():
-    pieces = build_pieces(TwoRotorBasis(4, 0), 0.13150852670024232)
     train = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0,
                           carrier_omega=OMEGA, period_red=0.3, count=2)
     # dense enough that each window holds more than one block of samples
@@ -666,7 +663,7 @@ def test_block_run_of_a_pulse_train_matches_the_per_sample_loop():
     assert len(windows) == 2
     for a, b in windows:
         assert np.count_nonzero((samples > a) & (samples <= b)) > SAMPLE_BLOCK
-    _assert_matches_the_per_sample_loop(pieces, train, samples, WATCH)
+    _assert_matches_the_per_sample_loop(TwoRotorBasis(4), train, samples, WATCH)
 
 
 # --- run-length default ---------------------------------------------------------

@@ -139,9 +139,9 @@ def _sweep_contraction(cfg):
     """dt * rho(A) * |H| at the peak field: the rate at which the stage sweeps
     of a step of cfg's core dt, at the pulse center, contract."""
     schedule, dipole, dt, samples = to_reduced(cfg)
-    h0_s, coupling_s, energies_s = build_pieces(TwoRotorBasis(cfg.basis.l_max, 0), dipole).sector
+    pieces = build_pieces(TwoRotorBasis(cfg.basis.l_max), dipole)
     peak = np.abs(schedule.field_scalar(np.linspace(0.0, samples[-1], 200_001))).max()
-    generator = (h0_s - sparse.diags(energies_s) + peak * coupling_s).toarray()
+    generator = (pieces.h0 - sparse.diags(pieces.energies) + peak * pieces.coupling).toarray()
     return dt * np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() * np.abs(np.linalg.eigvalsh(generator)).max()
 
 
