@@ -16,31 +16,25 @@ from scipy import sparse
 from .exceptions import InvalidConfigError, QueryError
 
 
-def _one_rotor_lm(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """l and m of every one-rotor index l*l + l + m up to l_max, m from -l to l."""
-    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
-    return l, np.arange(l.size) - l * l - l
-
-
-def one_rotor_matrices(l_max: int) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Real CSR cos(theta) and s+ = sin(theta) e^{i phi} over the one-rotor
-    ordering l*l + l + m; s- = s+.T. Every nonzero couples l to l +- 1.
-    """
-    l, m = _one_rotor_lm(l_max - 1)  # every (l, m) with l < l_max
-    src = np.arange(l.size)
-    up = src + 2 * l + 2  # (l + 1, m)
+def _rise(l, m, dm: int):
+    """<l+1, m+dm|A|l, m> for |m| <= l, of the A in (cos, s+, s-) that moves m by dm = 0, 1, -1."""
     den = (2 * l + 1) * (2 * l + 3)
-    d = (l_max + 1) ** 2
+    if dm == 0:
+        return np.sqrt(((l + 1) ** 2 - m * m) / den)
+    return -dm * np.sqrt((l + dm * m + 1) * (l + dm * m + 2) / den)
 
-    def csr(vals, rows, cols):
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(d, d))
 
-    # <l+1, m| cos |l, m>; cos is symmetric
-    cos = csr(np.sqrt(((l + 1) ** 2 - m * m) / den), up, src)
-    # <l+1, m+1| s+ |l, m>, and <l+1, m-1| s- |l, m> = <l, m| s+ |l+1, m-1>
-    plus_up = csr(-np.sqrt((l + m + 1) * (l + m + 2) / den), up + 1, src)
-    minus_up = csr(np.sqrt((l - m + 1) * (l - m + 2) / den), up - 1, src)
-    return (cos + cos.T).tocsr(), (plus_up + minus_up.T).tocsr()
+def one_rotor_steps(l, m) -> dict:
+    """The steps of the real one-rotor cos(theta) and s+- = sin(theta) e^{+-i phi} from the states
+    |l, m> (integer arrays, |m| <= l), as {A: ((dl, dm, <l+dl, m+dm|A|l, m>), ...)}; every step moves
+    l by one. A down step is the up step of the adjoint (s+ <-> s-) that it reverses, taken from its
+    target, so s- = s+^T; where the target is no state (|m + dm| > l - 1) it is 0, not evaluated."""
+    steps = {}
+    for name, dm in (("cos", 0), ("s+", 1), ("s-", -1)):
+        down, lands = np.zeros(l.shape), np.abs(m + dm) < l
+        down[lands] = _rise(l[lands] - 1, m[lands] + dm, -dm)
+        steps[name] = ((1, dm, _rise(l, m, dm)), (-1, dm, down))
+    return steps
 
 
 class TwoRotorBasis:
@@ -58,13 +52,10 @@ class TwoRotorBasis:
         if l_max < 0:
             raise InvalidConfigError(f"l_max must be non-negative, got {l_max}")
         self.l_max = int(l_max)
-        d = self.d_single
-        l, m = _one_rotor_lm(self.l_max)
+        l = np.repeat(np.arange(self.l_max + 1), 2 * np.arange(self.l_max + 1) + 1)
+        m = np.arange(l.size) - l * l - l  # one-rotor index l*l + l + m, m from -l to l
         self.product_index = np.flatnonzero(np.add.outer(m, m) == 0)
-        # product index -> position in the basis, -1 off it
-        self._lookup = np.full(d * d, -1)
-        self._lookup[self.product_index] = np.arange(self.size)
-        self.mol1_single, self.mol2_single = np.divmod(self.product_index, d)
+        self.mol1_single, self.mol2_single = np.divmod(self.product_index, self.d_single)
         self.l1, self.m1 = l[self.mol1_single], m[self.mol1_single]
         self.l2, self.m2 = l[self.mol2_single], m[self.mol2_single]
         self.rotor_diagonal = (self.l1 * (self.l1 + 1) + self.l2 * (self.l2 + 1)).astype(float)
@@ -85,10 +76,9 @@ class TwoRotorBasis:
         rotors, phase (-1)^(m1+m2) = +1). Column j of S is the normalized sum of one
         orbit of {1, P12, sigma_v, P12 sigma_v}; |00;00> is its own orbit, column 0.
         """
-        d, a, b = self.d_single, self.mol1_single, self.mol2_single
-        # (l, -m) sits at l*l + l - m in the one-rotor ordering
-        ra, rb = a - 2 * self.m1, b - 2 * self.m2
-        images = self._lookup[np.stack([a * d + b, b * d + a, ra * d + rb, rb * d + ra])]
+        l1, m1, l2, m2 = self.l1, self.m1, self.l2, self.m2
+        images = np.stack([self.positions(*image) for image in
+                           ((l1, m1, l2, m2), (l2, m2, l1, m1), (l1, -m1, l2, -m2), (l2, -m2, l1, -m1))])
         column = np.unique(images.min(axis=0), return_inverse=True)[1]
         return column, 1.0 / np.sqrt(np.bincount(column)[column])
 
@@ -104,13 +94,18 @@ class TwoRotorBasis:
         entry [i, j] of block m is the state (m + i, m; m + j, -m), so the
         block is (l_max + 1 - m) square. The m < 0 blocks are not listed.
         """
-        d, l = self.d_single, np.arange(self.l_max + 1)
-        return tuple(self._lookup[np.add.outer((l[m:] ** 2 + l[m:] + m) * d, l[m:] ** 2 + l[m:] - m)]
-                     for m in range(self.l_max + 1))
+        l = np.arange(self.l_max + 1)
+        return tuple(self.positions(l[m:, None], m, l[m:], -m) for m in range(self.l_max + 1))
+
+    def positions(self, l1, m1, l2, m2) -> np.ndarray:
+        """Basis position of each state (l1, m1; l2, m2), the integer arrays broadcast together;
+        -1 where the state is off the basis: l < 0 or l > l_max, |m| > l, or m1 + m2 != 0."""
+        on = (np.abs(m1) <= l1) & (l1 <= self.l_max) & (np.abs(m2) <= l2) & (l2 <= self.l_max) & (m1 + m2 == 0)
+        key = (l1 * l1 + l1 + m1) * self.d_single + l2 * l2 + l2 + m2
+        return np.where(on, np.searchsorted(self.product_index, key), -1)
 
     def index_of(self, l1: int, m1: int, l2: int, m2: int) -> int:
-        if all(0 <= l <= self.l_max and abs(m) <= l for l, m in ((l1, m1), (l2, m2))):
-            pos = int(self._lookup[(l1 * l1 + l1 + m1) * self.d_single + l2 * l2 + l2 + m2])
-            if pos >= 0:
-                return pos
+        pos = int(self.positions(l1, m1, l2, m2))
+        if pos >= 0:
+            return pos
         raise QueryError(f"state ({l1},{m1};{l2},{m2}) is not in the basis (l_max={self.l_max}, M = 0)")

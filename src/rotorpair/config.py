@@ -24,8 +24,9 @@ ENTROPY_LOG_BASES = ("e", "2", "d_single")
 # Most samples one run may ask for; at 1e6 rows the CSV is about 200 MB.
 MAX_SAMPLES = 1_000_000
 # Largest basis.l_max. At 24 the symmetric sector has 2,925 states, so the
-# dense H0 block and its eigenvectors are 2,925^2 floats (65 MiB) each; the
-# sparse operators folded onto it span the 10,425 states of the M = 0 basis.
+# dense H0 block and its eigenvectors are 2,925^2 floats (65 MiB) each. That
+# sets the bound: the sparse operators, built on the 10,425 M = 0 states with
+# no product space behind them, take about 9 MiB to build.
 MAX_L_MAX = 24
 # Most pulses in one train; PulseSchedule.centers() holds one float per pulse.
 # The envelope sums only the pulses near the times it is asked for.

@@ -19,17 +19,24 @@ tensor product.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .angular import TwoRotorBasis, one_rotor_matrices
+from .angular import TwoRotorBasis, one_rotor_steps
 from .exceptions import ConsistencyError, InvalidConfigError
 
 # exp(-x^2) is exactly 0.0 in binary64 once x passes about 27.3, so pulses
 # farther than this many sigma from every requested time contribute nothing.
 ENVELOPE_REACH = 40.0
+
+
+# U_dip / dipole_strength and cos th1 + cos th2 as terms (c, A, B), each c * A x B with A on
+# rotor 1 and B on rotor 2 (one_rotor_steps symbols; None is the identity)
+DIPOLE_TERMS = ((-2.0, "cos", "cos"), (0.5, "s+", "s-"), (0.5, "s-", "s+"))
+COUPLING_TERMS = ((1.0, "cos", None), (1.0, None, "cos"))
 
 
 @dataclass(frozen=True)
@@ -74,34 +81,29 @@ def expectation(matrix: sparse.csr_matrix, coeffs: np.ndarray):
     return (coeffs.conj() * (matrix @ coeffs.T).T).sum(axis=-1)
 
 
-def _lift(basis: TwoRotorBasis, product_op: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Restrict a CSR operator on the d_single^2 product space to the basis states."""
-    idx = basis.product_index
-    op = product_op[idx][:, idx].astype(np.complex128)
-    op.eliminate_zeros()
-    return op
-
-
-def build_rotor_term(basis: TwoRotorBasis) -> sparse.csr_matrix:
-    """Diagonal l1(l1+1) + l2(l2+1) in units of B."""
-    return sparse.diags(basis.rotor_diagonal.astype(np.complex128), 0, format="csr")
-
-
-def build_dipole_term(basis: TwoRotorBasis, dipole_strength: float, one_rotor=None) -> sparse.csr_matrix:
-    """The z-axis dipole-dipole coupling; couples dl = +-1 on both rotors (one_rotor_matrices if not given)."""
+def basis_operators(basis: TwoRotorBasis, dipole_strength: float) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """H0 = rotor + dipole_strength * DIPOLE_TERMS and V = COUPLING_TERMS over the basis, as real CSR: a term
+    c * A x B adds c * a * b for each step pair of one_rotor_steps (a of A on rotor 1, b of B on rotor 2) from
+    each basis state onto each basis state it reaches. A step pair that moves m1 + m2 raises ConsistencyError."""
     if dipole_strength < 0:
         raise InvalidConfigError(f"dipole_strength must be non-negative, got {dipole_strength}")
-    cos, s_plus = one_rotor or one_rotor_matrices(basis.l_max)
-    s_minus = s_plus.T
-    exchange = sparse.kron(s_plus, s_minus, format="csr") + sparse.kron(s_minus, s_plus, format="csr")
-    return _lift(basis, (0.5 * dipole_strength) * exchange
-                 + (-2.0 * dipole_strength) * sparse.kron(cos, cos, format="csr"))
+    l1, m1, l2, m2 = basis.l1, basis.m1, basis.l2, basis.m2
+    steps1, steps2 = ({**one_rotor_steps(l, m), None: ((0, 0, 1.0),)} for l, m in ((l1, m1), (l2, m2)))
 
+    def assemble(terms, strength: float) -> sparse.csr_matrix:
+        rows, vals = [], []
+        for c, a, b in terms:
+            for (dl1, dm1, v1), (dl2, dm2, v2) in itertools.product(steps1[a], steps2[b]):
+                if dm1 + dm2:
+                    raise ConsistencyError(f"{a} x {b} moves m1 + m2 by {dm1 + dm2}; the M = 0 basis cannot hold it")
+                rows.append(basis.positions(l1 + dl1, m1 + dm1, l2 + dl2, m2 + dm2))
+                vals.append(c * strength * (v1 * v2))
+        rows, vals = np.concatenate(rows), np.concatenate(vals)
+        cols, lands = np.resize(np.arange(basis.size), rows.size), rows >= 0
+        return sparse.csr_matrix((vals[lands], (rows[lands], cols[lands])), shape=(basis.size, basis.size))
 
-def build_orientation_coupling(basis: TwoRotorBasis, one_rotor=None) -> sparse.csr_matrix:
-    """cos(theta1) + cos(theta2), the Kronecker sum of the one-rotor cos with itself: the laser couples to it."""
-    cos, _ = one_rotor or one_rotor_matrices(basis.l_max)
-    return _lift(basis, sparse.kronsum(cos, cos, format="csr"))
+    h0 = sparse.diags(basis.rotor_diagonal, format="csr") + assemble(DIPOLE_TERMS, dipole_strength)
+    return h0, assemble(COUPLING_TERMS, 1.0)
 
 
 def fold_to_sector(basis: TwoRotorBasis, name: str, op: sparse.csr_matrix, tol: float) -> sparse.csr_matrix:
@@ -132,12 +134,11 @@ class HamiltonianPieces:
 
 
 def build_pieces(basis: TwoRotorBasis, dipole_strength: float) -> HamiltonianPieces:
-    """Build H0 and V over the basis from one set of one-rotor matrices, and fold each onto the sector."""
-    one_rotor = one_rotor_matrices(basis.l_max)
-    h0 = (build_rotor_term(basis) + build_dipole_term(basis, dipole_strength, one_rotor)).tocsr()
+    """Build H0 and V over the basis (basis_operators), and fold each onto the sector."""
+    h0, coupling = basis_operators(basis, dipole_strength)
     tol = 1e-12 * max(1.0, abs(h0).max())
     s = basis.sector_isometry
     # each column of S mixes states of one rotor energy; H0_s's diagonal also has a dipole part
     return HamiltonianPieces(basis, fold_to_sector(basis, "H0", h0, tol),
-                             fold_to_sector(basis, "V", build_orientation_coupling(basis, one_rotor), tol),
+                             fold_to_sector(basis, "V", coupling, tol),
                              s.multiply(s).T @ basis.rotor_diagonal)

@@ -23,10 +23,11 @@ import numpy as np
 from scipy import sparse
 from scipy.special import sph_harm_y
 
-from rotorpair.angular import one_rotor_matrices
+from rotorpair import operators
+from rotorpair.angular import one_rotor_steps
 from rotorpair.exceptions import StepSizeError
 from rotorpair.observables import COLUMNS
-from rotorpair.operators import build_dipole_term, build_orientation_coupling, build_rotor_term, expectation
+from rotorpair.operators import expectation
 from rotorpair.propagation import (
     GAUSS_MATRIX,
     GAUSS_NODES,
@@ -129,6 +130,22 @@ def single_rotor_matrix(symbol: str, l_max: int,
     return np.conj(flat) @ (weighted[None, :] * flat).T
 
 
+def one_rotor_dense(l_max: int) -> dict[str, np.ndarray]:
+    """The package's cos, s+ and s- as dense matrices over the one-rotor states
+    l <= l_max in the l*l+l+m ordering, each entry written from one step of
+    one_rotor_steps; steps that leave l <= l_max are dropped."""
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    m = np.arange(l.size) - l * l - l
+    dense = {}
+    for symbol, steps in one_rotor_steps(l, m).items():
+        dense[symbol] = np.zeros((l.size, l.size))
+        for dl, dm, value in steps:
+            to_l, to_m = l + dl, m + dm
+            lands = (np.abs(to_m) <= to_l) & (to_l <= l_max)
+            dense[symbol][(to_l * to_l + to_l + to_m)[lands], np.flatnonzero(lands)] = value[lands]
+    return dense
+
+
 def two_rotor_dipole(dipole_strength: float, l_max: int) -> np.ndarray:
     """Dense dipole-dipole operator on the full product basis.
 
@@ -188,11 +205,9 @@ class BasisOperators(NamedTuple):
 
 
 def basis_operators(basis, dipole_strength: float) -> BasisOperators:
-    """The package's closed-form H0 = rotor + dipole and V over the M = 0 basis,
-    before build_pieces folds them onto the symmetric sector."""
-    one_rotor = one_rotor_matrices(basis.l_max)
-    h0 = (build_rotor_term(basis) + build_dipole_term(basis, dipole_strength, one_rotor)).tocsr()
-    return BasisOperators(h0, build_orientation_coupling(basis, one_rotor), basis.rotor_diagonal)
+    """The package's closed-form H0 = rotor + dipole and V over the M = 0 basis
+    (operators.basis_operators), before build_pieces folds them onto the symmetric sector."""
+    return BasisOperators(*operators.basis_operators(basis, dipole_strength), basis.rotor_diagonal)
 
 
 def product_operators(l_max: int, dipole_strength: float) -> BasisOperators:

@@ -1,14 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from rotorpair.angular import TwoRotorBasis, one_rotor_matrices
+from rotorpair.angular import TwoRotorBasis, one_rotor_steps
 from rotorpair.exceptions import InvalidConfigError, QueryError
 
-COS, S_PLUS = one_rotor_matrices(5)
-S_MINUS = S_PLUS.T
+COS, S_PLUS, S_MINUS = (oracles.one_rotor_dense(5)[symbol] for symbol in ("cos", "s+", "s-"))
 
 
 def _element(matrix, l_to, m_to, l_from, m_from):
@@ -52,7 +52,7 @@ def test_costheta_selection_rules():
 
 def test_costheta_is_symmetric():
     assert COS.shape == (36, 36) and COS.dtype == np.float64
-    assert (COS != COS.T).nnz == 0
+    assert np.array_equal(COS, COS.T)
 
 
 # --- sin(theta) e^{+-i phi} -------------------------------------------------
@@ -88,9 +88,27 @@ def test_sintheta_selection_rules_and_sign_argument():
 def test_sintheta_adjointness():
     # <a| s+ |b> = conj(<b| s- |a>); everything is real in this convention,
     # so the package's s- = s+.T must be the quadrature s-
-    assert S_PLUS.dtype == np.float64
+    assert S_PLUS.dtype == np.float64 and np.array_equal(S_MINUS, S_PLUS.T)
     quad = oracles.single_rotor_matrix("s-", 3)
-    assert np.abs(one_rotor_matrices(3)[1].T.toarray() - quad).max() < 1e-10
+    assert np.abs(oracles.one_rotor_dense(3)["s-"] - quad).max() < 1e-10
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 5, 12])
+def test_every_step_value_is_evaluated_inside_its_domain(l_max):
+    l = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    m = np.arange(l.size) - l * l - l
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        steps = one_rotor_steps(l, m)
+    assert sorted(steps) == ["cos", "s+", "s-"]
+    for symbol, dm in (("cos", 0), ("s+", 1), ("s-", -1)):
+        assert [(dl, step_dm) for dl, step_dm, _ in steps[symbol]] == [(1, dm), (-1, dm)]
+        for dl, _, value in steps[symbol]:
+            assert value.shape == l.shape and np.all(np.isfinite(value))
+            # a step onto no state is +0.0: at l = 0 the closed form of a down step would read sqrt(0/-1) = -0.0
+            off = np.abs(m + dm) > l + dl
+            assert np.all(value[off] == 0.0) and not np.any(np.signbit(value[off]))
+            assert np.all(value[~off] != 0.0)
 
 
 # --- two-rotor basis --------------------------------------------------------
@@ -200,6 +218,25 @@ def test_basis_matches_an_explicit_enumeration(l_max, total_m):
                   (1, 2, 0, 0), (l_max, 1, l_max, 0)):
         with pytest.raises(QueryError, match="is not in the basis"):
             basis.index_of(*query)
+
+
+@pytest.mark.parametrize("l_max", range(7))
+def test_positions_match_an_explicit_enumeration(l_max):
+    # every (l1, m1; l2, m2) with l from -2 to l_max + 1 and |m| <= |l| + 1: l < 0, l > l_max, |m| > l and M != 0
+    # are all in it, and each of those is off the basis
+    states = _enumerated(l_max)
+    span = [(l, m) for l in range(-2, l_max + 2) for m in range(-abs(l) - 1, abs(l) + 2)]
+    queries = [(l1, m1, l2, m2) for l1, m1 in span for l2, m2 in span]
+    position = {state: k for k, state in enumerate(states)}
+    expected = [position.get(q, -1) for q in queries]
+    assert expected.count(-1) == len(queries) - len(states)
+    basis = TwoRotorBasis(l_max)
+    got = basis.positions(*np.array(queries).T)
+    assert got.shape == (len(queries),) and got.tolist() == expected
+    # broadcast: a column of rotor-1 states against a row of rotor-2 states
+    l, m = np.array(span).T
+    grid = basis.positions(l[:, None], m[:, None], l, -m)
+    assert grid.tolist() == [[position.get((a, b, c, -d), -1) for c, d in span] for a, b in span]
 
 
 def test_basis_rejects_bad_parameters():

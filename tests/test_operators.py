@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 from rotorpair import operators
@@ -11,10 +13,8 @@ from rotorpair.exceptions import ConsistencyError, InvalidConfigError
 from rotorpair.operators import (
     HamiltonianPieces,
     PulseSchedule,
-    build_dipole_term,
-    build_orientation_coupling,
+    basis_operators,
     build_pieces,
-    build_rotor_term,
     expectation,
 )
 
@@ -108,9 +108,14 @@ def test_the_field_of_a_long_train_allocates_little():
 
 # --- operator construction ---------------------------------------------------
 
+def _dipole(basis, d):
+    """The dipole term over the basis: H0 less its rotor diagonal."""
+    return basis_operators(basis, d)[0] - sparse.diags(basis.rotor_diagonal)
+
+
 def test_rotor_term_is_the_l_squared_diagonal():
     basis = TwoRotorBasis(2)
-    rotor = build_rotor_term(basis)
+    rotor = basis_operators(basis, 0.0)[0]
     dense = rotor.toarray()
     assert np.allclose(np.diag(dense), basis.rotor_diagonal)
     assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
@@ -120,7 +125,7 @@ def test_rotor_term_is_the_l_squared_diagonal():
 def test_dipole_term_frozen_elements():
     basis = TwoRotorBasis(2)
     d = 0.7
-    u = build_dipole_term(basis, d).toarray()
+    u = _dipole(basis, d).toarray()
     g = basis.index_of(0, 0, 0, 0)
     # head-to-tail alignment channel
     assert u[g, basis.index_of(1, 0, 1, 0)] == pytest.approx(-2.0 * d / 3.0, rel=1e-13)
@@ -131,47 +136,37 @@ def test_dipole_term_frozen_elements():
 
 def test_dipole_term_is_hermitian_and_scales_linearly():
     basis = TwoRotorBasis(3)
-    u1 = build_dipole_term(basis, 1.0).toarray()
-    u2 = build_dipole_term(basis, 2.0).toarray()
+    u1 = _dipole(basis, 1.0).toarray()
+    u2 = _dipole(basis, 2.0).toarray()
     assert np.abs(u1 - u1.conj().T).max() == 0.0
     assert np.allclose(u2, 2.0 * u1)
 
 
-def _product_space_operators(monkeypatch, l_max):
-    """The package's d_single^2 Kronecker operators (coupling, then dipole at
-    d = 0.1315 and 0.7), as each build function hands them to the lift onto a basis."""
-    seen, lift = [], operators._lift
-    monkeypatch.setattr(operators, "_lift", lambda basis, op: seen.append(op) or lift(basis, op))
-    basis = TwoRotorBasis(l_max)
-    build_orientation_coupling(basis)
-    for d in (0.1315, 0.7):
-        build_dipole_term(basis, d)
-    return seen
-
-
 @pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5])
-def test_the_product_space_operators_conserve_total_m(monkeypatch, l_max):
-    # the lift onto the M = 0 basis drops every entry that joins M = 0 to M != 0 without a sound,
-    # so the conservation is checked before it, on the package's and on the quadrature operators
+def test_the_operators_conserve_total_m(monkeypatch, l_max):
+    # above its rounding, every entry of the quadrature operators over the whole product space joins equal M
     total_m = oracles.product_total_m(l_max)
-    package = _product_space_operators(monkeypatch, l_max)
     quadrature = [oracles.two_rotor_coupling(l_max)] + [oracles.two_rotor_dipole(d, l_max) for d in (0.1315, 0.7)]
-    assert len(package) == len(quadrature) == 3
-    for op, ref in zip(package, quadrature):
-        assert op.shape == ref.shape == (total_m.size, total_m.size)
-        rows, cols = op.nonzero()
-        assert rows.size and np.array_equal(total_m[rows], total_m[cols])
-        # above its rounding, every quadrature entry joins equal M as well
+    for ref in quadrature:
+        assert ref.shape == (total_m.size, total_m.size)
         rows, cols = np.nonzero(np.abs(ref) > 1e-12 * np.abs(ref).max())
         assert rows.size and np.array_equal(total_m[rows], total_m[cols])
-        assert np.abs(op.toarray() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+    # the package builds on the M = 0 basis alone, so a term that moves M is refused, not dropped
+    basis = TwoRotorBasis(l_max)
+    basis_operators(basis, 0.7)
+    monkeypatch.setattr(operators, "DIPOLE_TERMS", operators.DIPOLE_TERMS + ((0.5, "s+", "s+"),))
+    with pytest.raises(ConsistencyError, match=r"s\+ x s\+ moves m1 \+ m2 by 2"):
+        basis_operators(basis, 0.7)
+    with pytest.raises(ConsistencyError, match="moves m1"):
+        build_pieces(basis, 0.0)
 
 
 def test_dipole_term_edge_cases():
     basis = TwoRotorBasis(2)
-    assert build_dipole_term(basis, 0.0).nnz == 0
+    assert _dipole(basis, 0.0).nnz == 0
+    assert basis_operators(basis, 0.0)[0].nnz == basis.size - 1  # the rotor energies but that of |00;00>
     with pytest.raises(InvalidConfigError):
-        build_dipole_term(basis, -0.5)
+        basis_operators(basis, -0.5)
 
 
 def test_orientation_coupling_is_the_sum_of_both_molecules():
@@ -181,21 +176,22 @@ def test_orientation_coupling_is_the_sum_of_both_molecules():
     # each half acts on one molecule
     assert c1[one, g] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14) and abs(c1[two, g]) < 1e-15
     assert c2[two, g] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14) and abs(c2[one, g]) < 1e-15
-    both = build_orientation_coupling(basis).toarray()
+    both = basis_operators(basis, 0.0)[1].toarray()
     assert np.abs(both - (c1 + c2)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("l_max", [1, 2, 3, 4, 5])
 def test_operators_match_the_quadrature_kronecker_oracle(l_max):
     basis = TwoRotorBasis(l_max)
-    built = [(build_orientation_coupling(basis), oracles.two_rotor_coupling(l_max))]
-    built += [(build_dipole_term(basis, d), oracles.two_rotor_dipole(d, l_max))
-              for d in (0.0, 0.1315, 0.7)]
+    built = [(basis_operators(basis, 0.0)[1], oracles.two_rotor_coupling(l_max))]
+    built += [(_dipole(basis, d).tocsr(), oracles.two_rotor_dipole(d, l_max)) for d in (0.0, 0.1315, 0.7)]
+    built += [(basis_operators(basis, 0.1315)[0],
+               np.diag(oracles.two_rotor_free_diagonal(l_max)) + oracles.two_rotor_dipole(0.1315, l_max))]
     for op, full in built:
         ref = oracles.restrict(full, basis)
-        assert op.format == "csr" and op.dtype == np.complex128
+        assert op.format == "csr" and op.dtype == np.float64
         assert np.abs(op.toarray() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
-        assert np.all(op.data != 0)
+    assert all(np.all(op.data != 0) for op in basis_operators(basis, 0.1315))
     # the pieces are the same operators folded onto the sector: S^T (rotor + dipole) S and S^T V S
     s, pieces = basis.sector_isometry, build_pieces(basis, 0.1315)
     h0 = np.diag(oracles.two_rotor_free_diagonal(l_max)) + oracles.two_rotor_dipole(0.1315, l_max)
@@ -204,9 +200,26 @@ def test_operators_match_the_quadrature_kronecker_oracle(l_max):
         assert op_s.format == "csr" and np.abs(op_s.toarray() - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
+@pytest.mark.parametrize("l_max", range(13))
+def test_build_pieces_warns_of_nothing(l_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_pieces(TwoRotorBasis(l_max), 0.444)
+
+
+def test_build_pieces_allocates_little():
+    tracemalloc.start()
+    try:
+        build_pieces(TwoRotorBasis(24), 0.1315)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # the Kronecker products of the one-rotor matrices took 131 MiB
+
+
 def test_operator_matrix_expectation():
     basis = TwoRotorBasis(1)
-    rotor = build_rotor_term(basis)
+    rotor = basis_operators(basis, 0.0)[0]
     c = np.zeros(basis.size, dtype=complex)
     c[basis.index_of(1, 0, 1, 0)] = 1.0
     assert expectation(rotor, c) == pytest.approx(4.0)
@@ -220,9 +233,9 @@ def test_pieces_are_the_sector_folds_of_rotor_plus_dipole_and_the_coupling():
     basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.3)
     s = basis.sector_isometry
-    h0 = build_rotor_term(basis) + build_dipole_term(basis, 0.3)
+    h0, coupling = basis_operators(basis, 0.3)
     assert np.allclose(pieces.h0.toarray(), (s.T @ h0 @ s).toarray(), atol=0.0)
-    assert np.allclose(pieces.coupling.toarray(), (s.T @ build_orientation_coupling(basis) @ s).toarray(), atol=0.0)
+    assert np.allclose(pieces.coupling.toarray(), (s.T @ coupling @ s).toarray(), atol=0.0)
     assert pieces.h0.format == "csr" and pieces.coupling.format == "csr"
     # a sector state mixes basis states of one rotor energy
     column, _ = basis.sector_gather
@@ -256,7 +269,7 @@ def test_hamiltonian_at_combines_the_pieces():
     s = _schedule()
     t = 0.052
     h = oracles.hamiltonian_at(t, ops, s).toarray()
-    expected = (build_rotor_term(basis) + build_dipole_term(basis, 0.3)
-                + s.field_scalar(t) * build_orientation_coupling(basis)).toarray()
+    h0, coupling = basis_operators(basis, 0.3)
+    expected = (h0 + s.field_scalar(t) * coupling).toarray()
     assert np.allclose(h, expected, atol=1e-15)
     assert np.abs(h - h.conj().T).max() < 1e-14

@@ -15,7 +15,7 @@ from oracles import (
     two_rotor_dipole,
     two_rotor_free_diagonal,
 )
-from rotorpair.angular import TwoRotorBasis, one_rotor_matrices
+from rotorpair.angular import TwoRotorBasis
 
 
 def test_stored_harmonics_are_orthonormal():
@@ -102,7 +102,7 @@ def test_dense_propagation_converges_at_second_order():
 def test_single_rotor_matrix_matches_closed_forms():
     l_max = 3
     mat = single_rotor_matrix("cos", l_max)
-    closed = one_rotor_matrices(l_max)[0].toarray()
+    closed = oracles.one_rotor_dense(l_max)["cos"]
     assert np.abs(mat.imag).max() < 1e-13
     assert np.abs(mat.real - closed).max() < 1e-10
 

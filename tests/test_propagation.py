@@ -150,7 +150,7 @@ def test_free_block_rows_match_one_advance_each():
 
 def test_free_evolution_rejects_a_complex_h0():
     pieces = build_pieces(TwoRotorBasis(1), 0.0)
-    skewed = pieces.h0.copy()
+    skewed = pieces.h0.astype(np.complex128)  # the pieces are real
     skewed.data[0] += 1e-3j
     with pytest.raises(ConsistencyError, match="imaginary"):
         FreeEvolution(skewed)
