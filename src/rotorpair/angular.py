@@ -11,7 +11,6 @@ from functools import cached_property
 from numbers import Integral
 
 import numpy as np
-from scipy import sparse
 
 from .exceptions import InvalidConfigError, QueryError
 
@@ -40,10 +39,10 @@ def one_rotor_steps(l, m) -> dict:
 class TwoRotorBasis:
     """The M = 0 product states |Y_l1m1>|Y_l2m2>, m1 + m2 = 0, truncated at a shared l_max.
 
-    A basis is its ascending product_index array: state k is the product
-    index mol1_single * d_single + mol2_single of the two one-rotor indices
-    l*l + l + m. That is lexicographic (l1, m1, l2, m2) order with m running
-    from -l to l.
+    The states are listed in lexicographic (l1, m1, l2, m2) order, m from -l
+    to l: each one-rotor state (l1, m1), in its index order l*l + l + m, is
+    followed by its partners l2 = |m1|..l_max, m2 = -m1, which start at
+    position offset[l1*l1 + l1 + m1].
     """
 
     def __init__(self, l_max: int):
@@ -54,15 +53,16 @@ class TwoRotorBasis:
         self.l_max = int(l_max)
         l = np.repeat(np.arange(self.l_max + 1), 2 * np.arange(self.l_max + 1) + 1)
         m = np.arange(l.size) - l * l - l  # one-rotor index l*l + l + m, m from -l to l
-        self.product_index = np.flatnonzero(np.add.outer(m, m) == 0)
-        self.mol1_single, self.mol2_single = np.divmod(self.product_index, self.d_single)
-        self.l1, self.m1 = l[self.mol1_single], m[self.mol1_single]
-        self.l2, self.m2 = l[self.mol2_single], m[self.mol2_single]
+        partners = self.l_max + 1 - np.abs(m)
+        self.offset = np.cumsum(partners) - partners
+        single = np.repeat(np.arange(l.size), partners)
+        self.l1, self.m1 = l[single], m[single]
+        self.l2, self.m2 = np.arange(single.size) - self.offset[single] + np.abs(self.m1), -self.m1
         self.rotor_diagonal = (self.l1 * (self.l1 + 1) + self.l2 * (self.l2 + 1)).astype(float)
 
     @property
     def size(self) -> int:
-        return self.product_index.size
+        return self.l1.size
 
     @property
     def d_single(self) -> int:
@@ -83,12 +83,6 @@ class TwoRotorBasis:
         return column, 1.0 / np.sqrt(np.bincount(column)[column])
 
     @cached_property
-    def sector_isometry(self) -> sparse.csr_matrix:
-        """The sector isometry S (size x n_s) of sector_gather, as CSR."""
-        column, weight = self.sector_gather
-        return sparse.csr_matrix((weight, (np.arange(self.size), column)), shape=(self.size, column.max() + 1))
-
-    @cached_property
     def schmidt_blocks(self) -> tuple[np.ndarray, ...]:
         """Basis positions of the M = 0 Schmidt matrix's blocks, m = 0..l_max:
         entry [i, j] of block m is the state (m + i, m; m + j, -m), so the
@@ -101,8 +95,8 @@ class TwoRotorBasis:
         """Basis position of each state (l1, m1; l2, m2), the integer arrays broadcast together;
         -1 where the state is off the basis: l < 0 or l > l_max, |m| > l, or m1 + m2 != 0."""
         on = (np.abs(m1) <= l1) & (l1 <= self.l_max) & (np.abs(m2) <= l2) & (l2 <= self.l_max) & (m1 + m2 == 0)
-        key = (l1 * l1 + l1 + m1) * self.d_single + l2 * l2 + l2 + m2
-        return np.where(on, np.searchsorted(self.product_index, key), -1)
+        start = self.offset[np.where(on, l1 * l1 + l1 + m1, 0)]
+        return np.where(on, start + l2 - np.abs(m1), -1)
 
     def index_of(self, l1: int, m1: int, l2: int, m2: int) -> int:
         pos = int(self.positions(l1, m1, l2, m2))

@@ -107,9 +107,10 @@ def basis_operators(basis: TwoRotorBasis, dipole_strength: float) -> tuple[spars
 
 
 def fold_to_sector(basis: TwoRotorBasis, name: str, op: sparse.csr_matrix, tol: float) -> sparse.csr_matrix:
-    """S^T A S of a basis operator A for the basis's sector isometry S, after
+    """S^T A S of a basis operator A for the sector isometry S of basis.sector_gather, after
     checking that A maps range(S) into itself: max|A S - S (S^T A S)| <= tol."""
-    s = basis.sector_isometry
+    column, weight = basis.sector_gather
+    s = sparse.csr_matrix((weight, (np.arange(basis.size), column)), shape=(basis.size, column.max() + 1))
     op_s = (s.T @ op @ s).tocsr()
     leak = abs(op @ s - s @ op_s).max()
     if not leak <= tol:
@@ -128,7 +129,7 @@ class HamiltonianPieces:
     energies: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = {self.h0.shape[0], self.coupling.shape[0], self.energies.size, self.basis.sector_isometry.shape[1]}
+        dims = {self.h0.shape[0], self.coupling.shape[0], self.energies.size, self.basis.sector_gather[0].max() + 1}
         if len(dims) != 1:
             raise ConsistencyError(f"Hamiltonian pieces have mismatched dimensions: {sorted(dims)}")
 
@@ -137,8 +138,8 @@ def build_pieces(basis: TwoRotorBasis, dipole_strength: float) -> HamiltonianPie
     """Build H0 and V over the basis (basis_operators), and fold each onto the sector."""
     h0, coupling = basis_operators(basis, dipole_strength)
     tol = 1e-12 * max(1.0, abs(h0).max())
-    s = basis.sector_isometry
+    column, weight = basis.sector_gather
     # each column of S mixes states of one rotor energy; H0_s's diagonal also has a dipole part
     return HamiltonianPieces(basis, fold_to_sector(basis, "H0", h0, tol),
                              fold_to_sector(basis, "V", coupling, tol),
-                             s.multiply(s).T @ basis.rotor_diagonal)
+                             np.bincount(column, weight * weight * basis.rotor_diagonal))

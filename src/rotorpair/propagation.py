@@ -1,7 +1,7 @@
 """Time propagation of i dc/dt = H(t) c.
 
-The state is propagated, and observed, in the symmetric sector of
-TwoRotorBasis.sector_isometry, which H(t) leaves invariant (checked, not
+The state is propagated, and observed, in the symmetric sector S of
+TwoRotorBasis.sector_gather, which H(t) leaves invariant (checked, not
 assumed, when build_pieces folds H0 and V); only the final state is unfolded.
 
 step_plan cuts [0, t_end] once per run into segments, wherever the
@@ -42,8 +42,9 @@ GAUSS_MATRIX = 0.5 * legendre.legval(_x, legendre.legint(
 SWEEP_TOLERANCE = 1e-15
 MAX_SWEEPS = 30
 
-# Most samples handed to the observers at once: keeps each K x n complex
-# block under 1 MB at n = 891 (l_max = 10).
+# Most samples handed to the observers at once: each K x n_s complex block
+# of sector rows stays under 1 MB up to n_s = 969 (l_max = 16; n_s = 286
+# at l_max = 10), and the observers' per-call work is shared by 64 samples.
 SAMPLE_BLOCK = 64
 
 
@@ -176,7 +177,7 @@ def step_plan(pulse: PulseSchedule, t_end: float, dt: float) -> list[tuple[float
     edges = pulse.sigma_red * np.array(STEP_BAND_EDGES)
     centers = pulse.centers() if pulse.kick_strength != 0.0 else np.empty(0)
     centers = centers[slice(*np.searchsorted(centers, [-edges[-1], t_end + edges[-1]]))]
-    cuts = np.add.outer(centers, np.concatenate([-edges, edges])).ravel()
+    cuts = (centers[:, None] + np.concatenate([-edges, edges])).ravel()
     bounds = np.unique(np.concatenate([[0.0, t_end], cuts[(cuts > 0.0) & (cuts < t_end)]]))
     mids = 0.5 * (bounds[:-1] + bounds[1:])
     fenced = np.concatenate([[-np.inf], centers, [np.inf]])

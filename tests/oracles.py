@@ -176,9 +176,29 @@ def two_rotor_free_diagonal(l_max: int) -> np.ndarray:
     return (e[:, None] + e[None, :]).ravel()
 
 
+def one_rotor_indices(basis) -> tuple[np.ndarray, np.ndarray]:
+    """The one-rotor index l*l + l + m of rotor 1 and of rotor 2 in every basis state."""
+    return basis.l1 * basis.l1 + basis.l1 + basis.m1, basis.l2 * basis.l2 + basis.l2 + basis.m2
+
+
+def product_index(basis) -> np.ndarray:
+    """Every basis state's index single1 * d_single + single2 in the d_single^2 product space
+    (Kronecker order) of its one-rotor indices."""
+    single1, single2 = one_rotor_indices(basis)
+    return single1 * basis.d_single + single2
+
+
+def sector_isometry(basis) -> sparse.csr_matrix:
+    """The real sector isometry S (size x n_s) of basis.sector_gather, as CSR:
+    row r holds weight[r] in column column[r]."""
+    column, weight = basis.sector_gather
+    return sparse.csr_matrix((weight, (np.arange(basis.size), column)), shape=(basis.size, column.max() + 1))
+
+
 def restrict(full_matrix: np.ndarray, basis) -> np.ndarray:
     """Cut a full-product-basis matrix down to a TwoRotorBasis block."""
-    return full_matrix[np.ix_(basis.product_index, basis.product_index)]
+    index = product_index(basis)
+    return full_matrix[np.ix_(index, index)]
 
 
 def orientation_pair(basis) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +353,7 @@ def coefficient_matrix(basis, coeffs: np.ndarray) -> np.ndarray:
     """Scatter the coefficient vector into the full d_single x d_single matrix C."""
     d = basis.d_single
     c = np.zeros((d, d), dtype=np.complex128)
-    c[basis.mol1_single, basis.mol2_single] = coeffs
+    c[one_rotor_indices(basis)] = coeffs
     return c
 
 

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import rotorpair
 from rotorpair.angular import TwoRotorBasis, one_rotor_steps
 from rotorpair.exceptions import InvalidConfigError, QueryError
 
@@ -134,7 +140,7 @@ def test_basis_is_lexicographic():
         (1, 0, 1, 0),
         (1, 1, 1, -1),
     ]
-    assert basis.product_index.tolist() == [0, 2, 7, 8, 10, 13]
+    assert oracles.product_index(basis).tolist() == [0, 2, 7, 8, 10, 13]
     for k, state in enumerate(_states(basis)):
         assert basis.index_of(*state) == k
 
@@ -155,10 +161,12 @@ def test_basis_membership_queries():
 
 def test_basis_arrays_match_the_state_list():
     basis = TwoRotorBasis(3)
+    single1, single2 = oracles.one_rotor_indices(basis)
+    index = oracles.product_index(basis)
     for k, (l1, m1, l2, m2) in enumerate(_states(basis)):
-        assert basis.mol1_single[k] == l1 * l1 + l1 + m1
-        assert basis.mol2_single[k] == l2 * l2 + l2 + m2
-        assert basis.product_index[k] == basis.mol1_single[k] * 16 + basis.mol2_single[k]
+        assert single1[k] == l1 * l1 + l1 + m1
+        assert single2[k] == l2 * l2 + l2 + m2
+        assert index[k] == single1[k] * 16 + single2[k]
         assert basis.rotor_diagonal[k] == l1 * (l1 + 1) + l2 * (l2 + 1)
     assert basis.d_single == 16
 
@@ -176,20 +184,20 @@ def _assert_only_m_zero_is_kept(basis, total_m):
     """The basis is the M = 0 part of the product space, in product order; the
     states of total M (every M if None) off M = 0 are refused by index_of."""
     product = _enumerated(basis.l_max, None)
-    kept = [k for k, (_, m1, _, m2) in enumerate(product) if m1 + m2 == 0]
-    assert basis.product_index.tolist() == kept
+    kept = {state: k for k, state in enumerate(s for s in product if s[1] + s[3] == 0)}
+    assert _states(basis) == list(kept)
     states = _enumerated(basis.l_max, total_m)
     assert bool(states) == (total_m is None or abs(total_m) <= 2 * basis.l_max)
     for state in states:
-        if state[1] + state[3] == 0:
-            assert basis.index_of(*state) == kept.index(product.index(state))
+        if state in kept:
+            assert basis.index_of(*state) == kept[state]
         else:
             with pytest.raises(QueryError, match=rf"is not in the basis \(l_max={basis.l_max}, M = 0\)"):
                 basis.index_of(*state)
 
 
 @pytest.mark.parametrize("total_m", [None, 0, 1, -2, 3])
-@pytest.mark.parametrize("l_max", range(7))
+@pytest.mark.parametrize("l_max", range(13))
 def test_basis_matches_an_explicit_enumeration(l_max, total_m):
     basis = TwoRotorBasis(l_max)
     if total_m != 0:  # the M != 0 blocks and the whole product space: only M = 0 is a basis
@@ -198,10 +206,8 @@ def test_basis_matches_an_explicit_enumeration(l_max, total_m):
     states = _enumerated(l_max)
     d = (l_max + 1) ** 2
     l1, m1, l2, m2 = np.array(states, dtype=np.int64).T
-    single1, single2 = l1 * l1 + l1 + m1, l2 * l2 + l2 + m2
     expected = {
-        "l1": l1, "m1": m1, "l2": l2, "m2": m2, "mol1_single": single1, "mol2_single": single2,
-        "product_index": single1 * d + single2,
+        "l1": l1, "m1": m1, "l2": l2, "m2": m2,
         "rotor_diagonal": (l1 * (l1 + 1) + l2 * (l2 + 1)).astype(np.float64),
     }
     for name, want in expected.items():
@@ -210,12 +216,25 @@ def test_basis_matches_an_explicit_enumeration(l_max, total_m):
     assert basis.size == len(states)
     for k, state in enumerate(states):
         assert basis.index_of(*state) == k
+    # the product-space mask: state k of the basis is the k-th product state with m1 + m2 == 0,
+    # and positions numbers those in order and gives -1 for every other product state
+    kept = np.flatnonzero(oracles.product_total_m(l_max) == 0)
+    assert np.array_equal(oracles.product_index(basis), kept)
+    assert np.array_equal(oracles.product_index(basis), (l1 * l1 + l1 + m1) * d + l2 * l2 + l2 + m2)
+    product = np.array(_enumerated(l_max, None)).T
+    expected_positions = np.full(d * d, -1)
+    expected_positions[kept] = np.arange(kept.size)
+    assert np.array_equal(basis.positions(*product), expected_positions)
     blocks = [[[states.index((m + i, m, m + j, -m)) for j in range(l_max + 1 - m)]
                for i in range(l_max + 1 - m)] for m in range(l_max + 1)]
     assert [b.tolist() for b in basis.schmidt_blocks] == blocks
-    # negative l, l past l_max, |m| > l, which l*l + l + m would alias onto another state, and M != 0
-    for query in ((-1, 0, 0, 0), (0, 0, -1, 1), (l_max + 1, 0, 0, 0), (0, 0, l_max + 1, -l_max - 1),
-                  (1, 2, 0, 0), (l_max, 1, l_max, 0)):
+    # negative l, l past l_max, |m| > l, which l*l + l + m would alias onto another state (also
+    # with m1 + m2 == 0), and M != 0
+    queries = ((-1, 0, 0, 0), (0, 0, -1, 1), (l_max + 1, 0, 0, 0), (0, 0, l_max + 1, -l_max - 1),
+               (1, 2, 0, 0), (1, 2, 1, -2), (l_max, l_max + 1, l_max, -l_max - 1), (l_max, 1, l_max, 0))
+    assert basis.positions(*np.array(queries).T).tolist() == [-1] * len(queries)
+    for query in queries:
+        assert basis.positions(*query) == -1
         with pytest.raises(QueryError, match="is not in the basis"):
             basis.index_of(*query)
 
@@ -237,6 +256,26 @@ def test_positions_match_an_explicit_enumeration(l_max):
     l, m = np.array(span).T
     grid = basis.positions(l[:, None], m[:, None], l, -m)
     assert grid.tolist() == [[position.get((a, b, c, -d), -1) for c, d in span] for a, b in span]
+
+
+def test_a_large_basis_and_its_index_maps_allocate_little():
+    tracemalloc.start()
+    try:
+        basis = TwoRotorBasis(56)
+        basis.sector_gather, basis.schmidt_blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20  # masking the d_single^2 product space for its M = 0 states took 90.7 MiB
+
+
+def test_the_basis_layer_imports_no_scipy():
+    # the basis is index arithmetic on numpy arrays; sparse matrices start in operators
+    env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
+    code = "import sys, rotorpair.angular; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_basis_rejects_bad_parameters():

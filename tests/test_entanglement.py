@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import coefficient_matrix, reduced_density_mol1
+from oracles import coefficient_matrix, one_rotor_indices, reduced_density_mol1, sector_isometry
 from rotorpair.angular import TwoRotorBasis
 from rotorpair.config import preset
 from rotorpair.entanglement import schmidt_spectrum, von_neumann_entropy
@@ -20,14 +20,16 @@ from rotorpair.units import to_reduced
 
 def _fold(basis, coeffs):
     """The sector row S^T c of a basis state c that lies in the sector."""
-    folded = basis.sector_isometry.T @ coeffs
-    assert np.abs(basis.sector_isometry @ folded - coeffs).max() <= 1e-15
+    s = sector_isometry(basis)
+    folded = s.T @ coeffs
+    assert np.abs(s @ folded - coeffs).max() <= 1e-15
     return folded
 
 
 def _product_state(basis, u):
     """The sector row of |u> x |u>, given a one-rotor amplitude vector with m = 0 parts only."""
-    return _fold(basis, u[basis.mol1_single] * u[basis.mol2_single])
+    single1, single2 = one_rotor_indices(basis)
+    return _fold(basis, u[single1] * u[single2])
 
 
 def _sector_states(basis, parts):
@@ -120,10 +122,10 @@ def test_d_single_log_base_divides_by_the_one_rotor_dimension():
 def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues(l_max):
     basis = TwoRotorBasis(l_max)
     rng = np.random.default_rng(11)
-    coeffs = _sector_states(basis, rng.standard_normal((1, 2, basis.sector_isometry.shape[1])))[0]
+    coeffs = _sector_states(basis, rng.standard_normal((1, 2, sector_isometry(basis).shape[1])))[0]
 
     weights = schmidt_spectrum(basis, coeffs)[0]
-    rho = reduced_density_mol1(basis, basis.sector_isometry @ coeffs)
+    rho = reduced_density_mol1(basis, sector_isometry(basis) @ coeffs)
     assert np.abs(rho - rho.conj().T).max() < 1e-14
     eigs = np.sort(np.linalg.eigvalsh(rho))[::-1]
     assert np.allclose(np.sort(weights)[::-1], eigs, atol=1e-12)
@@ -142,7 +144,7 @@ def test_a_block_is_analyzed_row_by_row():
     basis = TwoRotorBasis(1)
     product = np.zeros(basis.size, dtype=complex)
     product[basis.index_of(0, 0, 0, 0)] = 1.0
-    n_s = basis.sector_isometry.shape[1]
+    n_s = sector_isometry(basis).shape[1]
     # a diverged state: finite, but its Gram matrices would overflow
     block = np.stack([_bell_state(basis), _fold(basis, product), np.full(n_s, np.nan), np.full(n_s, 1e160)])
     weights = schmidt_spectrum(basis, block)
@@ -160,7 +162,7 @@ def test_a_block_is_analyzed_row_by_row():
 def test_m_block_weights_equal_the_full_matrix_svd(l_max, data):
     # gathered sector rows, a product state (its m > 0 blocks are empty) and a NaN row
     basis = TwoRotorBasis(l_max)
-    parts = data.draw(hnp.arrays(np.float64, (2, 2, basis.sector_isometry.shape[1]),
+    parts = data.draw(hnp.arrays(np.float64, (2, 2, sector_isometry(basis).shape[1]),
                                  elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
     seed = data.draw(st.integers(0, 2**32 - 1))
     product = _product_state(basis, _m_zero_product(basis, np.random.default_rng(seed)))
