@@ -8,8 +8,8 @@ step_plan cuts [0, t_end] once per run into segments, wherever the
 distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
 More than 5 sigma from every center a segment is free: the state advances
 by the exact exponential of the field-free Hamiltonian (one
-eigendecomposition per run). Every other segment is stepped by Gauss
-collocation in the rotor frame (exact in the rotor energies): at the
+eigendecomposition per run). Every other segment is stepped by ten-stage
+Gauss collocation in the rotor frame (exact in the rotor energies): at the
 pulse-core step dt (from units.to_reduced) near the centers, doubled past
 each edge. A norm violation raises, as does a step whose stage sweeps do
 not converge; nothing is ever silently renormalized.
@@ -33,11 +33,12 @@ from .operators import HamiltonianPieces, PulseSchedule, expectation
 # exp(-25) ~ 1e-11 and the evolution is free.
 STEP_BAND_EDGES = (1.5, 2.5, 3.5, 5.0)
 
-# six-stage Gauss collocation on [0, 1]: nodes c, weights b, A[i, j] = integral to c_i of Lagrange l_j
-_x, _w = legendre.leggauss(6)
+# s-stage Gauss collocation on [0, 1]: nodes c, weights b, A[i, j] = integral to c_i of Lagrange l_j
+GAUSS_STAGES = 10
+_x, _w = legendre.leggauss(GAUSS_STAGES)
 GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (_x + 1.0), 0.5 * _w
 GAUSS_MATRIX = 0.5 * legendre.legval(_x, legendre.legint(
-    (np.arange(6) + 0.5)[:, None] * _w * legendre.legvander(_x, 5).T, lbnd=-1)).T
+    (np.arange(GAUSS_STAGES) + 0.5)[:, None] * _w * legendre.legvander(_x, GAUSS_STAGES - 1).T, lbnd=-1)).T
 # converged at a few roundings of a unit state; sweeps contracting by q > 0.3 need more than the cap
 SWEEP_TOLERANCE = 1e-15
 MAX_SWEEPS = 30
@@ -113,25 +114,29 @@ class RightHandSide(NamedTuple):
 def schrodinger_rhs(h0: sparse.csr_matrix, coupling: sparse.csr_matrix, energies: np.ndarray,
                     pulse: PulseSchedule) -> RightHandSide:
     """dc/dt = -i (D + W + f(t) V) c: the rotor energies D are the rates,
-    and -i [W; V], with W = H0 - D, is stacked so that each derivative is
-    one sparse product and one axpy."""
+    and the real [W; V], with W = H0 - D, is stacked so that each derivative
+    is one real sparse product on the float64 view of c, one axpy and one -i."""
     n = h0.shape[0]
     rest = (h0 - sparse.diags(energies)).tocsr()
     rest.eliminate_zeros()
-    stacked = -1j * sparse.vstack([rest, coupling], format="csr")
+    stacked = sparse.vstack([rest, coupling], format="csr")
+    if np.any(stacked.data.imag):
+        raise ConsistencyError(f"H0 and V must be real; largest imaginary part {np.abs(stacked.data.imag).max():.3e}")
+    stacked = stacked.real
 
     def deriv(f, c):
-        w = stacked @ c
-        return w[:n] + f * w[n:]
+        pairs = np.ascontiguousarray(c, dtype=np.complex128).view(np.float64).reshape(n, -1)
+        w = (stacked @ pairs).view(np.complex128)
+        return (-1j * (w[:n] + f * w[n:])).reshape(np.shape(c))
 
     return RightHandSide(pulse.field_scalar, deriv, energies)
 
 
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
-    """Six-stage Gauss-Legendre collocation (order 12, unitary once the stage equations are solved:
+    """GAUSS_STAGES-stage Gauss-Legendre collocation (order 2s = 20; unitary once the stage equations are solved:
     Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with
     rhs.rates, which are integrated exactly. Fixed step dt, one partial final step, the stage fields from
-    one call; each fixed-point sweep of the stage equations is one rhs.deriv product on the n x 6 stage
+    one call; each fixed-point sweep of the stage equations is one rhs.deriv product on the n x s stage
     block. A step whose sweeps reach MAX_SWEEPS goes on from its last iterate, and the span then ends in
     StepSizeError with the state reached as its .state."""
     if not (dt > 0 and t1 >= t0):

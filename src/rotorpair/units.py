@@ -99,10 +99,11 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
         count=cfg.pulse.count,
     )
     dipole, dt_fs, sigma = dipole_strength(cfg), cfg.integrator.dt_pulse_fs, schedule.sigma_red
-    # the default pulse-core step: sigma / 10, converged to 1e-14, cut in strong fields so that the stage sweeps
-    # contract by dt * 0.115 |H| <= 0.1 (0.115: GAUSS_MATRIX's spectral radius; |H| <= 2 kick + 3 dipole in the
-    # rotor frame), but not below RK4's old sigma / 400; there they stall (q > 0.3) from dt |H| ~ 2.6, RK4's ~2.8
-    core = min(sigma / 10.0, max(sigma / 400.0, 0.87 / (2.0 * abs(schedule.kick_strength) + 3.0 * dipole)))
+    # the default pulse-core step: sigma / 2, converged to about 1e-13, cut in strong fields so that the stage
+    # sweeps contract by dt * 0.0717 |H| <= 0.18 (0.0717: GAUSS_MATRIX's spectral radius at ten stages; |H| <= 2 kick
+    # + 3 dipole in the rotor frame; the presets reach 0.175), but not below RK4's old sigma / 400, which binds from
+    # about E0 = 6.2e9 V/m at the default sigma; the sweeps stall (q > 0.3) from dt |H| ~ 4.2, RK4 went unstable at 2.8
+    core = min(sigma / 2.0, max(sigma / 400.0, 0.18 / (0.0717 * (2.0 * abs(schedule.kick_strength) + 3.0 * dipole))))
     dt = core if dt_fs is None else dt_fs * 1e-15 / time_unit
     interval_ps = cfg.output.sample_interval_ps
     sample_ps = np.arange(int(np.floor(run_length_ps(cfg) / interval_ps)) + 1) * interval_ps

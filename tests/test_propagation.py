@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre
 from scipy.linalg import expm
 
 import oracles
@@ -17,6 +18,7 @@ from rotorpair.operators import PulseSchedule, build_pieces, expectation
 from rotorpair.propagation import (
     GAUSS_MATRIX,
     GAUSS_NODES,
+    GAUSS_STAGES,
     GAUSS_WEIGHTS,
     MAX_SWEEPS,
     SAMPLE_BLOCK,
@@ -37,7 +39,7 @@ KICK = 386.21612373411443
 SIGMA = 0.006306465451214133
 T0 = 0.027124582585867238
 OMEGA = 249.9999998468202
-DT = SIGMA / 10.0  # the default pulse-core step
+DT = SIGMA / 2.0  # the default pulse-core step
 TOL = IntegratorSettings().norm_tolerance
 
 
@@ -149,32 +151,42 @@ def test_free_block_rows_match_one_advance_each():
         assert np.abs(row - ref).max() < 1e-13
 
 
-def test_free_evolution_rejects_a_complex_h0():
+def test_free_evolution_and_the_window_product_reject_a_complex_h0():
     pieces = build_pieces(TwoRotorBasis(1), 0.0)
     skewed = pieces.h0.astype(np.complex128)  # the pieces are real
     skewed.data[0] += 1e-3j
     with pytest.raises(ConsistencyError, match="imaginary"):
         FreeEvolution(skewed)
+    # the window product is real too: a complex operator is refused, a complex-typed real one is taken
+    with pytest.raises(ConsistencyError, match="imaginary"):
+        schrodinger_rhs(skewed, pieces.coupling, pieces.energies, _single_pulse())
+    complex_typed = schrodinger_rhs(pieces.h0.astype(np.complex128), pieces.coupling, pieces.energies, _single_pulse())
+    c = initial_state(pieces.h0.shape[0])
+    assert np.array_equal(complex_typed.deriv(1.0, c), _sector_rhs(pieces, _single_pulse()).deriv(1.0, c))
 
 
 # --- Gauss collocation ---------------------------------------------------------
 
-def test_gauss_tableau_has_order_12_and_is_symplectic():
-    c, b, a = GAUSS_NODES, GAUSS_WEIGHTS, GAUSS_MATRIX
-    assert c.shape == b.shape == (6,) and a.shape == (6, 6)
-    # B(12): the weights integrate t^(k-1) exactly; C(6): so does each stage row up to c_i
-    assert max(abs(b @ c ** (k - 1) - 1.0 / k) for k in range(1, 13)) <= 1e-15
-    assert max(np.abs(a @ c ** (k - 1) - c**k / k).max() for k in range(1, 7)) <= 1e-15
+def test_gauss_tableau_has_order_20_and_is_symplectic():
+    c, b, a, s = GAUSS_NODES, GAUSS_WEIGHTS, GAUSS_MATRIX, GAUSS_STAGES
+    assert s == 10 and c.shape == b.shape == (s,) and a.shape == (s, s)
+    # B(2s): the weights integrate t^(k-1) exactly; C(s): so does each stage row up to c_i
+    assert max(abs(b @ c ** (k - 1) - 1.0 / k) for k in range(1, 2 * s + 1)) <= 1e-15
+    assert max(np.abs(a @ c ** (k - 1) - c**k / k).max() for k in range(1, s + 1)) <= 1e-15
     # b_i a_ij + b_j a_ji = b_i b_j: the condition that makes the method unitary
     assert np.abs(b[:, None] * a + (b[:, None] * a).T - np.outer(b, b)).max() <= 1e-15
 
 
-def test_rk4_scalar_convergence_is_order_12():
-    rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: -1j * y)
-    y0 = np.array([1.0 + 0.0j])
-    err = [abs(rk4_integrate(rhs, y0, 0.0, 8.0, dt)[0] - np.exp(-8.0j)) for dt in (2.0, 1.0)]
-    # 2**12 = 4096, bracketed as 16 was by 12 and 20
-    assert 0.75 * 4096 < err[0] / err[1] < 1.25 * 4096
+def test_rk4_scalar_convergence_is_order_20():
+    # y' = P(t), P the degree-2s Legendre polynomial on [0, 8]: each step misses only the h^(2s + 1)
+    # term, so halving the step divides the error by 2^(2s) exactly, far above rounding. (On y' = -i y
+    # the error stays at rounding up to the largest step whose sweeps converge, dt = 3.)
+    degree = 2 * GAUSS_STAGES
+    rhs = RightHandSide(field=lambda t: legendre.Legendre.basis(degree, domain=[0.0, 8.0])(t),
+                        deriv=lambda f, y: np.broadcast_to(f, y.shape))
+    err = [abs(rk4_integrate(rhs, np.array([0.0j]), 0.0, 8.0, dt)[0]) for dt in (4.0, 2.0)]
+    assert err[1] > 1e-13
+    assert 0.75 * 2.0**degree < err[0] / err[1] < 1.25 * 2.0**degree
 
 
 def test_rk4_partial_final_step_lands_on_t1():
@@ -209,7 +221,7 @@ def test_rk4_exact_step_count_adds_no_extra_step():
     # 5 full steps and no closing fragment; a zero derivative converges in one sweep
     assert len(calls) == 5
     # the stage fields of all 5 steps come from one call
-    assert fields == [(5, 6)]
+    assert fields == [(5, GAUSS_STAGES)]
 
 
 def test_sweeps_that_contract_too_slowly_raise_with_the_state_reached():
@@ -221,8 +233,8 @@ def test_sweeps_that_contract_too_slowly_raise_with_the_state_reached():
                                             r"sweeps\); reduce integrator\.dt_pulse_fs$") as failure:
         rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt)
     assert failure.value.state.shape == (1,) and np.isfinite(failure.value.state[0])
-    # a third of that step converges
-    y = rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt / 3.0)
+    # a quarter of that step converges
+    y = rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt / 4.0)
     assert abs(y[0] - np.exp(-2j * dt)) <= 1e-7
 
 
@@ -238,7 +250,7 @@ def test_window_kernel_matches_the_dense_stage_solve(case):
     (t_a, t_b), = _windows(pulse, 1.0)
     assert t_a == 0.0
     if case == "partial_step":
-        t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.3137 * SIGMA
+        t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.5137 * SIGMA
         span = (t_b - t_a) / DT
         assert span - math.floor(span) > 0.1
     # a random state of the symmetric sector, stepped there and unfolded
@@ -263,23 +275,22 @@ def test_window_with_zero_kick_matches_free_evolution():
     assert np.abs(stepped - _free(ops.h0, c, 0.2)).max() < 1e-10
 
 
-def test_window_step_halving_is_order_12():
-    basis = TwoRotorBasis(2)
-    pieces = build_pieces(basis, 0.13150852670024232)
-    # a four-fold kick keeps the finer error far above rounding
-    pulse = _single_pulse(kick=4.0 * KICK)
-    c0 = initial_state(pieces.h0.shape[0])
-    t_b = T0 + 5.0 * SIGMA
-    rhs = _sector_rhs(pieces, pulse)
-
-    def integrate(dt):
-        return rk4_integrate(rhs, c0, 0.0, t_b, dt)
-
-    ref = integrate(SIGMA / 64.0)
-    err_coarse = np.abs(integrate(SIGMA / 8.0) - ref).max()
-    err_fine = np.abs(integrate(SIGMA / 16.0) - ref).max()
+def _assert_order_near_2s(integrate):
+    """Steps sigma and sigma / sqrt 2 against sigma / 16: asymptotically the error falls by 2^s. Where
+    the sweeps converge and the finer error is above rounding the next terms still count: the fall is
+    2^8.5 on the plain window and 2^9.6 on the banded one, against 2^6 for an order-12 method."""
+    ref = integrate(SIGMA / 16.0)
+    err_coarse = np.abs(integrate(SIGMA) - ref).max()
+    err_fine = np.abs(integrate(SIGMA / math.sqrt(2.0)) - ref).max()
     assert err_coarse > err_fine > 1e-13
-    assert 0.75 * 4096 < err_coarse / err_fine < 1.25 * 4096
+    assert 2.0 ** (GAUSS_STAGES - 2) < err_coarse / err_fine < 1.25 * 2.0**GAUSS_STAGES
+
+
+def test_window_step_refinement_is_high_order():
+    pieces = build_pieces(TwoRotorBasis(2), 0.13150852670024232)
+    c0 = initial_state(pieces.h0.shape[0])
+    rhs = _sector_rhs(pieces, _single_pulse())
+    _assert_order_near_2s(lambda dt: rk4_integrate(rhs, c0, 0.0, T0 + 5.0 * SIGMA, dt))
 
 
 def test_window_integration_is_time_reversible():
@@ -342,20 +353,11 @@ def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
     assert np.abs(got - np.exp(-1j * energies * (t_b - t_a)) * c).max() <= 1e-13
 
 
-def test_banded_window_step_halving_is_order_12():
+def test_banded_window_step_refinement_is_high_order():
     pieces, c = _spread_sector_state(2)
-    pulse = _single_pulse(kick=4.0 * KICK)  # keeps the finer error far above rounding
+    pulse = _single_pulse()
     rhs = _sector_rhs(pieces, pulse)
-    t_b = T0 + 5.0 * SIGMA
-
-    def integrate(dt):
-        return _step_to(rhs, pulse, c, t_b, dt)
-
-    ref = integrate(SIGMA / 64.0)
-    err_coarse = np.abs(integrate(SIGMA / 8.0) - ref).max()
-    err_fine = np.abs(integrate(SIGMA / 16.0) - ref).max()
-    assert err_coarse > err_fine > 1e-13
-    assert 0.75 * 4096 < err_coarse / err_fine < 1.25 * 4096
+    _assert_order_near_2s(lambda dt: _step_to(rhs, pulse, c, T0 + 5.0 * SIGMA, dt))
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -418,7 +420,7 @@ def _classical_window_error(ops, pulse, dt, y, t_a, t_b):
 def test_rotor_frame_bands_stay_within_1e10_of_classical_rk4():
     # criterion 2's window: fig1a on the l_max 2 basis, unfolded, from the ground state
     schedule, dipole, dt, _ = to_reduced(RunConfig())
-    assert dt == schedule.sigma_red / 10.0
+    assert dt == schedule.sigma_red / 2.0
     ops = oracles.basis_operators(TwoRotorBasis(2), dipole)
     (t_a, t_b), = oracles.rk4_windows(step_plan(schedule, 10.0, dt))
     err = _classical_window_error(ops, schedule, dt, oracles.ground_state(ops), t_a, t_b)
@@ -571,9 +573,9 @@ def test_run_schedule_stops_a_window_block_at_the_violating_sample():
 @pytest.mark.parametrize("samples", [np.array([0.0, 0.25, 0.5]), np.linspace(0.0, 0.05, 11)],
                          ids=["after_the_window", "inside_the_window"])
 def test_run_schedule_fails_at_the_first_sample_after_stalled_sweeps(monkeypatch, samples):
-    # eight sweeps leave the pulse-core steps short of the sweep tolerance by
+    # sixteen sweeps leave the pulse-core steps short of the sweep tolerance by
     # far less than the norm tolerance: the stall itself must end the run
-    monkeypatch.setattr(propagation, "MAX_SWEEPS", 8)
+    monkeypatch.setattr(propagation, "MAX_SWEEPS", 16)
     pieces = build_pieces(TwoRotorBasis(2), 0.13150852670024232)
     seen, spans = [], []
     integrate = propagation.rk4_integrate

@@ -6,7 +6,7 @@ import pytest
 from scipy import sparse
 
 import oracles
-from rotorpair import output
+from rotorpair import output, propagation
 from rotorpair.angular import TwoRotorBasis
 from rotorpair.config import BasisConfig, RunConfig, build_config
 from rotorpair.exceptions import InvalidConfigError, StepSizeError
@@ -135,21 +135,27 @@ def test_failed_run_keeps_a_marked_partial_csv(tmp_path):
     assert not (tmp_path / CONFIG_ECHO_NAME).exists()
 
 
-def _sweep_contraction(cfg):
-    """dt * rho(A) * |H| at the peak field: the rate at which the stage sweeps
-    of a step of cfg's core dt, at the pulse center, contract."""
-    schedule, dipole, dt, samples = to_reduced(cfg)
+def _sweep_rate(cfg):
+    """rho(A) * |H| at the peak field: the stage sweeps of a step of width dt
+    at the pulse center contract by dt times this."""
+    schedule, dipole, _, samples = to_reduced(cfg)
     pieces = build_pieces(TwoRotorBasis(cfg.basis.l_max), dipole)
     peak = np.abs(schedule.field_scalar(np.linspace(0.0, samples[-1], 200_001))).max()
     generator = (pieces.h0 - sparse.diags(pieces.energies) + peak * pieces.coupling).toarray()
-    return dt * np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() * np.abs(np.linalg.eigvalsh(generator)).max()
+    return np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() * np.abs(np.linalg.eigvalsh(generator)).max()
+
+
+def _sweep_contraction(cfg):
+    """The rate at which the stage sweeps of a step of cfg's core dt, at the pulse center, contract."""
+    return to_reduced(cfg)[2] * _sweep_rate(cfg)
 
 
 def test_sweeps_that_contract_too_slowly_fail_the_run_with_a_partial_csv(tmp_path):
-    # at E0 = 4e8 V/m the stage sweeps of a sigma / 10 step contract by q in
-    # (0.5, 1) at the peak field, too slowly for MAX_SWEEPS; the state they
-    # leave drifts by 2.5e-7, within this run's norm tolerance
-    cfg = _tiny(pulse={"E0_Vpm": 4e8}, integrator={"dt_pulse_fs": 27.9, "norm_tolerance": 1e-4})
+    # at E0 = 4e8 V/m, a 45 fs step (sigma / 6.2) whose stage sweeps contract by
+    # 0.55 at the peak field converges too slowly for MAX_SWEEPS; the state
+    # they leave drifts by 7.3e-6, within this run's norm tolerance
+    dt_fs = 0.55 / _sweep_rate(_tiny(pulse={"E0_Vpm": 4e8})) * time_unit_seconds(0.12) * 1e15
+    cfg = _tiny(pulse={"E0_Vpm": 4e8}, integrator={"dt_pulse_fs": dt_fs, "norm_tolerance": 1e-4})
     assert 0.5 < _sweep_contraction(cfg) < 1.0
     with pytest.raises(StepSizeError, match="collocation sweeps did not converge"):
         run_config(cfg, tmp_path)
@@ -160,17 +166,31 @@ def test_sweeps_that_contract_too_slowly_fail_the_run_with_a_partial_csv(tmp_pat
     assert not (tmp_path / CONFIG_ECHO_NAME).exists()
 
 
-@pytest.mark.parametrize("E0_Vpm, rate", [(3e8, 0.1), (3e9, 0.11)])
-def test_strong_fields_run_clean_at_the_default_step(E0_Vpm, rate):
+@pytest.mark.parametrize("E0_Vpm", [3e8, 3e9])
+def test_strong_fields_run_clean_at_the_default_step(E0_Vpm):
     # 10 and 100 times the presets' field: the default step shrinks below
-    # sigma / 10 so that the stage sweeps still contract by about 0.1 or less
-    # (at 3e9 V/m the step sits at its sigma / 400 floor, a little coarser)
+    # sigma / 2 so that the stage sweeps still contract by 0.18 or less
     cfg = _tiny(pulse={"E0_Vpm": E0_Vpm})
     schedule, _, dt, _ = to_reduced(cfg)
-    assert dt < schedule.sigma_red / 10.0
-    assert _sweep_contraction(cfg) <= rate
+    assert schedule.sigma_red / 400.0 < dt < schedule.sigma_red / 2.0
+    assert _sweep_contraction(cfg) <= 0.18
     result = simulate(cfg)
     assert result.trajectory.max_norm_drift < 1e-13
     half_fs = 0.5 * dt * time_unit_seconds(0.12) * 1e15
     finer = simulate(_tiny(pulse={"E0_Vpm": E0_Vpm}, integrator={"dt_pulse_fs": half_fs}))
     assert np.abs(result.trajectory.psi_final - finer.trajectory.psi_final).max() < 1e-11
+
+
+def test_the_preset_field_converges_with_sweeps_to_spare(monkeypatch):
+    # fig4_E30's field and dipole, the presets' fastest-contracting pair, at
+    # the default core step sigma / 2: with the cap five sweeps lower no step
+    # stalls, and halving the step moves the final state by rounding only
+    cfg = _tiny(geometry={"R_m": 1.5e-8})
+    schedule, _, dt, _ = to_reduced(cfg)
+    assert dt == schedule.sigma_red / 2.0
+    with monkeypatch.context() as patch:
+        patch.setattr(propagation, "MAX_SWEEPS", propagation.MAX_SWEEPS - 5)
+        result = simulate(cfg)
+    half_fs = 0.5 * dt * time_unit_seconds(0.12) * 1e15
+    finer = simulate(_tiny(geometry={"R_m": 1.5e-8}, integrator={"dt_pulse_fs": half_fs}))
+    assert np.abs(result.trajectory.psi_final - finer.trajectory.psi_final).max() < 1e-12

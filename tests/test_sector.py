@@ -29,7 +29,7 @@ SIGMA = 0.006306465451214133
 T0 = 0.027124582585867238
 OMEGA = 249.9999998468202
 DIPOLE = 0.13150852670024232
-DT = SIGMA / 10.0  # the default pulse-core step
+DT = SIGMA / 2.0  # the default pulse-core step
 TOL = IntegratorSettings().norm_tolerance
 
 

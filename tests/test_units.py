@@ -7,6 +7,7 @@ import pytest
 from rotorpair import units
 from rotorpair.config import RunConfig
 from rotorpair.exceptions import InvalidConfigError
+from rotorpair.propagation import GAUSS_MATRIX
 from rotorpair.units import time_unit_seconds, to_reduced
 
 
@@ -121,7 +122,7 @@ def test_a_train_needs_a_period():
 
 def test_to_reduced_makes_the_step_and_the_sample_times():
     schedule, _, dt, samples = to_reduced(_with("output", total_time_ps=20.3, sample_interval_ps=2.0))
-    assert dt == schedule.sigma_red / 10.0  # the default step
+    assert dt == schedule.sigma_red / 2.0  # the default step
     # floor(20.3 / 2) + 1 samples, 2 ps apart, in units of hbar/B
     assert np.array_equal(samples, np.arange(11) * 2.0 / (time_unit_seconds(0.12) * 1e12))
     _, _, dt, _ = to_reduced(_with("integrator", dt_pulse_fs=0.5))
@@ -129,14 +130,18 @@ def test_to_reduced_makes_the_step_and_the_sample_times():
 
 
 def test_the_default_step_shrinks_with_the_field_down_to_sigma_over_400():
+    # 0.0717 is the spectral radius of the ten-stage GAUSS_MATRIX
+    assert np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() == pytest.approx(0.0717, abs=5e-5)
     steps = {}
-    for E0 in (5e7, 3e8, 3e9, 1e14):
+    for E0 in (3e7, 3.2e7, 3e8, 3e9, 6e9, 6.4e9, 1e14):
         schedule, dipole, dt, _ = to_reduced(_with("pulse", E0_Vpm=E0))
-        cap = 0.87 / (2.0 * schedule.kick_strength + 3.0 * dipole)
-        assert dt == min(schedule.sigma_red / 10.0, max(schedule.sigma_red / 400.0, cap))
-        steps[E0] = [dt == schedule.sigma_red / 10.0, dt == schedule.sigma_red / 400.0]
-    # sigma / 10 up to about 5.4e7 V/m, then 0.87 / (2 kick + 3 dipole), never below sigma / 400
-    assert steps == {5e7: [True, False], 3e8: [False, False], 3e9: [False, True], 1e14: [False, True]}
+        cap = 0.18 / (0.0717 * (2.0 * schedule.kick_strength + 3.0 * dipole))
+        assert dt == min(schedule.sigma_red / 2.0, max(schedule.sigma_red / 400.0, cap))
+        steps[E0] = [dt == schedule.sigma_red / 2.0, dt == schedule.sigma_red / 400.0]
+    # sigma / 2 up to about 3.09e7 V/m, then 0.18 / (0.0717 (2 kick + 3 dipole)), which reaches sigma / 400 at
+    # about 6.18e9 V/m, and never below that
+    assert steps == {3e7: [True, False], 3.2e7: [False, False], 3e8: [False, False], 3e9: [False, False],
+                     6e9: [False, False], 6.4e9: [False, True], 1e14: [False, True]}
     # a set integrator.dt_pulse_fs wins whatever the field
     cfg = dataclasses.replace(_with("integrator", dt_pulse_fs=27.9), pulse=_with("pulse", E0_Vpm=1e14).pulse)
     assert to_reduced(cfg)[2] == pytest.approx(27.9e-15 / time_unit_seconds(0.12), rel=1e-15)
