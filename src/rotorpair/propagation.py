@@ -39,6 +39,8 @@ _x, _w = legendre.leggauss(GAUSS_STAGES)
 GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (_x + 1.0), 0.5 * _w
 GAUSS_MATRIX = 0.5 * legendre.legval(_x, legendre.legint(
     (np.arange(GAUSS_STAGES) + 0.5)[:, None] * _w * legendre.legvander(_x, GAUSS_STAGES - 1).T, lbnd=-1)).T
+# a step h's stage sweeps contract by about h * SWEEP_RATE * |H|: the spectral radius of A, about 0.7 / s
+SWEEP_RATE = float(np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max())
 # converged at a few roundings of a unit state; sweeps contracting by q > 0.3 need more than the cap
 SWEEP_TOLERANCE = 1e-15
 MAX_SWEEPS = 30

@@ -85,6 +85,7 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
     import numpy as np  # see the module docstring
 
     from .operators import PulseSchedule
+    from .propagation import SWEEP_RATE
 
     B_joule = cfg.molecule.B_cm1 * INV_CM_TO_J
     time_unit = HBAR / B_joule
@@ -100,10 +101,10 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
     )
     dipole, dt_fs, sigma = dipole_strength(cfg), cfg.integrator.dt_pulse_fs, schedule.sigma_red
     # the default pulse-core step: sigma / 2, converged to about 1e-13, cut in strong fields so that the stage
-    # sweeps contract by dt * 0.0717 |H| <= 0.18 (0.0717: GAUSS_MATRIX's spectral radius at ten stages; |H| <= 2 kick
-    # + 3 dipole in the rotor frame; the presets reach 0.175), but not below RK4's old sigma / 400, which binds from
-    # about E0 = 6.2e9 V/m at the default sigma; the sweeps stall (q > 0.3) from dt |H| ~ 4.2, RK4 went unstable at 2.8
-    core = min(sigma / 2.0, max(sigma / 400.0, 0.18 / (0.0717 * (2.0 * abs(schedule.kick_strength) + 3.0 * dipole))))
+    # sweeps contract by dt * SWEEP_RATE |H| <= 0.18 (|H| <= 2 kick + 3 dipole in the rotor frame; the presets
+    # reach 0.175), but not below RK4's old sigma / 400, which binds from about E0 = 6.2e9 V/m at the default
+    # sigma; the sweeps stall (q > 0.3) from dt |H| ~ 4.2, RK4 went unstable at 2.8
+    core = min(sigma / 2.0, max(sigma / 400.0, 0.18 / (SWEEP_RATE * (2.0 * abs(schedule.kick_strength) + 3.0 * dipole))))
     dt = core if dt_fs is None else dt_fs * 1e-15 / time_unit
     interval_ps = cfg.output.sample_interval_ps
     sample_ps = np.arange(int(np.floor(run_length_ps(cfg) / interval_ps)) + 1) * interval_ps

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import legendre
 from scipy.linalg import expm
 
 import oracles
@@ -23,6 +22,7 @@ from rotorpair.propagation import (
     MAX_SWEEPS,
     SAMPLE_BLOCK,
     STEP_BAND_EDGES,
+    SWEEP_RATE,
     FreeEvolution,
     RightHandSide,
     initial_state,
@@ -177,16 +177,20 @@ def test_gauss_tableau_has_order_20_and_is_symplectic():
     assert np.abs(b[:, None] * a + (b[:, None] * a).T - np.outer(b, b)).max() <= 1e-15
 
 
-def test_rk4_scalar_convergence_is_order_20():
-    # y' = P(t), P the degree-2s Legendre polynomial on [0, 8]: each step misses only the h^(2s + 1)
-    # term, so halving the step divides the error by 2^(2s) exactly, far above rounding. (On y' = -i y
-    # the error stays at rounding up to the largest step whose sweeps converge, dt = 3.)
-    degree = 2 * GAUSS_STAGES
-    rhs = RightHandSide(field=lambda t: legendre.Legendre.basis(degree, domain=[0.0, 8.0])(t),
-                        deriv=lambda f, y: np.broadcast_to(f, y.shape))
-    err = [abs(rk4_integrate(rhs, np.array([0.0j]), 0.0, 8.0, dt)[0]) for dt in (4.0, 2.0)]
+def test_rk4_two_level_convergence_is_order_20():
+    # i y' = (D + V) y, D = diag(0, 1) taken exactly as the rates and V = 0.3 sigma_x in deriv: in the rotor
+    # frame the derivative is -i V(t) y, V(t) turning at frequency 1, so it depends on the state and the
+    # stages need sweeps, and every step of the constant H makes the same error. Steps 4.8 and 4 (10 and 12
+    # over [0, 48]) cut the error by 0.92 x 1.2^(2s); nine stages give 0.64 x, eleven 1.34 x. (On y' = -i y
+    # alone a step is exact to rounding up to the largest step whose sweeps converge.)
+    v = 0.3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    rhs = RightHandSide(field=np.ones_like, deriv=lambda f, y: -1j * f * (v @ y), rates=np.array([0.0, 1.0]))
+    y0 = np.array([1.0 + 0.0j, 0.0j])
+    exact = expm(-48.0j * (np.diag([0.0, 1.0]) + v)) @ y0
+    err = [np.abs(rk4_integrate(rhs, y0, 0.0, 48.0, dt) - exact).max() for dt in (4.8, 4.0)]
     assert err[1] > 1e-13
-    assert 0.75 * 2.0**degree < err[0] / err[1] < 1.25 * 2.0**degree
+    fall = 1.2 ** (2 * GAUSS_STAGES)
+    assert 0.75 * fall < err[0] / err[1] < 1.25 * fall
 
 
 def test_rk4_partial_final_step_lands_on_t1():
@@ -225,10 +229,10 @@ def test_rk4_exact_step_count_adds_no_extra_step():
 
 
 def test_sweeps_that_contract_too_slowly_raise_with_the_state_reached():
-    # on y' = -i y the sweeps contract by h rho(A): 0.75 here, so they need
+    # on y' = -i y the sweeps contract by h SWEEP_RATE: 0.75 here, so they need
     # about 120 sweeps and stop at MAX_SWEEPS
     rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: -1j * y)
-    dt = 0.75 / np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max()
+    dt = 0.75 / SWEEP_RATE
     with pytest.raises(StepSizeError, match=rf"did not converge at t = 0 \(update \S+ after {MAX_SWEEPS} "
                                             r"sweeps\); reduce integrator\.dt_pulse_fs$") as failure:
         rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt)
@@ -275,22 +279,24 @@ def test_window_with_zero_kick_matches_free_evolution():
     assert np.abs(stepped - _free(ops.h0, c, 0.2)).max() < 1e-10
 
 
-def _assert_order_near_2s(integrate):
-    """Steps sigma and sigma / sqrt 2 against sigma / 16: asymptotically the error falls by 2^s. Where
-    the sweeps converge and the finer error is above rounding the next terms still count: the fall is
-    2^8.5 on the plain window and 2^9.6 on the banded one, against 2^6 for an order-12 method."""
+def _assert_order_near_2s(integrate, measured_log2_fall):
+    """Steps sigma and sigma / sqrt 2 against sigma / 16: asymptotically the error falls by 2^s. No pair of
+    steps whose sweeps converge and whose finer error is above rounding is that far in (at sigma the sweeps
+    stall from 1.3 times the default kick, and a quarter-octave falls by 2^4.3 to 2^4.6, not 2^5), so the
+    fall is held to within 0.75 of the measured 2^measured_log2_fall: 2^8.5 on the plain window and 2^9.6
+    on the banded one, against 2^6 for an order-12 method."""
     ref = integrate(SIGMA / 16.0)
     err_coarse = np.abs(integrate(SIGMA) - ref).max()
     err_fine = np.abs(integrate(SIGMA / math.sqrt(2.0)) - ref).max()
     assert err_coarse > err_fine > 1e-13
-    assert 2.0 ** (GAUSS_STAGES - 2) < err_coarse / err_fine < 1.25 * 2.0**GAUSS_STAGES
+    assert 0.75 * 2.0**measured_log2_fall < err_coarse / err_fine < 1.25 * 2.0**GAUSS_STAGES
 
 
 def test_window_step_refinement_is_high_order():
     pieces = build_pieces(TwoRotorBasis(2), 0.13150852670024232)
     c0 = initial_state(pieces.h0.shape[0])
     rhs = _sector_rhs(pieces, _single_pulse())
-    _assert_order_near_2s(lambda dt: rk4_integrate(rhs, c0, 0.0, T0 + 5.0 * SIGMA, dt))
+    _assert_order_near_2s(lambda dt: rk4_integrate(rhs, c0, 0.0, T0 + 5.0 * SIGMA, dt), 8.5)
 
 
 def test_window_integration_is_time_reversible():
@@ -357,7 +363,7 @@ def test_banded_window_step_refinement_is_high_order():
     pieces, c = _spread_sector_state(2)
     pulse = _single_pulse()
     rhs = _sector_rhs(pieces, pulse)
-    _assert_order_near_2s(lambda dt: _step_to(rhs, pulse, c, T0 + 5.0 * SIGMA, dt))
+    _assert_order_near_2s(lambda dt: _step_to(rhs, pulse, c, T0 + 5.0 * SIGMA, dt), 9.6)
 
 
 @pytest.mark.parametrize("count", [1, 2])

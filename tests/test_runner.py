@@ -12,7 +12,7 @@ from rotorpair.config import BasisConfig, RunConfig, build_config
 from rotorpair.exceptions import InvalidConfigError, StepSizeError
 from rotorpair.operators import build_pieces
 from rotorpair.output import read_timeseries_csv
-from rotorpair.propagation import GAUSS_MATRIX, step_plan
+from rotorpair.propagation import SWEEP_RATE, step_plan
 from rotorpair.runner import CONFIG_ECHO_NAME, CSV_NAME, run_config, simulate
 from rotorpair.units import run_length_ps, time_unit_seconds, to_reduced
 
@@ -136,13 +136,13 @@ def test_failed_run_keeps_a_marked_partial_csv(tmp_path):
 
 
 def _sweep_rate(cfg):
-    """rho(A) * |H| at the peak field: the stage sweeps of a step of width dt
+    """SWEEP_RATE * |H| at the peak field: the stage sweeps of a step of width dt
     at the pulse center contract by dt times this."""
     schedule, dipole, _, samples = to_reduced(cfg)
     pieces = build_pieces(TwoRotorBasis(cfg.basis.l_max), dipole)
     peak = np.abs(schedule.field_scalar(np.linspace(0.0, samples[-1], 200_001))).max()
     generator = (pieces.h0 - sparse.diags(pieces.energies) + peak * pieces.coupling).toarray()
-    return np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() * np.abs(np.linalg.eigvalsh(generator)).max()
+    return SWEEP_RATE * np.abs(np.linalg.eigvalsh(generator)).max()
 
 
 def _sweep_contraction(cfg):

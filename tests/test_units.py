@@ -7,7 +7,7 @@ import pytest
 from rotorpair import units
 from rotorpair.config import RunConfig
 from rotorpair.exceptions import InvalidConfigError
-from rotorpair.propagation import GAUSS_MATRIX
+from rotorpair.propagation import GAUSS_MATRIX, SWEEP_RATE
 from rotorpair.units import time_unit_seconds, to_reduced
 
 
@@ -130,15 +130,15 @@ def test_to_reduced_makes_the_step_and_the_sample_times():
 
 
 def test_the_default_step_shrinks_with_the_field_down_to_sigma_over_400():
-    # 0.0717 is the spectral radius of the ten-stage GAUSS_MATRIX
-    assert np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() == pytest.approx(0.0717, abs=5e-5)
+    # the sweep rate is the spectral radius of GAUSS_MATRIX, 0.0717 at ten stages
+    assert SWEEP_RATE == np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() == pytest.approx(0.0717, abs=5e-5)
     steps = {}
     for E0 in (3e7, 3.2e7, 3e8, 3e9, 6e9, 6.4e9, 1e14):
         schedule, dipole, dt, _ = to_reduced(_with("pulse", E0_Vpm=E0))
-        cap = 0.18 / (0.0717 * (2.0 * schedule.kick_strength + 3.0 * dipole))
+        cap = 0.18 / (SWEEP_RATE * (2.0 * schedule.kick_strength + 3.0 * dipole))
         assert dt == min(schedule.sigma_red / 2.0, max(schedule.sigma_red / 400.0, cap))
         steps[E0] = [dt == schedule.sigma_red / 2.0, dt == schedule.sigma_red / 400.0]
-    # sigma / 2 up to about 3.09e7 V/m, then 0.18 / (0.0717 (2 kick + 3 dipole)), which reaches sigma / 400 at
+    # sigma / 2 up to about 3.09e7 V/m, then 0.18 / (SWEEP_RATE (2 kick + 3 dipole)), which reaches sigma / 400 at
     # about 6.18e9 V/m, and never below that
     assert steps == {3e7: [True, False], 3.2e7: [False, False], 3e8: [False, False], 3e9: [False, False],
                      6e9: [False, False], 6.4e9: [False, True], 1e14: [False, True]}
