@@ -46,7 +46,12 @@ def schmidt_spectrum(basis: TwoRotorBasis, coeffs: np.ndarray) -> np.ndarray:
     try:
         for block in basis.schmidt_blocks:
             c = weight[block] * good[:, column[block]]
-            eigs.append(np.linalg.eigvalsh(c @ c.conj().swapaxes(1, 2))[:, ::-1])
+            # no weight of a block exceeds its squared Frobenius norm: at half of _CLIP or
+            # less, every weight is one the entropy drops, and zeros change no bit
+            if (c.real ** 2 + c.imag ** 2).sum(axis=(1, 2)).max(initial=0.0) <= 0.5 * _CLIP:
+                eigs.append(np.zeros(c.shape[:2]))
+            else:
+                eigs.append(np.linalg.eigvalsh(c @ c.conj().swapaxes(1, 2))[:, ::-1])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalues of the Schmidt Gram matrix failed: {exc}") from exc
     weights[finite] = np.maximum(np.concatenate(eigs[1:] + eigs, axis=1), 0.0)

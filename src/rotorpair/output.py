@@ -29,8 +29,12 @@ def csv_header(watch) -> str:
     return ",".join(COLUMNS + tuple(population_column(*w) for w in watch))
 
 
+# the one float format of every CSV cell: 17 significant digits, lossless for binary64
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x: float) -> str:
-    return f"{x:.17g}"
+    return FLOAT_FORMAT % x
 
 
 def _quote(text: str) -> str:
@@ -56,7 +60,9 @@ def write_timeseries_csv(path, watch, table, failure_message: str | None = None)
 
     path = Path(path)
     lines = [csv_header(watch)]
-    lines.extend(",".join(format_float(v) for v in row) for row in np.asarray(table).tolist())
+    table = np.asarray(table)
+    row_format = ",".join([FLOAT_FORMAT] * table.shape[-1])  # one % per row, not one format per cell
+    lines.extend(row_format % tuple(row) for row in table.tolist())
     if failure_message is not None:
         lines.append(f"{FAILURE_MARKER},{_quote(failure_message)}")
     write_whole(path, "\n".join(lines) + "\n")

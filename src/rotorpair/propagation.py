@@ -8,15 +8,19 @@ step_plan cuts [0, t_end] once per run into segments, wherever the
 distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
 More than 5 sigma from every center a segment is free: the state advances
 by the exact exponential of the field-free Hamiltonian (one
-eigendecomposition per run). Every other segment is stepped by ten-stage
-Gauss collocation in the rotor frame (exact in the rotor energies): at the
-pulse-core step dt (from units.to_reduced) near the centers, doubled past
-each edge. A norm violation raises, as does a step whose stage sweeps do
-not converge; nothing is ever silently renormalized.
+eigendecomposition per run). Every other segment is one rk4_integrate call
+of ten-stage Gauss collocation in the rotor frame (exact in the rotor
+energies): at the pulse-core step dt (from units.to_reduced) near the
+centers, doubled past each edge. Samples do not cut its steps: a sample
+inside a step is a side step from that step's start state, its sweeps
+started on the step's collocation polynomial. A norm violation raises, as
+does a step whose stage sweeps do not converge; nothing is ever silently
+renormalized.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -39,6 +43,12 @@ _x, _w = legendre.leggauss(GAUSS_STAGES)
 GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (_x + 1.0), 0.5 * _w
 GAUSS_MATRIX = 0.5 * legendre.legval(_x, legendre.legint(
     (np.arange(GAUSS_STAGES) + 0.5)[:, None] * _w * legendre.legvander(_x, GAUSS_STAGES - 1).T, lbnd=-1)).T
+# A^T on the float64 view of a complex stage block: the real and imaginary column of a stage share its weights
+_STAGE_PRODUCT = np.kron(GAUSS_MATRIX.T, np.eye(2))
+# a step's collocation polynomial is the degree-s interpolant of its start (at 0) and its stages (at c)
+_KNOTS = np.concatenate([[0.0], GAUSS_NODES])
+_OTHER_KNOTS = ~np.eye(GAUSS_STAGES + 1, dtype=bool)
+_KNOT_SCALE = 1.0 / np.where(_OTHER_KNOTS, _KNOTS[:, None] - _KNOTS, 1.0).prod(axis=1)
 # a step h's stage sweeps contract by about h * SWEEP_RATE * |H|: the spectral radius of A, about 0.7 / s
 SWEEP_RATE = float(np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max())
 # converged at a few roundings of a unit state; sweeps contracting by q > 0.3 need more than the cap
@@ -106,18 +116,29 @@ class FreeEvolution:
 
 class RightHandSide(NamedTuple):
     """dy/dt = -i rates y + deriv(field(t), y), field vectorized over times and deriv
-    over a row of fields and a block of states; rk4_integrate takes -i rates y exactly."""
+    over a row of fields and a block of states; rk4_integrate takes -i rates y exactly.
+    frames, when given, returns rotor_frame(rates, h) for rk4_integrate's full step widths h
+    (schrodinger_rhs caches those of the band widths)."""
 
     field: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rates: np.ndarray | float = 0.0
+    frames: Callable[[float], tuple] | None = None
+
+
+def rotor_frame(rates: np.ndarray | float, h: float) -> tuple:
+    """A step h's tables: exp(-i rates c h) at the nodes, its conjugate, exp(-i rates h),
+    h A^T on the float64 view of a stage block, and h b."""
+    turn = np.exp(np.multiply.outer((-1j * h) * rates, GAUSS_NODES))
+    return turn, turn.conj(), np.exp((-1j * h) * rates), h * _STAGE_PRODUCT, h * GAUSS_WEIGHTS
 
 
 def schrodinger_rhs(h0: sparse.csr_matrix, coupling: sparse.csr_matrix, energies: np.ndarray,
                     pulse: PulseSchedule) -> RightHandSide:
     """dc/dt = -i (D + W + f(t) V) c: the rotor energies D are the rates,
     and the real [W; V], with W = H0 - D, is stacked so that each derivative
-    is one real sparse product on the float64 view of c, one axpy and one -i."""
+    is one real sparse product on the float64 view of c, one axpy and one -i.
+    The frame tables of the plan's band widths dt 2**k are built once each."""
     n = h0.shape[0]
     rest = (h0 - sparse.diags(energies)).tocsr()
     rest.eliminate_zeros()
@@ -129,47 +150,95 @@ def schrodinger_rhs(h0: sparse.csr_matrix, coupling: sparse.csr_matrix, energies
     def deriv(f, c):
         pairs = np.ascontiguousarray(c, dtype=np.complex128).view(np.float64).reshape(n, -1)
         w = (stacked @ pairs).view(np.complex128)
-        return (-1j * (w[:n] + f * w[n:])).reshape(np.shape(c))
+        out = w[n:]
+        out *= f
+        out += w[:n]
+        out *= -1j
+        return out.reshape(np.shape(c))
 
-    return RightHandSide(pulse.field_scalar, deriv, energies)
+    frames = functools.lru_cache(maxsize=len(STEP_BAND_EDGES))(functools.partial(rotor_frame, energies))
+    return RightHandSide(pulse.field_scalar, deriv, energies, frames)
 
 
-def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float) -> np.ndarray:
+def _interpolation_weights(tau: np.ndarray) -> np.ndarray:
+    """[..., i, k] = the Lagrange polynomial of knot k of _KNOTS at tau[..., i]."""
+    return np.where(_OTHER_KNOTS, tau[..., None, None] - _KNOTS, 1.0).prod(axis=-1) * _KNOT_SCALE
+
+
+def _collocate(rhs: RightHandSide, y: np.ndarray, fields: np.ndarray, frame: tuple,
+               stages: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """One step from y: fixed-point sweeps of its rotor-frame stage equations, each one rhs.deriv product
+    on the n x s stage block, from the first guess stages until no stage entry moves by more than
+    SWEEP_TOLERANCE. Returns the end state, the stages and, if MAX_SWEEPS sweeps did not converge, the
+    last update (else 0.0)."""
+    turn, back, full, h_a, h_b = frame
+    start = np.repeat(y[:, None], GAUSS_STAGES, axis=1)
+    for _ in range(MAX_SWEEPS):
+        derivs = back * rhs.deriv(fields, turn * stages)
+        new = (derivs.view(np.float64) @ h_a).view(np.complex128)
+        new += start
+        update, stages = np.abs(new - stages).max(), new
+        if not update > SWEEP_TOLERANCE:  # converged, or not finite
+            return full * (y + derivs @ h_b), stages, 0.0
+    return full * (y + derivs @ h_b), stages, update
+
+
+def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float,
+                  sample_times: np.ndarray = ()) -> tuple[np.ndarray, np.ndarray]:
     """GAUSS_STAGES-stage Gauss-Legendre collocation (order 2s = 20; unitary once the stage equations are solved:
     Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with
-    rhs.rates, which are integrated exactly. Fixed step dt, one partial final step, the stage fields from
-    one call; each fixed-point sweep of the stage equations is one rhs.deriv product on the n x s stage
-    block. A step whose sweeps reach MAX_SWEEPS goes on from its last iterate, and the span then ends in
-    StepSizeError with the state reached as its .state."""
+    rhs.rates, which are integrated exactly. Fixed step dt, one partial final step, the stage fields of
+    every step from one call, the frame tables of dt from rhs.frames when it is given. Returns the state
+    at t1 and, as rows, the states at sample_times (ascending, within (t0, t1]).
+
+    Samples do not cut the steps. A sample at a step's end, or past the last step, is the state there.
+    A sample t* inside the step [t, t + h] is a side step of width t* - t from the state at t: its sweeps
+    start on the step's collocation polynomial (the degree-s interpolant of the state at t and the
+    step's stages) at the side step's nodes theta c, theta = (t* - t) / h (Hairer, Lubich & Wanner,
+    sec. VIII.6), and converge like any step's. A step whose sweeps reach MAX_SWEEPS, main or side, goes
+    on from its last iterate; the span then ends in StepSizeError with the state at t1 as .state, the
+    sample rows as .rows and the start of the first stalled step as .time."""
     if not (dt > 0 and t1 >= t0):
         raise ValueError(f"need dt > 0 and t1 >= t0, got dt = {dt}, span {t1 - t0}")
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
     remainder = t1 - (t0 + n_full * dt)
     steps = [dt] * n_full + ([remainder] if remainder > 1e-12 * max(abs(t1), 1.0) else [])
     starts, widths = t0 + np.arange(len(steps)) * dt, np.array(steps)
-    fields = rhs.field(starts[:, None] + widths[:, None] * GAUSS_NODES)
-    frames = {}  # per step width: exp(-i D c h) at the nodes, its conjugate, exp(-i D h), h A^T, h b
-    for h in set(steps):
-        turn = np.exp(np.multiply.outer((-1j * h) * rhs.rates, GAUSS_NODES))
-        frames[h] = turn, turn.conj(), np.exp((-1j * h) * rhs.rates), h * GAUSS_MATRIX.T, h * GAUSS_WEIGHTS
+    samples = np.asarray(sample_times, dtype=float)
+    done = np.searchsorted(starts + widths, samples, side="right")  # the steps that end by each sample
+    inside = done < len(steps)
+    inside[inside] = samples[inside] > starts[done[inside]]
+    owner = done[inside]
+    side_widths = samples[inside] - starts[owner]
+    fields = rhs.field(np.concatenate([starts, starts[owner]])[:, None]
+                       + np.concatenate([widths, side_widths])[:, None] * GAUSS_NODES)
+    guesses = _interpolation_weights((side_widths / widths[owner])[:, None] * GAUSS_NODES).swapaxes(1, 2)
+    sides = iter(zip(fields[len(steps):], side_widths.tolist(), guesses))
+    bounds = np.searchsorted(done, np.arange(len(steps) + 1)).tolist()  # bounds[i]:bounds[i + 1] are past i steps
+    band = rhs.frames(dt) if rhs.frames else rotor_frame(rhs.rates, dt)
+    rows = np.empty((samples.size, np.size(y)), dtype=np.complex128)
     stall = None
-    for t, h, field_row in zip(starts.tolist(), steps, fields):
-        turn, back, full, h_a, h_b = frames[h]
-        stages = y[:, None]  # the rotor-frame stage states, all at the start state
-        for _ in range(MAX_SWEEPS):
-            derivs = back * rhs.deriv(field_row, turn * stages)
-            new = y[:, None] + derivs @ h_a
-            update, stages = np.abs(new - stages).max(), new
-            if not update > SWEEP_TOLERANCE:  # converged, or not finite
-                break
-        else:
-            stall = stall or StepSizeError(f"the collocation sweeps did not converge at t = {t:.6g} (update "
-                                           f"{update:.1e} after {MAX_SWEEPS} sweeps); reduce integrator.dt_pulse_fs")
-        y = full * (y + derivs @ h_b)
+    for i, (t, h, field_row) in enumerate(zip(starts.tolist(), steps, fields)):
+        end, stages, update = _collocate(rhs, y, field_row, band if h == dt else rotor_frame(rhs.rates, h),
+                                         y[:, None])
+        for j in range(bounds[i], bounds[i + 1]):
+            if not inside[j]:
+                rows[j] = y
+                continue
+            side_fields, width, weights = next(sides)
+            polynomial = y[:, None] * weights[0] + stages @ weights[1:]
+            rows[j], _, side_update = _collocate(rhs, y, side_fields, rotor_frame(rhs.rates, width), polynomial)
+            update = update or side_update
+        if update and stall is None:
+            stall = StepSizeError(f"the collocation sweeps did not converge at t = {t:.6g} (update "
+                                  f"{update:.1e} after {MAX_SWEEPS} sweeps); reduce integrator.dt_pulse_fs")
+            stall.time = t
+        y = end
+    rows[bounds[-1]:] = y
     if stall:
-        stall.state = y
+        stall.state, stall.rows = y, rows
         raise stall
-    return y
+    return y, rows
 
 
 def step_plan(pulse: PulseSchedule, t_end: float, dt: float) -> list[tuple[float, float, float]]:
@@ -225,21 +294,13 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     free = FreeEvolution(h0_s)
     rhs = schrodinger_rhs(h0_s, pieces.coupling, pieces.energies, pulse)
     norms, h0_expect = np.empty(samples.size), np.empty(samples.size)
-
-    stall, stalled_at = None, np.inf  # the first stalled step and the first sample after it
-    def step(c: np.ndarray, t_a: float, t_b: float, h: float, sample: int) -> np.ndarray:
-        nonlocal stall, stalled_at
-        try:
-            return rk4_integrate(rhs, c, t_a, t_b, h)
-        except StepSizeError as exc:
-            stall, stalled_at = stall or exc, min(stalled_at, sample)
-            return exc.state
+    stall = None  # the first StepSizeError of a stalled step: every sample after that step fails
 
     def emit(lo: int, block: np.ndarray) -> None:
         nonlocal last
         block_norms = np.linalg.norm(block, axis=1)
         bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= norm_tolerance)
-                             | (np.arange(lo, lo + block.shape[0]) >= stalled_at))
+                             | (samples[lo:lo + block.shape[0]] > (stall.time if stall else np.inf)))
         if bad.size:
             block = block[: bad[0] + 1]
         hi = lo + block.shape[0]
@@ -257,33 +318,35 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
             )
         last = block[-1]
 
-    # each segment owns the samples in (a, b]; window rows are flushed before a free segment
+    def show(held: np.ndarray, end: int, hold: bool) -> np.ndarray:
+        """Emit the held window rows, samples end - len(held) to end - 1, in SAMPLE_BLOCK
+        blocks; if hold, return the last partial block unshown."""
+        while len(held) >= SAMPLE_BLOCK or (len(held) and not hold):
+            emit(end - len(held), held[:SAMPLE_BLOCK])
+            held = held[SAMPLE_BLOCK:]
+        return held
+
+    # each segment owns the samples in (a, b]; a window's rows are held until they fill a block, a free
+    # segment starts, or one of them drifted or follows a stalled step
     emit(0, coeffs[None, :])
-    k, rows = 1, []
+    k, held = 1, np.empty((0, coeffs.size), dtype=np.complex128)
     for a, b, h in step_plan(pulse, t_end, dt):
         stop = int(np.searchsorted(samples, b, side="right"))
         if h == 0.0:
-            if rows:
-                emit(k - len(rows), np.array(rows))
-                rows = []
+            held = show(held, k, hold=False)
             amplitudes = free.project(coeffs)
             for lo in range(k, stop, SAMPLE_BLOCK):
                 emit(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
             if b < t_end:
                 coeffs = free.advance(amplitudes, np.array([b - a]))[0]
         else:
-            for j in range(k, stop):
-                coeffs = step(coeffs, a, float(samples[j]), h, j)
-                a = float(samples[j])
-                rows.append(coeffs)
-                drifted = not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance
-                if len(rows) == SAMPLE_BLOCK or drifted or j >= stalled_at:
-                    emit(j + 1 - len(rows), np.array(rows))
-                    rows = []
-            if b > a:
-                coeffs = step(coeffs, a, b, h, stop)
+            try:
+                coeffs, rows = rk4_integrate(rhs, coeffs, a, b, h, samples[k:stop])
+            except StepSizeError as exc:
+                stall, coeffs, rows = stall or exc, exc.state, exc.rows
+            drifted = not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= norm_tolerance)
+            held = show(np.concatenate([held, rows]), stop, hold=not (stall or drifted))
         k = stop
-    if rows:
-        emit(k - len(rows), np.array(rows))
+    show(held, k, hold=False)
     column, weight = pieces.basis.sector_gather
     return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=weight * last[column])

@@ -412,15 +412,12 @@ def full_space_schedule(ops, pulse, dt, norm_tolerance, sample_times, observers=
                 emit(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
             coeffs = free.advance(amplitudes, np.array([b - a]))[0]
         else:
-            for j in range(k, stop):
-                coeffs = rk4_integrate(rhs, coeffs, a, float(samples[j]), h)
-                a = float(samples[j])
-                rows.append(coeffs)
-                if len(rows) == SAMPLE_BLOCK or not abs(np.linalg.norm(coeffs) - 1.0) <= norm_tolerance:
+            coeffs, window_rows = rk4_integrate(rhs, coeffs, a, b, h, samples[k:stop])
+            for j, row in enumerate(window_rows, start=k):
+                rows.append(row)
+                if len(rows) == SAMPLE_BLOCK or not abs(np.linalg.norm(row) - 1.0) <= norm_tolerance:
                     emit(j + 1 - len(rows), np.array(rows))
                     rows = []
-            if b > a:
-                coeffs = rk4_integrate(rhs, coeffs, a, b, h)
         k = stop
     if rows:
         emit(k - len(rows), np.array(rows))
@@ -445,7 +442,7 @@ def per_sample_schedule(ops, pulse, dt, sample_times):
             if hi > lo and h == 0.0:
                 c = vectors @ (np.exp(-1j * energies * (hi - lo)) * (vectors.conj().T @ c))
             elif hi > lo:
-                c = rk4_integrate(rhs, c, lo, hi, h)
+                c = rk4_integrate(rhs, c, lo, hi, h)[0]
         states.append(c)
     states = np.array(states)
     h0_expect = np.array([np.vdot(s, ops.h0 @ s).real for s in states])

@@ -47,9 +47,9 @@ def test_build_pieces_result_has_csr_h0_and_coupling():
 
 
 def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
-    # each step takes the field at its six nodes, and each call takes all of
-    # its steps' fields at once, so the per-layer step count stays exact when
-    # the plan cuts the windows into step bands and samples split them
+    # each call takes the field at the ten nodes of each of its main steps and of
+    # each side step, one per sample inside a step, all at once; the counter reads
+    # the main steps off (t0, t1, dt)
     import dataclasses
 
     from rotorpair import propagation
@@ -60,7 +60,7 @@ def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
 
     schedule, dipole, dt, _ = to_reduced(RunConfig())
     train = dataclasses.replace(schedule, period_red=0.3, count=3)
-    taken, steps = [], []
+    taken, steps, sides = [], [], []
     schrodinger_rhs, rk4_integrate = propagation.schrodinger_rhs, propagation.rk4_integrate
 
     def counting_rhs(*args):
@@ -69,12 +69,14 @@ def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
 
     def counted(*args):
         steps.append(layertrace._rk4_steps(args, {}, None)["steps"])
+        sides.append(len(args[5]))
         return rk4_integrate(*args)
 
     monkeypatch.setattr(propagation, "schrodinger_rhs", counting_rhs)
     monkeypatch.setattr(propagation, "rk4_integrate", counted)
-    samples = np.arange(161) * 0.005  # a dozen samples inside each of the three windows
+    samples = np.arange(161) * 0.005  # a dozen samples inside each of the three windows, none on a step's end
     propagation.run_schedule(build_pieces(TwoRotorBasis(2), dipole), train, dt, 1e-8, samples)
     assert len(steps) == len(taken) > 7
     assert all(shape[1:] == propagation.GAUSS_NODES.shape for shape in taken)
-    assert sum(steps) == sum(shape[0] for shape in taken)
+    assert sum(sides) > 30
+    assert sum(steps) + sum(sides) == sum(shape[0] for shape in taken)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import coefficient_matrix, one_rotor_indices, reduced_density_mol1, sector_isometry
+from rotorpair import entanglement
 from rotorpair.angular import TwoRotorBasis
 from rotorpair.config import preset
 from rotorpair.entanglement import schmidt_spectrum, von_neumann_entropy
@@ -130,6 +131,29 @@ def test_schmidt_spectrum_matches_the_density_matrix_eigenvalues(l_max):
     eigs = np.sort(np.linalg.eigvalsh(rho))[::-1]
     assert np.allclose(np.sort(weights)[::-1], eigs, atol=1e-12)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_blocks_below_half_the_clip_skip_their_eigenvalues_and_keep_the_entropy_bit_for_bit(monkeypatch):
+    # blocks 2 and 3 of l_max 3 scaled to squared Frobenius norms just above and below half of _CLIP
+    basis = TwoRotorBasis(3)
+    column, weight = basis.sector_gather
+    blocks = basis.schmidt_blocks
+    rng = np.random.default_rng(7)
+    rows = _sector_states(basis, rng.standard_normal((3, 2, sector_isometry(basis).shape[1])))
+    for m, share in ((2, 0.55), (3, 0.45)):
+        frobenius = (np.abs(weight[blocks[m]] * rows[:, column[blocks[m]]]) ** 2).sum(axis=(1, 2))
+        rows[:, np.unique(column[blocks[m]])] *= np.sqrt(share * entanglement._CLIP / frobenius)[:, None]
+    skipped = schmidt_spectrum(basis, rows)
+    with monkeypatch.context() as patch:
+        patch.setattr(entanglement, "_CLIP", 0.0)  # no block is skipped
+        decomposed = schmidt_spectrum(basis, rows)
+    # the spectrum lists blocks 1, 2, 3, then 0, 1, 2, 3, of sizes 4 - m
+    block_2, block_3 = [3, 4, 13, 14], [5, 15]
+    assert np.all(skipped[:, block_2] > 0.0) and np.array_equal(skipped[:, block_2], decomposed[:, block_2])
+    assert np.all(skipped[:, block_3] == 0.0) and np.all(decomposed[:, block_3] > 0.0)
+    for log_base in ("e", "2", "d_single"):
+        assert np.array_equal(von_neumann_entropy(skipped, basis.d_single, log_base),
+                              von_neumann_entropy(decomposed, basis.d_single, log_base))
 
 
 def test_density_matrix_trace_equals_squared_norm():

@@ -38,6 +38,19 @@ def test_floats_carry_17_significant_digits():
     assert format_float(0.0) == "0"
 
 
+@pytest.mark.parametrize("table", [
+    [[math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300, 0.1],
+     [3.0, -7.0, 1e20, 2.0**53 + 2.0, 1.0 / 3.0, -1e-310, 0.0]],
+    [[0, -1, 2, 3, 10**17, -(10**20), 7]],
+], ids=["special_floats", "integers"])
+def test_row_formatting_writes_the_bytes_of_per_cell_formatting(tmp_path, table):
+    path = write_timeseries_csv(tmp_path / "run.csv", WATCH, table)
+    cells = np.asarray(table).tolist()
+    expected = "\n".join([csv_header(WATCH)] + [",".join(f"{v:.17g}" for v in row) for row in cells]) + "\n"
+    assert path.read_bytes() == expected.encode()
+    assert all(format_float(v) == f"{v:.17g}" for row in cells for v in row)
+
+
 def test_write_read_round_trip(tmp_path):
     rows = _rows(4)
     path = write_timeseries_csv(tmp_path / "run.csv", WATCH, rows)

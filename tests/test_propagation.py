@@ -55,7 +55,7 @@ def _step_to(rhs, pulse, y, t_end, dt):
     """y stepped over a plan of [0, t_end] that holds no free segment."""
     for a, b, h in step_plan(pulse, t_end, dt):
         assert h > 0.0
-        y = rk4_integrate(rhs, y, a, b, h)
+        y = rk4_integrate(rhs, y, a, b, h)[0]
     return y
 
 
@@ -187,7 +187,7 @@ def test_rk4_two_level_convergence_is_order_20():
     rhs = RightHandSide(field=np.ones_like, deriv=lambda f, y: -1j * f * (v @ y), rates=np.array([0.0, 1.0]))
     y0 = np.array([1.0 + 0.0j, 0.0j])
     exact = expm(-48.0j * (np.diag([0.0, 1.0]) + v)) @ y0
-    err = [np.abs(rk4_integrate(rhs, y0, 0.0, 48.0, dt) - exact).max() for dt in (4.8, 4.0)]
+    err = [np.abs(rk4_integrate(rhs, y0, 0.0, 48.0, dt)[0] - exact).max() for dt in (4.8, 4.0)]
     assert err[1] > 1e-13
     fall = 1.2 ** (2 * GAUSS_STAGES)
     assert 0.75 * fall < err[0] / err[1] < 1.25 * fall
@@ -197,7 +197,7 @@ def test_rk4_partial_final_step_lands_on_t1():
     # the field is t itself, so dy/dt = 2t
     rhs = RightHandSide(field=lambda t: t, deriv=lambda f, y: np.array([2.0 * f]))
     # 0.37 is not a multiple of 0.1: a 0.07 closing step is needed
-    y = rk4_integrate(rhs, np.array([0.0]), 0.0, 0.37, 0.1)
+    y, _ = rk4_integrate(rhs, np.array([0.0]), 0.0, 0.37, 0.1)
     assert y[0] == pytest.approx(0.37**2, rel=1e-12)
 
 
@@ -235,10 +235,13 @@ def test_sweeps_that_contract_too_slowly_raise_with_the_state_reached():
     dt = 0.75 / SWEEP_RATE
     with pytest.raises(StepSizeError, match=rf"did not converge at t = 0 \(update \S+ after {MAX_SWEEPS} "
                                             r"sweeps\); reduce integrator\.dt_pulse_fs$") as failure:
-        rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt)
+        rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt, [0.5 * dt, 1.5 * dt])
     assert failure.value.state.shape == (1,) and np.isfinite(failure.value.state[0])
+    # the span still ends: every sample has its row, and the first stalled step starts at 0
+    assert failure.value.rows.shape == (2, 1) and np.all(np.isfinite(failure.value.rows))
+    assert failure.value.time == 0.0
     # a quarter of that step converges
-    y = rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt / 4.0)
+    y, _ = rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, 2.0 * dt, dt / 4.0)
     assert abs(y[0] - np.exp(-2j * dt)) <= 1e-7
 
 
@@ -262,7 +265,7 @@ def test_window_kernel_matches_the_dense_stage_solve(case):
     rng = np.random.default_rng(5)
     c = rng.standard_normal(s.shape[1]) + 1j * rng.standard_normal(s.shape[1])
     c /= np.linalg.norm(c)
-    got = s @ rk4_integrate(_sector_rhs(pieces, pulse), c, t_a, t_b, DT)
+    got = s @ rk4_integrate(_sector_rhs(pieces, pulse), c, t_a, t_b, DT)[0]
     ref = oracles.dense_collocation(oracles.basis_operators(pieces.basis, 0.13150852670024232), pulse,
                                     s @ c, t_a, t_b, DT)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
@@ -275,7 +278,7 @@ def test_window_with_zero_kick_matches_free_evolution():
     pulse = _single_pulse(kick=0.0)
     c = oracles.ground_state(ops)
     rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
-    stepped = rk4_integrate(rhs, c, 0.0, 0.2, 2e-4)
+    stepped, _ = rk4_integrate(rhs, c, 0.0, 0.2, 2e-4)
     assert np.abs(stepped - _free(ops.h0, c, 0.2)).max() < 1e-10
 
 
@@ -296,7 +299,7 @@ def test_window_step_refinement_is_high_order():
     pieces = build_pieces(TwoRotorBasis(2), 0.13150852670024232)
     c0 = initial_state(pieces.h0.shape[0])
     rhs = _sector_rhs(pieces, _single_pulse())
-    _assert_order_near_2s(lambda dt: rk4_integrate(rhs, c0, 0.0, T0 + 5.0 * SIGMA, dt), 8.5)
+    _assert_order_near_2s(lambda dt: rk4_integrate(rhs, c0, 0.0, T0 + 5.0 * SIGMA, dt)[0], 8.5)
 
 
 def test_window_integration_is_time_reversible():
@@ -306,13 +309,63 @@ def test_window_integration_is_time_reversible():
     c0 = initial_state(pieces.h0.shape[0])
     t_b = T0 + 5.0 * SIGMA
     ahead = _sector_rhs(pieces, pulse)
-    forward = rk4_integrate(ahead, c0, 0.0, t_b, DT)
+    forward, _ = rk4_integrate(ahead, c0, 0.0, t_b, DT)
 
     # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
     backwards = RightHandSide(field=lambda s: ahead.field(t_b - s),
                               deriv=lambda f, g: -ahead.deriv(f, g), rates=-ahead.rates)
-    back = rk4_integrate(backwards, forward, 0.0, t_b, DT)
+    back, _ = rk4_integrate(backwards, forward, 0.0, t_b, DT)
     assert np.abs(back - c0).max() < 1e-6
+
+
+def test_samples_inside_steps_match_the_cut_steps_they_replace():
+    # samples inside core and banded steps of the pulse window, against the state stepped to each
+    # sample, which ends in a partial step there
+    pieces, c = _spread_sector_state(4)
+    pulse = _single_pulse()
+    rhs = _sector_rhs(pieces, pulse)
+    t_a, t_b = T0 - 1.3 * SIGMA, T0 + 1.4 * SIGMA
+    samples = t_a + np.array([0.05, 0.5, 0.99, 2.0, 3.7, 5.3]) * DT
+    end, rows = rk4_integrate(rhs, c, t_a, t_b, DT, samples)
+    assert np.array_equal(end, rk4_integrate(rhs, c, t_a, t_b, DT)[0])
+    for t, row in zip(samples, rows):
+        assert np.abs(row - rk4_integrate(rhs, c, t_a, t, DT)[0]).max() <= 1e-13
+    # a sample on a step's end is that step's end state
+    assert np.array_equal(rk4_integrate(rhs, c, t_a, t_b, DT, [(t_a + DT) + DT])[1][0],
+                          rk4_integrate(rhs, c, t_a, (t_a + DT) + DT, DT)[0])
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.8])
+@pytest.mark.parametrize("offset, h", [(SIGMA, DT), (1.6 * SIGMA, 2.0 * DT)], ids=["core", "first_band"])
+def test_a_side_step_started_on_the_step_polynomial_sweeps_half_as_often(offset, h, theta):
+    # a step on either side of the 1.5 sigma edge; at the peak, where the polynomial's stage order
+    # shows most, the start saves a third to a half of the sweeps, and over a window about half
+    pieces, c = _spread_sector_state(4)
+    rhs, calls = _sector_rhs(pieces, _single_pulse()), []
+    rhs = rhs._replace(deriv=lambda f, y, deriv=rhs.deriv: calls.append(1) or deriv(f, y))
+    t = T0 + offset
+    rk4_integrate(rhs, c, t, t + h, h)
+    main = len(calls)
+    _, (row,) = rk4_integrate(rhs, c, t, t + h, h, [t + theta * h])
+    polynomial = len(calls) - 2 * main
+    from_start, _ = rk4_integrate(rhs, c, t, t + theta * h, theta * h)
+    from_y = len(calls) - 2 * main - polynomial
+    assert 1 <= polynomial <= 0.5 * from_y
+    assert np.abs(row - from_start).max() <= 1e-14
+
+
+def test_run_schedule_calls_the_stepper_once_per_collocation_segment(monkeypatch):
+    train = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0, carrier_omega=OMEGA,
+                          period_red=0.3, count=2)
+    samples = np.arange(200) * 0.004
+    calls = []
+    integrate = propagation.rk4_integrate
+    monkeypatch.setattr(propagation, "rk4_integrate", lambda rhs, y, t0, t1, dt, times: calls.append(
+        (t0, t1, dt, times.tolist())) or integrate(rhs, y, t0, t1, dt, times))
+    run_schedule(build_pieces(TwoRotorBasis(2), 0.13150852670024232), train, DT, TOL, samples)
+    segments = [(a, b, h, samples[(samples > a) & (samples <= b)].tolist())
+                for a, b, h in step_plan(train, samples[-1], DT) if h > 0.0]
+    assert len(segments) == 14 and calls == segments
 
 
 def test_window_raises_on_norm_drift():
@@ -346,7 +399,7 @@ def test_rk4_with_zero_rates_is_expm_of_a_constant_h():
     h = (pieces.h0 + KICK * pieces.coupling).toarray()
     constant = RightHandSide(np.zeros_like, lambda f, y: -1j * (h @ y))
     t_a, t_b = T0 - 0.7 * SIGMA, T0 + 1.3137 * SIGMA
-    got = rk4_integrate(constant, c, t_a, t_b, DT)
+    got, _ = rk4_integrate(constant, c, t_a, t_b, DT)
     assert np.abs(got - expm(-1j * h * (t_b - t_a)) @ c).max() <= 1e-14
 
 
@@ -355,7 +408,7 @@ def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
     rhs = RightHandSide(np.zeros_like, lambda f, y: np.zeros_like(y), energies)
     c = np.full(energies.size, energies.size**-0.5, dtype=complex)
     t_a, t_b = T0 - 5.0 * SIGMA, T0 + 5.0 * SIGMA
-    got = rk4_integrate(rhs, c, t_a, t_b, 8.0 * DT)
+    got, _ = rk4_integrate(rhs, c, t_a, t_b, 8.0 * DT)
     assert np.abs(got - np.exp(-1j * energies * (t_b - t_a)) * c).max() <= 1e-13
 
 
@@ -586,7 +639,7 @@ def test_run_schedule_fails_at_the_first_sample_after_stalled_sweeps(monkeypatch
     seen, spans = [], []
     integrate = propagation.rk4_integrate
     monkeypatch.setattr(propagation, "rk4_integrate",
-                        lambda rhs, y, t0, t1, dt: spans.append(t1) or integrate(rhs, y, t0, t1, dt))
+                        lambda rhs, y, t0, *rest: spans.append(t0) or integrate(rhs, y, t0, *rest))
     with pytest.raises(StepSizeError, match="did not converge"):
         run_schedule(pieces, _single_pulse(), DT, TOL, samples,
                      observers=(lambda t, k, c: seen.append((k, np.linalg.norm(c, axis=1))),))
@@ -596,8 +649,8 @@ def test_run_schedule_fails_at_the_first_sample_after_stalled_sweeps(monkeypatch
     assert np.all(np.abs(norms - 1.0) <= 1e-8)
     # the last sample shown is the first past a stalled step, which lies in the window
     assert samples[indices[-1]] > T0 - 1.5 * SIGMA and samples[indices[-2]] < T0 + 5.0 * SIGMA
-    # and no step goes past it
-    assert max(spans) <= samples[indices[-1]]
+    # and no stepper call starts past it
+    assert max(spans) < samples[indices[-1]]
 
 
 def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
