@@ -300,20 +300,19 @@ class SweepSpec:
 
 def _parse_axis(data, path: str) -> SweepAxis:
     _require_mapping(data, path)
-    _reject_unknown(data, ("name", "values"), path)
-    return SweepAxis(name=data.get("name"), values=data.get("values"))
+    _reject_unknown(data, tuple(_hints(SweepAxis)), path)
+    return SweepAxis(**{key: data.get(key) for key in _hints(SweepAxis)})
 
 
 def parse_sweep(text: str) -> SweepSpec:
-    """Decode a JSON sweep specification; SweepSpec checks it."""
+    """Decode a JSON sweep specification, whose keys are SweepSpec's fields; SweepSpec checks it."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"sweep spec is not valid JSON: {exc}") from exc
     _require_mapping(data, "sweep")
-    _reject_unknown(data, ("base", "axis1", "axis2", "parallelism", "out_dir"), "")
+    _reject_unknown(data, tuple(_hints(SweepSpec)), "")
     if "axis1" not in data:
         raise InvalidConfigError("sweep spec needs axis1")
     axes = {path: _parse_axis(data[path], path) for path in ("axis1", "axis2") if path in data}
-    return SweepSpec(base=data.get("base", {}), parallelism=data.get("parallelism"),
-                     out_dir=data.get("out_dir"), **axes)
+    return SweepSpec(**{"base": {}, **data, **axes})

@@ -56,7 +56,7 @@ class TimeSeriesRecorder:
             "entropy": entanglement.von_neumann_entropy(weights, self.basis.d_single,
                                                         self.output.entropy_log_base),
             "norm": np.linalg.norm(coeffs, axis=1),
-            "energy_rot": np.abs(coeffs) ** 2 @ self.pieces.energies,
+            "energy_rot": (np.abs(coeffs) ** 2 * self.pieces.energies).sum(axis=1),
         }
         for name, values in block.items():
             self._columns[name].append(np.asarray(values, dtype=float))

@@ -55,9 +55,9 @@ SWEEP_RATE = float(np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max())
 SWEEP_TOLERANCE = 1e-15
 MAX_SWEEPS = 30
 
-# Most samples handed to the observers at once: each K x n_s complex block
-# of sector rows stays under 1 MB up to n_s = 969 (l_max = 16; n_s = 286
-# at l_max = 10), and the observers' per-call work is shared by 64 samples.
+# Samples per observer block and per free-advance chunk. run_schedule's queue
+# briefly holds up to 2 SAMPLE_BLOCK - 1 complex sector rows (more only while a
+# larger collocation segment joins it): 0.6 MiB at l_max = 10 (n_s = 286).
 SAMPLE_BLOCK = 64
 
 
@@ -273,15 +273,17 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     """Walk the step_plan of [0, last sample] with core step dt from the
     initial state, sampling on the way in the symmetric sector.
 
-    sample_times must be ascending and start at 0. Samples reach the
-    observers in blocks of at most SAMPLE_BLOCK consecutive samples from
-    one free segment or one window (a run of collocation segments), as
-    observer(t_red[K], indices[K], coeffs[K, n_s]): sector rows f, whose
-    basis state is S f (TwoRotorBasis.sector_gather reads it entry by
-    entry). Norms are those of f; psi_final is S f of the last sample. A
-    sample whose norm drifts beyond tolerance (or is NaN) ends its block, as
-    does the first sample after a step whose sweeps stalled: the observers
-    see it, then StepSizeError is raised. A diverging state overflows quietly.
+    sample_times must be ascending and start at 0. Each segment makes its
+    samples' rows at once: FreeEvolution.advance chunks of at most
+    SAMPLE_BLOCK, or one rk4_integrate call. take checks each row's norm
+    once and queues it, and the queue hands the observers every full block
+    of SAMPLE_BLOCK consecutive samples as observer(t_red[K], indices[K],
+    coeffs[K, n_s]): sector rows f, whose basis state is S f (read entry by
+    entry through TwoRotorBasis.sector_gather). Norms are those of f;
+    psi_final is S f of the last sample. The rest of the queue is shown at
+    the last sample, or at the first row whose norm drifted beyond tolerance
+    (or is NaN) or that follows a step whose sweeps stalled; then
+    StepSizeError is raised. A diverging state overflows quietly.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -295,19 +297,28 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     rhs = schrodinger_rhs(h0_s, pieces.coupling, pieces.energies, pulse)
     norms, h0_expect = np.empty(samples.size), np.empty(samples.size)
     stall = None  # the first StepSizeError of a stalled step: every sample after that step fails
+    queue = np.empty((0, coeffs.size), dtype=np.complex128)  # checked rows not yet shown
 
-    def emit(lo: int, block: np.ndarray) -> None:
-        nonlocal last
-        block_norms = np.linalg.norm(block, axis=1)
-        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= norm_tolerance)
-                             | (samples[lo:lo + block.shape[0]] > (stall.time if stall else np.inf)))
+    def take(lo: int, rows: np.ndarray) -> None:
+        """Check the rows of samples lo, lo + 1, ... and queue them up to the first bad one; show the
+        observers each full block, and the rest of the queue at the last sample or at a bad row."""
+        nonlocal queue, last
+        row_norms = np.linalg.norm(rows, axis=1)
+        bad = np.flatnonzero(~(np.abs(row_norms - 1.0) <= norm_tolerance)
+                             | (samples[lo:lo + rows.shape[0]] > (stall.time if stall else np.inf)))
         if bad.size:
-            block = block[: bad[0] + 1]
-        hi = lo + block.shape[0]
-        norms[lo:hi] = block_norms[: hi - lo]
-        h0_expect[lo:hi] = expectation(h0_s, block).real
-        for observer in observers:
-            observer(samples[lo:hi], np.arange(lo, hi), block)
+            rows = rows[: bad[0] + 1]
+        hi = lo + rows.shape[0]
+        norms[lo:hi] = row_norms[: hi - lo]
+        h0_expect[lo:hi] = expectation(h0_s, rows).real
+        queue = np.concatenate([queue, rows])  # samples hi - len(queue) to hi - 1
+        flush = bad.size or hi == samples.size
+        while len(queue) >= SAMPLE_BLOCK or flush and len(queue):
+            block, queue = queue[:SAMPLE_BLOCK], queue[SAMPLE_BLOCK:]
+            indices = np.arange(hi - len(queue) - len(block), hi - len(queue))
+            for observer in observers:
+                observer(samples[indices], indices, block)
+            last = block[-1]
         if bad.size:
             drift = abs(norms[hi - 1] - 1.0)
             if drift <= norm_tolerance:
@@ -316,27 +327,16 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                 f"norm drifted by {drift:.3e} at t = {samples[hi - 1]:.6g} (tolerance {norm_tolerance:.1e}); "
                 + ("reduce integrator.dt_pulse_fs" if np.isfinite(drift) else "the state diverged")
             )
-        last = block[-1]
 
-    def show(held: np.ndarray, end: int, hold: bool) -> np.ndarray:
-        """Emit the held window rows, samples end - len(held) to end - 1, in SAMPLE_BLOCK
-        blocks; if hold, return the last partial block unshown."""
-        while len(held) >= SAMPLE_BLOCK or (len(held) and not hold):
-            emit(end - len(held), held[:SAMPLE_BLOCK])
-            held = held[SAMPLE_BLOCK:]
-        return held
-
-    # each segment owns the samples in (a, b]; a window's rows are held until they fill a block, a free
-    # segment starts, or one of them drifted or follows a stalled step
-    emit(0, coeffs[None, :])
-    k, held = 1, np.empty((0, coeffs.size), dtype=np.complex128)
+    # each segment owns the samples in (a, b]
+    take(0, coeffs[None, :])
+    k = 1
     for a, b, h in step_plan(pulse, t_end, dt):
         stop = int(np.searchsorted(samples, b, side="right"))
         if h == 0.0:
-            held = show(held, k, hold=False)
             amplitudes = free.project(coeffs)
             for lo in range(k, stop, SAMPLE_BLOCK):
-                emit(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
+                take(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
             if b < t_end:
                 coeffs = free.advance(amplitudes, np.array([b - a]))[0]
         else:
@@ -344,9 +344,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                 coeffs, rows = rk4_integrate(rhs, coeffs, a, b, h, samples[k:stop])
             except StepSizeError as exc:
                 stall, coeffs, rows = stall or exc, exc.state, exc.rows
-            drifted = not np.all(np.abs(np.linalg.norm(rows, axis=1) - 1.0) <= norm_tolerance)
-            held = show(np.concatenate([held, rows]), stop, hold=not (stall or drifted))
+            take(k, rows)
         k = stop
-    show(held, k, hold=False)
     column, weight = pieces.basis.sector_gather
     return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=weight * last[column])

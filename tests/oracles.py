@@ -375,7 +375,7 @@ def rk4_windows(plan):
 
 
 def full_space_schedule(ops, pulse, dt, norm_tolerance, sample_times, observers=()):
-    """run_schedule's block loop from |00;00> with every state, operator and
+    """run_schedule's sample queue from |00;00> with every state, operator and
     eigh at the size of the basis of ops: no symmetric sector, nothing
     folded or unfolded."""
     samples = np.asarray(sample_times, dtype=float)
@@ -383,44 +383,42 @@ def full_space_schedule(ops, pulse, dt, norm_tolerance, sample_times, observers=
     rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
+    queue = np.empty((0, ops.h0.shape[0]), dtype=np.complex128)
 
-    def emit(lo, block):
-        block_norms = np.linalg.norm(block, axis=1)
-        bad = np.flatnonzero(~(np.abs(block_norms - 1.0) <= norm_tolerance))
+    def take(lo, rows):
+        nonlocal queue
+        row_norms = np.linalg.norm(rows, axis=1)
+        bad = np.flatnonzero(~(np.abs(row_norms - 1.0) <= norm_tolerance))
         if bad.size:
-            block = block[: bad[0] + 1]
-        hi = lo + block.shape[0]
-        norms[lo:hi] = block_norms[: hi - lo]
-        h0_expect[lo:hi] = expectation(ops.h0, block).real
-        for observer in observers:
-            observer(samples[lo:hi], np.arange(lo, hi), block)
+            rows = rows[: bad[0] + 1]
+        hi = lo + rows.shape[0]
+        norms[lo:hi] = row_norms[: hi - lo]
+        h0_expect[lo:hi] = expectation(ops.h0, rows).real
+        queue = np.concatenate([queue, rows])  # samples hi - len(queue) to hi - 1
+        flush = bad.size or hi == samples.size
+        while len(queue) >= SAMPLE_BLOCK or flush and len(queue):
+            block, queue = queue[:SAMPLE_BLOCK], queue[SAMPLE_BLOCK:]
+            indices = np.arange(hi - len(queue) - len(block), hi - len(queue))
+            for observer in observers:
+                observer(samples[indices], indices, block)
         if bad.size:
             raise StepSizeError(f"norm drifted by {abs(norms[hi - 1] - 1.0):.3e}"
                                 f" at t = {samples[hi - 1]:.6g}")
 
     coeffs = ground_state(ops)
-    emit(0, coeffs[None, :])
-    k, rows = 1, []
+    take(0, coeffs[None, :])
+    k = 1
     for a, b, h in step_plan(pulse, float(samples[-1]), dt):
         stop = int(np.searchsorted(samples, b, side="right"))
         if h == 0.0:
-            if rows:
-                emit(k - len(rows), np.array(rows))
-                rows = []
             amplitudes = free.project(coeffs)
             for lo in range(k, stop, SAMPLE_BLOCK):
-                emit(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
+                take(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
             coeffs = free.advance(amplitudes, np.array([b - a]))[0]
         else:
-            coeffs, window_rows = rk4_integrate(rhs, coeffs, a, b, h, samples[k:stop])
-            for j, row in enumerate(window_rows, start=k):
-                rows.append(row)
-                if len(rows) == SAMPLE_BLOCK or not abs(np.linalg.norm(row) - 1.0) <= norm_tolerance:
-                    emit(j + 1 - len(rows), np.array(rows))
-                    rows = []
+            coeffs, rows = rk4_integrate(rhs, coeffs, a, b, h, samples[k:stop])
+            take(k, rows)
         k = stop
-    if rows:
-        emit(k - len(rows), np.array(rows))
     return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=coeffs)
 
 

@@ -7,6 +7,7 @@ the benchmark. This resolves every hook without installing a wrapper.
 
 import importlib
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,3 +81,11 @@ def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
     assert all(shape[1:] == propagation.GAUSS_NODES.shape for shape in taken)
     assert sum(sides) > 30
     assert sum(steps) + sum(sides) == sum(shape[0] for shape in taken)
+
+
+def test_the_benchmark_self_test_passes():
+    # smoke-runs every workload, traced and untraced, in fresh worker processes and checks the
+    # gate, the metric names and the report of a missing hook against BENCHMARK.json (about 5 s)
+    done = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--self-test"], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-4000:]

@@ -117,6 +117,26 @@ def test_recorder_collects_samples():
     assert np.array_equal(rec.table()[:, 3], rec.column("entropy"))
 
 
+def test_recorder_columns_do_not_depend_on_the_block_size():
+    # the run's queue decides where a sample falls in its block; no column may round differently for it
+    basis = TwoRotorBasis(8)
+    n_s = oracles.sector_isometry(basis).shape[1]
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((130, n_s)) + 1j * rng.standard_normal((130, n_s))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    times = np.arange(130) * 0.0113
+
+    def table(sizes):
+        rec = _recorder(basis, ((0, 0, 0, 0), (1, 0, 1, 0)))
+        for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+            rec(times[lo:hi], np.arange(lo, hi), rows[lo:hi])
+        return rec.table()
+
+    whole = table([130])
+    for sizes in ([1] * 130, [7] * 18 + [4], [64, 64, 2]):
+        assert np.array_equal(table(sizes), whole)
+
+
 def test_recorder_starts_empty():
     rec = _recorder(TwoRotorBasis(1), ((0, 0, 0, 0),))
     assert rec.column("cos1").size == 0

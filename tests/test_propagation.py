@@ -653,6 +653,49 @@ def test_run_schedule_fails_at_the_first_sample_after_stalled_sweeps(monkeypatch
     assert max(spans) < samples[indices[-1]]
 
 
+def _three_pulse_train():
+    return PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0, carrier_omega=OMEGA,
+                         period_red=0.3, count=3)
+
+
+def test_run_schedule_hands_the_observers_full_blocks_across_window_edges():
+    train, samples = _three_pulse_train(), np.arange(200) * 0.004
+    plan = step_plan(train, samples[-1], DT)
+    free = [h == 0.0 for _, _, h in plan]
+    assert free.count(True) == 3 and free[-1] and not free[0]  # windows and free segments alternate
+    blocks = []
+    run_schedule(build_pieces(TwoRotorBasis(2), 0.13150852670024232), train, DT, TOL, samples,
+                 observers=(lambda t, k, c: blocks.append(k),))
+    assert [k.size for k in blocks] == [SAMPLE_BLOCK] * 3 + [200 - 3 * SAMPLE_BLOCK]
+    assert np.array_equal(np.concatenate(blocks), np.arange(200))
+
+
+def test_run_schedule_shows_the_queued_window_rows_with_a_free_row_that_drifted(monkeypatch):
+    # samples 1-14 are window rows; the free chunk that starts at sample 15 spoils its third row
+    train, samples = _three_pulse_train(), np.arange(200) * 0.004
+    events, seen = [], []
+    integrate, advance = propagation.rk4_integrate, FreeEvolution.advance
+
+    def spoiled(self, amplitudes, taus):
+        rows = advance(self, amplitudes, taus)
+        if taus.size > 1 and not any(e == "advance" for e, _ in events):
+            rows[2] *= 1.001
+        events.append(("advance", taus.size))
+        return rows
+
+    monkeypatch.setattr(FreeEvolution, "advance", spoiled)
+    monkeypatch.setattr(propagation, "rk4_integrate",
+                        lambda rhs, y, t0, *rest: events.append(("step", t0)) or integrate(rhs, y, t0, *rest))
+    with pytest.raises(StepSizeError, match=r"norm drifted by 1\.000e-03 at t = 0\.068 "):
+        run_schedule(build_pieces(TwoRotorBasis(2), 0.13150852670024232), train, DT, TOL, samples,
+                     observers=(lambda t, k, c: seen.append((k, np.linalg.norm(c, axis=1))),))
+    assert [k.tolist() for k, _ in seen] == [list(range(18))]  # one block: queued rows, then the bad one
+    norms = seen[0][1]
+    assert np.all(np.abs(norms[:-1] - 1.0) <= 1e-12) and abs(norms[-1] - 1.001) <= 1e-12
+    assert events[-1][0] == "advance"  # no stepper call after the failing row
+    assert max(t0 for e, t0 in events if e == "step") < samples[17]
+
+
 def test_run_schedule_fails_a_nan_state_at_sample_zero(monkeypatch):
     basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
