@@ -75,12 +75,20 @@ class TwoRotorBasis:
         states even under the swap P12 and the reflection sigma_v (m -> -m on both
         rotors, phase (-1)^(m1+m2) = +1). Column j of S is the normalized sum of one
         orbit of {1, P12, sigma_v, P12 sigma_v}; |00;00> is its own orbit, column 0.
+        The orbits even in l1 + l2 come first (columns below sector_split), each
+        parity in basis order: H0 keeps the parity (-1)^(l1+l2) and V flips it.
         """
         l1, m1, l2, m2 = self.l1, self.m1, self.l2, self.m2
         images = np.stack([self.positions(*image) for image in
                            ((l1, m1, l2, m2), (l2, m2, l1, m1), (l1, -m1, l2, -m2), (l2, -m2, l1, -m1))])
-        column = np.unique(images.min(axis=0), return_inverse=True)[1]
+        odd = (l1 + l2) % 2  # shared by the states of an orbit
+        column = np.unique(images.min(axis=0) + odd * self.size, return_inverse=True)[1]
         return column, 1.0 / np.sqrt(np.bincount(column)[column])
+
+    @cached_property
+    def sector_split(self) -> int:
+        """The number of sector columns even in l1 + l2: they come first in sector_gather."""
+        return int(self.sector_gather[0][(self.l1 + self.l2) % 2 == 0].max()) + 1
 
     @cached_property
     def schmidt_blocks(self) -> tuple[np.ndarray, ...]:

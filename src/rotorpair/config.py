@@ -23,10 +23,12 @@ DEFAULT_WATCH = ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 0))
 ENTROPY_LOG_BASES = ("e", "2", "d_single")
 # Most samples one run may ask for; at 1e6 rows the CSV is about 200 MB.
 MAX_SAMPLES = 1_000_000
-# Largest basis.l_max. At 24 the symmetric sector has 2,925 states, so the
-# dense H0 block and its eigenvectors are 2,925^2 floats (65 MiB) each. That
-# sets the bound: the sparse operators, built on the 10,425 M = 0 states with
-# no product space behind them, take about 9 MiB to build.
+# Largest basis.l_max. At 24 the symmetric sector has 2,925 states in parity
+# blocks of 1,547 and 1,378, so the larger dense H0 block and its eigenvectors
+# are 1,547^2 floats (18 MiB) each; the eigendecomposition raises peak memory
+# by about 91 MiB, and the run keeps 33 MiB of eigenvectors.
+# That sets the bound: the sparse operators, built on the 10,425 M = 0 states
+# with no product space behind them, take about 9 MiB to build.
 MAX_L_MAX = 24
 # Most pulses in one train; PulseSchedule.centers() holds one float per pulse.
 # The envelope sums only the pulses near the times it is asked for.

@@ -121,7 +121,9 @@ def fold_to_sector(basis: TwoRotorBasis, name: str, op: sparse.csr_matrix, tol: 
 @dataclass(frozen=True, eq=False)
 class HamiltonianPieces:
     """The field-free H0_s = S^T (rotor + dipole) S, the laser coupling V_s = S^T V S
-    (CSR) and the rotor energies of the sector states, over one basis's sector S."""
+    (CSR) and the rotor energies of the sector states, over one basis's sector S.
+    H0_s keeps the parity (-1)^(l1+l2) and V_s flips it: with the even columns
+    first (TwoRotorBasis.sector_split), H0_s is block-diagonal and V_s off-diagonal."""
 
     basis: TwoRotorBasis
     h0: sparse.csr_matrix
@@ -132,6 +134,13 @@ class HamiltonianPieces:
         dims = {self.h0.shape[0], self.coupling.shape[0], self.energies.size, self.basis.sector_gather[0].max() + 1}
         if len(dims) != 1:
             raise ConsistencyError(f"Hamiltonian pieces have mismatched dimensions: {sorted(dims)}")
+        split = self.basis.sector_split
+        for name, op, flips in (("H0", self.h0, False), ("V", self.coupling, True)):
+            op = op.tocoo()
+            stray = abs(op.data[((op.row < split) != (op.col < split)) != flips]).max(initial=0.0)
+            if stray:
+                raise ConsistencyError(f"{name} must {'flip' if flips else 'keep'} the parity (-1)^(l1+l2); "
+                                       f"it has an entry of {stray:.3e} that does not")
 
 
 def build_pieces(basis: TwoRotorBasis, dipole_strength: float) -> HamiltonianPieces:

@@ -43,15 +43,21 @@ def _quote(text: str) -> str:
     return text
 
 
-def write_whole(path: Path, text: str) -> None:
-    """Write text to a temporary name beside path, then rename it onto path."""
+def write_whole(path: Path, text) -> None:
+    """Write text, a str or an iterable of str chunks, to a temporary name beside path,
+    then rename it onto path."""
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in [text] if isinstance(text, str) else text:
+                fh.write(chunk)
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
+
+
+# rows formatted per write: the text of one chunk, not of the table, is held at a time
+CSV_CHUNK_ROWS = 256
 
 
 def write_timeseries_csv(path, watch, table, failure_message: str | None = None) -> Path:
@@ -59,13 +65,18 @@ def write_timeseries_csv(path, watch, table, failure_message: str | None = None)
     import numpy as np  # here, so that the sweep parent can import write_whole without numpy
 
     path = Path(path)
-    lines = [csv_header(watch)]
     table = np.asarray(table)
-    row_format = ",".join([FLOAT_FORMAT] * table.shape[-1])  # one % per row, not one format per cell
-    lines.extend(row_format % tuple(row) for row in table.tolist())
-    if failure_message is not None:
-        lines.append(f"{FAILURE_MARKER},{_quote(failure_message)}")
-    write_whole(path, "\n".join(lines) + "\n")
+    row_format = ",".join([FLOAT_FORMAT] * table.shape[-1]) + "\n"
+
+    def chunks():
+        yield csv_header(watch) + "\n"
+        for lo in range(0, len(table), CSV_CHUNK_ROWS):
+            rows = table[lo:lo + CSV_CHUNK_ROWS]
+            yield row_format * len(rows) % tuple(rows.ravel().tolist())  # one % per chunk, not per cell
+        if failure_message is not None:
+            yield f"{FAILURE_MARKER},{_quote(failure_message)}\n"
+
+    write_whole(path, chunks())
     return path
 
 

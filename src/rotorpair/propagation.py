@@ -8,14 +8,14 @@ step_plan cuts [0, t_end] once per run into segments, wherever the
 distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
 More than 5 sigma from every center a segment is free: the state advances
 by the exact exponential of the field-free Hamiltonian (one
-eigendecomposition per run). Every other segment is one rk4_integrate call
-of ten-stage Gauss collocation in the rotor frame (exact in the rotor
-energies): at the pulse-core step dt (from units.to_reduced) near the
-centers, doubled past each edge. Samples do not cut its steps: a sample
-inside a step is a side step from that step's start state, its sweeps
-started on the step's collocation polynomial. A norm violation raises, as
-does a step whose stage sweeps do not converge; nothing is ever silently
-renormalized.
+eigendecomposition per parity block and run). Every other segment is one
+rk4_integrate call of ten-stage Gauss collocation in the rotor frame (exact
+in the rotor energies): at the pulse-core step dt (from units.to_reduced)
+near the centers, doubled past each edge. Samples do not cut its steps: a
+sample inside a step is a side step from that step's start state, its
+sweeps started on the step's collocation polynomial. A norm violation
+raises, as does a step whose stage sweeps do not converge; nothing is ever
+silently renormalized.
 """
 
 from __future__ import annotations
@@ -83,35 +83,47 @@ def initial_state(n_s: int) -> np.ndarray:
 
 
 class FreeEvolution:
-    """exp(-i H0 tau) through one real eigendecomposition of H0.
+    """exp(-i H0 tau) through one real eigendecomposition per parity block of H0.
 
-    A free segment projects its start state once, a = V^T c, and every
-    sample in it is a row of (exp(-i E tau_k) * a) @ V^T, done as two real
-    matrix products.
+    H0 keeps the parity (-1)^(l1+l2), and the first split sector columns are
+    the even ones (TwoRotorBasis.sector_split), so H0 is two blocks on the
+    halves [0, split) and [split, n_s); no dense H0 of the whole sector is
+    formed. A free segment projects its start state once, a = V^T c, and
+    every sample in it is a row of (exp(-i E tau_k) * a) @ V^T, done as one
+    real matrix product per half. energies lists the even block's, then the
+    odd block's.
     """
 
-    def __init__(self, h0: sparse.csr_matrix):
+    def __init__(self, h0: sparse.csr_matrix, split: int):
         if np.any(h0.data.imag):
             raise ConsistencyError("H0 must be real; its largest imaginary part is "
                                    f"{np.abs(h0.data.imag).max():.3e}")
+        self.halves = (slice(0, split), slice(split, h0.shape[0]))
         try:
-            self.energies, self.vectors = np.linalg.eigh(h0.real.toarray())
+            blocks = [np.linalg.eigh(h0[half, half].real.toarray()) for half in self.halves]
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition of H0 (dim {h0.shape[0]}) failed: {exc}") from exc
+        self.energies = np.concatenate([energies for energies, _ in blocks])
+        self.vectors = [vectors for _, vectors in blocks]
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """Eigenbasis amplitudes V^T c of one state."""
         pairs = np.ascontiguousarray(coeffs, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-        parts = self.vectors.T @ pairs
+        parts = np.concatenate([vectors.T @ pairs[half] for vectors, half in zip(self.vectors, self.halves)])
         return parts[:, 0] + 1j * parts[:, 1]
 
     def advance(self, amplitudes: np.ndarray, durations: np.ndarray) -> np.ndarray:
         """States exp(-i H0 tau_k) c as rows, from the amplitudes of c."""
-        phased = np.exp(-1j * np.multiply.outer(durations, self.energies)) * amplitudes
+        angles = np.multiply.outer(-self.energies, durations)
+        phased = np.empty(angles.shape, dtype=np.complex128)
+        np.cos(angles, out=phased.real)  # exp(i angles), bit for bit, without a complex exp of each
+        np.sin(angles, out=phased.imag)
+        phased *= amplitudes[:, None]
         out = np.empty_like(phased)
-        out.real = np.ascontiguousarray(phased.real) @ self.vectors.T
-        out.imag = np.ascontiguousarray(phased.imag) @ self.vectors.T
-        return out
+        pairs, out_pairs = phased.view(np.float64), out.view(np.float64)  # a real and an imaginary column per tau
+        for vectors, half in zip(self.vectors, self.halves):
+            np.matmul(vectors, pairs[half], out=out_pairs[half])
+        return np.ascontiguousarray(out.T)
 
 
 class RightHandSide(NamedTuple):
@@ -187,9 +199,10 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
                   sample_times: np.ndarray = ()) -> tuple[np.ndarray, np.ndarray]:
     """GAUSS_STAGES-stage Gauss-Legendre collocation (order 2s = 20; unitary once the stage equations are solved:
     Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with
-    rhs.rates, which are integrated exactly. Fixed step dt, one partial final step, the stage fields of
-    every step from one call, the frame tables of dt from rhs.frames when it is given. Returns the state
-    at t1 and, as rows, the states at sample_times (ascending, within (t0, t1]).
+    rhs.rates, which are integrated exactly. Fixed step dt and one partial final step; a leftover under
+    1e-12 max(|t1|, 1), or a negative one, goes to the last full step instead, so the steps end on t1.
+    The stage fields of every step come from one call, the frame tables of dt from rhs.frames when it is
+    given. Returns the state at t1 and, as rows, the states at sample_times (ascending, within (t0, t1]).
 
     Samples do not cut the steps. A sample at a step's end, or past the last step, is the state there.
     A sample t* inside the step [t, t + h] is a side step of width t* - t from the state at t: its sweeps
@@ -202,7 +215,11 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
         raise ValueError(f"need dt > 0 and t1 >= t0, got dt = {dt}, span {t1 - t0}")
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
     remainder = t1 - (t0 + n_full * dt)
-    steps = [dt] * n_full + ([remainder] if remainder > 1e-12 * max(abs(t1), 1.0) else [])
+    steps = [dt] * n_full
+    if remainder > 1e-12 * max(abs(t1), 1.0):
+        steps.append(remainder)
+    elif steps:  # the last full step takes up a shorter (or negative) leftover, so the span still ends on t1
+        steps[-1] += remainder
     starts, widths = t0 + np.arange(len(steps)) * dt, np.array(steps)
     samples = np.asarray(sample_times, dtype=float)
     done = np.searchsorted(starts + widths, samples, side="right")  # the steps that end by each sample
@@ -293,7 +310,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
 
     t_end, h0_s = float(samples[-1]), pieces.h0
     coeffs = last = initial_state(h0_s.shape[0])
-    free = FreeEvolution(h0_s)
+    free = FreeEvolution(h0_s, pieces.basis.sector_split)
     rhs = schrodinger_rhs(h0_s, pieces.coupling, pieces.energies, pulse)
     norms, h0_expect = np.empty(samples.size), np.empty(samples.size)
     stall = None  # the first StepSizeError of a stalled step: every sample after that step fails

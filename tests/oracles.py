@@ -379,7 +379,7 @@ def full_space_schedule(ops, pulse, dt, norm_tolerance, sample_times, observers=
     eigh at the size of the basis of ops: no symmetric sector, nothing
     folded or unfolded."""
     samples = np.asarray(sample_times, dtype=float)
-    free = FreeEvolution(ops.h0)
+    free = FreeEvolution(ops.h0, ops.h0.shape[0])  # one block: the basis is in no parity order
     rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)

@@ -297,3 +297,17 @@ def test_each_benchmark_run_matches_its_reference(sims, label, tmp_path):
     path = output.write_timeseries_csv(tmp_path / f"{label}.csv", recorder.watch, recorder.table())
     verdict = check.check_csv(str(path), check.load_ref(label), workloads.d_single(label))
     assert verdict["ok"], verdict["problems"]
+
+
+def test_a_step_a_hair_under_sigma_over_2_lands_on_the_sigma_over_2_run(sims):
+    # dt = sigma / 2.0000000002 leaves each pi-train segment a leftover under rk4_integrate's 1e-12 max(|t1|, 1)
+    # threshold; the last full step takes it up, so no segment ends off its t1 (dropping the leftovers moved the
+    # watched populations by 4.2e-11). cos1 and the energy sit at the 20-pulse rounding floor, about 5e-12 for
+    # any offset from 1e-11 to 1e-9, so the populations are the columns compared.
+    cfg = sims.configs["fig2b_R30"]
+    shifted = dataclasses.replace(cfg, integrator=dataclasses.replace(
+        cfg.integrator, dt_pulse_fs=cfg.pulse.sigma_fs / 2.0000000002))
+    assert to_reduced(shifted)[2] < to_reduced(cfg)[2]
+    base, hair = sims.get("fig2b_R30").recorder, simulate(shifted).recorder
+    for entry in base.watch:
+        assert np.abs(hair.population_column(entry) - base.population_column(entry)).max() <= 5e-12

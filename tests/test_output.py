@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rotorpair.exceptions import InvalidConfigError
 from rotorpair.output import (
+    CSV_CHUNK_ROWS,
     FAILURE_MARKER,
     csv_header,
     format_float,
@@ -49,6 +51,26 @@ def test_row_formatting_writes_the_bytes_of_per_cell_formatting(tmp_path, table)
     expected = "\n".join([csv_header(WATCH)] + [",".join(f"{v:.17g}" for v in row) for row in cells]) + "\n"
     assert path.read_bytes() == expected.encode()
     assert all(format_float(v) == f"{v:.17g}" for row in cells for v in row)
+
+
+def test_chunked_rows_write_the_bytes_of_one_line_per_row(tmp_path):
+    # two full chunks, a partial one and the marker row
+    rows = _rows(2 * CSV_CHUNK_ROWS + 7)
+    path = write_timeseries_csv(tmp_path / "run.csv", WATCH, rows, failure_message="stopped, early")
+    lines = [csv_header(WATCH)] + [",".join(f"{v:.17g}" for v in row) for row in rows.tolist()]
+    assert path.read_bytes() == ("\n".join(lines + [f'{FAILURE_MARKER},"stopped, early"']) + "\n").encode()
+    assert write_timeseries_csv(tmp_path / "empty.csv", WATCH, rows[:0]).read_bytes() == (lines[0] + "\n").encode()
+
+
+def test_a_long_csv_is_written_without_its_whole_text_in_memory(tmp_path):
+    table = np.random.default_rng(7).standard_normal((50_000, 7))
+    tracemalloc.start()
+    try:
+        path = write_timeseries_csv(tmp_path / "run.csv", WATCH, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 def test_write_read_round_trip(tmp_path):

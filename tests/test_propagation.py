@@ -63,9 +63,9 @@ def _sector_rhs(pieces, pulse):
     return schrodinger_rhs(pieces.h0, pieces.coupling, pieces.energies, pulse)
 
 
-def _free(h0, coeffs, tau):
-    """exp(-i H0 tau) c through a fresh FreeEvolution."""
-    free = FreeEvolution(h0)
+def _free(h0, split, coeffs, tau):
+    """exp(-i H0 tau) c through a fresh FreeEvolution on the blocks [0, split) and [split, n)."""
+    free = FreeEvolution(h0, split)
     return free.advance(free.project(coeffs), np.array([tau]))[0]
 
 
@@ -106,7 +106,7 @@ def test_free_evolution_applies_the_energy_phase():
     k = basis.index_of(1, 0, 1, 0)
     c[k] = 1.0
     tau = 0.37
-    out = _free(ops.h0, c, tau)
+    out = _free(ops.h0, basis.size, c, tau)  # the whole basis as one block
     # E = l1(l1+1) + l2(l2+1) = 4
     assert out[k] == pytest.approx(np.exp(-1j * 4.0 * tau), rel=1e-12)
     assert abs(out[basis.index_of(0, 0, 0, 0)]) < 1e-15
@@ -121,24 +121,24 @@ def test_free_evolution_beats_at_the_level_splitting():
     c[basis.index_of(0, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
     c[basis.index_of(1, 0, 0, 0)] = 1.0 / math.sqrt(2.0)
     for tau in (0.0, 0.3, 1.1):
-        out = _free(ops.h0, c, tau)
+        out = _free(ops.h0, basis.size, c, tau)
         expected = math.cos(2.0 * tau) / math.sqrt(3.0)
         assert expectation(cos1, out).real == pytest.approx(expected, abs=1e-12)
 
 
 def test_free_evolution_reuse_matches_fresh_construction():
     pieces = build_pieces(TwoRotorBasis(2), 0.5)
-    free = FreeEvolution(pieces.h0)
+    free = FreeEvolution(pieces.h0, pieces.basis.sector_split)
     c = initial_state(pieces.h0.shape[0])
     first = free.advance(free.project(c), np.array([0.8]))[0]
     again = free.advance(free.project(c), np.array([0.8]))[0]
     assert np.array_equal(first, again)
-    assert np.allclose(first, _free(pieces.h0, c, 0.8), atol=1e-15)
+    assert np.allclose(first, _free(pieces.h0, pieces.basis.sector_split, c, 0.8), atol=1e-15)
 
 
 def test_free_block_rows_match_one_advance_each():
     pieces = build_pieces(TwoRotorBasis(2), 0.5)
-    free = FreeEvolution(pieces.h0)
+    free = FreeEvolution(pieces.h0, pieces.basis.sector_split)
     n_s = pieces.h0.shape[0]
     rng = np.random.default_rng(3)
     c = rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
@@ -151,12 +151,26 @@ def test_free_block_rows_match_one_advance_each():
         assert np.abs(row - ref).max() < 1e-13
 
 
+def test_blocked_free_evolution_matches_the_dense_exponential():
+    pieces = build_pieces(TwoRotorBasis(6), 0.444)
+    n_s, split = pieces.h0.shape[0], pieces.basis.sector_split
+    free = FreeEvolution(pieces.h0, split)
+    assert len(free.energies) == n_s  # the dimension a run reports
+    assert [vectors.shape for vectors in free.vectors] == [(split, split), (n_s - split, n_s - split)]
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(n_s) + 1j * rng.standard_normal(n_s)
+    c /= np.linalg.norm(c)
+    taus = np.array([0.0, 0.013, 0.4])
+    for tau, row in zip(taus, free.advance(free.project(c), taus)):
+        assert np.abs(row - expm(-1j * tau * pieces.h0.toarray()) @ c).max() <= 1e-13
+
+
 def test_free_evolution_and_the_window_product_reject_a_complex_h0():
     pieces = build_pieces(TwoRotorBasis(1), 0.0)
     skewed = pieces.h0.astype(np.complex128)  # the pieces are real
     skewed.data[0] += 1e-3j
     with pytest.raises(ConsistencyError, match="imaginary"):
-        FreeEvolution(skewed)
+        FreeEvolution(skewed, pieces.basis.sector_split)
     # the window product is real too: a complex operator is refused, a complex-typed real one is taken
     with pytest.raises(ConsistencyError, match="imaginary"):
         schrodinger_rhs(skewed, pieces.coupling, pieces.energies, _single_pulse())
@@ -199,6 +213,19 @@ def test_rk4_partial_final_step_lands_on_t1():
     # 0.37 is not a multiple of 0.1: a 0.07 closing step is needed
     y, _ = rk4_integrate(rhs, np.array([0.0]), 0.0, 0.37, 0.1)
     assert y[0] == pytest.approx(0.37**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("leftover", [5e-13, -5e-14])
+def test_rk4_a_leftover_under_the_threshold_goes_to_the_last_step(leftover):
+    # ten steps of 0.1 over [0, 1 + leftover]: 5e-13 is under 1e-12 max(|t1|, 1), and -5e-14 floors to ten
+    # steps; either way the leftover is no step of its own, and the rotor phase E t shows where the span ends
+    energy, calls = 1e4, []
+    rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: calls.append(f) or np.zeros_like(y),
+                        rates=np.array([energy]))
+    t1 = 1.0 + leftover
+    y, _ = rk4_integrate(rhs, np.array([1.0 + 0.0j]), 0.0, t1, 0.1)
+    assert len(calls) == 10
+    assert abs(y[0] - np.exp(-1j * energy * t1)) <= 1e-11  # energy * |leftover| >= 5e-10
 
 
 def test_rk4_rejects_bad_spans():
@@ -279,7 +306,7 @@ def test_window_with_zero_kick_matches_free_evolution():
     c = oracles.ground_state(ops)
     rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
     stepped, _ = rk4_integrate(rhs, c, 0.0, 0.2, 2e-4)
-    assert np.abs(stepped - _free(ops.h0, c, 0.2)).max() < 1e-10
+    assert np.abs(stepped - _free(ops.h0, ops.h0.shape[0], c, 0.2)).max() < 1e-10
 
 
 def _assert_order_near_2s(integrate, measured_log2_fall):
@@ -549,7 +576,8 @@ def test_run_schedule_without_field_is_pure_free_evolution():
     assert step_plan(pulse, 1.3, DT) == [(0.0, 1.3, 0.0)]
     assert np.allclose(traj.norms, 1.0, atol=1e-12)
     assert np.ptp(traj.h0_expect) < 1e-12
-    free = oracles.sector_isometry(basis) @ _free(pieces.h0, initial_state(pieces.h0.shape[0]), 1.3)
+    c0 = initial_state(pieces.h0.shape[0])
+    free = oracles.sector_isometry(basis) @ _free(pieces.h0, basis.sector_split, c0, 1.3)
     assert np.abs(traj.psi_final - free).max() < 1e-12
 
 
@@ -567,7 +595,7 @@ def test_run_schedule_matches_a_hand_composed_run():
 
     # composed in the symmetric sector, as run_schedule propagates
     s = oracles.sector_isometry(basis)
-    free = FreeEvolution(pieces.h0)
+    free = FreeEvolution(pieces.h0, pieces.basis.sector_split)
     c = initial_state(pieces.h0.shape[0])
     if a > 0:
         c = free.advance(free.project(c), np.array([a]))[0]

@@ -20,7 +20,7 @@ from rotorpair.angular import TwoRotorBasis
 from rotorpair.config import IntegratorSettings, OutputConfig
 from rotorpair.exceptions import ConsistencyError
 from rotorpair.observables import COLUMNS, TimeSeriesRecorder
-from rotorpair.operators import PulseSchedule, build_pieces, fold_to_sector
+from rotorpair.operators import HamiltonianPieces, PulseSchedule, build_pieces, fold_to_sector
 from rotorpair.propagation import SAMPLE_BLOCK, initial_state, run_schedule, step_plan
 
 # reduced parameters of the default molecule pair (see test_propagation.py)
@@ -90,6 +90,42 @@ def test_the_sector_has_one_column_per_symmetry_orbit(l_max):
     assert {frozenset(g) for g in groups.values()} == set(orbit.values())
     assert oracles.sector_isometry(basis).shape == (len(states), len(set(orbit.values())))
     assert np.array_equal(weight, 1.0 / np.sqrt([len(orbit[state]) for state in states]))
+
+
+@pytest.mark.parametrize("l_max", range(11))
+def test_the_even_orbits_come_first(l_max):
+    basis = TwoRotorBasis(l_max)
+    column, _ = basis.sector_gather
+    even, split = (basis.l1 + basis.l2) % 2 == 0, basis.sector_split
+    assert basis.index_of(0, 0, 0, 0) == 0 and column[0] == 0
+    assert np.all(column[even] < split) and np.all(column[~even] >= split)
+    assert split == np.unique(column[even]).size
+    # within each parity, the columns follow the first basis position of their orbits
+    first = np.full(column.max() + 1, basis.size)
+    np.minimum.at(first, column, np.arange(basis.size))
+    assert np.all(np.diff(first[:split]) > 0) and np.all(np.diff(first[split:]) > 0)
+
+
+@pytest.mark.parametrize("dipole", [0.0, 0.444])
+@pytest.mark.parametrize("l_max", range(1, 11))
+def test_h0_keeps_the_parity_and_v_flips_it(l_max, dipole):
+    pieces = build_pieces(TwoRotorBasis(l_max), dipole)
+    split = pieces.basis.sector_split
+    h0, v = pieces.h0.toarray(), pieces.coupling.toarray()
+    assert not h0[:split, split:].any() and not h0[split:, :split].any()
+    assert not v[:split, :split].any() and not v[split:, split:].any()
+    assert v[:split, split:].any()
+
+
+def test_pieces_whose_h0_or_v_breaks_the_parity_are_refused():
+    pieces = build_pieces(TwoRotorBasis(3), DIPOLE)
+    split = pieces.basis.sector_split
+    for name, entry in (("H0", (0, split)), ("V", (1, 0))):
+        bent = (pieces.h0 if name == "H0" else pieces.coupling).tolil()
+        bent[entry] = bent[entry[::-1]] = 1e-3
+        parts = (bent.tocsr(), pieces.coupling) if name == "H0" else (pieces.h0, bent.tocsr())
+        with pytest.raises(ConsistencyError, match=rf"^{name} must (keep|flip) the parity .* 1\.000e-03 "):
+            HamiltonianPieces(pieces.basis, *parts, pieces.energies)
 
 
 def _pulse(count=1, period=0.0):
