@@ -90,6 +90,11 @@ class TwoRotorBasis:
         """The number of sector columns even in l1 + l2: they come first in sector_gather."""
         return int(self.sector_gather[0][(self.l1 + self.l2) % 2 == 0].max()) + 1
 
+    def unfold(self, rows: np.ndarray, positions=slice(None)) -> np.ndarray:
+        """The amplitudes at basis positions of the states S f, for the sector rows f on the last axis of rows."""
+        column, weight = self.sector_gather
+        return weight[positions] * rows[..., column[positions]]
+
     @cached_property
     def schmidt_blocks(self) -> tuple[np.ndarray, ...]:
         """Basis positions of the M = 0 Schmidt matrix's blocks, m = 0..l_max:

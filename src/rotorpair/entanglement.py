@@ -7,7 +7,7 @@ rho_mol1 = C C^dagger. The von Neumann entropy is -sum(lam log lam).
 
 The states analysed here are sector rows f, the coefficients of the
 P12/sigma_v-even M = 0 sector that every run propagates, and C is
-gathered from them (TwoRotorBasis.sector_gather). The basis holds only
+gathered from them (TwoRotorBasis.unfold). The basis holds only
 M = 0 states, so C is nonzero only where m' = -m and splits into one
 block C_m per m (the symmetry-resolved Schmidt decomposition), and the
 sector makes C_{-m} = C_m = C_m^T: the spectrum is block 0's weights
@@ -40,12 +40,11 @@ def schmidt_spectrum(basis: TwoRotorBasis, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.atleast_2d(coeffs)
     finite = np.isfinite((np.abs(coeffs) ** 2).sum(axis=1))
     good = coeffs[finite]
-    column, weight = basis.sector_gather
     weights = np.full((coeffs.shape[0], basis.d_single), np.nan)
     eigs = []
     try:
         for block in basis.schmidt_blocks:
-            c = weight[block] * good[:, column[block]]
+            c = basis.unfold(good, block)
             # no weight of a block exceeds its squared Frobenius norm: at half of _CLIP or
             # less, every weight is one the entropy drops, and zeros change no bit
             if (c.real ** 2 + c.imag ** 2).sum(axis=(1, 2)).max(initial=0.0) <= 0.5 * _CLIP:

@@ -27,8 +27,6 @@ class NumericalError(SimulationError):
 
 
 class StepSizeError(NumericalError):
-    """Norm drift beyond tolerance, or stage sweeps that did not converge (from
-    rk4_integrate, with the state reached as .state, the sample rows as .rows and
-    the stalled step's start as .time): both ask for a smaller integration step.
-    A diverged (inf or NaN) state raises it too, with "the state diverged": no
-    step size fixes that."""
+    """Norm drift beyond tolerance, or stage sweeps that did not converge: both
+    ask for a smaller integration step. A diverged (inf or NaN) state raises it
+    too, with "the state diverged": no step size fixes that."""

@@ -27,9 +27,9 @@ class RegularityMetrics:
 
 
 class TimeSeriesRecorder:
-    """Block observer of one run of pieces that turns sampled sector rows
-    into columns: the watched populations, the entropy's log base and the
-    sample interval come from the run's OutputConfig."""
+    """Block observer of one run of pieces that turns sampled sector rows into one table, a row per sample,
+    with the columns names: t_red, h0_expect (<H0>), COLUMNS, then the watched populations. The watch list,
+    the entropy's log base and the sample interval come from the run's OutputConfig."""
 
     def __init__(self, pieces: HamiltonianPieces, output: OutputConfig):
         self.pieces = pieces
@@ -39,43 +39,33 @@ class TimeSeriesRecorder:
         if len(set(self.watch)) < len(self.watch):  # it would write two columns of one name
             raise QueryError(f"watch list {self.watch} repeats an entry")
         # fail on an out-of-basis watch entry up front, not at sample time
-        watch_idx = np.asarray([self.basis.index_of(*entry) for entry in self.watch], dtype=np.intp)
-        self._watch_column, self._watch_weight = (part[watch_idx] for part in self.basis.sector_gather)
-        self._columns = {name: [np.empty(0)] for name in ("t_red",) + COLUMNS}
-        self._populations = [np.empty((0, len(self.watch)))]
+        self._watch_idx = np.asarray([self.basis.index_of(*entry) for entry in self.watch], dtype=np.intp)
+        self.names = ("t_red", "h0_expect") + COLUMNS + self.watch
+        self._blocks = [np.empty((0, len(self.names)))]
 
     def __call__(self, t_red: np.ndarray, indices: np.ndarray, coeffs: np.ndarray) -> None:
         weights = entanglement.schmidt_spectrum(self.basis, coeffs)
         # cos(theta1) + cos(theta2) is V, and the sector makes the two halves equal
         cos = 0.5 * expectation(self.pieces.coupling, coeffs).real
-        block = {
-            "t_red": t_red,
-            "t_ps": indices * self.output.sample_interval_ps,
-            "cos1": cos,
-            "cos2": cos,
-            "entropy": entanglement.von_neumann_entropy(weights, self.basis.d_single,
-                                                        self.output.entropy_log_base),
-            "norm": np.linalg.norm(coeffs, axis=1),
-            "energy_rot": (np.abs(coeffs) ** 2 * self.pieces.energies).sum(axis=1),
-        }
-        for name, values in block.items():
-            self._columns[name].append(np.asarray(values, dtype=float))
-        self._populations.append(np.abs(self._watch_weight * coeffs[:, self._watch_column]) ** 2)
+        self._blocks.append(np.column_stack([
+            t_red, expectation(self.pieces.h0, coeffs).real, indices * self.output.sample_interval_ps, cos, cos,
+            entanglement.von_neumann_entropy(weights, self.basis.d_single, self.output.entropy_log_base),
+            np.linalg.norm(coeffs, axis=1), (np.abs(coeffs) ** 2 * self.pieces.energies).sum(axis=1),
+            np.abs(self.basis.unfold(coeffs, self._watch_idx)) ** 2]))
 
     def column(self, name: str) -> np.ndarray:
-        """One recorded column: t_red or any of COLUMNS."""
-        return np.concatenate(self._columns[name])
+        """One column by its name in names: t_red, h0_expect, any of COLUMNS or a watched entry."""
+        return np.concatenate(self._blocks)[:, self.names.index(name)]
 
     def population_column(self, entry: tuple[int, int, int, int]) -> np.ndarray:
         entry = tuple(entry)
         if entry not in self.watch:
             raise QueryError(f"{entry} is not in the watch list {self.watch}")
-        return np.concatenate(self._populations)[:, self.watch.index(entry)]
+        return self.column(entry)
 
     def table(self) -> np.ndarray:
         """The CSV rows: COLUMNS, then the watched populations."""
-        return np.column_stack([self.column(name) for name in COLUMNS]
-                               + [np.concatenate(self._populations)])
+        return np.concatenate(self._blocks)[:, self.names.index(COLUMNS[0]):]
 
 
 def _autocorr_peak(x: np.ndarray, k_min: int, k_max: int) -> float:

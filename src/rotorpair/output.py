@@ -33,10 +33,6 @@ def csv_header(watch) -> str:
 FLOAT_FORMAT = "%.17g"
 
 
-def format_float(x: float) -> str:
-    return FLOAT_FORMAT % x
-
-
 def _quote(text: str) -> str:
     if any(ch in text for ch in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'

@@ -14,8 +14,8 @@ in the rotor energies): at the pulse-core step dt (from units.to_reduced)
 near the centers, doubled past each edge. Samples do not cut its steps: a
 sample inside a step is a side step from that step's start state, its
 sweeps started on the step's collocation polynomial. A norm violation
-raises, as does a step whose stage sweeps do not converge; nothing is ever
-silently renormalized.
+fails the run, as does a step whose stage sweeps do not converge; nothing
+is ever silently renormalized.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from numpy.polynomial import legendre
 from scipy import sparse
 
 from .exceptions import ConsistencyError, InvalidConfigError, NumericalError, StepSizeError
-from .operators import HamiltonianPieces, PulseSchedule, expectation
+from .operators import HamiltonianPieces, PulseSchedule
 
 # Distances from the nearest pulse center, in sigma, past which the
 # collocation step doubles: dt, 2 dt, 4 dt, then 8 dt where the envelope is
@@ -63,10 +63,9 @@ SAMPLE_BLOCK = 64
 
 @dataclass
 class Trajectory:
-    """What propagation computed: per-sample norm and <H0> and the final state."""
+    """What propagation computed: the per-sample norms and the final state."""
 
     norms: np.ndarray
-    h0_expect: np.ndarray
     psi_final: np.ndarray
 
     @property
@@ -196,21 +195,20 @@ def _collocate(rhs: RightHandSide, y: np.ndarray, fields: np.ndarray, frame: tup
 
 
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float,
-                  sample_times: np.ndarray = ()) -> tuple[np.ndarray, np.ndarray]:
+                  sample_times: np.ndarray = ()) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """GAUSS_STAGES-stage Gauss-Legendre collocation (order 2s = 20; unitary once the stage equations are solved:
     Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with
     rhs.rates, which are integrated exactly. Fixed step dt and one partial final step; a leftover under
     1e-12 max(|t1|, 1), or a negative one, goes to the last full step instead, so the steps end on t1.
     The stage fields of every step come from one call, the frame tables of dt from rhs.frames when it is
-    given. Returns the state at t1 and, as rows, the states at sample_times (ascending, within (t0, t1]).
+    given. Returns the state at t1, the states at sample_times (ascending, within (t0, t1]) as rows, and the
+    stall: None, or (t, last update) of the first step at t whose sweeps, main or side, reached MAX_SWEEPS.
 
     Samples do not cut the steps. A sample at a step's end, or past the last step, is the state there.
     A sample t* inside the step [t, t + h] is a side step of width t* - t from the state at t: its sweeps
     start on the step's collocation polynomial (the degree-s interpolant of the state at t and the
     step's stages) at the side step's nodes theta c, theta = (t* - t) / h (Hairer, Lubich & Wanner,
-    sec. VIII.6), and converge like any step's. A step whose sweeps reach MAX_SWEEPS, main or side, goes
-    on from its last iterate; the span then ends in StepSizeError with the state at t1 as .state, the
-    sample rows as .rows and the start of the first stalled step as .time."""
+    sec. VIII.6), and converge like any step's. A stalled step goes on from its last iterate."""
     if not (dt > 0 and t1 >= t0):
         raise ValueError(f"need dt > 0 and t1 >= t0, got dt = {dt}, span {t1 - t0}")
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
@@ -247,15 +245,10 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
             rows[j], _, side_update = _collocate(rhs, y, side_fields, rotor_frame(rhs.rates, width), polynomial)
             update = update or side_update
         if update and stall is None:
-            stall = StepSizeError(f"the collocation sweeps did not converge at t = {t:.6g} (update "
-                                  f"{update:.1e} after {MAX_SWEEPS} sweeps); reduce integrator.dt_pulse_fs")
-            stall.time = t
+            stall = (t, update)
         y = end
     rows[bounds[-1]:] = y
-    if stall:
-        stall.state, stall.rows = y, rows
-        raise stall
-    return y, rows
+    return y, rows, stall
 
 
 def step_plan(pulse: PulseSchedule, t_end: float, dt: float) -> list[tuple[float, float, float]]:
@@ -295,12 +288,12 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     SAMPLE_BLOCK, or one rk4_integrate call. take checks each row's norm
     once and queues it, and the queue hands the observers every full block
     of SAMPLE_BLOCK consecutive samples as observer(t_red[K], indices[K],
-    coeffs[K, n_s]): sector rows f, whose basis state is S f (read entry by
-    entry through TwoRotorBasis.sector_gather). Norms are those of f;
-    psi_final is S f of the last sample. The rest of the queue is shown at
-    the last sample, or at the first row whose norm drifted beyond tolerance
-    (or is NaN) or that follows a step whose sweeps stalled; then
-    StepSizeError is raised. A diverging state overflows quietly.
+    coeffs[K, n_s]): sector rows f, whose basis state is S f
+    (TwoRotorBasis.unfold). Norms are those of f; psi_final is S f of the
+    last sample. The rest of the queue is shown at the last sample, or at the
+    first row whose norm drifted beyond tolerance (or is NaN) or that follows
+    the first stall an rk4_integrate call returned; then StepSizeError is
+    raised. A diverging state overflows quietly.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -312,8 +305,8 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     coeffs = last = initial_state(h0_s.shape[0])
     free = FreeEvolution(h0_s, pieces.basis.sector_split)
     rhs = schrodinger_rhs(h0_s, pieces.coupling, pieces.energies, pulse)
-    norms, h0_expect = np.empty(samples.size), np.empty(samples.size)
-    stall = None  # the first StepSizeError of a stalled step: every sample after that step fails
+    norms = np.empty(samples.size)
+    stall = None  # (t, update) of the first stalled step: every sample after t fails
     queue = np.empty((0, coeffs.size), dtype=np.complex128)  # checked rows not yet shown
 
     def take(lo: int, rows: np.ndarray) -> None:
@@ -322,12 +315,11 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         nonlocal queue, last
         row_norms = np.linalg.norm(rows, axis=1)
         bad = np.flatnonzero(~(np.abs(row_norms - 1.0) <= norm_tolerance)
-                             | (samples[lo:lo + rows.shape[0]] > (stall.time if stall else np.inf)))
+                             | (samples[lo:lo + rows.shape[0]] > (stall[0] if stall else np.inf)))
         if bad.size:
             rows = rows[: bad[0] + 1]
         hi = lo + rows.shape[0]
         norms[lo:hi] = row_norms[: hi - lo]
-        h0_expect[lo:hi] = expectation(h0_s, rows).real
         queue = np.concatenate([queue, rows])  # samples hi - len(queue) to hi - 1
         flush = bad.size or hi == samples.size
         while len(queue) >= SAMPLE_BLOCK or flush and len(queue):
@@ -339,7 +331,8 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         if bad.size:
             drift = abs(norms[hi - 1] - 1.0)
             if drift <= norm_tolerance:
-                raise stall
+                raise StepSizeError(f"the collocation sweeps did not converge at t = {stall[0]:.6g} (update "
+                                    f"{stall[1]:.1e} after {MAX_SWEEPS} sweeps); reduce integrator.dt_pulse_fs")
             raise StepSizeError(
                 f"norm drifted by {drift:.3e} at t = {samples[hi - 1]:.6g} (tolerance {norm_tolerance:.1e}); "
                 + ("reduce integrator.dt_pulse_fs" if np.isfinite(drift) else "the state diverged")
@@ -357,11 +350,8 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
             if b < t_end:
                 coeffs = free.advance(amplitudes, np.array([b - a]))[0]
         else:
-            try:
-                coeffs, rows = rk4_integrate(rhs, coeffs, a, b, h, samples[k:stop])
-            except StepSizeError as exc:
-                stall, coeffs, rows = stall or exc, exc.state, exc.rows
+            coeffs, rows, stalled = rk4_integrate(rhs, coeffs, a, b, h, samples[k:stop])
+            stall = stall or stalled
             take(k, rows)
         k = stop
-    column, weight = pieces.basis.sector_gather
-    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=weight * last[column])
+    return Trajectory(norms=norms, psi_final=pieces.basis.unfold(last))

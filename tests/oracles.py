@@ -34,7 +34,6 @@ from rotorpair.propagation import (
     GAUSS_WEIGHTS,
     SAMPLE_BLOCK,
     FreeEvolution,
-    Trajectory,
     rk4_integrate,
     schrodinger_rhs,
     step_plan,
@@ -374,10 +373,24 @@ def rk4_windows(plan):
     return windows
 
 
+def strict_rk4(rhs, y, t0, t1, dt, sample_times=()):
+    """rk4_integrate's state at t1 and sample rows, raising StepSizeError on the stall it returns."""
+    y, rows, stall = rk4_integrate(rhs, y, t0, t1, dt, sample_times)
+    if stall:
+        raise StepSizeError(f"the collocation sweeps did not converge at t = {stall[0]:.6g}")
+    return y, rows
+
+
+class FullSpaceRun(NamedTuple):
+    norms: np.ndarray
+    h0_expect: np.ndarray
+    psi_final: np.ndarray
+
+
 def full_space_schedule(ops, pulse, dt, norm_tolerance, sample_times, observers=()):
     """run_schedule's sample queue from |00;00> with every state, operator and
     eigh at the size of the basis of ops: no symmetric sector, nothing
-    folded or unfolded."""
+    folded or unfolded: the norm and <H0> of each sample, and the last state."""
     samples = np.asarray(sample_times, dtype=float)
     free = FreeEvolution(ops.h0, ops.h0.shape[0])  # one block: the basis is in no parity order
     rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
@@ -416,10 +429,10 @@ def full_space_schedule(ops, pulse, dt, norm_tolerance, sample_times, observers=
                 take(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
             coeffs = free.advance(amplitudes, np.array([b - a]))[0]
         else:
-            coeffs, rows = rk4_integrate(rhs, coeffs, a, b, h, samples[k:stop])
+            coeffs, rows = strict_rk4(rhs, coeffs, a, b, h, samples[k:stop])
             take(k, rows)
         k = stop
-    return Trajectory(norms=norms, h0_expect=h0_expect, psi_final=coeffs)
+    return FullSpaceRun(norms=norms, h0_expect=h0_expect, psi_final=coeffs)
 
 
 def per_sample_schedule(ops, pulse, dt, sample_times):
@@ -440,7 +453,7 @@ def per_sample_schedule(ops, pulse, dt, sample_times):
             if hi > lo and h == 0.0:
                 c = vectors @ (np.exp(-1j * energies * (hi - lo)) * (vectors.conj().T @ c))
             elif hi > lo:
-                c = rk4_integrate(rhs, c, lo, hi, h)[0]
+                c = strict_rk4(rhs, c, lo, hi, h)[0]
         states.append(c)
     states = np.array(states)
     h0_expect = np.array([np.vdot(s, ops.h0 @ s).real for s in states])

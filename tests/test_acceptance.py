@@ -131,12 +131,13 @@ def _free_segment_drift(result) -> float:
     """Largest relative wander of <H0> over the samples of each free segment
     of the run's step plan, its end points included."""
     _, _, dt, t = to_reduced(result.config)
+    h0_expect = result.recorder.column("h0_expect")
     worst = 0.0
     for a, b, h in step_plan(result.schedule, t[-1], dt):
         sel = (t >= a) & (t <= b)
         if h != 0.0 or np.count_nonzero(sel) < 2:
             continue
-        vals = result.trajectory.h0_expect[sel]
+        vals = h0_expect[sel]
         scale = max(abs(float(vals.mean())), 1.0)
         worst = max(worst, float(vals.max() - vals.min()) / scale)
     return worst

@@ -130,7 +130,7 @@ def test_recorder_columns_do_not_depend_on_the_block_size():
         rec = _recorder(basis, ((0, 0, 0, 0), (1, 0, 1, 0)))
         for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
             rec(times[lo:hi], np.arange(lo, hi), rows[lo:hi])
-        return rec.table()
+        return np.column_stack([rec.table(), rec.column("h0_expect")])
 
     whole = table([130])
     for sizes in ([1] * 130, [7] * 18 + [4], [64, 64, 2]):

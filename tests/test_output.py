@@ -8,8 +8,8 @@ from rotorpair.exceptions import InvalidConfigError
 from rotorpair.output import (
     CSV_CHUNK_ROWS,
     FAILURE_MARKER,
+    FLOAT_FORMAT,
     csv_header,
-    format_float,
     plot_csv,
     population_column,
     read_timeseries_csv,
@@ -35,9 +35,9 @@ def test_header_is_the_exact_contract_string():
 
 def test_floats_carry_17_significant_digits():
     for x in (1.0 / 3.0, 0.1 + 0.2, 1e-300, -math.pi, 12345.678901234567):
-        assert float(format_float(x)) == x
-    assert format_float(0.5) == "0.5"
-    assert format_float(0.0) == "0"
+        assert float(FLOAT_FORMAT % x) == x
+    assert FLOAT_FORMAT % 0.5 == "0.5"
+    assert FLOAT_FORMAT % 0.0 == "0"
 
 
 @pytest.mark.parametrize("table", [
@@ -50,7 +50,7 @@ def test_row_formatting_writes_the_bytes_of_per_cell_formatting(tmp_path, table)
     cells = np.asarray(table).tolist()
     expected = "\n".join([csv_header(WATCH)] + [",".join(f"{v:.17g}" for v in row) for row in cells]) + "\n"
     assert path.read_bytes() == expected.encode()
-    assert all(format_float(v) == f"{v:.17g}" for row in cells for v in row)
+    assert all(FLOAT_FORMAT % v == f"{v:.17g}" for row in cells for v in row)
 
 
 def test_chunked_rows_write_the_bytes_of_one_line_per_row(tmp_path):

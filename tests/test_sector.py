@@ -189,7 +189,7 @@ def test_the_sector_run_matches_the_full_space_loop(case):
         assert_close(got.column(name), ref[name], name)
     for entry in WATCH:
         assert_close(got.population_column(entry), ref[entry], entry)
-    assert_close(traj.h0_expect, full.h0_expect, "h0_expect")
+    assert_close(got.column("h0_expect"), full.h0_expect, "h0_expect")
     assert_close(traj.norms, full.norms, "norms")
     assert_close(traj.psi_final, psi_final, "psi_final")
     assert traj.psi_final.shape == (basis.size,)
