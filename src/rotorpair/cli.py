@@ -12,11 +12,11 @@ import sys
 from pathlib import Path
 
 from .config import PRESET_NAMES, parse_config, parse_sweep, preset
-from .exceptions import InvalidConfigError, NumericalError, QueryError, StepSizeError
+from .exceptions import InvalidConfigError, NumericalError, QueryError
 from .output import plot_csv
 from .sweep import run_sweep
-# runner (numpy) is imported where used: spawned sweep workers re-import
-# this module before they pin their BLAS threads
+# runner (numpy) is imported where used, so that `sim plot`, --help and
+# config errors start without numpy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     except (InvalidConfigError, QueryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StepSizeError, NumericalError) as exc:
+    except NumericalError as exc:  # StepSizeError included
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -99,19 +99,6 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def _require_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise InvalidConfigError(f"{path} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(data: dict, allowed: tuple[str, ...], path: str) -> None:
-    for key in data:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise InvalidConfigError(f"unknown key '{where}'")
-
-
 _hints = functools.cache(typing.get_type_hints)  # class -> {field: resolved annotation}
 _NOUNS = {float: "a number", int: "an integer", str: "a string", type(None): "null"}
 
@@ -146,15 +133,23 @@ def _typed(value, hint, where: str):
     raise InvalidConfigError(f"{where} must be {wanted}, got {value!r}")
 
 
+def _fields_of(data, cls, what: str, path: str = "") -> dict:
+    """data, a decoded JSON object (what names it if it is not one), whose every key, found at
+    path (top level where empty), is a field of the dataclass cls."""
+    if not isinstance(data, dict):
+        raise InvalidConfigError(f"{what} must be an object, got {type(data).__name__}")
+    for key in data:
+        if key not in _hints(cls):
+            raise InvalidConfigError(f"unknown key '{path}.{key}'" if path else f"unknown key '{key}'")
+    return data
+
+
 def build_config(data: dict) -> RunConfig:
     """Parse a decoded JSON document; every absent key keeps its dataclass default."""
-    _require_mapping(data, "config")
-    sections = _hints(RunConfig)
-    _reject_unknown(data, tuple(sections), "")
+    _fields_of(data, RunConfig, "config")
     parts = {}
-    for name, section in sections.items():
-        doc = _require_mapping(data.get(name, {}), name)
-        _reject_unknown(doc, tuple(_hints(section)), name)
+    for name, section in _hints(RunConfig).items():
+        doc = _fields_of(data.get(name, {}), section, name, name)
         if type(doc.get("entropy_log_base")) is int:  # a JSON 2 means "2"
             doc = {**doc, "entropy_log_base": str(doc["entropy_log_base"])}
         parts[name] = section(**doc)
@@ -283,7 +278,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         # however the spec was built: parsed or by hand
-        build_config(_require_mapping(self.base, "base"))  # a bad base fails here, before any point runs
+        build_config(_fields_of(self.base, RunConfig, "base"))  # a bad base fails here, before any point runs
         for path in ("axis1", "axis2") if self.axis2 is not None else ("axis1",):
             axis = getattr(self, path)
             if axis.name not in SWEEP_AXES:
@@ -300,21 +295,15 @@ class SweepSpec:
             raise InvalidConfigError(f"parallelism must be at least 1, got {self.parallelism}")
 
 
-def _parse_axis(data, path: str) -> SweepAxis:
-    _require_mapping(data, path)
-    _reject_unknown(data, tuple(_hints(SweepAxis)), path)
-    return SweepAxis(**{key: data.get(key) for key in _hints(SweepAxis)})
-
-
 def parse_sweep(text: str) -> SweepSpec:
     """Decode a JSON sweep specification, whose keys are SweepSpec's fields; SweepSpec checks it."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"sweep spec is not valid JSON: {exc}") from exc
-    _require_mapping(data, "sweep")
-    _reject_unknown(data, tuple(_hints(SweepSpec)), "")
+    _fields_of(data, SweepSpec, "sweep")
     if "axis1" not in data:
         raise InvalidConfigError("sweep spec needs axis1")
-    axes = {path: _parse_axis(data[path], path) for path in ("axis1", "axis2") if path in data}
+    axes = {path: _fields_of(data[path], SweepAxis, path, path) for path in ("axis1", "axis2") if path in data}
+    axes = {path: SweepAxis(axis.get("name"), axis.get("values")) for path, axis in axes.items()}
     return SweepSpec(**{"base": {}, **data, **axes})

@@ -18,8 +18,9 @@ class QueryError(SimulationError):
 
 
 class ConsistencyError(SimulationError):
-    """H0, V or the initial state leaks out of the symmetric sector, H0 is
-    complex, or the Hamiltonian pieces differ in dimension."""
+    """H0 or V leaks out of the symmetric sector when folded, H0 or V is complex,
+    the Hamiltonian pieces differ in dimension, H0 or V has an entry across the
+    parity blocks, or a one-rotor step pair moves m1 + m2."""
 
 
 class NumericalError(SimulationError):

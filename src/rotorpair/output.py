@@ -58,7 +58,7 @@ CSV_CHUNK_ROWS = 256
 
 def write_timeseries_csv(path, watch, table, failure_message: str | None = None) -> Path:
     """Write the rows of table (COLUMNS, then one column per watched state)."""
-    import numpy as np  # here, so that the sweep parent can import write_whole without numpy
+    import numpy as np  # here, so that `sim plot` and the sweep parent start without numpy
 
     path = Path(path)
     table = np.asarray(table)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -125,18 +125,6 @@ class FreeEvolution:
         return np.ascontiguousarray(out.T)
 
 
-class RightHandSide(NamedTuple):
-    """dy/dt = -i rates y + deriv(field(t), y), field vectorized over times and deriv
-    over a row of fields and a block of states; rk4_integrate takes -i rates y exactly.
-    frames, when given, returns rotor_frame(rates, h) for rk4_integrate's full step widths h
-    (schrodinger_rhs caches those of the band widths)."""
-
-    field: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    rates: np.ndarray | float = 0.0
-    frames: Callable[[float], tuple] | None = None
-
-
 def rotor_frame(rates: np.ndarray | float, h: float) -> tuple:
     """A step h's tables: exp(-i rates c h) at the nodes, its conjugate, exp(-i rates h),
     h A^T on the float64 view of a stage block, and h b."""
@@ -144,16 +132,29 @@ def rotor_frame(rates: np.ndarray | float, h: float) -> tuple:
     return turn, turn.conj(), np.exp((-1j * h) * rates), h * _STAGE_PRODUCT, h * GAUSS_WEIGHTS
 
 
-def schrodinger_rhs(h0: sparse.csr_matrix, coupling: sparse.csr_matrix, energies: np.ndarray,
-                    pulse: PulseSchedule) -> RightHandSide:
-    """dc/dt = -i (D + W + f(t) V) c: the rotor energies D are the rates,
-    and the real [W; V], with W = H0 - D, is stacked so that each derivative
-    is one real sparse product on the float64 view of c, one axpy and one -i.
-    The frame tables of the plan's band widths dt 2**k are built once each."""
+class RightHandSide:
+    """dy/dt = -i rates y + deriv(field(t), y), field vectorized over times and deriv
+    over a row of fields and a block of states; rk4_integrate takes -i rates y exactly.
+    frame(h) is rotor_frame(rates, h), and band(h) the same, cached for a run's band widths;
+    neither refers back to the instance, so no cycle keeps a run's operators alive."""
+
+    def __init__(self, field: Callable[[np.ndarray], np.ndarray],
+                 deriv: Callable[[np.ndarray, np.ndarray], np.ndarray], rates: np.ndarray | float = 0.0):
+        self.field, self.deriv, self.rates = field, deriv, rates
+        self.frame = functools.partial(rotor_frame, rates)
+        self.band = functools.lru_cache(maxsize=len(STEP_BAND_EDGES))(self.frame)
+
+
+def schrodinger_rhs(pieces: HamiltonianPieces, pulse: PulseSchedule) -> RightHandSide:
+    """dc/dt = -i (D + W + f(t) V) c from the h0, coupling and energies of pieces
+    (HamiltonianPieces, or any operators of that shape): the rotor energies D are
+    the rates, and the real [W; V], with W = H0 - D, is stacked so that each
+    derivative is one real sparse product on the float64 view of c, one axpy and one -i."""
+    h0, energies = pieces.h0, pieces.energies
     n = h0.shape[0]
     rest = (h0 - sparse.diags(energies)).tocsr()
     rest.eliminate_zeros()
-    stacked = sparse.vstack([rest, coupling], format="csr")
+    stacked = sparse.vstack([rest, pieces.coupling], format="csr")
     if np.any(stacked.data.imag):
         raise ConsistencyError(f"H0 and V must be real; largest imaginary part {np.abs(stacked.data.imag).max():.3e}")
     stacked = stacked.real
@@ -167,8 +168,7 @@ def schrodinger_rhs(h0: sparse.csr_matrix, coupling: sparse.csr_matrix, energies
         out *= -1j
         return out.reshape(np.shape(c))
 
-    frames = functools.lru_cache(maxsize=len(STEP_BAND_EDGES))(functools.partial(rotor_frame, energies))
-    return RightHandSide(pulse.field_scalar, deriv, energies, frames)
+    return RightHandSide(pulse.field_scalar, deriv, energies)
 
 
 def _interpolation_weights(tau: np.ndarray) -> np.ndarray:
@@ -200,9 +200,9 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
     Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with
     rhs.rates, which are integrated exactly. Fixed step dt and one partial final step; a leftover under
     1e-12 max(|t1|, 1), or a negative one, goes to the last full step instead, so the steps end on t1.
-    The stage fields of every step come from one call, the frame tables of dt from rhs.frames when it is
-    given. Returns the state at t1, the states at sample_times (ascending, within (t0, t1]) as rows, and the
-    stall: None, or (t, last update) of the first step at t whose sweeps, main or side, reached MAX_SWEEPS.
+    The stage fields of every step come from one call, the frame tables of dt from rhs.band. Returns the
+    state at t1, the states at sample_times (ascending, within (t0, t1]) as rows, and the stall: None, or
+    (t, last update) of the first step at t whose sweeps, main or side, reached MAX_SWEEPS.
 
     Samples do not cut the steps. A sample at a step's end, or past the last step, is the state there.
     A sample t* inside the step [t, t + h] is a side step of width t* - t from the state at t: its sweeps
@@ -230,19 +230,18 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
     guesses = _interpolation_weights((side_widths / widths[owner])[:, None] * GAUSS_NODES).swapaxes(1, 2)
     sides = iter(zip(fields[len(steps):], side_widths.tolist(), guesses))
     bounds = np.searchsorted(done, np.arange(len(steps) + 1)).tolist()  # bounds[i]:bounds[i + 1] are past i steps
-    band = rhs.frames(dt) if rhs.frames else rotor_frame(rhs.rates, dt)
+    band = rhs.band(dt)
     rows = np.empty((samples.size, np.size(y)), dtype=np.complex128)
     stall = None
     for i, (t, h, field_row) in enumerate(zip(starts.tolist(), steps, fields)):
-        end, stages, update = _collocate(rhs, y, field_row, band if h == dt else rotor_frame(rhs.rates, h),
-                                         y[:, None])
+        end, stages, update = _collocate(rhs, y, field_row, band if h == dt else rhs.frame(h), y[:, None])
         for j in range(bounds[i], bounds[i + 1]):
             if not inside[j]:
                 rows[j] = y
                 continue
             side_fields, width, weights = next(sides)
             polynomial = y[:, None] * weights[0] + stages @ weights[1:]
-            rows[j], _, side_update = _collocate(rhs, y, side_fields, rotor_frame(rhs.rates, width), polynomial)
+            rows[j], _, side_update = _collocate(rhs, y, side_fields, rhs.frame(width), polynomial)
             update = update or side_update
         if update and stall is None:
             stall = (t, update)
@@ -301,10 +300,10 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     if samples[0] != 0.0 or np.any(np.diff(samples) <= 0):
         raise InvalidConfigError("sample_times must start at 0 and increase strictly")
 
-    t_end, h0_s = float(samples[-1]), pieces.h0
-    coeffs = last = initial_state(h0_s.shape[0])
-    free = FreeEvolution(h0_s, pieces.basis.sector_split)
-    rhs = schrodinger_rhs(h0_s, pieces.coupling, pieces.energies, pulse)
+    t_end = float(samples[-1])
+    coeffs = last = initial_state(pieces.h0.shape[0])
+    free = FreeEvolution(pieces.h0, pieces.basis.sector_split)
+    rhs = schrodinger_rhs(pieces, pulse)
     norms = np.empty(samples.size)
     stall = None  # (t, update) of the first stalled step: every sample after t fails
     queue = np.empty((0, coeffs.size), dtype=np.complex128)  # checked rows not yet shown

@@ -61,14 +61,8 @@ def worker_count(spec: SweepSpec, n_points: int) -> int:
     return min(workers, n_points)
 
 
-def _pin_blas(threads: int) -> None:
-    """Worker initializer, run before numpy loads; keeps a value the user set."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        os.environ.setdefault(name, str(threads))
-
-
 def _run_point(label: str, doc: dict, point_dir: str) -> dict:
-    from . import runner  # imported here so worker processes pay the cost, not the parent
+    from . import runner  # imported here, so that the `sim` command starts without numpy
 
     entry = {"label": label, "out_dir": point_dir, "status": "ok", "error": None, "csv": None,
              "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
@@ -94,11 +88,16 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, list[dict]]:
     if workers == 1:
         entries = [_run_point(*job) for job in jobs]
     else:
-        threads = max(1, (os.cpu_count() or 1) // workers)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
-                                 initializer=_pin_blas, initargs=(threads,)) as pool:
-            futures = [pool.submit(_run_point, *job) for job in jobs]
-            entries = [f.result() for f in futures]
+        # a spawned worker inherits these at start, before it re-imports a __main__ that may load numpy
+        pinned = [name for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if name not in os.environ]
+        os.environ.update(dict.fromkeys(pinned, str(max(1, (os.cpu_count() or 1) // workers))))
+        try:
+            with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+                futures = [pool.submit(_run_point, *job) for job in jobs]
+                entries = [f.result() for f in futures]
+        finally:  # a value the user set is kept, and the parent's environment is left as it was
+            for name in pinned:
+                del os.environ[name]
 
     for (label, params, _), entry in zip(points, entries):
         entry["params"] = params

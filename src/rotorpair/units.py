@@ -6,8 +6,8 @@ to_reduced makes every reduced-unit number a run uses.
 The pulse-train periods T = hbar/B and T = pi*hbar/B are then exactly
 1.0 and pi, which keeps the resonance condition free of unit rounding.
 
-This module imports no numpy at load time: config, which the sweep
-parent imports, takes the run length from it.
+This module imports no numpy at load time: config takes the run length
+from it, and the `sim` command parses configs without numpy.
 """
 
 from __future__ import annotations

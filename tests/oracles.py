@@ -393,7 +393,7 @@ def full_space_schedule(ops, pulse, dt, norm_tolerance, sample_times, observers=
     folded or unfolded: the norm and <H0> of each sample, and the last state."""
     samples = np.asarray(sample_times, dtype=float)
     free = FreeEvolution(ops.h0, ops.h0.shape[0])  # one block: the basis is in no parity order
-    rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
+    rhs = schrodinger_rhs(ops, pulse)
     norms = np.empty(samples.size)
     h0_expect = np.empty(samples.size)
     queue = np.empty((0, ops.h0.shape[0]), dtype=np.complex128)
@@ -443,7 +443,7 @@ def per_sample_schedule(ops, pulse, dt, sample_times):
     samples = np.asarray(sample_times, dtype=float)
     plan = step_plan(pulse, float(samples[-1]), dt)
     energies, vectors = np.linalg.eigh(ops.h0.toarray())
-    rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
+    rhs = schrodinger_rhs(ops, pulse)
 
     c = ground_state(ops)
     states = [c]

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -56,10 +58,6 @@ def _step_to(rhs, pulse, y, t_end, dt):
         assert h > 0.0
         y = oracles.strict_rk4(rhs, y, a, b, h)[0]
     return y
-
-
-def _sector_rhs(pieces, pulse):
-    return schrodinger_rhs(pieces.h0, pieces.coupling, pieces.energies, pulse)
 
 
 def _free(h0, split, coeffs, tau):
@@ -172,10 +170,11 @@ def test_free_evolution_and_the_window_product_reject_a_complex_h0():
         FreeEvolution(skewed, pieces.basis.sector_split)
     # the window product is real too: a complex operator is refused, a complex-typed real one is taken
     with pytest.raises(ConsistencyError, match="imaginary"):
-        schrodinger_rhs(skewed, pieces.coupling, pieces.energies, _single_pulse())
-    complex_typed = schrodinger_rhs(pieces.h0.astype(np.complex128), pieces.coupling, pieces.energies, _single_pulse())
+        schrodinger_rhs(oracles.BasisOperators(skewed, pieces.coupling, pieces.energies), _single_pulse())
+    complex_typed = schrodinger_rhs(oracles.BasisOperators(pieces.h0.astype(np.complex128), pieces.coupling,
+                                                           pieces.energies), _single_pulse())
     c = initial_state(pieces.h0.shape[0])
-    assert np.array_equal(complex_typed.deriv(1.0, c), _sector_rhs(pieces, _single_pulse()).deriv(1.0, c))
+    assert np.array_equal(complex_typed.deriv(1.0, c), schrodinger_rhs(pieces, _single_pulse()).deriv(1.0, c))
 
 
 # --- Gauss collocation ---------------------------------------------------------
@@ -289,7 +288,7 @@ def test_window_kernel_matches_the_dense_stage_solve(case):
     rng = np.random.default_rng(5)
     c = rng.standard_normal(s.shape[1]) + 1j * rng.standard_normal(s.shape[1])
     c /= np.linalg.norm(c)
-    got = s @ oracles.strict_rk4(_sector_rhs(pieces, pulse), c, t_a, t_b, DT)[0]
+    got = s @ oracles.strict_rk4(schrodinger_rhs(pieces, pulse), c, t_a, t_b, DT)[0]
     ref = oracles.dense_collocation(oracles.basis_operators(pieces.basis, 0.13150852670024232), pulse,
                                     s @ c, t_a, t_b, DT)
     assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
@@ -301,7 +300,7 @@ def test_window_with_zero_kick_matches_free_evolution():
     ops = oracles.basis_operators(TwoRotorBasis(2), 0.5)
     pulse = _single_pulse(kick=0.0)
     c = oracles.ground_state(ops)
-    rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
+    rhs = schrodinger_rhs(ops, pulse)
     stepped, _ = oracles.strict_rk4(rhs, c, 0.0, 0.2, 2e-4)
     assert np.abs(stepped - _free(ops.h0, ops.h0.shape[0], c, 0.2)).max() < 1e-10
 
@@ -322,7 +321,7 @@ def _assert_order_near_2s(integrate, measured_log2_fall):
 def test_window_step_refinement_is_high_order():
     pieces = build_pieces(TwoRotorBasis(2), 0.13150852670024232)
     c0 = initial_state(pieces.h0.shape[0])
-    rhs = _sector_rhs(pieces, _single_pulse())
+    rhs = schrodinger_rhs(pieces, _single_pulse())
     _assert_order_near_2s(lambda dt: oracles.strict_rk4(rhs, c0, 0.0, T0 + 5.0 * SIGMA, dt)[0], 8.5)
 
 
@@ -332,7 +331,7 @@ def test_window_integration_is_time_reversible():
     pulse = _single_pulse()
     c0 = initial_state(pieces.h0.shape[0])
     t_b = T0 + 5.0 * SIGMA
-    ahead = _sector_rhs(pieces, pulse)
+    ahead = schrodinger_rhs(pieces, pulse)
     forward, _ = oracles.strict_rk4(ahead, c0, 0.0, t_b, DT)
 
     # s = t_b - t runs the window backwards: dg/ds = +i H(t_b - s) g
@@ -347,7 +346,7 @@ def test_samples_inside_steps_match_the_cut_steps_they_replace():
     # sample, which ends in a partial step there
     pieces, c = _spread_sector_state(4)
     pulse = _single_pulse()
-    rhs = _sector_rhs(pieces, pulse)
+    rhs = schrodinger_rhs(pieces, pulse)
     t_a, t_b = T0 - 1.3 * SIGMA, T0 + 1.4 * SIGMA
     samples = t_a + np.array([0.05, 0.5, 0.99, 2.0, 3.7, 5.3]) * DT
     end, rows = oracles.strict_rk4(rhs, c, t_a, t_b, DT, samples)
@@ -365,8 +364,8 @@ def test_a_side_step_started_on_the_step_polynomial_sweeps_half_as_often(offset,
     # a step on either side of the 1.5 sigma edge; at the peak, where the polynomial's stage order
     # shows most, the start saves a third to a half of the sweeps, and over a window about half
     pieces, c = _spread_sector_state(4)
-    rhs, calls = _sector_rhs(pieces, _single_pulse()), []
-    rhs = rhs._replace(deriv=lambda f, y, deriv=rhs.deriv: calls.append(1) or deriv(f, y))
+    rhs, calls = schrodinger_rhs(pieces, _single_pulse()), []
+    rhs.deriv = lambda f, y, deriv=rhs.deriv: calls.append(1) or deriv(f, y)
     t = T0 + offset
     rk4_integrate(rhs, c, t, t + h, h)
     main = len(calls)
@@ -390,6 +389,27 @@ def test_run_schedule_calls_the_stepper_once_per_collocation_segment(monkeypatch
     segments = [(a, b, h, samples[(samples > a) & (samples <= b)].tolist())
                 for a, b, h in step_plan(train, samples[-1], DT) if h > 0.0]
     assert len(segments) == 14 and calls == segments
+
+
+def test_a_run_frees_its_right_hand_side_without_the_cycle_collector(monkeypatch):
+    # the right-hand side holds the run's [W; V] and its band frames; a reference cycle through it
+    # would keep them alive after the run, until the next collection
+    made, build = [], propagation.schrodinger_rhs
+
+    def weakly_kept(*args):
+        rhs = build(*args)
+        made.append(weakref.ref(rhs))
+        return rhs
+
+    monkeypatch.setattr(propagation, "schrodinger_rhs", weakly_kept)
+    pieces, collecting = build_pieces(TwoRotorBasis(2), 0.13150852670024232), gc.isenabled()
+    gc.disable()
+    try:
+        run_schedule(pieces, _single_pulse(), DT, TOL, np.arange(20) * 0.004)
+    finally:
+        if collecting:
+            gc.enable()
+    assert len(made) == 1 and made[0]() is None
 
 
 def test_window_raises_on_norm_drift():
@@ -439,7 +459,7 @@ def test_a_diagonal_only_problem_is_exact_at_eight_core_steps():
 def test_banded_window_step_refinement_is_high_order():
     pieces, c = _spread_sector_state(2)
     pulse = _single_pulse()
-    rhs = _sector_rhs(pieces, pulse)
+    rhs = schrodinger_rhs(pieces, pulse)
     _assert_order_near_2s(lambda dt: _step_to(rhs, pulse, c, T0 + 5.0 * SIGMA, dt), 9.6)
 
 
@@ -494,7 +514,7 @@ def _classical_window_error(ops, pulse, dt, y, t_a, t_b):
     """The banded collocation run at dt against uniform classical RK4 at
     sigma / 400, the step and method it replaced, with the H0, V and rotor
     energies of ops: the pieces of a sector, or the operators of a basis."""
-    rhs = schrodinger_rhs(ops.h0, ops.coupling, ops.energies, pulse)
+    rhs = schrodinger_rhs(ops, pulse)
     assert t_a == 0.0
     got = _step_to(rhs, pulse, y, t_b, dt)
     return np.abs(got - oracles.classical_rk4(rhs, y, t_a, t_b, pulse.sigma_red / 400.0)).max()
@@ -597,7 +617,7 @@ def test_run_schedule_matches_a_hand_composed_run():
     c = initial_state(pieces.h0.shape[0])
     if a > 0:
         c = free.advance(free.project(c), np.array([a]))[0]
-    c = _step_to(_sector_rhs(pieces, pulse), pulse, c, b, DT)
+    c = _step_to(schrodinger_rhs(pieces, pulse), pulse, c, b, DT)
     c = free.advance(free.project(c), np.array([t_end - b]))[0]
     assert np.abs(traj.psi_final - s @ c).max() < 1e-9
     assert traj.max_norm_drift < 1e-9

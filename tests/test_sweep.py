@@ -66,7 +66,7 @@ def test_build_points_symbolic_period_label():
 
 
 def test_the_sweep_parent_imports_no_numpy():
-    # workers import the runner; the parent only parses and fans out
+    # workers import the runner; the parent only parses and fans out, and `sim` imports it at start
     env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
     code = "import sys, rotorpair.sweep; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -76,8 +76,8 @@ def test_the_sweep_parent_imports_no_numpy():
 
 
 def test_the_cli_imports_no_numpy():
-    # spawned sweep workers re-import the `sim` entry point before their
-    # initializer pins BLAS threads; numpy must not be loaded by then
+    # `sim plot`, --help and config errors start without numpy: about 0.1 s
+    # against 0.4-0.5 s with the runner, on a 2-core host
     env = dict(os.environ, PYTHONPATH=str(Path(rotorpair.__file__).resolve().parents[1]))
     code = "import sys, rotorpair.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -224,6 +224,66 @@ def test_parallel_workers_pin_blas_threads_unless_set(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     _, entries = run_sweep(_spec(spec.axis1, parallelism=2, out_dir=str(tmp_path / "b")))
     assert [e["blas_threads"] for e in entries] == ["3", "3"]
+
+
+# A parent script that loads numpy before it calls run_sweep: each spawned worker re-imports it, and so
+# starts its OpenBLAS, before anything of the pool runs there. The probe stands in for a point's run.
+_BLAS_PROBE = """
+import ctypes, json, os, sys
+import numpy
+
+from rotorpair import sweep
+from rotorpair.config import SweepAxis, SweepSpec
+
+
+def openblas_threads():
+    \"\"\"The thread count of the loaded OpenBLAS, or None where no query for it is found.\"\"\"
+    if not os.path.exists("/proc/self/maps"):
+        return None
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                query = getattr(lib, name)
+                query.argtypes, query.restype = [], ctypes.c_int
+                return query()
+    return None
+
+
+def probe(label, doc, point_dir):
+    return {"status": "ok", "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"), "openblas": openblas_threads()}
+
+
+if __name__ == "__main__":
+    sweep._run_point = probe
+    _, entries = sweep.run_sweep(SweepSpec(base={}, axis1=SweepAxis("R_m", (3e-8, 2e-8)), parallelism=2,
+                                           out_dir=sys.argv[1]))
+    print(json.dumps({"parent": openblas_threads(), "entries": entries,
+                      "environ": [os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]}))
+"""
+
+
+def test_parallel_workers_start_their_blas_at_the_pin_when_the_parent_script_loads_numpy(tmp_path):
+    cores = os.cpu_count() or 1
+    if cores < 2:
+        pytest.skip("on one core every worker runs one BLAS thread")
+    script = tmp_path / "parent.py"
+    script.write_text(_BLAS_PROBE)
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(rotorpair.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path / "grid")], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    if seen["parent"] is None:
+        pytest.skip("no OpenBLAS thread query found")
+    pin = str(max(1, cores // 2))
+    assert [e["blas_threads"] for e in seen["entries"]] == [pin, pin]
+    # OpenBLAS takes the pin, capped like the parent's count at the cores it may use
+    assert [e["openblas"] for e in seen["entries"]] == [min(int(pin), seen["parent"])] * 2
+    assert seen["environ"] == [None, None]  # the parent's environment is left as it was
 
 
 def test_run_sweep_out_dir_precedence(tmp_path, monkeypatch):
