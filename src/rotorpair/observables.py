@@ -33,35 +33,32 @@ class TimeSeriesRecorder:
 
     def __init__(self, pieces: HamiltonianPieces, output: OutputConfig):
         self.pieces = pieces
-        self.basis = pieces.basis
         self.output = output
         self.watch = tuple(tuple(int(q) for q in entry) for entry in output.watch_populations)
         if len(set(self.watch)) < len(self.watch):  # it would write two columns of one name
             raise QueryError(f"watch list {self.watch} repeats an entry")
         # fail on an out-of-basis watch entry up front, not at sample time
-        self._watch_idx = np.asarray([self.basis.index_of(*entry) for entry in self.watch], dtype=np.intp)
+        self._watch_idx = np.asarray([self.pieces.basis.index_of(*entry) for entry in self.watch], dtype=np.intp)
         self.names = ("t_red", "h0_expect") + COLUMNS + self.watch
         self._blocks = [np.empty((0, len(self.names)))]
 
     def __call__(self, t_red: np.ndarray, indices: np.ndarray, coeffs: np.ndarray) -> None:
-        weights = entanglement.schmidt_spectrum(self.basis, coeffs)
+        weights = entanglement.schmidt_spectrum(self.pieces.basis, coeffs)
         # cos(theta1) + cos(theta2) is V, and the sector makes the two halves equal
         cos = 0.5 * expectation(self.pieces.coupling, coeffs).real
         self._blocks.append(np.column_stack([
             t_red, expectation(self.pieces.h0, coeffs).real, indices * self.output.sample_interval_ps, cos, cos,
-            entanglement.von_neumann_entropy(weights, self.basis.d_single, self.output.entropy_log_base),
+            entanglement.von_neumann_entropy(weights, self.pieces.basis.d_single, self.output.entropy_log_base),
             np.linalg.norm(coeffs, axis=1), (np.abs(coeffs) ** 2 * self.pieces.energies).sum(axis=1),
-            np.abs(self.basis.unfold(coeffs, self._watch_idx)) ** 2]))
+            np.abs(self.pieces.basis.unfold(coeffs, self._watch_idx)) ** 2]))
 
-    def column(self, name: str) -> np.ndarray:
-        """One column by its name in names: t_red, h0_expect, any of COLUMNS or a watched entry."""
-        return np.concatenate(self._blocks)[:, self.names.index(name)]
-
-    def population_column(self, entry: tuple[int, int, int, int]) -> np.ndarray:
-        entry = tuple(entry)
-        if entry not in self.watch:
-            raise QueryError(f"{entry} is not in the watch list {self.watch}")
-        return self.column(entry)
+    def column(self, name) -> np.ndarray:
+        """One column by its name in names: t_red, h0_expect, any of COLUMNS or a watched entry (a tuple or,
+        as JSON gives it, a list); QueryError names the columns if there is none of that name."""
+        key = tuple(name) if isinstance(name, list) else name
+        if key not in self.names:
+            raise QueryError(f"no column {name!r}; the columns are {self.names}")
+        return np.concatenate(self._blocks)[:, self.names.index(key)]
 
     def table(self) -> np.ndarray:
         """The CSV rows: COLUMNS, then the watched populations."""

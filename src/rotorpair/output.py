@@ -21,12 +21,8 @@ COLUMNS = ("t_ps", "cos1", "cos2", "entropy", "norm", "energy_rot")
 FAILURE_MARKER = "FAILED"
 
 
-def population_column(l1: int, m1: int, l2: int, m2: int) -> str:
-    return f"pop_{l1}_{m1}_{l2}_{m2}"
-
-
 def csv_header(watch) -> str:
-    return ",".join(COLUMNS + tuple(population_column(*w) for w in watch))
+    return ",".join(COLUMNS + tuple("pop_{}_{}_{}_{}".format(*w) for w in watch))
 
 
 # the one float format of every CSV cell: 17 significant digits, lossless for binary64

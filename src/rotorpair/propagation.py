@@ -21,7 +21,6 @@ is ever silently renormalized.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,18 +58,6 @@ MAX_SWEEPS = 30
 # briefly holds up to 2 SAMPLE_BLOCK - 1 complex sector rows (more only while a
 # larger collocation segment joins it): 0.6 MiB at l_max = 10 (n_s = 286).
 SAMPLE_BLOCK = 64
-
-
-@dataclass
-class Trajectory:
-    """What propagation computed: the per-sample norms and the final state."""
-
-    norms: np.ndarray
-    psi_final: np.ndarray
-
-    @property
-    def max_norm_drift(self) -> float:
-        return float(np.max(np.abs(self.norms - 1.0)))
 
 
 def initial_state(n_s: int) -> np.ndarray:
@@ -278,9 +265,10 @@ def step_plan(pulse: PulseSchedule, t_end: float, dt: float) -> list[tuple[float
 @np.errstate(over="ignore", invalid="ignore")
 def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                  norm_tolerance: float, sample_times: np.ndarray,
-                 observers=()) -> Trajectory:
+                 observers=()) -> np.ndarray:
     """Walk the step_plan of [0, last sample] with core step dt from the
-    initial state, sampling on the way in the symmetric sector.
+    initial state, sampling on the way in the symmetric sector; return the
+    basis state S f of the last sample f.
 
     sample_times must be ascending and start at 0. Each segment makes its
     samples' rows at once: FreeEvolution.advance chunks of at most
@@ -288,11 +276,11 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     once and queues it, and the queue hands the observers every full block
     of SAMPLE_BLOCK consecutive samples as observer(t_red[K], indices[K],
     coeffs[K, n_s]): sector rows f, whose basis state is S f
-    (TwoRotorBasis.unfold). Norms are those of f; psi_final is S f of the
-    last sample. The rest of the queue is shown at the last sample, or at the
-    first row whose norm drifted beyond tolerance (or is NaN) or that follows
-    the first stall an rk4_integrate call returned; then StepSizeError is
-    raised. A diverging state overflows quietly.
+    (TwoRotorBasis.unfold). No norm is kept; a recorder keeps its own. The
+    rest of the queue is shown at the last sample, or at the first row whose
+    norm drifted beyond tolerance (or is NaN) or that follows the first stall
+    an rk4_integrate call returned; then StepSizeError is raised with that
+    row's drift. A diverging state overflows quietly.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0:
@@ -304,7 +292,6 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     coeffs = last = initial_state(pieces.h0.shape[0])
     free = FreeEvolution(pieces.h0, pieces.basis.sector_split)
     rhs = schrodinger_rhs(pieces, pulse)
-    norms = np.empty(samples.size)
     stall = None  # (t, update) of the first stalled step: every sample after t fails
     queue = np.empty((0, coeffs.size), dtype=np.complex128)  # checked rows not yet shown
 
@@ -318,7 +305,6 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         if bad.size:
             rows = rows[: bad[0] + 1]
         hi = lo + rows.shape[0]
-        norms[lo:hi] = row_norms[: hi - lo]
         queue = np.concatenate([queue, rows])  # samples hi - len(queue) to hi - 1
         flush = bad.size or hi == samples.size
         while len(queue) >= SAMPLE_BLOCK or flush and len(queue):
@@ -328,7 +314,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
                 observer(samples[indices], indices, block)
             last = block[-1]
         if bad.size:
-            drift = abs(norms[hi - 1] - 1.0)
+            drift = abs(row_norms[bad[0]] - 1.0)
             if drift <= norm_tolerance:
                 raise StepSizeError(f"the collocation sweeps did not converge at t = {stall[0]:.6g} (update "
                                     f"{stall[1]:.1e} after {MAX_SWEEPS} sweeps); reduce integrator.dt_pulse_fs")
@@ -353,4 +339,4 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
             stall = stall or stalled
             take(k, rows)
         k = stop
-    return Trajectory(norms=norms, psi_final=pieces.basis.unfold(last))
+    return pieces.basis.unfold(last)

@@ -7,13 +7,15 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import output  # looked up per call, so wrappers installed on the module see every write
 from .angular import TwoRotorBasis
 from .config import RunConfig
 from .exceptions import NumericalError
 from .observables import TimeSeriesRecorder
 from .operators import HamiltonianPieces, PulseSchedule, build_pieces
-from .propagation import Trajectory, run_schedule
+from .propagation import run_schedule
 from .units import to_reduced
 
 CSV_NAME = "timeseries.csv"
@@ -26,7 +28,7 @@ class RunResult:
     pieces: HamiltonianPieces
     schedule: PulseSchedule
     recorder: TimeSeriesRecorder
-    trajectory: Trajectory
+    psi_final: np.ndarray
     csv_path: Path | None = None
 
 
@@ -41,15 +43,15 @@ def _run(cfg: RunConfig, out_dir: Path | None) -> RunResult:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / CSV_NAME
     try:
-        trajectory = run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, sample_times,
-                                  observers=(recorder,))
+        psi_final = run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, sample_times,
+                                 observers=(recorder,))
     except NumericalError as exc:
         if csv_path is not None:
             output.write_timeseries_csv(csv_path, recorder.watch, recorder.table(), failure_message=str(exc))
         raise
     if csv_path is not None:
         output.write_timeseries_csv(csv_path, recorder.watch, recorder.table())
-    return RunResult(cfg, pieces, schedule, recorder, trajectory, csv_path)
+    return RunResult(cfg, pieces, schedule, recorder, psi_final, csv_path)
 
 
 def simulate(cfg: RunConfig) -> RunResult:

@@ -104,7 +104,8 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
     # sweeps contract by dt * SWEEP_RATE |H| <= 0.18 (|H| <= 2 kick + 3 dipole in the rotor frame; the presets
     # reach 0.175), but not below RK4's old sigma / 400, which binds from about E0 = 6.2e9 V/m at the default
     # sigma; the sweeps stall (q > 0.3) from dt |H| ~ 4.2, RK4 went unstable at 2.8
-    core = min(sigma / 2.0, max(sigma / 400.0, 0.18 / (SWEEP_RATE * (2.0 * abs(schedule.kick_strength) + 3.0 * dipole))))
+    strength = SWEEP_RATE * (2.0 * abs(schedule.kick_strength) + 3.0 * dipole)  # 0.0 if both underflow: no cut
+    core = min(sigma / 2.0, max(sigma / 400.0, 0.18 / strength)) if strength else sigma / 2.0
     dt = core if dt_fs is None else dt_fs * 1e-15 / time_unit
     interval_ps = cfg.output.sample_interval_ps
     sample_ps = np.arange(int(np.floor(run_length_ps(cfg) / interval_ps)) + 1) * interval_ps

@@ -106,7 +106,7 @@ def test_criterion_2_pulse_window_matches_dense_reference(sims):
     pieces = build_pieces(basis, dipole)
     window = oracles.rk4_windows(step_plan(schedule, 10.0, dt))[0]
     assert window[0] == 0.0  # clipped: the run steps the whole window from t = 0
-    pkg = run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, [0.0, window[1]]).psi_final
+    pkg = run_schedule(pieces, schedule, dt, cfg.integrator.norm_tolerance, [0.0, window[1]])
 
     def hermitized(full):
         # the quadrature operator on the M = 0 block; criterion 3 shows that nothing leaves it
@@ -168,8 +168,7 @@ def test_criterion_3_unitarity_and_conservation(sims):
     worst_drift = 0.0
     for label in PRESET_RUN_LABELS:
         result = sims.get(label)
-        traj = result.trajectory
-        worst_norm = max(worst_norm, float(np.max(np.abs(traj.norms - 1.0))))
+        worst_norm = max(worst_norm, float(np.max(np.abs(result.recorder.column("norm") - 1.0))))
         worst_drift = max(worst_drift, _free_segment_drift(result))
     leak = _offblock_leakage(sims.configs["fig1a"])
     ok = worst_norm <= 1e-8 and leak <= 1e-12 and worst_drift <= 1e-10
@@ -311,4 +310,4 @@ def test_a_step_a_hair_under_sigma_over_2_lands_on_the_sigma_over_2_run(sims):
     assert to_reduced(shifted)[2] < to_reduced(cfg)[2]
     base, hair = sims.get("fig2b_R30").recorder, simulate(shifted).recorder
     for entry in base.watch:
-        assert np.abs(hair.population_column(entry) - base.population_column(entry)).max() <= 5e-12
+        assert np.abs(hair.column(entry) - base.column(entry)).max() <= 5e-12

@@ -139,6 +139,19 @@ def test_run_rejects_a_rotational_constant_that_underflows(tmp_path, B_cm1):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc", [{"pulse": {"E0_Vpm": 1e-320}, "geometry": {"R_m": None}},
+                                 {"molecule": {"mu_debye": 1e-300}}])
+def test_run_with_a_field_and_dipole_that_underflow_is_field_free(tmp_path, doc):
+    # the kick and the dipole strength are both 0.0: the default step keeps sigma / 2 instead of dividing by 0
+    cfg = _write_json(tmp_path / "cfg.json", dict(TINY, **doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    _, columns, failure = read_timeseries_csv(out / "timeseries.csv")
+    assert failure is None
+    assert len(columns["t_ps"]) == 21
+    assert set(columns["cos1"]) == {0.0} and set(columns["norm"]) == {1.0}
+
+
 def test_run_missing_config_file_is_an_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
     assert "I/O failure" in capsys.readouterr().err

@@ -49,11 +49,15 @@ def test_population_lookup():
     basis = TwoRotorBasis(1)
     rec = _recorder(basis, ((0, 0, 0, 0), (1, 0, 1, 0)))
     rec(np.array([0.0]), np.array([0]), initial_state(oracles.sector_isometry(basis).shape[1])[None, :])
-    assert rec.population_column((0, 0, 0, 0)).tolist() == [1.0]
-    assert rec.population_column((1, 0, 1, 0)).tolist() == [0.0]
-    # an entry of the basis that is not watched names the watch list
-    with pytest.raises(QueryError, match=r"\(1, -1, 1, 1\) is not in the watch list"):
-        rec.population_column((1, -1, 1, 1))
+    assert rec.column((0, 0, 0, 0)).tolist() == [1.0]
+    assert rec.column((1, 0, 1, 0)).tolist() == [0.0]
+    # a watched entry as JSON gives it, a list, is the same column
+    assert rec.column([1, 0, 1, 0]).tolist() == [0.0]
+    # an entry of the basis that is not watched, or an unknown name, names the columns
+    with pytest.raises(QueryError, match=r"no column \(1, -1, 1, 1\); the columns are \('t_red', .*\(1, 0, 1, 0\)\)"):
+        rec.column((1, -1, 1, 1))
+    with pytest.raises(QueryError, match=r"no column 'cos3'; the columns are \('t_red', 'h0_expect', 't_ps'"):
+        rec.column("cos3")
     with pytest.raises(QueryError):
         _recorder(basis, ((1, 1, 0, 0),))
 
@@ -86,7 +90,7 @@ def test_the_recorder_reads_basis_quantities_off_the_sector_rows():
     assert np.abs(rec.column("energy_rot") - np.abs(full) ** 2 @ basis.rotor_diagonal).max() <= 1e-13
     assert np.abs(rec.column("norm") - np.linalg.norm(full, axis=1)).max() <= 1e-15
     for entry in watch:
-        assert np.array_equal(rec.population_column(entry), np.abs(full[:, basis.index_of(*entry)]) ** 2)
+        assert np.array_equal(rec.column(entry), np.abs(full[:, basis.index_of(*entry)]) ** 2)
 
 
 # --- recorder -----------------------------------------------------------------
@@ -103,15 +107,15 @@ def test_recorder_collects_samples():
 
     assert rec.column("t_ps").tolist() == [0.0, 0.5, 1.0]
     assert rec.column("t_red").tolist() == [0.0, 0.011, 0.022]
-    assert rec.population_column((0, 0, 0, 0))[0] == 1.0
-    assert rec.population_column((0, 0, 0, 0))[1] == pytest.approx(0.5, abs=1e-14)
+    assert rec.column((0, 0, 0, 0))[0] == 1.0
+    assert rec.column((0, 0, 0, 0))[1] == pytest.approx(0.5, abs=1e-14)
     # 2 Re(c_00 c_10 <00|cos|10>) = 2 (1/sqrt 2)(1/2)(1/sqrt 3) on each molecule
     assert rec.column("cos1") == pytest.approx([0.0] + [1.0 / math.sqrt(6.0)] * 2, abs=1e-14)
     assert np.array_equal(rec.column("cos2"), rec.column("cos1"))
     assert rec.column("entropy")[0] == pytest.approx(0.0, abs=1e-12)
     assert rec.column("norm") == pytest.approx([1.0] * 3, abs=1e-14)
     assert rec.column("energy_rot") == pytest.approx([0.0, 1.0, 1.0], abs=1e-14)
-    assert np.allclose(rec.population_column((1, 0, 0, 0)), [0.0, 0.25, 0.25], atol=1e-14)
+    assert np.allclose(rec.column((1, 0, 0, 0)), [0.0, 0.25, 0.25], atol=1e-14)
     # one CSV row per sample: the six base columns, then the watch list
     assert rec.table().shape == (3, 8)
     assert np.array_equal(rec.table()[:, 3], rec.column("entropy"))

@@ -11,7 +11,6 @@ from rotorpair.output import (
     FLOAT_FORMAT,
     csv_header,
     plot_csv,
-    population_column,
     read_timeseries_csv,
     write_timeseries_csv,
 )
@@ -29,7 +28,7 @@ WATCH = ((1, 0, 1, 0),)
 def test_header_is_the_exact_contract_string():
     assert csv_header(()) == "t_ps,cos1,cos2,entropy,norm,energy_rot"
     assert csv_header(WATCH) == "t_ps,cos1,cos2,entropy,norm,energy_rot,pop_1_0_1_0"
-    assert population_column(2, -1, 1, 1) == "pop_2_-1_1_1"
+    assert csv_header(((2, -1, 1, 1),)).endswith(",energy_rot,pop_2_-1_1_1")
     assert " " not in csv_header(((2, -1, 1, 1), (0, 0, 0, 0)))
 
 

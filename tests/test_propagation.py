@@ -590,13 +590,13 @@ def test_run_schedule_without_field_is_pure_free_evolution():
     pulse = _single_pulse(kick=0.0)
     samples = np.array([0.0, 0.5, 1.3])
     recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=()))
-    traj = run_schedule(pieces, pulse, DT, TOL, samples, observers=(recorder,))
+    psi_final = run_schedule(pieces, pulse, DT, TOL, samples, observers=(recorder,))
     assert step_plan(pulse, 1.3, DT) == [(0.0, 1.3, 0.0)]
-    assert np.allclose(traj.norms, 1.0, atol=1e-12)
+    assert np.allclose(recorder.column("norm"), 1.0, atol=1e-12)
     assert np.ptp(recorder.column("h0_expect")) < 1e-12
     c0 = initial_state(pieces.h0.shape[0])
     free = oracles.sector_isometry(basis) @ _free(pieces.h0, basis.sector_split, c0, 1.3)
-    assert np.abs(traj.psi_final - free).max() < 1e-12
+    assert np.abs(psi_final - free).max() < 1e-12
 
 
 def test_run_schedule_matches_a_hand_composed_run():
@@ -606,7 +606,8 @@ def test_run_schedule_matches_a_hand_composed_run():
     pulse = _single_pulse()
     t_end = 0.5
     samples = np.array([0.0, 0.25, t_end])  # no sample inside the window
-    traj = run_schedule(pieces, pulse, DT, TOL, samples)
+    recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=()))
+    psi_final = run_schedule(pieces, pulse, DT, TOL, samples, observers=(recorder,))
     windows = _windows(pulse, t_end)
     assert len(windows) == 1
     a, b = windows[0]
@@ -619,8 +620,8 @@ def test_run_schedule_matches_a_hand_composed_run():
         c = free.advance(free.project(c), np.array([a]))[0]
     c = _step_to(schrodinger_rhs(pieces, pulse), pulse, c, b, DT)
     c = free.advance(free.project(c), np.array([t_end - b]))[0]
-    assert np.abs(traj.psi_final - s @ c).max() < 1e-9
-    assert traj.max_norm_drift < 1e-9
+    assert np.abs(psi_final - s @ c).max() < 1e-9
+    assert np.abs(recorder.column("norm") - 1.0).max() < 1e-9
     assert windows == [(max(T0 - 5.0 * SIGMA, 0.0), T0 + 5.0 * SIGMA)]
 
 
@@ -634,11 +635,11 @@ def test_run_schedule_advances_once_per_free_block_and_window_start(monkeypatch)
     advance = FreeEvolution.advance
     monkeypatch.setattr(FreeEvolution, "advance",
                         lambda self, amp, taus: durations.append(len(taus)) or advance(self, amp, taus))
-    traj = run_schedule(build_pieces(basis, 0.13150852670024232), pulse, DT, TOL,
-                        samples, observers=(lambda t, k, c: rows.append(c[-1]),))
+    psi_final = run_schedule(build_pieces(basis, 0.13150852670024232), pulse, DT, TOL,
+                             samples, observers=(lambda t, k, c: rows.append(c[-1]),))
     assert np.searchsorted(samples, _windows(pulse, samples[-1])[0], side="right").tolist() == [42, 48]
     assert durations == [41, 1, 64, 38]  # a block, the window start, two blocks
-    assert np.array_equal(traj.psi_final, oracles.sector_isometry(basis) @ rows[-1])
+    assert np.array_equal(psi_final, oracles.sector_isometry(basis) @ rows[-1])
 
 
 def test_run_schedule_records_the_violating_sample_then_raises():
@@ -762,22 +763,21 @@ def test_run_schedule_with_one_sample_records_only_the_start():
     basis = TwoRotorBasis(2)
     pieces = build_pieces(basis, 0.13150852670024232)
     recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=((0, 0, 0, 0),)))
-    traj = run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0]),
-                        observers=(recorder,))
+    psi_final = run_schedule(pieces, _single_pulse(), DT, TOL, np.array([0.0]),
+                             observers=(recorder,))
     assert step_plan(_single_pulse(), 0.0, DT) == []
-    assert traj.norms.tolist() == [1.0]
-    assert traj.max_norm_drift == 0.0
-    assert np.array_equal(traj.psi_final, np.eye(basis.size)[basis.index_of(0, 0, 0, 0)])
+    assert recorder.column("norm").tolist() == [1.0]  # no drift at all
+    assert np.array_equal(psi_final, np.eye(basis.size)[basis.index_of(0, 0, 0, 0)])
     assert recorder.column("t_ps").tolist() == [0.0]
-    assert recorder.population_column((0, 0, 0, 0)).tolist() == [1.0]
+    assert recorder.column((0, 0, 0, 0)).tolist() == [1.0]
 
 
 def _assert_matches_the_per_sample_loop(basis, pulse, samples, watch, dipole=0.13150852670024232):
     blocks = []
     pieces = build_pieces(basis, dipole)
     recorder = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=watch))
-    traj = run_schedule(pieces, pulse, DT, TOL, samples,
-                        observers=(recorder, lambda t, k, c: blocks.append(k.size)))
+    psi_final = run_schedule(pieces, pulse, DT, TOL, samples,
+                             observers=(recorder, lambda t, k, c: blocks.append(k.size)))
     states, norms, h0_expect = oracles.per_sample_schedule(oracles.basis_operators(basis, dipole), pulse, DT, samples)
     ref = oracles.per_sample_columns(pieces.basis, states, watch)
 
@@ -788,10 +788,10 @@ def _assert_matches_the_per_sample_loop(basis, pulse, samples, watch, dipole=0.1
     for name in COLUMNS:
         assert_close(recorder.column(name), ref[name], name)
     for entry in watch:
-        assert_close(recorder.population_column(entry), ref[tuple(entry)], entry)
+        assert_close(recorder.column(entry), ref[tuple(entry)], entry)
     assert_close(recorder.column("h0_expect"), h0_expect, "h0_expect")
-    assert_close(traj.norms, norms, "norms")
-    assert np.abs(traj.psi_final - states[-1]).max() <= 1e-10
+    assert_close(recorder.column("norm"), norms, "norms")
+    assert np.abs(psi_final - states[-1]).max() <= 1e-10
     assert max(blocks) <= SAMPLE_BLOCK and sum(blocks) == samples.size
     return blocks
 

@@ -56,8 +56,7 @@ def test_simulate_row_count_rounds_down():
 
 def test_simulate_is_physically_sane():
     result = simulate(_tiny())
-    traj = result.trajectory
-    assert traj.max_norm_drift < 1e-8
+    assert np.abs(result.recorder.column("norm") - 1.0).max() < 1e-8
     _, _, dt, samples = to_reduced(result.config)
     windows = oracles.rk4_windows(step_plan(result.schedule, samples[-1], dt))
     assert len(windows) == 1
@@ -131,6 +130,8 @@ def test_failed_run_keeps_a_marked_partial_csv(tmp_path):
     drift = np.abs(np.array(columns["norm"]) - 1.0)
     assert drift[-1] > 1e-8
     assert np.all(drift[:-1] <= 1e-8)
+    # the message's drift is taken from the rows run_schedule checks, the column from the recorder's table
+    assert f"norm drifted by {drift[-1]:.3e} at t = " in failure
     # no config echo for a failed run
     assert not (tmp_path / CONFIG_ECHO_NAME).exists()
 
@@ -175,10 +176,10 @@ def test_strong_fields_run_clean_at_the_default_step(E0_Vpm):
     assert schedule.sigma_red / 400.0 < dt < schedule.sigma_red / 2.0
     assert _sweep_contraction(cfg) <= 0.18
     result = simulate(cfg)
-    assert result.trajectory.max_norm_drift < 1e-13
+    assert np.abs(result.recorder.column("norm") - 1.0).max() < 1e-13
     half_fs = 0.5 * dt * time_unit_seconds(0.12) * 1e15
     finer = simulate(_tiny(pulse={"E0_Vpm": E0_Vpm}, integrator={"dt_pulse_fs": half_fs}))
-    assert np.abs(result.trajectory.psi_final - finer.trajectory.psi_final).max() < 1e-11
+    assert np.abs(result.psi_final - finer.psi_final).max() < 1e-11
 
 
 def test_the_preset_field_converges_with_sweeps_to_spare(monkeypatch):
@@ -193,4 +194,4 @@ def test_the_preset_field_converges_with_sweeps_to_spare(monkeypatch):
         result = simulate(cfg)
     half_fs = 0.5 * dt * time_unit_seconds(0.12) * 1e15
     finer = simulate(_tiny(geometry={"R_m": 1.5e-8}, integrator={"dt_pulse_fs": half_fs}))
-    assert np.abs(result.trajectory.psi_final - finer.trajectory.psi_final).max() < 1e-12
+    assert np.abs(result.psi_final - finer.psi_final).max() < 1e-12

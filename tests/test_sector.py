@@ -164,7 +164,7 @@ def test_the_sector_run_matches_the_full_space_loop(case):
         for a, b in windows:
             assert np.count_nonzero((samples > a) & (samples <= b)) > SAMPLE_BLOCK
     got, states = TimeSeriesRecorder(pieces, OutputConfig(watch_populations=WATCH)), []
-    traj = run_schedule(pieces, pulse, DT, TOL, samples, observers=(got,))
+    psi = run_schedule(pieces, pulse, DT, TOL, samples, observers=(got,))
     if case == "product_space":
         # the quadrature operators over all 81 product states, every M; the run never leaves M = 0
         ops = oracles.product_operators(basis.l_max, DIPOLE)
@@ -188,8 +188,8 @@ def test_the_sector_run_matches_the_full_space_loop(case):
     for name in COLUMNS:
         assert_close(got.column(name), ref[name], name)
     for entry in WATCH:
-        assert_close(got.population_column(entry), ref[entry], entry)
+        assert_close(got.column(entry), ref[entry], entry)
     assert_close(got.column("h0_expect"), full.h0_expect, "h0_expect")
-    assert_close(traj.norms, full.norms, "norms")
-    assert_close(traj.psi_final, psi_final, "psi_final")
-    assert traj.psi_final.shape == (basis.size,)
+    assert_close(got.column("norm"), full.norms, "norms")
+    assert_close(psi, psi_final, "psi_final")
+    assert psi.shape == (basis.size,)
