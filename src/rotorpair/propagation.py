@@ -12,8 +12,9 @@ eigendecomposition per parity block and run). Every other segment is one
 rk4_integrate call of ten-stage Gauss collocation in the rotor frame (exact
 in the rotor energies): at the pulse-core step dt (from units.to_reduced)
 near the centers, doubled past each edge. Samples do not cut its steps: a
-sample inside a step is a side step from that step's start state, its
-sweeps started on the step's collocation polynomial. A norm violation
+sample before a segment's last step end is a side step from the start state
+of the step it falls in (zero-width on a step boundary), its sweeps started
+on the step's collocation polynomial. A norm violation
 fails the run, as does a step whose stage sweeps do not converge; nothing
 is ever silently renormalized.
 """
@@ -36,18 +37,25 @@ from .operators import HamiltonianPieces, PulseSchedule
 # exp(-25) ~ 1e-11 and the evolution is free.
 STEP_BAND_EDGES = (1.5, 2.5, 3.5, 5.0)
 
-# s-stage Gauss collocation on [0, 1]: nodes c, weights b, A[i, j] = integral to c_i of Lagrange l_j
+# s-stage Gauss collocation on [0, 1]: nodes c, weights b, A[i, j] = integral to c_i of l_j, the Lagrange
+# polynomial of node j; column j of _LAGRANGE_INTEGRALS is the Legendre series on [-1, 1] of the integral of l_j from -1
 GAUSS_STAGES = 10
 _x, _w = legendre.leggauss(GAUSS_STAGES)
 GAUSS_NODES, GAUSS_WEIGHTS = 0.5 * (_x + 1.0), 0.5 * _w
-GAUSS_MATRIX = 0.5 * legendre.legval(_x, legendre.legint(
-    (np.arange(GAUSS_STAGES) + 0.5)[:, None] * _w * legendre.legvander(_x, GAUSS_STAGES - 1).T, lbnd=-1)).T
+_LAGRANGE_INTEGRALS = legendre.legint(
+    (np.arange(GAUSS_STAGES) + 0.5)[:, None] * _w * legendre.legvander(_x, GAUSS_STAGES - 1).T, lbnd=-1)
+
+
+def polynomial_weights(theta: np.ndarray | float) -> np.ndarray:
+    """W(theta)[..., j, i] = the integral of l_j from 0 to theta c_i: a step h whose stage derivatives are the
+    columns of derivs has the collocation polynomial y + derivs @ (h W(theta)) at theta c (A^T at theta = 1)."""
+    x = _x + (np.asarray(theta, dtype=float)[..., None] - 1.0) * (_x + 1.0)  # 2 theta c - 1; exactly _x at 1
+    return 0.5 * np.moveaxis(legendre.legval(x, _LAGRANGE_INTEGRALS), 0, -2)
+
+
+GAUSS_MATRIX = polynomial_weights(1.0).T
 # A^T on the float64 view of a complex stage block: the real and imaginary column of a stage share its weights
 _STAGE_PRODUCT = np.kron(GAUSS_MATRIX.T, np.eye(2))
-# a step's collocation polynomial is the degree-s interpolant of its start (at 0) and its stages (at c)
-_KNOTS = np.concatenate([[0.0], GAUSS_NODES])
-_OTHER_KNOTS = ~np.eye(GAUSS_STAGES + 1, dtype=bool)
-_KNOT_SCALE = 1.0 / np.where(_OTHER_KNOTS, _KNOTS[:, None] - _KNOTS, 1.0).prod(axis=1)
 # a step h's stage sweeps contract by about h * SWEEP_RATE * |H|: the spectral radius of A, about 0.7 / s
 SWEEP_RATE = float(np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max())
 # converged at a few roundings of a unit state; sweeps contracting by q > 0.3 need more than the cap
@@ -158,17 +166,12 @@ def schrodinger_rhs(pieces: HamiltonianPieces, pulse: PulseSchedule) -> RightHan
     return RightHandSide(pulse.field_scalar, deriv, energies)
 
 
-def _interpolation_weights(tau: np.ndarray) -> np.ndarray:
-    """[..., i, k] = the Lagrange polynomial of knot k of _KNOTS at tau[..., i]."""
-    return np.where(_OTHER_KNOTS, tau[..., None, None] - _KNOTS, 1.0).prod(axis=-1) * _KNOT_SCALE
-
-
 def _collocate(rhs: RightHandSide, y: np.ndarray, fields: np.ndarray, frame: tuple,
                stages: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """One step from y: fixed-point sweeps of its rotor-frame stage equations, each one rhs.deriv product
     on the n x s stage block, from the first guess stages until no stage entry moves by more than
-    SWEEP_TOLERANCE. Returns the end state, the stages and, if MAX_SWEEPS sweeps did not converge, the
-    last update (else 0.0)."""
+    SWEEP_TOLERANCE. Returns the end state, the last sweep's stage derivatives (the columns of derivs)
+    and, if MAX_SWEEPS sweeps did not converge, the last update (else 0.0)."""
     turn, back, full, h_a, h_b = frame
     start = np.repeat(y[:, None], GAUSS_STAGES, axis=1)
     for _ in range(MAX_SWEEPS):
@@ -177,8 +180,8 @@ def _collocate(rhs: RightHandSide, y: np.ndarray, fields: np.ndarray, frame: tup
         new += start
         update, stages = np.abs(new - stages).max(), new
         if not update > SWEEP_TOLERANCE:  # converged, or not finite
-            return full * (y + derivs @ h_b), stages, 0.0
-    return full * (y + derivs @ h_b), stages, update
+            return full * (y + derivs @ h_b), derivs, 0.0
+    return full * (y + derivs @ h_b), derivs, update
 
 
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float,
@@ -191,11 +194,11 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
     state at t1, the states at sample_times (ascending, within (t0, t1]) as rows, and the stall: None, or
     (t, last update) of the first step at t whose sweeps, main or side, reached MAX_SWEEPS.
 
-    Samples do not cut the steps. A sample at a step's end, or past the last step, is the state there.
-    A sample t* inside the step [t, t + h] is a side step of width t* - t from the state at t: its sweeps
-    start on the step's collocation polynomial (the degree-s interpolant of the state at t and the
-    step's stages) at the side step's nodes theta c, theta = (t* - t) / h (Hairer, Lubich & Wanner,
-    sec. VIII.6), and converge like any step's. A stalled step goes on from its last iterate."""
+    Samples do not cut the steps. A sample t* before the last step's end, in the step [t, t + h), is a side
+    step of width t* - t from the state at t (zero-width, and the state there bit for bit, on a step's start),
+    its sweeps started on the step's collocation polynomial y + derivs @ (h W(theta)) at theta c, theta =
+    (t* - t) / h, W = polynomial_weights (Hairer, Lubich & Wanner, secs. II.1.2 and VIII.6). A sample at the
+    last step's end is the state at t1. A stalled step goes on from its last iterate."""
     if not (dt > 0 and t1 >= t0):
         raise ValueError(f"need dt > 0 and t1 >= t0, got dt = {dt}, span {t1 - t0}")
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
@@ -208,27 +211,18 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
     starts, widths = t0 + np.arange(len(steps)) * dt, np.array(steps)
     samples = np.asarray(sample_times, dtype=float)
     done = np.searchsorted(starts + widths, samples, side="right")  # the steps that end by each sample
-    inside = done < len(steps)
-    inside[inside] = samples[inside] > starts[done[inside]]
-    owner = done[inside]
-    side_widths = samples[inside] - starts[owner]
+    bounds = np.searchsorted(done, np.arange(len(steps) + 1)).tolist()  # bounds[i]:bounds[i + 1] are past i steps
+    owner = done[:bounds[-1]]  # a sample before the last step's end is a side step of the step it falls in
+    side_widths = np.maximum(samples[:bounds[-1]] - starts[owner], 0.0)  # at a step's end: zero, not -1 ulp
     fields = rhs.field(np.concatenate([starts, starts[owner]])[:, None]
                        + np.concatenate([widths, side_widths])[:, None] * GAUSS_NODES)
-    guesses = _interpolation_weights((side_widths / widths[owner])[:, None] * GAUSS_NODES).swapaxes(1, 2)
-    sides = iter(zip(fields[len(steps):], side_widths.tolist(), guesses))
-    bounds = np.searchsorted(done, np.arange(len(steps) + 1)).tolist()  # bounds[i]:bounds[i + 1] are past i steps
-    band = rhs.band(dt)
     rows = np.empty((samples.size, np.size(y)), dtype=np.complex128)
     stall = None
     for i, (t, h, field_row) in enumerate(zip(starts.tolist(), steps, fields)):
-        end, stages, update = _collocate(rhs, y, field_row, band if h == dt else rhs.frame(h), y[:, None])
+        end, derivs, update = _collocate(rhs, y, field_row, rhs.band(h) if h == dt else rhs.frame(h), y[:, None])
         for j in range(bounds[i], bounds[i + 1]):
-            if not inside[j]:
-                rows[j] = y
-                continue
-            side_fields, width, weights = next(sides)
-            polynomial = y[:, None] * weights[0] + stages @ weights[1:]
-            rows[j], _, side_update = _collocate(rhs, y, side_fields, rhs.frame(width), polynomial)
+            rows[j], _, side_update = _collocate(rhs, y, fields[len(steps) + j], rhs.frame(side_widths[j].item()),
+                                                 y[:, None] + derivs @ (h * polynomial_weights(side_widths[j] / h)))
             update = update or side_update
         if update and stall is None:
             stall = (t, update)

@@ -6,8 +6,9 @@ angular matrix elements by quadrature over the sphere, two-rotor operators
 by Kronecker products of quadrature-built one-rotor matrices, time
 evolution by dense midpoint-sampled eigendecomposition, H(t) as one
 explicit matrix, rotor-frame Gauss collocation with its stage equations
-solved as one dense linear system, uniform classical RK4 with no frame
-and no step bands, the full d x d Schmidt matrix, the block run loop over
+solved as one dense linear system, a step's collocation polynomial as the
+Lagrange interpolant of its start and stages, uniform classical RK4 with
+no frame and no step bands, the full d x d Schmidt matrix, the block run loop over
 every state of a basis (no symmetric sector), and the sample-by-sample
 run loop with its per-sample observables.  The loops take H0, V and the
 rotor energies unfolded, over the M = 0 basis (basis_operators) or the
@@ -319,6 +320,17 @@ def dense_collocation(ops, pulse, y, t0, t1, dt):
     if remainder > 1e-12 * max(abs(t1), 1.0):
         y = collocation_step(y, t_last, remainder)
     return y
+
+
+def collocation_interpolant(y, stages, tau):
+    """A step's collocation polynomial at the points tau of [0, 1]: the degree-s
+    interpolant of its start y (at 0) and its stages (the columns of stages, at
+    GAUSS_NODES), summed over the Lagrange basis of those s + 1 knots."""
+    knots = np.concatenate([[0.0], GAUSS_NODES])
+    others = ~np.eye(knots.size, dtype=bool)
+    scale = 1.0 / np.where(others, knots[:, None] - knots, 1.0).prod(axis=1)
+    weights = np.where(others, np.asarray(tau)[:, None, None] - knots, 1.0).prod(axis=-1) * scale  # [point, knot]
+    return y[:, None] * weights[:, 0] + stages @ weights[:, 1:].T
 
 
 def classical_rk4(rhs, y, t0, t1, dt):

@@ -49,8 +49,8 @@ def test_build_pieces_result_has_csr_h0_and_coupling():
 
 def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
     # each call takes the field at the ten nodes of each of its main steps and of
-    # each side step, one per sample inside a step, all at once; the counter reads
-    # the main steps off (t0, t1, dt)
+    # each side step, one per sample before its last step's end, all at once; the
+    # counter reads the main steps off (t0, t1, dt)
     import dataclasses
 
     from rotorpair import propagation
@@ -61,7 +61,7 @@ def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
 
     schedule, dipole, dt, _ = to_reduced(RunConfig())
     train = dataclasses.replace(schedule, period_red=0.3, count=3)
-    taken, steps, sides = [], [], []
+    taken, steps, sides, calls = [], [], [], []
     schrodinger_rhs, rk4_integrate = propagation.schrodinger_rhs, propagation.rk4_integrate
 
     def counting_rhs(*args):
@@ -72,16 +72,25 @@ def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
     def counted(*args):
         steps.append(layertrace._rk4_steps(args, {}, None)["steps"])
         sides.append(len(args[5]))
-        return rk4_integrate(*args)
+        calls.append((args, rk4_integrate(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(propagation, "schrodinger_rhs", counting_rhs)
     monkeypatch.setattr(propagation, "rk4_integrate", counted)
-    samples = np.arange(161) * 0.005  # a dozen samples inside each of the three windows, none on a step's end
-    propagation.run_schedule(build_pieces(TwoRotorBasis(2), dipole), train, dt, 1e-8, samples)
+    pieces = build_pieces(TwoRotorBasis(2), dipole)
+    a, b, h = next((a, b, h) for a, b, h in propagation.step_plan(train, 0.8, dt) if b - a > 4 * h > 0)
+    boundary = a + 3 * h  # the start of the segment's fourth step, as rk4_integrate computes it
+    # a dozen samples inside each of the three windows, one on an interior step boundary, none on a segment's end
+    samples = np.sort(np.append(np.arange(161) * 0.005, boundary))
+    propagation.run_schedule(pieces, train, dt, 1e-8, samples)
     assert len(steps) == len(taken) > 7
     assert all(shape[1:] == propagation.GAUSS_NODES.shape for shape in taken)
     assert sum(sides) > 30
     assert sum(steps) + sum(sides) == sum(shape[0] for shape in taken)
+    (args, (_, rows, _)), = [(args, result) for args, result in calls if boundary in args[5]]
+    assert args[2:5] == (a, b, h)
+    there, _, _ = rk4_integrate(args[0], args[1], a, boundary, h)  # three main steps
+    assert np.array_equal(rows[args[5].tolist().index(boundary)], there)
 
 
 def test_the_benchmark_self_test_passes():

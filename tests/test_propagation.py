@@ -27,6 +27,7 @@ from rotorpair.propagation import (
     FreeEvolution,
     RightHandSide,
     initial_state,
+    polynomial_weights,
     rk4_integrate,
     run_schedule,
     schrodinger_rhs,
@@ -187,6 +188,18 @@ def test_gauss_tableau_has_order_20_and_is_symplectic():
     assert max(np.abs(a @ c ** (k - 1) - c**k / k).max() for k in range(1, s + 1)) <= 1e-15
     # b_i a_ij + b_j a_ji = b_i b_j: the condition that makes the method unitary
     assert np.abs(b[:, None] * a + (b[:, None] * a).T - np.outer(b, b)).max() <= 1e-15
+
+
+def test_one_legendre_table_gives_the_tableau():
+    # the series of the integrals of the stage Lagrange basis, at the Legendre nodes, is A bit for bit, and
+    # at 1 the weights b; the side steps evaluate it at theta c, which is A^T at theta = 1 and 0 at theta = 0
+    x, _ = np.polynomial.legendre.leggauss(GAUSS_STAGES)
+    table = propagation._LAGRANGE_INTEGRALS
+    assert np.array_equal(0.5 * np.polynomial.legendre.legval(x, table).T, GAUSS_MATRIX)
+    assert np.array_equal(polynomial_weights(1.0), GAUSS_MATRIX.T)
+    assert np.abs(0.5 * np.polynomial.legendre.legval(1.0, table) - GAUSS_WEIGHTS).max() <= 1e-16
+    assert np.abs(polynomial_weights(0.0)).max() <= 1e-16
+    assert polynomial_weights(np.array([[0.3, 0.8]])).shape == (1, 2, GAUSS_STAGES, GAUSS_STAGES)
 
 
 def test_rk4_two_level_convergence_is_order_20():
@@ -375,6 +388,20 @@ def test_a_side_step_started_on_the_step_polynomial_sweeps_half_as_often(offset,
     from_y = len(calls) - 2 * main - polynomial
     assert 1 <= polynomial <= 0.5 * from_y
     assert np.abs(row - from_start).max() <= 1e-14
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.8])
+@pytest.mark.parametrize("offset, h", [(SIGMA, DT), (1.6 * SIGMA, 2.0 * DT)], ids=["core", "first_band"])
+def test_a_side_step_starts_on_the_interpolant_of_the_step_start_and_stages(offset, h, theta):
+    # y + derivs @ (h W(theta)) against the degree-s Lagrange interpolant of y and the last sweep's stages
+    pieces, c = _spread_sector_state(4)
+    rhs = schrodinger_rhs(pieces, _single_pulse())
+    t, frame = T0 + offset, rhs.frame(h)
+    _, derivs, update = propagation._collocate(rhs, c, rhs.field(t + h * GAUSS_NODES), frame, c[:, None])
+    stages = c[:, None] + (derivs.view(np.float64) @ frame[3]).view(np.complex128)
+    start = c[:, None] + derivs @ (h * polynomial_weights(theta))
+    assert update == 0.0
+    assert np.abs(start - oracles.collocation_interpolant(c, stages, theta * GAUSS_NODES)).max() <= 1e-15
 
 
 def test_run_schedule_calls_the_stepper_once_per_collocation_segment(monkeypatch):
