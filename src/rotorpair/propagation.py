@@ -93,12 +93,20 @@ class FreeEvolution:
             raise ConsistencyError("H0 must be real; its largest imaginary part is "
                                    f"{np.abs(h0.data.imag).max():.3e}")
         self.halves = (slice(0, split), slice(split, h0.shape[0]))
-        try:
-            blocks = [np.linalg.eigh(h0[half, half].real.toarray()) for half in self.halves]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigendecomposition of H0 (dim {h0.shape[0]}) failed: {exc}") from exc
-        self.energies = np.concatenate([energies for energies, _ in blocks])
-        self.vectors = [vectors for _, vectors in blocks]
+        self.energies, self.vectors = np.empty(h0.shape[0]), []
+        for half in self.halves:
+            dense = h0[half, half].real.toarray()
+            try:
+                self.energies[half], vectors = np.linalg.eigh(dense)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"eigendecomposition of H0 (dim {h0.shape[0]}) failed: {exc}") from exc
+            # one Newton-Schulz step, V <- V (3I - V^T V) / 2: V^T V is a GEMM against -V/2 in the spent block
+            # (no syrk workspace, no new V), and V is updated in place 64 rows at a time
+            polish = vectors.T @ np.multiply(vectors, -0.5, out=dense)
+            polish.flat[::len(polish) + 1] += 1.5
+            for lo in range(0, len(vectors), 64):
+                vectors[lo:lo + 64] = vectors[lo:lo + 64] @ polish
+            self.vectors.append(vectors)
 
     def project(self, coeffs: np.ndarray) -> np.ndarray:
         """Eigenbasis amplitudes V^T c of one state."""
