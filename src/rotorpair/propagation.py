@@ -285,10 +285,8 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
     row's drift. A diverging state overflows quietly.
     """
     samples = np.asarray(sample_times, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise InvalidConfigError("sample_times must be a non-empty 1-d array")
-    if samples[0] != 0.0 or np.any(np.diff(samples) <= 0):
-        raise InvalidConfigError("sample_times must start at 0 and increase strictly")
+    if samples.ndim != 1 or samples.size == 0 or samples[0] != 0.0 or np.any(np.diff(samples) <= 0):
+        raise InvalidConfigError("sample_times must be a 1-d array that starts at 0 and increases strictly")
 
     t_end = float(samples[-1])
     coeffs = last = initial_state(pieces.h0.shape[0])
@@ -304,8 +302,7 @@ def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
         row_norms = np.linalg.norm(rows, axis=1)
         bad = np.flatnonzero(~(np.abs(row_norms - 1.0) <= norm_tolerance)
                              | (samples[lo:lo + rows.shape[0]] > (stall[0] if stall else np.inf)))
-        if bad.size:
-            rows = rows[: bad[0] + 1]
+        rows = rows[: bad[0] + 1] if bad.size else rows
         hi = lo + rows.shape[0]
         queue = np.concatenate([queue, rows])  # samples hi - len(queue) to hi - 1
         flush = bad.size or hi == samples.size
