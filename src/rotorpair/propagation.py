@@ -46,11 +46,10 @@ _LAGRANGE_INTEGRALS = legendre.legint(
     (np.arange(GAUSS_STAGES) + 0.5)[:, None] * _w * legendre.legvander(_x, GAUSS_STAGES - 1).T, lbnd=-1)
 
 
-def polynomial_weights(theta: np.ndarray | float) -> np.ndarray:
-    """W(theta)[..., j, i] = the integral of l_j from 0 to theta c_i: a step h whose stage derivatives are the
+def polynomial_weights(theta: float) -> np.ndarray:
+    """W(theta)[j, i] = the integral of l_j from 0 to theta c_i: a step h whose stage derivatives are the
     columns of derivs has the collocation polynomial y + derivs @ (h W(theta)) at theta c (A^T at theta = 1)."""
-    x = _x + (np.asarray(theta, dtype=float)[..., None] - 1.0) * (_x + 1.0)  # 2 theta c - 1; exactly _x at 1
-    return 0.5 * np.moveaxis(legendre.legval(x, _LAGRANGE_INTEGRALS), 0, -2)
+    return 0.5 * legendre.legval(_x + (theta - 1.0) * (_x + 1.0), _LAGRANGE_INTEGRALS)  # at 2 theta c - 1; _x at 1
 
 
 GAUSS_MATRIX = polynomial_weights(1.0).T

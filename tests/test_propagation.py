@@ -212,7 +212,6 @@ def test_one_legendre_table_gives_the_tableau():
     assert np.array_equal(polynomial_weights(1.0), GAUSS_MATRIX.T)
     assert np.abs(0.5 * np.polynomial.legendre.legval(1.0, table) - GAUSS_WEIGHTS).max() <= 1e-16
     assert np.abs(polynomial_weights(0.0)).max() <= 1e-16
-    assert polynomial_weights(np.array([[0.3, 0.8]])).shape == (1, 2, GAUSS_STAGES, GAUSS_STAGES)
 
 
 def test_rk4_two_level_convergence_is_order_20():
@@ -379,9 +378,14 @@ def test_samples_inside_steps_match_the_cut_steps_they_replace():
     assert np.array_equal(end, oracles.strict_rk4(rhs, c, t_a, t_b, DT)[0])
     for t, row in zip(samples, rows):
         assert np.abs(row - oracles.strict_rk4(rhs, c, t_a, t, DT)[0]).max() <= 1e-13
-    # a sample on a step's end is that step's end state
+    # a sample on a step's end is that step's end state, also where rounding puts that end (the step's
+    # start plus its width) one ulp before the next step's start (t0 plus twice the step)
     assert np.array_equal(oracles.strict_rk4(rhs, c, t_a, t_b, DT, [(t_a + DT) + DT])[1][0],
                           oracles.strict_rk4(rhs, c, t_a, (t_a + DT) + DT, DT)[0])
+    t0, dt = 0.14415961271963373, 0.009537845024235197
+    assert (t0 + dt) + dt < t0 + 2 * dt
+    assert np.array_equal(oracles.strict_rk4(rhs, c, t0, t0 + 4 * dt, dt, [(t0 + dt) + dt])[1][0],
+                          oracles.strict_rk4(rhs, c, t0, t0 + 2 * dt, dt)[0])
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.8])
