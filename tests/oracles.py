@@ -8,9 +8,9 @@ evolution by dense midpoint-sampled eigendecomposition, H(t) as one
 explicit matrix, rotor-frame Gauss collocation with its stage equations
 solved as one dense linear system, a step's collocation polynomial as the
 Lagrange interpolant of its start and stages, uniform classical RK4 with
-no frame and no step bands, the full d x d Schmidt matrix, the block run loop over
-every state of a basis (no symmetric sector), and the sample-by-sample
-run loop with its per-sample observables.  The loops take H0, V and the
+no frame and no step bands, the full d x d Schmidt matrix, the block run
+loop over every state of a basis (no symmetric sector), and the
+sample-by-sample run loop with its per-sample observables.  The loops take H0, V and the
 rotor energies unfolded, over the M = 0 basis (basis_operators) or the
 whole d_single^2 product space (product_operators).  None of it is
 imported by the package itself.
