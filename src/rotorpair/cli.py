@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -54,10 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     from .runner import run_config
-    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    if args.out is not None:
-        cfg = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output, out_dir=args.out))
-    result = run_config(cfg)
+    result = run_config(parse_config(Path(args.config).read_bytes()), args.out)
     print(f"wrote {result.csv_path}")
     return EXIT_OK
 
@@ -72,7 +68,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = parse_sweep(Path(args.spec).read_text(encoding="utf-8"))
+    spec = parse_sweep(Path(args.spec).read_bytes())
     manifest_path, entries = run_sweep(spec)
     n_ok = sum(1 for e in entries if e["status"] == "ok")
     print(f"wrote {manifest_path} ({n_ok}/{len(entries)} points ok)")

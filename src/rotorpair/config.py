@@ -95,9 +95,6 @@ class RunConfig:
             object.__setattr__(self, name, _typed(getattr(self, name), section, name))
         validate_config(self)
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 _hints = functools.cache(typing.get_type_hints)  # class -> {field: resolved annotation}
 _NOUNS = {float: "a number", int: "an integer", str: "a string", type(None): "null"}
@@ -216,13 +213,17 @@ def validate_config(cfg: RunConfig) -> None:
             " hbar/B or the dipole strength mu^2 / (4 pi eps0 R^3 B) outside the float range")
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config document."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"config is not valid JSON: {exc}") from exc
-    return build_config(data)
+def _decoded(data: str | bytes, what: str):
+    """data, JSON text or a file's bytes (strict UTF-8, no BOM), decoded; what names the document."""
+    try:  # bad JSON or UTF-8, an integer past the digit limit, or nesting past the recursion limit
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def parse_config(data: str | bytes) -> RunConfig:
+    """Parse and validate a JSON config document, given as text or as a file's bytes."""
+    return build_config(_decoded(data, "config"))
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +296,10 @@ class SweepSpec:
             raise InvalidConfigError(f"parallelism must be at least 1, got {self.parallelism}")
 
 
-def parse_sweep(text: str) -> SweepSpec:
-    """Decode a JSON sweep specification, whose keys are SweepSpec's fields; SweepSpec checks it."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"sweep spec is not valid JSON: {exc}") from exc
+def parse_sweep(data: str | bytes) -> SweepSpec:
+    """Decode a JSON sweep specification, given as text or as a file's bytes, whose keys are SweepSpec's
+    fields; SweepSpec checks it."""
+    data = _decoded(data, "sweep spec")
     _fields_of(data, SweepSpec, "sweep")
     if "axis1" not in data:
         raise InvalidConfigError("sweep spec needs axis1")

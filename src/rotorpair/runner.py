@@ -4,7 +4,7 @@ propagate, and (optionally) write the CSV artifact."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +63,7 @@ def run_config(cfg: RunConfig, out_dir=None) -> RunResult:
     """Run and write artifacts; on failure keep a partial CSV with a marker."""
     target = Path(out_dir if out_dir is not None else (cfg.output.out_dir or "sim_out"))
     result = _run(cfg, target)
-    echo = cfg.to_json_dict()
+    echo = asdict(cfg)
     echo["output"]["out_dir"] = str(target)
     output.write_whole(target / CONFIG_ECHO_NAME, json.dumps(echo, indent=2, sort_keys=True) + "\n")
     return result

@@ -51,6 +51,39 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, data", [
+    ("run", b'{"basis": {"l_max": 2}}\xff'),  # bytes that are not UTF-8
+    ("sweep", b'{"axis1": {"name": "R_m", "values": [1e-8]}}\xff'),
+    ("run", b"[" * 100_000 + b"]" * 100_000),  # nesting past the recursion limit
+    ("run", b'{"basis": {"l_max": ' + b"9" * 5_000 + b"}}"),  # an integer past Python's 4,300 digits
+], ids=["config-not-utf8", "spec-not-utf8", "deep-nesting", "5000-digit-integer"])
+def test_undecodable_documents_are_config_errors(tmp_path, capsys, command, data):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    flag = {"run": "--config", "sweep": "--spec"}[command]
+    assert main([command, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "is not valid JSON" in err and "Traceback" not in err
+
+
+def test_a_byte_order_mark_is_still_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xef\xbb\xbf{}")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: config is not valid JSON: Unexpected UTF-8 BOM" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_out_and_output_out_dir_write_the_same_files(tmp_path):
+    by_flag, by_doc = tmp_path / "by_flag", tmp_path / "by_doc"
+    assert main(["run", "--config", _write_json(tmp_path / "a.json", TINY), "--out", str(by_flag)]) == 0
+    doc = dict(TINY, output={**TINY["output"], "out_dir": str(by_doc)})
+    assert main(["run", "--config", _write_json(tmp_path / "b.json", doc)]) == 0
+    assert (by_flag / "timeseries.csv").read_bytes() == (by_doc / "timeseries.csv").read_bytes()
+    for out in (by_flag, by_doc):  # the echo names the directory the run wrote to
+        assert json.loads((out / "run_config.json").read_text())["output"]["out_dir"] == str(out)
+
+
 def test_run_rejects_bad_physics(tmp_path, capsys):
     cfg = _write_json(tmp_path / "cfg.json", {"geometry": {"R_m": -1.0}})
     assert main(["run", "--config", cfg]) == 2

@@ -133,7 +133,7 @@ def test_a_wrong_typed_value_is_rejected_however_the_config_is_built(section, ke
 
 def test_an_integer_in_a_float_field_is_echoed_as_a_float():
     cfg = dataclasses.replace(RunConfig(), pulse=dataclasses.replace(RunConfig().pulse, sigma_fs=100))
-    assert '"sigma_fs": 100.0' in json.dumps(cfg.to_json_dict())
+    assert '"sigma_fs": 100.0' in json.dumps(dataclasses.asdict(cfg))
 
 
 def test_the_type_is_checked_before_the_default_watch_list_is_trimmed():
@@ -278,7 +278,7 @@ def test_non_finite_numbers_are_rejected(section, key, literal):
 def test_round_trip_through_json_dict():
     cfg = parse_config('{"pulse": {"period": "hbar_over_B", "count": 4},'
                        ' "output": {"total_time_ps": 250.0}}')
-    again = build_config(json.loads(json.dumps(cfg.to_json_dict())))
+    again = build_config(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert again == cfg
 
 

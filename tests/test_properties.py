@@ -6,6 +6,7 @@ every run: the norm, the exchange symmetry, the entropy bounds, and that
 the config survives its JSON round trip.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ DOCUMENTS = st.builds(
 @given(doc=DOCUMENTS)
 def test_random_runs_keep_their_invariants(doc):
     cfg = build_config(doc)
-    assert build_config(cfg.to_json_dict()) == cfg
+    assert build_config(dataclasses.asdict(cfg)) == cfg
 
     result = simulate(cfg)
     rec = result.recorder
