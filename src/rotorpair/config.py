@@ -214,7 +214,8 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def _decoded(data: str | bytes, what: str):
-    """data, JSON text or a file's bytes (strict UTF-8, no BOM), decoded; what names the document."""
+    """data, JSON text or a file's bytes (strict UTF-8, so a byte-order mark stays and is refused), decoded;
+    what names the document."""
     try:  # bad JSON or UTF-8, an integer past the digit limit, or nesting past the recursion limit
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:
@@ -282,7 +283,7 @@ class SweepSpec:
         build_config(_fields_of(self.base, RunConfig, "base"))  # a bad base fails here, before any point runs
         for path in ("axis1", "axis2") if self.axis2 is not None else ("axis1",):
             axis = getattr(self, path)
-            if axis.name not in SWEEP_AXES:
+            if not isinstance(axis.name, str) or axis.name not in SWEEP_AXES:
                 raise InvalidConfigError(f"{path}.name must be one of {tuple(SWEEP_AXES)}, got {axis.name!r}")
             if not isinstance(axis.values, (list, tuple)) or not axis.values:
                 raise InvalidConfigError(f"{path}.values must be a non-empty list")

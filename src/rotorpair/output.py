@@ -78,22 +78,24 @@ def read_timeseries_csv(path) -> tuple[list[str], dict[str, list[float]], str | 
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if header[: len(COLUMNS)] != list(COLUMNS):
+                raise InvalidConfigError(f"{path} does not start with the expected columns {COLUMNS}")
+            if len(set(header)) < len(header):
+                raise InvalidConfigError(f"{path}: the header repeats a column name")
+            columns: dict[str, list[float]] = {name: [] for name in header}
+            failure = None
+            for row in reader:
+                if row and row[0] == FAILURE_MARKER:
+                    failure = row[1] if len(row) > 1 else ""
+                    continue
+                if len(row) != len(header):
+                    raise InvalidConfigError(f"{path}: row with {len(row)} fields, expected {len(header)}")
+                for name, field in zip(header, row):
+                    columns[name].append(float(field))
         except StopIteration:
             raise InvalidConfigError(f"{path} is empty, expected a time-series CSV") from None
-        if header[: len(COLUMNS)] != list(COLUMNS):
-            raise InvalidConfigError(f"{path} does not start with the expected columns {COLUMNS}")
-        if len(set(header)) < len(header):
-            raise InvalidConfigError(f"{path}: the header repeats a column name")
-        columns: dict[str, list[float]] = {name: [] for name in header}
-        failure = None
-        for row in reader:
-            if row and row[0] == FAILURE_MARKER:
-                failure = row[1] if len(row) > 1 else ""
-                continue
-            if len(row) != len(header):
-                raise InvalidConfigError(f"{path}: row with {len(row)} fields, expected {len(header)}")
-            for name, field in zip(header, row):
-                columns[name].append(float(field))
+        except (ValueError, csv.Error) as exc:  # a cell that is not a number, or bytes that are not UTF-8
+            raise InvalidConfigError(f"{path} is not a readable time-series CSV: {exc}") from None
     return header, columns, failure
 
 

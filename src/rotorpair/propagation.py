@@ -180,11 +180,10 @@ def _collocate(rhs: RightHandSide, y: np.ndarray, fields: np.ndarray, frame: tup
     SWEEP_TOLERANCE. Returns the end state, the last sweep's stage derivatives (the columns of derivs)
     and, if MAX_SWEEPS sweeps did not converge, the last update (else 0.0)."""
     turn, back, full, h_a, h_b = frame
-    start = np.repeat(y[:, None], GAUSS_STAGES, axis=1)
     for _ in range(MAX_SWEEPS):
         derivs = back * rhs.deriv(fields, turn * stages)
         new = (derivs.view(np.float64) @ h_a).view(np.complex128)
-        new += start
+        new += y[:, None]
         update, stages = np.abs(new - stages).max(), new
         if not update > SWEEP_TOLERANCE:  # converged, or not finite
             return full * (y + derivs @ h_b), derivs, 0.0

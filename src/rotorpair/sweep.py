@@ -5,6 +5,7 @@ whose BLAS thread count is capped so that workers x threads <= cores."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import os
@@ -30,11 +31,8 @@ def build_points(spec: SweepSpec) -> list[tuple[str, dict, dict]]:
     """Expand the grid into (label, params, run document) rows, axis1-major;
     each document is the base with the point's axis keys set."""
     axes = [spec.axis1] + ([spec.axis2] if spec.axis2 is not None else [])
-    combos: list[list[tuple[str, object]]] = [[]]
-    for axis in axes:
-        combos = [done + [(axis.name, v)] for done in combos for v in axis.values]
     points = []
-    for k, combo in enumerate(combos):
+    for k, combo in enumerate(itertools.product(*([(axis.name, v) for v in axis.values] for axis in axes))):
         doc = dict(spec.base)
         for name, value in combo:
             section, key = SWEEP_AXES[name]
@@ -81,8 +79,8 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, list[dict]]:
     """Run every grid point; returns (manifest path, manifest entries)."""
     points = build_points(spec)
     out_root = Path(spec.out_dir or spec.base.get("output", {}).get("out_dir") or DEFAULT_SWEEP_DIR)
+    workers = worker_count(spec, len(points))  # a bad SIM_THREADS fails before out_root is made
     out_root.mkdir(parents=True, exist_ok=True)
-    workers = worker_count(spec, len(points))
 
     jobs = [(label, doc, str(out_root / label)) for label, _, doc in points]
     if workers == 1:

@@ -264,6 +264,17 @@ def test_plot_missing_csv_is_an_io_error(tmp_path, capsys):
     assert "I/O failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [b"x,0,0,0,1,0\n", b"0,0,0,0,1,0\xff\n"], ids=["not-a-number", "not-utf8"])
+def test_plot_rejects_a_malformed_csv(tmp_path, capsys, row):
+    # a cell that is not a number, and bytes that are not UTF-8
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(b"t_ps,cos1,cos2,entropy,norm,energy_rot\n" + row)
+    assert main(["plot", "--csv", str(csv_path), "--out", str(tmp_path / "fig")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {csv_path} is not a readable time-series CSV" in err and "Traceback" not in err
+    assert not (tmp_path / "fig").exists()
+
+
 def test_sweep_runs_the_grid(tmp_path, capsys):
     spec = _write_json(tmp_path / "spec.json", {
         "base": TINY,
@@ -303,6 +314,15 @@ def test_sweep_with_an_off_block_watch_entry_runs_no_point(tmp_path, capsys):
     assert main(["sweep", "--spec", spec]) == 2
     err = capsys.readouterr().err
     assert "has m1 + m2 = 1; a run holds only M = 0 states" in err and "Traceback" not in err
+    assert not (tmp_path / "grid").exists()
+
+
+def test_a_bad_sim_threads_leaves_no_sweep_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SIM_THREADS", "abc")
+    spec = _write_json(tmp_path / "spec.json", {
+        "base": TINY, "axis1": {"name": "R_m", "values": [3e-8]}, "out_dir": str(tmp_path / "grid")})
+    assert main(["sweep", "--spec", spec]) == 2
+    assert "SIM_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "grid").exists()
 
 
