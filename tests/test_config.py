@@ -464,7 +464,7 @@ def test_hand_built_sweep_specs_are_checked():
     assert SweepSpec(base={}, axis1=axis).axis1.values == (1e-8,)
     with pytest.raises(InvalidConfigError, match="axis1.name must be one of"):
         SweepSpec(base={}, axis1=SweepAxis("nope", (1,)))
-    with pytest.raises(InvalidConfigError, match=re.escape("axis2.name must be one of (") + r".*got \['l_max'\]"):
+    with pytest.raises(InvalidConfigError, match=r"axis2.name must be one of .*, got \['l_max'\]"):
         SweepSpec(base={}, axis1=axis, axis2=SweepAxis(["l_max"], (8,)))  # unhashable, so no dict lookup
     with pytest.raises(InvalidConfigError, match="axis2.values must be a non-empty list"):
         SweepSpec(base={}, axis1=axis, axis2=SweepAxis("l_max", ()))
