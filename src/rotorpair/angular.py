@@ -8,11 +8,10 @@ it is trusted here.
 from __future__ import annotations
 
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .exceptions import InvalidConfigError, QueryError
+from .exceptions import QueryError
 
 
 def _rise(l, m, dm: int):
@@ -46,10 +45,6 @@ class TwoRotorBasis:
     """
 
     def __init__(self, l_max: int):
-        if isinstance(l_max, bool) or not isinstance(l_max, Integral):
-            raise InvalidConfigError(f"l_max must be an integer, got {l_max!r}")
-        if l_max < 0:
-            raise InvalidConfigError(f"l_max must be non-negative, got {l_max}")
         self.l_max = int(l_max)
         l = np.repeat(np.arange(self.l_max + 1), 2 * np.arange(self.l_max + 1) + 1)
         m = np.arange(l.size) - l * l - l  # one-rotor index l*l + l + m, m from -l to l

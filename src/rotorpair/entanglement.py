@@ -22,8 +22,7 @@ import math
 import numpy as np
 
 from .angular import TwoRotorBasis
-from .config import ENTROPY_LOG_BASES
-from .exceptions import InvalidConfigError, NumericalError
+from .exceptions import NumericalError
 
 # weights below this are rounding noise and are dropped before the log
 _CLIP = 1e-15
@@ -64,8 +63,6 @@ def von_neumann_entropy(weights: np.ndarray, d_single: int, log_base: str) -> np
     "d_single" divides by ln d_single, the one-rotor dimension (l_max+1)^2,
     whatever the number of weights.
     """
-    if log_base not in ENTROPY_LOG_BASES:
-        raise InvalidConfigError(f"log_base must be one of {ENTROPY_LOG_BASES}, got {log_base!r}")
     lam = np.asarray(weights, dtype=float)
     entropy = -(lam * np.log(np.where(lam > _CLIP, lam, 1.0))).sum(axis=-1)
     # a product state's one weight is its norm^2, which rounding can put just

@@ -34,9 +34,7 @@ class TimeSeriesRecorder:
     def __init__(self, pieces: HamiltonianPieces, output: OutputConfig):
         self.pieces = pieces
         self.output = output
-        self.watch = tuple(tuple(int(q) for q in entry) for entry in output.watch_populations)
-        if len(set(self.watch)) < len(self.watch):  # it would write two columns of one name
-            raise QueryError(f"watch list {self.watch} repeats an entry")
+        self.watch = output.watch_populations
         # fail on an out-of-basis watch entry up front, not at sample time
         self._watch_idx = np.asarray([self.pieces.basis.index_of(*entry) for entry in self.watch], dtype=np.intp)
         self.names = ("t_red", "h0_expect") + COLUMNS + self.watch

@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from .angular import TwoRotorBasis, one_rotor_steps
-from .exceptions import ConsistencyError, InvalidConfigError
+from .exceptions import ConsistencyError
 
 # exp(-x^2) is exactly 0.0 in binary64 once x passes about 27.3, so pulses
 # farther than this many sigma from every requested time contribute nothing.
@@ -85,8 +85,6 @@ def basis_operators(basis: TwoRotorBasis, dipole_strength: float) -> tuple[spars
     """H0 = rotor + dipole_strength * DIPOLE_TERMS and V = COUPLING_TERMS over the basis, as real CSR: a term
     c * A x B adds c * a * b for each step pair of one_rotor_steps (a of A on rotor 1, b of B on rotor 2) from
     each basis state onto each basis state it reaches. A step pair that moves m1 + m2 raises ConsistencyError."""
-    if dipole_strength < 0:
-        raise InvalidConfigError(f"dipole_strength must be non-negative, got {dipole_strength}")
     l1, m1, l2, m2 = basis.l1, basis.m1, basis.l2, basis.m2
     steps1, steps2 = ({**one_rotor_steps(l, m), None: ((0, 0, 1.0),)} for l, m in ((l1, m1), (l2, m2)))
 
@@ -136,6 +134,8 @@ class HamiltonianPieces:
             raise ConsistencyError(f"Hamiltonian pieces have mismatched dimensions: {sorted(dims)}")
         split = self.basis.sector_split
         for name, op, flips in (("H0", self.h0, False), ("V", self.coupling, True)):
+            if np.any(op.data.imag):
+                raise ConsistencyError(f"{name} must be real; largest imaginary part {np.abs(op.data.imag).max():.3e}")
             op = op.tocoo()
             stray = abs(op.data[((op.row < split) != (op.col < split)) != flips]).max(initial=0.0)
             if stray:

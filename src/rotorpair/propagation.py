@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial import legendre
 from scipy import sparse
 
-from .exceptions import ConsistencyError, InvalidConfigError, NumericalError, StepSizeError
+from .exceptions import InvalidConfigError, NumericalError, StepSizeError
 from .operators import HamiltonianPieces, PulseSchedule
 
 # Distances from the nearest pulse center, in sigma, past which the
@@ -88,9 +88,6 @@ class FreeEvolution:
     """
 
     def __init__(self, h0: sparse.csr_matrix, split: int):
-        if np.any(h0.data.imag):
-            raise ConsistencyError("H0 must be real; its largest imaginary part is "
-                                   f"{np.abs(h0.data.imag).max():.3e}")
         self.halves = (slice(0, split), slice(split, h0.shape[0]))
         self.energies, self.vectors = np.empty(h0.shape[0]), []
         for half in self.halves:
@@ -156,10 +153,7 @@ def schrodinger_rhs(pieces: HamiltonianPieces, pulse: PulseSchedule) -> RightHan
     n = h0.shape[0]
     rest = (h0 - sparse.diags(energies)).tocsr()
     rest.eliminate_zeros()
-    stacked = sparse.vstack([rest, pieces.coupling], format="csr")
-    if np.any(stacked.data.imag):
-        raise ConsistencyError(f"H0 and V must be real; largest imaginary part {np.abs(stacked.data.imag).max():.3e}")
-    stacked = stacked.real
+    stacked = sparse.vstack([rest, pieces.coupling], format="csr").real
 
     def deriv(f, c):
         pairs = np.ascontiguousarray(c, dtype=np.complex128).view(np.float64).reshape(n, -1)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .exceptions import InvalidConfigError
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -44,8 +42,6 @@ SYMBOLIC_PERIODS = {"hbar_over_B": 1.0, "pi_hbar_over_B": math.pi}
 
 def time_unit_seconds(B_cm1: float) -> float:
     """The reduced time unit hbar/B in seconds."""
-    if not B_cm1 > 0:
-        raise InvalidConfigError("B_cm1 must be positive")
     return HBAR / (B_cm1 * INV_CM_TO_J)
 
 

@@ -12,7 +12,7 @@ import pytest
 import oracles
 import rotorpair
 from rotorpair.angular import TwoRotorBasis, one_rotor_steps
-from rotorpair.exceptions import InvalidConfigError, QueryError
+from rotorpair.exceptions import QueryError
 
 COS, S_PLUS, S_MINUS = (oracles.one_rotor_dense(5)[symbol] for symbol in ("cos", "s+", "s-"))
 
@@ -276,17 +276,6 @@ def test_the_basis_layer_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def test_basis_rejects_bad_parameters():
-    with pytest.raises(InvalidConfigError, match="non-negative"):
-        TwoRotorBasis(-1)
-
-
-@pytest.mark.parametrize("l_max", [2.5, True, 2.0, "2", None, np.float64(2.0)])
-def test_basis_does_not_truncate_a_non_integer(l_max):
-    with pytest.raises(InvalidConfigError, match="must be an integer"):
-        TwoRotorBasis(l_max)
 
 
 def test_basis_takes_numpy_integers():

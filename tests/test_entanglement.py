@@ -12,7 +12,6 @@ from rotorpair import entanglement
 from rotorpair.angular import TwoRotorBasis
 from rotorpair.config import preset
 from rotorpair.entanglement import schmidt_spectrum, von_neumann_entropy
-from rotorpair.exceptions import InvalidConfigError
 from rotorpair.observables import TimeSeriesRecorder
 from rotorpair.operators import build_pieces
 from rotorpair.propagation import run_schedule
@@ -91,11 +90,6 @@ def test_bell_state_entropy_in_every_log_base():
     # d_single = 4, so log_4(2) = 1/2
     assert von_neumann_entropy(weights, d, "d_single") == pytest.approx(0.5, abs=1e-12)
     assert np.count_nonzero(weights > 1e-12) == 2
-
-
-def test_entropy_rejects_unknown_log_base():
-    with pytest.raises(InvalidConfigError):
-        von_neumann_entropy(np.array([1.0]), 4, "10")
 
 
 def test_entropy_of_a_single_level_subsystem_is_zero():

@@ -155,12 +155,6 @@ def test_recorder_rejects_watch_entries_outside_the_basis():
         _recorder(basis, ((1, 1, 0, 0),))  # wrong total M
 
 
-def test_recorder_rejects_a_repeated_watch_entry():
-    # it would write two pop_1_0_0_0 columns
-    with pytest.raises(QueryError, match="repeats an entry"):
-        _recorder(TwoRotorBasis(2), ((1, 0, 0, 0), (1, 0, 0, 0)))
-
-
 # --- regularity metrics ---------------------------------------------------------
 
 def _uniform_times(n, dt):

@@ -9,7 +9,7 @@ from scipy import sparse
 import oracles
 from rotorpair import operators
 from rotorpair.angular import TwoRotorBasis
-from rotorpair.exceptions import ConsistencyError, InvalidConfigError
+from rotorpair.exceptions import ConsistencyError
 from rotorpair.operators import (
     HamiltonianPieces,
     PulseSchedule,
@@ -165,8 +165,6 @@ def test_dipole_term_edge_cases():
     basis = TwoRotorBasis(2)
     assert _dipole(basis, 0.0).nnz == 0
     assert basis_operators(basis, 0.0)[0].nnz == basis.size - 1  # the rotor energies but that of |00;00>
-    with pytest.raises(InvalidConfigError):
-        basis_operators(basis, -0.5)
 
 
 def test_orientation_coupling_is_the_sum_of_both_molecules():

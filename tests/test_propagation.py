@@ -176,15 +176,14 @@ def test_free_evolution_eigenvectors_are_orthonormal_to_rounding(l_max):
         assert np.abs(h0 @ vectors - vectors * block_energies).max() <= 1e-12
 
 
-def test_free_evolution_and_the_window_product_reject_a_complex_h0():
+def test_the_pieces_are_real_and_the_window_product_takes_a_complex_typed_real_operator():
     pieces = build_pieces(TwoRotorBasis(1), 0.0)
-    skewed = pieces.h0.astype(np.complex128)  # the pieces are real
-    skewed.data[0] += 1e-3j
-    with pytest.raises(ConsistencyError, match="imaginary"):
-        FreeEvolution(skewed, pieces.basis.sector_split)
-    # the window product is real too: a complex operator is refused, a complex-typed real one is taken
-    with pytest.raises(ConsistencyError, match="imaginary"):
-        schrodinger_rhs(oracles.BasisOperators(skewed, pieces.coupling, pieces.energies), _single_pulse())
+    # HamiltonianPieces, which FreeEvolution and the window product read, refuses a complex H0 or V
+    for name, label in (("h0", "H0"), ("coupling", "V")):
+        skewed = getattr(pieces, name).astype(np.complex128)
+        skewed.data[0] += 1e-3j
+        with pytest.raises(ConsistencyError, match=rf"^{label} must be real; largest imaginary part 1\.000e-03$"):
+            dataclasses.replace(pieces, **{name: skewed})
     complex_typed = schrodinger_rhs(oracles.BasisOperators(pieces.h0.astype(np.complex128), pieces.coupling,
                                                            pieces.energies), _single_pulse())
     c = initial_state(pieces.h0.shape[0])

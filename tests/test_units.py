@@ -31,13 +31,6 @@ def test_time_unit_for_the_default_molecule():
     assert abs(tu * 1e12 - 44.24) < 0.01
 
 
-def test_time_unit_rejects_nonpositive_B():
-    with pytest.raises(InvalidConfigError):
-        time_unit_seconds(0.0)
-    with pytest.raises(InvalidConfigError):
-        time_unit_seconds(-0.12)
-
-
 def _with(section, **fields):
     """The default RunConfig with some fields of one section replaced."""
     base = RunConfig()
