@@ -13,16 +13,20 @@ import functools
 import json
 import math
 import numbers
+import os
 import typing
 from dataclasses import dataclass
 
 from .exceptions import InvalidConfigError
-from .units import SYMBOLIC_PERIODS, dipole_strength, run_length_ps, time_unit_seconds
+from .units import SYMBOLIC_PERIODS, dipole_strength, fs_to_reduced, run_length_ps, time_unit_seconds
 
 DEFAULT_WATCH = ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 0))
 ENTROPY_LOG_BASES = ("e", "2", "d_single")
 # Most samples one run may ask for; at 1e6 rows the CSV is about 200 MB.
 MAX_SAMPLES = 1_000_000
+# Most pulse-core steps per sigma, pulse.sigma_fs / integrator.dt_pulse_fs: a pulse's +-1.5 sigma core is one
+# rk4_integrate window, at the bound 30,000 steps, 2.4 MB of stage fields and a 13 MB peak (67 GB at 1e-6 fs).
+MAX_STEPS_PER_SIGMA = 10_000
 # Largest basis.l_max. At 24 the symmetric sector has 2,925 states in parity
 # blocks of 1,547 and 1,378, so the larger dense H0 block and its eigenvectors
 # are 1,547^2 floats (18 MiB) each; the eigendecomposition raises peak memory
@@ -161,23 +165,19 @@ def build_config(data: dict) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """The physical rules; RunConfig runs them once, when it is built and its fields are typed."""
     for path in ("molecule.mu_debye", "molecule.B_cm1", "geometry.R_m", "pulse.E0_Vpm", "pulse.sigma_fs",
-                 "pulse.omega_cm1", "integrator.dt_pulse_fs", "integrator.norm_tolerance",
+                 "pulse.omega_cm1", "pulse.period", "integrator.dt_pulse_fs", "integrator.norm_tolerance",
                  "output.sample_interval_ps", "output.total_time_ps"):
         section, key = path.split(".")
         value = getattr(getattr(cfg, section), key)
-        if value is not None and not value > 0:  # None only where the annotation allows it
+        if isinstance(value, float) and not value > 0:  # a symbolic period is checked below
             raise InvalidConfigError(f"{path} must be positive, got {value}")
     if cfg.pulse.t0_fs < 0:
         raise InvalidConfigError(f"pulse.t0_fs must be non-negative, got {cfg.pulse.t0_fs}")
-    if cfg.pulse.count < 1:
-        raise InvalidConfigError(f"pulse.count must be at least 1, got {cfg.pulse.count}")
     if cfg.pulse.count > 1 and cfg.pulse.period is None:
         raise InvalidConfigError("pulse.count > 1 requires pulse.period")
     if isinstance(cfg.pulse.period, str) and cfg.pulse.period not in SYMBOLIC_PERIODS:
         raise InvalidConfigError(
             f"pulse.period must be one of {tuple(SYMBOLIC_PERIODS)} when symbolic, got {cfg.pulse.period!r}")
-    if isinstance(cfg.pulse.period, float) and not cfg.pulse.period > 0:
-        raise InvalidConfigError(f"pulse.period in seconds must be positive, got {cfg.pulse.period}")
     if not 1 <= cfg.basis.l_max <= MAX_L_MAX:
         raise InvalidConfigError(f"basis.l_max must be between 1 and MAX_L_MAX = {MAX_L_MAX}, got {cfg.basis.l_max}")
     watch = cfg.output.watch_populations
@@ -201,8 +201,8 @@ def validate_config(cfg: RunConfig) -> None:
             f"output: a run of {length_ps:g} ps sampled every {cfg.output.sample_interval_ps:g} ps"
             f" needs more than MAX_SAMPLES = {MAX_SAMPLES} samples; shorten output.total_time_ps"
             " or widen output.sample_interval_ps")
-    if cfg.pulse.count > MAX_PULSES:
-        raise InvalidConfigError(f"pulse.count must be at most MAX_PULSES = {MAX_PULSES}, got {cfg.pulse.count}")
+    if not 1 <= cfg.pulse.count <= MAX_PULSES:
+        raise InvalidConfigError(f"pulse.count must be between 1 and MAX_PULSES = {MAX_PULSES}, got {cfg.pulse.count}")
     try:  # B in joules, or R^3 B, can underflow to 0
         finite = math.isfinite(time_unit_seconds(cfg.molecule.B_cm1) + dipole_strength(cfg))
     except ArithmeticError:
@@ -211,6 +211,22 @@ def validate_config(cfg: RunConfig) -> None:
         raise InvalidConfigError(
             f"molecule.B_cm1 = {cfg.molecule.B_cm1:g} with geometry.R_m = {cfg.geometry.R_m} puts"
             " hbar/B or the dipole strength mu^2 / (4 pi eps0 R^3 B) outside the float range")
+    dt_fs = cfg.integrator.dt_pulse_fs
+    if dt_fs is not None and not (cfg.pulse.sigma_fs / dt_fs <= MAX_STEPS_PER_SIGMA
+                                  and fs_to_reduced(dt_fs, cfg.molecule.B_cm1) > 0):  # 0.0 would skip the pulse
+        raise InvalidConfigError(f"integrator.dt_pulse_fs = {dt_fs:g} is below pulse.sigma_fs / MAX_STEPS_PER_SIGMA"
+                                 f" = {cfg.pulse.sigma_fs / MAX_STEPS_PER_SIGMA:g} fs, or 0 in units of hbar/B")
+    _check_path(cfg.output.out_dir, "output.out_dir")
+
+
+def _check_path(path: str | None, where: str) -> None:
+    """Refuse a path the OS cannot take: one that holds a NUL, or a lone surrogate that os.fsencode refuses."""
+    try:
+        if path is None or b"\0" not in os.fsencode(path):
+            return
+    except UnicodeEncodeError:
+        pass
+    raise InvalidConfigError(f"{where} must be a path without a NUL or a lone surrogate, got {path!r}")
 
 
 def _decoded(data: str | bytes, what: str):
@@ -293,6 +309,7 @@ class SweepSpec:
         hints = _hints(SweepSpec)
         for name in ("parallelism", "out_dir"):
             object.__setattr__(self, name, _typed(getattr(self, name), hints[name], f"sweep.{name}"))
+        _check_path(self.out_dir, "sweep.out_dir")
         if self.parallelism is not None and self.parallelism < 1:
             raise InvalidConfigError(f"parallelism must be at least 1, got {self.parallelism}")
 

@@ -43,19 +43,15 @@ def build_points(spec: SweepSpec) -> list[tuple[str, dict, dict]]:
 
 
 def worker_count(spec: SweepSpec, n_points: int) -> int:
-    if spec.parallelism is not None:
-        workers = spec.parallelism
-    else:
-        env = os.environ.get("SIM_THREADS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise InvalidConfigError(f"SIM_THREADS must be an integer, got {env!r}") from None
-            if workers < 1:
-                raise InvalidConfigError(f"SIM_THREADS must be positive, got {workers}")
-        else:
-            workers = os.cpu_count() or 1
+    env = os.environ.get("SIM_THREADS")
+    if spec.parallelism is not None or env is None:  # a parallelism is at least 1
+        return min(spec.parallelism or os.cpu_count() or 1, n_points)
+    try:
+        workers = int(env)
+    except ValueError:
+        raise InvalidConfigError(f"SIM_THREADS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise InvalidConfigError(f"SIM_THREADS must be positive, got {workers}")
     return min(workers, n_points)
 
 

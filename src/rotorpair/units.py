@@ -45,6 +45,11 @@ def time_unit_seconds(B_cm1: float) -> float:
     return HBAR / (B_cm1 * INV_CM_TO_J)
 
 
+def fs_to_reduced(fs: float, B_cm1: float) -> float:
+    """A time in femtoseconds in the reduced unit hbar/B."""
+    return fs * 1e-15 / time_unit_seconds(B_cm1)
+
+
 def _period_reduced(cfg: RunConfig) -> float:
     """The pulse period in units of hbar/B; 0.0 means "no period" (single pulse)."""
     period = cfg.pulse.period
@@ -84,13 +89,12 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
     from .propagation import SWEEP_RATE
 
     B_joule = cfg.molecule.B_cm1 * INV_CM_TO_J
-    time_unit = HBAR / B_joule
     mu = cfg.molecule.mu_debye * DEBYE_TO_CM
     omega_si = 2.0 * math.pi * C * 100.0 * cfg.pulse.omega_cm1
     schedule = PulseSchedule(
         kick_strength=mu * cfg.pulse.E0_Vpm / B_joule,
-        sigma_red=cfg.pulse.sigma_fs * 1e-15 / time_unit,
-        t0_red=cfg.pulse.t0_fs * 1e-15 / time_unit,
+        sigma_red=fs_to_reduced(cfg.pulse.sigma_fs, cfg.molecule.B_cm1),
+        t0_red=fs_to_reduced(cfg.pulse.t0_fs, cfg.molecule.B_cm1),
         carrier_omega=omega_si * HBAR / B_joule,
         period_red=_period_reduced(cfg),
         count=cfg.pulse.count,
@@ -102,7 +106,7 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
     # sigma; the sweeps stall (q > 0.3) from dt |H| ~ 4.2, RK4 went unstable at 2.8
     strength = SWEEP_RATE * (2.0 * abs(schedule.kick_strength) + 3.0 * dipole)  # 0.0 if both underflow: no cut
     core = min(sigma / 2.0, max(sigma / 400.0, 0.18 / strength)) if strength else sigma / 2.0
-    dt = core if dt_fs is None else dt_fs * 1e-15 / time_unit
+    dt = core if dt_fs is None else fs_to_reduced(dt_fs, cfg.molecule.B_cm1)
     interval_ps = cfg.output.sample_interval_ps
     sample_ps = np.arange(int(np.floor(run_length_ps(cfg) / interval_ps)) + 1) * interval_ps
-    return schedule, dipole, dt, sample_ps / (time_unit * 1e12)
+    return schedule, dipole, dt, sample_ps / (time_unit_seconds(cfg.molecule.B_cm1) * 1e12)

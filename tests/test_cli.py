@@ -172,6 +172,24 @@ def test_run_rejects_a_rotational_constant_that_underflows(tmp_path, B_cm1):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("dt_pulse_fs", [5e-324, 1e-300])
+def test_run_rejects_a_pulse_core_step_too_fine_to_run(tmp_path, capsys, dt_pulse_fs):
+    # 5e-324 fs is 0.0 in units of hbar/B and would skip the pulse; 1e-300 fs would overflow the step list
+    cfg = _write_json(tmp_path / "cfg.json", dict(TINY, integrator={"dt_pulse_fs": dt_pulse_fs}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: integrator.dt_pulse_fs = {dt_pulse_fs:g} is below")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out_dir", ["a\u0000b", "\ud800"], ids=["nul", "lone-surrogate"])
+def test_run_rejects_an_out_dir_the_os_cannot_take(tmp_path, capsys, monkeypatch, out_dir):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_json(tmp_path / "cfg.json", dict(TINY, output={**TINY["output"], "out_dir": out_dir}))
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: output.out_dir must be a path without a NUL")
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("doc", [{"pulse": {"E0_Vpm": 1e-320}, "geometry": {"R_m": None}},
                                  {"molecule": {"mu_debye": 1e-300}}])
 def test_run_with_a_field_and_dipole_that_underflow_is_field_free(tmp_path, doc):
@@ -324,6 +342,15 @@ def test_a_bad_sim_threads_leaves_no_sweep_directory(tmp_path, capsys, monkeypat
     assert main(["sweep", "--spec", spec]) == 2
     assert "SIM_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
     assert not (tmp_path / "grid").exists()
+
+
+def test_sweep_rejects_an_out_dir_the_os_cannot_take(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = _write_json(tmp_path / "spec.json",
+                       {"base": TINY, "axis1": {"name": "R_m", "values": [3e-8]}, "out_dir": "a\u0000b"})
+    assert main(["sweep", "--spec", spec]) == 2
+    assert capsys.readouterr().err.startswith("config error: sweep.out_dir must be a path without a NUL")
+    assert [path.name for path in tmp_path.iterdir()] == ["spec.json"]
 
 
 def test_sweep_rejects_a_bad_spec(tmp_path, capsys):

@@ -1,15 +1,19 @@
+import ast
 import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
+import rotorpair
 from rotorpair.config import (
     DEFAULT_WATCH,
     MAX_L_MAX,
     MAX_PULSES,
     MAX_SAMPLES,
+    MAX_STEPS_PER_SIGMA,
     PRESET_NAMES,
     RunConfig,
     SweepAxis,
@@ -129,6 +133,13 @@ def test_a_wrong_typed_value_is_rejected_however_the_config_is_built(section, ke
     }[how]
     with pytest.raises(InvalidConfigError, match=re.escape(f"{section}.{key}")):
         build()
+
+
+@pytest.mark.parametrize("l_max", [True, 0, -1, 2.5, 2.0, "2", None])
+def test_a_replaced_l_max_is_checked(l_max):
+    # TwoRotorBasis takes l_max as a RunConfig has checked it
+    with pytest.raises(InvalidConfigError, match=r"^basis\.l_max must be (an integer|between 1 and MAX_L_MAX)"):
+        dataclasses.replace(RunConfig(), basis=dataclasses.replace(RunConfig().basis, l_max=l_max))
 
 
 def test_an_integer_in_a_float_field_is_echoed_as_a_float():
@@ -322,6 +333,73 @@ def test_an_uncoupled_pair_needs_only_a_finite_time_unit():
 def test_the_sample_bound_is_inclusive():
     cfg = build_config({"output": {"total_time_ps": MAX_SAMPLES - 1.0, "sample_interval_ps": 1.0}})
     assert math.floor(cfg.output.total_time_ps / cfg.output.sample_interval_ps) + 1 == MAX_SAMPLES
+
+
+# --- the pulse-core step ---------------------------------------------------------
+
+@pytest.mark.parametrize("doc", [
+    # 5e-324 fs is 0.0 in units of hbar/B, so every segment would be free and the run would skip the pulse
+    {"integrator": {"dt_pulse_fs": 5e-324}},
+    {"integrator": {"dt_pulse_fs": 1e-300}},
+    {"integrator": {"dt_pulse_fs": 1e-6}},  # a 67 GB field table for the pulse core
+    {"integrator": {"dt_pulse_fs": 279.0 / (MAX_STEPS_PER_SIGMA + 1)}},
+    {"pulse": {"sigma_fs": 1e300}, "integrator": {"dt_pulse_fs": 1e-300}},  # sigma / dt overflows to inf
+    # sigma / dt is 100, but at this hbar/B (5e239 s) 1e-80 fs is 0.0 in reduced units
+    {"molecule": {"B_cm1": 1e-250}, "pulse": {"sigma_fs": 1e-78}, "integrator": {"dt_pulse_fs": 1e-80}},
+])
+def test_a_pulse_core_step_too_fine_to_run_is_rejected(doc):
+    with pytest.raises(InvalidConfigError, match=r"^integrator\.dt_pulse_fs = \S+ is below pulse\.sigma_fs / "
+                                                 r"MAX_STEPS_PER_SIGMA = \S+ fs, or 0 in units of hbar/B$"):
+        build_config(doc)
+
+
+def test_the_step_bound_admits_sigma_over_1600_and_is_inclusive():
+    for steps in (1600, MAX_STEPS_PER_SIGMA):
+        assert build_config({"integrator": {"dt_pulse_fs": 279.0 / steps}}).integrator.dt_pulse_fs == 279.0 / steps
+
+
+# --- output directories ------------------------------------------------------------
+
+@pytest.mark.parametrize("out_dir", ["a\u0000b", "\u0000", "\ud800", "runs/\udfff"])
+def test_an_out_dir_the_os_cannot_take_is_rejected(out_dir):
+    # a NUL, or a lone surrogate that os.fsencode cannot encode, would fail in Path.mkdir
+    with pytest.raises(InvalidConfigError, match=r"^output\.out_dir must be a path without a NUL or a lone surrogate"):
+        build_config({"output": {"out_dir": out_dir}})
+    with pytest.raises(InvalidConfigError, match=r"^sweep\.out_dir must be a path without a NUL or a lone surrogate"):
+        SweepSpec(base={}, axis1=SweepAxis("R_m", (1e-8,)), out_dir=out_dir)
+    with pytest.raises(InvalidConfigError, match=r"^output\.out_dir"):  # the base's out_dir is a sweep's default
+        SweepSpec(base={"output": {"out_dir": out_dir}}, axis1=SweepAxis("R_m", (1e-8,)))
+
+
+def test_an_out_dir_with_surrogate_escaped_bytes_is_taken():
+    # "\udc80" is how Python decodes the byte 0x80 of a non-UTF-8 file name
+    assert build_config({"output": {"out_dir": "runs/\udc80"}}).output.out_dir == "runs/\udc80"
+
+
+# --- one home per rule -------------------------------------------------------------
+
+def _imports_and_names(module: str) -> tuple[set, set]:
+    """The parts of every module name that src/rotorpair/<module>.py imports, and every name it binds or reads."""
+    tree = ast.parse((Path(rotorpair.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    imported, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]:
+                imported.update(name.split("."))
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return imported, names
+
+
+@pytest.mark.parametrize("module", ["angular", "operators", "entanglement", "units"])
+def test_config_rules_are_checked_only_at_the_config_boundary(module):
+    # these modules take values a RunConfig has checked; a second copy of a rule belongs in validate_config
+    imported, names = _imports_and_names(module)
+    assert "InvalidConfigError" not in imported | names
+    if module == "entanglement":
+        assert "config" not in imported
 
 
 # --- basis and pulse-train bounds -------------------------------------------------
