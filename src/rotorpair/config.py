@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -24,8 +25,8 @@ DEFAULT_WATCH = ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 0))
 ENTROPY_LOG_BASES = ("e", "2", "d_single")
 # Most samples one run may ask for; at 1e6 rows the CSV is about 200 MB.
 MAX_SAMPLES = 1_000_000
-# Most pulse-core steps per sigma, pulse.sigma_fs / integrator.dt_pulse_fs: a pulse's +-1.5 sigma core is one
-# rk4_integrate window, at the bound 30,000 steps, 2.4 MB of stage fields and a 13 MB peak (67 GB at 1e-6 fs).
+# Most pulse-core steps per sigma, pulse.sigma_fs / integrator.dt_pulse_fs: it bounds a run's work (30,000 steps
+# a core; at 1e-300 fs a run would step forever), as propagation.WINDOW_STEPS bounds its memory.
 MAX_STEPS_PER_SIGMA = 10_000
 # Largest basis.l_max. At 24 the symmetric sector has 2,925 states in parity
 # blocks of 1,547 and 1,378, so the larger dense H0 block and its eigenvectors
@@ -216,6 +217,8 @@ def validate_config(cfg: RunConfig) -> None:
                                   and fs_to_reduced(dt_fs, cfg.molecule.B_cm1) > 0):  # 0.0 would skip the pulse
         raise InvalidConfigError(f"integrator.dt_pulse_fs = {dt_fs:g} is below pulse.sigma_fs / MAX_STEPS_PER_SIGMA"
                                  f" = {cfg.pulse.sigma_fs / MAX_STEPS_PER_SIGMA:g} fs, or 0 in units of hbar/B")
+    if not sys.float_info.min <= fs_to_reduced(cfg.pulse.sigma_fs, cfg.molecule.B_cm1) < math.inf:  # sigma/400 > 0
+        raise InvalidConfigError(f"pulse.sigma_fs = {cfg.pulse.sigma_fs:g} under- or overflows in units of hbar/B")
     _check_path(cfg.output.out_dir, "output.out_dir")
 
 

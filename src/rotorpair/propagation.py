@@ -8,15 +8,13 @@ step_plan cuts [0, t_end] once per run into segments, wherever the
 distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
 More than 5 sigma from every center a segment is free: the state advances
 by the exact exponential of the field-free Hamiltonian (one
-eigendecomposition per parity block and run). Every other segment is one
-rk4_integrate call of ten-stage Gauss collocation in the rotor frame (exact
-in the rotor energies): at the pulse-core step dt (from units.to_reduced)
-near the centers, doubled past each edge. Samples do not cut its steps: a
-sample before a segment's last step end is a side step from the start state
-of the step it falls in (zero-width on a step boundary), its sweeps started
-on the step's collocation polynomial. A norm violation
-fails the run, as does a step whose stage sweeps do not converge; nothing
-is ever silently renormalized.
+eigendecomposition per parity block and run). Every other segment is
+ten-stage Gauss collocation in the rotor frame (exact in the rotor
+energies), one rk4_integrate call per piece of at most WINDOW_STEPS steps,
+at the pulse-core step dt near the centers, doubled past each edge; samples
+do not cut its steps. run_schedule checks and shows the rows _walk yields:
+a norm violation fails the run, as does a step whose stage sweeps do not
+converge; nothing is silently renormalized.
 """
 
 from __future__ import annotations
@@ -61,10 +59,11 @@ SWEEP_RATE = float(np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max())
 SWEEP_TOLERANCE = 1e-15
 MAX_SWEEPS = 30
 
-# Samples per observer block and per free-advance chunk. run_schedule's queue
-# briefly holds up to 2 SAMPLE_BLOCK - 1 complex sector rows (more only while a
-# larger collocation segment joins it): 0.6 MiB at l_max = 10 (n_s = 286).
+# Samples per observer block and per free-advance chunk; run_schedule's queue holds up to 2 SAMPLE_BLOCK - 1
+# sector rows, more while a larger piece joins it (0.6 MiB at l_max 10).
 SAMPLE_BLOCK = 64
+# Most steps per rk4_integrate call: its tables stay near 1.8 MB however long the segment.
+WINDOW_STEPS = 4096
 
 
 def initial_state(n_s: int) -> np.ndarray:
@@ -190,9 +189,8 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
     Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with
     rhs.rates, which are integrated exactly. Fixed step dt and one partial final step; a leftover under
     1e-12 max(|t1|, 1), or a negative one, goes to the last full step instead, so the steps end on t1.
-    The stage fields of every step come from one call, the frame tables of dt from rhs.band. Returns the
-    state at t1, the states at sample_times (ascending, within (t0, t1]) as rows, and the stall: None, or
-    (t, last update) of the first step at t whose sweeps, main or side, reached MAX_SWEEPS.
+    Returns the state at t1, the states at sample_times (ascending, within (t0, t1]) as rows, and the
+    stall: None, or (t, last update) of the first step at t whose sweeps, main or side, reached MAX_SWEEPS.
 
     Samples do not cut the steps. A sample t* before the last step's end, in the step [t, t + h), is a side
     step of width t* - t from the state at t (zero-width, and the state there bit for bit, on a step's start),
@@ -256,78 +254,70 @@ def step_plan(pulse: PulseSchedule, t_end: float, dt: float) -> list[tuple[float
     return list(zip(bounds[starts].tolist(), bounds[ends].tolist(), steps[starts].tolist()))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float,
-                 norm_tolerance: float, sample_times: np.ndarray,
-                 observers=()) -> np.ndarray:
-    """Walk the step_plan of [0, last sample] with core step dt from the
-    initial state, sampling on the way in the symmetric sector; return the
-    basis state S f of the last sample f.
+def _walk(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float, samples: np.ndarray):
+    """Yield (rows, stall) in sample order: the initial state's, FreeEvolution.advance chunks of
+    at most SAMPLE_BLOCK rows (stall None), and one rk4_integrate call's per piece of at most WINDOW_STEPS
+    steps of a collocation segment. A segment (a, b] owns the samples in it."""
+    coeffs = initial_state(pieces.h0.shape[0])
+    free, rhs, k = FreeEvolution(pieces.h0, pieces.basis.sector_split), schrodinger_rhs(pieces, pulse), 1
+    yield coeffs[None, :], None
+    for a, b, h in step_plan(pulse, samples[-1], dt):
+        stop = int(np.searchsorted(samples, b, side="right"))
+        if h == 0.0:
+            amplitudes, taus = free.project(coeffs), samples[k:stop] - a
+            for lo in range(0, taus.size, SAMPLE_BLOCK):
+                yield free.advance(amplitudes, taus[lo:lo + SAMPLE_BLOCK]), None
+            if stop < samples.size:
+                coeffs = free.advance(amplitudes, np.array([b - a]))[0]
+        else:  # a cut must leave rk4_integrate a step to b
+            cuts = np.arange(a + h * WINDOW_STEPS, b, h * WINDOW_STEPS)
+            cuts = cuts[b - cuts > 1e-12 * max(b, 1.0)].tolist()
+            for t0, t1 in zip([a, *cuts], [*cuts, b]):
+                end = int(np.searchsorted(samples, t1, side="right"))
+                coeffs, rows, stall = rk4_integrate(rhs, coeffs, t0, t1, h, samples[k:end])
+                yield rows, stall
+                k = end
+        k = stop
 
-    sample_times must be ascending and start at 0. Each segment makes its
-    samples' rows at once: FreeEvolution.advance chunks of at most
-    SAMPLE_BLOCK, or one rk4_integrate call. take checks each row's norm
-    once and queues it, and the queue hands the observers every full block
-    of SAMPLE_BLOCK consecutive samples as observer(t_red[K], indices[K],
-    coeffs[K, n_s]): sector rows f, whose basis state is S f
-    (TwoRotorBasis.unfold). No norm is kept; a recorder keeps its own. The
-    rest of the queue is shown at the last sample, or at the first row whose
-    norm drifted beyond tolerance (or is NaN) or that follows the first stall
-    an rk4_integrate call returned; then StepSizeError is raised with that
-    row's drift. A diverging state overflows quietly.
+
+@np.errstate(over="ignore", invalid="ignore")
+def run_schedule(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float, norm_tolerance: float,
+                 sample_times: np.ndarray, observers=()) -> np.ndarray:
+    """Run from the initial state through sample_times (ascending from 0) at core step dt; return the
+    basis state S f of the last sample's sector row f.
+
+    Each row _walk yields is norm-checked and queued; the queue hands the observers each full block of
+    SAMPLE_BLOCK samples as observer(t_red[K], indices[K], coeffs[K, n_s]), sector rows f
+    (TwoRotorBasis.unfold), and the rest at the last sample or at the first row whose norm drifted beyond
+    tolerance (or is NaN) or that follows the first stall, then raises StepSizeError. A diverging state
+    overflows quietly.
     """
     samples = np.asarray(sample_times, dtype=float)
     if samples.ndim != 1 or samples.size == 0 or samples[0] != 0.0 or np.any(np.diff(samples) <= 0):
         raise InvalidConfigError("sample_times must be a 1-d array that starts at 0 and increases strictly")
 
-    t_end = float(samples[-1])
-    coeffs = last = initial_state(pieces.h0.shape[0])
-    free = FreeEvolution(pieces.h0, pieces.basis.sector_split)
-    rhs = schrodinger_rhs(pieces, pulse)
-    stall = None  # (t, update) of the first stalled step: every sample after t fails
-    queue = np.empty((0, coeffs.size), dtype=np.complex128)  # checked rows not yet shown
-
-    def take(lo: int, rows: np.ndarray) -> None:
-        """Check the rows of samples lo, lo + 1, ... and queue them up to the first bad one; show the
-        observers each full block, and the rest of the queue at the last sample or at a bad row."""
-        nonlocal queue, last
+    stall, lo = None, 0  # (t, update) of the first stalled step: every sample after t fails
+    queue = np.empty((0, pieces.h0.shape[0]), dtype=np.complex128)  # checked rows not yet shown
+    for rows, stalled in _walk(pieces, pulse, dt, samples):
+        stall = stall or stalled
         row_norms = np.linalg.norm(rows, axis=1)
         bad = np.flatnonzero(~(np.abs(row_norms - 1.0) <= norm_tolerance)
-                             | (samples[lo:lo + rows.shape[0]] > (stall[0] if stall else np.inf)))
+                             | (samples[lo:lo + len(rows)] > (stall[0] if stall else np.inf)))
         rows = rows[: bad[0] + 1] if bad.size else rows
-        hi = lo + rows.shape[0]
-        queue = np.concatenate([queue, rows])  # samples hi - len(queue) to hi - 1
-        flush = bad.size or hi == samples.size
-        while len(queue) >= SAMPLE_BLOCK or flush and len(queue):
+        lo += len(rows)
+        queue = np.concatenate([queue, rows])  # samples lo - len(queue) to lo - 1
+        while len(queue) >= SAMPLE_BLOCK or (bad.size or lo == samples.size) and len(queue):
             block, queue = queue[:SAMPLE_BLOCK], queue[SAMPLE_BLOCK:]
-            indices = np.arange(hi - len(queue) - len(block), hi - len(queue))
+            indices = np.arange(lo - len(queue) - len(block), lo - len(queue))
             for observer in observers:
                 observer(samples[indices], indices, block)
-            last = block[-1]
         if bad.size:
             drift = abs(row_norms[bad[0]] - 1.0)
             if drift <= norm_tolerance:
                 raise StepSizeError(f"the collocation sweeps did not converge at t = {stall[0]:.6g} (update "
                                     f"{stall[1]:.1e} after {MAX_SWEEPS} sweeps); reduce integrator.dt_pulse_fs")
             raise StepSizeError(
-                f"norm drifted by {drift:.3e} at t = {samples[hi - 1]:.6g} (tolerance {norm_tolerance:.1e}); "
+                f"norm drifted by {drift:.3e} at t = {samples[lo - 1]:.6g} (tolerance {norm_tolerance:.1e}); "
                 + ("reduce integrator.dt_pulse_fs" if np.isfinite(drift) else "the state diverged")
             )
-
-    # each segment owns the samples in (a, b]
-    take(0, coeffs[None, :])
-    k = 1
-    for a, b, h in step_plan(pulse, t_end, dt):
-        stop = int(np.searchsorted(samples, b, side="right"))
-        if h == 0.0:
-            amplitudes = free.project(coeffs)
-            for lo in range(k, stop, SAMPLE_BLOCK):
-                take(lo, free.advance(amplitudes, samples[lo:min(lo + SAMPLE_BLOCK, stop)] - a))
-            if b < t_end:
-                coeffs = free.advance(amplitudes, np.array([b - a]))[0]
-        else:
-            coeffs, rows, stalled = rk4_integrate(rhs, coeffs, a, b, h, samples[k:stop])
-            stall = stall or stalled
-            take(k, rows)
-        k = stop
-    return pieces.basis.unfold(last)
+    return pieces.basis.unfold(rows[-1])

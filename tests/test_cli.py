@@ -181,6 +181,15 @@ def test_run_rejects_a_pulse_core_step_too_fine_to_run(tmp_path, capsys, dt_puls
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_a_sigma_that_is_0_in_units_of_hbar_over_b(tmp_path, capsys):
+    # 1e-78 fs at B = 1e-250 cm^-1 is 0.0 in units of hbar/B: the run would skip the pulse
+    cfg = _write_json(tmp_path / "cfg.json", dict(TINY, molecule={"B_cm1": 1e-250}, pulse={"sigma_fs": 1e-78}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: pulse.sigma_fs = 1e-78 under- or overflows") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("out_dir", ["a\u0000b", "\ud800"], ids=["nul", "lone-surrogate"])
 def test_run_rejects_an_out_dir_the_os_cannot_take(tmp_path, capsys, monkeypatch, out_dir):
     monkeypatch.chdir(tmp_path)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from rotorpair.config import (
     validate_config,
 )
 from rotorpair.exceptions import InvalidConfigError
-from rotorpair.units import to_reduced
+from rotorpair.units import time_unit_seconds, to_reduced
 
 
 def test_empty_document_gives_the_default_molecule_pair():
@@ -356,6 +357,25 @@ def test_a_pulse_core_step_too_fine_to_run_is_rejected(doc):
 def test_the_step_bound_admits_sigma_over_1600_and_is_inclusive():
     for steps in (1600, MAX_STEPS_PER_SIGMA):
         assert build_config({"integrator": {"dt_pulse_fs": 279.0 / steps}}).integrator.dt_pulse_fs == 279.0 / steps
+
+
+@pytest.mark.parametrize("doc", [
+    # at hbar/B = 5e239 s, 1e-78 fs is 0.0 in reduced units and 1e-54 fs subnormal: the default step,
+    # sigma / 400 or more, would be 0.0 or nearly, every segment free and the pulse skipped
+    {"molecule": {"B_cm1": 1e-250}, "pulse": {"sigma_fs": 1e-78}},
+    {"molecule": {"B_cm1": 1e-250}, "pulse": {"sigma_fs": 1e-54}},
+    {"molecule": {"B_cm1": 1e4}, "pulse": {"sigma_fs": 1e308}},  # inf in units of hbar/B
+])
+def test_a_sigma_that_under_or_overflows_in_units_of_hbar_over_b_is_rejected(doc):
+    with pytest.raises(InvalidConfigError, match=r"^pulse\.sigma_fs = \S+ under- or overflows in units of hbar/B$"):
+        build_config(doc)
+
+
+def test_the_smallest_normal_sigma_keeps_a_positive_default_step():
+    sigma_fs = 1.01 * sys.float_info.min * time_unit_seconds(1e-250) * 1e15
+    schedule, _, dt, _ = to_reduced(build_config({"molecule": {"B_cm1": 1e-250}, "pulse": {"sigma_fs": sigma_fs}}))
+    assert sys.float_info.min <= schedule.sigma_red < 2.0 * sys.float_info.min
+    assert dt >= schedule.sigma_red / 400.0 > 0.0
 
 
 # --- output directories ------------------------------------------------------------

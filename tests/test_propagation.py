@@ -12,7 +12,7 @@ from scipy.linalg import expm
 import oracles
 from rotorpair import propagation
 from rotorpair.angular import TwoRotorBasis
-from rotorpair.config import IntegratorSettings, OutputConfig, PulseConfig, RunConfig
+from rotorpair.config import IntegratorSettings, OutputConfig, PulseConfig, RunConfig, build_config
 from rotorpair.exceptions import ConsistencyError, InvalidConfigError, StepSizeError
 from rotorpair.observables import COLUMNS, TimeSeriesRecorder
 from rotorpair.operators import PulseSchedule, build_pieces, expectation
@@ -24,6 +24,7 @@ from rotorpair.propagation import (
     SAMPLE_BLOCK,
     STEP_BAND_EDGES,
     SWEEP_RATE,
+    WINDOW_STEPS,
     FreeEvolution,
     RightHandSide,
     initial_state,
@@ -432,6 +433,75 @@ def test_run_schedule_calls_the_stepper_once_per_collocation_segment(monkeypatch
     segments = [(a, b, h, samples[(samples > a) & (samples <= b)].tolist())
                 for a, b, h in step_plan(train, samples[-1], DT) if h > 0.0]
     assert len(segments) == 14 and calls == segments
+
+
+def _start_state_stepper(calls):
+    """A stand-in for rk4_integrate that records each call's (t0, t1, dt) and returns its start state for
+    every sample: it walks any plan, however long, at the cost of its bookkeeping."""
+    def stepper(rhs, y, t0, t1, dt, times):
+        calls.append((t0, t1, dt))
+        return y, np.tile(y, (len(times), 1)), None
+    return stepper
+
+
+def _rk4_steps(t0, t1, dt):
+    """The steps rk4_integrate takes over [t0, t1]: whole steps of dt, then a closing one unless it is
+    under its leftover tolerance."""
+    n = int(np.floor((t1 - t0) / dt + 1e-12))
+    return n + (t1 - (t0 + n * dt) > 1e-12 * max(abs(t1), 1.0))
+
+
+def _assert_walked_in_pieces(pulse, dt, samples, patch):
+    """Run pulse through run_schedule with the start-state stepper; check the stepper calls and the observed samples."""
+    calls, seen = [], []
+    patch.setattr(propagation, "rk4_integrate", _start_state_stepper(calls))
+    run_schedule(build_pieces(TwoRotorBasis(1), 0.13150852670024232), pulse, dt, TOL, samples,
+                 observers=(lambda t, k, c: seen.append(k),))
+    assert max((_rk4_steps(*call) for call in calls), default=0) <= WINDOW_STEPS
+    joined = []  # a piece that starts where the last one ended, at its step, continues its segment
+    for t0, t1, h in calls:
+        if joined and joined[-1][1:] == (t0, h):
+            joined[-1] = (joined[-1][0], t1, h)
+        else:
+            joined.append((t0, t1, h))
+    assert joined == [(a, b, h) for a, b, h in propagation.step_plan(pulse, samples[-1], dt) if h]
+    assert np.array_equal(np.concatenate(seen), np.arange(samples.size))
+    return calls
+
+
+def test_a_merged_pulse_core_is_walked_in_pieces_of_at_most_window_steps(monkeypatch):
+    # pulses 100 fs apart, under 3 sigma, merge their cores into one collocation segment of 3.6e7 steps,
+    # whose per-step tables would take about 15 GB in one rk4_integrate call
+    cfg = build_config({"pulse": {"period": 1e-13, "count": 10_000}, "integrator": {"dt_pulse_fs": 0.0279},
+                        "basis": {"l_max": 1}})
+    schedule, _, dt, samples = to_reduced(cfg)
+    assert max((b - a) / h for a, b, h in step_plan(schedule, samples[-1], dt) if h) > 3.5e7
+    assert len(_assert_walked_in_pieces(schedule, dt, samples, monkeypatch)) > 8000
+
+
+@pytest.mark.parametrize("a, count, h, ulps", [(2.3, 2, 1e-3, 0), (2.3, 7, 3.3e-5, 0), (2.3, 1, 1e-3, 1),
+                                                (0.25, 1, 3.3e-5, 1)])
+def test_a_cut_on_or_near_the_segment_end_leaves_no_piece_without_a_step(monkeypatch, a, count, h, ulps):
+    # count pieces of WINDOW_STEPS h: np.arange's last cut lands on b (at 1e-3) or 8.9e-16 past it (at 3.3e-5);
+    # with b 1 ulp further out, it lands inside rk4_integrate's leftover tolerance of b, where a piece takes no step
+    b = float(np.nextafter(a + count * WINDOW_STEPS * h, np.inf)) if ulps else a + count * WINDOW_STEPS * h
+    assert b - np.arange(a + WINDOW_STEPS * h, b, WINDOW_STEPS * h)[-1] <= 1e-12 * max(b, 1.0)
+    monkeypatch.setattr(propagation, "step_plan", lambda pulse, t_end, dt: [(0.0, a, 0.0), (a, b, h)])
+    calls = _assert_walked_in_pieces(_single_pulse(), h, np.linspace(0.0, b, 40), monkeypatch)
+    assert len(calls) == count and all(_rk4_steps(*call) for call in calls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.integers(1, 5), period=st.floats(0.5, 12.0), per_sigma=st.floats(0.5, 3.0 * WINDOW_STEPS),
+       n_samples=st.integers(1, 150))
+def test_the_walk_shows_every_sample_once_and_steps_in_pieces_of_at_most_window_steps(count, period, per_sigma,
+                                                                                     n_samples):
+    # period in sigma: from merged cores (under 3) to separate windows (over 10); sigma / dt up to 3 WINDOW_STEPS
+    train = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0, carrier_omega=OMEGA,
+                          period_red=period * SIGMA, count=count)
+    t_end = T0 + ((count - 1) * period + 6.0) * SIGMA
+    with pytest.MonkeyPatch.context() as patch:
+        _assert_walked_in_pieces(train, SIGMA / per_sigma, np.linspace(0.0, t_end, n_samples + 1), patch)
 
 
 def test_a_run_frees_its_right_hand_side_without_the_cycle_collector(monkeypatch):
