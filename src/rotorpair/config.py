@@ -26,7 +26,7 @@ ENTROPY_LOG_BASES = ("e", "2", "d_single")
 # Most samples one run may ask for; at 1e6 rows the CSV is about 200 MB.
 MAX_SAMPLES = 1_000_000
 # Most pulse-core steps per sigma, pulse.sigma_fs / integrator.dt_pulse_fs: it bounds a run's work (30,000 steps
-# a core; at 1e-300 fs a run would step forever), as propagation.WINDOW_STEPS bounds its memory.
+# a core; at 1e-300 fs a run would step forever), not its memory.
 MAX_STEPS_PER_SIGMA = 10_000
 # Largest basis.l_max. At 24 the symmetric sector has 2,925 states in parity
 # blocks of 1,547 and 1,378, so the larger dense H0 block and its eigenvectors

@@ -10,7 +10,7 @@ More than 5 sigma from every center a segment is free: the state advances
 by the exact exponential of the field-free Hamiltonian (one
 eigendecomposition per parity block and run). Every other segment is
 ten-stage Gauss collocation in the rotor frame (exact in the rotor
-energies), one rk4_integrate call per piece of at most WINDOW_STEPS steps,
+energies), one rk4_integrate call per piece of at most SAMPLE_BLOCK samples,
 at the pulse-core step dt near the centers, doubled past each edge; samples
 do not cut its steps. run_schedule checks and shows the rows _walk yields:
 a norm violation fails the run, as does a step whose stage sweeps do not
@@ -19,6 +19,7 @@ converge; nothing is silently renormalized.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from typing import Callable
 
@@ -59,11 +60,9 @@ SWEEP_RATE = float(np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max())
 SWEEP_TOLERANCE = 1e-15
 MAX_SWEEPS = 30
 
-# Samples per observer block and per free-advance chunk; run_schedule's queue holds up to 2 SAMPLE_BLOCK - 1
-# sector rows, more while a larger piece joins it (0.6 MiB at l_max 10).
+# Samples per observer block, per free-advance chunk and per rk4_integrate call, and steps per field call;
+# run_schedule's queue holds up to 2 SAMPLE_BLOCK - 1 sector rows (0.6 MiB at l_max 10).
 SAMPLE_BLOCK = 64
-# Most steps per rk4_integrate call: its tables stay near 1.8 MB however long the segment.
-WINDOW_STEPS = 4096
 
 
 def initial_state(n_s: int) -> np.ndarray:
@@ -186,11 +185,11 @@ def _collocate(rhs: RightHandSide, y: np.ndarray, fields: np.ndarray, frame: tup
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float,
                   sample_times: np.ndarray = ()) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """GAUSS_STAGES-stage Gauss-Legendre collocation (order 2s = 20; unitary once the stage equations are solved:
-    Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with
-    rhs.rates, which are integrated exactly. Fixed step dt and one partial final step; a leftover under
-    1e-12 max(|t1|, 1), or a negative one, goes to the last full step instead, so the steps end on t1.
-    Returns the state at t1, the states at sample_times (ascending, within (t0, t1]) as rows, and the
-    stall: None, or (t, last update) of the first step at t whose sweeps, main or side, reached MAX_SWEEPS.
+    Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with rhs.rates,
+    which are integrated exactly. Fixed step dt and one partial final step; a leftover under 1e-12 max(|t1|, 1), or
+    a negative one, goes to the last full step instead, so the steps end on t1. Returns the state at t1, the states
+    at sample_times (ascending, within (t0, t1]) as rows, and the stall: None, or (t, last update) of the first step
+    at t whose sweeps, main or side, reached MAX_SWEEPS. Its memory grows with its samples, not its steps.
 
     Samples do not cut the steps. A sample t* before the last step's end, in the step [t, t + h), is a side
     step of width t* - t from the state at t (zero-width, and the state there bit for bit, on a step's start),
@@ -201,31 +200,28 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
         raise ValueError(f"need dt > 0 and t1 >= t0, got dt = {dt}, span {t1 - t0}")
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
     remainder = t1 - (t0 + n_full * dt)
-    steps = [dt] * n_full
-    if remainder > 1e-12 * max(abs(t1), 1.0):
-        steps.append(remainder)
-    elif steps:  # the last full step takes up a shorter (or negative) leftover, so the span still ends on t1
-        steps[-1] += remainder
-    starts, widths = t0 + np.arange(len(steps)) * dt, np.array(steps)
-    samples = np.asarray(sample_times, dtype=float)
-    done = np.searchsorted(starts + widths, samples, side="right")  # the steps that end by each sample
-    bounds = np.searchsorted(done, np.arange(len(steps) + 1)).tolist()  # bounds[i]:bounds[i + 1] are past i steps
-    owner = done[:bounds[-1]]  # a sample before the last step's end is a side step of the step it falls in
-    side_widths = np.maximum(samples[:bounds[-1]] - starts[owner], 0.0)  # at a step's end: zero, not -1 ulp
-    fields = rhs.field(np.concatenate([starts, starts[owner]])[:, None]
-                       + np.concatenate([widths, side_widths])[:, None] * GAUSS_NODES)
-    rows = np.empty((samples.size, np.size(y)), dtype=np.complex128)
-    stall = None
-    for i, (t, h, field_row) in enumerate(zip(starts.tolist(), steps, fields)):
-        end, derivs, update = _collocate(rhs, y, field_row, rhs.band(h) if h == dt else rhs.frame(h), y[:, None])
-        for j in range(bounds[i], bounds[i + 1]):
-            rows[j], _, side_update = _collocate(rhs, y, fields[len(steps) + j], rhs.frame(side_widths[j].item()),
-                                                 y[:, None] + derivs @ (h * polynomial_weights(side_widths[j] / h)))
-            update = update or side_update
-        if update and stall is None:
-            stall = (t, update)
-        y = end
-    rows[bounds[-1]:] = y
+    closing = remainder > 1e-12 * max(abs(t1), 1.0)
+    n_steps, last = n_full + closing, remainder if closing else dt + remainder
+    samples = np.asarray(sample_times, dtype=float).tolist()
+    rows = np.empty((len(samples), np.size(y)), dtype=np.complex128)
+    j, stall = 0, None
+    for lo in range(0, n_steps, SAMPLE_BLOCK):
+        block = np.arange(lo, min(lo + SAMPLE_BLOCK, n_steps))
+        starts, widths = t0 + block * dt, np.where(block == n_steps - 1, last, dt)
+        fields = rhs.field(starts[:, None] + widths[:, None] * GAUSS_NODES)
+        for t, h, field_row in zip(starts.tolist(), widths.tolist(), fields):
+            end, derivs, update = _collocate(rhs, y, field_row, rhs.band(h) if h == dt else rhs.frame(h), y[:, None])
+            first, j = j, bisect.bisect_left(samples, t + h, j)
+            sides = [max(s - t, 0.0) for s in samples[first:j]]  # at a step's end: zero, not -1 ulp
+            if sides:
+                side_fields = rhs.field(t + np.array(sides)[:, None] * GAUSS_NODES)
+                for row, side, side_field in zip(rows[first:j], sides, side_fields):
+                    row[:], _, side_update = _collocate(rhs, y, side_field, rhs.frame(side),
+                                                        y[:, None] + derivs @ (h * polynomial_weights(side / h)))
+                    update = update or side_update
+            stall = stall or ((t, update) if update else None)
+            y = end
+    rows[j:] = y
     return y, rows, stall
 
 
@@ -256,8 +252,8 @@ def step_plan(pulse: PulseSchedule, t_end: float, dt: float) -> list[tuple[float
 
 def _walk(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float, samples: np.ndarray):
     """Yield (rows, stall) in sample order: the initial state's, FreeEvolution.advance chunks of
-    at most SAMPLE_BLOCK rows (stall None), and one rk4_integrate call's per piece of at most WINDOW_STEPS
-    steps of a collocation segment. A segment (a, b] owns the samples in it."""
+    at most SAMPLE_BLOCK rows (stall None), and one rk4_integrate call's per piece of a collocation
+    segment, cut at every SAMPLE_BLOCK-th sample in it. A segment (a, b] owns the samples in it."""
     coeffs = initial_state(pieces.h0.shape[0])
     free, rhs, k = FreeEvolution(pieces.h0, pieces.basis.sector_split), schrodinger_rhs(pieces, pulse), 1
     yield coeffs[None, :], None
@@ -270,7 +266,7 @@ def _walk(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float, samples: n
             if stop < samples.size:
                 coeffs = free.advance(amplitudes, np.array([b - a]))[0]
         else:  # a cut must leave rk4_integrate a step to b
-            cuts = np.arange(a + h * WINDOW_STEPS, b, h * WINDOW_STEPS)
+            cuts = samples[k + SAMPLE_BLOCK - 1:stop:SAMPLE_BLOCK]
             cuts = cuts[b - cuts > 1e-12 * max(b, 1.0)].tolist()
             for t0, t1 in zip([a, *cuts], [*cuts, b]):
                 end = int(np.searchsorted(samples, t1, side="right"))

@@ -101,10 +101,13 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
     )
     dipole, dt_fs, sigma = dipole_strength(cfg), cfg.integrator.dt_pulse_fs, schedule.sigma_red
     # the default pulse-core step: sigma / 2, converged to about 1e-13, cut in strong fields so that the stage
-    # sweeps contract by dt * SWEEP_RATE |H| <= 0.18 (|H| <= 2 kick + 3 dipole in the rotor frame; the presets
+    # sweeps contract by dt * SWEEP_RATE |H| <= 0.18 (|H| <= 2 kick peak + 3 dipole in the rotor frame, peak the
+    # summed envelopes' largest value, to 1 % on 9 points over the period after the middle pulse; the presets
     # reach 0.175), but not below sigma / 400 (from E0 ~ 6.2e9 V/m), which bounds the work of a field that
     # stalls the sweeps
-    strength = SWEEP_RATE * (2.0 * abs(schedule.kick_strength) + 3.0 * dipole)  # 0.0 if both underflow: no cut
+    middle = schedule.centers()[(schedule.count - 1) // 2]
+    peak = schedule.envelope(middle + schedule.period_red * np.linspace(0.0, 1.0, 9)).max()
+    strength = SWEEP_RATE * (2.0 * abs(schedule.kick_strength) * peak + 3.0 * dipole)  # 0.0 if both underflow
     core = min(sigma / 2.0, max(sigma / 400.0, 0.18 / strength)) if strength else sigma / 2.0
     dt = core if dt_fs is None else fs_to_reduced(dt_fs, cfg.molecule.B_cm1)
     interval_ps = cfg.output.sample_interval_ps

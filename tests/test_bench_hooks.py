@@ -49,8 +49,8 @@ def test_build_pieces_result_has_csr_h0_and_coupling():
 
 def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
     # each call takes the field at the ten nodes of each of its main steps and of
-    # each side step, one per sample before its last step's end, all at once; the
-    # counter reads the main steps off (t0, t1, dt)
+    # each side step, one per sample before its last step's end; the counter reads
+    # the main steps off (t0, t1, dt)
     import dataclasses
 
     from rotorpair import propagation
@@ -83,7 +83,7 @@ def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
     # a dozen samples inside each of the three windows, one on an interior step boundary, none on a segment's end
     samples = np.sort(np.append(np.arange(161) * 0.005, boundary))
     propagation.run_schedule(pieces, train, dt, 1e-8, samples)
-    assert len(steps) == len(taken) > 7
+    assert len(steps) > 7
     assert all(shape[1:] == propagation.GAUSS_NODES.shape for shape in taken)
     assert sum(sides) > 30
     assert sum(steps) + sum(sides) == sum(shape[0] for shape in taken)

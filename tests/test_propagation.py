@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,7 +25,6 @@ from rotorpair.propagation import (
     SAMPLE_BLOCK,
     STEP_BAND_EDGES,
     SWEEP_RATE,
-    WINDOW_STEPS,
     FreeEvolution,
     RightHandSide,
     initial_state,
@@ -436,10 +436,10 @@ def test_run_schedule_calls_the_stepper_once_per_collocation_segment(monkeypatch
 
 
 def _start_state_stepper(calls):
-    """A stand-in for rk4_integrate that records each call's (t0, t1, dt) and returns its start state for
-    every sample: it walks any plan, however long, at the cost of its bookkeeping."""
+    """A stand-in for rk4_integrate that records each call's (t0, t1, dt) and sample count and returns its start
+    state for every sample: it walks any plan, however long, at the cost of its bookkeeping."""
     def stepper(rhs, y, t0, t1, dt, times):
-        calls.append((t0, t1, dt))
+        calls.append((t0, t1, dt, len(times)))
         return y, np.tile(y, (len(times), 1)), None
     return stepper
 
@@ -457,9 +457,9 @@ def _assert_walked_in_pieces(pulse, dt, samples, patch):
     patch.setattr(propagation, "rk4_integrate", _start_state_stepper(calls))
     run_schedule(build_pieces(TwoRotorBasis(1), 0.13150852670024232), pulse, dt, TOL, samples,
                  observers=(lambda t, k, c: seen.append(k),))
-    assert max((_rk4_steps(*call) for call in calls), default=0) <= WINDOW_STEPS
+    assert max((count for *_, count in calls), default=0) <= SAMPLE_BLOCK
     joined = []  # a piece that starts where the last one ended, at its step, continues its segment
-    for t0, t1, h in calls:
+    for t0, t1, h, _ in calls:
         if joined and joined[-1][1:] == (t0, h):
             joined[-1] = (joined[-1][0], t1, h)
         else:
@@ -469,39 +469,73 @@ def _assert_walked_in_pieces(pulse, dt, samples, patch):
     return calls
 
 
-def test_a_merged_pulse_core_is_walked_in_pieces_of_at_most_window_steps(monkeypatch):
-    # pulses 100 fs apart, under 3 sigma, merge their cores into one collocation segment of 3.6e7 steps,
-    # whose per-step tables would take about 15 GB in one rk4_integrate call
+def test_a_merged_pulse_core_is_walked_in_pieces_of_at_most_sample_block_samples(monkeypatch):
+    # pulses 100 fs apart, under 3 sigma, merge their cores into one collocation segment of 3.6e7 steps
+    # that holds about 2,000 samples
     cfg = build_config({"pulse": {"period": 1e-13, "count": 10_000}, "integrator": {"dt_pulse_fs": 0.0279},
                         "basis": {"l_max": 1}})
     schedule, _, dt, samples = to_reduced(cfg)
     assert max((b - a) / h for a, b, h in step_plan(schedule, samples[-1], dt) if h) > 3.5e7
-    assert len(_assert_walked_in_pieces(schedule, dt, samples, monkeypatch)) > 8000
+    assert len(_assert_walked_in_pieces(schedule, dt, samples, monkeypatch)) > 30
 
 
-@pytest.mark.parametrize("a, count, h, ulps", [(2.3, 2, 1e-3, 0), (2.3, 7, 3.3e-5, 0), (2.3, 1, 1e-3, 1),
-                                                (0.25, 1, 3.3e-5, 1)])
-def test_a_cut_on_or_near_the_segment_end_leaves_no_piece_without_a_step(monkeypatch, a, count, h, ulps):
-    # count pieces of WINDOW_STEPS h: np.arange's last cut lands on b (at 1e-3) or 8.9e-16 past it (at 3.3e-5);
-    # with b 1 ulp further out, it lands inside rk4_integrate's leftover tolerance of b, where a piece takes no step
-    b = float(np.nextafter(a + count * WINDOW_STEPS * h, np.inf)) if ulps else a + count * WINDOW_STEPS * h
-    assert b - np.arange(a + WINDOW_STEPS * h, b, WINDOW_STEPS * h)[-1] <= 1e-12 * max(b, 1.0)
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("before_b, extra", [(0.0, 0), (1e-15, 0), (3e-12, 1)],
+                         ids=["on_b", "within_tolerance", "outside_tolerance"])
+def test_a_cut_on_or_near_the_segment_end_leaves_no_piece_without_a_step(monkeypatch, count, before_b, extra):
+    # the segment's count * SAMPLE_BLOCK-th sample lies on b, within rk4_integrate's leftover tolerance of b
+    # (1e-12 max(b, 1)), where a piece from it to b would take no step, or just outside it, with one more on b
+    a, b, h = 2.3, 2.4, 1e-3
+    inside = np.linspace(a, b, count * SAMPLE_BLOCK + 1)[1:]
+    inside[-1] = b - before_b
+    samples = np.concatenate([np.linspace(0.0, a, 5), inside, [b] * extra])
     monkeypatch.setattr(propagation, "step_plan", lambda pulse, t_end, dt: [(0.0, a, 0.0), (a, b, h)])
-    calls = _assert_walked_in_pieces(_single_pulse(), h, np.linspace(0.0, b, 40), monkeypatch)
-    assert len(calls) == count and all(_rk4_steps(*call) for call in calls)
+    calls = _assert_walked_in_pieces(_single_pulse(), h, samples, monkeypatch)
+    assert len(calls) == count + extra and all(_rk4_steps(*call[:3]) for call in calls)
 
 
 @settings(max_examples=30, deadline=None)
-@given(count=st.integers(1, 5), period=st.floats(0.5, 12.0), per_sigma=st.floats(0.5, 3.0 * WINDOW_STEPS),
-       n_samples=st.integers(1, 150))
-def test_the_walk_shows_every_sample_once_and_steps_in_pieces_of_at_most_window_steps(count, period, per_sigma,
-                                                                                     n_samples):
-    # period in sigma: from merged cores (under 3) to separate windows (over 10); sigma / dt up to 3 WINDOW_STEPS
+@given(count=st.integers(1, 5), period=st.floats(0.5, 12.0), per_sigma=st.floats(0.5, 12_000.0),
+       n_samples=st.integers(1, 400))
+def test_the_walk_shows_every_sample_once_in_pieces_of_at_most_sample_block_samples(count, period, per_sigma,
+                                                                                   n_samples):
+    # period in sigma: from merged cores (under 3) to separate windows (over 10)
     train = PulseSchedule(kick_strength=KICK, sigma_red=SIGMA, t0_red=T0, carrier_omega=OMEGA,
                           period_red=period * SIGMA, count=count)
     t_end = T0 + ((count - 1) * period + 6.0) * SIGMA
     with pytest.MonkeyPatch.context() as patch:
         _assert_walked_in_pieces(train, SIGMA / per_sigma, np.linspace(0.0, t_end, n_samples + 1), patch)
+
+
+def _traced_peak(run):
+    """The peak of tracemalloc's traced memory while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_window_without_samples_takes_memory_that_does_not_grow_with_its_steps():
+    # past the pulse, 1,500 and 6,000 steps; tables of the call's length would add about 430 bytes a step
+    pieces = build_pieces(TwoRotorBasis(1), 0.13150852670024232)
+    rhs, y, t = schrodinger_rhs(pieces, _single_pulse()), initial_state(pieces.h0.shape[0]), T0 + 6 * SIGMA
+    short, long = (_traced_peak(lambda: rk4_integrate(rhs, y, t, t + n * DT, DT)) for n in (1_500, 6_000))
+    assert long <= short + 100_000
+
+
+def test_a_window_full_of_samples_holds_a_bounded_number_of_rows():
+    # fig1a cut to 2.4 ps, so that every sample lies in the pulse's window, sampled 500 and 2,000 times;
+    # rows of all of a window's samples would add about 560 bytes a sample at l_max 4
+    def run(n_samples):
+        cfg = build_config({"basis": {"l_max": 4},
+                            "output": {"total_time_ps": 2.4, "sample_interval_ps": 2.4 / n_samples}})
+        schedule, dipole, dt, samples = to_reduced(cfg)
+        pieces = build_pieces(TwoRotorBasis(4), dipole)
+        return _traced_peak(lambda: run_schedule(pieces, schedule, dt, TOL, samples))
+
+    assert run(2_000) <= run(500) + 100_000
 
 
 def test_a_run_frees_its_right_hand_side_without_the_cycle_collector(monkeypatch):

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from rotorpair import units
-from rotorpair.config import RunConfig
+from rotorpair.config import RunConfig, build_config
 from rotorpair.exceptions import InvalidConfigError
 from rotorpair.propagation import GAUSS_MATRIX, SWEEP_RATE
+from rotorpair.runner import simulate
 from rotorpair.units import time_unit_seconds, to_reduced
 
 
@@ -138,6 +139,18 @@ def test_the_default_step_shrinks_with_the_field_down_to_sigma_over_400():
     # a set integrator.dt_pulse_fs wins whatever the field
     cfg = dataclasses.replace(_with("integrator", dt_pulse_fs=27.9), pulse=_with("pulse", E0_Vpm=1e14).pulse)
     assert to_reduced(cfg)[2] == pytest.approx(27.9e-15 / time_unit_seconds(0.12), rel=1e-15)
+
+
+def test_the_default_step_counts_the_envelopes_of_overlapping_pulses():
+    # 20 pulses 0.36 sigma apart add their envelopes to a peak of 4.945; a step cut for a peak of 1 stalls the
+    # sweeps at t = 0.024
+    doc = {"basis": {"l_max": 2}, "pulse": {"period": 1e-13, "count": 20}, "output": {"total_time_ps": 6}}
+    schedule, dipole, dt, _ = to_reduced(build_config(doc))
+    assert schedule.envelope(np.linspace(0.0, 0.1, 100_001)).max() == pytest.approx(4.945, abs=5e-4)
+    assert dt == pytest.approx(0.18 / (SWEEP_RATE * (2.0 * schedule.kick_strength * 4.945 + 3.0 * dipole)), rel=1e-3)
+    cos1 = simulate(build_config(doc)).recorder.column("cos1")
+    reference = simulate(build_config({**doc, "integrator": {"dt_pulse_fs": 279.0 / 400}})).recorder.column("cos1")
+    assert np.abs(cos1 - reference).max() <= 1e-13
 
 
 def test_to_reduced_inverts_to_the_laboratory_numbers():
