@@ -219,6 +219,8 @@ def validate_config(cfg: RunConfig) -> None:
                                  f" = {cfg.pulse.sigma_fs / MAX_STEPS_PER_SIGMA:g} fs, or 0 in units of hbar/B")
     if not sys.float_info.min <= fs_to_reduced(cfg.pulse.sigma_fs, cfg.molecule.B_cm1) < math.inf:  # sigma/400 > 0
         raise InvalidConfigError(f"pulse.sigma_fs = {cfg.pulse.sigma_fs:g} under- or overflows in units of hbar/B")
+    if not cfg.pulse.sigma_fs * 1e-3 >= 1e-7 * length_ps:  # an ulp of the clock stays under ~5e-9 sigma
+        raise InvalidConfigError(f"pulse.sigma_fs = {cfg.pulse.sigma_fs:g} is below 1e-7 of the {length_ps:g} ps run")
     _check_path(cfg.output.out_dir, "output.out_dir")
 
 

@@ -60,7 +60,7 @@ SWEEP_RATE = float(np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max())
 SWEEP_TOLERANCE = 1e-15
 MAX_SWEEPS = 30
 
-# Samples per observer block, per free-advance chunk and per rk4_integrate call, and steps per field call;
+# Samples per observer block and per _walk range, and steps per field call;
 # run_schedule's queue holds up to 2 SAMPLE_BLOCK - 1 sector rows (0.6 MiB at l_max 10).
 SAMPLE_BLOCK = 64
 
@@ -187,7 +187,7 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
     """GAUSS_STAGES-stage Gauss-Legendre collocation (order 2s = 20; unitary once the stage equations are solved:
     Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with rhs.rates,
     which are integrated exactly. Fixed step dt and one partial final step; a leftover under 1e-12 max(|t1|, 1), or
-    a negative one, goes to the last full step instead, so the steps end on t1. Returns the state at t1, the states
+    a negative one, widens the last full step, if any. Returns the state at t1, the states
     at sample_times (ascending, within (t0, t1]) as rows, and the stall: None, or (t, last update) of the first step
     at t whose sweeps, main or side, reached MAX_SWEEPS. Its memory grows with its samples, not its steps.
 
@@ -200,7 +200,7 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
         raise ValueError(f"need dt > 0 and t1 >= t0, got dt = {dt}, span {t1 - t0}")
     n_full = int(np.floor((t1 - t0) / dt + 1e-12))
     remainder = t1 - (t0 + n_full * dt)
-    closing = remainder > 1e-12 * max(abs(t1), 1.0)
+    closing = remainder > 1e-12 * max(abs(t1), 1.0) or not n_full
     n_steps, last = n_full + closing, remainder if closing else dt + remainder
     samples = np.asarray(sample_times, dtype=float).tolist()
     rows = np.empty((len(samples), np.size(y)), dtype=np.complex128)
@@ -251,28 +251,25 @@ def step_plan(pulse: PulseSchedule, t_end: float, dt: float) -> list[tuple[float
 
 
 def _walk(pieces: HamiltonianPieces, pulse: PulseSchedule, dt: float, samples: np.ndarray):
-    """Yield (rows, stall) in sample order: the initial state's, FreeEvolution.advance chunks of
-    at most SAMPLE_BLOCK rows (stall None), and one rk4_integrate call's per piece of a collocation
-    segment, cut at every SAMPLE_BLOCK-th sample in it. A segment (a, b] owns the samples in it."""
+    """Yield (rows, stall) in sample order: the initial state's, then, per segment (a, b] and range of at most
+    SAMPLE_BLOCK of its samples (an empty one if none), one FreeEvolution.advance (stall None) or one
+    rk4_integrate call, to the range's last sample or, for its last range, to b."""
     coeffs = initial_state(pieces.h0.shape[0])
     free, rhs, k = FreeEvolution(pieces.h0, pieces.basis.sector_split), schrodinger_rhs(pieces, pulse), 1
     yield coeffs[None, :], None
     for a, b, h in step_plan(pulse, samples[-1], dt):
         stop = int(np.searchsorted(samples, b, side="right"))
-        if h == 0.0:
-            amplitudes, taus = free.project(coeffs), samples[k:stop] - a
-            for lo in range(0, taus.size, SAMPLE_BLOCK):
-                yield free.advance(amplitudes, taus[lo:lo + SAMPLE_BLOCK]), None
-            if stop < samples.size:
-                coeffs = free.advance(amplitudes, np.array([b - a]))[0]
-        else:  # a cut must leave rk4_integrate a step to b
-            cuts = samples[k + SAMPLE_BLOCK - 1:stop:SAMPLE_BLOCK]
-            cuts = cuts[b - cuts > 1e-12 * max(b, 1.0)].tolist()
-            for t0, t1 in zip([a, *cuts], [*cuts, b]):
-                end = int(np.searchsorted(samples, t1, side="right"))
-                coeffs, rows, stall = rk4_integrate(rhs, coeffs, t0, t1, h, samples[k:end])
+        amplitudes = None if h else free.project(coeffs)
+        for lo in range(k, max(stop, k + 1), SAMPLE_BLOCK):
+            hi = min(lo + SAMPLE_BLOCK, stop)
+            if h:
+                t0, t1 = samples[lo - 1] if lo > k else a, b if hi == stop else samples[hi - 1]
+                coeffs, rows, stall = rk4_integrate(rhs, coeffs, t0, t1, h, samples[lo:hi])
                 yield rows, stall
-                k = end
+            else:
+                yield free.advance(amplitudes, samples[lo:hi] - a), None
+        if not h and stop < samples.size:
+            coeffs = free.advance(amplitudes, np.array([b - a]))[0]
         k = stop
 
 

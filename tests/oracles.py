@@ -293,7 +293,7 @@ def dense_collocation(ops, pulse, y, t0, t1, dt):
     as a dense matrix at each node, the stages solve the (s n) x (s n)
     system Z_i - h sum_j a_ij G_j Z_j = y, and the step ends with
     y = exp(-i D h) (y + h sum_j b_j G_j Z_j).  Same step rule as the
-    package: full steps of dt, then one partial final step."""
+    package (step_widths)."""
     rest = ops.h0.toarray()
     energies = rest.diagonal().real.copy()
     np.fill_diagonal(rest, 0.0)
@@ -312,14 +312,20 @@ def dense_collocation(ops, pulse, y, t0, t1, dt):
         z = y + h * sum(b * g @ z_j for b, g, z_j in zip(GAUSS_WEIGHTS, gens, stages))
         return np.exp((-1j * h) * energies) * z
 
-    n_full = int(np.floor((t1 - t0) / dt + 1e-12))
-    for k in range(n_full):
-        y = collocation_step(y, t0 + k * dt, dt)
-    t_last = t0 + n_full * dt
-    remainder = t1 - t_last
-    if remainder > 1e-12 * max(abs(t1), 1.0):
-        y = collocation_step(y, t_last, remainder)
+    for k, h in enumerate(step_widths(t0, t1, dt)):
+        y = collocation_step(y, t0 + k * dt, h)
     return y
+
+
+def step_widths(t0, t1, dt):
+    """The widths of the steps rk4_integrate takes over [t0, t1], the k-th from t0 + k dt: whole steps
+    of dt, then a closing step of the leftover if it is over 1e-12 max(|t1|, 1) or the span has no whole
+    step; any other leftover, or a negative one, widens the last whole step instead."""
+    n_full = int(np.floor((t1 - t0) / dt + 1e-12))
+    remainder = t1 - (t0 + n_full * dt)
+    if remainder > 1e-12 * max(abs(t1), 1.0) or not n_full:
+        return [dt] * n_full + [remainder]
+    return [dt] * (n_full - 1) + [dt + remainder]
 
 
 def collocation_interpolant(y, stages, tau):
@@ -335,16 +341,11 @@ def collocation_interpolant(y, stages, tau):
 
 def classical_rk4(rhs, y, t0, t1, dt):
     """Uniform classical RK4 of dy/dt = -i rates y + deriv(field(t), y), the
-    rates stepped like the rest, with the package's step rule (full steps
-    of dt, then one partial final step) and one vectorized field call: the
-    path the collocation stepper replaced, and the reference that its
-    rotor frame, step bands and step size are measured against."""
-    span = t1 - t0
-    n_full = int(np.floor(span / dt + 1e-12))
-    steps = [dt] * n_full
-    remainder = t1 - (t0 + n_full * dt)
-    if remainder > 1e-12 * max(abs(t1), 1.0):
-        steps.append(remainder)
+    rates stepped like the rest, with the package's step rule (step_widths)
+    and one vectorized field call: the path the collocation stepper replaced,
+    and the reference that its rotor frame, step bands and step size are
+    measured against."""
+    steps = step_widths(t0, t1, dt)
     starts, widths = t0 + np.arange(len(steps)) * dt, np.array(steps)
     fields = rhs.field(np.stack([starts, starts + 0.5 * widths, starts + widths]))
 

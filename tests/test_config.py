@@ -372,10 +372,17 @@ def test_a_sigma_that_under_or_overflows_in_units_of_hbar_over_b_is_rejected(doc
 
 
 def test_the_smallest_normal_sigma_keeps_a_positive_default_step():
+    # sigma at the least the run's clock admits, 1e-7 of the run length, and just over the smallest normal float
     sigma_fs = 1.01 * sys.float_info.min * time_unit_seconds(1e-250) * 1e15
-    schedule, _, dt, _ = to_reduced(build_config({"molecule": {"B_cm1": 1e-250}, "pulse": {"sigma_fs": sigma_fs}}))
+    run_ps = 0.999999 * sigma_fs * 1e-3 / 1e-7
+    doc = {"molecule": {"B_cm1": 1e-250}, "pulse": {"sigma_fs": sigma_fs},
+           "output": {"total_time_ps": run_ps, "sample_interval_ps": run_ps}}
+    schedule, _, dt, _ = to_reduced(build_config(doc))
     assert sys.float_info.min <= schedule.sigma_red < 2.0 * sys.float_info.min
     assert dt >= schedule.sigma_red / 400.0 > 0.0
+    longer = {**doc, "output": {"total_time_ps": 1.01 * run_ps, "sample_interval_ps": run_ps}}
+    with pytest.raises(InvalidConfigError, match=r"^pulse\.sigma_fs = \S+ is below 1e-7 of the \S+ ps run"):
+        build_config(longer)
 
 
 # --- output directories ------------------------------------------------------------

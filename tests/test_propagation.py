@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -34,7 +34,7 @@ from rotorpair.propagation import (
     schrodinger_rhs,
     step_plan,
 )
-from rotorpair.units import run_length_ps, time_unit_seconds, to_reduced
+from rotorpair.units import fs_to_reduced, run_length_ps, time_unit_seconds, to_reduced
 
 # reduced parameters of the default molecule pair, rounded is fine here:
 # these tests probe the integrator, not the unit conversion
@@ -251,6 +251,21 @@ def test_rk4_a_leftover_under_the_threshold_goes_to_the_last_step(leftover):
     assert abs(y[0] - np.exp(-1j * energy * t1)) <= 1e-11  # energy * |leftover| >= 5e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(t0=st.floats(0.0, 2.0), dt=st.floats(1e-3, 0.1), whole=st.integers(0, 3),
+       offset=st.one_of(st.floats(1e-15, 1e-12), st.floats(-1e-12, -1e-15), st.floats(0.0, 0.1)))
+@example(t0=1.0, dt=0.1, whole=0, offset=1e-13)  # no whole step and a leftover under 1e-12 max(|t1|, 1)
+def test_rk4_steps_every_span_to_its_end(t0, dt, whole, offset):
+    # spans from 1e-15 to a few dt, some just short of a whole number of steps; the rotor phase E t shows
+    # where the steps end, and a span that took no step would be off by E (t1 - t0)
+    energy = 1e6
+    rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: np.zeros_like(y), rates=np.array([energy]))
+    t1 = t0 + (whole * dt + offset)
+    assume(t1 > t0)
+    y, _ = oracles.strict_rk4(rhs, np.array([1.0 + 0.0j]), t0, t1, dt)
+    assert abs(y[0] - np.exp(-1j * energy * (t1 - t0))) <= 8 * energy * np.spacing(t1)
+
+
 def test_rk4_rejects_bad_spans():
     rhs = RightHandSide(field=np.zeros_like, deriv=lambda f, y: y)
     with pytest.raises(ValueError):
@@ -435,6 +450,51 @@ def test_run_schedule_calls_the_stepper_once_per_collocation_segment(monkeypatch
     assert len(segments) == 14 and calls == segments
 
 
+@pytest.mark.parametrize("l_max", [1, 2])
+def test_a_window_sampled_finer_than_the_stepper_tolerance_matches_a_coarse_one(l_max):
+    # a 2e-10 ps run inside the pulse's window: 2,001 samples 1e-13 ps apart give pieces of 64 samples
+    # that span 1.45e-13 hbar/B each, under 1e-12 max(|t1|, 1); 3 samples 1e-10 ps apart give one piece
+    def run(interval_ps):
+        cfg = build_config({"basis": {"l_max": l_max}, "pulse": {"t0_fs": 0.0},
+                            "output": {"total_time_ps": 2e-10, "sample_interval_ps": interval_ps}})
+        schedule, dipole, dt, samples = to_reduced(cfg)
+        pieces = build_pieces(TwoRotorBasis(l_max), dipole)
+        start = pieces.basis.unfold(initial_state(pieces.h0.shape[0]))
+        return samples.size, start, run_schedule(pieces, schedule, dt, TOL, samples)
+
+    (fine_count, start, fine), (coarse_count, _, coarse) = run(1e-13), run(1e-10)
+    assert (fine_count, coarse_count) == (2_001, 3)
+    assert np.abs(coarse - start).max() > 1e-10  # the run moves the state, by about 1e-9
+    assert np.abs(fine - coarse).max() <= 1e-18
+
+
+def test_every_window_segment_of_a_narrow_pulse_takes_a_step(monkeypatch):
+    # sigma = 1e-8 fs at the default pulse area (E0 sigma), a config that the run-length bound on sigma refuses:
+    # its window segments span 1e-13 to 1e-12 hbar/B, under 1e-12 max(|t1|, 1)
+    schedule, dipole, _, samples = to_reduced(build_config({"basis": {"l_max": 2}, "output": {"total_time_ps": 5}}))
+    pieces = build_pieces(TwoRotorBasis(2), dipole)
+
+    def run(sigma_fs):
+        narrow = dataclasses.replace(schedule, sigma_red=fs_to_reduced(sigma_fs, 0.12),
+                                     kick_strength=schedule.kick_strength * 279.0 / sigma_fs)
+        return run_schedule(pieces, narrow, narrow.sigma_red / 2.0, TOL, samples)
+
+    integrate, calls = propagation.rk4_integrate, []
+
+    def counted(rhs, y, t0, t1, dt, times):  # counts each call's stage-field calls, one per 64 steps
+        def field(t):
+            calls[-1] += 1
+            return rhs.field(t)
+        calls.append(0)
+        return integrate(RightHandSide(field, rhs.deriv, rhs.rates), y, t0, t1, dt, times)
+
+    wide = run(1e-6)
+    monkeypatch.setattr(propagation, "rk4_integrate", counted)
+    narrow = run(1e-8)
+    assert len(calls) == 7 and all(calls)
+    assert np.abs(narrow - wide).max() <= 1e-5
+
+
 def _start_state_stepper(calls):
     """A stand-in for rk4_integrate that records each call's (t0, t1, dt) and sample count and returns its start
     state for every sample: it walks any plan, however long, at the cost of its bookkeeping."""
@@ -445,10 +505,8 @@ def _start_state_stepper(calls):
 
 
 def _rk4_steps(t0, t1, dt):
-    """The steps rk4_integrate takes over [t0, t1]: whole steps of dt, then a closing one unless it is
-    under its leftover tolerance."""
-    n = int(np.floor((t1 - t0) / dt + 1e-12))
-    return n + (t1 - (t0 + n * dt) > 1e-12 * max(abs(t1), 1.0))
+    """The number of steps rk4_integrate takes over [t0, t1]."""
+    return len(oracles.step_widths(t0, t1, dt))
 
 
 def _assert_walked_in_pieces(pulse, dt, samples, patch):
@@ -480,11 +538,11 @@ def test_a_merged_pulse_core_is_walked_in_pieces_of_at_most_sample_block_samples
 
 
 @pytest.mark.parametrize("count", [1, 3])
-@pytest.mark.parametrize("before_b, extra", [(0.0, 0), (1e-15, 0), (3e-12, 1)],
-                         ids=["on_b", "within_tolerance", "outside_tolerance"])
+@pytest.mark.parametrize("before_b, extra", [(0.0, 0), (1e-15, 0), (3e-12, 1), (1e-15, 1)],
+                         ids=["on_b", "within_tolerance", "outside_tolerance", "within_tolerance_then_b"])
 def test_a_cut_on_or_near_the_segment_end_leaves_no_piece_without_a_step(monkeypatch, count, before_b, extra):
     # the segment's count * SAMPLE_BLOCK-th sample lies on b, within rk4_integrate's leftover tolerance of b
-    # (1e-12 max(b, 1)), where a piece from it to b would take no step, or just outside it, with one more on b
+    # (1e-12 max(b, 1)), or within or just outside it with one more sample on b: a piece to b takes a step
     a, b, h = 2.3, 2.4, 1e-3
     inside = np.linspace(a, b, count * SAMPLE_BLOCK + 1)[1:]
     inside[-1] = b - before_b
