@@ -4,22 +4,21 @@ The state is propagated, and observed, in the symmetric sector S of
 TwoRotorBasis.sector_gather, which H(t) leaves invariant (checked, not
 assumed, when build_pieces folds H0 and V); only the final state is unfolded.
 
-step_plan cuts [0, t_end] once per run into segments, wherever the
-distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
-More than 5 sigma from every center a segment is free: the state advances
-by the exact exponential of the field-free Hamiltonian (one
-eigendecomposition per parity block and run). Every other segment is
-ten-stage Gauss collocation in the rotor frame (exact in the rotor
-energies), one rk4_integrate call per piece of at most SAMPLE_BLOCK samples,
-at the pulse-core step dt near the centers, doubled past each edge; samples
-do not cut its steps. run_schedule checks and shows the rows _walk yields:
-a norm violation fails the run, as does a step whose stage sweeps do not
-converge; nothing is silently renormalized.
+step_plan cuts [0, t_end] once per run into segments, wherever the distance to
+the nearest pulse center crosses a STEP_BAND_EDGES edge. More than 5 sigma
+from every center a segment is free: the state advances by the exact
+exponential of the field-free Hamiltonian (one eigendecomposition per parity
+block and run). Every other segment is ten-stage Gauss collocation in the
+rotor frame (exact in the rotor energies), one rk4_integrate call per piece of
+at most SAMPLE_BLOCK samples, at the pulse-core step dt near the centers,
+doubled past each edge; samples cut no step, but a piece's last sample ends
+its call. run_schedule checks and shows the rows _walk yields: a norm
+violation fails the run, as does a step whose stage sweeps do not converge;
+nothing is silently renormalized.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 from typing import Callable
 
@@ -60,7 +59,7 @@ SWEEP_RATE = float(np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max())
 SWEEP_TOLERANCE = 1e-15
 MAX_SWEEPS = 30
 
-# Samples per observer block and per _walk range, and steps per field call;
+# Samples per observer block and per _walk range;
 # run_schedule's queue holds up to 2 SAMPLE_BLOCK - 1 sector rows (0.6 MiB at l_max 10).
 SAMPLE_BLOCK = 64
 
@@ -185,14 +184,14 @@ def _collocate(rhs: RightHandSide, y: np.ndarray, fields: np.ndarray, frame: tup
 def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: float,
                   sample_times: np.ndarray = ()) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """GAUSS_STAGES-stage Gauss-Legendre collocation (order 2s = 20; unitary once the stage equations are solved:
-    Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with rhs.rates,
-    which are integrated exactly. Fixed step dt and one partial final step; a leftover under 1e-12 max(|t1|, 1), or
-    a negative one, widens the last full step, if any. Returns the state at t1, the states
-    at sample_times (ascending, within (t0, t1]) as rows, and the stall: None, or (t, last update) of the first step
-    at t whose sweeps, main or side, reached MAX_SWEEPS. Its memory grows with its samples, not its steps.
+    Hairer, Lubich & Wanner, Geometric Numerical Integration, sec. IV) in the frame that rotates with rhs.rates, which
+    are integrated exactly. Fixed step dt, taken one at a time, and one partial final step; a leftover under 1e-12
+    max(|t1|, 1), or a negative one, widens the last full step, if any. Returns the state at t1, the states at
+    sample_times (ascending, within (t0, t1]) as rows, and the stall: None, or (t, last update) of the first step at t
+    whose sweeps, main or side, reached MAX_SWEEPS. Its memory grows with its samples, not its steps.
 
-    Samples do not cut the steps. A sample t* before the last step's end, in the step [t, t + h), is a side
-    step of width t* - t from the state at t (zero-width, and the state there bit for bit, on a step's start),
+    Samples do not cut the steps. A sample t* before the last step's end, in the step [t, t + h), is a side step
+    after it, of width t* - t from the state at t (zero-width, and the state there bit for bit, on a step's start),
     its sweeps started on the step's collocation polynomial y + derivs @ (h W(theta)) at theta c, theta =
     (t* - t) / h, W = polynomial_weights (Hairer, Lubich & Wanner, secs. II.1.2 and VIII.6). A sample at the
     last step's end is the state at t1. A stalled step goes on from its last iterate."""
@@ -205,22 +204,17 @@ def rk4_integrate(rhs: RightHandSide, y: np.ndarray, t0: float, t1: float, dt: f
     samples = np.asarray(sample_times, dtype=float).tolist()
     rows = np.empty((len(samples), np.size(y)), dtype=np.complex128)
     j, stall = 0, None
-    for lo in range(0, n_steps, SAMPLE_BLOCK):
-        block = np.arange(lo, min(lo + SAMPLE_BLOCK, n_steps))
-        starts, widths = t0 + block * dt, np.where(block == n_steps - 1, last, dt)
-        fields = rhs.field(starts[:, None] + widths[:, None] * GAUSS_NODES)
-        for t, h, field_row in zip(starts.tolist(), widths.tolist(), fields):
-            end, derivs, update = _collocate(rhs, y, field_row, rhs.band(h) if h == dt else rhs.frame(h), y[:, None])
-            first, j = j, bisect.bisect_left(samples, t + h, j)
-            sides = [max(s - t, 0.0) for s in samples[first:j]]  # at a step's end: zero, not -1 ulp
-            if sides:
-                side_fields = rhs.field(t + np.array(sides)[:, None] * GAUSS_NODES)
-                for row, side, side_field in zip(rows[first:j], sides, side_fields):
-                    row[:], _, side_update = _collocate(rhs, y, side_field, rhs.frame(side),
-                                                        y[:, None] + derivs @ (h * polynomial_weights(side / h)))
-                    update = update or side_update
-            stall = stall or ((t, update) if update else None)
-            y = end
+    for i in range(n_steps):
+        t, h = t0 + i * dt, last if i == n_steps - 1 else dt
+        end, derivs, update = _collocate(rhs, y, rhs.field(t + h * GAUSS_NODES),
+                                         rhs.band(h) if h == dt else rhs.frame(h), y[:, None])
+        while j < len(samples) and samples[j] < t + h:
+            side = max(samples[j] - t, 0.0)  # at a step's end: zero, not -1 ulp
+            rows[j], _, side_update = _collocate(rhs, y, rhs.field(t + side * GAUSS_NODES), rhs.frame(side),
+                                                 y[:, None] + derivs @ (h * polynomial_weights(side / h)))
+            update, j = update or side_update, j + 1
+        stall = stall or ((t, update) if update else None)
+        y = end
     rows[j:] = y
     return y, rows, stall
 

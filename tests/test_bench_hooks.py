@@ -48,9 +48,8 @@ def test_build_pieces_result_has_csr_h0_and_coupling():
 
 
 def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
-    # each call takes the field at the ten nodes of each of its main steps and of
-    # each side step, one per sample before its last step's end; the counter reads
-    # the main steps off (t0, t1, dt)
+    # each main step and each side step, one per sample before its call's last step end,
+    # takes the field at its ten nodes in one call; the counter reads the main steps off (t0, t1, dt)
     import dataclasses
 
     from rotorpair import propagation
@@ -84,9 +83,9 @@ def test_rk4_step_counter_matches_the_steps_a_run_takes(monkeypatch):
     samples = np.sort(np.append(np.arange(161) * 0.005, boundary))
     propagation.run_schedule(pieces, train, dt, 1e-8, samples)
     assert len(steps) > 7
-    assert all(shape[1:] == propagation.GAUSS_NODES.shape for shape in taken)
+    assert all(shape == propagation.GAUSS_NODES.shape for shape in taken)
     assert sum(sides) > 30
-    assert sum(steps) + sum(sides) == sum(shape[0] for shape in taken)
+    assert sum(steps) + sum(sides) == len(taken)
     (args, (_, rows, _)), = [(args, result) for args, result in calls if boundary in args[5]]
     assert args[2:5] == (a, b, h)
     there, _, _ = rk4_integrate(args[0], args[1], a, boundary, h)  # three main steps
