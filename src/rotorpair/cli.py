@@ -79,9 +79,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    stems = [Path(csv_path).stem for csv_path in args.csv]  # plot_csv writes <out>/<stem>.svg
+    if clashes := [csv_path for csv_path, stem in zip(args.csv, stems) if stems.count(stem) > 1]:
+        raise InvalidConfigError(f"--csv {', '.join(clashes)}: their SVGs would overwrite each other in {args.out}")
     for csv_path in args.csv:
-        out = plot_csv(csv_path, args.out)
-        print(f"wrote {out}")
+        print(f"wrote {plot_csv(csv_path, args.out)}")
     return EXIT_OK
 
 

@@ -10,8 +10,8 @@ class SimulationError(Exception):
 
 
 class InvalidConfigError(SimulationError):
-    """A configuration value or combination of values is unusable. Raised by config (RunConfig, SweepSpec,
-    presets), by sweep for SIM_THREADS, by output's CSV reader and by run_schedule for its sample grid."""
+    """A configuration value or combination of values is unusable. Raised by config (RunConfig, SweepSpec, presets),
+    by sweep for SIM_THREADS, by cli for two plots of one name, by output's CSV reader and by run_schedule."""
 
 
 class QueryError(SimulationError):

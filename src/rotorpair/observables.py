@@ -74,10 +74,10 @@ def _autocorr_peak(x: np.ndarray, k_min: int, k_max: int) -> float:
 def _energy_growth_rate(t: np.ndarray, energy: np.ndarray, centers: np.ndarray) -> float:
     if centers.size < 2:
         return 0.0
-    before = np.searchsorted(t, centers[1:]) - 1  # the last sample before each next pulse center
-    if before.min() < 0:
-        raise QueryError("no sample falls before the next pulse center")
-    slope, _ = np.polyfit(np.arange(centers.size, dtype=float), np.append(energy[before], energy[-1]), 1)
+    after = np.append(np.searchsorted(t, centers[1:]) - 1, t.size - 1)  # the last sample before the next center
+    if after.min() < 0 or np.any(t[after] <= centers):
+        raise QueryError("every pulse needs a sample after its center, before the next center or the series' end")
+    slope, _ = np.polyfit(np.arange(centers.size, dtype=float), energy[after], 1)
     return float(slope)
 
 
@@ -88,8 +88,8 @@ def regularity_metrics(t_red: np.ndarray, cos_series: np.ndarray,
 
     autocorr_peak: maximum unbiased-normalized autocorrelation of the
     orientation over lags from min_lag_red up to half the series.
-    energy_growth_rate: least-squares slope of <L^2> after each pulse
-    versus pulse index.
+    energy_growth_rate: least-squares slope of <L^2> after each pulse (the last sample
+    before the next center, or the end, if past the pulse's) versus pulse index.
     """
     t = np.asarray(t_red, dtype=float)
     x = np.asarray(cos_series, dtype=float)

@@ -4,17 +4,17 @@ The state is propagated, and observed, in the symmetric sector S of
 TwoRotorBasis.sector_gather, which H(t) leaves invariant (checked, not
 assumed, when build_pieces folds H0 and V); only the final state is unfolded.
 
-step_plan cuts [0, t_end] once per run into segments, wherever the distance to
-the nearest pulse center crosses a STEP_BAND_EDGES edge. More than 5 sigma
-from every center a segment is free: the state advances by the exact
-exponential of the field-free Hamiltonian (one eigendecomposition per parity
-block and run). Every other segment is ten-stage Gauss collocation in the
-rotor frame (exact in the rotor energies), one rk4_integrate call per piece of
-at most SAMPLE_BLOCK samples, at the pulse-core step dt near the centers,
-doubled past each edge; samples cut no step, but a piece's last sample ends
-its call. run_schedule checks and shows the rows _walk yields: a norm
-violation fails the run, as does a step whose stage sweeps do not converge;
-nothing is silently renormalized.
+step_plan cuts [0, t_end] once per run into segments, wherever the
+distance to the nearest pulse center crosses a STEP_BAND_EDGES edge.
+More than 5 sigma from every center a segment is free: the state advances
+by the exact exponential of the field-free Hamiltonian (one
+eigendecomposition per parity block and run). Every other segment is
+ten-stage Gauss collocation in the rotor frame (exact in the rotor
+energies), one rk4_integrate call per piece of at most SAMPLE_BLOCK samples,
+at the pulse-core step dt near the centers, doubled past each edge; samples cut
+no step, but a piece's last sample ends its call. run_schedule checks and shows
+the rows _walk yields: a norm violation fails the run, as does a step whose
+stage sweeps do not converge; nothing is silently renormalized.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ whose BLAS thread count is capped so that workers x threads <= cores."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import multiprocessing
@@ -74,6 +75,12 @@ def _run_point(label: str, doc: dict, point_dir: str) -> dict:
 def run_sweep(spec: SweepSpec) -> tuple[Path, list[dict]]:
     """Run every grid point; returns (manifest path, manifest entries)."""
     points = build_points(spec)
+    for _, _, doc in points:  # with no valid point, the first point's config error, before out_root is made
+        with contextlib.suppress(InvalidConfigError):
+            build_config(doc)
+            break
+    else:
+        build_config(points[0][2])
     out_root = Path(spec.out_dir or spec.base.get("output", {}).get("out_dir") or DEFAULT_SWEEP_DIR)
     workers = worker_count(spec, len(points))  # a bad SIM_THREADS fails before out_root is made
     out_root.mkdir(parents=True, exist_ok=True)
@@ -95,11 +102,8 @@ def run_sweep(spec: SweepSpec) -> tuple[Path, list[dict]]:
 
     for (label, params, _), entry in zip(points, entries):
         entry["params"] = params
-    manifest = {
-        "points": entries,
-        "n_ok": sum(1 for e in entries if e["status"] == "ok"),
-        "n_failed": sum(1 for e in entries if e["status"] == "failed"),
-    }
+    n_ok = sum(e["status"] == "ok" for e in entries)  # the rest have status "failed"
+    manifest = {"points": entries, "n_ok": n_ok, "n_failed": len(entries) - n_ok}
     manifest_path = out_root / MANIFEST_NAME
     write_whole(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path, entries

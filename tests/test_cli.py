@@ -285,6 +285,18 @@ def test_plot_renders_svg(tmp_path, capsys):
     assert "polyline" in svg
 
 
+def test_plot_refuses_two_csvs_that_would_share_an_svg(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "cfg.json", TINY)
+    csvs = [str(tmp_path / run / "timeseries.csv") for run in ("a", "b")]
+    for run in ("a", "b"):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+    capsys.readouterr()
+    assert main(["plot", "--csv", *csvs, "--out", str(tmp_path / "fig")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and all(csv in captured.err for csv in csvs)
+    assert "wrote" not in captured.out and not (tmp_path / "fig").exists()
+
+
 def test_plot_missing_csv_is_an_io_error(tmp_path, capsys):
     code = main(["plot", "--csv", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
     assert code == 4
@@ -366,3 +378,13 @@ def test_sweep_rejects_a_bad_spec(tmp_path, capsys):
     spec = _write_json(tmp_path / "spec.json", {"base": TINY})
     assert main(["sweep", "--spec", spec]) == 2
     assert "axis1" in capsys.readouterr().err
+
+
+def test_sweep_with_no_valid_point_is_a_config_error(tmp_path, capsys):
+    spec = _write_json(tmp_path / "spec.json", {
+        "base": TINY, "axis1": {"name": "l_max", "values": [2.5, 99]}, "parallelism": 1,
+        "out_dir": str(tmp_path / "grid")})
+    assert main(["sweep", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: basis.l_max must be an integer") and "Traceback" not in err
+    assert not (tmp_path / "grid").exists()

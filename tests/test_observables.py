@@ -227,3 +227,11 @@ def test_growth_rate_needs_a_sample_before_each_center():
     x = np.zeros(128)
     with pytest.raises(QueryError):
         regularity_metrics(t, x, x, np.array([-2.0, -1.0]))
+
+
+def test_growth_rate_needs_a_sample_after_each_center():
+    x = np.zeros(128)
+    with pytest.raises(QueryError):  # the series ends at 12.7, before the last two centers
+        regularity_metrics(_uniform_times(128, 0.1), x, x, np.array([1.0, 5.0, 10.0, 15.0, 20.0]))
+    with pytest.raises(QueryError):  # samples every 1.5, pulses every 1.0: none between 3.25 and 4.25
+        regularity_metrics(_uniform_times(128, 1.5), x, x, 0.25 + np.arange(10.0))

@@ -189,13 +189,13 @@ def test_a_failed_point_does_not_report_a_stale_csv(tmp_path):
     _, entries = run_sweep(_spec(axis, parallelism=1, out_dir=str(tmp_path)))
     stale = tmp_path / entries[0]["label"] / CSV_NAME
     assert entries[0]["csv"] == str(stale) and stale.exists()
-    # the same point again, now with a watch entry beyond its l_max (the base,
-    # at l_max 3, is valid: a spec with a bad base is refused before any point runs)
+    # the same point again, now with a watch entry beyond its l_max, next to a valid point at l_max 3 (the base,
+    # at l_max 3, is valid: a spec with a bad base, or with no valid point, is refused before any point runs)
     doc = json.loads(json.dumps(BASE_DOC))
     doc["basis"]["l_max"] = 3
     doc["output"]["watch_populations"] = [[3, 0, 1, 0]]
-    _, entries = run_sweep(_spec(axis, base_doc=doc, parallelism=1, out_dir=str(tmp_path)))
-    assert entries[0]["status"] == "failed"
+    _, entries = run_sweep(_spec(SweepAxis("l_max", (2, 3)), base_doc=doc, parallelism=1, out_dir=str(tmp_path)))
+    assert [e["status"] for e in entries] == ["failed", "ok"]
     assert entries[0]["error"].startswith("InvalidConfigError:")
     assert entries[0]["csv"] is None
     assert stale.exists()  # left alone, but not reported as this attempt's output
