@@ -107,8 +107,8 @@ _NOUNS = {float: "a number", int: "an integer", str: "a string", type(None): "nu
 
 def _typed(value, hint, where: str):
     """value checked against its annotation, the one statement of the schema: a float field
-    takes a finite real, as a float, and an int field an integer (neither takes a bool);
-    tuple[X, ...] takes a list or tuple of X, and a dataclass is checked field by field."""
+    takes a finite real, as a float, and an int field an integer (neither takes a bool); tuple[X, ...] takes
+    a list or tuple of X, and a dataclass an instance or a JSON object of some of its fields, field by field."""
     args = typing.get_args(hint) or (hint,)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -117,8 +117,9 @@ def _typed(value, hint, where: str):
         if len(value) != len(items):
             raise InvalidConfigError(f"{where} must hold {len(items)} entries, got {value!r}")
         return tuple(_typed(item, h, f"{where}[{k}]") for k, (item, h) in enumerate(zip(value, items)))
-    if dataclasses.is_dataclass(hint) and isinstance(value, hint):
-        return hint(**{key: _typed(getattr(value, key), h, f"{where}.{key}") for key, h in _hints(hint).items()})
+    if dataclasses.is_dataclass(hint):
+        given = vars(value) if isinstance(value, hint) else _fields_of(value, hint, where, where)
+        return hint(**{key: _typed(given[key], h, f"{where}.{key}") for key, h in _hints(hint).items() if key in given})
     if value is None and type(None) in args or isinstance(value, str) and str in args:
         return value
     if float in args and isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -147,20 +148,16 @@ def _fields_of(data, cls, what: str, path: str = "") -> dict:
 
 
 def build_config(data: dict) -> RunConfig:
-    """Parse a decoded JSON document; every absent key keeps its dataclass default."""
-    _fields_of(data, RunConfig, "config")
-    parts = {}
-    for name, section in _hints(RunConfig).items():
-        doc = _fields_of(data.get(name, {}), section, name, name)
-        if type(doc.get("entropy_log_base")) is int:  # a JSON 2 means "2"
-            doc = {**doc, "entropy_log_base": str(doc["entropy_log_base"])}
-        parts[name] = section(**doc)
-    if "watch_populations" not in data.get("output", {}):
-        # the default watch list, trimmed to the truncation the document picked
-        l_max = _typed(parts["basis"], BasisConfig, "basis").l_max
-        parts["output"] = dataclasses.replace(parts["output"], watch_populations=tuple(
-            w for w in parts["output"].watch_populations if w[0] <= l_max and w[2] <= l_max))
-    return RunConfig(**parts)
+    """A decoded JSON document as a RunConfig, which types each section's object; a document adds two rules: a
+    JSON 2 for entropy_log_base means "2", and a missing watch list is the default one trimmed to its l_max."""
+    output = _fields_of(data, RunConfig, "config").get("output", {})
+    if isinstance(output, dict):  # RunConfig refuses anything else
+        if type(output.get("entropy_log_base")) is int:
+            output = {**output, "entropy_log_base": str(output["entropy_log_base"])}
+        if "watch_populations" not in output:
+            l_max = _typed(data.get("basis", {}), BasisConfig, "basis").l_max
+            output = {**output, "watch_populations": [w for w in DEFAULT_WATCH if w[0] <= l_max and w[2] <= l_max]}
+    return RunConfig(**{**data, "output": output})
 
 
 def validate_config(cfg: RunConfig) -> None:

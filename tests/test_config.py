@@ -16,6 +16,7 @@ from rotorpair.config import (
     MAX_SAMPLES,
     MAX_STEPS_PER_SIGMA,
     PRESET_NAMES,
+    BasisConfig,
     RunConfig,
     SweepAxis,
     SweepSpec,
@@ -134,6 +135,18 @@ def test_a_wrong_typed_value_is_rejected_however_the_config_is_built(section, ke
     }[how]
     with pytest.raises(InvalidConfigError, match=re.escape(f"{section}.{key}")):
         build()
+
+
+def test_a_section_given_to_run_config_as_its_json_object_is_typed_like_a_parsed_one():
+    assert RunConfig(basis={"l_max": 3}) == build_config({"basis": {"l_max": 3}})
+    assert RunConfig(basis={"l_max": 3}).basis == BasisConfig(3)
+    for section, value, message in [("basis", {"l_max": 2.5}, "basis.l_max must be an integer"),
+                                    ("pulse", {"nope": 1}, "unknown key 'pulse.nope'"),
+                                    ("basis", [], "basis must be an object")]:
+        with pytest.raises(InvalidConfigError, match="^" + re.escape(message)):
+            RunConfig(**{section: value})
+        with pytest.raises(InvalidConfigError, match="^" + re.escape(message)):
+            build_config({section: value})
 
 
 @pytest.mark.parametrize("l_max", [True, 0, -1, 2.5, 2.0, "2", None])
