@@ -19,7 +19,7 @@ import typing
 from dataclasses import dataclass
 
 from .exceptions import InvalidConfigError
-from .units import SYMBOLIC_PERIODS, dipole_strength, fs_to_reduced, run_length_ps, time_unit_seconds
+from .units import SYMBOLIC_PERIODS, dipole_strength, fs_to_reduced, run_length_ps, sample_count, time_unit_seconds
 
 DEFAULT_WATCH = ((1, 0, 0, 0), (1, 0, 1, 0), (2, 0, 1, 0), (3, 0, 1, 0))
 ENTROPY_LOG_BASES = ("e", "2", "d_single")
@@ -194,7 +194,7 @@ def validate_config(cfg: RunConfig) -> None:
         length_ps = run_length_ps(cfg)
     except ArithmeticError:  # a pulse count past the float range, or hbar/B past it
         length_ps = math.inf
-    if not length_ps / cfg.output.sample_interval_ps < MAX_SAMPLES:
+    if not sample_count(length_ps, cfg.output.sample_interval_ps) <= MAX_SAMPLES:
         raise InvalidConfigError(
             f"output: a run of {length_ps:g} ps sampled every {cfg.output.sample_interval_ps:g} ps"
             f" needs more than MAX_SAMPLES = {MAX_SAMPLES} samples; shorten output.total_time_ps"

@@ -118,6 +118,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 
 def _panel(x_vals, series, title: str, y_label: str, x_label: str | None, offset_y: int) -> str:
+    from xml.sax.saxutils import escape  # here: it loads urllib.request, about 1.3 MiB a run has no use for
     # the axes span the finite points; a failed run's NaN rows are left out
     finite_x = [x for x in x_vals if math.isfinite(x)]
     lo_x, hi_x = min(finite_x, default=0.0), max(finite_x, default=0.0)
@@ -138,9 +139,9 @@ def _panel(x_vals, series, title: str, y_label: str, x_label: str | None, offset
     parts = [
         f'<rect x="{_MARGIN_L}" y="{offset_y}" width="{_PANEL_W}" height="{_PANEL_H}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
-        f'<text x="{_MARGIN_L + 4}" y="{offset_y - 8}" font-size="13" fill="#111">{title}</text>',
+        f'<text x="{_MARGIN_L + 4}" y="{offset_y - 8}" font-size="13" fill="#111">{escape(title)}</text>',
         f'<text x="14" y="{offset_y + _PANEL_H / 2:.1f}" font-size="12" fill="#111" '
-        f'transform="rotate(-90 14 {offset_y + _PANEL_H / 2:.1f})" text-anchor="middle">{y_label}</text>',
+        f'transform="rotate(-90 14 {offset_y + _PANEL_H / 2:.1f})" text-anchor="middle">{escape(y_label)}</text>',
     ]
     for v in _ticks(lo_y, hi_y):
         y = sy(v)
@@ -155,7 +156,7 @@ def _panel(x_vals, series, title: str, y_label: str, x_label: str | None, offset
                      f'fill="#111">{v:.4g}</text>')
     if x_label:
         parts.append(f'<text x="{_MARGIN_L + _PANEL_W / 2:.1f}" y="{offset_y + _PANEL_H + 32}" '
-                     f'font-size="12" text-anchor="middle" fill="#111">{x_label}</text>')
+                     f'font-size="12" text-anchor="middle" fill="#111">{escape(x_label)}</text>')
     legend_x = _MARGIN_L + 8
     for k, (name, vals) in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
@@ -166,7 +167,7 @@ def _panel(x_vals, series, title: str, y_label: str, x_label: str | None, offset
                      for run in pts.split("|") if run.strip())
         if len(series) > 1:
             parts.append(f'<text x="{legend_x}" y="{offset_y + 14}" font-size="11" '
-                         f'fill="{color}">{name}</text>')
+                         f'fill="{color}">{escape(name)}</text>')
             legend_x += 9 * len(name) + 18
     return "\n".join(parts)
 

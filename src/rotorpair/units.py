@@ -71,6 +71,12 @@ def run_length_ps(cfg: RunConfig) -> float:
     return cfg.pulse.count * _period_reduced(cfg) * time_unit_ps + 100.0
 
 
+def sample_count(length_ps: float, interval_ps: float) -> float:
+    """How many of 0, interval, 2 interval, ... reach up to length, the last being length when it is whole intervals
+    to within rounding (0.3 / 0.1 is 2.9999999999999996); a float, nan past the float range."""
+    return (length_ps / interval_ps + 1e-9) // 1 + 1
+
+
 def dipole_strength(cfg: RunConfig) -> float:
     """mu^2 / (4 pi eps0 R^3 B), the coupling in units of B; 0.0 when R_m is null."""
     if cfg.geometry.R_m is None:
@@ -111,5 +117,5 @@ def to_reduced(cfg: RunConfig) -> tuple[PulseSchedule, float, float, np.ndarray]
     core = min(sigma / 2.0, max(sigma / 400.0, 0.18 / strength)) if strength else sigma / 2.0
     dt = core if dt_fs is None else fs_to_reduced(dt_fs, cfg.molecule.B_cm1)
     interval_ps = cfg.output.sample_interval_ps
-    sample_ps = np.arange(int(np.floor(run_length_ps(cfg) / interval_ps)) + 1) * interval_ps
+    sample_ps = np.arange(sample_count(run_length_ps(cfg), interval_ps)) * interval_ps
     return schedule, dipole, dt, sample_ps / (time_unit_seconds(cfg.molecule.B_cm1) * 1e12)

@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+from rotorpair.config import build_config
 from rotorpair.exceptions import InvalidConfigError
 from rotorpair.output import (
     CSV_CHUNK_ROWS,
@@ -14,6 +16,7 @@ from rotorpair.output import (
     read_timeseries_csv,
     write_timeseries_csv,
 )
+from rotorpair.runner import run_config
 
 
 def _rows(count, pops=(0.25,)):
@@ -180,6 +183,18 @@ def test_plot_leaves_out_non_finite_points(tmp_path):
     assert "nan" not in svg.lower() and "inf" not in svg.lower()
     # the infinite entropy sample splits its trace in two
     assert svg.count("<polyline") == 6
+
+
+def test_every_svg_is_well_formed_xml(tmp_path):
+    # the labels "<cos>" and "<L^2>", and every column name a CSV header gives, are escaped text, not markup
+    run = run_config(build_config({"basis": {"l_max": 2}, "output": {"total_time_ps": 5}}), tmp_path / "run")
+    hand = tmp_path / "hand.csv"
+    hand.write_text(csv_header(WATCH) + ",pop_<a&b>\n" + ",".join(["0.5"] * 8) + "\n")
+    for csv_path in (run.csv_path, hand):
+        root = ElementTree.parse(plot_csv(csv_path, tmp_path / "plots")).getroot()
+        texts = {node.text for node in root.iter("{http://www.w3.org/2000/svg}text")}
+        assert {"orientation", "<cos>", "<L^2>", "t (ps)"} <= texts
+    assert {"pop_1_0_1_0", "pop_<a&b>"} <= texts
 
 
 def test_plot_needs_data_rows(tmp_path):

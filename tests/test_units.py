@@ -123,6 +123,13 @@ def test_to_reduced_makes_the_step_and_the_sample_times():
     assert dt == pytest.approx(0.5e-15 / time_unit_seconds(0.12), rel=1e-15)
 
 
+@pytest.mark.parametrize("total_time_ps, count", [(0.3, 4), (0.7, 8), (2.3, 24)])
+def test_the_sample_grid_ends_on_a_run_length_of_whole_intervals_to_rounding(total_time_ps, count):
+    # 0.3 / 0.1 is 2.9999999999999996, which floors to 2 and would drop the sample at 0.3 ps
+    _, _, _, samples = to_reduced(_with("output", total_time_ps=total_time_ps, sample_interval_ps=0.1))
+    assert np.array_equal(samples, np.arange(count) * 0.1 / (time_unit_seconds(0.12) * 1e12))
+
+
 def test_the_default_step_shrinks_with_the_field_down_to_sigma_over_400():
     # the sweep rate is the spectral radius of GAUSS_MATRIX, 0.0717 at ten stages
     assert SWEEP_RATE == np.abs(np.linalg.eigvals(GAUSS_MATRIX)).max() == pytest.approx(0.0717, abs=5e-5)
